@@ -1,21 +1,13 @@
 module S = Mmdb_storage
-module I = Mmdb_index
 module P = Mmdb_planner
 
-type index_kind = Avl_index | Btree_index
-
-type table = {
-  mutable rel : S.Relation.t;
-  mutable avl : I.Avl.t option;
-  mutable btree : I.Btree.t option;
-}
+type index_kind = P.Catalog.index_kind = Avl_index | Btree_index
 
 type t = {
   env : S.Env.t;
   disk : S.Disk.t;
   mem_pages : int;
   cat : P.Catalog.t;
-  tables : (string, table) Hashtbl.t;
   planner_cfg : P.Optimizer.config;
 }
 
@@ -26,7 +18,6 @@ let create ?(page_size = 4096) ?(mem_pages = 256) ?(cost = S.Cost.table2) () =
     disk = S.Disk.create ~env ~page_size;
     mem_pages;
     cat = P.Catalog.create ();
-    tables = Hashtbl.create 16;
     planner_cfg =
       {
         P.Optimizer.mem_pages;
@@ -39,104 +30,56 @@ let env t = t.env
 let mem_pages t = t.mem_pages
 let catalog t = t.cat
 
-let find_table t name =
-  match Hashtbl.find_opt t.tables name with
-  | Some tbl -> tbl
-  | None -> raise Not_found
+let find_table t name = P.Catalog.find t.cat name
 
 let create_table t ~name ~schema =
-  if Hashtbl.mem t.tables name then
+  if P.Catalog.mem t.cat name then
     invalid_arg ("Db.create_table: table exists: " ^ name);
-  let rel = S.Relation.create ~disk:t.disk ~name ~schema in
-  Hashtbl.replace t.tables name { rel; avl = None; btree = None };
-  P.Catalog.register t.cat rel
+  P.Catalog.register t.cat (S.Relation.create ~disk:t.disk ~name ~schema)
 
-let table_names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.tables []
+let table_names t = P.Catalog.names t.cat
 
-let insert_encoded tbl tuple =
-  S.Relation.append_nocharge tbl.rel tuple;
-  (match tbl.avl with Some ix -> I.Avl.insert ix tuple | None -> ());
-  match tbl.btree with Some ix -> I.Btree.insert ix tuple | None -> ()
+let encode_rows rel rows = List.map (S.Tuple.encode (S.Relation.schema rel)) rows
 
 let insert t ~table values =
-  let tbl = find_table t table in
-  let tuple = S.Tuple.encode (S.Relation.schema tbl.rel) values in
-  insert_encoded tbl tuple
+  P.Catalog.insert t.cat table (encode_rows (find_table t table) [ values ])
 
-let analyze t =
-  Hashtbl.iter
-    (fun name tbl ->
-      S.Relation.seal tbl.rel;
-      ignore name;
-      P.Catalog.register t.cat tbl.rel)
-    t.tables
+(* Append, seal and re-register: the statistics fold in only the new
+   rows. *)
+let insert_sealed t table tuples =
+  P.Catalog.insert t.cat table tuples;
+  let rel = find_table t table in
+  S.Relation.seal rel;
+  P.Catalog.register t.cat rel
+
+let analyze t = List.iter (P.Catalog.refresh t.cat) (table_names t)
 
 let insert_many t ~table rows =
-  let tbl = find_table t table in
-  let schema = S.Relation.schema tbl.rel in
-  List.iter (fun values -> insert_encoded tbl (S.Tuple.encode schema values)) rows;
-  S.Relation.seal tbl.rel;
-  P.Catalog.register t.cat tbl.rel
+  insert_sealed t table (encode_rows (find_table t table) rows)
 
-let create_index t ~table kind =
-  let tbl = find_table t table in
-  let schema = S.Relation.schema tbl.rel in
-  match kind with
-  | Avl_index ->
-    if tbl.avl <> None then invalid_arg "Db.create_index: AVL index exists";
-    let ix = I.Avl.create ~env:t.env ~schema () in
-    S.Relation.iter_tuples_nocharge tbl.rel (I.Avl.insert ix);
-    tbl.avl <- Some ix
-  | Btree_index ->
-    if tbl.btree <> None then invalid_arg "Db.create_index: B+-tree index exists";
-    let ix =
-      I.Btree.create ~env:t.env ~schema
-        ~page_size:(S.Disk.page_size t.disk) ()
-    in
-    S.Relation.iter_tuples_nocharge tbl.rel (I.Btree.insert ix);
-    tbl.btree <- Some ix
-
-let encode_key schema value =
-  match value with
-  | S.Tuple.VInt v -> S.Tuple.encode_int_key schema v
-  | S.Tuple.VStr s ->
-    let w = S.Schema.key_width schema in
-    if String.length s > w then invalid_arg "Db: key string too wide";
-    let b = Bytes.make w '\000' in
-    Bytes.blit_string s 0 b 0 (String.length s);
-    b
+let create_index t ~table kind = P.Catalog.create_index t.cat table kind
 
 let lookup t ~table ~key =
-  let tbl = find_table t table in
-  let schema = S.Relation.schema tbl.rel in
-  let kb = encode_key schema key in
-  let found =
-    match (tbl.avl, tbl.btree) with
-    | Some ix, _ -> I.Avl.search ix kb
-    | None, Some ix -> I.Btree.search ix kb
-    | None, None ->
-      (* Scan fallback: charged comparisons, as an unindexed scan would. *)
-      let hit = ref None in
-      S.Relation.iter_tuples_nocharge tbl.rel (fun tuple ->
-          S.Env.charge_comp t.env;
-          if !hit = None && S.Tuple.compare_key_to schema tuple kb = 0 then
-            hit := Some tuple);
-      !hit
-  in
-  Option.map (S.Tuple.decode schema) found
+  let schema = S.Relation.schema (find_table t table) in
+  Option.map (S.Tuple.decode schema)
+    (P.Catalog.lookup t.cat table (S.Tuple.encode_key schema key))
 
 let range t ~table ~lo ~hi =
-  let tbl = find_table t table in
-  let schema = S.Relation.schema tbl.rel in
-  let lob = encode_key schema lo and hib = encode_key schema hi in
+  let rel = find_table t table in
+  let schema = S.Relation.schema rel in
+  let lob = S.Tuple.encode_key schema lo and hib = S.Tuple.encode_key schema hi in
   let acc = ref [] in
   let collect tuple = acc := S.Tuple.decode schema tuple :: !acc in
-  (match (tbl.btree, tbl.avl) with
-  | Some ix, _ -> I.Btree.range_scan ix ~lo:lob ~hi:hib collect
-  | None, Some ix -> I.Avl.range_scan ix ~lo:lob ~hi:hib collect
+  (* The B+-tree's leaf chain first: a range reads neighbouring keys. *)
+  let indexes = P.Catalog.indexes t.cat table in
+  let btree = List.find_map (function P.Catalog.Btree ix -> Some ix | P.Catalog.Avl _ -> None) indexes in
+  let avl = List.find_map (function P.Catalog.Avl ix -> Some ix | P.Catalog.Btree _ -> None) indexes in
+  (match (btree, avl) with
+  | Some ix, _ -> Mmdb_index.Btree.range_scan ix ~lo:lob ~hi:hib collect
+  | None, Some ix -> Mmdb_index.Avl.range_scan ix ~lo:lob ~hi:hib collect
   | None, None ->
     let matches = ref [] in
-    S.Relation.iter_tuples_nocharge tbl.rel (fun tuple ->
+    S.Relation.iter_tuples_nocharge rel (fun tuple ->
         S.Env.charge_comps t.env 2;
         if
           S.Tuple.compare_key_to schema tuple lob >= 0
@@ -156,23 +99,26 @@ let query t expr =
       (Format.asprintf "Db.query: invalid plan:@ %a" Mmdb_util.Diag.pp_list
          diags)
 
-let query_rows t expr = P.Executor.rows (query t expr)
+(* The result's pages are freed once decoded, unless it is a table
+   itself (a bare [SELECT *]). *)
+let query_rows t expr =
+  let rel = query t expr in
+  let rows = P.Executor.rows rel in
+  if not (P.Catalog.mem t.cat (S.Relation.name rel)) then S.Relation.free_pages rel;
+  rows
 
 let audit t =
   let names = List.sort compare (table_names t) in
   let comps =
     List.concat_map
       (fun name ->
-        let tbl = find_table t name in
-        (match tbl.avl with
-        (* perf_lint: audit labels; one concat per table *)
-        | Some ix -> [ Mmdb_verify.Audit.Avl (name ^ ".avl", ix) ]
-        | None -> [])
-        @
-        match tbl.btree with
-        (* perf_lint: audit labels; one concat per table *)
-        | Some ix -> [ Mmdb_verify.Audit.Btree (name ^ ".btree", ix) ]
-        | None -> [])
+        List.map
+          (function
+            (* perf_lint: audit labels; one concat per index *)
+            | P.Catalog.Avl ix -> Mmdb_verify.Audit.Avl (name ^ ".avl", ix)
+            (* perf_lint: audit labels; one concat per index *)
+            | P.Catalog.Btree ix -> Mmdb_verify.Audit.Btree (name ^ ".btree", ix))
+          (P.Catalog.indexes t.cat name))
       names
   in
   Mmdb_verify.Audit.run_all comps
@@ -188,12 +134,14 @@ let sql_explain t text = explain t (P.Sql.parse_exn text)
 type exec_result = Rows of S.Tuple.value list list | Affected of int
 
 (* Rebuild a table's relation with [keep]-filtered, [transform]-mapped
-   tuples; refresh its indexes and statistics. *)
-let rebuild_table t name tbl ~keep ~transform =
-  let schema = S.Relation.schema tbl.rel in
+   tuples.  Registering the new relation rebuilds the indexes and the
+   statistics; if a rebuilt index finds a duplicate key, the table is
+   left as it was. *)
+let rebuild_table t name ~keep ~transform =
+  let rel = find_table t name in
   let affected = ref 0 in
-  let fresh = S.Relation.create ~disk:t.disk ~name ~schema in
-  S.Relation.iter_tuples_nocharge tbl.rel (fun tuple ->
+  let fresh = S.Relation.create ~disk:t.disk ~name ~schema:(S.Relation.schema rel) in
+  S.Relation.iter_tuples_nocharge rel (fun tuple ->
       if keep tuple then S.Relation.append_nocharge fresh tuple
       else begin
         incr affected;
@@ -202,22 +150,12 @@ let rebuild_table t name tbl ~keep ~transform =
         | None -> ()
       end);
   S.Relation.seal fresh;
-  S.Relation.free_pages tbl.rel;
-  tbl.rel <- fresh;
-  (* Rebuild indexes from scratch. *)
-  if tbl.avl <> None then begin
-    let ix = I.Avl.create ~env:t.env ~schema () in
-    S.Relation.iter_tuples_nocharge fresh (I.Avl.insert ix);
-    tbl.avl <- Some ix
-  end;
-  if tbl.btree <> None then begin
-    let ix =
-      I.Btree.create ~env:t.env ~schema ~page_size:(S.Disk.page_size t.disk) ()
-    in
-    S.Relation.iter_tuples_nocharge fresh (I.Btree.insert ix);
-    tbl.btree <- Some ix
-  end;
-  P.Catalog.register t.cat fresh;
+  let registered = ref false in
+  Fun.protect
+    ~finally:(fun () -> S.Relation.free_pages (if !registered then rel else fresh))
+    (fun () ->
+      P.Catalog.register t.cat fresh;
+      registered := true);
   !affected
 
 let matches_all schema preds tuple =
@@ -227,29 +165,21 @@ let execute t text =
   match P.Sql.parse_statement_exn text with
   | P.Sql.Query expr -> Rows (query_rows t expr)
   | P.Sql.Insert { table; rows } ->
-    let tbl = find_table t table in
-    let schema = S.Relation.schema tbl.rel in
-    List.iter
-      (fun values -> insert_encoded tbl (S.Tuple.encode schema values))
-      rows;
-    S.Relation.seal tbl.rel;
-    P.Catalog.register t.cat tbl.rel;
+    insert_sealed t table (encode_rows (find_table t table) rows);
     Affected (List.length rows)
   | P.Sql.Delete { table; preds } ->
-    let tbl = find_table t table in
-    let schema = S.Relation.schema tbl.rel in
+    let schema = S.Relation.schema (find_table t table) in
     Affected
-      (rebuild_table t table tbl
+      (rebuild_table t table
          ~keep:(fun tuple -> not (matches_all schema preds tuple))
          ~transform:(fun _ -> None))
   | P.Sql.Update { table; sets; preds } ->
-    let tbl = find_table t table in
-    let schema = S.Relation.schema tbl.rel in
+    let schema = S.Relation.schema (find_table t table) in
     let set_indices =
       List.map (fun (col, v) -> (S.Schema.column_index schema col, v)) sets
     in
     Affected
-      (rebuild_table t table tbl
+      (rebuild_table t table
          ~keep:(fun tuple -> not (matches_all schema preds tuple))
          ~transform:(fun tuple ->
            let values = Array.of_list (S.Tuple.decode schema tuple) in
@@ -259,9 +189,7 @@ let execute t text =
     create_table t ~name:table ~schema;
     Affected 0
   | P.Sql.Drop_table table ->
-    let tbl = find_table t table in
-    S.Relation.free_pages tbl.rel;
-    Hashtbl.remove t.tables table;
+    S.Relation.free_pages (find_table t table);
     P.Catalog.remove t.cat table;
     Affected 0
 
@@ -298,9 +226,9 @@ let save t path =
   put_u32 buf (List.length names);
   List.iter
     (fun name ->
-      let tbl = find_table t name in
-      S.Relation.seal tbl.rel;
-      let schema = S.Relation.schema tbl.rel in
+      let rel = find_table t name in
+      S.Relation.seal rel;
+      let schema = S.Relation.schema rel in
       put_string buf name;
       let cols = S.Schema.columns schema in
       (* perf_lint: save path; one length per table, bounded by schema *)
@@ -313,10 +241,12 @@ let save t path =
           put_u16 buf c.S.Schema.width)
         cols;
       put_u16 buf (S.Schema.key_index schema);
-      put_u8 buf (if tbl.avl <> None then 1 else 0);
-      put_u8 buf (if tbl.btree <> None then 1 else 0);
-      put_u32 buf (S.Relation.ntuples tbl.rel);
-      S.Relation.iter_tuples_nocharge tbl.rel (fun tuple ->
+      let kinds = List.map P.Catalog.kind_of_index (P.Catalog.indexes t.cat name) in
+      let has kind = if List.mem kind kinds then 1 else 0 in
+      put_u8 buf (has Avl_index);
+      put_u8 buf (has Btree_index);
+      put_u32 buf (S.Relation.ntuples rel);
+      S.Relation.iter_tuples_nocharge rel (fun tuple ->
           Buffer.add_bytes buf tuple))
     names;
   let oc = open_out_bin path in
@@ -398,15 +328,13 @@ let load ?page_size ?mem_pages ?cost path =
     let ntuples = get_u32 () in
     let width = S.Schema.tuple_width schema in
     create_table db ~name ~schema;
-    let tbl = find_table db name in
+    let tuples = ref [] in
     for _ = 1 to ntuples do
       need width;
-      let tuple = Bytes.of_string (String.sub data !pos width) in
-      pos := !pos + width;
-      insert_encoded tbl tuple
+      tuples := Bytes.of_string (String.sub data !pos width) :: !tuples;
+      pos := !pos + width
     done;
-    S.Relation.seal tbl.rel;
-    P.Catalog.register db.cat tbl.rel;
+    insert_sealed db name (List.rev !tuples);
     if has_avl then create_index db ~table:name Avl_index;
     if has_btree then create_index db ~table:name Btree_index
   done;

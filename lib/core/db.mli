@@ -10,7 +10,9 @@
 
 type t
 
-type index_kind = Avl_index | Btree_index
+type index_kind = Mmdb_planner.Catalog.index_kind = Avl_index | Btree_index
+(** Indexes live in the catalog entry of their table, so the planner and
+    {!lookup} share them. *)
 
 val create : ?page_size:int -> ?mem_pages:int -> ?cost:Mmdb_storage.Cost.t ->
   unit -> t
@@ -29,25 +31,32 @@ val table_names : t -> string list
 
 val insert : t -> table:string -> Mmdb_storage.Tuple.value list -> unit
 (** Append a row (uncharged, as workload setup); maintains any indexes.
-    @raise Not_found on unknown table. *)
+    @raise Not_found on unknown table.
+    @raise Invalid_argument if the table has an index and already holds
+    the row's key. *)
 
 val insert_many : t -> table:string -> Mmdb_storage.Tuple.value list list ->
   unit
-(** Bulk insert; refreshes catalog statistics once at the end. *)
+(** Bulk insert; refreshes catalog statistics once at the end.
+    @raise Invalid_argument if the table has an index and a key is
+    already present or repeats among the rows; no row is inserted. *)
 
 val analyze : t -> unit
 (** Refresh optimizer statistics for every table (automatic after
     [insert_many]; call manually after many single [insert]s). *)
 
 val create_index : t -> table:string -> index_kind -> unit
-(** Index the table on its schema key.  Existing rows are loaded.
-    @raise Invalid_argument if an index of that kind already exists. *)
+(** Index the table on its schema key.  Existing rows are loaded.  An
+    indexed table holds each key at most once.
+    @raise Invalid_argument if an index of that kind already exists.
+    @raise Invalid_argument if the rows hold a duplicate key. *)
 
 val lookup : t -> table:string -> key:Mmdb_storage.Tuple.value ->
   Mmdb_storage.Tuple.value list option
-(** Point lookup by key via the best available index (AVL preferred when
-    both exist, per Section 2 fully-resident results); falls back to a
-    scan.  @raise Invalid_argument on key type mismatch. *)
+(** Point lookup by key through {!Mmdb_planner.Catalog.lookup}, the probe
+    the planner's index path uses: the best available index (AVL
+    preferred when both exist, per Section 2 fully-resident results),
+    else a scan.  @raise Invalid_argument on key type mismatch. *)
 
 val range : t -> table:string -> lo:Mmdb_storage.Tuple.value ->
   hi:Mmdb_storage.Tuple.value -> Mmdb_storage.Tuple.value list list
@@ -74,7 +83,8 @@ val audit : t -> (string * Mmdb_util.Diag.t list) list
 
 val sql : t -> string -> Mmdb_storage.Tuple.value list list
 (** [sql db "SELECT dept, COUNT( * ) FROM emp GROUP BY dept"] — parse
-    ({!Mmdb_planner.Sql}), plan, execute, decode.
+    ({!Mmdb_planner.Sql}), plan, execute, decode, and free the result's
+    pages.
     @raise Invalid_argument on parse errors. *)
 
 val sql_explain : t -> string -> string
@@ -89,13 +99,18 @@ val execute : t -> string -> exec_result
     [INSERT INTO t VALUES (..)], [DELETE FROM t WHERE ..],
     [UPDATE t SET c = lit WHERE ..].  DML maintains indexes and refreshes
     optimizer statistics; DELETE/UPDATE rebuild the table (the
-    memory-resident analogue of compaction).
+    memory-resident analogue of compaction).  A query's result pages are
+    freed once its rows are decoded.
     @raise Invalid_argument on parse/arity errors, [Not_found] on unknown
-    tables. *)
+    tables.
+    @raise Invalid_argument if an [INSERT] or a key-changing [UPDATE]
+    would put a key twice into a table with an index; the table is left
+    unchanged. *)
 
 val query_rows : t -> Mmdb_planner.Algebra.expr ->
   Mmdb_storage.Tuple.value list list
-(** {!query} decoded. *)
+(** {!query} decoded; the result's pages are then freed unless the
+    result is a table itself. *)
 
 val explain : t -> Mmdb_planner.Algebra.expr -> string
 (** The optimizer's plan for the expression. *)

@@ -51,4 +51,7 @@ val base_relations : expr -> string list
 val op_string : cmp_op -> string
 (** SQL spelling: ["="], ["<>"], ["<"], ... *)
 
+val value_string : Mmdb_storage.Tuple.value -> string
+(** A literal as printed by {!pp}: integers bare, strings quoted. *)
+
 val pp : Format.formatter -> expr -> unit

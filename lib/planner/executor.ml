@@ -25,7 +25,7 @@ let temp_name prefix =
 
 let base_relation catalog plan =
   let rec first_scan = function
-    | Optimizer.P_scan name -> Some name
+    | Optimizer.P_scan name | Optimizer.P_index_lookup { table = name; _ } -> Some name
     | Optimizer.P_filter { input; _ }
     | Optimizer.P_project { input; _ }
     | Optimizer.P_aggregate { input; _ } -> first_scan input
@@ -52,6 +52,13 @@ let run_node ~recurse catalog cfg plan =
   let disk = disk_of catalog plan in
   match plan with
   | Optimizer.P_scan name -> Catalog.find catalog name
+  | Optimizer.P_index_lookup { table; value; _ } ->
+    let schema = S.Relation.schema (Catalog.find catalog table) in
+    let out = S.Relation.create ~disk ~name:(temp_name "index") ~schema in
+    Option.iter (S.Relation.append_nocharge out)
+      (Catalog.lookup catalog table (S.Tuple.encode_key schema value));
+    S.Relation.seal out;
+    out
   | Optimizer.P_filter { input; pred } ->
     let src = recurse catalog cfg input in
     let schema = S.Relation.schema src in
@@ -182,6 +189,7 @@ type node_obs = {
 
 let kind_of = function
   | Optimizer.P_scan name -> "scan:" ^ name
+  | Optimizer.P_index_lookup { table; _ } -> "index:" ^ table
   | Optimizer.P_filter _ -> "filter"
   | Optimizer.P_project { distinct; _ } ->
     if distinct then "project-distinct" else "project"

@@ -22,7 +22,8 @@ val run : ?deadline:Mmdb_overload.Overload.Deadline.t -> Catalog.t ->
 
 type node_obs = {
   path : string;  (** ["$"] for the root, ["$.0"], ["$.0.1"], … below *)
-  kind : string;  (** ["scan:name"], ["filter"], ["join:hybrid"], … *)
+  kind : string;
+      (** ["scan:name"], ["index:name"], ["filter"], ["join:hybrid"], … *)
   output_tuples : int;
   output_pages : int;
   output_tuples_per_page : int;

@@ -23,6 +23,12 @@ type join_choice = {
 
 type plan =
   | P_scan of string
+  | P_index_lookup of {
+      table : string;
+      column : string;
+      value : S.Tuple.value;
+      kind : Catalog.index_kind;
+    }
   | P_filter of { input : plan; pred : Algebra.predicate }
   | P_project of { input : plan; columns : string list; distinct : bool }
   | P_join of {
@@ -217,11 +223,63 @@ let choose_join catalog cfg left right =
     est_seconds;
   }
 
+(* Whether an index probe for [pred] returns exactly the rows a filter
+   would keep: an equality on the key column with a literal the key
+   encoding represents (a NUL-padded string must not end in NUL). *)
+let probes_key schema (pred : Algebra.predicate) =
+  let ki = S.Schema.key_index schema in
+  let col = S.Schema.column_at schema ki in
+  pred.Algebra.op = Algebra.Eq
+  && String.equal pred.Algebra.column col.S.Schema.name
+  &&
+  match (col.S.Schema.ty, pred.Algebra.value) with
+  | S.Schema.Int, S.Tuple.VInt v ->
+    let lo, hi = S.Tuple.int_key_range schema in
+    lo <= v && v <= hi
+  | S.Schema.Fixed_string, S.Tuple.VStr s ->
+    let n = String.length s in
+    n <= col.S.Schema.width && (n = 0 || s.[n - 1] <> '\000')
+  | S.Schema.Int, S.Tuple.VStr _ | S.Schema.Fixed_string, S.Tuple.VInt _ -> false
+
+(* A chain of selections directly over the scan of an indexed table, with
+   an equality on its key anywhere in the chain, becomes one index probe
+   under the chain's other predicates (in their original order). *)
+let index_path catalog expr =
+  let rec chain preds = function
+    | Algebra.Select { input; pred } -> chain (pred :: preds) input
+    | Algebra.Scan table -> Some (table, preds)
+    | _ -> None
+  in
+  match chain [] expr with
+  | Some (table, preds) when Catalog.mem catalog table -> (
+    match Catalog.index_kind catalog table with
+    | None -> None
+    | Some kind -> (
+      let schema = S.Relation.schema (Catalog.find catalog table) in
+      (* [preds] lists the innermost predicate first. *)
+      let rec split before = function
+        | [] -> None
+        | p :: rest when probes_key schema p -> Some (p, List.rev_append before rest)
+        | p :: rest -> split (p :: before) rest
+      in
+      match split [] preds with
+      | None -> None
+      | Some (probe, rest) ->
+        let lookup =
+          P_index_lookup
+            { table; column = probe.Algebra.column; value = probe.Algebra.value; kind }
+        in
+        Some (List.fold_left (fun input pred -> P_filter { input; pred }) lookup rest)))
+  | Some _ | None -> None
+
 let plan catalog cfg expr =
   let expr = push_down catalog expr in
   let rec go = function
     | Algebra.Scan name -> P_scan name
-    | Algebra.Select { input; pred } -> P_filter { input = go input; pred }
+    | Algebra.Select { input; pred } as sel -> (
+      match index_path catalog sel with
+      | Some p -> p
+      | None -> P_filter { input = go input; pred })
     | Algebra.Project { input; columns; distinct } ->
       P_project { input = go input; columns; distinct }
     | Algebra.Join { left; right; left_key; right_key } ->
@@ -237,7 +295,7 @@ let plan catalog cfg expr =
   go expr
 
 let rec estimated_cost = function
-  | P_scan _ -> 0.0
+  | P_scan _ | P_index_lookup _ -> 0.0
   | P_filter { input; _ } | P_project { input; _ } | P_aggregate { input; _ }
   | P_order_by { input; _ } ->
     estimated_cost input
@@ -247,7 +305,7 @@ let rec estimated_cost = function
     estimated_cost left +. estimated_cost right
 
 let rec estimated_ops = function
-  | P_scan _ -> JM.zero_ops
+  | P_scan _ | P_index_lookup _ -> JM.zero_ops
   | P_filter { input; _ } | P_project { input; _ } | P_aggregate { input; _ }
   | P_order_by { input; _ } ->
     estimated_ops input
@@ -260,7 +318,7 @@ let rec estimated_ops = function
 let estimated_pages = est_pages
 
 let rec join_choices = function
-  | P_scan _ -> []
+  | P_scan _ | P_index_lookup _ -> []
   | P_filter { input; _ } | P_project { input; _ } | P_aggregate { input; _ }
   | P_order_by { input; _ } ->
     join_choices input
@@ -274,6 +332,10 @@ let explain plan =
     let pad = String.make indent ' ' in
     match p with
     | P_scan name -> Buffer.add_string buf (Printf.sprintf "%sscan %s\n" pad name)
+    | P_index_lookup { table; column; value; kind } ->
+      Buffer.add_string buf
+        (Printf.sprintf "%sindex-lookup %s.%s = %s (%s)\n" pad table column
+           (Algebra.value_string value) (Catalog.kind_name kind))
     | P_filter { input; pred } ->
       Buffer.add_string buf
         (Printf.sprintf "%sfilter %s\n" pad pred.Algebra.column);

@@ -8,7 +8,10 @@
     tree."  The optimizer therefore: (1) pushes selections below joins;
     (2) orients each join so the smaller estimated input is the build
     side; (3) prices the four Section 3 algorithms with the analytic model
-    and keeps the cheapest — hybrid hash whenever [|M| >= √(|S|·F)].
+    and keeps the cheapest — hybrid hash whenever [|M| >= √(|S|·F)];
+    (4) answers an equality on the key of an indexed base table with one
+    index probe — [⌈log2 ||R||⌉] comparisons (Section 2) where a scan
+    examines all [||R||] tuples.
 
     The [allow_hash = false] mode restricts the choice to sort-merge — the
     disk-era optimizer used as the baseline in experiment E8. *)
@@ -36,6 +39,17 @@ type join_choice = {
 
 type plan =
   | P_scan of string
+  | P_index_lookup of {
+      table : string;
+      column : string;  (** the table's key column *)
+      value : Mmdb_storage.Tuple.value;
+      kind : Catalog.index_kind;  (** the index {!Catalog.lookup} probes *)
+    }
+      (** Zero or one tuple of [table] whose key equals [value].  Planned
+          for an [Eq] on the key wherever it sits in a chain of
+          selections directly over the table's scan, when the table has
+          an index; the chain's other predicates become filters above
+          it. *)
   | P_filter of { input : plan; pred : Algebra.predicate }
   | P_project of { input : plan; columns : string list; distinct : bool }
   | P_join of {
@@ -59,7 +73,10 @@ val output_schema : Catalog.t -> Algebra.expr -> Mmdb_storage.Schema.t
     [Invalid_argument] on unknown columns. *)
 
 val plan : Catalog.t -> config -> Algebra.expr -> plan
-(** Optimize an expression. *)
+(** Optimize an expression.
+    @raise Mmdb_fault.Fault.Io_error from the storage layer when a fault
+    plan is armed (pricing a join reads {!Catalog.stats}, which scans a
+    changed table). *)
 
 val estimated_cost : plan -> float
 (** Sum of the join choices' analytic costs (seconds). *)
@@ -79,4 +96,5 @@ val join_choices : plan -> join_choice list
 (** Every join choice in the plan, preorder. *)
 
 val explain : plan -> string
-(** Human-readable plan tree with algorithm choices and estimates. *)
+(** Human-readable plan tree with algorithm choices and estimates; an
+    index probe prints as [index-lookup acct.id = 7 (btree)]. *)

@@ -59,8 +59,8 @@ let unknown_column ctx ~path ~what schema name =
 let check_predicate_stats ctx ~path input (pred : Algebra.predicate) =
   match (input, pred.Algebra.value) with
   | Algebra.Scan table, S.Tuple.VInt v when Catalog.mem ctx.catalog table -> (
-    match Catalog.column_stats ctx.catalog ~table ~column:pred.Algebra.column with
-    | { Catalog.min_int = Some mn; Catalog.max_int = Some mx; _ } ->
+    match Catalog.int_bounds ctx.catalog ~table ~column:pred.Algebra.column with
+    | Some (mn, mx) ->
       let empty =
         match pred.Algebra.op with
         | Algebra.Eq -> v < mn || v > mx
@@ -76,8 +76,7 @@ let check_predicate_stats ctx ~path input (pred : Algebra.predicate) =
           pred.Algebra.column
           (Algebra.op_string pred.Algebra.op)
           v table pred.Algebra.column mn mx
-    | { Catalog.min_int = None; _ } | { Catalog.max_int = None; _ } -> ()
-    | exception Not_found -> ())
+    | None | (exception Not_found) -> ())
   | _ -> ()
 
 let check_predicate ctx ~path input schema (pred : Algebra.predicate) =

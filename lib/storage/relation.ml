@@ -6,6 +6,10 @@ type t = {
   mutable npages : int;
   mutable ntuples : int;
   mutable tail : bytes option; (* partial page being filled *)
+  mutable reopen : int option;
+      (* id of the last disk page while it has room: sealed partial, or
+         reopened as the tail, which the next spill then rewrites *)
+  mutable generation : int; (* bumped when the tuples are dropped *)
   mutable charged : bool; (* whether any charged append happened *)
   mutable write_mode : Disk.io_mode; (* pricing of charged spills *)
 }
@@ -23,6 +27,8 @@ let create ~disk ~name ~schema =
     npages = 0;
     ntuples = 0;
     tail = None;
+    reopen = None;
+    generation = 0;
     charged = false;
     write_mode = Disk.Seq;
   }
@@ -32,26 +38,43 @@ let schema t = t.rel_schema
 let disk t = t.rel_disk
 let env t = Disk.env t.rel_disk
 let ntuples t = t.ntuples
+let generation t = t.generation
 
 let tuples_per_page t =
   Page.capacity ~page_size:(Disk.page_size t.rel_disk)
     ~tuple_width:(Schema.tuple_width t.rel_schema)
 
-let npages t = t.npages + (match t.tail with Some _ -> 1 | None -> 0)
+let npages t =
+  t.npages + (match (t.tail, t.reopen) with Some _, None -> 1 | _ -> 0)
 
 let set_write_mode t mode = t.write_mode <- mode
 
+(* Write the tail to its page: the reopened last page when there is one,
+   a newly allocated page otherwise. *)
 let spill t page ~charge =
-  let pid = Disk.alloc t.rel_disk in
+  let pid =
+    match t.reopen with
+    | Some pid -> pid
+    | None ->
+      let pid = Disk.alloc t.rel_disk in
+      t.pages <- pid :: t.pages;
+      t.npages <- t.npages + 1;
+      pid
+  in
   if charge then Disk.write t.rel_disk ~mode:t.write_mode pid page
   else Disk.write_nocharge t.rel_disk pid page;
-  t.pages <- pid :: t.pages;
-  t.npages <- t.npages + 1
+  pid
 
+(* An append after {!seal} refills the partial last page instead of
+   starting a new one, so single-row inserts do not leave a page each. *)
 let tail_page t =
-  match t.tail with
-  | Some p -> p
-  | None ->
+  match (t.tail, t.reopen) with
+  | Some p, _ -> p
+  | None, Some pid ->
+    let p = Disk.read_nocharge t.rel_disk pid in
+    t.tail <- Some p;
+    p
+  | None, None ->
     let p = Page.create (Disk.page_size t.rel_disk) in
     t.tail <- Some p;
     p
@@ -63,7 +86,8 @@ let append_common t tuple ~charge =
   if charge then t.charged <- true;
   let page = tail_page t in
   if not (Page.append page ~tuple_width:tw tuple) then begin
-    spill t page ~charge;
+    ignore (spill t page ~charge);
+    t.reopen <- None;
     let fresh = Page.create (Disk.page_size t.rel_disk) in
     let ok = Page.append fresh ~tuple_width:tw tuple in
     assert ok;
@@ -78,8 +102,10 @@ let seal t =
   match t.tail with
   | None -> ()
   | Some page ->
-    if Page.count page > 0 then spill t page ~charge:t.charged
-    else ();
+    if Page.count page > 0 then begin
+      let pid = spill t page ~charge:t.charged in
+      t.reopen <- (if Page.count page < tuples_per_page t then Some pid else None)
+    end;
     t.tail <- None
 
 let page_ids t = Array.of_list (List.rev t.pages)
@@ -100,6 +126,24 @@ let iter_tuples_nocharge t f =
       let page = Disk.read_nocharge t.rel_disk pid in
       Page.iter page ~tuple_width:tw (fun _ tup -> f tup))
     (page_ids t)
+
+let iter_tuples_from_nocharge t ~start f =
+  seal t;
+  (* Newest pages first, until they hold the [ntuples - start] wanted. *)
+  let rec collect acc wanted = function
+    | pid :: older when wanted > 0 ->
+      let page = Disk.read_nocharge t.rel_disk pid in
+      collect (page :: acc) (wanted - Page.count page) older
+    | _ -> (acc, wanted)
+  in
+  let pages, wanted = collect [] (t.ntuples - start) t.pages in
+  let skip = ref (max 0 (-wanted)) in
+  let tw = Schema.tuple_width t.rel_schema in
+  List.iter
+    (fun page ->
+      Page.iter page ~tuple_width:tw (fun _ tup ->
+          if !skip > 0 then decr skip else f tup))
+    pages
 
 let iter_tids_nocharge t f =
   seal t;
@@ -145,5 +189,7 @@ let free_pages t =
   t.pages <- [];
   t.npages <- 0;
   t.ntuples <- 0;
+  t.generation <- t.generation + 1;
   t.charged <- false;
-  t.tail <- None
+  t.tail <- None;
+  t.reopen <- None

@@ -19,6 +19,10 @@ val env : t -> Env.t
 val ntuples : t -> int
 (** [||R||] — total tuples appended (sealed or not). *)
 
+val generation : t -> int
+(** Bumped by {!free_pages}: while it is unchanged the relation has only
+    grown, so its first tuples are the ones seen before. *)
+
 val npages : t -> int
 (** [|R|] — pages on disk after {!seal} (includes a partial tail page). *)
 
@@ -39,7 +43,10 @@ val append_nocharge : t -> bytes -> unit
 
 val seal : t -> unit
 (** Flush the partial tail page (charged variant if any charged append has
-    occurred, free otherwise).  Idempotent; appends may resume after. *)
+    occurred, free otherwise).  Idempotent; appends may resume after, and
+    refill that partial page: the next seal rewrites the same page id, so
+    alternating single appends and seals do not grow {!npages} past
+    [⌈ntuples / tuples_per_page⌉]. *)
 
 val page_ids : t -> int array
 (** Disk page ids in relation order.  Call {!seal} first if a partial tail
@@ -57,6 +64,10 @@ val iter_tuples : ?mode:Disk.io_mode -> t -> (bytes -> unit) -> unit
 (** Page-wise scan delivering tuple copies; charges I/O per page only. *)
 
 val iter_tuples_nocharge : t -> (bytes -> unit) -> unit
+
+val iter_tuples_from_nocharge : t -> start:int -> (bytes -> unit) -> unit
+(** [iter_tuples_from_nocharge t ~start f] visits the tuples after the
+    first [start], in order, reading only the pages that hold them. *)
 
 val iter_tids_nocharge : t -> (Tid.t -> bytes -> unit) -> unit
 (** Uncharged scan that also reports each tuple's TID. *)

@@ -139,6 +139,14 @@ let encode_int_key schema v =
   encode_int_at buf 0 w v;
   buf
 
+let encode_key schema = function
+  | VInt v -> encode_int_key schema v
+  | VStr s ->
+    let w = Schema.key_width schema in
+    let buf = Bytes.create w in
+    encode_str_at buf 0 w s;
+    buf
+
 let int_key_range schema = int_range (Schema.key_width schema)
 
 let pp schema ppf tuple =

@@ -43,6 +43,11 @@ val encode_int_key : Schema.t -> int -> bytes
 (** [encode_int_key schema v] encodes [v] as a standalone key using the key
     column's width (for probes). *)
 
+val encode_key : Schema.t -> value -> bytes
+(** [encode_key schema v] is {!encode_int_key} for [VInt], and for [VStr]
+    the string NUL-padded to the key width (for probes).
+    @raise Invalid_argument when the value does not fit the key width. *)
+
 val int_key_range : Schema.t -> int * int
 (** [(min, max)] representable range of the key column when it is an
     integer column. *)

@@ -4,6 +4,7 @@ module S = Mmdb_storage
 module E = Mmdb_exec
 module JM = Mmdb_model.Join_model
 module XM = Mmdb_model.Exec_model
+module AM = Mmdb_model.Access_model
 module P = Mmdb_planner
 
 (* ------------------------------------------------------------------ *)
@@ -73,9 +74,18 @@ let sort_tolerance =
     seconds = band ~abs:1e-6 0.4 1.8;
   }
 
+(* An index probe charges comparisons only.  The B+-tree's per-node
+   binary searches each round up, so it can pay a few over ⌈log2 n⌉; an
+   AVL hit above the leaves pays fewer than log2 n, and the tallest
+   balanced tree is 1.44·log2 n deep.  The absolute slack covers tiny
+   tables, where log2 n is near zero. *)
+let index_tolerance =
+  { silent with comps = band ~abs:2.0 0.5 1.5; seconds = band ~abs:6e-6 0.5 1.5 }
+
 let tolerance_for kind =
   if kind = "filter" || kind = "project" then silent
-  else if String.length kind >= 5 && String.sub kind 0 5 = "scan:" then silent
+  else if String.starts_with ~prefix:"scan:" kind then silent
+  else if String.starts_with ~prefix:"index:" kind then index_tolerance
   else if kind = "join:sort-merge" || kind = "order-by" then sort_tolerance
   else hash_tolerance
 
@@ -166,7 +176,7 @@ let plan_nodes plan =
   let acc = ref [] in
   let rec go path p =
     (match p with
-    | P.Optimizer.P_scan _ -> ()
+    | P.Optimizer.P_scan _ | P.Optimizer.P_index_lookup _ -> ()
     | P.Optimizer.P_filter { input; _ }
     | P.Optimizer.P_project { input; _ }
     | P.Optimizer.P_aggregate { input; _ }
@@ -191,12 +201,26 @@ let model011 ~path ~kind msg =
 (* Predict one node's ops from the observed sizes of its children.  The
    model is evaluated at *actual* input cardinalities so estimation error
    (checked separately as MODEL009) does not contaminate conformance. *)
-let predict_node (cfg : P.Optimizer.config) ~kind plan
+let predict_node catalog (cfg : P.Optimizer.config) ~kind plan
     (children : P.Executor.node_obs list) (self_obs : P.Executor.node_obs) =
   let mem_pages = cfg.P.Optimizer.mem_pages and fudge = cfg.P.Optimizer.fudge in
   let out_tpp = self_obs.P.Executor.output_tuples_per_page in
   match plan with
   | P.Optimizer.P_scan _ | P.Optimizer.P_filter _ -> Ok JM.zero_ops
+  | P.Optimizer.P_index_lookup { table; kind; _ } ->
+    (* Section 2's per-lookup comparisons at the table's current size. *)
+    let am =
+      {
+        AM.default with
+        AM.r_tuples = max 1 (S.Relation.ntuples (P.Catalog.find catalog table));
+      }
+    in
+    let comps =
+      match kind with
+      | P.Catalog.Avl_index -> AM.avl_comparisons am
+      | P.Catalog.Btree_index -> AM.btree_comparisons am
+    in
+    Ok { JM.zero_ops with JM.comps }
   | P.Optimizer.P_project { distinct = false; _ } -> Ok JM.zero_ops
   | P.Optimizer.P_project { distinct = true; _ } -> (
     match children with
@@ -294,7 +318,7 @@ let check_planned ?(tolerance_scale = 1.0) catalog cfg plan =
       let kind = o.P.Executor.kind in
       let observed = ops_of_counters o.P.Executor.self in
       let observed_seconds = o.P.Executor.self_seconds in
-      match predict_node cfg ~kind node (children_of path obs) o with
+      match predict_node catalog cfg ~kind node (children_of path obs) o with
       | Error msg ->
         {
           path;
@@ -495,6 +519,17 @@ let run_suite ?(seed = 42) ?(tolerance_scale = 1.0) ?(enumerate = true) () =
   let t = corpus_table ~disk ~rng ~name:"t" ~pages:12 in
   let catalog = P.Catalog.create () in
   List.iter (P.Catalog.register catalog) [ r; s; t ];
+  (* Unique keys 0..1999 under each index kind, for the point probes. *)
+  List.iter
+    (fun (name, kind) ->
+      let schema = corpus_schema name in
+      P.Catalog.register catalog
+        (S.Relation.of_tuples ~disk ~name ~schema
+           (List.init 2000 (fun i ->
+                S.Tuple.encode schema
+                  [ S.Tuple.VInt i; S.Tuple.VInt (U.Xorshift.int rng 2000); S.Tuple.VStr "" ])));
+      P.Catalog.create_index catalog name kind)
+    [ ("u", P.Catalog.Btree_index); ("w", P.Catalog.Avl_index) ];
   let cfg =
     { P.Optimizer.mem_pages = 16; fudge = 1.2; allow_hash = true }
   in
@@ -555,6 +590,11 @@ let run_suite ?(seed = 42) ?(tolerance_scale = 1.0) ?(enumerate = true) () =
     conformance "plan/union" (set_op Union (scan "r") (scan "t"));
     conformance "plan/intersect" (set_op Intersect (scan "r") (scan "s"));
     conformance "plan/except" (set_op Except (scan "s") (scan "r"));
+    (* Point probes through each index kind. *)
+    conformance "plan/index-lookup/btree"
+      (select ~column:"k" ~op:Eq ~value:(S.Tuple.VInt 1234) (scan "u"));
+    conformance "plan/index-lookup/avl"
+      (select ~column:"k" ~op:Eq ~value:(S.Tuple.VInt 77) (scan "w"));
     (* Estimator vs reality. *)
     selectivity_case "selectivity/eq"
       (select ~column:"k" ~op:Eq ~value:(S.Tuple.VInt 17) (scan "s"));

@@ -147,12 +147,13 @@ type case = {
 val run_suite :
   ?seed:int -> ?tolerance_scale:float -> ?enumerate:bool -> unit ->
   case list
-(** Build a seeded three-table corpus (24/60/12 pages of 100-byte
-    tuples) and run conformance over every operator kind — all four
-    join algorithms resident and spilled, planned pipelines (filters,
-    multi-join, aggregation, distinct, order-by, set operations) — plus
-    the optimality lint ([enumerate = false] skips it) and selectivity
-    checks. *)
+(** Build a seeded corpus (three tables of 24/60/12 pages of 100-byte
+    tuples, and two of 2,000 unique keys, one under a B+-tree and one
+    under an AVL tree) and run conformance over every operator kind —
+    all four join algorithms resident and spilled, planned pipelines
+    (filters, multi-join, aggregation, distinct, order-by, set
+    operations, index probes) — plus the optimality lint
+    ([enumerate = false] skips it) and selectivity checks. *)
 
 val case_diags : case -> Mmdb_util.Diag.t list
 val suite_diags : case list -> Mmdb_util.Diag.t list

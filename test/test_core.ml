@@ -78,6 +78,38 @@ let test_db_duplicate_index_rejected () =
        false
      with Invalid_argument _ -> true)
 
+let raises_invalid f =
+  match f () with () -> false | exception Invalid_argument _ -> true
+
+let test_db_insert_duplicate_key () =
+  let db = setup_db () in
+  let row = [ S.Tuple.VInt 42; S.Tuple.VInt 1; S.Tuple.VInt 1 ] in
+  M.Db.create_index db ~table:"emp" M.Db.Btree_index;
+  checkb "indexed table rejects a taken key" true
+    (raises_invalid (fun () -> M.Db.insert db ~table:"emp" row));
+  checkb "bulk insert with a taken key rejected" true
+    (raises_invalid (fun () ->
+         M.Db.insert_many db ~table:"emp"
+           [ [ S.Tuple.VInt 300; S.Tuple.VInt 0; S.Tuple.VInt 0 ]; row ]));
+  checkb "nothing of the batch appended" true
+    (M.Db.lookup db ~table:"emp" ~key:(S.Tuple.VInt 300) = None);
+  (match M.Db.lookup db ~table:"emp" ~key:(S.Tuple.VInt 42) with
+  | Some [ S.Tuple.VInt 42; S.Tuple.VInt 0; S.Tuple.VInt 51_000 ] -> ()
+  | Some _ | None -> Alcotest.fail "original row replaced");
+  checki "relation unchanged" 100
+    (List.length (M.Db.sql db "SELECT * FROM emp"))
+
+let test_db_create_index_over_duplicates () =
+  let db = setup_db () in
+  M.Db.insert db ~table:"emp" [ S.Tuple.VInt 7; S.Tuple.VInt 1; S.Tuple.VInt 1 ];
+  List.iter
+    (fun kind ->
+      checkb "duplicate keys refuse an index" true
+        (raises_invalid (fun () -> M.Db.create_index db ~table:"emp" kind)))
+    [ M.Db.Avl_index; M.Db.Btree_index ];
+  checkb "no index left behind" true
+    (M.Db.audit db = [])
+
 let test_db_range () =
   let db = setup_db () in
   M.Db.create_index db ~table:"emp" M.Db.Btree_index;
@@ -390,6 +422,10 @@ let () =
             test_db_lookup_scan_fallback;
           Alcotest.test_case "lookup with indexes" `Quick
             test_db_lookup_with_indexes;
+          Alcotest.test_case "insert duplicate key" `Quick
+            test_db_insert_duplicate_key;
+          Alcotest.test_case "index over duplicate keys" `Quick
+            test_db_create_index_over_duplicates;
           Alcotest.test_case "duplicate index rejected" `Quick
             test_db_duplicate_index_rejected;
           Alcotest.test_case "range via btree" `Quick test_db_range;

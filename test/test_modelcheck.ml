@@ -135,6 +135,56 @@ let test_scan_and_filter_silent () =
         (r.MC.observed = JM.zero_ops))
     reports
 
+(* A table of [n] unique keys 0..n-1, registered alone in a catalog. *)
+let keyed_table n =
+  let env = S.Env.create () in
+  let disk = S.Disk.create ~env ~page_size:4096 in
+  let schema =
+    S.Schema.create ~key:"k"
+      [ S.Schema.column "k" S.Schema.Int; S.Schema.column "v" S.Schema.Int ]
+  in
+  let rel =
+    S.Relation.of_tuples ~disk ~name:"u" ~schema
+      (List.init n (fun i -> S.Tuple.encode schema [ S.Tuple.VInt i; S.Tuple.VInt (n - i) ]))
+  in
+  let catalog = P.Catalog.create () in
+  P.Catalog.register catalog rel;
+  catalog
+
+let point k = A.select ~column:"k" ~op:A.Eq ~value:(S.Tuple.VInt k) (A.scan "u")
+
+let test_index_lookup_conforms () =
+  List.iter
+    (fun (kind, n) ->
+      let catalog = keyed_table n in
+      P.Catalog.create_index catalog "u" kind;
+      List.iter
+        (fun k ->
+          let label = Printf.sprintf "%s n=%d k=%d" (P.Catalog.kind_name kind) n k in
+          match MC.check_plan catalog cfg (point k) with
+          | [ (r : MC.node_report) ] ->
+            checkb (label ^ ": one index node") true (r.MC.kind = "index:u");
+            checkb (label ^ ": within the band") true (r.MC.diags = []);
+            checkb (label ^ ": the probe compares") true
+              (n < 2 || r.MC.observed.JM.comps > 0.0)
+          | _ -> Alcotest.fail (label ^ ": expected a lone index-lookup node"))
+        [ 0; n / 2; n - 1; n; -5 ])
+    (List.concat_map
+       (fun n -> [ (P.Catalog.Btree_index, n); (P.Catalog.Avl_index, n) ])
+       [ 1; 2; 10; 1000; 20_000 ])
+
+let test_index_misprediction_flagged () =
+  (* A plan that names an index the table does not have: the probe falls
+     back to a scan charging a comparison per tuple, thousands of times
+     the ⌈log2 n⌉ the node predicts. *)
+  let catalog = keyed_table 2000 in
+  let plan =
+    P.Optimizer.P_index_lookup
+      { table = "u"; column = "k"; value = S.Tuple.VInt 1500; kind = P.Catalog.Btree_index }
+  in
+  let diags = MC.report_diags (MC.check_planned catalog cfg plan) in
+  checkb "comparisons diverge (MODEL001)" true (D.has_code "MODEL001" diags)
+
 (* ------------------------------------------------------------------ *)
 (* Optimality lint                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -237,6 +287,10 @@ let () =
           Alcotest.test_case "counter projection" `Quick test_ops_of_counters;
           Alcotest.test_case "nocharge operators silent" `Quick
             test_scan_and_filter_silent;
+          Alcotest.test_case "index lookups conform" `Quick
+            test_index_lookup_conforms;
+          Alcotest.test_case "index misprediction flagged (MODEL001)" `Quick
+            test_index_misprediction_flagged;
         ] );
       ( "optimality",
         [

@@ -120,6 +120,111 @@ let test_catalog_unknown () =
   checkb "mem" true (P.Catalog.mem cat "emp");
   checkb "not mem" false (P.Catalog.mem cat "nope")
 
+(* Statistics recomputed by brute force from the decoded rows. *)
+let reference_stats rel =
+  let schema = S.Relation.schema rel in
+  let rows = P.Executor.rows rel in
+  {
+    P.Catalog.ntuples = List.length rows;
+    npages = S.Relation.npages rel;
+    columns =
+      List.mapi
+        (fun i (c : S.Schema.column) ->
+          let values = List.map (fun row -> List.nth row i) rows in
+          let ints =
+            Array.of_list
+              (List.sort compare
+                 (List.filter_map
+                    (function S.Tuple.VInt v -> Some v | S.Tuple.VStr _ -> None)
+                    values))
+          in
+          let n = Array.length ints in
+          ( c.S.Schema.name,
+            {
+              P.Catalog.ndistinct = List.length (List.sort_uniq compare values);
+              min_int = (if n = 0 then None else Some ints.(0));
+              max_int = (if n = 0 then None else Some ints.(n - 1));
+              quantiles =
+                (if n = 0 then None
+                 else Some (Array.init 15 (fun q -> ints.(min (n - 1) ((q + 1) * n / 16)))));
+            } ))
+        (S.Schema.columns schema);
+  }
+
+type stats_op = Append of (int * int) list | Seal | Register | Refresh | Read
+
+let show_stats_op = function
+  | Append rows -> Printf.sprintf "append %d" (List.length rows)
+  | Seal -> "seal"
+  | Register -> "register"
+  | Refresh -> "refresh"
+  | Read -> "read"
+
+let qcheck_catalog_stats_incremental =
+  let schema =
+    S.Schema.create ~key:"k"
+      [
+        S.Schema.column "k" S.Schema.Int;
+        S.Schema.column "g" S.Schema.Int;
+        S.Schema.column ~width:4 "s" S.Schema.Fixed_string;
+      ]
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 4,
+            list_size (int_range 0 12) (pair (int_range (-50) 50) (int_range 0 5))
+            >|= fun rows -> Append rows );
+          (1, return Seal);
+          (2, return Register);
+          (2, return Refresh);
+          (2, return Read);
+        ])
+  in
+  QCheck.Test.make ~name:"incremental catalog stats equal a full computation"
+    ~count:150
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_stats_op ops))
+       QCheck.Gen.(list_size (int_range 1 25) op))
+    (fun ops ->
+      let env = S.Env.create () in
+      let disk = S.Disk.create ~env ~page_size:128 in
+      let rel = S.Relation.create ~disk ~name:"t" ~schema in
+      let cat = P.Catalog.create () in
+      P.Catalog.register cat rel;
+      (* Statistics describe the relation as of its last registration. *)
+      let expected = ref (reference_stats rel) in
+      let agrees () =
+        P.Catalog.stats cat "t" = !expected
+        && List.for_all
+             (fun (name, (cs : P.Catalog.column_stats)) ->
+               P.Catalog.int_bounds cat ~table:"t" ~column:name
+               = Option.bind cs.P.Catalog.min_int (fun lo ->
+                     Option.map (fun hi -> (lo, hi)) cs.P.Catalog.max_int))
+             !expected.P.Catalog.columns
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Append rows ->
+            List.iter
+              (fun (k, g) ->
+                S.Relation.append_nocharge rel
+                  (S.Tuple.encode schema
+                     [ S.Tuple.VInt k; S.Tuple.VInt g; S.Tuple.VStr (string_of_int (k mod 7)) ]))
+              rows;
+            true
+          | Seal ->
+            S.Relation.seal rel;
+            true
+          | Register | Refresh ->
+            if op = Register then P.Catalog.register cat rel else P.Catalog.refresh cat "t";
+            expected := reference_stats rel;
+            agrees ()
+          | Read -> agrees ())
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Selectivity                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -533,6 +638,34 @@ let rec naive_eval cat (expr : A.expr) : S.Tuple.value list list =
    every column reference is valid. *)
 let gen_expr cat =
   let open QCheck.Gen in
+  (* Present, absent, inserted-after-the-index, deleted and moved keys of
+     the indexed tables (see [indexed_catalog]). *)
+  let key =
+    oneof
+      [
+        int_range 0 59;
+        oneofl [ -1; 7; 100; 101; 102; 150; 200 ];
+      ]
+  in
+  (* A chain of one or two selections over a table's scan, with an
+     equality on the key in either position. *)
+  let point =
+    oneofl [ "acct"; "vip"; "emp" ] >>= fun table ->
+    key >>= fun k ->
+    let eq = { A.column = "id"; op = A.Eq; value = S.Tuple.VInt k } in
+    let sel pred input = A.Select { input; pred } in
+    oneofl [ "dept"; "salary" ] >>= fun column ->
+    oneofl [ A.Eq; A.Ne; A.Lt; A.Ge ] >>= fun op ->
+    (if column = "dept" then int_range 0 6 else int_range 30_000 100_000)
+    >>= fun v ->
+    let other = { A.column; op; value = S.Tuple.VInt v } in
+    oneofl
+      [
+        sel eq (A.scan table);
+        sel other (sel eq (A.scan table));
+        sel eq (sel other (A.scan table));
+      ]
+  in
   let int_columns schema =
     List.filter_map
       (fun (c : S.Schema.column) ->
@@ -542,7 +675,8 @@ let gen_expr cat =
       (S.Schema.columns schema)
   in
   let rec gen depth =
-    if depth = 0 then oneofl [ A.scan "emp"; A.scan "dept" ]
+    if depth = 0 then
+      frequency [ (1, oneofl [ A.scan "emp"; A.scan "dept" ]); (1, point) ]
     else
       gen (depth - 1) >>= fun input ->
       let schema = P.Optimizer.output_schema cat input in
@@ -564,7 +698,7 @@ let gen_expr cat =
       | 2 ->
         (* join with a base relation on random int columns *)
         oneofl cols >>= fun left_key ->
-        oneofl [ "emp"; "dept" ] >>= fun base ->
+        oneofl [ "emp"; "dept"; "acct"; "vip" ] >>= fun base ->
         let base_schema = P.Optimizer.output_schema cat (A.scan base) in
         oneofl (int_columns base_schema) >|= fun right_key ->
         A.join ~left_key ~right_key input (A.scan base)
@@ -580,13 +714,52 @@ let gen_expr cat =
         oneofl cols >>= fun column ->
         bool >|= fun descending -> A.order_by ~descending ~column input
   in
-  int_range 1 3 >>= gen
+  int_range 0 3 >>= gen
+
+(* emp and dept as in [setup], plus two tables of emp's shape with an
+   index on [id]: "acct" with a B+-tree, "vip" with an AVL tree.  Both
+   get keys inserted after the index was built, a DELETE and a
+   non-key UPDATE (each rebuilds the table and its index), and a
+   key-changing UPDATE (7 moves to 150). *)
+let indexed_catalog () =
+  let db = Mmdb.Db.create ~page_size:512 () in
+  let rng = U.Xorshift.create 42 in
+  let emp_row i =
+    [
+      S.Tuple.VInt i;
+      S.Tuple.VInt (U.Xorshift.int rng 6);
+      S.Tuple.VInt (30_000 + U.Xorshift.int rng 70_000);
+    ]
+  in
+  Mmdb.Db.create_table db ~name:"dept" ~schema:(dept_schema ());
+  Mmdb.Db.insert_many db ~table:"dept"
+    (List.init 6 (fun i -> [ S.Tuple.VInt i; S.Tuple.VInt (100_000 * (i + 1)) ]));
+  List.iter
+    (fun table ->
+      Mmdb.Db.create_table db ~name:table ~schema:(emp_schema ());
+      Mmdb.Db.insert_many db ~table (List.init 60 emp_row))
+    [ "emp"; "acct"; "vip" ];
+  Mmdb.Db.create_index db ~table:"acct" Mmdb.Db.Btree_index;
+  Mmdb.Db.create_index db ~table:"vip" Mmdb.Db.Avl_index;
+  List.iter
+    (fun table ->
+      List.iter
+        (fun stmt -> ignore (Mmdb.Db.execute db stmt))
+        [
+          Printf.sprintf "INSERT INTO %s VALUES (100, 1, 40000), (101, 2, 50000)" table;
+          Printf.sprintf "DELETE FROM %s WHERE dept = 3" table;
+          Printf.sprintf "UPDATE %s SET salary = 31000 WHERE dept = 4" table;
+          Printf.sprintf "UPDATE %s SET id = 150 WHERE id = 7" table;
+          Printf.sprintf "INSERT INTO %s VALUES (102, 5, 60000)" table;
+        ])
+    [ "acct"; "vip" ];
+  Mmdb.Db.catalog db
 
 let qcheck_planner_matches_naive =
   (* Built once: the catalog is immutable across cases. *)
-  let _, _, cat = setup ~n_emp:60 ~n_dept:6 () in
+  let cat = indexed_catalog () in
   QCheck.Test.make ~name:"optimized plans match the naive evaluator"
-    ~count:60
+    ~count:150
     (QCheck.make
        ~print:(fun e -> Format.asprintf "%a" A.pp e)
        (gen_expr cat))
@@ -617,6 +790,7 @@ let () =
         [
           Alcotest.test_case "stats" `Quick test_catalog_stats;
           Alcotest.test_case "unknown" `Quick test_catalog_unknown;
+          QCheck_alcotest.to_alcotest qcheck_catalog_stats_incremental;
         ] );
       ( "selectivity",
         [

@@ -350,6 +350,115 @@ let test_dml_maintains_indexes () =
   checkb "insert indexed" true
     (M.Db.lookup db ~table:"emp" ~key:(S.Tuple.VInt 500) <> None)
 
+(* ------------------------------------------------------------------ *)
+(* Index access path                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let contains text needle =
+  let nl = String.length needle and hl = String.length text in
+  let rec go i = i + nl <= hl && (String.sub text i nl = needle || go (i + 1)) in
+  go 0
+
+let disk_pages db =
+  S.Disk.page_count
+    (S.Relation.disk (P.Catalog.find (M.Db.catalog db) "emp"))
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_explain_index_lookup () =
+  let db = setup_db () in
+  let explain = M.Db.sql_explain db in
+  checkb "no index: key equality scans" false
+    (contains (explain "SELECT * FROM emp WHERE id = 7") "index-lookup");
+  M.Db.create_index db ~table:"emp" M.Db.Btree_index;
+  let key = explain "SELECT * FROM emp WHERE id = 7" in
+  checkb "key equality probes the index" true
+    (contains key "index-lookup emp.id = 7 (btree)");
+  checkb "no scan under the probe" false (contains key "scan emp");
+  let first = explain "SELECT * FROM emp WHERE id = 7 AND dept = 3" in
+  let second = explain "SELECT * FROM emp WHERE dept = 3 AND id = 7" in
+  List.iter
+    (fun text ->
+      checkb "either AND position probes" true (contains text "index-lookup emp.id = 7");
+      checkb "the other predicate filters the probe" true (contains text "filter dept"))
+    [ first; second ];
+  checkb "non-key equality scans" true
+    (contains (explain "SELECT * FROM emp WHERE dept = 7") "scan emp");
+  checkb "key range scans" true
+    (contains (explain "SELECT * FROM emp WHERE id < 7") "scan emp");
+  M.Db.create_index db ~table:"emp" M.Db.Avl_index;
+  checkb "AVL preferred over the B+-tree" true
+    (contains (explain "SELECT * FROM emp WHERE id = 7") "index-lookup emp.id = 7 (avl)");
+  Alcotest.(check (list (list int)))
+    "probe answers like the scan"
+    [ [ 7; 3; 7000 ] ]
+    (List.map
+       (List.map (function S.Tuple.VInt v -> v | S.Tuple.VStr _ -> -1))
+       (M.Db.sql db "SELECT * FROM emp WHERE dept = 3 AND id = 7"));
+  checki "absent key: no row" 0
+    (List.length (M.Db.sql db "SELECT * FROM emp WHERE id = 1000"))
+
+let test_sql_insert_duplicate_key () =
+  let db = setup_db () in
+  ignore (M.Db.execute db "INSERT INTO emp VALUES (5, 0, 0)");
+  checki "no index: duplicates allowed" 61 (count db "emp");
+  let db = setup_db () in
+  M.Db.create_index db ~table:"emp" M.Db.Btree_index;
+  checkb "existing key rejected" true
+    (raises_invalid (fun () -> M.Db.execute db "INSERT INTO emp VALUES (5, 0, 0)"));
+  checkb "key repeated in one statement rejected" true
+    (raises_invalid (fun () ->
+         M.Db.execute db "INSERT INTO emp VALUES (200, 0, 0), (200, 1, 1)"));
+  checki "table unchanged" 60 (count db "emp");
+  checkb "index unchanged" true
+    (M.Db.lookup db ~table:"emp" ~key:(S.Tuple.VInt 200) = None)
+
+let test_sql_update_duplicate_key () =
+  let db = setup_db () in
+  M.Db.create_index db ~table:"emp" M.Db.Avl_index;
+  checkb "key-changing update onto a taken key rejected" true
+    (raises_invalid (fun () -> M.Db.execute db "UPDATE emp SET id = 1 WHERE id = 2"));
+  checki "table unchanged" 60 (count db "emp");
+  (match M.Db.lookup db ~table:"emp" ~key:(S.Tuple.VInt 2) with
+  | Some (S.Tuple.VInt 2 :: _) -> ()
+  | Some _ | None -> Alcotest.fail "row 2 lost");
+  (match M.Db.execute db "UPDATE emp SET id = 900 WHERE id = 2" with
+  | M.Db.Affected 1 -> ()
+  | _ -> Alcotest.fail "expected Affected 1");
+  checki "free key: probe finds the moved row" 1
+    (List.length (M.Db.sql db "SELECT * FROM emp WHERE id = 900"));
+  checki "old key gone" 0 (List.length (M.Db.sql db "SELECT * FROM emp WHERE id = 2"))
+
+let test_sql_results_free_pages () =
+  let db = setup_db () in
+  M.Db.create_index db ~table:"emp" M.Db.Btree_index;
+  let before = disk_pages db in
+  for k = 0 to 49 do
+    ignore (M.Db.sql db (Printf.sprintf "SELECT * FROM emp WHERE id = %d" k));
+    ignore (M.Db.execute db (Printf.sprintf "SELECT * FROM emp WHERE dept = %d" (k mod 4)))
+  done;
+  checki "query results leave no pages" before (disk_pages db);
+  checki "a bare SELECT * keeps the table" 60 (count db "emp");
+  checki "table intact afterwards" 60 (count db "emp");
+  checki "and its pages" before (disk_pages db)
+
+let test_sql_single_row_inserts_pack_pages () =
+  let db = setup_db () in
+  let rel () = P.Catalog.find (M.Db.catalog db) "emp" in
+  let before = S.Relation.npages (rel ()) in
+  for k = 0 to 99 do
+    ignore (M.Db.execute db (Printf.sprintf "INSERT INTO emp VALUES (%d, 0, 0)" (1000 + k)))
+  done;
+  let tpp = S.Relation.tuples_per_page (rel ()) in
+  let bound = ((100 + tpp - 1) / tpp) + 1 in
+  checkb
+    (Printf.sprintf "100 inserts add at most %d pages" bound)
+    true
+    (S.Relation.npages (rel ()) - before <= bound);
+  checki "catalog prices the packed pages" (S.Relation.npages (rel ()))
+    (P.Catalog.stats (M.Db.catalog db) "emp").P.Catalog.npages
+
 let test_dml_query_through_execute () =
   let db = setup_db () in
   match M.Db.execute db "SELECT dept, COUNT(*) FROM emp GROUP BY dept" with
@@ -464,6 +573,16 @@ let () =
             test_dml_query_through_execute;
           Alcotest.test_case "parse errors" `Quick test_dml_parse_errors;
           Alcotest.test_case "create/drop table" `Quick test_ddl_create_drop;
+          Alcotest.test_case "single-row inserts pack pages" `Quick
+            test_sql_single_row_inserts_pack_pages;
+          Alcotest.test_case "insert duplicate key" `Quick
+            test_sql_insert_duplicate_key;
+          Alcotest.test_case "update duplicate key" `Quick
+            test_sql_update_duplicate_key;
+          Alcotest.test_case "results free their pages" `Quick
+            test_sql_results_free_pages;
+          Alcotest.test_case "explain index lookup" `Quick
+            test_explain_index_lookup;
           Alcotest.test_case "ddl errors" `Quick test_ddl_errors;
         ] );
     ]
