@@ -1342,10 +1342,10 @@ let hotpath_json () =
     done;
     !sum
   in
-  (* WAL record assembly (Txn_db/Tps_sim/Mvcc_sim/Recovery_manager/
-     Txn_fuzz): the old [(Begin :: body) @ [Commit]] re-copies the body
-     once per transaction vs the shipped newest-first accumulation with
-     one final reverse. *)
+  (* WAL record assembly (Txn, the transaction kernel): the old
+     [(Begin :: body) @ [Commit]] re-copies the body once per
+     transaction vs the shipped newest-first accumulation with one final
+     reverse. *)
   let log_txns = 200 and log_updates = 3_000 and log_reps = 5 in
   let upd = List.init log_updates (fun i -> i) in
   let log_tail_append () =

@@ -12,10 +12,8 @@ type commit_outcome = {
 type t = {
   clock : S.Sim_clock.t;
   wal : R.Wal.t;
-  mutable locks : R.Lock_manager.t;
+  kernel : R.Txn.t;
   recorder : R.Schedule.recorder option;
-  stable : R.Stable_memory.t;
-  kv : R.Kv_store.t;
   admission : O.Admission.t option;
   ovld : O.tally;
   work_per_update : float;
@@ -23,13 +21,10 @@ type t = {
   retry_budget : int option;
   tickets : (int, R.Wal.ticket) Hashtbl.t;
   mutable next_txn : int;
-  mutable next_lsn : int;
   mutable crashed : bool;
-  mutable open_tickets : R.Wal.ticket list;
 }
 
 let create ?(strategy = R.Wal.Group_commit) ?(nrecords = 1000)
-    ?(records_per_page = 20) ?(stable_bytes = 1 lsl 20)
     ?(record_schedule = false) ?admission ?(work_per_update = 0.0) ?faults
     ?breaker ?retry_budget () =
   if work_per_update < 0.0 then
@@ -38,7 +33,6 @@ let create ?(strategy = R.Wal.Group_commit) ?(nrecords = 1000)
   | Some n when n < 0 -> invalid_arg "Txn_db.create: retry_budget < 0"
   | Some _ | None -> ());
   let clock = S.Sim_clock.create () in
-  let stable = R.Stable_memory.create ~capacity_bytes:stable_bytes in
   let recorder =
     if record_schedule then
       Some (R.Schedule.recorder ~now:(fun () -> S.Sim_clock.now clock))
@@ -49,13 +43,12 @@ let create ?(strategy = R.Wal.Group_commit) ?(nrecords = 1000)
   (match (admission, breaker) with
   | Some a, Some b -> O.Admission.register_breaker a b
   | (Some _ | None), _ -> ());
+  let wal = R.Wal.create ~clock ?faults ?breaker strategy in
   {
     clock;
-    wal = R.Wal.create ~clock ?faults ?breaker strategy;
-    locks = R.Lock_manager.create ?recorder ();
+    wal;
+    kernel = R.Txn.create ?recorder ~nrecords ~wal ();
     recorder;
-    stable;
-    kv = R.Kv_store.create ?recorder ~nrecords ~records_per_page ~stable ();
     admission;
     ovld =
       (match admission with
@@ -66,15 +59,14 @@ let create ?(strategy = R.Wal.Group_commit) ?(nrecords = 1000)
     retry_budget;
     tickets = Hashtbl.create 256;
     next_txn = 0;
-    next_lsn = 0;
     crashed = false;
-    open_tickets = [];
   }
 
-let nrecords t = R.Kv_store.nrecords t.kv
-let balance t slot = R.Kv_store.get t.kv slot
+let kv t = R.Txn.kv t.kernel
+let nrecords t = R.Kv_store.nrecords (kv t)
+let balance t slot = R.Kv_store.get (kv t) slot
 
-let balance_stale t slot = R.Kv_store.snapshot_read t.kv slot
+let balance_stale t slot = R.Kv_store.snapshot_read (kv t) slot
 
 let now t = S.Sim_clock.now t.clock
 let advance t dt = S.Sim_clock.advance t.clock dt
@@ -92,30 +84,6 @@ let completion t ~txn =
 
 let check_alive t =
   if t.crashed then invalid_arg "Txn_db: crashed; recover first"
-
-let fresh_lsn t =
-  t.next_lsn <- t.next_lsn + 1;
-  t.next_lsn
-
-(* Finalize lock-manager state for transactions whose commits became
-   durable by [at]; the schedule gets a Commit_durable event stamped with
-   the exact completion time (not the retire time). *)
-let retire t ~at =
-  let still_open =
-    List.filter
-      (fun tkt ->
-        match R.Wal.ticket_completion tkt with
-        | Some c when c <= at ->
-          let txn = R.Wal.ticket_txn tkt in
-          R.Schedule.emit t.recorder ~at:c ~txn R.Schedule.Commit_durable;
-          (* exn_flow: 2PL hands release to commit retirement — these
-             locks were acquired in [transact], not in this function. *)
-          R.Lock_manager.finalize t.locks ~txn;
-          false
-        | Some _ | None -> true)
-      t.open_tickets
-  in
-  t.open_tickets <- still_open
 
 (* A slot locked twice inside one transaction would hit the lock
    manager's re-acquire path, whose empty grant muddies the dependency
@@ -145,29 +113,26 @@ let clear_budget t =
   | Some plan -> F.set_retry_budget plan None
   | None -> ()
 
-let shed_expired t ~txn ~code ~site d =
-  O.note_code t.ovld code;
-  O.shed ~code ~site
-    (Printf.sprintf "txn %d exceeded its deadline by %.6f s" txn
-       (now t -. O.Deadline.expires d))
+(* Deadline check: once [deadline] has passed, abort through the kernel
+   (rolling back whatever the transaction wrote and logging the abort,
+   so the durable log and the schedule audit both see a complete
+   transaction), then raise the typed shed. *)
+let check_deadline t ~txn ~code ~site = function
+  | Some d when O.Deadline.expired d ~now:(now t) ->
+    ignore (R.Txn.abort t.kernel ~txn ~at:(now t));
+    O.note_code t.ovld code;
+    O.shed ~code ~site
+      (Printf.sprintf "txn %d exceeded its deadline by %.6f s" txn
+         (now t -. O.Deadline.expires d))
+  | Some _ | None -> ()
 
-(* Deadline blew before the transaction touched memory: release whatever
-   it holds, log an empty Begin/Abort pair so the durable log and the
-   schedule audit both see a complete (aborted) transaction, then raise
-   the typed shed. *)
-let abort_expired_locking t ~txn ~code ~site d =
-  (* exn_flow: release half of the timeout-abort path; the locks were
-     acquired by [transact]'s staged lock loop, which calls this. *)
-  ignore (R.Lock_manager.release_abort t.locks ~txn);
-  let begin_lsn = fresh_lsn t in
-  let records =
-    [
-      R.Log_record.Begin { txn; lsn = begin_lsn };
-      R.Log_record.Abort { txn; lsn = fresh_lsn t };
-    ]
-  in
-  ignore (R.Wal.commit_txn t.wal ~at:(now t) ~txn ~deps:[] records);
-  shed_expired t ~txn ~code ~site d
+(* Single-client service: every lock is free when a transaction asks. *)
+let lock_all ?deadline t ~txn updates =
+  List.iter
+    (fun (slot, _) ->
+      check_deadline t ~txn ~code:"OVLD004" ~site:"txn.lock" deadline;
+      if not (R.Txn.lock ?deadline t.kernel ~txn ~key:slot) then assert false)
+    updates
 
 let transact ?(priority = O.Oltp) ?deadline t updates =
   (* Degraded read-only mode: while recovery replay is pending, an
@@ -186,7 +151,7 @@ let transact ?(priority = O.Oltp) ?deadline t updates =
   (match t.admission with
   | Some a ->
     O.Admission.admit a ~now:at ~priority ~lag:(log_lag t)
-      ~inflight:(List.length t.open_tickets)
+      ~inflight:(R.Txn.unretired t.kernel)
   | None -> ());
   let txn = t.next_txn in
   t.next_txn <- txn + 1;
@@ -194,93 +159,22 @@ let transact ?(priority = O.Oltp) ?deadline t updates =
   Fun.protect
     ~finally:(fun () -> clear_budget t)
     (fun () ->
-      let expired d = O.Deadline.expired d ~now:(now t) in
-      let deps =
-        List.concat_map
-          (fun (slot, _) ->
-            (match deadline with
-            | Some d when expired d ->
-              abort_expired_locking t ~txn ~code:"OVLD004" ~site:"txn.lock" d
-            | Some _ | None -> ());
-            (* exn_flow: 2PL — locks release at commit retirement
-               ([retire]); a mid-txn raise means crash, which resets the
-               lock table. *)
-            match R.Lock_manager.acquire ?deadline t.locks ~txn ~key:slot with
-            | Some g -> g.R.Lock_manager.dependencies
-            | None -> assert false)
-          updates
-      in
-      let begin_lsn = fresh_lsn t in
-      (* Newest-first accumulation ([List.rev_map] applies left to right,
-         so LSNs are still drawn in update order); one final [List.rev]
-         puts the log in natural order without a quadratic tail-append.
-         Each update costs [work_per_update] of simulated time, which is
+      lock_all ?deadline t ~txn updates;
+      (* Each update costs [work_per_update] of simulated time, which is
          what makes a mid-transaction deadline expiry reachable. *)
-      let rev_body =
-        List.rev_map
-          (fun (slot, delta) ->
-            if t.work_per_update > 0.0 then
-              S.Sim_clock.advance t.clock t.work_per_update;
-            let old_value = R.Kv_store.get ~txn t.kv slot in
-            let new_value = old_value + delta in
-            let lsn = fresh_lsn t in
-            R.Kv_store.apply_update ~txn t.kv ~lsn ~slot ~value:new_value;
-            R.Log_record.Update { txn; lsn; slot; old_value; new_value })
-          updates
-      in
-      (match deadline with
-      | Some d when expired d ->
-        (* Deadline blew mid-transaction: compensate in memory (newest
-           first, mirroring [transact_abort]), log the rollback, release
-           the locks, and shed typed — recovery replays the rollback, so
-           a later committed write to the same slot is never clobbered. *)
-        let rev_compensation =
-          List.rev_map
-            (fun r ->
-              match r with
-              | R.Log_record.Update { slot; old_value; new_value; _ } ->
-                let lsn = fresh_lsn t in
-                R.Kv_store.apply_update ~txn t.kv ~lsn ~slot ~value:old_value;
-                R.Log_record.Update
-                  {
-                    txn;
-                    lsn;
-                    slot;
-                    old_value = new_value;
-                    new_value = old_value;
-                  }
-              | R.Log_record.Begin _ | R.Log_record.Commit _
-              | R.Log_record.Abort _ | R.Log_record.Command _
-              | R.Log_record.Ckpt_begin _ | R.Log_record.Ckpt_end _ ->
-                assert false)
-            rev_body
-        in
-        ignore (R.Lock_manager.release_abort t.locks ~txn);
-        let records =
-          R.Log_record.Begin { txn; lsn = begin_lsn }
-          :: List.rev_append rev_body
-               (List.rev
-                  (R.Log_record.Abort { txn; lsn = fresh_lsn t }
-                  :: rev_compensation))
-        in
-        ignore (R.Wal.commit_txn t.wal ~at:(now t) ~txn ~deps:[] records);
-        shed_expired t ~txn ~code:"OVLD006" ~site:"txn.commit" d
-      | Some _ | None -> ());
-      let commit_at = now t in
-      let records =
-        R.Log_record.Begin { txn; lsn = begin_lsn }
-        :: List.rev
-             (R.Log_record.Commit { txn; lsn = fresh_lsn t } :: rev_body)
-      in
-      ignore (R.Lock_manager.precommit t.locks ~txn);
-      let ticket = R.Wal.commit_txn t.wal ~at:commit_at ~txn ~deps records in
-      Hashtbl.replace t.tickets txn ticket;
-      t.open_tickets <- ticket :: t.open_tickets;
-      retire t ~at:commit_at;
+      List.iter
+        (fun (slot, delta) ->
+          if t.work_per_update > 0.0 then
+            S.Sim_clock.advance t.clock t.work_per_update;
+          R.Txn.write t.kernel ~txn ~slot ~delta)
+        updates;
+      check_deadline t ~txn ~code:"OVLD006" ~site:"txn.commit" deadline;
+      let o = R.Txn.commit t.kernel ~txn ~at:(now t) in
+      Hashtbl.replace t.tickets txn o.R.Txn.ticket;
       {
         txn_id = txn;
         submitted_at = at;
-        durable_at = R.Wal.ticket_completion ticket;
+        durable_at = R.Wal.ticket_completion o.R.Txn.ticket;
       })
 
 let transact_abort t updates =
@@ -289,95 +183,42 @@ let transact_abort t updates =
   let at = now t in
   let txn = t.next_txn in
   t.next_txn <- txn + 1;
-  List.iter
-    (fun (slot, _) ->
-      (* exn_flow: released via [release_abort] below, after the rollback
-         — auto-release without the rollback would break 2PL. *)
-      match R.Lock_manager.acquire t.locks ~txn ~key:slot with
-      | Some _ -> ()
-      | None -> assert false)
-    updates;
-  (* Apply, remembering old values for the rollback.  Accumulated
-     newest first ([List.rev_map] applies left to right, preserving
-     update/LSN order) so the final log assembly needs no tail-append. *)
-  let begin_lsn = fresh_lsn t in
-  let rev_body =
-    List.rev_map
-      (fun (slot, delta) ->
-        let old_value = R.Kv_store.get ~txn t.kv slot in
-        let new_value = old_value + delta in
-        let lsn = fresh_lsn t in
-        R.Kv_store.apply_update ~txn t.kv ~lsn ~slot ~value:new_value;
-        R.Log_record.Update { txn; lsn; slot; old_value; new_value })
-      updates
-  in
-  (* Roll back in memory, newest first, logging compensating updates so
-     redo replays the rollback too (otherwise a later committed write to
-     the same slot would be clobbered by recovery's undo).  [rev_body]
-     is already newest first; [List.rev_map] keeps that rollback order
-     while yielding the compensation records newest last. *)
-  let rev_compensation =
-    List.rev_map
-      (fun r ->
-        match r with
-        | R.Log_record.Update { slot; old_value; new_value; _ } ->
-          let lsn = fresh_lsn t in
-          R.Kv_store.apply_update ~txn t.kv ~lsn ~slot ~value:old_value;
-          R.Log_record.Update
-            { txn; lsn; slot; old_value = new_value; new_value = old_value }
-        (* interactive transactions log value records only *)
-        | R.Log_record.Begin _ | R.Log_record.Commit _ | R.Log_record.Abort _
-        | R.Log_record.Command _ | R.Log_record.Ckpt_begin _
-        | R.Log_record.Ckpt_end _ -> assert false)
-      rev_body
-  in
-  ignore (R.Lock_manager.release_abort t.locks ~txn);
-  let records =
-    R.Log_record.Begin { txn; lsn = begin_lsn }
-    :: List.rev_append rev_body
-         (List.rev
-            (R.Log_record.Abort { txn; lsn = fresh_lsn t }
-            :: rev_compensation))
-  in
-  ignore (R.Wal.commit_txn t.wal ~at ~txn ~deps:[] records);
+  lock_all t ~txn updates;
+  List.iter (fun (slot, delta) -> R.Txn.write t.kernel ~txn ~slot ~delta) updates;
+  ignore (R.Txn.abort t.kernel ~txn ~at);
   txn
 
 let flush t =
   check_alive t;
   let done_at = R.Wal.flush t.wal ~at:(now t) in
   S.Sim_clock.advance_to t.clock (Float.max done_at (R.Wal.quiesce_time t.wal));
-  retire t ~at:(now t)
+  R.Txn.retire t.kernel ~at:(now t)
 
 let checkpoint t =
   check_alive t;
   R.Wal.log_control t.wal ~at:(now t)
-    [ R.Log_record.Ckpt_begin { lsn = fresh_lsn t } ];
+    [ R.Log_record.Ckpt_begin { lsn = R.Txn.fresh_lsn t.kernel } ];
   flush t;
-  let st = R.Kv_store.checkpoint t.kv in
+  let st = R.Kv_store.checkpoint (kv t) in
   R.Wal.log_control t.wal ~at:(now t)
-    [ R.Log_record.Ckpt_end { lsn = fresh_lsn t } ];
+    [ R.Log_record.Ckpt_end { lsn = R.Txn.fresh_lsn t.kernel } ];
   st
 
 let crash t =
   check_alive t;
-  R.Kv_store.crash t.kv;
+  R.Txn.crash t.kernel;
   t.crashed <- true;
-  t.open_tickets <- [];
   (* Degrade rather than refuse: with an admission controller attached,
      the service keeps answering stale snapshot reads ([balance_stale])
      and sheds writes typed (OVLD009) until [recover] runs. *)
-  (match t.admission with
+  match t.admission with
   | Some a -> O.Admission.set_mode a O.Admission.Read_only
-  | None -> ());
-  (* The lock table is volatile state: a crash loses holders, waiters and
-     pre-committed sets alike (their transactions are decided by the
-     durable log, not by lock-manager residue). *)
-  t.locks <- R.Lock_manager.create ?recorder:t.recorder ()
+  | None -> ()
 
 let recover t =
   if not t.crashed then invalid_arg "Txn_db.recover: not crashed";
-  let log = R.Wal.durable_records t.wal ~at:(now t) in
-  let stats = R.Kv_store.recover t.kv ~log in
+  let log = R.Txn.surviving_log t.kernel ~at:(now t) in
+  let stats = R.Kv_store.recover (kv t) ~log in
   t.crashed <- false;
   (match t.admission with
   | Some a -> O.Admission.set_mode a O.Admission.Normal
@@ -385,7 +226,6 @@ let recover t =
   stats
 
 let committed_txns t =
-  let log = R.Wal.durable_records t.wal ~at:(now t) in
   List.filter_map
     (fun r ->
       match r with
@@ -393,7 +233,7 @@ let committed_txns t =
       | R.Log_record.Begin _ | R.Log_record.Update _ | R.Log_record.Command _
       | R.Log_record.Abort _ | R.Log_record.Ckpt_begin _
       | R.Log_record.Ckpt_end _ -> None)
-    log
+    (R.Txn.surviving_log t.kernel ~at:(now t))
 
 let schedule t =
   match t.recorder with

@@ -1,18 +1,21 @@
-(** Transactional facade over the Section 5 recovery stack: a
-    memory-resident account store with write-ahead logging, a pluggable
-    commit strategy, pre-commit locking, fuzzy checkpoints, crash, and
-    recovery — driven incrementally (one transaction at a time) rather
-    than by the batch {!Mmdb_recovery.Recovery_manager}. *)
+(** Transactional service: a driver over {!Mmdb_recovery.Txn}, the
+    transaction kernel.  It runs a memory-resident account store one
+    transaction at a time, with a pluggable commit strategy, fuzzy
+    checkpoints, crash and recovery.  The kernel does the locking,
+    applying, logging, commit, abort, retirement and recovery log; this
+    facade keeps admission control, deadlines, the per-transaction retry
+    budget and degraded read-only mode. *)
 
 type t
 
 val create : ?strategy:Mmdb_recovery.Wal.strategy -> ?nrecords:int ->
-  ?records_per_page:int -> ?stable_bytes:int -> ?record_schedule:bool ->
+  ?record_schedule:bool ->
   ?admission:Mmdb_overload.Overload.Admission.t -> ?work_per_update:float ->
   ?faults:Mmdb_fault.Fault_plan.t -> ?breaker:Mmdb_overload.Overload.Breaker.t ->
   ?retry_budget:int -> unit -> t
-(** Defaults: group commit, 1000 accounts, 20 per page, 1 MiB stable
-    memory, schedule recording off.  With [record_schedule:true] every
+(** Defaults: group commit, 1000 accounts (20 per page, 1 MiB of stable
+    memory for the dirty-page table), schedule recording off.  With
+    [record_schedule:true] every
     lock-manager and transaction event is captured as a
     {!Mmdb_recovery.Schedule.event} (see {!schedule}) so
     {!Mmdb_verify.Txn_check} can audit the run.
@@ -118,7 +121,10 @@ val crash : t -> unit
     OVLD009 until {!recover} restores normal service. *)
 
 val recover : t -> Mmdb_recovery.Kv_store.recover_stats
-(** Rebuild memory from the snapshot and the durable log.
+(** Rebuild memory from the snapshot and the log that survives the
+    crash ({!Mmdb_recovery.Txn.surviving_log}: with a fault plan armed,
+    damaged log pages are truncated and incomplete transactions
+    demoted, FAULT008).
     @raise Invalid_argument unless crashed.
     @raise Mmdb_recovery.Kv_store.Crashed_during_recovery when the
     store's crash hook fires mid-replay (restart-crash testing).
@@ -126,7 +132,8 @@ val recover : t -> Mmdb_recovery.Kv_store.recover_stats
     parallel-replay barrier invariant is ever broken. *)
 
 val committed_txns : t -> int list
-(** Transaction ids whose commit records are currently durable. *)
+(** Transaction ids whose commit records a crash now would let recovery
+    redo ({!Mmdb_recovery.Txn.surviving_log}). *)
 
 val schedule : t -> Mmdb_recovery.Schedule.event list
 (** The recorded transaction schedule, in emission order (audit input for

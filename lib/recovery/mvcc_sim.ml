@@ -25,7 +25,7 @@ let run ?(seed = 83) ?(nrecords = 1000) ?(n_writers = 20_000)
   let rng = U.Xorshift.create seed in
   let clock = S.Sim_clock.create () in
   let wal = Wal.create ~clock Wal.Group_commit in
-  let balances = Array.make nrecords 0 in
+  let kernel = Txn.create ~nrecords ~wal () in
   let recorder =
     if record_schedule then
       Some (Schedule.recorder ~now:(fun () -> S.Sim_clock.now clock))
@@ -62,8 +62,8 @@ let run ?(seed = 83) ?(nrecords = 1000) ?(n_writers = 20_000)
   let start_reader k ts =
     match scheme with
     | Locking ->
-      (* Writers stalled for the window: read the live array directly. *)
-      let sum = Array.fold_left ( + ) 0 balances in
+      (* Writers stalled for the window: read the live store directly. *)
+      let sum = Array.fold_left ( + ) 0 (Kv_store.balances (Txn.kv kernel)) in
       if sum <> 0 then consistent := false;
       incr readers_done
     | Versioning ->
@@ -119,11 +119,6 @@ let run ?(seed = 83) ?(nrecords = 1000) ?(n_writers = 20_000)
     in
     go ()
   in
-  let lsn = ref 0 in
-  let next_lsn () =
-    incr lsn;
-    !lsn
-  in
   let tickets = ref [] in
   List.iteri
     (fun i (txn : Workload.txn) ->
@@ -139,45 +134,26 @@ let run ?(seed = 83) ?(nrecords = 1000) ?(n_writers = 20_000)
           | Some k -> window_end k
           | None -> arrival)
       in
-      (* Apply updates (at the effective time) and log. *)
-      let begin_lsn = next_lsn () in
-      (* Newest-first accumulation ([List.rev_map] applies left to
-         right, so updates and LSNs happen in order); one final
-         [List.rev] avoids the quadratic tail-append. *)
-      let rev_body =
-        List.rev_map
-          (fun (slot, delta) ->
-            let old_value = balances.(slot) in
-            let new_value = old_value + delta in
-            balances.(slot) <- new_value;
-            (match scheme with
-            | Versioning ->
-              Version_store.write ~txn:txn.Workload.txn_id ~domain:0 versions
-                ~ts:effective ~slot ~value:new_value
-            | Locking -> ());
-            Log_record.Update
-              {
-                txn = txn.Workload.txn_id;
-                lsn = next_lsn ();
-                slot;
-                old_value;
-                new_value;
-              })
+      let o =
+        Txn.run kernel ~txn:txn.Workload.txn_id ~at:effective
           txn.Workload.updates
       in
+      (* Versioning installs each committed value as a version stamped
+         with the commit time. *)
+      (match scheme with
+      | Versioning ->
+        List.iter
+          (function
+            | Log_record.Update { slot; new_value; _ } ->
+              Version_store.write ~txn:txn.Workload.txn_id ~domain:0 versions
+                ~ts:effective ~slot ~value:new_value
+            | Log_record.Begin _ | Log_record.Commit _ | Log_record.Abort _
+            | Log_record.Command _ | Log_record.Ckpt_begin _
+            | Log_record.Ckpt_end _ -> ())
+          o.Txn.records
+      | Locking -> ());
       versions_peak := max !versions_peak (Version_store.version_count versions);
-      let records =
-        Log_record.Begin { txn = txn.Workload.txn_id; lsn = begin_lsn }
-        :: List.rev
-             (Log_record.Commit
-                { txn = txn.Workload.txn_id; lsn = next_lsn () }
-             :: rev_body)
-      in
-      let ticket =
-        Wal.commit_txn wal ~at:effective ~txn:txn.Workload.txn_id ~deps:[]
-          records
-      in
-      tickets := (arrival, ticket) :: !tickets)
+      tickets := (arrival, o.Txn.ticket) :: !tickets)
     txns;
   let done_at =
     Wal.flush wal ~at:(float_of_int (n_writers - 1) *. inter_arrival)

@@ -14,8 +14,11 @@
       snapshot is verified consistent (zero-sum balances) even while
       writes proceed under it.
 
-    Both schemes commit writers through the same group-commit WAL, so the
-    difference isolates the concurrency-control choice. *)
+    A driver over {!Txn}, the transaction kernel: writers are one-shot
+    {!Txn.run} transactions through the same group-commit WAL under both
+    schemes, so the difference isolates the concurrency-control choice.
+    The driver keeps the reader windows; under versioning it installs a
+    version from each Update record the commit returns. *)
 
 type scheme = Locking | Versioning
 

@@ -89,12 +89,11 @@ let run cfg =
      legacy quiesce-point model keeps the seed's fully parallel timing. *)
   let strict_page_order = cfg.crash_at <> None || cfg.faults <> [] in
   let wal = Wal.create ~faults:plan ~strict_page_order ~clock cfg.strategy in
-  let locks = Lock_manager.create () in
-  let stable = Stable_memory.create ~capacity_bytes:(1 lsl 20) in
-  let kv =
-    Kv_store.create ~faults:plan ~nrecords:cfg.nrecords
-      ~records_per_page:cfg.records_per_page ~stable ()
+  let kernel =
+    Txn.create ~faults:plan ~records_per_page:cfg.records_per_page
+      ~nrecords:cfg.nrecords ~wal ()
   in
+  let kv = Txn.kv kernel in
   let n_submit =
     match cfg.crash_after with
     | Some k ->
@@ -140,11 +139,6 @@ let run cfg =
         ~cross_partition
   in
   let command_txns = ref 0 in
-  let lsn = ref 0 in
-  let next_lsn () =
-    incr lsn;
-    !lsn
-  in
   let checkpoints = ref 0 in
   let checkpoint_pages = ref 0 in
   (* A fuzzy-checkpoint bracket stays open until some sweep finishes the
@@ -168,80 +162,18 @@ let run cfg =
       if submits i then begin
         let at = arrival i in
         crash_time := at;
-        let deps =
-          List.concat_map
-            (fun (slot, _) ->
-              (* exn_flow: 2PL — locks finalize at commit retirement. *)
-              match
-                Lock_manager.acquire locks ~txn:txn.Workload.txn_id ~key:slot
-              with
-              | Some g -> g.Lock_manager.dependencies
-              | None -> assert false)
+        let command = command_logged txn in
+        if command then incr command_txns;
+        let o =
+          Txn.run ~command kernel ~txn:txn.Workload.txn_id ~at
             txn.Workload.updates
         in
-        let begin_lsn = next_lsn () in
-        let records =
-          if command_logged txn then begin
-            (* Command logging: one operation record for the whole
-               transaction.  All ops share the command's LSN, so the
-               per-transaction LSN run stays consecutive (Begin L,
-               Command L+1, Commit L+2) and the demotion completeness
-               check below still works. *)
-            incr command_txns;
-            let cmd_lsn = next_lsn () in
-            let ops =
-              List.map
-                (fun (slot, delta) ->
-                  let old_value = Kv_store.get kv slot in
-                  Kv_store.apply_update kv ~lsn:cmd_lsn ~slot
-                    ~value:(old_value + delta);
-                  (slot, delta))
-                txn.Workload.updates
-            in
-            [
-              Log_record.Begin { txn = txn.Workload.txn_id; lsn = begin_lsn };
-              Log_record.Command
-                { txn = txn.Workload.txn_id; lsn = cmd_lsn; ops };
-              Log_record.Commit
-                { txn = txn.Workload.txn_id; lsn = next_lsn () };
-            ]
-          end
-          else begin
-            (* Newest-first accumulation ([List.rev_map] applies left to
-               right, so updates and LSNs happen in order); one final
-               [List.rev] avoids the quadratic tail-append. *)
-            let rev_body =
-              List.rev_map
-                (fun (slot, delta) ->
-                  let old_value = Kv_store.get kv slot in
-                  let new_value = old_value + delta in
-                  let l = next_lsn () in
-                  Kv_store.apply_update kv ~lsn:l ~slot ~value:new_value;
-                  Log_record.Update
-                    {
-                      txn = txn.Workload.txn_id;
-                      lsn = l;
-                      slot;
-                      old_value;
-                      new_value;
-                    })
-                txn.Workload.updates
-            in
-            Log_record.Begin { txn = txn.Workload.txn_id; lsn = begin_lsn }
-            :: List.rev
-                 (Log_record.Commit
-                    { txn = txn.Workload.txn_id; lsn = next_lsn () }
-                 :: rev_body)
-          end
-        in
-        ignore (Lock_manager.precommit locks ~txn:txn.Workload.txn_id);
-        let tkt = Wal.commit_txn wal ~at ~txn:txn.Workload.txn_id ~deps records in
-        tickets := (txn.Workload.txn_id, tkt) :: !tickets;
+        tickets := (txn.Workload.txn_id, o.Txn.ticket) :: !tickets;
         (match cfg.checkpoint_every with
         | Some every when (i + 1) mod every = 0 ->
           if not !ckpt_open then begin
             Wal.log_control wal ~at
-              [ Log_record.Ckpt_begin { lsn = next_lsn () } ];
+              [ Log_record.Ckpt_begin { lsn = Txn.fresh_lsn kernel } ];
             ckpt_open := true
           end;
           (* WAL rule: the log is flushed before data pages go out.  The
@@ -265,14 +197,14 @@ let run cfg =
             if Kv_store.dirty_pages kv = 0 then begin
               (* Complete sweep: certify it. *)
               Wal.log_control wal ~at
-                [ Log_record.Ckpt_end { lsn = next_lsn () } ];
+                [ Log_record.Ckpt_end { lsn = Txn.fresh_lsn kernel } ];
               ckpt_open := false;
               incr checkpoints
             end
           | None ->
             let st = Kv_store.checkpoint kv in
             Wal.log_control wal ~at
-              [ Log_record.Ckpt_end { lsn = next_lsn () } ];
+              [ Log_record.Ckpt_end { lsn = Txn.fresh_lsn kernel } ];
             ckpt_open := false;
             incr checkpoints;
             checkpoint_pages := !checkpoint_pages + st.Kv_store.pages_flushed)
@@ -293,62 +225,8 @@ let run cfg =
       let done_at = Wal.flush wal ~at:!crash_time in
       Float.max done_at (Wal.quiesce_time wal) +. 1.0
   in
-  let durable = Wal.surviving_records wal ~at:crash_at in
-  (* Demote transactions whose durable record set is incomplete: media
-     damage (at-rest bit rot truncating an already-durable page) can
-     leave a commit record standing while some of the transaction's
-     update records are gone.  Redoing such a commit would replay a
-     partial transaction.  LSNs are assigned consecutively per
-     transaction here, so completeness is checkable: Begin present and
-     exactly (terminator_lsn - begin_lsn + 1) records survived.
-     Dropping the terminator turns the remnant into a loser that undo
-     reverses cleanly. *)
-  let durable =
-    let stats = Hashtbl.create 64 in
-    (* txn -> (min_lsn, max_lsn, count, has_begin, terminator_lsn opt) *)
-    List.iter
-      (fun r ->
-        match Log_record.txn r with
-        | None -> ()
-        | Some tx ->
-          let l = Log_record.lsn r in
-          let mn, mx, n, hb, term =
-            match Hashtbl.find_opt stats tx with
-            | Some s -> s
-            | None -> (l, l, 0, false, None)
-          in
-          let hb =
-            hb || match r with Log_record.Begin _ -> true | _ -> false
-          in
-          let term =
-            match r with
-            | Log_record.Commit _ | Log_record.Abort _ -> Some l
-            | _ -> term
-          in
-          Hashtbl.replace stats tx (min mn l, max mx l, n + 1, hb, term))
-      durable;
-    let incomplete tx =
-      match Hashtbl.find_opt stats tx with
-      | Some (mn, mx, n, has_begin, Some term_lsn) ->
-        (not has_begin) || mn + n - 1 <> mx || term_lsn <> mx
-      | Some (_, _, _, _, None) | None -> false
-    in
-    List.filter
-      (fun r ->
-        match r with
-        | Log_record.Commit { txn; _ } | Log_record.Abort { txn; _ } ->
-          if incomplete txn then begin
-            Fault_plan.note_detected plan ~code:"FAULT008" ~site:"log.recover"
-              (Printf.sprintf
-                 "txn %d: incomplete durable record set; demoting" txn);
-            false
-          end
-          else true
-        | Log_record.Begin _ | Log_record.Update _ | Log_record.Command _
-        | Log_record.Ckpt_begin _ | Log_record.Ckpt_end _ -> true)
-      durable
-  in
-  Kv_store.crash kv;
+  let durable = Txn.surviving_log kernel ~at:crash_at in
+  Txn.crash kernel;
   (* The checkpoint image survives the crash — capture it before replay
      rewrites memory, so degraded read-only service can be modelled. *)
   let stale =

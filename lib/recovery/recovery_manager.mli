@@ -1,11 +1,14 @@
-(** End-to-end crash/recovery driver (Sections 5.3-5.5).
+(** End-to-end crash/recovery driver (Sections 5.3-5.5) over {!Txn},
+    the transaction kernel.
 
-    Runs a banking workload through the full stack — lock manager,
-    memory-resident store, WAL strategy, optional periodic fuzzy
-    checkpoints — crashes at a chosen point, recovers from the disk
-    snapshot plus the durable log, and verifies the recovered state
-    against a golden replay of exactly the durably-committed
-    transactions.
+    Runs a banking workload through the kernel (each arrival one
+    {!Txn.run}, value- or command-logged by the per-transaction choice
+    below) with optional periodic fuzzy checkpoints, crashes at a chosen
+    point, recovers from the disk snapshot plus {!Txn.surviving_log},
+    and verifies the recovered state against a golden replay of exactly
+    the durably-committed transactions.  The driver keeps checkpoints,
+    crash timing, the golden audit, stale reads and the logging
+    choice.
 
     Crashes land at a transaction boundary ([crash_after]) or at an
     arbitrary simulated instant ([crash_at]) — including mid-drain,

@@ -22,80 +22,15 @@ let run ?(seed = 1984) ?(nrecords = 1000) ?(updates_per_txn = 6)
     ?(arrival_interval = 0.0) ~n_txns strategy =
   if n_txns <= 0 then invalid_arg "Tps_sim.run: n_txns <= 0";
   let rng = U.Xorshift.create seed in
-  let clock = S.Sim_clock.create () in
-  let wal = Wal.create ~clock strategy in
-  let locks = Lock_manager.create () in
-  let balances = Array.make nrecords 0 in
+  let wal = Wal.create ~clock:(S.Sim_clock.create ()) strategy in
+  let kernel = Txn.create ~nrecords ~wal () in
   let txns = Workload.generate ~rng ~nrecords ~updates_per_txn ~n:n_txns () in
-  let lsn = ref 0 in
-  let next_lsn () =
-    incr lsn;
-    !lsn
-  in
   let tickets = ref [] in
-  let pending_finalize = Queue.create () in
-  let submit at (txn : Workload.txn) =
-    (* Take every account lock; gather pre-commit dependencies. *)
-    let deps =
-      List.concat_map
-        (fun (slot, _) ->
-          (* exn_flow: 2PL — execution is instantaneous and locks
-             finalize at commit retirement, never inside this closure. *)
-          match Lock_manager.acquire locks ~txn:txn.Workload.txn_id ~key:slot with
-          | Some g -> g.Lock_manager.dependencies
-          | None ->
-            (* Execution is instantaneous, so locks are never held by an
-               active transaction at arrival time. *)
-            assert false)
-        txn.Workload.updates
-    in
-    let begin_lsn = next_lsn () in
-    (* Newest-first accumulation ([List.rev_map] applies left to right,
-       so LSNs are drawn in update order); one final [List.rev] puts
-       the log in natural order without a quadratic tail-append. *)
-    let rev_body =
-      List.rev_map
-        (fun (slot, delta) ->
-          let old_value = balances.(slot) in
-          let new_value = old_value + delta in
-          balances.(slot) <- new_value;
-          Log_record.Update
-            {
-              txn = txn.Workload.txn_id;
-              lsn = next_lsn ();
-              slot;
-              old_value;
-              new_value;
-            })
-        txn.Workload.updates
-    in
-    let records =
-      Log_record.Begin { txn = txn.Workload.txn_id; lsn = begin_lsn }
-      :: List.rev
-           (Log_record.Commit { txn = txn.Workload.txn_id; lsn = next_lsn () }
-           :: rev_body)
-    in
-    ignore (Lock_manager.precommit locks ~txn:txn.Workload.txn_id);
-    let ticket =
-      Wal.commit_txn wal ~at ~txn:txn.Workload.txn_id ~deps records
-    in
-    Queue.push ticket pending_finalize;
-    tickets := (at, ticket) :: !tickets;
-    (* Retire transactions whose commits are already durable. *)
-    let continue = ref true in
-    while !continue do
-      match Queue.peek_opt pending_finalize with
-      | Some tkt -> (
-        match Wal.ticket_completion tkt with
-        | Some c when c <= at ->
-          ignore (Queue.pop pending_finalize);
-          Lock_manager.finalize locks ~txn:(Wal.ticket_txn tkt)
-        | Some _ | None -> continue := false)
-      | None -> continue := false
-    done
-  in
   List.iteri
-    (fun i txn -> submit (float_of_int i *. arrival_interval) txn)
+    (fun i (txn : Workload.txn) ->
+      let at = float_of_int i *. arrival_interval in
+      let o = Txn.run kernel ~txn:txn.Workload.txn_id ~at txn.Workload.updates in
+      tickets := (at, o.Txn.ticket) :: !tickets)
     txns;
   let last_arrival = float_of_int (n_txns - 1) *. arrival_interval in
   ignore (Wal.flush wal ~at:last_arrival);

@@ -1,12 +1,13 @@
-(** Discrete-event transaction-throughput simulation (Section 5.2).
+(** Discrete-event transaction-throughput simulation (Section 5.2): a
+    driver over {!Txn}, the transaction kernel.
 
     Transactions execute instantaneously in the memory-resident database
     (the paper: "transactions no longer need to read or write data pages
     ... they still need to perform at least one log I/O"); throughput is
-    therefore bounded by the commit strategy's log behaviour.  Each
-    transaction takes its account locks, applies its updates, pre-commits
-    (releasing locks into the pre-committed sets), and submits its log;
-    it reports committed when its commit record is durable. *)
+    therefore bounded by the commit strategy's log behaviour.  The driver
+    keeps the arrival schedule and the latency summary; each arrival is
+    one {!Txn.run}, reported committed when its commit record is
+    durable. *)
 
 type result = {
   strategy_label : string;

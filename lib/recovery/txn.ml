@@ -1,0 +1,238 @@
+module Fault_plan = Mmdb_fault.Fault_plan
+
+(* What the kernel keeps for a transaction between its first lock and
+   its commit or abort. *)
+type active = {
+  mutable deps : int list;  (* pre-committed transactions it read from *)
+  mutable begin_lsn : int;  (* 0 until the first write or the end *)
+  mutable rev_body : Log_record.t list;  (* newest first *)
+}
+
+type t = {
+  wal : Wal.t;
+  kv : Kv_store.t;
+  recorder : Schedule.recorder option;
+  domain_of : int -> int;
+  mutable locks : Lock_manager.t;
+  active : (int, active) Hashtbl.t;
+  mutable next_lsn : int;
+  mutable open_tickets : Wal.ticket list;
+}
+
+type outcome = {
+  ticket : Wal.ticket;
+  records : Log_record.t list;
+  woken : int list;
+}
+
+let create ?recorder ?(domain_of = fun _ -> 0) ?faults
+    ?(records_per_page = 20) ~nrecords ~wal () =
+  let stable = Stable_memory.create ~capacity_bytes:(1 lsl 20) in
+  {
+    wal;
+    kv = Kv_store.create ?faults ?recorder ~nrecords ~records_per_page ~stable ();
+    recorder;
+    domain_of;
+    locks = Lock_manager.create ?recorder ~domain_of ();
+    active = Hashtbl.create 16;
+    next_lsn = 0;
+    open_tickets = [];
+  }
+
+let kv t = t.kv
+let locks t = t.locks
+let unretired t = List.length t.open_tickets
+
+let fresh_lsn t =
+  t.next_lsn <- t.next_lsn + 1;
+  t.next_lsn
+
+let active t txn =
+  match Hashtbl.find_opt t.active txn with
+  | Some a -> a
+  | None ->
+    let a = { deps = []; begin_lsn = 0; rev_body = [] } in
+    Hashtbl.replace t.active txn a;
+    a
+
+let begin_lsn t a =
+  if a.begin_lsn = 0 then a.begin_lsn <- fresh_lsn t;
+  a.begin_lsn
+
+(* A grant's dependencies belong to the grantee, whether it was granted
+   at [lock] time or woken by another transaction's release. *)
+let absorb t (grants : Lock_manager.grant list) =
+  List.map
+    (fun (g : Lock_manager.grant) ->
+      let a = active t g.granted_txn in
+      a.deps <- List.rev_append g.dependencies a.deps;
+      g.granted_txn)
+    grants
+
+let lock ?deadline t ~txn ~key =
+  let a = active t txn in
+  (* exn_flow: 2PL — locks are released by [commit]'s pre-commit or by
+     [abort], never by the function that took them. *)
+  match Lock_manager.acquire ?deadline t.locks ~txn ~key with
+  | Some g ->
+    a.deps <- List.rev_append g.dependencies a.deps;
+    true
+  | None -> false
+
+let write t ~txn ~slot ~delta =
+  let a = active t txn in
+  ignore (begin_lsn t a);
+  let domain = t.domain_of txn in
+  let old_value = Kv_store.get ~txn ~domain t.kv slot in
+  let new_value = old_value + delta in
+  let lsn = fresh_lsn t in
+  Kv_store.apply_update ~txn ~domain t.kv ~lsn ~slot ~value:new_value;
+  a.rev_body <-
+    Log_record.Update { txn; lsn; slot; old_value; new_value } :: a.rev_body
+
+(* Command logging: one record carries every operation, all at one LSN,
+   so the run stays Begin L, Command L+1, Commit L+2. *)
+let write_command t ~txn ops =
+  let a = active t txn in
+  ignore (begin_lsn t a);
+  let domain = t.domain_of txn in
+  let lsn = fresh_lsn t in
+  List.iter
+    (fun (slot, delta) ->
+      let value = Kv_store.get ~txn ~domain t.kv slot + delta in
+      Kv_store.apply_update ~txn ~domain t.kv ~lsn ~slot ~value)
+    ops;
+  a.rev_body <- Log_record.Command { txn; lsn; ops } :: a.rev_body
+
+let take t txn =
+  let a = active t txn in
+  Hashtbl.remove t.active txn;
+  a
+
+(* Begin, the body oldest first, then the terminator: LSNs are drawn in
+   that order, so the run is consecutive. *)
+let assemble t ~txn a terminator =
+  let begin_lsn = begin_lsn t a in
+  let last = terminator (fresh_lsn t) in
+  Log_record.Begin { txn; lsn = begin_lsn } :: List.rev (last :: a.rev_body)
+
+let retire t ~at =
+  t.open_tickets <-
+    List.filter
+      (fun tkt ->
+        match Wal.ticket_completion tkt with
+        | Some c when c <= at ->
+          let txn = Wal.ticket_txn tkt in
+          Schedule.emit t.recorder ~at:c ~domain:(t.domain_of txn) ~txn
+            Schedule.Commit_durable;
+          (* exn_flow: 2PL — the locks were taken by [lock] and
+             pre-committed by [commit]; the durable commit retires them. *)
+          Lock_manager.finalize t.locks ~txn;
+          false
+        | Some _ | None -> true)
+      t.open_tickets
+
+let commit t ~txn ~at =
+  let a = take t txn in
+  let records = assemble t ~txn a (fun lsn -> Log_record.Commit { txn; lsn }) in
+  (* exn_flow: 2PL — pre-commit releases the locks [lock] took. *)
+  let woken = absorb t (Lock_manager.precommit t.locks ~txn) in
+  let ticket = Wal.commit_txn t.wal ~at ~txn ~deps:a.deps records in
+  t.open_tickets <- ticket :: t.open_tickets;
+  retire t ~at;
+  { ticket; records; woken }
+
+let abort t ~txn ~at =
+  let a = take t txn in
+  let domain = t.domain_of txn in
+  (* Roll back newest first, logging each compensation, so redo replays
+     the rollback too: otherwise recovery's undo would clobber a later
+     committed write to the same slot. *)
+  List.iter
+    (fun r ->
+      match r with
+      | Log_record.Update { slot; old_value; new_value; _ } ->
+        let lsn = fresh_lsn t in
+        Kv_store.apply_update ~txn ~domain t.kv ~lsn ~slot ~value:old_value;
+        a.rev_body <-
+          Log_record.Update
+            { txn; lsn; slot; old_value = new_value; new_value = old_value }
+          :: a.rev_body
+      (* command bodies only come from [run], which always commits *)
+      | Log_record.Begin _ | Log_record.Commit _ | Log_record.Abort _
+      | Log_record.Command _ | Log_record.Ckpt_begin _
+      | Log_record.Ckpt_end _ -> assert false)
+    a.rev_body;
+  (* exn_flow: 2PL — abort releases the locks [lock] took, after the
+     rollback. *)
+  let woken = absorb t (Lock_manager.release_abort t.locks ~txn) in
+  let records = assemble t ~txn a (fun lsn -> Log_record.Abort { txn; lsn }) in
+  let ticket = Wal.commit_txn t.wal ~at ~txn ~deps:[] records in
+  { ticket; records; woken }
+
+let run ?(command = false) t ~txn ~at updates =
+  List.iter
+    (fun (key, _) ->
+      if not (lock t ~txn ~key) then
+        invalid_arg
+          (Printf.sprintf "Txn.run: txn %d would wait for key %d" txn key))
+    updates;
+  if command then write_command t ~txn updates
+  else List.iter (fun (slot, delta) -> write t ~txn ~slot ~delta) updates;
+  commit t ~txn ~at
+
+let crash t =
+  Kv_store.crash t.kv;
+  (* The lock table is volatile: holders, waiters and pre-committed sets
+     go with it (the durable log decides their transactions). *)
+  t.locks <- Lock_manager.create ?recorder:t.recorder ~domain_of:t.domain_of ();
+  Hashtbl.reset t.active;
+  t.open_tickets <- []
+
+let surviving_log t ~at =
+  let durable = Wal.surviving_records t.wal ~at in
+  (* txn -> (min_lsn, max_lsn, count, has_begin, terminator_lsn) *)
+  let stats = Hashtbl.create 64 in
+  List.iter
+    (fun r ->
+      match Log_record.txn r with
+      | None -> ()
+      | Some tx ->
+        let l = Log_record.lsn r in
+        let mn, mx, n, hb, term =
+          match Hashtbl.find_opt stats tx with
+          | Some s -> s
+          | None -> (l, l, 0, false, None)
+        in
+        let hb = hb || match r with Log_record.Begin _ -> true | _ -> false in
+        let term =
+          match r with
+          | Log_record.Commit _ | Log_record.Abort _ -> Some l
+          | _ -> term
+        in
+        Hashtbl.replace stats tx (min mn l, max mx l, n + 1, hb, term))
+    durable;
+  (* Complete = Begin present and exactly (terminator - begin + 1)
+     records survived.  Dropping an incomplete transaction's terminator
+     turns the remnant into a loser that undo reverses cleanly. *)
+  let incomplete tx =
+    match Hashtbl.find_opt stats tx with
+    | Some (mn, mx, n, has_begin, Some term_lsn) ->
+      (not has_begin) || mn + n - 1 <> mx || term_lsn <> mx
+    | Some (_, _, _, _, None) | None -> false
+  in
+  List.filter
+    (fun r ->
+      match r with
+      | Log_record.Commit { txn; _ } | Log_record.Abort { txn; _ } ->
+        if incomplete txn then begin
+          Fault_plan.note_detected (Wal.faults t.wal) ~code:"FAULT008"
+            ~site:"log.recover"
+            (Printf.sprintf "txn %d: incomplete durable record set; demoting"
+               txn);
+          false
+        end
+        else true
+      | Log_record.Begin _ | Log_record.Update _ | Log_record.Command _
+      | Log_record.Ckpt_begin _ | Log_record.Ckpt_end _ -> true)
+    durable

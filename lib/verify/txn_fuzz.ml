@@ -25,7 +25,6 @@ type txn = {
   id : int;
   mutable to_acquire : (int * int) list;  (** (slot, delta) not yet locked *)
   mutable acquired : (int * int) list;  (** newest first *)
-  mutable deps : int list;  (** pre-committed txns from grants *)
   mutable state : txn_state;
   will_abort : bool;
   deadline : O.Deadline.t option;
@@ -55,7 +54,6 @@ let run ?(txns = 40) ?(accounts = 16) ?(inflight = 4) ?(abort_pct = 15)
      is a genuine multi-domain interleaving — every cross-domain ordering
      must come from lock edges, which is exactly what Race_check audits. *)
   let domain_of id = id mod domains in
-  let lm = R.Lock_manager.create ~recorder ~domain_of () in
   let admission =
     if spike then Some (O.Admission.create ~rate:spike_rate ~burst:spike_burst ())
     else None
@@ -66,12 +64,7 @@ let run ?(txns = 40) ?(accounts = 16) ?(inflight = 4) ?(abort_pct = 15)
       (1 + Option.value ~default:0 (Hashtbl.find_opt ovld c))
   in
   let wal = R.Wal.create ~clock R.Wal.Group_commit in
-  let balances = Array.make accounts 1000 in
-  let next_lsn = ref 0 in
-  let fresh_lsn () =
-    incr next_lsn;
-    !next_lsn
-  in
+  let kernel = R.Txn.create ~recorder ~domain_of ~nrecords:accounts ~wal () in
   let now () = S.Sim_clock.now clock in
   let tick () = S.Sim_clock.advance clock (1e-5 +. X.float rng 2e-4) in
   (* Pre-draw every transaction's plan so the workload is a pure function
@@ -92,136 +85,61 @@ let run ?(txns = 40) ?(accounts = 16) ?(inflight = 4) ?(abort_pct = 15)
   let aborted = ref 0 in
   let waits = ref 0 in
   let deadlocks = ref 0 in
-  let tickets = ref [] in
   let remove t = live := List.filter (fun u -> u.id <> t.id) !live in
-  (* Grants returned by precommit / release_abort move their waiters back
-     to Running; the key a woken transaction was queued on becomes
-     acquired, and the grant's dependency list accumulates. *)
-  let absorb_grants grants =
+  (* Transactions a commit or abort woke move back to Running: the key
+     each was queued on becomes acquired. *)
+  let absorb_woken woken =
     List.iter
-      (fun (g : R.Lock_manager.grant) ->
-        match List.find_opt (fun u -> u.id = g.R.Lock_manager.granted_txn) !live
-        with
-        | None -> ()
-        | Some w -> (
-          match w.state with
-          | Waiting key ->
-            let delta =
-              match List.assoc_opt key w.to_acquire with
-              | Some d -> d
-              | None -> 0
-            in
-            w.to_acquire <- List.remove_assoc key w.to_acquire;
-            w.acquired <- (key, delta) :: w.acquired;
-            w.deps <- g.R.Lock_manager.dependencies @ w.deps;
-            w.state <- Running
-          | Running -> ()))
-      grants
+      (fun id ->
+        match List.find_opt (fun u -> u.id = id) !live with
+        | Some ({ state = Waiting key; _ } as w) ->
+          let delta =
+            match List.assoc_opt key w.to_acquire with
+            | Some d -> d
+            | None -> 0
+          in
+          w.to_acquire <- List.remove_assoc key w.to_acquire;
+          w.acquired <- (key, delta) :: w.acquired;
+          w.state <- Running
+        | Some { state = Running; _ } | None -> ())
+      woken
   in
-  (* Perform the banking work under locks: read, update, emit Read/Write
-     schedule events, build the Update log records.  [t.acquired] is
-     newest lock first and [List.map] applies left to right, so effects
-     keep that order; the result is also newest first, and each caller
-     does one final [List.rev] when assembling the log (oldest lock
-     first so it reads naturally) instead of a quadratic tail-append. *)
-  let do_updates t =
-    List.map
-      (fun (slot, delta) ->
-        let old_value = balances.(slot) in
-        let new_value = old_value + delta in
-        let lsn = fresh_lsn () in
-        R.Schedule.emit rec_opt ~key:slot ~domain:(domain_of t.id) ~txn:t.id
-          R.Schedule.Read;
-        balances.(slot) <- new_value;
-        R.Schedule.emit rec_opt ~key:slot ~lsn ~domain:(domain_of t.id)
-          ~txn:t.id R.Schedule.Write;
-        R.Log_record.Update { txn = t.id; lsn; slot; old_value; new_value })
-      t.acquired
-  in
-  let finish_commit t =
-    let begin_lsn = fresh_lsn () in
-    let rev_body = do_updates t in
-    let records =
-      R.Log_record.Begin { txn = t.id; lsn = begin_lsn }
-      :: List.rev (R.Log_record.Commit { txn = t.id; lsn = fresh_lsn () }
-                  :: rev_body)
+  (* The banking work runs once every lock is held, oldest lock first;
+     a planned abort then rolls it back. *)
+  let finish t =
+    List.iter
+      (fun (slot, delta) -> R.Txn.write kernel ~txn:t.id ~slot ~delta)
+      (List.rev t.acquired);
+    let at = now () in
+    let o =
+      if t.will_abort then R.Txn.abort kernel ~txn:t.id ~at
+      else R.Txn.commit kernel ~txn:t.id ~at
     in
-    absorb_grants (R.Lock_manager.precommit lm ~txn:t.id);
-    let tkt = R.Wal.commit_txn wal ~at:(now ()) ~txn:t.id ~deps:t.deps records in
-    tickets := tkt :: !tickets;
-    incr committed;
+    absorb_woken o.R.Txn.woken;
+    if t.will_abort then incr aborted else incr committed;
     remove t
   in
-  let finish_abort t =
-    let begin_lsn = fresh_lsn () in
-    let rev_body = do_updates t in
-    (* Roll back in memory, newest update first, with compensating log
-       records (mirrors Txn_db.transact_abort).  [rev_body] is already
-       newest first, so [List.rev_map] walks it in rollback order while
-       yielding the compensation records newest last. *)
-    let rev_compensation =
-      List.rev_map
-        (fun r ->
-          match r with
-          | R.Log_record.Update { slot; old_value; new_value; _ } ->
-            let lsn = fresh_lsn () in
-            balances.(slot) <- old_value;
-            R.Schedule.emit rec_opt ~key:slot ~lsn ~domain:(domain_of t.id)
-              ~txn:t.id R.Schedule.Write;
-            R.Log_record.Update
-              {
-                txn = t.id;
-                lsn;
-                slot;
-                old_value = new_value;
-                new_value = old_value;
-              }
-          | _ -> assert false)
-        rev_body
-    in
-    absorb_grants (R.Lock_manager.release_abort lm ~txn:t.id);
-    let records =
-      R.Log_record.Begin { txn = t.id; lsn = begin_lsn }
-      :: List.rev_append rev_body
-           (List.rev
-              (R.Log_record.Abort { txn = t.id; lsn = fresh_lsn () }
-              :: rev_compensation))
-    in
-    ignore (R.Wal.commit_txn wal ~at:(now ()) ~txn:t.id ~deps:[] records);
-    incr aborted;
-    remove t
-  in
-  (* A deadlock victim dies while still queued: it logs only Begin/Abort
-     (no updates happened yet — writes occur after full acquisition). *)
+  (* A deadlock victim dies while still queued, before any write: it
+     logs only Begin/Abort. *)
   let kill_victim t =
-    absorb_grants (R.Lock_manager.release_abort lm ~txn:t.id);
-    let records =
-      [
-        R.Log_record.Begin { txn = t.id; lsn = fresh_lsn () };
-        R.Log_record.Abort { txn = t.id; lsn = fresh_lsn () };
-      ]
-    in
-    ignore (R.Wal.commit_txn wal ~at:(now ()) ~txn:t.id ~deps:[] records);
+    absorb_woken (R.Txn.abort kernel ~txn:t.id ~at:(now ())).R.Txn.woken;
     incr aborted;
     remove t
   in
   let step_txn t =
     match t.to_acquire with
-    | (key, delta) :: rest -> (
-      (* exn_flow: staged acquisition across fuzzer steps; releases
-         happen in the abort/commit steps ([abort_txn], [kill_victim]). *)
-      match R.Lock_manager.acquire ?deadline:t.deadline lm ~txn:t.id ~key with
-      | Some g ->
+    | (key, delta) :: rest ->
+      if R.Txn.lock ?deadline:t.deadline kernel ~txn:t.id ~key then begin
         t.to_acquire <- rest;
-        t.acquired <- (key, delta) :: t.acquired;
-        t.deps <- g.R.Lock_manager.dependencies @ t.deps
-      | None ->
+        t.acquired <- (key, delta) :: t.acquired
+      end
+      else begin
         (* Keep the entry in [to_acquire]: the wake-up path pops it (and
            its delta) when the grant arrives. *)
-        ignore rest;
         t.state <- Waiting key;
-        incr waits)
-    | [] -> if t.will_abort then finish_abort t else finish_commit t
+        incr waits
+      end
+    | [] -> finish t
   in
   let crash_after =
     if crash then max 1 (txns * 2 / 3) else max_int (* committed+aborted *)
@@ -249,7 +167,7 @@ let run ?(txns = 40) ?(accounts = 16) ?(inflight = 4) ?(abort_pct = 15)
                note_ovld "OVLD004";
                kill_victim t
              | None -> ())
-           (R.Lock_manager.expire_waiters lm ~now:(now ())));
+           (R.Lock_manager.expire_waiters (R.Txn.locks kernel) ~now:(now ())));
        (* Admit new work (through the token bucket in spike mode: a shed
           arrival consumes its plan — the client was turned away). *)
        if List.compare_length_with !live inflight < 0 && !next_plan < txns
@@ -274,7 +192,6 @@ let run ?(txns = 40) ?(accounts = 16) ?(inflight = 4) ?(abort_pct = 15)
                id;
                to_acquire = plan;
                acquired = [];
-               deps = [];
                state = Running;
                will_abort;
                deadline =
@@ -305,23 +222,7 @@ let run ?(txns = 40) ?(accounts = 16) ?(inflight = 4) ?(abort_pct = 15)
     tick ();
     ignore (R.Wal.flush wal ~at:(now ()))
   end;
-  (* Emit Commit_durable (exact completion stamps) and finalize, in
-     durability order. *)
-  let resolved =
-    List.filter_map
-      (fun tkt ->
-        match R.Wal.ticket_completion tkt with
-        | Some c when c <= now () -> Some (c, R.Wal.ticket_txn tkt)
-        | Some _ | None -> None)
-      !tickets
-    |> List.sort compare
-  in
-  List.iter
-    (fun (c, txn) ->
-      R.Schedule.emit rec_opt ~at:c ~domain:(domain_of txn) ~txn
-        R.Schedule.Commit_durable;
-      R.Lock_manager.finalize lm ~txn)
-    resolved;
+  R.Txn.retire kernel ~at:(now ());
   (* Positive controls: seeded injected races.  Each injection uses ghost
      transactions on fresh domains and a private key above the account
      range, so every control maps to exactly one expected RACE code and

@@ -1,12 +1,13 @@
 (** Seeded interleaved-workload fuzzer for the transaction sanitizer.
 
-    Drives {!Mmdb_recovery.Lock_manager} and {!Mmdb_recovery.Wal}
-    directly with concurrent banking transactions — staged lock
-    acquisition (so transactions genuinely wait on each other), random
-    aborts with in-memory rollback, deadlock victims, optional crashes
-    mid-schedule — records everything through a
-    {!Mmdb_recovery.Schedule} recorder, and runs {!Txn_check.audit} over
-    the result.
+    A driver over {!Mmdb_recovery.Txn}, the transaction kernel, with
+    concurrent banking transactions: staged lock acquisition (so
+    transactions genuinely wait on each other), random aborts with
+    in-memory rollback, deadlock victims, optional crashes
+    mid-schedule.  The driver keeps the interleaving scheduler, the
+    domain placement and the race injections; the kernel's recorder
+    witnesses everything (lock transitions, and reads and writes through
+    the store), and {!Txn_check.audit} runs over the result.
 
     Determinism: all randomness comes from {!Mmdb_util.Xorshift} seeded
     with [seed]; the same parameters always produce the same schedule,

@@ -315,6 +315,39 @@ let test_torn_tail_every_point_recoverable () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Txn_db recovery reads what survives the media                       *)
+(* ------------------------------------------------------------------ *)
+
+(* With the [media] spec armed, at-rest damage truncates durable log
+   pages: recovery must replay only what survives (and demote what is
+   left incomplete), not every record the device once completed.
+   [media] is typically unrecoverable, so the test asserts the
+   exclusion and its detection, not a balanced sum. *)
+let test_txn_db_media_recovery () =
+  let rules =
+    match Plan.of_spec "media" with Ok r -> r | Error m -> failwith m
+  in
+  let plan = Plan.create ~seed:7 rules in
+  let db = Mmdb.Txn_db.create ~faults:plan ~nrecords:50 () in
+  for i = 0 to 59 do
+    ignore
+      (Mmdb.Txn_db.transact db [ (i mod 50, 5); (((7 * i) + 3) mod 50, -5) ]);
+    Mmdb.Txn_db.advance db 1e-3
+  done;
+  Mmdb.Txn_db.flush db;
+  Mmdb.Txn_db.crash db;
+  ignore (Mmdb.Txn_db.recover db);
+  let committed = Mmdb.Txn_db.committed_txns db in
+  let events = Plan.event_counts plan in
+  checki "transactions lost with their damaged pages" 58
+    (List.length committed);
+  checkb "recovery detected the damage" true
+    ((Plan.tally plan).Fault.detected > 0);
+  checkb "log damage noted (FAULT002)" true
+    (List.mem_assoc "FAULT002" events);
+  checkb "truncation noted (FAULT011)" true (List.mem_assoc "FAULT011" events)
+
+(* ------------------------------------------------------------------ *)
 (* Torture sweep                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -397,6 +430,11 @@ let () =
             test_torn_tail_mid_write;
           Alcotest.test_case "every tear point recovers" `Quick
             test_torn_tail_every_point_recoverable;
+        ] );
+      ( "txn-db",
+        [
+          Alcotest.test_case "media damage excluded from recovery" `Quick
+            test_txn_db_media_recovery;
         ] );
       ( "torture",
         [

@@ -997,6 +997,33 @@ let test_crash_at_last_writeback_step () =
   check_consistent "crash at end of write-back" o;
   checkb "durable" true o.R.Recovery_manager.durability_ok
 
+(* Retirement: every commit durable by the retire time leaves every
+   pre-committed set, so the sets stay as small as the unflushed group
+   instead of growing with the run. *)
+let test_kernel_retirement () =
+  let wal = R.Wal.create ~clock:(S.Sim_clock.create ()) R.Wal.Group_commit in
+  let k = R.Txn.create ~nrecords:50 ~wal () in
+  for i = 0 to 99 do
+    ignore
+      (R.Txn.run k ~txn:i
+         ~at:(float_of_int i *. 1e-3)
+         [ (i mod 50, 5); (((7 * i) + 3) mod 50, -5) ])
+  done;
+  let precommitted () =
+    List.concat_map
+      (fun key -> R.Lock_manager.precommitted (R.Txn.locks k) ~key)
+      (List.init 50 Fun.id)
+  in
+  checkb "the open group is still pre-committed" true (precommitted () <> []);
+  checkb "durable groups were retired" true (R.Txn.unretired k < 100);
+  checki "only unretired commits stay pre-committed"
+    (2 * R.Txn.unretired k)
+    (List.length (precommitted ()));
+  let done_at = R.Wal.flush wal ~at:0.1 in
+  R.Txn.retire k ~at:(Float.max done_at (R.Wal.quiesce_time wal));
+  checki "nothing pre-committed after flush" 0 (List.length (precommitted ()));
+  checki "no ticket left unretired" 0 (R.Txn.unretired k)
+
 let () =
   Alcotest.run "mmdb_recovery"
     [
@@ -1077,6 +1104,8 @@ let () =
           Alcotest.test_case "checkpoint advances start" `Quick
             test_kv_recover_uses_checkpoint_start;
         ] );
+      ( "txn",
+        [ Alcotest.test_case "retirement" `Quick test_kernel_retirement ] );
       ( "tps_sim",
         [
           Alcotest.test_case "conventional ~100" `Quick

@@ -969,6 +969,88 @@ let test_fuzz_audit_component () =
   | _ -> Alcotest.fail "expected one component"
 
 (* ------------------------------------------------------------------ *)
+(* Per-transaction LSN runs                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every transaction's records, in log order, carry consecutive LSNs
+   starting at its Begin and ending at its Commit or Abort — the rule
+   [Txn.surviving_log]'s demotion of incomplete transactions relies
+   on. *)
+let lsn_runs_ok log =
+  let by_txn = Hashtbl.create 64 in
+  List.iter
+    (fun r ->
+      match L.txn r with
+      | Some tx ->
+        Hashtbl.replace by_txn tx
+          (r :: Option.value ~default:[] (Hashtbl.find_opt by_txn tx))
+      | None -> ())
+    log;
+  Hashtbl.fold
+    (fun _ rev_records ok ->
+      ok
+      &&
+      match (List.rev rev_records, rev_records) with
+      | (L.Begin { lsn = first; _ } :: _ as records), (L.Commit _ | L.Abort _) :: _
+        ->
+        List.for_all2
+          (fun i r -> L.lsn r = first + i)
+          (List.init (List.length records) Fun.id)
+          records
+      | _ -> false)
+    by_txn true
+
+module O = Mmdb_overload.Overload
+
+(* Random mixes on [Txn_db]: plain transfers, rolled-back transfers,
+   transfers whose deadline passed before their first lock (OVLD004) or
+   during their updates (OVLD006), and checkpoints. *)
+let qcheck_txn_db_lsn_runs =
+  let op =
+    QCheck.(triple (int_bound 4) (int_bound 19) (int_bound 19))
+  in
+  QCheck.Test.make ~name:"Txn_db transactions log consecutive LSN runs"
+    ~count:100
+    QCheck.(list_of_size Gen.(int_range 1 40) op)
+    (fun ops ->
+      let db = Mmdb.Txn_db.create ~nrecords:20 ~work_per_update:1e-3 () in
+      List.iter
+        (fun (kind, a, b) ->
+          let updates = if a = b then [ (a, 3) ] else [ (a, 3); (b, -3) ] in
+          let now = Mmdb.Txn_db.now db in
+          match kind with
+          | 0 -> ignore (Mmdb.Txn_db.transact db updates)
+          | 1 -> ignore (Mmdb.Txn_db.transact_abort db updates)
+          | 2 | 3 -> (
+            let deadline =
+              if kind = 2 then O.Deadline.at (now -. 1e-3)
+              else O.Deadline.make ~now ~budget:5e-4
+            in
+            match Mmdb.Txn_db.transact ~deadline db updates with
+            | _ -> ()
+            | exception O.Shed _ -> ())
+          | _ -> ignore (Mmdb.Txn_db.checkpoint db))
+        ops;
+      lsn_runs_ok (Mmdb.Txn_db.log_records db))
+
+let test_fuzz_lsn_runs () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (what, o) ->
+          checkb
+            (Printf.sprintf "seed %d %s: consecutive LSN runs" seed what)
+            true
+            (lsn_runs_ok o.V.Txn_fuzz.log))
+        [
+          ("sorted", V.Txn_fuzz.run ~seed ());
+          ("scrambled", V.Txn_fuzz.run ~scramble:true ~seed ());
+          ("spike", V.Txn_fuzz.run ~spike:true ~txns:120 ~seed ());
+          ("crash", V.Txn_fuzz.run ~crash:true ~seed ());
+        ])
+    [ 11; 22; 33; 77 ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "mmdb verify"
@@ -1055,6 +1137,11 @@ let () =
             test_txncheck_dependency_log_order;
           Alcotest.test_case "code catalogue" `Quick
             test_txncheck_code_catalogue;
+        ] );
+      ( "lsn-runs",
+        [
+          QCheck_alcotest.to_alcotest qcheck_txn_db_lsn_runs;
+          Alcotest.test_case "txn fuzz runs" `Quick test_fuzz_lsn_runs;
         ] );
       ( "txn-fuzz",
         [
