@@ -1144,7 +1144,7 @@ let bechamel_suite () =
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable outputs: BENCH_model.json and the golden            *)
-(* Table 1 / Figure 1 regeneration diffed in CI (@modelcheck)           *)
+(* Table 1 / Figure 1 regeneration diffed under `dune runtest`         *)
 (* ------------------------------------------------------------------ *)
 
 module V = Mmdb_verify
@@ -1515,10 +1515,12 @@ let golden_json () =
        ]);
   print_newline ()
 
-(* Recovery-time-vs-workers ladder (the PR's persistent perf trajectory):
-   one crash-recovery run per (workers x logging mode) cell of a fixed
-   seeded workload, emitting the modelled recovery time and the replay
-   work breakdown.  CI regenerates the file and checks its schema. *)
+(* Recovery-time-vs-workers ladder (a persistent perf trajectory): one
+   crash-recovery run per (workers x logging mode) cell of a fixed seeded
+   workload, emitting the modelled recovery time and the replay work
+   breakdown.  It fails unless value-logged recovery time strictly
+   decreases over workers 1/2/4/8.  `dune runtest` regenerates the file
+   and diffs it against the committed copy. *)
 let recovery_json () =
   let cell ~workers ~mode ~label =
     let cfg =
@@ -1546,26 +1548,28 @@ let recovery_json () =
       failwith
         (Printf.sprintf "recovery-json: inconsistent cell %s w=%d" label
            workers);
-    jobj
-      [
-        ("workers", string_of_int workers);
-        ("logging", jstr label);
-        ("recovery_seconds", jfloat st.R.Kv_store.recovery_time);
-        ("redo_ops", string_of_int st.R.Kv_store.redo_applied);
-        ("local_value_ops", string_of_int st.R.Kv_store.local_value_ops);
-        ("local_command_ops", string_of_int st.R.Kv_store.local_command_ops);
-        ("barrier_ops", string_of_int st.R.Kv_store.barrier_ops);
-        ("barriers", string_of_int st.R.Kv_store.barriers);
-        ("undo_ops", string_of_int st.R.Kv_store.undo_applied);
-        ("pages_written_back", string_of_int st.R.Kv_store.pages_written_back);
-        ("log_bytes_scanned", string_of_int st.R.Kv_store.log_bytes_scanned);
-        ("log_disk_bytes",
-         string_of_int o.R.Recovery_manager.log_disk_bytes);
-        ("command_txns", string_of_int o.R.Recovery_manager.command_txns);
-      ]
+    ( st.R.Kv_store.recovery_time,
+      jobj
+        [
+          ("workers", string_of_int workers);
+          ("logging", jstr label);
+          ("recovery_seconds", jfloat st.R.Kv_store.recovery_time);
+          ("redo_ops", string_of_int st.R.Kv_store.redo_applied);
+          ("local_value_ops", string_of_int st.R.Kv_store.local_value_ops);
+          ("local_command_ops", string_of_int st.R.Kv_store.local_command_ops);
+          ("barrier_ops", string_of_int st.R.Kv_store.barrier_ops);
+          ("barriers", string_of_int st.R.Kv_store.barriers);
+          ("undo_ops", string_of_int st.R.Kv_store.undo_applied);
+          ("pages_written_back",
+           string_of_int st.R.Kv_store.pages_written_back);
+          ("log_bytes_scanned", string_of_int st.R.Kv_store.log_bytes_scanned);
+          ("log_disk_bytes",
+           string_of_int o.R.Recovery_manager.log_disk_bytes);
+          ("command_txns", string_of_int o.R.Recovery_manager.command_txns);
+        ] )
   in
-  let rows =
-    List.concat_map
+  let ladders =
+    List.map
       (fun (mode, label) ->
         List.map
           (fun workers -> cell ~workers ~mode ~label)
@@ -1576,6 +1580,17 @@ let recovery_json () =
         (R.Recovery_manager.Adaptive_logging, "adaptive");
       ]
   in
+  let rec decreasing = function
+    | a :: (b :: _ as rest) -> a > b && decreasing rest
+    | _ -> true
+  in
+  (match ladders with
+  | value :: _ when decreasing (List.map fst value) -> ()
+  | _ ->
+    failwith
+      "recovery-json: value-logged recovery time does not strictly \
+       decrease over workers 1/2/4/8");
+  let rows = List.concat_map (List.map snd) ladders in
   let doc =
     jobj
       [
@@ -1603,7 +1618,8 @@ let recovery_json () =
    aborts) under the same assault.  The failwith asserts encode the
    acceptance bar: protected goodput under spike + storm stays >= 50% of
    the calm baseline while the unprotected service collapses below 50%.
-   CI regenerates the file and checks its schema. *)
+   `dune runtest` regenerates the file and diffs it against the committed
+   copy. *)
 let overload_json () =
   let module OS = Mmdb.Overload_sim in
   let cell ~label ~spike ~storm ~protected =

@@ -1010,6 +1010,36 @@ let exnlint_cmd =
     Term.(const run_exnlint $ quiet)
 
 (* ------------------------------------------------------------------ *)
+(* codes                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let print_codes () =
+  List.iter print_endline
+    [
+      "# Diagnostic codes";
+      "";
+      "Every stable code the checks in this repository emit. Generated by";
+      "`mmdb_cli codes` from `Mmdb_verify.code_catalogue`; `dune runtest`";
+      "fails when this file differs from it (`dune promote` accepts an";
+      "intended change). Codes marked (warning) are reported as warnings.";
+      "";
+      "| Code | Meaning |";
+      "|---|---|";
+    ];
+  List.iter
+    (fun (code, meaning) -> Printf.printf "| %s | %s |\n" code meaning)
+    V.code_catalogue;
+  0
+
+let codes_cmd =
+  Cmd.v
+    (Cmd.info "codes"
+       ~doc:
+         "Print the diagnostic-code catalogue as the Markdown of CODES.md: \
+          every stable code with its one-line meaning.")
+    Term.(const print_codes $ const ())
+
+(* ------------------------------------------------------------------ *)
 (* stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -1331,6 +1361,6 @@ let () =
           [
             crossover_cmd; join_cmd; tps_cmd; recover_cmd; plan_cmd; sql_cmd;
             check_cmd; txncheck_cmd; torture_cmd; modelcheck_cmd;
-            racecheck_cmd; perflint_cmd; exnlint_cmd; stats_cmd;
+            racecheck_cmd; perflint_cmd; exnlint_cmd; codes_cmd; stats_cmd;
             overload_cmd; repl_cmd;
           ]))

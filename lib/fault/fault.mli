@@ -9,7 +9,7 @@
     and surfaced as typed diagnostics instead of [Invalid_argument].
 
     Every diagnostic carries a stable [FAULTnnn] code (catalogued in
-    {!code_catalogue} and DESIGN.md) so tests and tooling can match on
+    {!code_catalogue} and CODES.md) so tests and tooling can match on
     the fault class. *)
 
 type site =

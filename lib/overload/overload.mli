@@ -6,8 +6,8 @@
     explicitly, so the module depends only on {!Mmdb_util} and stays
     deterministic under seeded workloads.  Rejections are typed — a
     {!Shed} carries an OVLD code from {!code_catalogue} — so harnesses
-    can assert exactly why a transaction was turned away, and the
-    DESIGN.md catalogue-drift gate keeps the codes documented. *)
+    can assert exactly why a transaction was turned away; the codes are
+    documented in the generated CODES.md. *)
 
 type reason = { code : string; site : string; detail : string }
 (** Why a request was turned away: an OVLD code from {!code_catalogue},
@@ -280,6 +280,5 @@ module Admission : sig
 end
 
 val code_catalogue : (string * string) list
-(** OVLD code catalogue, mirrored in DESIGN.md's "Overload & degraded
-    service" table (the [@perflint] drift gate checks both
-    directions). *)
+(** OVLD code catalogue; part of [Mmdb_verify.code_catalogue], which
+    CODES.md is generated from. *)

@@ -4,6 +4,7 @@ module D = Mmdb_util.Diag
 
 let code_catalogue =
   [
+    ("SQL001", "SQL parse error");
     ("PLAN001", "unknown base relation");
     ("PLAN002", "unknown column");
     ("PLAN003", "predicate literal type incompatible with column type");
@@ -13,10 +14,12 @@ let code_catalogue =
     ("PLAN007", "aggregate with an empty spec list");
     ("PLAN008", "projection with an empty column list");
     ("PLAN009", "duplicate column in a projection");
-    ("PLAN101", "redundant DISTINCT under a deduplicating operator");
-    ("PLAN102", "predicate selects nothing according to catalog statistics");
-    ("PLAN103", "ORDER BY destroyed by an enclosing hash-based operator");
-    ("PLAN104", "string literal wider than the compared column");
+    ("PLAN101", "redundant DISTINCT under a deduplicating operator (warning)");
+    ("PLAN102",
+     "predicate selects nothing according to catalog statistics (warning)");
+    ("PLAN103",
+     "ORDER BY destroyed by an enclosing hash-based operator (warning)");
+    ("PLAN104", "string literal wider than the compared column (warning)");
   ]
 
 let render_path rev_segs = String.concat "." ("$" :: List.rev rev_segs)

@@ -16,8 +16,6 @@ type component =
                   log : Mmdb_recovery.Log_record.t list }
   | Model of { name : string; check : unit -> Mmdb_util.Diag.t list }
   | Race of { name : string; events : Mmdb_recovery.Schedule.event list }
-  | Perf of { name : string; root : string option }
-  | Exn of { name : string; root : string option }
 
 let structure_diag ~code ~what ok =
   if ok then []
@@ -41,22 +39,11 @@ let run = function
   | Schedule { events; log; _ } -> Txn_check.audit ~log events
   | Model { check; _ } -> check ()
   | Race { events; _ } -> Race_check.audit events
-  | Perf { root; _ } -> (
-    match Perf_lint.scan_lib ?root () with
-    | Error m -> [ D.error ~code:"PERF100" ~path:"lib" m ]
-    | Ok (findings, parse_diags) ->
-      parse_diags @ Perf_lint.diags_of_findings findings)
-  | Exn { root; _ } -> (
-    match Exn_flow.scan_lib ?root () with
-    | Error m -> [ D.error ~code:"EXN100" ~path:"lib" m ]
-    | Ok (findings, parse_diags) ->
-      parse_diags @ Exn_flow.diags_of_findings findings)
 
 let name_of = function
   | Btree (n, _) | Avl (n, _) | Paged_bst (n, _) | Heap_check (n, _) -> n
   | Pool { name; _ } | Log { name; _ } | Plan { name; _ }
-  | Schedule { name; _ } | Model { name; _ } | Race { name; _ }
-  | Perf { name; _ } | Exn { name; _ } -> name
+  | Schedule { name; _ } | Model { name; _ } | Race { name; _ } -> name
 
 let run_all components = List.map (fun c -> (name_of c, run c)) components
 

@@ -34,13 +34,6 @@ type component =
   | Race of { name : string; events : Mmdb_recovery.Schedule.event list }
       (** A domain-stamped schedule replayed through the
           happens-before race detector ({!Race_check}). *)
-  | Perf of { name : string; root : string option }
-      (** The static performance-hazard lint ({!Perf_lint}) over
-          [lib/]; [root] overrides repository-root discovery. *)
-  | Exn of { name : string; root : string option }
-      (** The interprocedural exception-flow and resource-discipline
-          lint ({!Exn_flow}) over [lib/]; [root] overrides
-          repository-root discovery. *)
 
 val run : component -> Mmdb_util.Diag.t list
 (** Audit one component. *)

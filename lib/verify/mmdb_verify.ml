@@ -22,11 +22,14 @@ module Perf_lint = Perf_lint
 module Exn_flow = Exn_flow
 module Audit = Audit
 
-(** Every stable diagnostic code with a one-line description. *)
+(** Every stable diagnostic code with a one-line description, warnings
+    marked "(warning)": the single catalogue.  [mmdb_cli codes] renders
+    it as CODES.md, which [dune runtest] diffs against the committed
+    copy. *)
 let code_catalogue =
   Plan_check.code_catalogue @ Log_check.code_catalogue
   @ Pool_check.code_catalogue @ Txn_check.code_catalogue
   @ Audit.code_catalogue @ Model_check.code_catalogue
   @ Race_check.code_catalogue @ Domain_lint.code_catalogue
   @ Perf_lint.code_catalogue @ Exn_flow.code_catalogue
-  @ Mmdb_overload.Overload.code_catalogue
+  @ Mmdb_overload.Overload.code_catalogue @ Mmdb_fault.Fault.code_catalogue

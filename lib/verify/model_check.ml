@@ -730,6 +730,7 @@ let code_catalogue =
     ("MODEL008", "optimizer chose a plan above the enumerated minimum");
     ("MODEL009", "selectivity estimate diverges from actual cardinality");
     ("MODEL010", "plan cost annotation inconsistent with its per-term ops");
-    ("MODEL011", "workload outside model validity; conformance skipped");
+    ("MODEL011",
+     "workload outside model validity; conformance skipped (warning)");
     ("MODEL012", "recovery time diverges from the parallel-replay model");
   ]

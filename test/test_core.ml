@@ -408,9 +408,18 @@ let test_txn_schedule_recording () =
       "Acquire"; "Grant"; "Read"; "Write"; "Precommit"; "Release"; "Abort";
       "CommitDurable";
     ];
-  (* The recorded schedule passes the transaction sanitizer. *)
+  (* A fuzzy checkpoint, more transfers, a crash and recovery: the whole
+     recorded schedule passes the transaction sanitizer. *)
+  ignore (M.Txn_db.checkpoint db);
+  for i = 0 to 7 do
+    ignore (M.Txn_db.transact db [ (i, 7); (i + 8, -7) ]);
+    M.Txn_db.advance db 3e-4
+  done;
+  M.Txn_db.flush db;
+  M.Txn_db.crash db;
+  ignore (M.Txn_db.recover db);
   checkb "sanitizer clean" true
-    (V.Txn_check.ok ~log:(M.Txn_db.log_records db) events)
+    (V.Txn_check.ok ~log:(M.Txn_db.log_records db) (M.Txn_db.schedule db))
 
 let () =
   Alcotest.run "mmdb_core"

@@ -379,6 +379,15 @@ let test_torture_deterministic () =
         (a.V.Torture.events = b.V.Torture.events))
     [ 7; 11; 13 ]
 
+(* The full default sweep at seed 7 (every strategy x fault spec x
+   harvested crash point, plus the restart-crash matrix), and a reduced
+   sweep at seed 11 against a lucky crash-point harvest. *)
+let test_torture_full_sweep () =
+  checkb "seed 7 full sweep: no silent corruption" true
+    (V.Torture.ok (V.Torture.run ~seed:7 ()));
+  checkb "seed 11 reduced sweep: no silent corruption" true
+    (V.Torture.ok (V.Torture.run ~seed:11 ~max_points_per_combo:8 ()))
+
 let test_torture_flags_unrecoverable_loss () =
   (* Battery droop on the stable strategy loses acknowledged commits:
      the sweep must classify those runs as flagged (reported), never
@@ -441,6 +450,8 @@ let () =
           Alcotest.test_case "seeds 7/11/13 clean" `Quick
             test_torture_seeds_clean;
           Alcotest.test_case "deterministic" `Quick test_torture_deterministic;
+          Alcotest.test_case "full sweep seed 7, reduced seed 11" `Quick
+            test_torture_full_sweep;
           Alcotest.test_case "unrecoverable loss is flagged" `Quick
             test_torture_flags_unrecoverable_loss;
         ] );

@@ -59,6 +59,19 @@ let test_suite_clean () =
     true (MC.suite_ok cases);
   checkb "no warnings either" true (MC.suite_diags cases = [])
 
+(* More corpora against a lucky one: seed 7 at the declared tolerances,
+   parallel-replay recovery time (MODEL012), and seed 99 with every
+   band widened by a quarter. *)
+let test_suite_more_seeds () =
+  checkb "seed 7 suite clean" false
+    (D.has_errors (MC.suite_diags (MC.run_suite ~seed:7 ~enumerate:true ())));
+  checkb "recovery time conforms (MODEL012)" false
+    (D.has_errors (MC.check_recovery ~seed:7 ()));
+  checkb "seed 99 at 1.25x tolerance clean" false
+    (D.has_errors
+       (MC.suite_diags
+          (MC.run_suite ~seed:99 ~tolerance_scale:1.25 ~enumerate:true ())))
+
 let test_suite_deterministic () =
   let diags_of seed = MC.suite_diags (MC.run_suite ~seed ~enumerate:true ()) in
   checkb "same seed, same findings" true (diags_of 5 = diags_of 5)
@@ -275,6 +288,8 @@ let () =
       ( "conformance",
         [
           Alcotest.test_case "seeded suite clean" `Quick test_suite_clean;
+          Alcotest.test_case "seeds 7 and 99, recovery time clean" `Quick
+            test_suite_more_seeds;
           Alcotest.test_case "deterministic" `Quick test_suite_deterministic;
           Alcotest.test_case "all four joins conform" `Quick
             test_all_four_joins_conform;

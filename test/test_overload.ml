@@ -195,56 +195,68 @@ let model_apply m ~now op =
 
 (* Decode a small int into an op: failures are likeliest so the model
    visits Open and Half_open often. *)
-let op_of_int i now =
+let op_of_int i =
   match i mod 10 with
-  | 0 | 1 | 2 -> (`Fail, now)
-  | 3 | 4 -> (`Succeed, now)
-  | 5 | 6 -> (`Allow, now)
-  | 7 -> (`Advance 1e-3, now)
-  | 8 -> (`Advance 6e-3, now)
-  | _ -> (`Advance 12e-3, now)
+  | 0 | 1 | 2 -> `Fail
+  | 3 | 4 -> `Succeed
+  | 5 | 6 -> `Allow
+  | 7 -> `Advance 1e-3
+  | 8 -> `Advance 6e-3
+  | _ -> `Advance 12e-3
+
+let new_model () =
+  {
+    m_st = O.Breaker.Closed;
+    m_consec = 0;
+    m_opened = 0.0;
+    m_probe = false;
+    m_trips = 0;
+    m_probes = 0;
+    m_reopens = 0;
+  }
+
+let new_breaker () =
+  O.Breaker.create ~threshold:model_threshold ~cooldown:model_cooldown
+    ~name:"model" ()
+
+(* Apply op [i] to both the breaker and the model; true while they
+   agree. *)
+let model_step b m now i =
+  (match op_of_int i with
+  | `Advance dt -> now := !now +. dt
+  | (`Fail | `Succeed | `Allow) as op ->
+    model_apply m ~now:!now op;
+    (match op with
+    | `Fail -> O.Breaker.record_failure b ~now:!now
+    | `Succeed -> O.Breaker.record_success b ~now:!now
+    | `Allow -> ignore (O.Breaker.allow b ~now:!now)));
+  (* [Breaker.state] resolves the cooldown transition lazily; mirror
+     that before comparing. *)
+  model_tick m ~now:!now;
+  O.Breaker.state b ~now:!now = m.m_st
+  && O.Breaker.trips b = m.m_trips
+  && O.Breaker.reopens b = m.m_reopens
+  && O.Breaker.probes b = m.m_probes
+  && O.Breaker.consecutive_failures b = m.m_consec
 
 let qcheck_breaker_model =
   QCheck.Test.make ~name:"breaker follows the reference state machine"
     ~count:300
     QCheck.(list small_nat)
     (fun ops ->
-      let b =
-        O.Breaker.create ~threshold:model_threshold ~cooldown:model_cooldown
-          ~name:"model" ()
-      in
-      let m =
-        {
-          m_st = O.Breaker.Closed;
-          m_consec = 0;
-          m_opened = 0.0;
-          m_probe = false;
-          m_trips = 0;
-          m_probes = 0;
-          m_reopens = 0;
-        }
-      in
-      let now = ref 0.0 in
-      List.for_all
-        (fun i ->
-          let op, _ = op_of_int i !now in
-          (match op with
-          | `Advance dt -> now := !now +. dt
-          | (`Fail | `Succeed | `Allow) as op ->
-            model_apply m ~now:!now op;
-            (match op with
-            | `Fail -> O.Breaker.record_failure b ~now:!now
-            | `Succeed -> O.Breaker.record_success b ~now:!now
-            | `Allow -> ignore (O.Breaker.allow b ~now:!now)));
-          (* [Breaker.state] resolves the cooldown transition lazily;
-             mirror that before comparing. *)
-          model_tick m ~now:!now;
-          O.Breaker.state b ~now:!now = m.m_st
-          && O.Breaker.trips b = m.m_trips
-          && O.Breaker.reopens b = m.m_reopens
-          && O.Breaker.probes b = m.m_probes
-          && O.Breaker.consecutive_failures b = m.m_consec)
-        ops)
+      List.for_all (model_step (new_breaker ()) (new_model ()) (ref 0.0)) ops)
+
+(* One long seeded run beside the QCheck property: 20,000 ops must agree
+   step by step, and must trip and reopen so agreement is not vacuous. *)
+let test_breaker_model_long_run () =
+  let b = new_breaker () and m = new_model () in
+  let rng = U.Xorshift.create 42 and now = ref 0.0 in
+  for step = 1 to 20_000 do
+    if not (model_step b m now (U.Xorshift.int rng 10)) then
+      Alcotest.failf "breaker diverges from the model at op %d" step
+  done;
+  checkb "tripped" true (m.m_trips > 0);
+  checkb "reopened" true (m.m_reopens > 0)
 
 let test_breaker_cycle () =
   (* The canonical trip/probe cycle: threshold failures open it, the
@@ -402,6 +414,58 @@ let test_sim_clean () =
   checkb "goodput" true (o.OS.goodput_txns > 0);
   checkb "sheds typed" true (o.OS.shed = 0 || o.OS.shed_codes <> [])
 
+(* Seeded open-loop spike runs through the full service layer: a calm
+   spike, and a spike plus transient-fault storm that must trip the
+   breaker and shed typed OVLD007 while it is open. *)
+let test_sim_spike_runs () =
+  let module OS = Mmdb.Overload_sim in
+  List.iter
+    (fun (seed, storm) ->
+      let o =
+        OS.run
+          {
+            OS.default_config with
+            OS.seed;
+            duration = 2.0;
+            storm;
+            record_schedule = true;
+          }
+      in
+      let msg what = Printf.sprintf "seed %d: %s" seed what in
+      checkb (msg "goodput") true (o.OS.goodput_txns > 0);
+      checkb (msg "money conserved") true o.OS.money_conserved;
+      checki (msg "audit errors") 0 o.OS.audit_errors;
+      checkb (msg "load shed or timed out") true
+        (o.OS.shed + o.OS.timed_out > 0);
+      if storm then begin
+        checkb (msg "breaker tripped") true (o.OS.breaker_trips >= 1);
+        checkb (msg "OVLD007 shed") true
+          (List.mem_assoc "OVLD007" o.OS.shed_codes)
+      end)
+    [ (7, false); (20260808, true) ]
+
+(* The default 3 s storm at seed 7 conserves money with and without the
+   protections armed. *)
+let test_sim_storm_conserves_money () =
+  let module OS = Mmdb.Overload_sim in
+  List.iter
+    (fun protected ->
+      let o =
+        OS.run
+          {
+            OS.default_config with
+            OS.seed = 7;
+            duration = 3.0;
+            storm = true;
+            admission = protected;
+            enforce_deadlines = protected;
+          }
+      in
+      checkb
+        (Printf.sprintf "protected=%b: money conserved" protected)
+        true o.OS.money_conserved)
+    [ true; false ]
+
 (* ------------------------------------------------------------------ *)
 (* Catalogue                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -436,6 +500,8 @@ let () =
           Alcotest.test_case "trip/probe/reopen/close cycle" `Quick
             test_breaker_cycle;
           QCheck_alcotest.to_alcotest qcheck_breaker_model;
+          Alcotest.test_case "20k seeded ops follow the model" `Quick
+            test_breaker_model_long_run;
         ] );
       ( "admission",
         [
@@ -454,6 +520,9 @@ let () =
           Alcotest.test_case "spike fuzz deterministic" `Quick
             test_spike_fuzz_deterministic;
           Alcotest.test_case "overload sim clean" `Quick test_sim_clean;
+          Alcotest.test_case "seeded spike runs" `Quick test_sim_spike_runs;
+          Alcotest.test_case "storm conserves money" `Quick
+            test_sim_storm_conserves_money;
         ] );
       ( "catalogue",
         [ Alcotest.test_case "OVLD codes catalogued" `Quick test_code_catalogue ] );

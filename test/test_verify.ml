@@ -304,12 +304,12 @@ let test_log_real_scenarios () =
   (* Every Recovery_manager scenario must produce a protocol-clean log,
      checkpoint brackets included. *)
   List.iter
-    (fun crash_after ->
+    (fun (n_txns, every, crash_after) ->
       let cfg =
         {
           R.Recovery_manager.default_config with
-          R.Recovery_manager.n_txns = 400;
-          R.Recovery_manager.checkpoint_every = Some 100;
+          R.Recovery_manager.n_txns;
+          R.Recovery_manager.checkpoint_every = Some every;
           R.Recovery_manager.crash_after;
         }
       in
@@ -319,7 +319,7 @@ let test_log_real_scenarios () =
         (V.Log_check.ok ~complete:true o.R.Recovery_manager.log_records);
       checkb "durable log clean" true
         (V.Log_check.ok o.R.Recovery_manager.durable_log))
-    [ None; Some 250 ];
+    [ (400, 100, None); (400, 100, Some 250); (600, 150, None) ];
   (* Incremental driver, with explicit checkpoint brackets. *)
   let db = Mmdb.Txn_db.create ~nrecords:50 () in
   for i = 0 to 19 do
@@ -402,6 +402,26 @@ let test_pool_pins_block_eviction () =
   ignore (S.Buffer_pool.get pool pids.(4));
   checkb "evicts again after unpin" true (S.Buffer_pool.is_resident pool pids.(4))
 
+let test_pool_random_workload () =
+  (* 500 random pin/unpin spans over an LRU pool, half of them dirtying
+     the frame: the protocol and the dirty accounting stay clean. *)
+  let env = S.Env.create () in
+  let disk = S.Disk.create ~env ~page_size:64 in
+  let pids = Array.init 32 (fun _ -> S.Disk.alloc disk) in
+  let pool = S.Buffer_pool.create ~disk ~capacity:8 S.Buffer_pool.Lru in
+  let rng = U.Xorshift.create 13 in
+  for _ = 1 to 500 do
+    let pid = pids.(U.Xorshift.int rng 32) in
+    let data = S.Buffer_pool.pin pool pid in
+    if U.Xorshift.int rng 2 = 0 then begin
+      Bytes.set data 0 'x';
+      S.Buffer_pool.mark_dirty pool pid
+    end;
+    S.Buffer_pool.unpin pool pid
+  done;
+  S.Buffer_pool.flush_all pool;
+  checkb "random workload clean" true (V.Pool_check.ok pool)
+
 let test_pool_accounting_across_drop () =
   let pids, pool = pool_setup 4 in
   ignore (S.Buffer_pool.get pool pids.(0));
@@ -434,14 +454,23 @@ let test_audit_run_all () =
   let avl = I.Avl.create ~env ~schema:sch () in
   let btree = I.Btree.create ~env ~schema:sch ~page_size:256 () in
   let bst = I.Paged_bst.create ~env ~schema:sch () in
-  let rng = U.Xorshift.create 3 in
-  for _ = 1 to 200 do
-    let k = U.Xorshift.int rng 500 in
-    I.Avl.insert avl (mk sch k k);
-    I.Btree.insert btree (mk sch k k);
-    I.Paged_bst.insert bst (mk sch k k)
-  done;
-  let heap = U.Heap.of_array ~cmp:compare [| 5; 3; 9; 1 |] in
+  (* The same mixed insert/delete stream into each structure. *)
+  let workload insert delete =
+    let rng = U.Xorshift.create 2026 in
+    for _ = 1 to 2000 do
+      let k = U.Xorshift.int rng 800 in
+      if U.Xorshift.int rng 4 < 3 then insert (mk sch k (k * 7))
+      else ignore (delete (S.Tuple.encode_int_key sch k))
+    done
+  in
+  workload (I.Avl.insert avl) (I.Avl.delete avl);
+  workload (I.Btree.insert btree) (I.Btree.delete btree);
+  workload (I.Paged_bst.insert bst) (I.Paged_bst.delete bst);
+  let heap =
+    let rng = U.Xorshift.create 7 in
+    U.Heap.of_array ~cmp:compare
+      (Array.init 500 (fun _ -> U.Xorshift.int rng 10_000))
+  in
   let _, pool = pool_setup 4 in
   let results =
     V.Audit.run_all
@@ -505,10 +534,35 @@ let test_db_audit () =
   checki "two components" 2 (List.length results);
   List.iter (fun (_, ds) -> checki "clean" 0 (List.length ds)) results
 
+(* The string literals passed as [~code:"..."] in [src]. *)
+let code_literals src =
+  let key = "~code:\"" in
+  let k = String.length key in
+  let rec go i acc =
+    if i + k > String.length src then acc
+    else if String.sub src i k = key then
+      let j = String.index_from src (i + k) '"' in
+      go j (String.sub src (i + k) (j - i - k) :: acc)
+    else go (i + 1) acc
+  in
+  go 0 []
+
 let test_code_catalogue_unique () =
   let codes = List.map fst V.code_catalogue in
   checki "no duplicate codes" (List.length codes)
-    (List.length (List.sort_uniq compare codes))
+    (List.length (List.sort_uniq compare codes));
+  (* Every code a diagnostic in lib/ is built with is catalogued. *)
+  match V.Lint_engine.lib_sources ~what:"code catalogue" () with
+  | Error m -> Alcotest.fail m
+  | Ok (mls, _) ->
+    List.iter
+      (fun (file, src) ->
+        List.iter
+          (fun c ->
+            checkb (Printf.sprintf "%s (%s) catalogued" c file) true
+              (List.mem c codes))
+          (code_literals src))
+      mls
 
 (* ------------------------------------------------------------------ *)
 (* Invariant property tests: random insert/delete workloads            *)
@@ -1091,6 +1145,8 @@ let () =
             test_pool_pins_block_eviction;
           Alcotest.test_case "accounting across drop" `Quick
             test_pool_accounting_across_drop;
+          Alcotest.test_case "random pin/dirty workload" `Quick
+            test_pool_random_workload;
         ] );
       ( "audit",
         [
