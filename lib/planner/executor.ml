@@ -48,7 +48,7 @@ let rekey rel key =
 
 (* One plan node's own work; children execute through [recurse] so callers
    can interpose instrumentation (see {!run_traced}). *)
-let run_node ~recurse catalog cfg plan =
+let node_output ~recurse catalog cfg plan =
   let disk = disk_of catalog plan in
   match plan with
   | Optimizer.P_scan name -> Catalog.find catalog name
@@ -161,6 +161,24 @@ let run_node ~recurse catalog cfg plan =
       S.Relation.seal out;
       out
     end
+
+(* A child's output is dead once its parent has consumed it, so its pages
+   are freed then, unless it is a catalog table (the rule [Db] applies to
+   a query's result) or the parent's own output. *)
+let run_node ~recurse catalog cfg plan =
+  let inputs = ref [] in
+  let recurse catalog cfg child =
+    let rel = recurse catalog cfg child in
+    if not (List.memq rel !inputs) then inputs := rel :: !inputs;
+    rel
+  in
+  let out = node_output ~recurse catalog cfg plan in
+  List.iter
+    (fun rel ->
+      if rel != out && not (Catalog.mem catalog (S.Relation.name rel)) then
+        S.Relation.free_pages rel)
+    !inputs;
+  out
 
 let rec run_plain catalog cfg plan = run_node ~recurse:run_plain catalog cfg plan
 

@@ -9,9 +9,11 @@
 val run : ?deadline:Mmdb_overload.Overload.Deadline.t -> Catalog.t ->
   Optimizer.config -> Optimizer.plan -> Mmdb_storage.Relation.t
 (** Execute a plan, returning the (sealed) result relation.  Its schema
-    matches {!Optimizer.output_schema} of the planned expression.  When
-    [deadline] is given it is checked at every operator boundary (before
-    each node runs): an expired query aborts between operators — when no
+    matches {!Optimizer.output_schema} of the planned expression.  Each
+    intermediate result's pages are freed once its parent node has
+    consumed it; catalog tables are never freed.  When [deadline] is
+    given it is checked at every operator boundary (before each node
+    runs): an expired query aborts between operators — when no
     intermediate result is mid-construction and nothing is pinned — so
     the buffer pool audits clean.
     @raise Mmdb_overload.Overload.Shed (OVLD005) when [deadline] expires

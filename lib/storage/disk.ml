@@ -10,8 +10,10 @@ type t = {
   pages : (int, bytes) Hashtbl.t;
   sums : (int, int) Hashtbl.t;
       (* out-of-band per-sector CRC-32 of the *intended* page image, the
-         analogue of a controller writing sector CRCs alongside data.  A
-         torn or at-rest-corrupted page disagrees with its recorded sum. *)
+         analogue of a controller writing sector CRCs alongside data.  It
+         is held only for a page a faulted write stored torn or rotted:
+         every other page is its intended image, so the sum of what is
+         stored is the sum that would have been recorded. *)
   mutable faults : Fault_plan.t;
   mutable breaker : Overload.Breaker.t option;
   mutable next_id : int;
@@ -55,7 +57,6 @@ let alloc t =
   t.next_id <- id + 1;
   let page = Page.create t.page_size in
   Hashtbl.replace t.pages id page;
-  Hashtbl.replace t.sums id (Page.checksum page);
   id
 
 let find t pid =
@@ -104,7 +105,7 @@ let flip_bit data bit =
 
 let store t pid page =
   Hashtbl.replace t.pages pid (Bytes.copy page);
-  Hashtbl.replace t.sums pid (Page.checksum page)
+  Hashtbl.remove t.sums pid
 
 let write t ~mode pid page =
   check_size t ~site:"disk.write" page;
@@ -141,12 +142,22 @@ let write t ~mode pid page =
 
 (* Checked read: reread on checksum mismatch (transient flips clear; a
    page corrupted on the medium itself stays bad and, after the retry
-   budget, surfaces as a typed unrecoverable fault). *)
+   budget, surfaces as a typed unrecoverable fault).  The expected sum is
+   taken once, after the first lookup, so an unknown page still charges
+   one read before FAULT005. *)
 let read_checked t ~charge pid =
-  let expected = Hashtbl.find_opt t.sums pid in
-  let rec go attempt =
+  let rec go attempt expected =
     charge ();
-    let data = Bytes.copy (find t pid) in
+    let stored = find t pid in
+    let sum =
+      match expected with
+      | Some sum -> sum
+      | None -> (
+        match Hashtbl.find_opt t.sums pid with
+        | Some sum -> sum
+        | None -> Page.checksum stored)
+    in
+    let data = Bytes.copy stored in
     let data =
       if attempt > 1 then data
       else
@@ -164,34 +175,31 @@ let read_checked t ~charge pid =
         | None ->
           data
     in
-    match expected with
-    | None -> data
-    | Some sum ->
-      if Page.checksum data = sum then begin
-        if attempt > 1 then
-          Fault_plan.note_repaired t.faults ~code:"FAULT002" ~site:"disk.read"
-            (Printf.sprintf "page %d clean on reread %d" pid (attempt - 1));
-        data
+    if Page.checksum data = sum then begin
+      if attempt > 1 then
+        Fault_plan.note_repaired t.faults ~code:"FAULT002" ~site:"disk.read"
+          (Printf.sprintf "page %d clean on reread %d" pid (attempt - 1));
+      data
+    end
+    else begin
+      if attempt = 1 then
+        Fault_plan.note_detected t.faults ~code:"FAULT002" ~site:"disk.read"
+          (Printf.sprintf "page %d checksum mismatch" pid);
+      if attempt > Fault_plan.max_io_retries then begin
+        Fault_plan.note_unrecoverable t.faults ~code:"FAULT011"
+          ~site:"disk.read"
+          (Printf.sprintf "page %d" pid);
+        Fault.unrecoverable ~code:"FAULT011" ~site:"disk.read"
+          (Printf.sprintf "page %d still corrupt after %d rereads" pid
+             (attempt - 1))
       end
       else begin
-        if attempt = 1 then
-          Fault_plan.note_detected t.faults ~code:"FAULT002" ~site:"disk.read"
-            (Printf.sprintf "page %d checksum mismatch" pid);
-        if attempt > Fault_plan.max_io_retries then begin
-          Fault_plan.note_unrecoverable t.faults ~code:"FAULT011"
-            ~site:"disk.read"
-            (Printf.sprintf "page %d" pid);
-          Fault.unrecoverable ~code:"FAULT011" ~site:"disk.read"
-            (Printf.sprintf "page %d still corrupt after %d rereads" pid
-               (attempt - 1))
-        end
-        else begin
-          backoff t ~attempt;
-          go (attempt + 1)
-        end
+        backoff t ~attempt;
+        go (attempt + 1) (Some sum)
       end
+    end
   in
-  go 1
+  go 1 None
 
 let read t ~mode pid =
   if not (Fault_plan.is_active t.faults) then begin
@@ -211,11 +219,3 @@ let write_nocharge t pid page =
   check_size t ~site:"disk.write" page;
   ignore (find t pid);
   store t pid page
-
-let checksum_ok t pid =
-  match (Hashtbl.find_opt t.pages pid, Hashtbl.find_opt t.sums pid) with
-  | Some page, Some sum -> Page.checksum page = sum
-  | Some _, None -> true
-  | None, _ ->
-    Fault.io_error ~code:"FAULT005" ~site:"disk"
-      (Printf.sprintf "unknown page %d" pid)

@@ -12,16 +12,20 @@
 
     {2 Faults and checksums}
 
-    Every write records an out-of-band CRC-32 of the intended page image
-    (the analogue of per-sector CRCs a controller writes alongside data).
-    When a {!Mmdb_fault.Fault_plan} is armed, reads verify against that
-    sum: a transient in-flight bit flip is detected and repaired by a
-    bounded number of rereads (each waiting out a backoff on the simulated
-    clock); a page corrupted on the medium stays bad and surfaces as
-    {!Mmdb_fault.Fault.Unrecoverable} (FAULT011) once the retry budget is
-    exhausted.  Transient I/O errors delay and re-charge the access.
-    Without an armed plan the read/write paths charge exactly what the
-    seed charged.
+    The disk holds an out-of-band CRC-32 of a page's intended image (the
+    analogue of per-sector CRCs a controller writes alongside data) only
+    where the stored image differs from it: a write that an injected
+    fault tore or rotted.  Every other page was stored as meant, so the
+    CRC of what is stored is the sum; a clean write drops any sum the page
+    had, and neither allocation nor a clean write computes a CRC.  When a
+    {!Mmdb_fault.Fault_plan} is armed, reads verify the copy they return
+    against that sum: a transient in-flight bit flip is detected and
+    repaired by a bounded number of rereads (each waiting out a backoff on
+    the simulated clock); a page corrupted on the medium stays bad and
+    surfaces as {!Mmdb_fault.Fault.Unrecoverable} (FAULT011) once the retry
+    budget is exhausted.  Transient I/O errors delay and re-charge the
+    access.  Without an armed plan the read/write paths charge exactly
+    what the seed charged.
 
     Lookup and size errors are typed: unknown pages raise
     {!Mmdb_fault.Fault.Io_error} with code FAULT005, size mismatches
@@ -63,7 +67,8 @@ val page_count : t -> int
 
 val alloc : t -> int
 (** [alloc d] allocates a zeroed page and returns its id.  Allocation
-    itself charges no I/O (the write that follows does). *)
+    itself charges no I/O (the write that follows does) and computes no
+    checksum. *)
 
 val read : t -> mode:io_mode -> int -> bytes
 (** [read d ~mode pid] charges one I/O and returns a copy of the page.
@@ -76,8 +81,9 @@ val read : t -> mode:io_mode -> int -> bytes
     retry budget installed on the armed plan runs dry mid-ride. *)
 
 val write : t -> mode:io_mode -> int -> bytes -> unit
-(** [write d ~mode pid page] charges one I/O and stores a copy, recording
-    its out-of-band checksum.
+(** [write d ~mode pid page] charges one I/O and stores a copy.  Only a
+    write that the armed plan tears or rots records the out-of-band
+    checksum of [page]; any other write drops the page's sum.
     @raise Mmdb_fault.Fault.Io_error on unknown page (FAULT005), size
     mismatch (FAULT006), or exhausted transient-error retries
     (FAULT004).
@@ -93,10 +99,5 @@ val read_nocharge : t -> int -> bytes
 
 val write_nocharge : t -> int -> bytes -> unit
 (** Uninstrumented write, used when pre-loading workloads so that setup
-    cost does not pollute an experiment's counters.  Still records the
-    page checksum. *)
-
-val checksum_ok : t -> int -> bool
-(** [checksum_ok d pid] verifies the stored page against its recorded
-    out-of-band sum without charging I/O (scrubbing support).
-    @raise Mmdb_fault.Fault.Io_error (FAULT005) on unknown page. *)
+    cost does not pollute an experiment's counters.  The page is stored
+    as given, so its out-of-band sum is dropped. *)

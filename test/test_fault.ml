@@ -175,6 +175,8 @@ let test_disk_transient_retry () =
   checkb "retries counted" true (t.Fault.retried >= 2);
   checki "nothing unrecoverable" 0 t.Fault.unrecoverable
 
+(* Neither page was ever faulted, so the disk holds no sum for either:
+   the flip is found against the stored image itself. *)
 let test_disk_bitflip_read_repaired () =
   let env = S.Env.create () in
   let disk = S.Disk.create ~env ~page_size:128 in
@@ -184,7 +186,7 @@ let test_disk_bitflip_read_repaired () =
         {
           Plan.site = Fault.Disk_read;
           kind = Fault.Bit_flip_read;
-          trigger = Plan.On_op 1;
+          trigger = Plan.Every 1;
         };
       ]
   in
@@ -194,10 +196,150 @@ let test_disk_bitflip_read_repaired () =
   S.Disk.write disk ~mode:S.Disk.Seq pid b;
   let got = S.Disk.read disk ~mode:S.Disk.Rand pid in
   checkb "reread returned clean data" true (Bytes.equal b got);
+  let fresh = S.Disk.alloc disk in
+  let got = S.Disk.read disk ~mode:S.Disk.Rand fresh in
+  checkb "never-written page reads back zeroed" true
+    (Bytes.equal (Bytes.make 128 '\000') got);
   let t = Plan.tally plan in
-  checki "injected" 1 t.Fault.injected;
-  checki "detected" 1 t.Fault.detected;
-  checki "repaired" 1 t.Fault.repaired
+  checki "injected" 2 t.Fault.injected;
+  checki "detected" 2 t.Fault.detected;
+  checki "repaired" 2 t.Fault.repaired
+
+let test_disk_clean_rewrite_of_torn_page () =
+  let env = S.Env.create () in
+  let disk = S.Disk.create ~env ~page_size:128 in
+  let plan =
+    Plan.create ~seed:4
+      [
+        {
+          Plan.site = Fault.Disk_write;
+          kind = Fault.Torn_write;
+          trigger = Plan.On_op 1;
+        };
+      ]
+  in
+  S.Disk.arm disk plan;
+  let pid = S.Disk.alloc disk in
+  S.Disk.write disk ~mode:S.Disk.Seq pid (Bytes.make 128 'a');
+  checkb "first write torn" false
+    (Bytes.equal (Bytes.make 128 'a') (S.Disk.read_nocharge disk pid));
+  let b = Bytes.make 128 'b' in
+  S.Disk.write disk ~mode:S.Disk.Seq pid b;
+  checkb "clean rewrite reads back" true
+    (Bytes.equal b (S.Disk.read disk ~mode:S.Disk.Rand pid));
+  let events = Plan.event_counts plan in
+  checkb "no checksum mismatch (FAULT002)" false
+    (List.mem_assoc "FAULT002" events);
+  checkb "nothing unrecoverable (FAULT011)" false
+    (List.mem_assoc "FAULT011" events)
+
+let test_disk_armed_unknown_page () =
+  let env = S.Env.create () in
+  let disk = S.Disk.create ~env ~page_size:128 in
+  S.Disk.arm disk
+    (Plan.create
+       [
+         {
+           Plan.site = Fault.Disk_read;
+           kind = Fault.Bit_flip_read;
+           trigger = Plan.Every 1;
+         };
+       ]);
+  let code =
+    match S.Disk.read disk ~mode:S.Disk.Rand 42 with
+    | _ -> "none"
+    | exception Fault.Io_error e -> e.Fault.code
+  in
+  Alcotest.(check string) "typed unknown-page error" "FAULT005" code;
+  checki "one read charged" 1 env.S.Env.counters.S.Counters.rand_reads
+
+(* Random page traffic under each disk-retargeted [of_spec] atom: a read
+   returns the image last meant for the page, or FAULT011 when (and only
+   when) the stored image is not that one. *)
+type disk_op =
+  | Alloc
+  | Write of int * int
+  | Write_nocharge of int * int
+  | Read of int
+  | Free of int
+
+let on_disk (r : Plan.rule) =
+  match r.Plan.site with
+  | Fault.Log_write -> { r with Plan.site = Fault.Disk_write }
+  | Fault.Log_read -> { r with Plan.site = Fault.Disk_read }
+  | _ -> r
+
+let disk_atoms = [ "torn-tail"; "bitflip"; "io-error"; "media" ]
+
+let gen_disk_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return Alloc);
+        (3, map2 (fun i v -> Write (i, v)) nat nat);
+        (1, map2 (fun i v -> Write_nocharge (i, v)) nat nat);
+        (4, map (fun i -> Read i) nat);
+        (1, map (fun i -> Free i) nat);
+      ])
+
+let qcheck_disk_reads_intended_image =
+  QCheck.Test.make ~name:"reads return the intended image or FAULT011"
+    ~count:200
+    QCheck.(
+      make
+        Gen.(
+          triple (int_bound 1000)
+            (list_size (int_range 1 4) (oneofl disk_atoms))
+            (list_size (int_range 1 60) gen_disk_op)))
+    (fun (seed, atoms, ops) ->
+      let page_size = 64 in
+      let rules =
+        List.concat_map
+          (fun a ->
+            match Plan.of_spec a with
+            | Ok rules -> List.map on_disk rules
+            | Error e -> failwith e)
+          atoms
+      in
+      let disk = S.Disk.create ~env:(S.Env.create ()) ~page_size in
+      S.Disk.arm disk (Plan.create ~seed rules);
+      let live = ref [] in
+      let intended = Hashtbl.create 16 in
+      let pick i = List.nth !live (i mod List.length !live) in
+      let image v = Bytes.init page_size (fun j -> Char.chr ((v + (7 * j)) land 255)) in
+      List.for_all
+        (fun op ->
+          match (op, !live) with
+          | Alloc, _ ->
+            let pid = S.Disk.alloc disk in
+            live := pid :: !live;
+            Hashtbl.replace intended pid (Bytes.make page_size '\000');
+            true
+          | (Write _ | Write_nocharge _ | Read _ | Free _), [] -> true
+          | Write (i, v), _ ->
+            let pid = pick i in
+            S.Disk.write disk ~mode:S.Disk.Seq pid (image v);
+            Hashtbl.replace intended pid (image v);
+            true
+          | Write_nocharge (i, v), _ ->
+            let pid = pick i in
+            S.Disk.write_nocharge disk pid (image v);
+            Hashtbl.replace intended pid (image v);
+            true
+          | Free i, _ ->
+            let pid = pick i in
+            S.Disk.free disk pid;
+            live := List.filter (( <> ) pid) !live;
+            Hashtbl.remove intended pid;
+            true
+          | Read i, _ -> (
+            let pid = pick i in
+            let want = Hashtbl.find intended pid in
+            match S.Disk.read disk ~mode:S.Disk.Rand pid with
+            | got -> Bytes.equal got want
+            | exception Fault.Unrecoverable { Fault.code = "FAULT011"; _ } ->
+              not (Bytes.equal (S.Disk.read_nocharge disk pid) want)))
+        ops)
 
 let test_pool_rot_scrubbed () =
   let env = S.Env.create () in
@@ -427,6 +569,11 @@ let () =
             test_disk_transient_retry;
           Alcotest.test_case "read bit flip repaired by reread" `Quick
             test_disk_bitflip_read_repaired;
+          Alcotest.test_case "clean rewrite of a torn page reads clean" `Quick
+            test_disk_clean_rewrite_of_torn_page;
+          Alcotest.test_case "armed read of unknown page" `Quick
+            test_disk_armed_unknown_page;
+          QCheck_alcotest.to_alcotest qcheck_disk_reads_intended_image;
           Alcotest.test_case "pool rot found by scrub" `Quick
             test_pool_rot_scrubbed;
           Alcotest.test_case "battery droop drops newest batches" `Quick

@@ -439,8 +439,22 @@ let test_sql_results_free_pages () =
     ignore (M.Db.execute db (Printf.sprintf "SELECT * FROM emp WHERE dept = %d" (k mod 4)))
   done;
   checki "query results leave no pages" before (disk_pages db);
+  (* Every intermediate a plan node consumed is freed as well. *)
+  List.iter
+    (fun text ->
+      ignore (M.Db.sql db text);
+      checki ("intermediates leave no pages: " ^ text) before (disk_pages db))
+    [
+      "SELECT r_dept, COUNT(*) FROM emp JOIN dept ON dept = dept_id WHERE \
+       r_salary > 3000 GROUP BY r_dept";
+      "SELECT id FROM emp WHERE salary > 2000 ORDER BY id DESC";
+      "SELECT DISTINCT dept FROM emp WHERE salary > 3000";
+      "SELECT dept FROM emp WHERE salary < 2000 UNION SELECT dept FROM emp \
+       WHERE salary > 8000";
+    ];
   checki "a bare SELECT * keeps the table" 60 (count db "emp");
   checki "table intact afterwards" 60 (count db "emp");
+  checki "and the other base table" 4 (count db "dept");
   checki "and its pages" before (disk_pages db)
 
 let test_sql_single_row_inserts_pack_pages () =
