@@ -110,9 +110,14 @@ val recover :
   recover_stats
 (** Rebuild memory from the snapshot plus the durable [log] (LSN order):
     redo every eligible record from {!recovery_start_lsn} onward, then
-    undo, in reverse order, records of transactions with no commit
-    record in [log]; finally write every touched page back to the
-    snapshot and reset the dirty-page table.
+    undo, in reverse log order, records of transactions with neither a
+    commit nor an abort record in [log]; finally write every touched
+    page back to the snapshot and reset the dirty-page table.
+
+    The log is read in two forward passes.  The analysis pass finds the
+    terminated transactions and, for every other one, the lowest LSN of
+    its records — the undo start point.  The redo/undo pass builds the
+    {!Replay} plan directly and collects the loser records for undo.
 
     Redo is partitioned by page across [workers] (default 1) replay
     partitions ({!Replay}): per-page LSN gates make both value and
@@ -121,10 +126,12 @@ val recover :
     ({!Crashed_during_recovery}, injected via [crash_after_steps]: the
     unified count of redo applies + undo applies + write-back page
     writes), running it again from the surviving durable state is
-    correct.  [use_domains] runs partitions as real domains on OCaml 5
-    (ignored when [crash_after_steps] or [replay_recorder] forces the
-    deterministic scheduler).  [replay_recorder] witnesses every replay
-    write as domain-stamped Grant/Write/Release events for
+    correct.  [use_domains] runs the partitions as real domains, spawned
+    once for the whole replay, when {!Domain_runner.available} (ignored
+    when [crash_after_steps] or [replay_recorder] forces the
+    deterministic scheduler); every statistic but [used_domains] is the
+    same either way.  [replay_recorder] witnesses every replay write as
+    domain-stamped Grant/Write/Release events for
     {!Mmdb_verify.Race_check}.
 
     With faults armed, snapshot pages failing their CRC are reset and

@@ -30,12 +30,14 @@ let merge fragments =
         U.Heap.push heap (page_key ~index:s.index page, (page, s))
       | [] -> ())
     streams;
-  let out = ref [] in
+  (* Pages newest first; the output is then built back to front with
+     one cons per record (a page is short, so [@] copies little). *)
+  let rev_pages = ref [] in
   let rec drain () =
     match U.Heap.pop heap with
     | None -> ()
     | Some (_, ((_, records), s)) ->
-      out := List.rev_append records !out;
+      rev_pages := records :: !rev_pages;
       (match s.pages with
       | page :: rest ->
         s.pages <- rest;
@@ -44,6 +46,6 @@ let merge fragments =
       drain ()
   in
   drain ();
-  List.rev !out
+  List.fold_left (fun out records -> records @ out) [] !rev_pages
 
 let backward fragments = List.rev (merge fragments)

@@ -1,70 +1,87 @@
 (** Partitioned parallel log replay (redo engine).
 
-    The merged redo stream is split across [workers] partitions by page
-    ([partition_of slot]); each partition replays its own ops in log
-    order, so per-slot ordering is preserved no matter how partitions
-    interleave.  Cross-partition command records cannot be split — a
-    {!item.Barrier} is enqueued in {e every} partition it touches and is
-    applied exactly once, when it is at the head of all of them, by the
-    lowest-numbered touched partition.  Because barriers appear in LSN
-    order in every queue this rendezvous cannot deadlock.
+    The caller builds a plan from the merged redo stream, in log order:
+    {!create}, then {!add_op} and {!add_command} per eligible record,
+    then {!run}.  Ops are split across [workers] partitions by page
+    ([partition_of slot]) into per-partition arrays as they are added;
+    each partition replays its own ops in log order, so per-slot
+    ordering is preserved no matter how partitions interleave.  A
+    command whose ops span partitions cannot be split — it is enqueued
+    as a barrier in {e every} partition it touches and is applied
+    exactly once, when each of them has reached it.  Because barriers
+    appear in LSN order in every queue this rendezvous cannot
+    deadlock.
 
-    Two execution modes produce the identical final state:
+    Two execution modes read the same arrays and produce the identical
+    final state:
 
     - {b simulated} (default): a deterministic round-robin scheduler
-      interleaves partitions one op at a time on the calling domain.
-      This mode can stamp a {!Schedule} recorder (each applied op emits
-      Grant/Write/Release under its slot key, stamped with its
-      partition as the acting domain, so {!Race_check} can audit the
-      interleaving) and can crash mid-replay via [on_step].
-    - {b domains} ([use_domains:true] on OCaml >= 5): the stream is cut
-      into epochs at each barrier; within an epoch the partitions run
-      as real {!Domain_runner} workers over disjoint pages, then the
-      barrier command is applied serially.  Recording and crash
-      injection are rejected in this mode (they would be
-      nondeterministic), so passing either forces simulated mode. *)
+      interleaves partitions one op at a time on the calling domain; a
+      barrier is applied by the lowest-numbered touched partition once
+      it heads all of their queues.  This mode can stamp a {!Schedule}
+      recorder (each applied op emits Grant/Write/Release under its slot
+      key, stamped with its partition as the acting domain, so
+      {!Race_check} can audit the interleaving) and can crash mid-replay
+      via [on_step].
+    - {b domains} ([use_domains:true] when {!Domain_runner.available}):
+      one {!Domain_runner.run} for the whole replay, one worker per
+      partition over disjoint pages.  At a barrier the touched
+      partitions meet; the last to arrive applies the command while the
+      others wait.  Recording and crash injection are rejected in this
+      mode (they would be nondeterministic), so passing either forces
+      simulated mode. *)
 
 type action =
   | Set of int  (** value record: store the after-image *)
   | Add of int  (** command record: re-execute the delta *)
 
-type item =
-  | Op of { txn : int; lsn : int; slot : int; action : action }
-      (** partition-local work: a value-record update, or one op of a
-          command record whose eligible ops all land in one partition *)
-  | Barrier of { txn : int; lsn : int; ops : (int * int) list }
-      (** a command record whose eligible [(slot, delta)] ops span
-          partitions; applied serially at the rendezvous *)
-
 exception Rendezvous_deadlock
-(** No blocked barrier can rendezvous.  Unreachable for queues the
-    compiler builds (barriers appear in LSN order in every touched
+(** No blocked barrier can rendezvous.  Unreachable for plans built by
+    {!add_command} (barriers appear in LSN order in every touched
     queue), kept as a typed defensive check so a broken invariant
     surfaces classifiably instead of as a stringly [Failure]. *)
 
+type t
+(** A replay plan: per-partition op arrays plus the interned
+    cross-partition commands. *)
+
+val create : workers:int -> partition_of:(int -> int) -> t
+(** An empty plan over [workers] partitions; slot [s] belongs to
+    partition [partition_of s] (taken modulo [workers]).
+    @raise Invalid_argument if [workers <= 0]. *)
+
+val add_op : t -> txn:int -> lsn:int -> slot:int -> action -> unit
+(** Append partition-local work: a value-record update, or one op of a
+    command record. *)
+
+val add_command : t -> txn:int -> lsn:int -> (int * int) list -> unit
+(** Append a command record's eligible [(slot, delta)] ops.  If they
+    land in one partition they become local [Add] ops; otherwise the
+    command is a barrier in every partition it touches. *)
+
 type stats = {
-  workers : int;  (** partition count actually used (>= 1) *)
+  workers : int;  (** partition count (>= 1) *)
   local_ops : int;  (** ops applied inside a single partition *)
-  barrier_ops : int;  (** ops applied serially at barriers *)
-  barriers : int;  (** cross-partition commands encountered *)
-  used_domains : bool;  (** true iff real domains ran the epochs *)
+  barrier_ops : int;  (** ops applied at barriers *)
+  barriers : int;  (** cross-partition commands *)
+  used_domains : bool;  (** true iff real domains ran the replay *)
 }
 
 val run :
   ?recorder:Schedule.recorder ->
   ?use_domains:bool ->
   ?on_step:(unit -> unit) ->
-  workers:int ->
-  partition_of:(int -> int) ->
   apply:(slot:int -> action -> unit) ->
-  item list ->
+  t ->
   stats
-(** [run ~workers ~partition_of ~apply items] replays [items] (already
-    in log order) and returns what it did.  [apply] must only mutate
-    state owned by the slot's partition (in domains mode it runs
-    concurrently; barrier ops are always applied serially between
-    epochs).  [on_step] is invoked after every applied op — the hook
-    the store uses to count progress and crash mid-recovery; supplying
-    it, or [recorder], forces the simulated scheduler.
+(** [run ~apply plan] replays the plan once and returns what it did.
+    [apply] must only mutate state owned by the slot's partition: in
+    domains mode it runs concurrently, except at a barrier, where the
+    command's ops run while every touched partition waits.  [on_step]
+    is invoked after every applied op — the hook the store uses to
+    count progress and crash mid-recovery; supplying it, or
+    [recorder], forces the simulated scheduler.  An exception from
+    [apply] propagates out of [run] in both modes; in domains mode the
+    other workers are released from any barrier and joined first.
     @raise Rendezvous_deadlock if the barrier invariant is broken
-    (defensive; unreachable for compiled queues). *)
+    (defensive; unreachable for plans built by {!add_command}). *)

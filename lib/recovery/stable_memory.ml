@@ -61,8 +61,6 @@ let records t =
   List.concat_map (fun b -> b.records)
     (List.of_seq (Queue.to_seq t.batches))
 
-let batch_count t = Queue.length t.batches
-
 (* Battery-droop view: what survives a crash in which the battery could
    only hold up the oldest part of stable memory.  Read-only — the crash
    itself is simulated elsewhere. *)

@@ -35,9 +35,6 @@ val drop_batch : t -> unit
 val records : t -> Log_record.t list
 (** Current contents, oldest first (what survives a crash). *)
 
-val batch_count : t -> int
-(** Number of undrained batches currently held. *)
-
 val records_dropping_newest : t -> batches:int -> Log_record.t list * int
 (** [records_dropping_newest sm ~batches] is the battery-droop view of a
     crash: the surviving records after the newest [batches] batches are

@@ -293,6 +293,13 @@ let pages_written t =
 let disk_bytes_written t =
   Array.fold_left (fun acc d -> acc + Log_device.bytes_written d) 0 t.devices
 
+(* The disk log followed by the stable-memory tail.  Without stable
+   memory there is no tail, and the disk log is returned as it is rather
+   than copied. *)
+let append_stable on_disk = function
+  | [] -> on_disk
+  | in_stable -> on_disk @ in_stable
+
 let durable_records t ~at =
   (* Section 5.2's recovery-time merge of the per-device log fragments by
      page timestamp.  Stable-memory contents are the newest suffix (drains
@@ -305,7 +312,7 @@ let durable_records t ~at =
   let in_stable =
     match t.stable with Some sm -> Stable_memory.records sm | None -> []
   in
-  on_disk @ in_stable
+  append_stable on_disk in_stable
 
 let all_records t = List.rev t.buffered
 
@@ -349,4 +356,4 @@ let surviving_records t ~at =
         | None -> Stable_memory.records sm
       end
   in
-  on_disk @ in_stable
+  append_stable on_disk in_stable
