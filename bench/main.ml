@@ -1303,7 +1303,7 @@ let schedule_overhead () =
      events; %.1f ns/event)\n"
     off_s on_s events (per_event *. 1e9)
 
-(* Before/after microbenchmarks for the Perf_lint hot-path
+(* Before/after microbenchmarks for the PERF lint hot-path
    remediations: each section times a faithful replica of the removed
    idiom against the shipped one on identical input, and checksums both
    results so neither side can be dead-code-eliminated and the rewrite
@@ -1417,7 +1417,7 @@ let hotpath_json () =
       [
         ( "note",
           jstr
-            "replicas of the idioms Perf_lint retired (PERF101/PERF102) \
+            "replicas of the idioms the PERF lint retired (PERF101/PERF102) \
              vs the shipped rewrites, identical inputs, checksummed" );
         ( "sections",
           jlist

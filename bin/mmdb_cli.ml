@@ -785,21 +785,6 @@ let inject_of_spec spec =
     (Ok [])
     (String.split_on_char ',' spec)
 
-let racecheck_lint () =
-  match V.Domain_lint.scan_lib () with
-  | Error m ->
-    prerr_endline ("racecheck: " ^ m);
-    false
-  | Ok (sites, parse_diags) ->
-    Format.printf "static shared-state inventory (lib/):@.";
-    V.Domain_lint.pp_inventory Format.std_formatter sites;
-    let diags = parse_diags @ V.Domain_lint.diags_of_sites sites in
-    if diags <> [] then Format.printf "@.%a@." U.Diag.pp_list diags;
-    Format.printf "lint: %d site%s, %s@." (List.length sites)
-      (if List.length sites = 1 then "" else "s")
-      (U.Diag.summary diags);
-    not (U.Diag.has_errors diags)
-
 let racecheck_fuzz ~seed ~domains ~inject =
   let o = V.Txn_fuzz.run ~domains ~inject ~seed () in
   Printf.printf
@@ -844,7 +829,7 @@ let racecheck_mvcc ~seed =
     (U.Diag.summary diags);
   not (U.Diag.has_errors diags)
 
-let run_racecheck lint fuzz mvcc domains inject_spec seed =
+let run_racecheck fuzz mvcc domains inject_spec seed =
   let inject =
     match inject_of_spec inject_spec with
     | Ok l -> l
@@ -854,28 +839,18 @@ let run_racecheck lint fuzz mvcc domains inject_spec seed =
        ^ "' (expected ww, rw, unguarded, release, snapshot or all)");
       exit 2
   in
-  (* No mode flag = the full gate: lint, clean multi-domain fuzz, MVCC. *)
-  let all = (not lint) && (not fuzz) && not mvcc in
+  (* No mode flag = the dynamic gate: clean multi-domain fuzz, MVCC. *)
+  let all = (not fuzz) && not mvcc in
   let ok = ref true in
   let part label b =
     if not b then ok := false;
     Printf.printf "%-6s %s\n\n" label (if b then "ok" else "FAIL")
   in
-  if lint || all then part "lint" (racecheck_lint ());
   if fuzz || all then part "fuzz" (racecheck_fuzz ~seed ~domains ~inject);
   if mvcc || all then part "mvcc" (racecheck_mvcc ~seed);
   if !ok then 0 else 1
 
 let racecheck_cmd =
-  let lint =
-    Arg.(
-      value & flag
-      & info [ "lint" ]
-          ~doc:
-            "Static half only: inventory module-level mutable state under \
-             lib/ and flag sites that are neither domain-safe nor \
-             justified (RACE100-RACE103).")
-  in
   let fuzz =
     Arg.(
       value & flag
@@ -916,98 +891,55 @@ let racecheck_cmd =
   Cmd.v
     (Cmd.info "racecheck"
        ~doc:
-         "Domain-safety gate for the multicore engine: static shared-state \
-          lint over lib/ plus a FastTrack-style happens-before race \
-          detector (with Eraser lockset fallback and MVCC snapshot \
-          discipline) over recorded multi-domain schedules. With no mode \
-          flag, runs the full gate (lint + fuzz + mvcc). Exits 1 on any \
-          flagged site, detected race, or missed injection.")
-    Term.(const run_racecheck $ lint $ fuzz $ mvcc $ domains $ inject $ seed)
+         "Dynamic domain-safety gate for the multicore engine: a \
+          FastTrack-style happens-before race detector (with Eraser lockset \
+          fallback and MVCC snapshot discipline) over recorded multi-domain \
+          schedules. With no mode flag, runs fuzz and mvcc. Exits 1 on any \
+          detected race or missed injection. The static half is $(b,lint).")
+    Term.(const run_racecheck $ fuzz $ mvcc $ domains $ inject $ seed)
 
 (* ------------------------------------------------------------------ *)
-(* perflint                                                            *)
+(* lint                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_perflint quiet =
-  match V.Perf_lint.scan_lib () with
+let run_lint quiet =
+  match V.Lint.scan_lib () with
   | Error m ->
-    prerr_endline ("perflint: " ^ m);
+    prerr_endline ("lint: " ^ m);
     2
   | Ok (findings, parse_diags) ->
     if not quiet then begin
-      Format.printf "performance-hazard inventory (lib/):@.";
-      V.Perf_lint.pp_inventory Format.std_formatter findings
+      Format.printf "lint inventory (lib/):@.";
+      V.Lint.pp_inventory Format.std_formatter findings
     end;
-    let diags = parse_diags @ V.Perf_lint.diags_of_findings findings in
+    let diags = parse_diags @ V.Lint.diags_of_findings findings in
     if diags <> [] then Format.printf "@.%a@." U.Diag.pp_list diags;
-    Format.printf "perflint: %d finding%s, %s@." (List.length findings)
+    Format.printf "lint: %d finding%s, %s@." (List.length findings)
       (if List.length findings = 1 then "" else "s")
       (U.Diag.summary diags);
     if U.Diag.has_errors diags then 1 else 0
 
-let perflint_cmd =
+let lint_cmd =
   let quiet =
     Arg.(
       value & flag
       & info [ "quiet"; "q" ]
           ~doc:
             "Print only unjustified findings and the summary, not the \
-             full whitelisted inventory.")
+             full inventory.")
   in
   Cmd.v
-    (Cmd.info "perflint"
+    (Cmd.info "lint"
        ~doc:
-         "Static performance-hazard lint over lib/: quadratic list \
-          tail-appends (PERF101), O(n) list primitives under iteration \
-          (PERF102), polymorphic compare/hash on hot paths (PERF103), \
-          non-tail list recursion (PERF104), and string concatenation in \
-          loops (PERF105). A finding is silenced by a (* perf_lint: ... *) \
-          justification comment. Exits 1 on any unjustified finding.")
-    Term.(const run_perflint $ quiet)
-
-(* ------------------------------------------------------------------ *)
-(* exnlint                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let run_exnlint quiet =
-  match V.Exn_flow.scan_lib () with
-  | Error m ->
-    prerr_endline ("exnlint: " ^ m);
-    2
-  | Ok (findings, parse_diags) ->
-    if not quiet then begin
-      Format.printf "exception-flow / resource-discipline inventory (lib/):@.";
-      V.Exn_flow.pp_inventory Format.std_formatter findings
-    end;
-    let diags = parse_diags @ V.Exn_flow.diags_of_findings findings in
-    if diags <> [] then Format.printf "@.%a@." U.Diag.pp_list diags;
-    Format.printf "exnlint: %d finding%s, %s@." (List.length findings)
-      (if List.length findings = 1 then "" else "s")
-      (U.Diag.summary diags);
-    if U.Diag.has_errors diags then 1 else 0
-
-let exnlint_cmd =
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "quiet"; "q" ]
-          ~doc:
-            "Print only unjustified findings and the summary, not the \
-             full whitelisted inventory.")
-  in
-  Cmd.v
-    (Cmd.info "exnlint"
-       ~doc:
-         "Interprocedural exception-flow and resource-discipline lint \
-          over lib/: catch-alls swallowing fault-family exceptions \
-          (EXN101), exceptions escaping exported APIs with no @raise \
-          declaration (EXN102), partial stdlib calls reachable from \
-          recovery/exec entry points (EXN103), backtrace-dropping \
-          re-raises (EXN104), failwith on recovery paths (EXN105), and \
-          pin/lock acquire-release pairing (RES101-RES104). A finding is \
-          silenced by a (* exn_flow: ... *) justification comment. Exits \
-          1 on any unjustified finding.")
-    Term.(const run_exnlint $ quiet)
+         "Static lint over lib/, one parse per file, three rule families: \
+          module-level mutable state (RACE100-RACE103), performance \
+          hazards (PERF100-PERF105), and exception flow and pin/lock \
+          discipline (EXN100-EXN105, RES101-RES104). A finding is \
+          silenced by a justification comment of its own family: \
+          (* race_check: ... *), (* perf_lint: ... *) or \
+          (* exn_flow: ... *). Exits 1 on any unjustified finding, 2 when \
+          lib/ cannot be found.")
+    Term.(const run_lint $ quiet)
 
 (* ------------------------------------------------------------------ *)
 (* codes                                                               *)
@@ -1361,6 +1293,6 @@ let () =
           [
             crossover_cmd; join_cmd; tps_cmd; recover_cmd; plan_cmd; sql_cmd;
             check_cmd; txncheck_cmd; torture_cmd; modelcheck_cmd;
-            racecheck_cmd; perflint_cmd; exnlint_cmd; codes_cmd; stats_cmd;
+            racecheck_cmd; lint_cmd; codes_cmd; stats_cmd;
             overload_cmd; repl_cmd;
           ]))

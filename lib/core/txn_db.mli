@@ -58,11 +58,6 @@ val overload_tally : t -> Mmdb_overload.Overload.tally
 val admission : t -> Mmdb_overload.Overload.Admission.t option
 (** The admission controller supplied at {!create}, if any. *)
 
-val log_lag : t -> float
-(** Seconds of log-device backlog at the current instant (how far
-    [Wal.quiesce_time] is ahead of now) — the congestion signal fed to
-    admission control. *)
-
 val completion : t -> txn:int -> float option
 (** Durability time of [txn]'s commit, once its group-commit ticket
     resolved ([None] while still buffered or for unknown ids) — the

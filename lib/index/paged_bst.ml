@@ -11,7 +11,6 @@ type t = {
   mutable allocated : int;
   mutable root : int;
   mutable count : int;
-  mutable visit : (int -> unit) option;
 }
 
 let create ~env ~schema () =
@@ -24,13 +23,10 @@ let create ~env ~schema () =
     allocated = 0;
     root = nil;
     count = 0;
-    visit = None;
   }
 
 let length t = t.count
 let node_count t = t.allocated
-let set_visit_hook t hook = t.visit <- hook
-let touch t n = match t.visit with Some f -> f n | None -> ()
 let charge_comp t = S.Env.charge_comp t.env
 
 let grow t =
@@ -73,7 +69,6 @@ let insert t tuple =
     let n = ref t.root in
     let continue = ref true in
     while !continue do
-      touch t !n;
       charge_comp t;
       let c = S.Tuple.compare_keys t.schema tuple t.tuples.(!n) in
       if c = 0 then begin
@@ -100,7 +95,6 @@ let search t key =
   let rec go n =
     if n = nil then None
     else begin
-      touch t n;
       charge_comp t;
       let c = S.Tuple.compare_key_to t.schema t.tuples.(n) key in
       if c = 0 then Some t.tuples.(n)
@@ -116,7 +110,6 @@ let delete t key =
   let n = ref t.root in
   let found = ref false in
   while (not !found) && !n <> nil do
-    touch t !n;
     charge_comp t;
     let c = S.Tuple.compare_key_to t.schema t.tuples.(!n) key in
     if c = 0 then found := true
@@ -150,7 +143,6 @@ let delete t key =
       let s_from_left = ref false in
       let s = ref t.right.(node) in
       while t.left.(!s) <> nil do
-        touch t !s;
         sp := !s;
         s_from_left := true;
         s := t.left.(!s)

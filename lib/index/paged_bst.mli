@@ -5,8 +5,8 @@
     access time may be significantly poorer than in the case of a B-tree"
     (citing CESA82/MUNT70).
 
-    A plain BST over tuples, nodes packed into pages in allocation order
-    (same placement scheme as {!Avl} under {!Pager}).  No rebalancing:
+    A plain BST over tuples, nodes kept in allocation order (the order
+    {!Pager} packs {!Avl} nodes into pages).  No rebalancing:
     random insertion gives ~1.39·log2 n expected comparisons, but sorted
     insertion degrades to a linked list — the bench quantifies the
     footnote. *)
@@ -32,9 +32,6 @@ val delete : t -> bytes -> bool
     shrinks. *)
 
 val iter_in_order : t -> (bytes -> unit) -> unit
-
-val set_visit_hook : t -> (int -> unit) option -> unit
-(** Node-touch hook for {!Pager}-style page-fault accounting. *)
 
 val check_invariants : t -> bool
 (** BST ordering (no balance requirement, of course). *)

@@ -32,6 +32,5 @@ let hook t node_id =
 
 let attach_avl t avl = Avl.set_visit_hook avl (Some (hook t))
 let attach_btree t bt = Btree.set_visit_hook bt (Some (hook t))
-let attach_bst t bst = Paged_bst.set_visit_hook bst (Some (hook t))
 let pages_touched t = Hashtbl.length t.page_of_group
 let pool t = t.pool

@@ -24,8 +24,6 @@ val attach_avl : t -> Avl.t -> unit
 
 val attach_btree : t -> Btree.t -> unit
 
-val attach_bst : t -> Paged_bst.t -> unit
-
 val pages_touched : t -> int
 (** Distinct node pages materialised so far (the structure's size [S] in
     pages, for comparison with the paper's [|R|(t+2s)/P]). *)

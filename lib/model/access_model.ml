@@ -54,6 +54,9 @@ let resident_fraction pages m =
   let h = float_of_int m /. float_of_int pages in
   Float.min 1.0 (Float.max 0.0 h)
 
+(* Per-term breakdown of an access cost: expected page faults, and
+   comparisons in B+-tree-comparison units.  Each [*_cost] function
+   prices its [*_terms] counterpart as [Z·page_reads + comparisons]. *)
 type terms = { page_reads : float; comparisons : float }
 
 let cost_of_terms t terms = (t.z *. terms.page_reads) +. terms.comparisons

@@ -53,20 +53,6 @@ val btree_pages : t -> int
 val btree_comparisons : t -> float
 (** [C' = ⌈log2 ||R||⌉]. *)
 
-type terms = {
-  page_reads : float;  (** expected page faults for the access *)
-  comparisons : float;  (** comparisons, in B+-tree-comparison units *)
-}
-(** Per-term breakdown of an access cost; {!cost_of_terms} prices it as
-    [Z·page_reads + comparisons].  Each [*_cost] function below equals
-    [cost_of_terms] of its [*_terms] counterpart. *)
-
-val cost_of_terms : t -> terms -> float
-val avl_random_terms : t -> m:int -> terms
-val btree_random_terms : t -> m:int -> terms
-val avl_seq_terms : t -> m:int -> n:int -> terms
-val btree_seq_terms : t -> m:int -> n:int -> terms
-
 val avl_random_cost : t -> m:int -> float
 (** Cost of one random-key lookup with [m] pages of buffer:
     [Z·C·max(0, 1 − m/S) + Y·C]. *)

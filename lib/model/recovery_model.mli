@@ -37,7 +37,6 @@ type tps_terms = {
     [tps = txns_per_io · ios_per_second]. *)
 
 val tps_of_terms : tps_terms -> float
-val conventional_terms : t -> tps_terms
 val group_commit_terms : t -> tps_terms
 val partitioned_terms : t -> devices:int -> tps_terms
 val stable_memory_terms : t -> devices:int -> compressed:bool -> tps_terms

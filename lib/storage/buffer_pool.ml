@@ -242,8 +242,6 @@ let drop_all t =
   Hashtbl.reset t.frames;
   Queue.clear t.clock_hand
 
-let iter_resident t f = Hashtbl.iter (fun pid _ -> f pid) t.frames
-
 (* Verify clean frames against the disk image and reload any that have
    rotted.  Dirty frames are skipped: they are *supposed* to diverge.
    Pids are visited in sorted order so repair charges are deterministic

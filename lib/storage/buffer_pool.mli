@@ -73,9 +73,6 @@ val drop_all : t -> unit
 (** Discard every frame {e without} write-back — simulates losing volatile
     memory in a crash. *)
 
-val iter_resident : t -> (int -> unit) -> unit
-(** Apply to every resident page id (used by the checkpoint sweeper). *)
-
 val scrub : t -> int
 (** Verify every {e clean} resident frame against its disk image and
     reload (one charged random read each) any that diverge — e.g. after

@@ -19,8 +19,6 @@ let table2 =
     fudge = 1.2;
   }
 
-let zero_io c = { c with io_seq = 0.0; io_rand = 0.0 }
-
 let pp ppf c =
   Format.fprintf ppf
     "comp=%.2gus hash=%.2gus move=%.2gus swap=%.2gus IOseq=%.2gms \

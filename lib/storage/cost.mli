@@ -21,7 +21,4 @@ val table2 : t
 (** The exact settings of the paper's Table 2: comp 3 µs, hash 9 µs, move
     20 µs, swap 60 µs, IOseq 10 ms, IOrand 25 ms, F 1.2. *)
 
-val zero_io : t -> t
-(** [zero_io c] is [c] with free I/O — isolates CPU cost in ablations. *)
-
 val pp : Format.formatter -> t -> unit

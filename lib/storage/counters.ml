@@ -94,5 +94,4 @@ let pp ppf t =
 let io_retries t = t.fault.F.retried
 let io_retry_backoff t = t.fault.F.retry_backoff
 let sheds t = O.sheds t.ovld
-let deadline_timeouts t = O.timeouts t.ovld
 let breaker_trips t = t.ovld.O.breaker_trips

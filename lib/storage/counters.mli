@@ -57,8 +57,5 @@ val sheds : t -> int
 (** Arrivals turned away by admission control (overload tally's
     OVLD001/2/3/7/9 rows). *)
 
-val deadline_timeouts : t -> int
-(** Transactions whose deadline expired mid-flight (OVLD004/5/6). *)
-
 val breaker_trips : t -> int
 (** Circuit-breaker closed-to-open transitions. *)

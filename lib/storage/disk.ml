@@ -1,6 +1,5 @@
 module Fault = Mmdb_fault.Fault
 module Fault_plan = Mmdb_fault.Fault_plan
-module Overload = Mmdb_overload.Overload
 
 type io_mode = Seq | Rand
 
@@ -15,7 +14,6 @@ type t = {
          every other page is its intended image, so the sum of what is
          stored is the sum that would have been recorded. *)
   mutable faults : Fault_plan.t;
-  mutable breaker : Overload.Breaker.t option;
   mutable next_id : int;
 }
 
@@ -28,7 +26,6 @@ let create ~env ~page_size =
     pages = Hashtbl.create 1024;
     sums = Hashtbl.create 1024;
     faults = Fault_plan.none ();
-    breaker = None;
     next_id = 0;
   }
 
@@ -37,20 +34,6 @@ let page_size t = t.page_size
 let page_count t = Hashtbl.length t.pages
 let faults t = t.faults
 let arm t plan = t.faults <- plan
-let breaker t = t.breaker
-let set_breaker t b = t.breaker <- Some b
-
-(* Device-health reporting for an attached circuit breaker: every
-   injected transient counts as a device error, every clean faulted-path
-   access as a success (the unfaulted fast path skips the report — a
-   breaker is only meaningful alongside an armed plan). *)
-let breaker_note t ~ok =
-  match t.breaker with
-  | None -> ()
-  | Some b ->
-    let now = Sim_clock.now t.env.Env.clock in
-    if ok then Overload.Breaker.record_success b ~now
-    else Overload.Breaker.record_failure b ~now
 
 let alloc t =
   let id = t.next_id in
@@ -93,7 +76,6 @@ let backoff t ~attempt =
    {!Fault_plan.ride_transient} (one policy, one per-transaction budget,
    shared with the log devices). *)
 let ride_transient t ~site ~charge ~failures =
-  breaker_note t ~ok:false;
   Fault_plan.ride_transient t.faults ~site ~failures
     ~attempt:(fun ~attempt:_ ~backoff ->
       charge ();
@@ -136,7 +118,6 @@ let write t ~mode pid page =
     charge_write t mode;
     store t pid page
   | Some (Fault.Bit_flip_read | Fault.Battery_droop _) | None ->
-    breaker_note t ~ok:true;
     charge_write t mode;
     store t pid page
 

@@ -52,16 +52,6 @@ val faults : t -> Mmdb_fault.Fault_plan.t
     shared with the buffer pool so frame-level faults use the same
     seeded stream and tally. *)
 
-val set_breaker : t -> Mmdb_overload.Overload.Breaker.t -> unit
-(** Attach a circuit breaker: every injected transient I/O error is
-    reported as a device failure, every clean (non-transient) faulted
-    write as a success, so consecutive transients trip the breaker.
-    The unfaulted fast path reports nothing — a breaker is only
-    meaningful alongside an armed plan.  The breaker never blocks disk
-    operations itself; shedding is the service layer's decision. *)
-
-val breaker : t -> Mmdb_overload.Overload.Breaker.t option
-
 val page_count : t -> int
 (** Number of currently allocated pages. *)
 

@@ -16,10 +16,7 @@ module Txn_fuzz = Txn_fuzz
 module Torture = Torture
 module Model_check = Model_check
 module Race_check = Race_check
-module Lint_engine = Lint_engine
-module Domain_lint = Domain_lint
-module Perf_lint = Perf_lint
-module Exn_flow = Exn_flow
+module Lint = Lint
 module Audit = Audit
 
 (** Every stable diagnostic code with a one-line description, warnings
@@ -30,6 +27,5 @@ let code_catalogue =
   Plan_check.code_catalogue @ Log_check.code_catalogue
   @ Pool_check.code_catalogue @ Txn_check.code_catalogue
   @ Audit.code_catalogue @ Model_check.code_catalogue
-  @ Race_check.code_catalogue @ Domain_lint.code_catalogue
-  @ Perf_lint.code_catalogue @ Exn_flow.code_catalogue
+  @ Race_check.code_catalogue @ Lint.code_catalogue
   @ Mmdb_overload.Overload.code_catalogue @ Mmdb_fault.Fault.code_catalogue

@@ -42,4 +42,4 @@ val audit : Mmdb_recovery.Schedule.event list -> Mmdb_util.Diag.t list
 
 val code_catalogue : (string * string) list
 (** The [RACE0xx] dynamic-detector codes with one-line descriptions
-    (the [RACE1xx] static-lint codes live in {!Domain_lint}). *)
+    (the [RACE1xx] static-lint codes live in {!Lint}). *)

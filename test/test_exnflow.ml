@@ -1,32 +1,35 @@
-(* Tests for the interprocedural exception-flow / resource-discipline
-   pass: synthetic multi-file corpora asserting the exact EXN/RES code
-   for each defect class (and the silence of the corresponding clean
-   idiom), cross-module summary propagation and entry-point
-   reachability, the exn_flow justification whitelist, determinism,
-   EXN100 parse failures, and the catalogue plumbing shared with the
-   exnlint gate. *)
+(* Tests for the EXN/RES rule family of the lint: synthetic multi-file
+   corpora asserting the exact EXN/RES code for each defect class (and
+   the silence of the corresponding clean idiom), cross-module summary
+   propagation and entry-point reachability, the exn_flow justification
+   marker, determinism, EXN100 parse failures, and the catalogue
+   plumbing. *)
 
 module V = Mmdb_verify
-module XF = V.Exn_flow
+module L = V.Lint
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-(* Analyze a corpus of [(path, source)] implementation files (plus
-   optional interfaces), failing the test on any EXN100 parse diag. *)
+let exn code =
+  String.starts_with ~prefix:"EXN" code || String.starts_with ~prefix:"RES" code
+
+(* The EXN/RES findings of a corpus of [(path, source)] implementation
+   files (plus optional interfaces), failing the test on any parse
+   diag. *)
 let scan ?(mlis = []) mls =
-  let findings, diags = XF.analyze ~mls ~mlis in
+  let findings, diags = L.analyze (mlis @ mls) in
   (match diags with
   | [] -> ()
   | d :: _ -> Alcotest.failf "unexpected parse failure: %s" d.V.Diag.message);
-  findings
+  List.filter (fun (f : L.finding) -> exn f.L.code) findings
 
 let codes findings =
   List.sort_uniq compare
-    (List.map (fun (f : XF.finding) -> f.XF.code) findings)
+    (List.map (fun (f : L.finding) -> f.L.code) findings)
 
 let flagged findings =
-  List.filter (fun (f : XF.finding) -> f.XF.status = XF.Flagged) findings
+  List.filter (fun (f : L.finding) -> f.L.status = L.Flagged) findings
 
 let check_codes msg expected findings =
   Alcotest.(check (list string)) msg expected (codes (flagged findings))
@@ -55,8 +58,8 @@ let test_exn101_catch_all () =
   check_codes "callee summary swallowed" [ "EXN101" ] fs;
   (match flagged fs with
   | [ f ] ->
-    Alcotest.(check string) "enclosing fn" "Fixture.f" f.XF.name;
-    checki "anchored at the try" 2 f.XF.line
+    Alcotest.(check string) "enclosing fn" "Fixture.f" f.L.name;
+    checki "anchored at the try" 2 f.L.line
   | _ -> Alcotest.fail "expected exactly one finding");
   (* Matching the exception explicitly is the clean idiom. *)
   check_codes "explicit match is clean" []
@@ -123,8 +126,8 @@ let test_exn102_undeclared_escape () =
   check_codes "undeclared escape flagged" [ "EXN102" ] fs;
   (match flagged fs with
   | [ f ] ->
-    Alcotest.(check string) "names the export" "Fixture.read_page" f.XF.name;
-    checki "anchored at the binding" 2 f.XF.line
+    Alcotest.(check string) "names the export" "Fixture.read_page" f.L.name;
+    checki "anchored at the binding" 2 f.L.line
   | _ -> Alcotest.fail "expected exactly one finding");
   (* A @raise line naming the exception satisfies the contract. *)
   check_codes "@raise declaration is clean" []
@@ -167,10 +170,10 @@ let test_exn103_partial_on_live_path () =
   (match flagged fs with
   | [ f ] ->
     Alcotest.(check string) "flagged in the helper" "lib/util/helper.ml"
-      f.XF.file;
+      f.L.file;
     checkb "witness names the entry" true
       (let sub = "Driver.run" in
-       let s = f.XF.construct in
+       let s = f.L.construct in
        let n = String.length s and m = String.length sub in
        let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
        go 0)
@@ -268,7 +271,7 @@ let test_res103_unprotected_span () =
   in
   check_codes "raising site inside the span" [ "RES103" ] fs;
   (match flagged fs with
-  | [ f ] -> checki "anchored at the pin" 2 f.XF.line
+  | [ f ] -> checki "anchored at the pin" 2 f.L.line
   | _ -> Alcotest.fail "expected exactly one finding");
   (* Fun.protect is the remediation. *)
   check_codes "Fun.protect span is clean" []
@@ -300,7 +303,7 @@ let test_justification_whitelist () =
   let fs = scan [ ("lib/storage/scan.ml", src) ] in
   check_codes "justified finding is not flagged" [] fs;
   (match fs with
-  | [ { XF.status = XF.Whitelisted why; _ } ] ->
+  | [ { L.status = L.Justified why; _ } ] ->
     checkb "justification text echoed" true
       (why = "fixture; release is the caller's job")
   | _ -> Alcotest.fail "expected one whitelisted finding");
@@ -332,14 +335,15 @@ let test_determinism () =
 
 let test_parse_failure () =
   let findings, diags =
-    XF.analyze
-      ~mls:
-        [
-          ("lib/storage/bad.ml", "let = (");
-          ("lib/storage/scan.ml", "let u pool pid = Buffer_pool.unpin pool pid");
-        ]
-      ~mlis:[ ("lib/storage/worse.mli", "val : (") ]
+    L.analyze
+      [
+        ("lib/storage/bad.ml", "let = (");
+        ("lib/storage/scan.ml", "let u pool pid = Buffer_pool.unpin pool pid");
+        ("lib/storage/worse.mli", "val : (");
+      ]
   in
+  let findings = List.filter (fun (f : L.finding) -> exn f.L.code) findings in
+  let diags = List.filter (fun (d : V.Diag.t) -> exn d.V.Diag.code) diags in
   checki "one diag per unparseable file" 2 (List.length diags);
   List.iter
     (fun (d : V.Diag.t) ->
@@ -411,10 +415,14 @@ let test_pin_safety_under_io_error () =
 (* The library must stay exception-clean: every finding fixed or
    justified. *)
 let test_repo_sources_clean () =
-  match XF.scan_lib () with
+  match L.scan_lib () with
   | Error m -> Alcotest.fail m
   | Ok (findings, parse_diags) ->
-    let diags = parse_diags @ XF.diags_of_findings findings in
+    let diags =
+      List.filter
+        (fun (d : V.Diag.t) -> exn d.V.Diag.code)
+        (parse_diags @ L.diags_of_findings findings)
+    in
     List.iter
       (fun (d : V.Diag.t) ->
         Printf.printf "unjustified: [%s] %s %s\n" d.V.Diag.code d.V.Diag.path

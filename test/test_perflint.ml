@@ -1,26 +1,27 @@
-(* Tests for the performance-hazard pass: synthetic sources asserting
-   the exact PERF code for each hazard class (and the silence of the
-   corresponding clean idiom), the perf_lint justification whitelist,
-   scan determinism, and the catalogue plumbing shared with the
-   perflint gate. *)
+(* Tests for the PERF rule family of the lint: synthetic sources
+   asserting the exact PERF code for each hazard class (and the silence
+   of the corresponding clean idiom), the perf_lint justification
+   marker, scan determinism, and the catalogue plumbing. *)
 
 module V = Mmdb_verify
-module PL = V.Perf_lint
+module L = V.Lint
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
+let perf code = String.starts_with ~prefix:"PERF" code
 
+(* The PERF findings of one source, failing the test on a parse error. *)
 let scan ?(file = "lib/core/synthetic.ml") source =
-  match PL.scan_source ~file source with
-  | Ok findings -> findings
-  | Error d -> Alcotest.failf "unexpected parse failure: %s" d.V.Diag.message
+  match L.analyze [ (file, source) ] with
+  | findings, [] -> List.filter (fun (f : L.finding) -> perf f.L.code) findings
+  | _, d :: _ -> Alcotest.failf "unexpected parse failure: %s" d.V.Diag.message
 
 let codes findings =
-  List.sort_uniq compare (List.map (fun (f : PL.finding) -> f.PL.code) findings)
+  List.sort_uniq compare (List.map (fun (f : L.finding) -> f.L.code) findings)
 
 let flagged_codes findings =
   codes
-    (List.filter (fun (f : PL.finding) -> f.PL.status = PL.Flagged) findings)
+    (List.filter (fun (f : L.finding) -> f.L.status = L.Flagged) findings)
 
 let check_codes msg expected findings =
   Alcotest.(check (list string)) msg expected (flagged_codes findings)
@@ -34,9 +35,9 @@ let test_perf101_tail_append () =
   check_codes "tail-append flagged" [ "PERF101" ] fs;
   (match fs with
   | [ f ] ->
-    Alcotest.(check string) "construct" "xs @ [x]" f.PL.construct;
-    Alcotest.(check string) "binding" "add_tail" f.PL.name;
-    checki "line" 1 f.PL.line
+    Alcotest.(check string) "construct" "xs @ [x]" f.L.construct;
+    Alcotest.(check string) "binding" "add_tail" f.L.name;
+    checki "line" 1 f.L.line
   | _ -> Alcotest.fail "expected exactly one finding");
   (* The remediation idiom is silent. *)
   check_codes "cons + rev is clean" []
@@ -108,7 +109,7 @@ let test_justification_whitelist () =
   let fs = scan src in
   check_codes "justified finding is not flagged" [] fs;
   (match fs with
-  | [ { PL.status = PL.Whitelisted why; _ } ] ->
+  | [ { L.status = L.Justified why; _ } ] ->
     checkb "justification text echoed" true
       (why = "test corpus; bounded at three elements")
   | _ -> Alcotest.fail "expected one whitelisted finding");
@@ -131,9 +132,10 @@ let test_determinism () =
     (flagged_codes (scan src))
 
 let test_parse_failure () =
-  match PL.scan_source ~file:"lib/bad.ml" "let = (" with
-  | Ok _ -> Alcotest.fail "expected PERF100"
-  | Error d -> Alcotest.(check string) "code" "PERF100" d.V.Diag.code
+  let _, diags = L.analyze [ ("lib/bad.ml", "let = (") ] in
+  match List.filter (fun (d : V.Diag.t) -> perf d.V.Diag.code) diags with
+  | [ d ] -> Alcotest.(check string) "code" "PERF100" d.V.Diag.code
+  | _ -> Alcotest.fail "expected PERF100"
 
 (* ------------------------------------------------------------------ *)
 (* Repo sweep and catalogue plumbing                                   *)
@@ -141,10 +143,14 @@ let test_parse_failure () =
 
 (* The library must stay perf-clean: every hazard fixed or justified. *)
 let test_repo_sources_clean () =
-  match PL.scan_lib () with
+  match L.scan_lib () with
   | Error m -> Alcotest.fail m
   | Ok (findings, parse_diags) ->
-    let diags = parse_diags @ PL.diags_of_findings findings in
+    let diags =
+      List.filter
+        (fun (d : V.Diag.t) -> perf d.V.Diag.code)
+        (parse_diags @ L.diags_of_findings findings)
+    in
     List.iter
       (fun (d : V.Diag.t) ->
         Printf.printf "unjustified: [%s] %s %s\n" d.V.Diag.code d.V.Diag.path

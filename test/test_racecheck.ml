@@ -1,8 +1,9 @@
 (* Tests for the domain-safety pass: a hand-built corpus of racy and
    race-free schedules asserting exact RACE codes out of the
    happens-before detector, fuzz determinism and injected positive
-   controls, the MVCC snapshot-discipline rule, and the static
-   shared-state lint over synthetic sources. *)
+   controls, the MVCC snapshot-discipline rule, and the RACE family of
+   the static lint over synthetic sources, including how the three lint
+   families share one parse. *)
 
 module R = Mmdb_recovery
 module U = Mmdb_util
@@ -10,7 +11,7 @@ module D = U.Diag
 module V = Mmdb_verify
 module Sch = R.Schedule
 module RC = V.Race_check
-module DL = V.Domain_lint
+module L = V.Lint
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -255,11 +256,24 @@ let test_audit_race_component () =
 (* Static lint                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let race code = String.starts_with ~prefix:"RACE" code
+
+(* The RACE findings and diagnostics of a corpus of [(path, source)]. *)
+let lint sources =
+  let findings, diags = L.analyze sources in
+  ( List.filter (fun (f : L.finding) -> race f.L.code) findings,
+    List.filter (fun (d : D.t) -> race d.D.code) diags )
+
+let scan ~file source =
+  match lint [ (file, source) ] with
+  | sites, [] -> sites
+  | _, d :: _ -> Alcotest.fail ("unexpected parse failure: " ^ d.D.message)
+
 let flagged sites =
   List.filter_map
-    (fun (s : DL.site) ->
-      match s.DL.status with
-      | DL.Flagged c -> Some (s.DL.name, c)
+    (fun (s : L.finding) ->
+      match s.L.status with
+      | L.Flagged -> Some (s.L.name, s.L.code)
       | _ -> None)
     sites
 
@@ -281,62 +295,139 @@ let test_lint_classification () =
         "  ignore cell; ignore table; ignore rng; ignore cache; v.y";
       ]
   in
-  match DL.scan_source ~file:"synthetic.ml" src with
-  | Error d -> Alcotest.fail ("unexpected parse failure: " ^ d.D.message)
-  | Ok sites ->
-    Alcotest.(check (list (pair string string)))
-      "flagged sites"
-      [
-        ("counter", "RACE101"); ("table", "RACE102"); ("rng", "RACE103");
-        ("cache", "RACE101");
-      ]
-      (flagged sites);
-    let status_of name =
-      List.find_map
-        (fun (s : DL.site) -> if s.DL.name = name then Some s.DL.status else None)
-        sites
-    in
-    (match status_of "justified" with
-    | Some (DL.Whitelisted why) ->
-      checkb "justification text kept" true
-        (why = "test-only, never shared")
-    | _ -> Alcotest.fail "justified not whitelisted");
-    (match status_of "guarded" with
-    | Some (DL.Safe _) -> ()
-    | _ -> Alcotest.fail "Mutex.create not classified safe");
-    (match status_of "cell" with
-    | Some (DL.Safe _) -> ()
-    | _ -> Alcotest.fail "Atomic.make not classified safe");
-    (match status_of "t" with
-    | Some DL.Per_instance -> ()
-    | _ -> Alcotest.fail "mutable record not per-instance");
-    (* The error formatter covers flagged sites only. *)
-    checki "one diag per flagged site" 4
-      (List.length (DL.diags_of_sites sites))
+  let sites = scan ~file:"synthetic.ml" src in
+  Alcotest.(check (list (pair string string)))
+    "flagged sites"
+    [
+      ("counter", "RACE101"); ("table", "RACE102"); ("rng", "RACE103");
+      ("cache", "RACE101");
+    ]
+    (flagged sites);
+  let status_of name =
+    List.find_map
+      (fun (s : L.finding) -> if s.L.name = name then Some s.L.status else None)
+      sites
+  in
+  (match status_of "justified" with
+  | Some (L.Justified why) ->
+    checkb "justification text kept" true (why = "test-only, never shared")
+  | _ -> Alcotest.fail "justified not whitelisted");
+  (match status_of "guarded" with
+  | Some (L.Safe _) -> ()
+  | _ -> Alcotest.fail "Mutex.create not classified safe");
+  (match status_of "cell" with
+  | Some (L.Safe _) -> ()
+  | _ -> Alcotest.fail "Atomic.make not classified safe");
+  (match status_of "t" with
+  | Some L.Per_instance -> ()
+  | _ -> Alcotest.fail "mutable record not per-instance");
+  (* The error formatter covers flagged sites only. *)
+  checki "one diag per flagged site" 4
+    (List.length (L.diags_of_findings sites))
 
 let test_lint_parse_failure () =
-  match DL.scan_source ~file:"broken.ml" "let = = =" with
-  | Ok _ -> Alcotest.fail "expected parse failure"
-  | Error d -> Alcotest.(check string) "RACE100" "RACE100" d.D.code
+  match lint [ ("broken.ml", "let = = =") ] with
+  | _, [ d ] -> Alcotest.(check string) "RACE100" "RACE100" d.D.code
+  | _ -> Alcotest.fail "expected parse failure"
 
 let test_lint_whitelist_distance () =
   (* The marker is honoured at most two lines above the binding. *)
   let near =
     "(* race_check: close enough *)\n\n\nlet x = ref 0\nlet _ = x"
   in
-  match DL.scan_source ~file:"near.ml" near with
-  | Error _ -> Alcotest.fail "parse failure"
-  | Ok sites ->
-    Alcotest.(check (list (pair string string)))
-      "marker out of range flags" [ ("x", "RACE101") ] (flagged sites)
+  Alcotest.(check (list (pair string string)))
+    "marker out of range flags" [ ("x", "RACE101") ]
+    (flagged (scan ~file:"near.ml" near))
+
+(* One source trips a RACE101, a PERF101 and an EXN104; each sits under
+   a justification marker of the wrong family, then of its own. *)
+let three_families ~race ~perf ~exn =
+  String.concat "\n"
+    [
+      Printf.sprintf "(* %s fixture *)" race;
+      "let counter = ref 0";
+      "";
+      "";
+      Printf.sprintf "(* %s fixture *)" perf;
+      "let add_tail xs x = xs @ [ x ]";
+      "";
+      "";
+      Printf.sprintf "(* %s fixture *)" exn;
+      "let f () = try g () with e -> cleanup (); raise e";
+    ]
+
+let test_marker_isolation () =
+  let run src =
+    match L.analyze [ ("lib/core/fixture.ml", src) ] with
+    | findings, [] -> findings
+    | _ -> Alcotest.fail "unexpected parse failure"
+  in
+  let wrong =
+    run (three_families ~race:"perf_lint:" ~perf:"exn_flow:" ~exn:"race_check:")
+  in
+  Alcotest.(check (list (pair string int)))
+    "another family's marker justifies nothing"
+    [ ("RACE101", 2); ("PERF101", 6); ("EXN104", 10) ]
+    (List.filter_map
+       (fun (f : L.finding) ->
+         if f.L.status = L.Flagged then Some (f.L.code, f.L.line) else None)
+       wrong);
+  let right =
+    run (three_families ~race:"race_check:" ~perf:"perf_lint:" ~exn:"exn_flow:")
+  in
+  Alcotest.(check (list (pair string int)))
+    "its own marker justifies each"
+    [ ("RACE101", 2); ("PERF101", 6); ("EXN104", 10) ]
+    (List.filter_map
+       (fun (f : L.finding) ->
+         match f.L.status with
+         | L.Justified "fixture" -> Some (f.L.code, f.L.line)
+         | _ -> None)
+       right);
+  checki "no diagnostics once justified" 0
+    (List.length (L.diags_of_findings right))
+
+(* A file that does not parse costs one diagnostic per family; the other
+   files are still linted by all three. *)
+let test_lint_one_unparseable_file () =
+  let findings, diags =
+    L.analyze
+      [
+        ("lib/core/bad.ml", "let = (");
+        ( "lib/core/good.ml",
+          "let counter = ref 0\n\
+           let add_tail xs x = xs @ [ x ]\n\
+           let f () = try g () with e -> raise e" );
+      ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "one parse failure per family"
+    [
+      ("RACE100", "lib/core/bad.ml"); ("PERF100", "lib/core/bad.ml");
+      ("EXN100", "lib/core/bad.ml");
+    ]
+    (List.map (fun (d : D.t) -> (d.D.code, d.D.path)) diags);
+  Alcotest.(check (list string))
+    "the other file's findings still reported"
+    [ "EXN104"; "PERF101"; "RACE101" ]
+    (List.sort_uniq compare
+       (List.filter_map
+          (fun (f : L.finding) ->
+            if f.L.file = "lib/core/good.ml" && f.L.status = L.Flagged then
+              Some f.L.code
+            else None)
+          findings))
 
 let test_lint_repo_sources_clean () =
-  match DL.scan_lib () with
+  match L.scan_lib () with
   | Error m -> Alcotest.fail m
-  | Ok (sites, parse_diags) ->
+  | Ok (findings, parse_diags) ->
+    let sites = List.filter (fun (f : L.finding) -> race f.L.code) findings in
     checkb "repo has mutable-state sites" true (List.length sites > 0);
     check_codes "repo lint clean" []
-      (parse_diags @ DL.diags_of_sites sites)
+      (List.filter
+         (fun (d : D.t) -> race d.D.code)
+         (parse_diags @ L.diags_of_findings sites))
 
 let test_code_catalogue () =
   let all = List.map fst V.code_catalogue in
@@ -389,6 +480,10 @@ let () =
             test_lint_parse_failure;
           Alcotest.test_case "whitelist distance" `Quick
             test_lint_whitelist_distance;
+          Alcotest.test_case "marker isolation across families" `Quick
+            test_marker_isolation;
+          Alcotest.test_case "one unparseable file" `Quick
+            test_lint_one_unparseable_file;
           Alcotest.test_case "repo sources clean" `Quick
             test_lint_repo_sources_clean;
           Alcotest.test_case "code catalogue" `Quick test_code_catalogue;
