@@ -192,8 +192,8 @@ let recover strategy txns checkpoint crash_after audit parallel logging
     rs.R.Kv_store.redo_applied rs.R.Kv_store.undo_applied
     rs.R.Kv_store.records_scanned rs.R.Kv_store.recovery_time;
   Printf.printf
-    "replay:              %d worker(s)%s, %d local ops, %d barrier ops \
-     across %d barriers, %d pages written back\n"
+    "replay:              %d worker(s)%s, %d local ops, %d ops of %d \
+     cross-partition commands, %d pages written back\n"
     rs.R.Kv_store.workers
     (if rs.R.Kv_store.used_domains then " (domains)" else "")
     (rs.R.Kv_store.local_value_ops + rs.R.Kv_store.local_command_ops)

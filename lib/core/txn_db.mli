@@ -122,9 +122,7 @@ val recover : t -> Mmdb_recovery.Kv_store.recover_stats
     demoted, FAULT008).
     @raise Invalid_argument unless crashed.
     @raise Mmdb_recovery.Kv_store.Crashed_during_recovery when the
-    store's crash hook fires mid-replay (restart-crash testing).
-    @raise Mmdb_recovery.Replay.Rendezvous_deadlock defensively if the
-    parallel-replay barrier invariant is ever broken. *)
+    store's crash hook fires mid-replay (restart-crash testing). *)
 
 val committed_txns : t -> int list
 (** Transaction ids whose commit records a crash now would let recovery

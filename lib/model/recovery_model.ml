@@ -45,26 +45,6 @@ let tps_of_terms terms = terms.txns_per_io *. terms.ios_per_second
 let conventional_terms t =
   { txns_per_io = 1.0; ios_per_second = 1.0 /. t.page_write_time }
 
-let group_commit_terms t =
-  {
-    txns_per_io = float_of_int (txns_per_page t ~compressed:false);
-    ios_per_second = 1.0 /. t.page_write_time;
-  }
-
-let partitioned_terms t ~devices =
-  if devices <= 0 then invalid_arg "Recovery_model.partitioned_tps: devices";
-  {
-    txns_per_io = float_of_int (txns_per_page t ~compressed:false);
-    ios_per_second = float_of_int devices /. t.page_write_time;
-  }
-
-let stable_memory_terms t ~devices ~compressed =
-  if devices <= 0 then invalid_arg "Recovery_model.stable_memory_tps: devices";
-  {
-    txns_per_io = float_of_int (txns_per_page t ~compressed);
-    ios_per_second = float_of_int devices /. t.page_write_time;
-  }
-
 let conventional_tps t = tps_of_terms (conventional_terms t)
 
 let group_commit_tps t =
@@ -136,12 +116,15 @@ let command_bytes_per_txn t ~updates_per_txn =
      value:    io(value_bytes)/W   + u·value_apply/W
      command:  io(command_bytes)/W + u·command_apply/W     (local)
                io(command_bytes)/W + u·command_apply       (cross-partition:
-                                                            the barrier op
-                                                            replays serially)
+                                                            priced as serial
+                                                            replay)
 
    Command records always win on log volume; they lose at high [workers]
-   when the transaction spans partitions, because re-execution is pinned
-   to the serial rendezvous while value records keep shrinking with W. *)
+   when the transaction spans partitions, because the model pins their
+   re-execution to one worker while value records keep shrinking with W.
+   That serial price is the model's assumption only: Replay splits a
+   cross-partition command by partition and replays its ops in
+   parallel.  Recalibrating it moves every golden that prices recovery. *)
 let adaptive_command_wins t ~workers ~updates_per_txn ~cross_partition =
   let w = float_of_int (max 1 workers) in
   let u = float_of_int updates_per_txn in

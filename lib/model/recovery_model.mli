@@ -19,28 +19,6 @@ type t = {
 val gray_banking : t
 (** The paper's figures: 40 + 180 + 180 bytes, 4096-byte pages, 10 ms. *)
 
-type log_terms = {
-  begin_end : int;
-  old_values : int;  (** 0 when compressed (§5.4 drops the undo half) *)
-  new_values : int;
-}
-(** Per-term breakdown of the log volume; {!log_bytes_per_txn} is the
-    field sum. *)
-
-val log_terms : t -> compressed:bool -> log_terms
-
-type tps_terms = {
-  txns_per_io : float;  (** transactions committed per log-page write *)
-  ios_per_second : float;  (** log-page writes per second, all devices *)
-}
-(** Per-term breakdown of a throughput figure;
-    [tps = txns_per_io · ios_per_second]. *)
-
-val tps_of_terms : tps_terms -> float
-val group_commit_terms : t -> tps_terms
-val partitioned_terms : t -> devices:int -> tps_terms
-val stable_memory_terms : t -> devices:int -> compressed:bool -> tps_terms
-
 val log_bytes_per_txn : t -> compressed:bool -> int
 (** 400 bytes uncompressed; begin/end + new values only when
     [compressed] (§5.4 stable-memory compression). *)
@@ -70,8 +48,10 @@ val log_compression_ratio : t -> float
 
     Amdahl-style recovery-time model for partitioned parallel replay:
     snapshot/log reads and partition-local applies divide by the worker
-    count; the write-back of recovered pages and the serial portions of
-    replay (cross-partition command re-execution, undo) do not. *)
+    count; the write-back of recovered pages, undo and cross-partition
+    command re-execution do not.  Pricing cross-partition ops serially
+    is the model's assumption only: {!Replay} splits such a command by
+    partition and replays every op in parallel. *)
 
 val value_apply_time : float
 (** Seconds to re-install one value (after-image) record: a memory
@@ -86,7 +66,7 @@ type replay_terms = {
   parallel_io : float;  (** snapshot + log-suffix reads, divisible by W *)
   parallel_apply : float;  (** partition-local redo applies *)
   serial_io : float;  (** end-of-recovery page write-back *)
-  serial_apply : float;  (** barrier command replay + undo *)
+  serial_apply : float;  (** cross-partition command replay + undo *)
   workers : int;
 }
 (** [replay_seconds = (parallel_io + parallel_apply)/workers
@@ -123,5 +103,6 @@ val adaptive_command_wins :
 (** The adaptive-logging rule: [true] when command logging's predicted
     per-transaction recovery cost (smaller log, slow serial replay when
     [cross_partition]) beats value logging's at [workers] replay
-    partitions.  Cross-partition commands replay at the serial
-    rendezvous, so the rule flips to value logging as [workers] grows. *)
+    partitions.  The model prices cross-partition commands as serial
+    replay (an assumption the engine no longer shares), so the rule
+    flips to value logging as [workers] grows. *)

@@ -76,19 +76,20 @@ val crash : t -> unit
 type recover_stats = {
   start_lsn : int;
   records_scanned : int;
-  redo_applied : int;  (** total redo ops: local + barrier *)
+  redo_applied : int;  (** total redo ops: local + cross-partition *)
   undo_applied : int;
   snapshot_pages_read : int;
   pages_rebuilt : int;  (** corrupt snapshot pages rebuilt from the log *)
   recovery_time : float;
       (** modelled cost ({!Mmdb_model.Recovery_model.replay_seconds}):
           snapshot/log reads and local applies divided by [workers],
-          plus serial barrier replay, undo, and page write-back *)
+          plus cross-partition command ops (priced serially), undo,
+          and page write-back *)
   workers : int;  (** replay partitions used *)
   local_value_ops : int;  (** value (after-image) ops applied in-partition *)
   local_command_ops : int;  (** command ops whose record stayed in-partition *)
-  barrier_ops : int;  (** command ops replayed at cross-partition barriers *)
-  barriers : int;  (** cross-partition command records *)
+  barrier_ops : int;  (** ops of cross-partition command records *)
+  barriers : int;  (** command records whose ops span partitions *)
   pages_written_back : int;  (** end-of-recovery re-checkpointed pages *)
   log_bytes_scanned : int;
   used_domains : bool;  (** real [Domain.spawn] workers ran the replay *)
@@ -139,9 +140,7 @@ val recover :
     FAULT009).
 
     @raise Crashed_during_recovery when [crash_after_steps] expires
-    mid-replay (restart-crash testing).
-    @raise Replay.Rendezvous_deadlock defensively if the parallel-replay
-    barrier invariant is ever broken. *)
+    mid-replay (restart-crash testing). *)
 
 val balances : t -> int array
 (** Copy of the in-memory state (test oracle). *)

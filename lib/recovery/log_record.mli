@@ -27,9 +27,9 @@ type t =
           [(slot, delta)] operations, re-executed at replay.  One
           command record replaces the transaction's update records —
           much smaller on disk (8 bytes per operation vs 60), but replay
-          must re-run the operations, and a command whose slots span
-          replay partitions forces a cross-partition rendezvous (see
-          {!Replay}).  Undo of a non-terminated command subtracts its
+          must re-run the operations.  A command whose slots span
+          replay partitions is split by partition, each op replayed
+          in its own slot's partition (see {!Replay}).  Undo of a non-terminated command subtracts its
           deltas. *)
   | Commit of { txn : int; lsn : int }
   | Abort of { txn : int; lsn : int }

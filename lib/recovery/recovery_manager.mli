@@ -135,6 +135,4 @@ val run : config -> outcome
     when the armed fault plan exhausts the retry budget.
     @raise Kv_store.Crashed_during_recovery when [crash_after_steps]
     fires mid-replay (restart-crash testing; the driver re-runs
-    recovery).
-    @raise Replay.Rendezvous_deadlock defensively if the parallel-replay
-    barrier invariant is ever broken. *)
+    recovery). *)

@@ -6,44 +6,31 @@
     ([partition_of slot]) into per-partition arrays as they are added;
     each partition replays its own ops in log order, so per-slot
     ordering is preserved no matter how partitions interleave.  A
-    command whose ops span partitions cannot be split — it is enqueued
-    as a barrier in {e every} partition it touches and is applied
-    exactly once, when each of them has reached it.  Because barriers
-    appear in LSN order in every queue this rendezvous cannot
-    deadlock.
+    command's ops are additive deltas on single slots, so a command
+    whose ops span partitions is split the same way: each op joins its
+    own slot's partition, and no partition ever waits for another.
 
     Two execution modes read the same arrays and produce the identical
     final state:
 
     - {b simulated} (default): a deterministic round-robin scheduler
-      interleaves partitions one op at a time on the calling domain; a
-      barrier is applied by the lowest-numbered touched partition once
-      it heads all of their queues.  This mode can stamp a {!Schedule}
-      recorder (each applied op emits Grant/Write/Release under its slot
-      key, stamped with its partition as the acting domain, so
-      {!Race_check} can audit the interleaving) and can crash mid-replay
-      via [on_step].
+      interleaves partitions one op at a time on the calling domain.
+      This mode can stamp a {!Schedule} recorder (each applied op emits
+      Grant/Write/Release under its slot key, stamped with its slot's
+      partition as the acting domain, so {!Race_check} can audit the
+      interleaving) and can crash mid-replay via [on_step].
     - {b domains} ([use_domains:true] when {!Domain_runner.available}):
       one {!Domain_runner.run} for the whole replay, one worker per
-      partition over disjoint pages.  At a barrier the touched
-      partitions meet; the last to arrive applies the command while the
-      others wait.  Recording and crash injection are rejected in this
-      mode (they would be nondeterministic), so passing either forces
-      simulated mode. *)
+      partition over disjoint pages.  Recording and crash injection are
+      rejected in this mode (they would be nondeterministic), so
+      passing either forces simulated mode. *)
 
 type action =
   | Set of int  (** value record: store the after-image *)
   | Add of int  (** command record: re-execute the delta *)
 
-exception Rendezvous_deadlock
-(** No blocked barrier can rendezvous.  Unreachable for plans built by
-    {!add_command} (barriers appear in LSN order in every touched
-    queue), kept as a typed defensive check so a broken invariant
-    surfaces classifiably instead of as a stringly [Failure]. *)
-
 type t
-(** A replay plan: per-partition op arrays plus the interned
-    cross-partition commands. *)
+(** A replay plan: per-partition op arrays and their counters. *)
 
 val create : workers:int -> partition_of:(int -> int) -> t
 (** An empty plan over [workers] partitions; slot [s] belongs to
@@ -55,14 +42,15 @@ val add_op : t -> txn:int -> lsn:int -> slot:int -> action -> unit
     command record. *)
 
 val add_command : t -> txn:int -> lsn:int -> (int * int) list -> unit
-(** Append a command record's eligible [(slot, delta)] ops.  If they
-    land in one partition they become local [Add] ops; otherwise the
-    command is a barrier in every partition it touches. *)
+(** Append a command record's eligible [(slot, delta)] ops, each as an
+    [Add] in its own slot's partition.  A command whose ops span two or
+    more partitions is counted in [barriers] and its ops in
+    [barrier_ops]; otherwise its ops count as local. *)
 
 type stats = {
   workers : int;  (** partition count (>= 1) *)
-  local_ops : int;  (** ops applied inside a single partition *)
-  barrier_ops : int;  (** ops applied at barriers *)
+  local_ops : int;  (** ops of value records and single-partition commands *)
+  barrier_ops : int;  (** ops of cross-partition commands *)
   barriers : int;  (** cross-partition commands *)
   used_domains : bool;  (** true iff real domains ran the replay *)
 }
@@ -76,12 +64,9 @@ val run :
   stats
 (** [run ~apply plan] replays the plan once and returns what it did.
     [apply] must only mutate state owned by the slot's partition: in
-    domains mode it runs concurrently, except at a barrier, where the
-    command's ops run while every touched partition waits.  [on_step]
-    is invoked after every applied op — the hook the store uses to
-    count progress and crash mid-recovery; supplying it, or
-    [recorder], forces the simulated scheduler.  An exception from
-    [apply] propagates out of [run] in both modes; in domains mode the
-    other workers are released from any barrier and joined first.
-    @raise Rendezvous_deadlock if the barrier invariant is broken
-    (defensive; unreachable for plans built by {!add_command}). *)
+    domains mode it runs concurrently.  [on_step] is invoked after
+    every applied op — the hook the store uses to count progress and
+    crash mid-recovery; supplying it, or [recorder], forces the
+    simulated scheduler.  An exception from [apply] propagates out of
+    [run] in both modes; in domains mode the other workers finish
+    their partitions and are joined first. *)

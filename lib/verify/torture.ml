@@ -49,9 +49,10 @@ let default_strategies =
   ]
 
 (* Sweep under the hardest replay configuration: four partitions with
-   adaptive logging, so every crash point also exercises barrier
-   rendezvous and the value/command decision.  Simulated scheduler keeps
-   the sweep deterministic in [seed]. *)
+   adaptive logging, so every crash point also exercises
+   cross-partition commands split by partition and the value/command
+   decision.  Simulated scheduler keeps the sweep deterministic in
+   [seed]. *)
 let default_replay =
   {
     R.Recovery_manager.workers = 4;

@@ -67,8 +67,8 @@ val default_strategies : Mmdb_recovery.Wal.strategy list
 val default_replay : Mmdb_recovery.Recovery_manager.replay_config
 (** Four replay partitions, adaptive logging, simulated scheduler: the
     hardest deterministic replay configuration, so every harvested crash
-    point also exercises barrier rendezvous and the value-vs-command
-    logging decision. *)
+    point also exercises cross-partition commands split by partition and
+    the value-vs-command logging decision. *)
 
 val run :
   ?seed:int -> ?txns:int -> ?specs:string list ->

@@ -210,8 +210,10 @@ let test_mvcc_trace_clean () =
   checki "no recording by default" 0 (List.length r0.R.Mvcc_sim.events)
 
 (* A 4-partition adaptive-logging recovery records its domain-stamped
-   Grant/Write/Release schedule; no conflicting cross-partition access
-   may fall outside a barrier's mutual-exclusion window. *)
+   Grant/Write/Release schedule; no two domains may make conflicting
+   accesses to one slot without a happens-before edge between them.
+   Cross-partition commands are split by partition, so each slot's
+   replay writes all come from the partition that owns it. *)
 let test_parallel_replay_race_free () =
   let module RM = R.Recovery_manager in
   let o =

@@ -916,8 +916,8 @@ let test_command_logging_consistent_and_smaller () =
     < value.R.Recovery_manager.log_disk_bytes)
 
 let test_adaptive_mixes_record_kinds () =
-  (* At 4 workers the model prices cross-partition command replay (a
-     serial barrier) above parallel value replay, so adaptive logging
+  (* At 4 workers the model prices cross-partition command replay (as
+     serial) above parallel value replay, so adaptive logging
      demotes cross-partition transactions to value records while keeping
      single-partition ones as commands. *)
   let o =
@@ -1162,9 +1162,10 @@ let qcheck_domains_replay =
                      (U.Xorshift.int rng 200, U.Xorshift.int rng 21 - 10)))
                ~command:U.Xorshift.bool)))
 
-let test_domains_rendezvous () =
+let test_domains_cross_partition () =
   (* Every transaction is a command over two adjacent pages, which sit
-     in different partitions at 2-4 workers, so each one rendezvouses. *)
+     in different partitions at 2-4 workers, so each one is split
+     across two domains. *)
   let transfer rng =
     let slot = U.Xorshift.int rng 190 and d = U.Xorshift.int rng 100 in
     [ (slot, d); (slot + 10, -d) ]
@@ -1178,16 +1179,78 @@ let test_domains_rendezvous () =
       in
       let name = Printf.sprintf "%d workers" workers in
       checkb (name ^ ": same as simulated") true same;
-      checkb (name ^ ": >= 2000 barriers") true (st.R.Kv_store.barriers >= 2_000);
+      checkb (name ^ ": >= 2000 cross-partition commands") true
+        (st.R.Kv_store.barriers >= 2_000);
       checkb (name ^ ": domains used") R.Domain_runner.available
         st.R.Kv_store.used_domains)
     [ 2; 3; 4 ]
 
+(* Each op of a command spanning 2-4 partitions replays on the
+   partition that owns its slot: every Write in the simulated trace for
+   slot [s] is stamped with domain [partition_of s], so no slot is ever
+   written from two domains.  Value records interleaved with the
+   commands make the final state order-sensitive; it must equal the log
+   applied in order. *)
+let test_cross_partition_ops_stay_home () =
+  let workers = 4 and per_part = 10 in
+  let partition_of slot = slot / per_part in
+  let rng = U.Xorshift.create 31 in
+  let plan = R.Replay.create ~workers ~partition_of in
+  let expected = Array.make (workers * per_part) 0 in
+  let lsn = ref 0 and cross_ops = ref 0 and ncmds = 500 in
+  for txn = 1 to ncmds do
+    incr lsn;
+    let slot = U.Xorshift.int rng (workers * per_part) in
+    let v = U.Xorshift.int rng 1_000 in
+    expected.(slot) <- v;
+    R.Replay.add_op plan ~txn ~lsn:!lsn ~slot (R.Replay.Set v);
+    incr lsn;
+    let first = U.Xorshift.int rng workers in
+    let span = U.Xorshift.int_in_range rng ~lo:2 ~hi:workers in
+    let ops =
+      List.init span (fun k ->
+          let p = (first + k) mod workers in
+          ((p * per_part) + U.Xorshift.int rng per_part,
+           U.Xorshift.int rng 21 - 10))
+    in
+    List.iter (fun (s, d) -> expected.(s) <- expected.(s) + d) ops;
+    cross_ops := !cross_ops + span;
+    R.Replay.add_command plan ~txn ~lsn:!lsn ops
+  done;
+  let recorder = R.Schedule.recorder ~now:(fun () -> 0.0) in
+  let mem = Array.make (workers * per_part) 0 in
+  let st =
+    R.Replay.run ~recorder
+      ~apply:(fun ~slot -> function
+        | R.Replay.Set v -> mem.(slot) <- v
+        | R.Replay.Add d -> mem.(slot) <- mem.(slot) + d)
+      plan
+  in
+  let writes =
+    List.filter
+      (fun (e : R.Schedule.event) -> e.R.Schedule.kind = R.Schedule.Write)
+      (R.Schedule.events recorder)
+  in
+  checki "one Write per op" (ncmds + !cross_ops) (List.length writes);
+  checki "every Write on its slot's partition" 0
+    (List.length
+       (List.filter
+          (fun (e : R.Schedule.event) ->
+            match e.R.Schedule.key with
+            | Some s -> e.R.Schedule.domain <> partition_of s
+            | None -> true)
+          writes));
+  checki "cross-partition commands counted" ncmds st.R.Replay.barriers;
+  checki "their ops counted" !cross_ops st.R.Replay.barrier_ops;
+  checki "value ops local" ncmds st.R.Replay.local_ops;
+  checkb "final state is the log in order" true (mem = expected)
+
 exception Boom
 
-(* An [apply] that raises partway through a barrier-heavy plan makes
-   [Replay.run] raise it, whether the failing op is local or inside a
-   barrier: the other workers must be released, not left waiting. *)
+(* An [apply] that raises partway through a plan heavy in
+   cross-partition commands makes [Replay.run] raise it, whether the
+   failing op is local or one of such a command's: the other workers
+   must still be joined, not left running. *)
 let test_replay_raising_worker () =
   List.iter
     (fun (name, bad_slot) ->
@@ -1206,7 +1269,7 @@ let test_replay_raising_worker () =
            ignore (R.Replay.run ~use_domains:true ~apply plan);
            false
          with Boom -> true))
-    [ ("raise in a local op", 4); ("raise inside a barrier", 0) ]
+    [ ("raise in a local op", 4); ("raise inside a cross-partition command", 0) ]
 
 (* Retirement: every commit durable by the retire time leaves every
    pre-committed set, so the sets stay as small as the unflushed group
@@ -1359,8 +1422,10 @@ let () =
           Alcotest.test_case "crash at last write-back step" `Quick
             test_crash_at_last_writeback_step;
           QCheck_alcotest.to_alcotest qcheck_domains_replay;
-          Alcotest.test_case "domains rendezvous" `Quick
-            test_domains_rendezvous;
+          Alcotest.test_case "domains cross-partition replay" `Quick
+            test_domains_cross_partition;
+          Alcotest.test_case "ops stay on their partition" `Quick
+            test_cross_partition_ops_stay_home;
           Alcotest.test_case "raising worker does not hang" `Quick
             test_replay_raising_worker;
         ] );
