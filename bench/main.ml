@@ -1303,148 +1303,6 @@ let schedule_overhead () =
      events; %.1f ns/event)\n"
     off_s on_s events (per_event *. 1e9)
 
-(* Before/after microbenchmarks for the PERF lint hot-path
-   remediations: each section times a faithful replica of the removed
-   idiom against the shipped one on identical input, and checksums both
-   results so neither side can be dead-code-eliminated and the rewrite
-   is shown value-equivalent.  One untimed warmup run precedes each
-   measurement. *)
-let hotpath_json () =
-  let timed f =
-    ignore (f ());
-    let t0 = Sys.time () in
-    let r = f () in
-    (Sys.time () -. t0, r)
-  in
-  (* CLOCK hand admission (Buffer_pool): the old [hand @ [pid]] per
-     admitted page is O(resident) each time — quadratic across a fill —
-     vs the shipped Queue push. *)
-  let clock_n = 1_200 and clock_reps = 300 in
-  let clock_list () =
-    let sum = ref 0 in
-    for _ = 1 to clock_reps do
-      let hand = ref [] in
-      for pid = 0 to clock_n - 1 do
-        hand := !hand @ [ pid ]
-      done;
-      sum := List.fold_left ( + ) !sum !hand
-    done;
-    !sum
-  in
-  let clock_queue () =
-    let sum = ref 0 in
-    for _ = 1 to clock_reps do
-      let hand = Queue.create () in
-      for pid = 0 to clock_n - 1 do
-        Queue.push pid hand
-      done;
-      sum := Queue.fold ( + ) !sum hand
-    done;
-    !sum
-  in
-  (* WAL record assembly (Txn, the transaction kernel): the old
-     [(Begin :: body) @ [Commit]] re-copies the body once per
-     transaction vs the shipped newest-first accumulation with one final
-     reverse. *)
-  let log_txns = 200 and log_updates = 3_000 and log_reps = 5 in
-  let upd = List.init log_updates (fun i -> i) in
-  let log_tail_append () =
-    let sum = ref 0 in
-    for _ = 1 to log_reps do
-      for t = 1 to log_txns do
-        let body = List.map (fun i -> ((t * 31) + i) land 4095) upd in
-        let records = ((1000 + t) :: body) @ [ t ] in
-        sum := List.fold_left ( + ) !sum records
-      done
-    done;
-    !sum
-  in
-  let log_rev_acc () =
-    let sum = ref 0 in
-    for _ = 1 to log_reps do
-      for t = 1 to log_txns do
-        let rev_body = List.rev_map (fun i -> ((t * 31) + i) land 4095) upd in
-        let records = (1000 + t) :: List.rev (t :: rev_body) in
-        sum := List.fold_left ( + ) !sum records
-      done
-    done;
-    !sum
-  in
-  (* Deadlock-cycle hop rendering (Txn_check): the old
-     [List.nth cycle ((i + 1) mod List.length cycle)] per hop is O(n)
-     twice per element vs indexing one [Array.of_list] snapshot. *)
-  let cyc_n = 1_500 and cyc_reps = 40 in
-  let cycle = List.init cyc_n (fun i -> i * 7) in
-  let cycle_nth () =
-    let sum = ref 0 in
-    for _ = 1 to cyc_reps do
-      List.iteri
-        (fun i _ ->
-          sum := !sum + List.nth cycle ((i + 1) mod List.length cycle))
-        cycle
-    done;
-    !sum
-  in
-  let cycle_array () =
-    let sum = ref 0 in
-    for _ = 1 to cyc_reps do
-      let arr = Array.of_list cycle in
-      List.iteri
-        (fun i _ -> sum := !sum + arr.((i + 1) mod Array.length arr))
-        cycle
-    done;
-    !sum
-  in
-  let section ~name ~workload before after =
-    let before_s, before_sum = timed before in
-    let after_s, after_sum = timed after in
-    let speedup = if after_s > 0.0 then before_s /. after_s else 0.0 in
-    Printf.printf "%-12s before %.4fs, after %.4fs (%.1fx)%s\n" name before_s
-      after_s speedup
-      (if before_sum = after_sum then "" else "  CHECKSUM MISMATCH");
-    jobj
-      [
-        ("name", jstr name);
-        ("workload", jstr workload);
-        ("seconds_before", jfloat before_s);
-        ("seconds_after", jfloat after_s);
-        ("speedup", jfloat speedup);
-        ("checksums_match", (if before_sum = after_sum then "true" else "false"));
-      ]
-  in
-  let doc =
-    jobj
-      [
-        ( "note",
-          jstr
-            "replicas of the idioms the PERF lint retired (PERF101/PERF102) \
-             vs the shipped rewrites, identical inputs, checksummed" );
-        ( "sections",
-          jlist
-            [
-              section ~name:"clock-hand"
-                ~workload:
-                  (Printf.sprintf "admit %d pids x %d reps" clock_n
-                     clock_reps)
-                clock_list clock_queue;
-              section ~name:"log-append"
-                ~workload:
-                  (Printf.sprintf "%d txns x %d updates x %d reps" log_txns
-                     log_updates log_reps)
-                log_tail_append log_rev_acc;
-              section ~name:"cycle-walk"
-                ~workload:
-                  (Printf.sprintf "%d-txn cycle x %d reps" cyc_n cyc_reps)
-                cycle_nth cycle_array;
-            ] );
-      ]
-  in
-  let oc = open_out "BENCH_hotpath.json" in
-  output_string oc doc;
-  output_char oc '\n';
-  close_out oc;
-  print_endline "wrote BENCH_hotpath.json"
-
 (* Canonical Table 1 + Figure 1 regeneration.  Printed to stdout; a dune
    rule captures it and diffs against bench/golden/table1_figure1.json so
    CI catches any drift in the analytic model (`dune promote` accepts an
@@ -1537,7 +1395,6 @@ let recovery_json () =
             logging = mode;
             crash_steps = None;
             record_replay = false;
-            serve_stale = false;
           };
       }
     in
@@ -1763,7 +1620,6 @@ let experiments =
     ("bulk-load", "B+-tree occupancy: 69% vs bulk-loaded", bulk_load_bench);
     ("model-json", "write BENCH_model.json (predicted vs observed)", model_json);
     ("schedule-overhead", "write BENCH_schedule_overhead.json (recorder cost)", schedule_overhead);
-    ("hotpath-json", "write BENCH_hotpath.json (hot-path remediation wins)", hotpath_json);
     ("golden-json", "Table 1 + Figure 1 as canonical JSON (CI golden)", golden_json);
     ("recovery-json", "write BENCH_recovery.json (parallel-replay ladder)", recovery_json);
     ("overload-json", "write BENCH_overload.json (overload-resilience curves)", overload_json);

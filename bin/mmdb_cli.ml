@@ -160,7 +160,7 @@ let tps_cmd =
 (* ------------------------------------------------------------------ *)
 
 let recover strategy txns checkpoint crash_after audit parallel logging
-    use_domains replay_crash serve_stale =
+    use_domains replay_crash =
   let cfg =
     {
       R.Recovery_manager.default_config with
@@ -175,7 +175,6 @@ let recover strategy txns checkpoint crash_after audit parallel logging
           logging;
           crash_steps = replay_crash;
           record_replay = false;
-          serve_stale;
         };
     }
   in
@@ -202,12 +201,6 @@ let recover strategy txns checkpoint crash_after audit parallel logging
   if o.R.Recovery_manager.recovery_attempts > 1 then
     Printf.printf "recovery attempts:   %d (crashed mid-replay, restarted)\n"
       o.R.Recovery_manager.recovery_attempts;
-  if serve_stale then
-    Printf.printf
-      "stale service:       %d reads answered from the checkpoint image \
-       during replay (%d already current)\n"
-      o.R.Recovery_manager.stale_reads_served
-      o.R.Recovery_manager.stale_reads_current;
   Printf.printf "consistent:          %b\nmoney conserved:     %b\n"
     o.R.Recovery_manager.consistent o.R.Recovery_manager.money_conserved;
   let audit_ok =
@@ -303,20 +296,11 @@ let recover_cmd =
             "Crash the recovery itself after N replay steps, then restart \
              it (restart-crash resilience demo).")
   in
-  let serve_stale =
-    Arg.(
-      value & flag
-      & info [ "serve-stale" ]
-          ~doc:
-            "Degraded read-only mode: while replay is in flight, serve a \
-             modelled read stream from the surviving checkpoint image and \
-             report its staleness.")
-  in
   Cmd.v
     (Cmd.info "recover" ~doc:"Sections 5.3-5.5: crash, recover, verify.")
     Term.(
       const recover $ strategy $ txns $ checkpoint $ crash $ audit $ parallel
-      $ logging $ use_domains $ replay_crash $ serve_stale)
+      $ logging $ use_domains $ replay_crash)
 
 (* ------------------------------------------------------------------ *)
 (* plan                                                                *)
@@ -1083,9 +1067,8 @@ let overload spike deadline_ms no_admission no_deadlines storm seed duration =
     }
   in
   let o = OS.run cfg in
-  Printf.printf "run:        %s, %.1fs at %.0f/s base, %gx spike, %.0f ms \
-                 deadlines%s\n"
-    o.OS.label cfg.OS.duration cfg.OS.base_rate cfg.OS.spike_mult deadline_ms
+  Printf.printf "run:        %s, %.1fs, %gx spike, %.0f ms deadlines%s\n"
+    o.OS.label cfg.OS.duration cfg.OS.spike_mult deadline_ms
     (if storm then ", storm armed" else "");
   Printf.printf "arrivals:   %d\n" o.OS.arrivals;
   Printf.printf "goodput:    %d txns (%.0f tps) durable within deadline\n"

@@ -256,7 +256,7 @@ let save t path =
       Buffer.output_buffer oc buf;
       close_out oc)
 
-let load ?page_size ?mem_pages ?cost path =
+let load path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let data = really_input_string ic len in
@@ -292,13 +292,7 @@ let load ?page_size ?mem_pages ?cost path =
   if String.sub data 0 (String.length magic) <> magic then
     invalid_arg "Db.load: bad magic (not an mmdb file or wrong version)";
   pos := String.length magic;
-  let db =
-    create
-      ?page_size
-      ?mem_pages
-      ?cost
-      ()
-  in
+  let db = create () in
   let ntables = get_u32 () in
   for _ = 1 to ntables do
     let name = get_string () in

@@ -124,8 +124,7 @@ val save : t -> string -> unit
     architecture-independent (fixed-width big-endian fields; tuple bytes
     are stored verbatim — they are already order-preserving encodings). *)
 
-val load : ?page_size:int -> ?mem_pages:int -> ?cost:Mmdb_storage.Cost.t ->
-  string -> t
+val load : string -> t
 (** [load path] reconstructs a database saved with {!save}: tables are
     bulk-loaded, declared indexes rebuilt, statistics recomputed.
     @raise Invalid_argument on a bad magic number, version, or truncated

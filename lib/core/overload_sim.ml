@@ -6,48 +6,38 @@ module O = Mmdb_overload.Overload
 
 type config = {
   seed : int;
-  nrecords : int;
   duration : float;
-  base_rate : float;
   spike_mult : float;
-  spike_window : float * float;
   deadline_budget : float;
-  analytic_fraction : float;
-  updates_per_txn : int;
-  work_per_update : float;
   admission : bool;
   enforce_deadlines : bool;
-  rate_limit : float;
-  burst : float;
-  max_lag : float;
   storm : bool;
-  retry_budget : int option;
-  strategy : R.Wal.strategy;
   record_schedule : bool;
 }
 
 let default_config =
   {
     seed = 7;
-    nrecords = 512;
     duration = 3.0;
-    base_rate = 700.0;
     spike_mult = 10.0;
-    spike_window = (1.0, 2.0);
     deadline_budget = 0.05;
-    analytic_fraction = 0.15;
-    updates_per_txn = 2;
-    work_per_update = 250e-6;
     admission = true;
     enforce_deadlines = true;
-    rate_limit = 900.0;
-    burst = 64.0;
-    max_lag = 0.05;
     storm = false;
-    retry_budget = Some 8;
-    strategy = R.Wal.Group_commit;
     record_schedule = false;
   }
+
+(* The workload and service settings no run varies; [base_rate] is the
+   offered load outside the spike. *)
+let nrecords = 512
+let base_rate = 700.0
+let spike_lo, spike_hi = (1.0, 2.0)
+let analytic_fraction = 0.15
+let work_per_update = 250e-6
+let rate_limit = 900.0
+let burst = 64.0
+let max_lag = 0.05
+let retry_budget = 8
 
 type bucket = {
   b_start : float;
@@ -98,14 +88,12 @@ type fate = Shed_code of string | Io_failed
 
 let run cfg =
   if cfg.duration <= 0.0 then invalid_arg "Overload_sim: duration <= 0";
-  if cfg.base_rate <= 0.0 then invalid_arg "Overload_sim: base_rate <= 0";
   let rng = U.Xorshift.create cfg.seed in
   let tally = O.tally_create () in
   let admission =
     if cfg.admission then
       Some
-        (O.Admission.create ~rate:cfg.rate_limit ~burst:cfg.burst
-           ~max_lag:cfg.max_lag ~tally ())
+        (O.Admission.create ~rate:rate_limit ~burst ~max_lag ~tally ())
     else None
   in
   let breaker = O.Breaker.create ~tally ~name:"log" () in
@@ -117,15 +105,13 @@ let run cfg =
       | Error m -> invalid_arg ("Overload_sim: " ^ m)
   in
   let db =
-    Txn_db.create ~strategy:cfg.strategy ~nrecords:cfg.nrecords
-      ~record_schedule:cfg.record_schedule ?admission
-      ~work_per_update:cfg.work_per_update ?faults ~breaker
-      ?retry_budget:cfg.retry_budget ()
+    Txn_db.create ~strategy:R.Wal.Group_commit ~nrecords
+      ~record_schedule:cfg.record_schedule ?admission ~work_per_update
+      ?faults ~breaker ~retry_budget ()
   in
-  let spike_lo, spike_hi = cfg.spike_window in
   let rate_at t =
-    if t >= spike_lo && t < spike_hi then cfg.base_rate *. cfg.spike_mult
-    else cfg.base_rate
+    if t >= spike_lo && t < spike_hi then base_rate *. cfg.spike_mult
+    else base_rate
   in
   (* Open loop: arrivals keep coming at the offered rate whether or not
      the service keeps up — the regime where an unprotected server
@@ -134,7 +120,7 @@ let run cfg =
      immediate fate if it never got a ticket). *)
   let arrivals = ref [] in
   let io_failures = ref 0 in
-  let next = ref (U.Xorshift.exponential rng ~mean:(1.0 /. cfg.base_rate)) in
+  let next = ref (U.Xorshift.exponential rng ~mean:(1.0 /. base_rate)) in
   while !next < cfg.duration do
     let at = !next in
     (* Open loop: the arrival happened at [at] whether the service was
@@ -146,23 +132,13 @@ let run cfg =
     let arrival = at in
     let deadline = O.Deadline.make ~now:arrival ~budget:cfg.deadline_budget in
     let priority =
-      if U.Xorshift.float rng 1.0 < cfg.analytic_fraction then O.Analytic
+      if U.Xorshift.float rng 1.0 < analytic_fraction then O.Analytic
       else O.Oltp
     in
-    let a = U.Xorshift.zipf rng ~n:cfg.nrecords ~theta:0.8 in
-    let b = (a + 1 + U.Xorshift.int rng (cfg.nrecords - 1)) mod cfg.nrecords in
+    let a = U.Xorshift.zipf rng ~n:nrecords ~theta:0.8 in
+    let b = (a + 1 + U.Xorshift.int rng (nrecords - 1)) mod nrecords in
     let delta = 1 + U.Xorshift.int rng 100 in
-    let updates =
-      if cfg.updates_per_txn <= 2 then [ (a, delta); (b, -delta) ]
-      else
-        (* wider transactions still conserve money pairwise *)
-        List.concat
-          (List.init (cfg.updates_per_txn / 2) (fun i ->
-               let x = (a + (2 * i)) mod cfg.nrecords in
-               let y = (b + (2 * i)) mod cfg.nrecords in
-               if x = y then [ (x, 0) ]
-               else [ (x, delta); (y, -delta) ]))
-    in
+    let updates = [ (a, delta); (b, -delta) ] in
     (* Without enforcement the service never aborts expired work — the
        deadline exists only in the client's eyes (lateness), which is
        what lets the backlog snowball: the collapse control. *)
@@ -261,7 +237,7 @@ let run cfg =
   in
   let money =
     let sum = ref 0 in
-    for s = 0 to cfg.nrecords - 1 do
+    for s = 0 to nrecords - 1 do
       sum := !sum + Txn_db.balance db s
     done;
     !sum = 0
@@ -301,10 +277,7 @@ let run cfg =
     breaker_trips = O.Breaker.trips breaker;
     breaker_reopens = O.Breaker.reopens breaker;
     breaker_final =
-      (match O.Breaker.state breaker ~now:(Txn_db.now db) with
-      | O.Breaker.Closed -> "closed"
-      | O.Breaker.Open -> "open"
-      | O.Breaker.Half_open -> "half-open");
+      O.Breaker.state_name (O.Breaker.state breaker ~now:(Txn_db.now db));
     buckets;
     money_conserved = money;
     audit_errors;

@@ -12,33 +12,26 @@
 
 type config = {
   seed : int;
-  nrecords : int;
   duration : float;  (** simulated seconds of arrivals *)
-  base_rate : float;  (** offered arrivals/second outside the spike *)
-  spike_mult : float;  (** rate multiplier inside [spike_window] *)
-  spike_window : float * float;
+  spike_mult : float;  (** rate multiplier inside the [1, 2) s spike *)
   deadline_budget : float;  (** per-transaction time budget, seconds *)
-  analytic_fraction : float;  (** fraction of arrivals in the analytic class *)
-  updates_per_txn : int;
-  work_per_update : float;  (** simulated CPU seconds per applied update *)
   admission : bool;  (** arm the admission controller *)
   enforce_deadlines : bool;
       (** abort expired transactions in the service (OVLD004/6); when
           off, deadlines exist only in the client's eyes — late commits
           still count against goodput, and nothing stops the backlog
           from snowballing (the collapse control) *)
-  rate_limit : float;  (** token-bucket refill rate (admitted txns/s) *)
-  burst : float;  (** token-bucket capacity *)
-  max_lag : float;  (** admission's log-backlog bound, seconds *)
   storm : bool;  (** arm the [storm] fault spec (transient log faults) *)
-  retry_budget : int option;  (** per-transaction transient-retry budget *)
-  strategy : Mmdb_recovery.Wal.strategy;
   record_schedule : bool;  (** audit the run with Txn_check afterwards *)
 }
 
 val default_config : config
-(** 3 s at 700/s with a 10x spike in [1,2) s, 50 ms deadlines, 15%
-    analytic, admission armed at 900/s, no storm, group commit. *)
+(** 3 s with a 10x spike, 50 ms deadlines, admission and deadlines
+    armed, no storm.  The rest of the workload is fixed: 512 accounts,
+    700 arrivals/s outside the spike, 15% analytic, two updates of
+    250 us each per transaction, admission at 900/s with a 64-token
+    burst and a 50 ms log-backlog bound, a per-transaction budget of 8
+    transient retries, group commit. *)
 
 type bucket = {
   b_start : float;
@@ -78,4 +71,4 @@ type outcome = {
 val run : config -> outcome
 (** Drive one open-loop run and classify every arrival: goodput, late,
     shed (by OVLD code), timed out, or lost to I/O.
-    @raise Invalid_argument on a non-positive duration or base rate. *)
+    @raise Invalid_argument on a non-positive duration. *)

@@ -151,7 +151,6 @@ let transact ?(priority = O.Oltp) ?deadline t updates =
   (match t.admission with
   | Some a ->
     O.Admission.admit a ~now:at ~priority ~lag:(log_lag t)
-      ~inflight:(R.Txn.unretired t.kernel)
   | None -> ());
   let txn = t.next_txn in
   t.next_txn <- txn + 1;

@@ -182,7 +182,7 @@ let group_count rel =
         ());
   Hashtbl.length seen
 
-let hybrid ~mem_pages ~fudge ?(seed = 0xa66) rel specs =
+let hybrid ~mem_pages ~fudge rel specs =
   if mem_pages <= 1 then invalid_arg "Aggregate.hybrid: mem_pages <= 1";
   let schema = S.Relation.schema rel in
   let env = S.Relation.env rel in
@@ -191,7 +191,7 @@ let hybrid ~mem_pages ~fudge ?(seed = 0xa66) rel specs =
     S.Relation.create ~disk:(S.Relation.disk rel)
       ~name:(S.Relation.name rel ^ ".agg") ~schema:out_schema
   in
-  let hash = Hash_fn.create ~env ~schema ~seed in
+  let hash = Hash_fn.create ~env ~schema ~seed:0xa66 in
   (* Groups needed ~= distinct keys; bound by input pages.  Partition so
      each bucket's group table fits: B as in the hybrid join, treating the
      input as R. *)

@@ -26,7 +26,7 @@ val one_pass : Mmdb_storage.Relation.t -> spec list -> Mmdb_storage.Relation.t
     in memory.  Input scan is free (first read); result writes are
     charged. *)
 
-val hybrid : mem_pages:int -> fudge:float -> ?seed:int ->
+val hybrid : mem_pages:int -> fudge:float ->
   Mmdb_storage.Relation.t -> spec list -> Mmdb_storage.Relation.t
 (** Hybrid-hash aggregation for results larger than memory: partition the
     input by group-key hash into partitions whose group tables fit, then

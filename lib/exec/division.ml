@@ -1,6 +1,6 @@
 module S = Mmdb_storage
 
-let divide ~mem_pages ~fudge ?(seed = 0xd1f) ~divisor_col r s =
+let divide ~mem_pages ~fudge ~divisor_col r s =
   if mem_pages <= 1 then invalid_arg "Division.divide: mem_pages <= 1";
   let r_schema = S.Relation.schema r in
   let s_schema = S.Relation.schema s in
@@ -99,7 +99,7 @@ let divide ~mem_pages ~fudge ?(seed = 0xd1f) ~divisor_col r s =
         S.Env.charge_hash env;
         let q = Bytes.to_string (project_quotient tuple) in
         (* perf_lint: the seeded structural hash IS the partition function *)
-        let i = (Hashtbl.hash (q, seed) land max_int) mod b in
+        let i = (Hashtbl.hash (q, 0xd1f) land max_int) mod b in
         S.Env.charge_move env;
         S.Relation.append buckets.(i) tuple);
     Array.iter S.Relation.seal buckets;

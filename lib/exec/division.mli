@@ -12,7 +12,7 @@
     table would overflow memory, and a group is emitted once its divisor
     set covers S. *)
 
-val divide : mem_pages:int -> fudge:float -> ?seed:int ->
+val divide : mem_pages:int -> fudge:float ->
   divisor_col:string -> Mmdb_storage.Relation.t ->
   Mmdb_storage.Relation.t -> Mmdb_storage.Relation.t
 (** [divide ~divisor_col r s] — [divisor_col] names the column of [r]

@@ -1,12 +1,12 @@
 module S = Mmdb_storage
 
-let join ~mem_pages ~fudge ?(seed = 0x6ace) r s emit =
+let join ~mem_pages ~fudge r s emit =
   if mem_pages <= 0 then invalid_arg "Grace_hash.join: mem_pages <= 0";
   let r_schema = S.Relation.schema r and s_schema = S.Relation.schema s in
   Join_common.check_joinable r_schema s_schema;
   let env = S.Relation.env r in
-  let hash_r = Hash_fn.create ~env ~schema:r_schema ~seed in
-  let hash_s = Hash_fn.create ~env ~schema:s_schema ~seed in
+  let hash_r = Hash_fn.create ~env ~schema:r_schema ~seed:0x6ace in
+  let hash_s = Hash_fn.create ~env ~schema:s_schema ~seed:0x6ace in
   (* The paper partitions into |M| sets (one output buffer per set).  We
      cap the count at what phase 2 actually needs — enough sets that each
      R_i's hash table fits in memory, with 2x slack for skew — so a huge

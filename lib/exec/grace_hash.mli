@@ -7,7 +7,7 @@
     original proposal's hardware sorter in phase 2 "to provide a fair
     comparison". *)
 
-val join : mem_pages:int -> fudge:float -> ?seed:int ->
+val join : mem_pages:int -> fudge:float ->
   Mmdb_storage.Relation.t -> Mmdb_storage.Relation.t ->
   Join_common.emit -> int
 (** [join ~mem_pages ~fudge r s emit] returns the emitted-pair count.

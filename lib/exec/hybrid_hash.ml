@@ -75,7 +75,7 @@ let rec join_rec ~mem_pages ~fudge ~seed ~depth ~scan r s emit =
   Partition.free sb;
   !count
 
-let join ~mem_pages ~fudge ?(seed = 0xb1d) r s emit =
+let join ~mem_pages ~fudge r s emit =
   if mem_pages <= 1 then invalid_arg "Hybrid_hash.join: mem_pages <= 1";
   Join_common.check_joinable (S.Relation.schema r) (S.Relation.schema s);
-  join_rec ~mem_pages ~fudge ~seed ~depth:0 ~scan:Partition.Free r s emit
+  join_rec ~mem_pages ~fudge ~seed:0xb1d ~depth:0 ~scan:Partition.Free r s emit

@@ -15,7 +15,7 @@ val partitions : mem_pages:int -> fudge:float -> r_pages:int -> int
 val q_fraction : mem_pages:int -> fudge:float -> r_pages:int -> float
 (** [q = ((|M| − B)/F) / |R|], clamped to [\[0, 1\]]. *)
 
-val join : mem_pages:int -> fudge:float -> ?seed:int ->
+val join : mem_pages:int -> fudge:float ->
   Mmdb_storage.Relation.t -> Mmdb_storage.Relation.t ->
   Join_common.emit -> int
 (** [join ~mem_pages ~fudge r s emit] returns the emitted-pair count.

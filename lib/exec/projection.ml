@@ -81,7 +81,7 @@ let sort_distinct ~mem_pages ~cols rel =
   S.Relation.seal out;
   out
 
-let distinct ~mem_pages ~fudge ?(seed = 0xd15) ~cols rel =
+let distinct ~mem_pages ~fudge ~cols rel =
   if mem_pages <= 1 then invalid_arg "Projection.distinct: mem_pages <= 1";
   let schema = S.Relation.schema rel in
   let env = S.Relation.env rel in
@@ -106,7 +106,7 @@ let distinct ~mem_pages ~fudge ?(seed = 0xd15) ~cols rel =
   let hash_whole tuple =
     S.Env.charge_hash env;
     (* perf_lint: the seeded structural hash IS the dedup hash function *)
-    Hashtbl.hash (Bytes.to_string tuple, seed)
+    Hashtbl.hash (Bytes.to_string tuple, 0xd15)
   in
   let emit_unique seen tuple =
     let k = Bytes.to_string tuple in

@@ -18,7 +18,7 @@ val projector : Mmdb_storage.Schema.t -> cols:string list ->
 (** [projector schema ~cols out_schema] is the byte-level row projector
     matching {!project_schema} (shared with {!Division}). *)
 
-val distinct : mem_pages:int -> fudge:float -> ?seed:int ->
+val distinct : mem_pages:int -> fudge:float ->
   cols:string list -> Mmdb_storage.Relation.t -> Mmdb_storage.Relation.t
 (** [distinct ~mem_pages ~fudge ~cols rel] materialises the
     duplicate-free projection.  Charges: one [move] per input tuple (the

@@ -9,13 +9,13 @@ let check_compatible l r =
 (* Partition a relation into [b] buckets by a hash of the whole tuple
    (charged: hash + move per spilled tuple, page writes in [write_mode]).
    [b = 0] keeps everything in memory. *)
-let split_whole env ~seed ~b ~write_mode rel suffix =
+let split_whole env ~b ~write_mode rel suffix =
   let schema = S.Relation.schema rel in
   let disk = S.Relation.disk rel in
   let hash_whole tuple =
     S.Env.charge_hash env;
     (* perf_lint: the seeded structural hash IS the partition function *)
-    Hashtbl.hash (Bytes.to_string tuple, seed)
+    Hashtbl.hash (Bytes.to_string tuple, 0x5e7)
   in
   if b = 0 then begin
     let acc = ref [] in
@@ -46,7 +46,7 @@ let split_whole env ~seed ~b ~write_mode rel suffix =
 
 type mode = Union | Intersection | Difference
 
-let run mode ~mem_pages ~fudge ~seed l r =
+let run mode ~mem_pages ~fudge l r =
   if mem_pages <= 1 then invalid_arg "Set_ops: mem_pages <= 1";
   check_compatible l r;
   let env = S.Relation.env l in
@@ -90,8 +90,8 @@ let run mode ~mem_pages ~fudge ~seed l r =
     | Union -> List.iter emit r_tuples
     | Intersection | Difference -> ()
   in
-  let mem_l, disk_l = split_whole env ~seed ~b ~write_mode l "u" in
-  let mem_r, disk_r = split_whole env ~seed ~b ~write_mode r "v" in
+  let mem_l, disk_l = split_whole env ~b ~write_mode l "u" in
+  let mem_r, disk_r = split_whole env ~b ~write_mode r "v" in
   if b = 0 then resolve mem_l.(0) mem_r.(0)
   else
     for i = 0 to b - 1 do
@@ -118,11 +118,11 @@ let run mode ~mem_pages ~fudge ~seed l r =
   S.Relation.seal out;
   out
 
-let union ~mem_pages ~fudge ?(seed = 0x5e7) l r =
-  run Union ~mem_pages ~fudge ~seed l r
+let union ~mem_pages ~fudge l r =
+  run Union ~mem_pages ~fudge l r
 
-let intersection ~mem_pages ~fudge ?(seed = 0x5e7) l r =
-  run Intersection ~mem_pages ~fudge ~seed l r
+let intersection ~mem_pages ~fudge l r =
+  run Intersection ~mem_pages ~fudge l r
 
-let difference ~mem_pages ~fudge ?(seed = 0x5e7) l r =
-  run Difference ~mem_pages ~fudge ~seed l r
+let difference ~mem_pages ~fudge l r =
+  run Difference ~mem_pages ~fudge l r

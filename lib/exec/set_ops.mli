@@ -9,17 +9,17 @@
     Inputs must be byte-compatible: equal tuple widths (column names may
     differ; the left schema names the result). *)
 
-val union : mem_pages:int -> fudge:float -> ?seed:int ->
+val union : mem_pages:int -> fudge:float ->
   Mmdb_storage.Relation.t -> Mmdb_storage.Relation.t ->
   Mmdb_storage.Relation.t
 (** Distinct tuples present in either input. *)
 
-val intersection : mem_pages:int -> fudge:float -> ?seed:int ->
+val intersection : mem_pages:int -> fudge:float ->
   Mmdb_storage.Relation.t -> Mmdb_storage.Relation.t ->
   Mmdb_storage.Relation.t
 (** Distinct tuples present in both inputs. *)
 
-val difference : mem_pages:int -> fudge:float -> ?seed:int ->
+val difference : mem_pages:int -> fudge:float ->
   Mmdb_storage.Relation.t -> Mmdb_storage.Relation.t ->
   Mmdb_storage.Relation.t
 (** Distinct tuples of the left input absent from the right. *)

@@ -5,14 +5,14 @@ let passes ~mem_pages ~fudge ~r_pages =
     (int_of_float
        (Float.ceil (float_of_int r_pages *. fudge /. float_of_int mem_pages)))
 
-let join ~mem_pages ~fudge ?(seed = 0x51) r s emit =
+let join ~mem_pages ~fudge r s emit =
   if mem_pages <= 0 then invalid_arg "Simple_hash.join: mem_pages <= 0";
   let r_schema = S.Relation.schema r and s_schema = S.Relation.schema s in
   Join_common.check_joinable r_schema s_schema;
   let env = S.Relation.env r in
   let disk = S.Relation.disk r in
-  let hash_r = Hash_fn.create ~env ~schema:r_schema ~seed in
-  let hash_s = Hash_fn.create ~env ~schema:s_schema ~seed in
+  let hash_r = Hash_fn.create ~env ~schema:r_schema ~seed:0x51 in
+  let hash_s = Hash_fn.create ~env ~schema:s_schema ~seed:0x51 in
   let table =
     Hash_table.create ~env ~schema:r_schema
       ~tuples_per_page:(S.Relation.tuples_per_page r)

@@ -6,7 +6,7 @@
     later passes repeat on the passed-over files until R is exhausted.
     [A = ⌈|R|·F / |M|⌉] passes result. *)
 
-val join : mem_pages:int -> fudge:float -> ?seed:int ->
+val join : mem_pages:int -> fudge:float ->
   Mmdb_storage.Relation.t -> Mmdb_storage.Relation.t ->
   Join_common.emit -> int
 (** [join ~mem_pages ~fudge r s emit] returns the emitted-pair count.

@@ -1,11 +1,12 @@
 module S = Mmdb_storage
 module U = Mmdb_util
 
-let join ~mem_pages ~fudge ?(seed = 0x3a) r s emit =
+let join ~mem_pages ~fudge r s emit =
   if mem_pages <= 0 then invalid_arg "Vm_hash.join: mem_pages <= 0";
   let r_schema = S.Relation.schema r and s_schema = S.Relation.schema s in
   Join_common.check_joinable r_schema s_schema;
   let env = S.Relation.env r in
+  let seed = 0x3a in
   let rng = U.Xorshift.create seed in
   let hash_r = Hash_fn.create ~env ~schema:r_schema ~seed in
   let hash_s = Hash_fn.create ~env ~schema:s_schema ~seed in

@@ -15,7 +15,7 @@
     paging once R outgrows memory — the implicit answer the paper's
     algorithm choice presumes. *)
 
-val join : mem_pages:int -> fudge:float -> ?seed:int ->
+val join : mem_pages:int -> fudge:float ->
   Mmdb_storage.Relation.t -> Mmdb_storage.Relation.t ->
   Join_common.emit -> int
 (** [join ~mem_pages ~fudge r s emit] builds the full hash table over R

@@ -7,15 +7,6 @@ type site =
   | Stable_crash
   | Snapshot
 
-let site_name = function
-  | Disk_read -> "disk.read"
-  | Disk_write -> "disk.write"
-  | Pool_frame -> "pool.frame"
-  | Log_write -> "log.write"
-  | Log_read -> "log.read"
-  | Stable_crash -> "stable.crash"
-  | Snapshot -> "snapshot"
-
 type kind =
   | Torn_write
   | Bit_flip_read

@@ -21,8 +21,6 @@ type site =
   | Stable_crash  (** battery-backed stable memory at crash time *)
   | Snapshot  (** checkpoint snapshot page at rest *)
 
-val site_name : site -> string
-
 type kind =
   | Torn_write
       (** the page write in flight at the crash persists only a prefix;
@@ -84,8 +82,6 @@ val io_error : code:string -> site:string -> string -> 'a
 
 val unrecoverable : code:string -> site:string -> string -> 'a
 (** @raise Unrecoverable always (this is the raising helper). *)
-
-val error_to_string : error -> string
 
 val code_catalogue : (string * string) list
 (** Every stable FAULT code with a one-line description. *)

@@ -127,18 +127,11 @@ let event_counts t =
   Hashtbl.fold (fun code n acc -> (code, n) :: acc) tbl []
   |> List.sort compare
 
-(* The device retry curve now lives in {!Overload.Retry}: one policy
-   shared by every backoff loop.  [Retry.device] reproduces the legacy
-   linear curve (attempt * 1 ms, 3 attempts) exactly, so torture and
-   bench expectations keyed to those waits are unchanged. *)
-let retry_policy = Overload.Retry.device
-let max_io_retries = Overload.Retry.max_attempts retry_policy
-
-let retry_backoff ~attempt =
-  if attempt <= 0 then invalid_arg "Fault_plan.retry_backoff: attempt <= 0";
-  Overload.Retry.backoff retry_policy ~attempt
-
-let retry_budget t = t.plan_budget
+(* The device retry curve lives in {!Overload.Retry}, the one curve every
+   backoff loop shares: linear (attempt * 1 ms, 3 attempts), so torture
+   and bench expectations keyed to those waits are unchanged. *)
+let max_io_retries = Overload.Retry.max_attempts
+let retry_backoff = Overload.Retry.backoff
 let set_retry_budget t b = t.plan_budget <- b
 
 (* The one transient-riding loop, shared by the simulated disk and the
@@ -150,7 +143,7 @@ let set_retry_budget t b = t.plan_budget <- b
 let ride_transient t ~site ~failures ~attempt =
   note_injected t ~code:"FAULT003" ~site
     (Printf.sprintf "%d transient failure(s)" failures);
-  Overload.Retry.ride retry_policy ?budget:t.plan_budget ~site ~failures
+  Overload.Retry.ride ?budget:t.plan_budget ~site ~failures
     ~attempt:(fun ~attempt:i ~backoff ->
       attempt ~attempt:i ~backoff;
       note_retried t ~backoff)

@@ -70,21 +70,15 @@ val events : t -> Fault.error list
 val event_counts : t -> (string * int) list
 (** Events grouped by FAULT code, ascending code order. *)
 
-val retry_policy : Mmdb_overload.Overload.Retry.policy
-(** The device retry policy ({!Mmdb_overload.Overload.Retry.device}):
-    linear [attempt * 1 ms], three attempts — the single source of the
-    values below. *)
-
 val max_io_retries : int
 (** Per-fault attempt cap shared by all instrumented sites
-    ([Retry.max_attempts retry_policy]). *)
+    ({!Mmdb_overload.Overload.Retry.max_attempts}: 3). *)
 
 val retry_backoff : attempt:int -> float
 (** Simulated-clock backoff before retry [attempt] (1-based): linear,
-    [attempt * 1 ms] ([Retry.backoff retry_policy]).
+    [attempt * 1 ms] ({!Mmdb_overload.Overload.Retry.backoff}).
     @raise Invalid_argument if [attempt <= 0]. *)
 
-val retry_budget : t -> Mmdb_overload.Overload.Retry.budget option
 val set_retry_budget : t -> Mmdb_overload.Overload.Retry.budget option -> unit
 (** Install (or clear) a per-transaction retry budget.  Every device
     riding transients through this plan drains the same budget, so a

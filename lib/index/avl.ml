@@ -5,7 +5,6 @@ let nil = -1
 type t = {
   env : S.Env.t;
   schema : S.Schema.t;
-  y_factor : float;
   mutable tuples : bytes array;
   mutable left : int array;
   mutable right : int array;
@@ -17,11 +16,10 @@ type t = {
   mutable visit : (int -> unit) option;
 }
 
-let create ?(y_factor = 1.0) ~env ~schema () =
+let create ~env ~schema () =
   {
     env;
     schema;
-    y_factor;
     tuples = [||];
     left = [||];
     right = [||];
@@ -41,11 +39,11 @@ let set_visit_hook t hook = t.visit <- hook
 
 let touch t n = match t.visit with Some f -> f n | None -> ()
 
-(* An AVL comparison costs Y * comp (Section 2). *)
+(* An AVL comparison costs comp: Section 2's Y taken as 1. *)
 let charge_comp t =
   t.env.S.Env.counters.S.Counters.comparisons <-
     t.env.S.Env.counters.S.Counters.comparisons + 1;
-  S.Sim_clock.advance t.env.S.Env.clock (t.y_factor *. t.env.S.Env.cost.S.Cost.comp)
+  S.Sim_clock.advance t.env.S.Env.clock t.env.S.Env.cost.S.Cost.comp
 
 let h t n = if n = nil then 0 else t.heights.(n)
 

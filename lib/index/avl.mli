@@ -9,15 +9,13 @@
     root-to-leaf path sits on a different page.
 
     Keys are the schema's key field; key comparisons are charged to the
-    environment ([comp], scaled by the [y_factor] — the paper's [Y ≤ 1]
-    allowing an AVL comparison to be cheaper than a B+-tree's
-    within-page search).  Duplicate-key inserts replace the stored tuple. *)
+    environment at the full [comp], i.e. the paper's [Y = 1] (its [Y ≤ 1]
+    would let an AVL comparison be cheaper than a B+-tree's within-page
+    search).  Duplicate-key inserts replace the stored tuple. *)
 
 type t
 
-val create : ?y_factor:float -> env:Mmdb_storage.Env.t ->
-  schema:Mmdb_storage.Schema.t -> unit -> t
-(** [y_factor] defaults to 1.0. *)
+val create : env:Mmdb_storage.Env.t -> schema:Mmdb_storage.Schema.t -> unit -> t
 
 val env : t -> Mmdb_storage.Env.t
 val schema : t -> Mmdb_storage.Schema.t

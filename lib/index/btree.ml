@@ -83,7 +83,10 @@ let new_internal t =
          children = Array.make (t.fanout + 1) nil;
        })
 
-let create ~env ~schema ?(page_size = 4096) ?(pointer_width = 4) () =
+(* The paper's [s]: bytes per child pointer. *)
+let pointer_width = 4
+
+let create ~env ~schema ?(page_size = 4096) () =
   let k = S.Schema.key_width schema in
   let tw = S.Schema.tuple_width schema in
   let fanout = page_size / (k + pointer_width) in
@@ -619,11 +622,10 @@ let chunk_sizes ~n ~target ~minimum =
     | _ -> sizes
   end
 
-let bulk_load ~env ~schema ?(page_size = 4096) ?(pointer_width = 4)
-    ?(occupancy = 1.0) tuples =
+let bulk_load ~env ~schema ?(page_size = 4096) ?(occupancy = 1.0) tuples =
   if occupancy <= 0.5 || occupancy > 1.0 then
     invalid_arg "Btree.bulk_load: occupancy outside (0.5, 1.0]";
-  let t = create ~env ~schema ~page_size ~pointer_width () in
+  let t = create ~env ~schema ~page_size () in
   (* Validate ordering. *)
   let rec check_sorted = function
     | a :: (b :: _ as rest) ->

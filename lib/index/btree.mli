@@ -14,14 +14,15 @@
 type t
 
 val create : env:Mmdb_storage.Env.t -> schema:Mmdb_storage.Schema.t ->
-  ?page_size:int -> ?pointer_width:int -> unit -> t
-(** [page_size] defaults to the paper's 4096; [pointer_width] (the paper's
-    [s]) to 4.  Capacities derive from the schema's key/tuple widths.
+  ?page_size:int -> unit -> t
+(** [page_size] defaults to the paper's 4096; the pointer width (the
+    paper's [s]) is 4 bytes.  Capacities derive from the schema's key/tuple
+    widths.
     @raise Invalid_argument if the derived fanout is below 3 or leaf
     capacity below 2. *)
 
 val bulk_load : env:Mmdb_storage.Env.t -> schema:Mmdb_storage.Schema.t ->
-  ?page_size:int -> ?pointer_width:int -> ?occupancy:float ->
+  ?page_size:int -> ?occupancy:float ->
   bytes list -> t
 (** [bulk_load ~env ~schema tuples] builds a tree bottom-up from
     key-sorted, duplicate-free [tuples], filling nodes to [occupancy]

@@ -8,8 +8,8 @@
     A plain BST over tuples, nodes kept in allocation order (the order
     {!Pager} packs {!Avl} nodes into pages).  No rebalancing:
     random insertion gives ~1.39·log2 n expected comparisons, but sorted
-    insertion degrades to a linked list — the bench quantifies the
-    footnote. *)
+    insertion degrades to a linked list, the footnote's point
+    ([test_index] checks both heights). *)
 
 type t
 

@@ -35,6 +35,8 @@ let sort_ops ~mem_pages i =
     rand_ios = (if nruns > 1 then p else 0.0);
   }
 
+(* [(B, q)] as in the hybrid join: disk-partition count and resident
+   fraction for an input of [pages] pages. *)
 let spill_fraction ~mem_pages ~fudge ~pages =
   let b =
     let rf = fi pages *. fudge in
@@ -97,24 +99,6 @@ let distinct_ops ~mem_pages ~fudge ~distinct ~out_tuples_per_page i =
     rand_ios = (if b > 1 then p *. spill else 0.0);
   }
 
-let sort_distinct_ops ~mem_pages ~distinct ~out_tuples_per_page i =
-  let n = fi i.tuples in
-  let out_pages =
-    fi (pages_of ~tuples:distinct ~tuples_per_page:out_tuples_per_page)
-  in
-  let sort = sort_ops ~mem_pages i in
-  JM.add_ops sort
-    {
-      (* Projector move per tuple; run-boundary comp plus seen-table comp
-         per sorted tuple; deduped output written sequentially. *)
-      JM.comps = 2.0 *. n;
-      hashes = 0.0;
-      moves = n;
-      swaps = 0.0;
-      seq_ios = out_pages;
-      rand_ios = 0.0;
-    }
-
 type set_op_kind = Union | Intersection | Difference
 
 let set_op_ops ~mem_pages ~fudge ~kind ~out_tuples ~out_tuples_per_page l r =
@@ -145,39 +129,4 @@ let set_op_ops ~mem_pages ~fudge ~kind ~out_tuples ~out_tuples_per_page l r =
       +. (if b <= 1 then pages *. spill else 0.0)
       +. out_pages;
     rand_ios = (if b > 1 then pages *. spill else 0.0);
-  }
-
-let division_ops ~mem_pages ~fudge ~quotient_groups ~out_tuples_per_page
-    ~divisor r =
-  let nr = fi r.tuples and ns = fi divisor.tuples in
-  let p = fi r.pages in
-  let b, _q = spill_fraction ~mem_pages ~fudge ~pages:r.pages in
-  let spill = if b = 0 then 0.0 else 1.0 in
-  let out_pages =
-    fi (pages_of ~tuples:quotient_groups ~tuples_per_page:out_tuples_per_page)
-  in
-  {
-    (* One divisor-membership comp per dividend tuple. *)
-    JM.comps = nr;
-    (* Divisor keys hashed once; each dividend tuple hashes its quotient
-       (again at the split when partitioned). *)
-    hashes = ns +. nr +. (nr *. spill);
-    moves = fi quotient_groups +. (nr *. spill);
-    swaps = 0.0;
-    seq_ios =
-      (p *. spill)
-      +. (if b <= 1 then p *. spill else 0.0)
-      +. out_pages;
-    rand_ios = (if b > 1 then p *. spill else 0.0);
-  }
-
-let nested_loop_ops outer inner =
-  {
-    JM.comps = fi outer.tuples *. fi inner.tuples;
-    hashes = 0.0;
-    moves = 0.0;
-    swaps = 0.0;
-    (* The inner relation is rescanned once per outer tuple. *)
-    seq_ios = fi outer.tuples *. fi inner.pages;
-    rand_ios = 0.0;
   }

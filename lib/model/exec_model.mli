@@ -1,7 +1,6 @@
 (** Per-term cost predictions for the executable operators that the four
     join formulas of {!Join_model} do not cover: external sort,
-    aggregation, duplicate elimination, set operations, division and
-    nested loops.
+    aggregation, duplicate elimination and set operations.
 
     Each function extends the paper's Section 3 accounting conventions
     (comps/hashes/moves/swaps, sequential vs random page transfers;
@@ -22,13 +21,6 @@ val input : tuples:int -> pages:int -> tuples_per_page:int -> input
 
 val pages_of : tuples:int -> tuples_per_page:int -> int
 (** [⌈tuples / tuples_per_page⌉]. *)
-
-val expected_runs : mem_pages:int -> pages:int -> int
-(** Replacement-selection run count: [⌈pages / 2|M|⌉]. *)
-
-val spill_fraction : mem_pages:int -> fudge:float -> pages:int -> int * float
-(** [(B, q)] as in the hybrid join: disk-partition count and resident
-    fraction for an input of [pages] pages. *)
 
 val sort_ops : mem_pages:int -> input -> Join_model.ops
 (** External sort: run formation + n-way merge + run and output I/O. *)
@@ -54,11 +46,6 @@ val distinct_ops :
 (** Hybrid hash duplicate elimination; [input] describes the projected
     staging relation (narrower tuples, fewer pages than the source). *)
 
-val sort_distinct_ops :
-  mem_pages:int -> distinct:int -> out_tuples_per_page:int -> input ->
-  Join_model.ops
-(** Sort-based duplicate elimination: project, external-sort, scan. *)
-
 type set_op_kind = Union | Intersection | Difference
 
 val set_op_ops :
@@ -71,19 +58,3 @@ val set_op_ops :
   input ->
   Join_model.ops
 (** Partitioned-hash set operation over left and right inputs. *)
-
-val division_ops :
-  mem_pages:int ->
-  fudge:float ->
-  quotient_groups:int ->
-  out_tuples_per_page:int ->
-  divisor:input ->
-  input ->
-  Join_model.ops
-(** Hash division: divisor key set resident, dividend grouped by quotient
-    (partitioned hybrid-style when it overflows memory). *)
-
-val nested_loop_ops : input -> input -> Join_model.ops
-(** [nested_loop_ops outer inner]: the charged nested-loops baseline —
-    one comparison per tuple pair, the inner relation rescanned per outer
-    tuple. *)

@@ -37,16 +37,6 @@ let add_ops a b =
     rand_ios = a.rand_ios +. b.rand_ios;
   }
 
-let scale_ops k a =
-  {
-    comps = k *. a.comps;
-    hashes = k *. a.hashes;
-    moves = k *. a.moves;
-    swaps = k *. a.swaps;
-    seq_ios = k *. a.seq_ios;
-    rand_ios = k *. a.rand_ios;
-  }
-
 let seconds (c : C.t) o =
   (o.comps *. c.C.comp) +. (o.hashes *. c.C.hash) +. (o.moves *. c.C.move)
   +. (o.swaps *. c.C.swap)

@@ -31,7 +31,6 @@ type ops = {
 
 val zero_ops : ops
 val add_ops : ops -> ops -> ops
-val scale_ops : float -> ops -> ops
 
 val seconds : Mmdb_storage.Cost.t -> ops -> float
 (** Price an operation vector in simulated seconds. *)

@@ -90,14 +90,6 @@ val replay_terms :
 
 val replay_seconds : replay_terms -> float
 
-val value_bytes_per_txn : t -> updates_per_txn:int -> int
-(** Wire bytes a value-logged transaction writes: begin/commit plus a
-    60-byte update record per write. *)
-
-val command_bytes_per_txn : t -> updates_per_txn:int -> int
-(** Wire bytes a command-logged transaction writes: begin/commit plus a
-    20-byte command header and 8 bytes per op. *)
-
 val adaptive_command_wins :
   t -> workers:int -> updates_per_txn:int -> cross_partition:bool -> bool
 (** The adaptive-logging rule: [true] when command logging's predicted

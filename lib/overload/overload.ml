@@ -1,5 +1,3 @@
-module U = Mmdb_util
-
 (* ------------------------------------------------------------------ *)
 (* Typed rejection                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -121,47 +119,16 @@ let pp_tally ppf t =
 (* ------------------------------------------------------------------ *)
 
 module Retry = struct
-  type policy =
-    | Linear of { step : float; max_attempts : int }
-    | Jittered of {
-        base : float;
-        factor : float;
-        cap : float;
-        jitter : float;
-        max_attempts : int;
-      }
-
   (* The device curve predates this module: linear [attempt * 1 ms],
      three attempts.  Its exact values are baked into deterministic
-     torture and bench expectations, so it is a named constant here
-     rather than something each device re-derives. *)
-  let device = Linear { step = 1e-3; max_attempts = 3 }
+     torture and bench expectations, so they are constants here rather
+     than something each device re-derives. *)
+  let step = 1e-3
+  let max_attempts = 3
 
-  let service ?(base = 2e-3) ?(factor = 2.0) ?(cap = 64e-3) ?(jitter = 0.5)
-      ?(max_attempts = 4) () =
-    if base <= 0.0 then invalid_arg "Retry.service: base <= 0";
-    if factor < 1.0 then invalid_arg "Retry.service: factor < 1";
-    if cap < base then invalid_arg "Retry.service: cap < base";
-    if jitter < 0.0 || jitter > 1.0 then
-      invalid_arg "Retry.service: jitter outside [0, 1]";
-    if max_attempts <= 0 then invalid_arg "Retry.service: max_attempts <= 0";
-    Jittered { base; factor; cap; jitter; max_attempts }
-
-  let max_attempts = function
-    | Linear { max_attempts; _ } | Jittered { max_attempts; _ } -> max_attempts
-
-  let backoff ?rng policy ~attempt =
+  let backoff ~attempt =
     if attempt <= 0 then invalid_arg "Retry.backoff: attempt <= 0";
-    match policy with
-    | Linear { step; _ } -> float_of_int attempt *. step
-    | Jittered { base; factor; cap; jitter; _ } ->
-      let raw = Float.min cap (base *. (factor ** float_of_int (attempt - 1))) in
-      let j =
-        match rng with
-        | None -> 0.0
-        | Some rng -> jitter *. raw *. (U.Xorshift.float rng 2.0 -. 1.0)
-      in
-      Float.max 0.0 (raw +. j)
+    float_of_int attempt *. step
 
   type budget = { mutable left : int; size : int }
 
@@ -176,16 +143,13 @@ module Retry = struct
       true
     end
 
-  let remaining b = b.left
-  let size b = b.size
-
   (* The one transient-riding loop shared by the simulated disk and the
      log devices.  [attempt] performs one failed try (charge the device,
      note the retry, wait out [backoff]); [exhausted] must raise the
      caller's typed error.  An optional per-transaction [budget] is
      drained one unit per retry across every device sharing it. *)
-  let ride policy ?budget ?rng ~site ~failures ~attempt ~exhausted () =
-    if failures > max_attempts policy then exhausted ~retries:(max_attempts policy)
+  let ride ?budget ~site ~failures ~attempt ~exhausted () =
+    if failures > max_attempts then exhausted ~retries:max_attempts
     else
       for i = 1 to failures do
         (match budget with
@@ -195,7 +159,7 @@ module Retry = struct
                "per-transaction retry budget (%d) exhausted at attempt %d"
                b.size i)
         | Some _ | None -> ());
-        attempt ~attempt:i ~backoff:(backoff ?rng policy ~attempt:i)
+        attempt ~attempt:i ~backoff:(backoff ~attempt:i)
       done
 end
 
@@ -305,15 +269,6 @@ module Breaker = struct
         true
       end
 
-  let check t ~now ~site =
-    if not (allow t ~now) then
-      shed ~code:"OVLD007" ~site
-        (Printf.sprintf "circuit breaker %s is %s" t.name
-           (state_name t.st))
-
-  let name t = t.name
-  let threshold t = t.threshold
-  let cooldown t = t.cooldown
   let consecutive_failures t = t.consecutive
   let trips t = t.trips
   let probes t = t.probes
@@ -325,22 +280,15 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Deadline = struct
-  type t = { arrival : float; expires : float }
+  type t = { expires : float }
 
   let make ~now ~budget =
     if budget <= 0.0 then invalid_arg "Deadline.make: budget <= 0";
-    { arrival = now; expires = now +. budget }
+    { expires = now +. budget }
 
-  let at expires = { arrival = expires; expires }
-  let arrival t = t.arrival
+  let at expires = { expires }
   let expires t = t.expires
-  let remaining t ~now = t.expires -. now
   let expired t ~now = now > t.expires
-
-  let check t ~now ~code ~site =
-    if expired t ~now then
-      shed ~code ~site
-        (Printf.sprintf "deadline exceeded by %.6fs" (now -. t.expires))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -354,8 +302,6 @@ module Admission = struct
     rate : float;
     burst : float;
     max_lag : float;
-    max_inflight : int;
-    analytic_floor : float;
     mutable tokens : float;
     mutable refilled_at : float;
     mutable breakers : Breaker.t list;
@@ -363,20 +309,18 @@ module Admission = struct
     adm_tally : tally;
   }
 
-  let create ?(rate = 1000.0) ?(burst = 100.0) ?(max_lag = 0.25)
-      ?(max_inflight = max_int) ?(analytic_floor = 0.5) ?tally () =
+  (* The analytic class is shed while fewer than this fraction of
+     [burst] tokens remain. *)
+  let analytic_floor = 0.5
+
+  let create ?(rate = 1000.0) ?(burst = 100.0) ?(max_lag = 0.25) ?tally () =
     if rate <= 0.0 then invalid_arg "Admission.create: rate <= 0";
     if burst < 1.0 then invalid_arg "Admission.create: burst < 1";
     if max_lag <= 0.0 then invalid_arg "Admission.create: max_lag <= 0";
-    if max_inflight <= 0 then invalid_arg "Admission.create: max_inflight <= 0";
-    if analytic_floor < 0.0 || analytic_floor > 1.0 then
-      invalid_arg "Admission.create: analytic_floor outside [0, 1]";
     {
       rate;
       burst;
       max_lag;
-      max_inflight;
-      analytic_floor;
       tokens = burst;
       refilled_at = 0.0;
       breakers = [];
@@ -395,10 +339,6 @@ module Admission = struct
       t.refilled_at <- now
     end
 
-  let tokens t ~now =
-    refill t ~now;
-    t.tokens
-
   let breakers_clear t ~now =
     List.for_all (fun b -> Breaker.state b ~now = Breaker.Closed) t.breakers
 
@@ -406,40 +346,31 @@ module Admission = struct
     note_code t.adm_tally code;
     shed ~code ~site detail
 
-  let admit ?(write = true) ?(lag = 0.0) ?(inflight = 0) t ~now ~priority =
+  let admit ?(lag = 0.0) t ~now ~priority =
     let site = "admission" in
     refill t ~now;
     (match t.mode with
-    | Read_only when write ->
+    | Read_only ->
       reject t ~code:"OVLD009" ~site
         "degraded read-only service: writes rejected until replay completes"
-    | Read_only | Normal -> ());
+    | Normal -> ());
     if priority = Analytic && not (breakers_clear t ~now) then
       reject t ~code:"OVLD007" ~site
         "circuit breaker open: analytic class shed while the device recovers";
     if lag > t.max_lag then
       reject t ~code:"OVLD002" ~site
         (Printf.sprintf "device backlog %.3fs exceeds %.3fs" lag t.max_lag);
-    if inflight >= t.max_inflight then
-      reject t ~code:"OVLD002" ~site
-        (Printf.sprintf "%d transactions in flight (limit %d)" inflight
-           t.max_inflight);
-    if priority = Analytic && t.tokens < t.analytic_floor *. t.burst then
+    if priority = Analytic && t.tokens < analytic_floor *. t.burst then
       reject t ~code:"OVLD003" ~site
         (Printf.sprintf
            "analytic class needs %.0f%% token headroom (%.1f of %.0f left)"
-           (100.0 *. t.analytic_floor) t.tokens t.burst);
+           (100.0 *. analytic_floor) t.tokens t.burst);
     if t.tokens < 1.0 then
       reject t ~code:"OVLD001" ~site
         (Printf.sprintf "token bucket empty (%s arrival shed)"
            (priority_name priority));
     t.tokens <- t.tokens -. 1.0;
     t.adm_tally.admitted <- t.adm_tally.admitted + 1
-
-  let try_admit ?write ?lag ?inflight t ~now ~priority =
-    match admit ?write ?lag ?inflight t ~now ~priority with
-    | () -> Ok ()
-    | exception Shed r -> Error r
 end
 
 (* ------------------------------------------------------------------ *)

@@ -1,9 +1,9 @@
 (** Overload-resilient service layer: typed load shedding, one retry
-    policy for every backoff loop, per-device circuit breakers, deadline
+    curve for every backoff loop, per-device circuit breakers, deadline
     propagation, and token-bucket admission control.
 
     Everything here runs on the simulated clock: callers pass [~now]
-    explicitly, so the module depends only on {!Mmdb_util} and stays
+    explicitly, so the module depends on no other library and stays
     deterministic under seeded workloads.  Rejections are typed — a
     {!Shed} carries an OVLD code from {!code_catalogue} — so harnesses
     can assert exactly why a transaction was turned away; the codes are
@@ -25,8 +25,6 @@ val shed : code:string -> site:string -> string -> 'a
 type priority = Oltp | Analytic
 (** Admission classes: OLTP keeps priority over analytics — under token
     pressure or an open breaker the analytic class sheds first. *)
-
-val priority_name : priority -> string
 
 (** {1 Shared tally}
 
@@ -58,10 +56,9 @@ val tally_diff : after:tally -> before:tally -> tally
 val sheds : tally -> int
 (** Requests turned away before doing work (OVLD001/2/3/7/9). *)
 
-val timeouts : tally -> int
-(** Deadline expiries (OVLD004/5/6). *)
-
 val tally_total : tally -> int
+(** Sheds, deadline expiries (OVLD004/5/6) and exhausted retry budgets. *)
+
 val note_code : tally -> string -> unit
 (** Bump the tally row for an OVLD code (unknown codes are ignored). *)
 
@@ -70,47 +67,17 @@ val pp_tally : Format.formatter -> tally -> unit
 (** {1 Retry} *)
 
 module Retry : sig
-  (** The unified backoff policy.  The two hand-rolled loops in
-      [Disk] and [Log_device] both ride transient faults through
-      {!ride} now, so a per-transaction {!budget} can be shared across
-      devices — previously each device counted retries alone. *)
+  (** The device retry curve: wait [attempt * 1 ms] before retry
+      [attempt], at most 3 retries — exactly
+      {!Mmdb_fault.Fault_plan.retry_backoff}'s values, which
+      deterministic torture expectations depend on.  The disk and the
+      log devices both ride transient faults through {!ride}, so a
+      per-transaction {!budget} can be shared across devices. *)
 
-  type policy =
-    | Linear of { step : float; max_attempts : int }
-        (** wait [attempt * step] before retry [attempt] *)
-    | Jittered of {
-        base : float;
-        factor : float;
-        cap : float;
-        jitter : float;
-        max_attempts : int;
-      }
-        (** seeded jittered exponential: raw wait
-            [min cap (base * factor^(attempt-1))], then +/- [jitter]
-            fraction drawn from the caller's generator *)
+  val max_attempts : int
 
-  val device : policy
-  (** The legacy device curve (linear 1 ms per attempt, 3 attempts) —
-      exactly {!Mmdb_fault.Fault_plan.retry_backoff}'s values, which
-      deterministic torture expectations depend on. *)
-
-  val service :
-    ?base:float ->
-    ?factor:float ->
-    ?cap:float ->
-    ?jitter:float ->
-    ?max_attempts:int ->
-    unit ->
-    policy
-  (** Jittered exponential for service-level (whole-transaction)
-      retries.  Defaults: 2 ms base, doubling, 64 ms cap, 50% jitter,
-      4 attempts. *)
-
-  val max_attempts : policy -> int
-
-  val backoff : ?rng:Mmdb_util.Xorshift.t -> policy -> attempt:int -> float
-  (** Wait before retry [attempt] (1-based).  [rng] feeds the jitter
-      draw; without it jittered policies return the raw curve.
+  val backoff : attempt:int -> float
+  (** Wait before retry [attempt] (1-based).
       @raise Invalid_argument if [attempt <= 0]. *)
 
   type budget
@@ -118,16 +85,9 @@ module Retry : sig
       every device sharing it. *)
 
   val budget : int -> budget
-  val take : budget -> bool
-  (** Consume one retry; [false] when the budget is dry. *)
-
-  val remaining : budget -> int
-  val size : budget -> int
 
   val ride :
-    policy ->
     ?budget:budget ->
-    ?rng:Mmdb_util.Xorshift.t ->
     site:string ->
     failures:int ->
     attempt:(attempt:int -> backoff:float -> unit) ->
@@ -137,7 +97,7 @@ module Retry : sig
   (** Ride out a transient fault that fails [failures] consecutive
       attempts: calls [attempt] once per failed try with its backoff
       (the caller charges the device, notes the retry, and waits on its
-      own clock).  When [failures] exceeds the policy's attempts,
+      own clock).  When [failures] exceeds {!max_attempts},
       [exhausted] is called instead and must raise the caller's typed
       error.
       @raise Shed OVLD008 when the shared [budget] runs dry mid-ride. *)
@@ -180,12 +140,6 @@ module Breaker : sig
   (** Admission-side gate: closed admits, open sheds, half-open admits
       one probe at a time. *)
 
-  val check : t -> now:float -> site:string -> unit
-  (** @raise Shed OVLD007 when {!allow} answers [false]. *)
-
-  val name : t -> string
-  val threshold : t -> int
-  val cooldown : t -> float
   val consecutive_failures : t -> int
   val trips : t -> int
   val probes : t -> int
@@ -206,21 +160,14 @@ module Deadline : sig
   val at : float -> t
   (** A deadline at an absolute instant. *)
 
-  val arrival : t -> float
   val expires : t -> float
-  val remaining : t -> now:float -> float
   val expired : t -> now:float -> bool
-
-  val check : t -> now:float -> code:string -> site:string -> unit
-  (** @raise Shed [code] when expired at [now] (callers pick the stage
-      code: OVLD004 locks, OVLD005 operators, OVLD006 commit). *)
 end
 
 (** {1 Admission control} *)
 
 module Admission : sig
-  (** Token-bucket admission with a backlog/in-flight limiter, priority
-      classes, breaker awareness, and a degraded-mode governor.  All
+  (** Token-bucket admission with a backlog limiter, priority classes, breaker awareness, and a degraded-mode governor.  All
       sheds are typed and land in the shared {!tally}. *)
 
   type mode =
@@ -235,16 +182,13 @@ module Admission : sig
     ?rate:float ->
     ?burst:float ->
     ?max_lag:float ->
-    ?max_inflight:int ->
-    ?analytic_floor:float ->
     ?tally:tally ->
     unit ->
     t
   (** [rate] tokens/s refill up to [burst]; arrivals shed when the
       bucket is empty (OVLD001), when the device backlog exceeds
-      [max_lag] seconds or [max_inflight] commits are unresolved
-      (OVLD002), and — for the analytic class — when fewer than
-      [analytic_floor * burst] tokens remain (OVLD003).
+      [max_lag] seconds (OVLD002), and — for the analytic class — when
+      fewer than half of [burst] tokens remain (OVLD003).
       @raise Invalid_argument on non-positive limits. *)
 
   val tally : t -> tally
@@ -254,29 +198,11 @@ module Admission : sig
 
   val mode : t -> mode
   val set_mode : t -> mode -> unit
-  val tokens : t -> now:float -> float
 
-  val admit :
-    ?write:bool ->
-    ?lag:float ->
-    ?inflight:int ->
-    t ->
-    now:float ->
-    priority:priority ->
-    unit
-  (** Admit one arrival at [now] or shed it.  [lag] is the caller's
-      measure of device backlog (seconds of unflushed work); [inflight]
-      its count of unresolved commits; [write] defaults to [true].
+  val admit : ?lag:float -> t -> now:float -> priority:priority -> unit
+  (** Admit one write arrival at [now] or shed it.  [lag] is the caller's
+      measure of device backlog (seconds of unflushed work).
       @raise Shed with the OVLD code of the first limit hit. *)
-
-  val try_admit :
-    ?write:bool ->
-    ?lag:float ->
-    ?inflight:int ->
-    t ->
-    now:float ->
-    priority:priority ->
-    (unit, reason) result
 end
 
 val code_catalogue : (string * string) list

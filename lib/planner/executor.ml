@@ -139,9 +139,9 @@ let node_output ~recurse catalog cfg plan =
     let r = recurse catalog cfg right in
     let f =
       match op with
-      | Algebra.Union -> E.Set_ops.union ?seed:None
-      | Algebra.Intersect -> E.Set_ops.intersection ?seed:None
-      | Algebra.Except -> E.Set_ops.difference ?seed:None
+      | Algebra.Union -> E.Set_ops.union
+      | Algebra.Intersect -> E.Set_ops.intersection
+      | Algebra.Except -> E.Set_ops.difference
     in
     f ~mem_pages:cfg.Optimizer.mem_pages ~fudge:cfg.Optimizer.fudge l r
   | Optimizer.P_order_by { input; column; descending } ->
@@ -221,11 +221,10 @@ let kind_of = function
     | Algebra.Intersect -> "intersect"
     | Algebra.Except -> "except")
 
-let run_traced ?deadline catalog cfg plan =
+let run_traced catalog cfg plan =
   let env = S.Relation.env (base_relation catalog plan) in
   let acc = ref [] in
   let rec go path plan =
-    (match deadline with Some d -> check_deadline env d | None -> ());
     let before = S.Counters.snapshot env.S.Env.counters in
     let t0 = S.Env.elapsed env in
     let child_diffs = ref [] in
@@ -271,10 +270,10 @@ let run_traced ?deadline catalog cfg plan =
 let query ?deadline catalog cfg expr =
   run ?deadline catalog cfg (Optimizer.plan catalog cfg expr)
 
-let query_checked ?deadline catalog cfg expr =
+let query_checked catalog cfg expr =
   match Plan_check.check_schema catalog expr with
   | Error diags -> Error diags
-  | Ok _ -> Ok (query ?deadline catalog cfg expr)
+  | Ok _ -> Ok (query catalog cfg expr)
 
 let rows rel =
   let schema = S.Relation.schema rel in

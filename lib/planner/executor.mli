@@ -36,15 +36,12 @@ type node_obs = {
 }
 (** Per-node observation from an instrumented execution. *)
 
-val run_traced : ?deadline:Mmdb_overload.Overload.Deadline.t -> Catalog.t ->
-  Optimizer.config -> Optimizer.plan ->
+val run_traced : Catalog.t -> Optimizer.config -> Optimizer.plan ->
   Mmdb_storage.Relation.t * node_obs list
 (** Like {!run}, but records each plan node's observed operation counters
     and simulated seconds, in post-order.  The [self] fields isolate one
     operator's charges so they can be checked against the cost model's
-    prediction for that node ([Mmdb_verify.Model_check]).
-    @raise Mmdb_overload.Overload.Shed (OVLD005) when [deadline] expires
-    at an operator boundary. *)
+    prediction for that node ([Mmdb_verify.Model_check]). *)
 
 val query : ?deadline:Mmdb_overload.Overload.Deadline.t -> Catalog.t ->
   Optimizer.config -> Algebra.expr -> Mmdb_storage.Relation.t
@@ -52,8 +49,7 @@ val query : ?deadline:Mmdb_overload.Overload.Deadline.t -> Catalog.t ->
     @raise Mmdb_overload.Overload.Shed (OVLD005) when [deadline] expires
     at an operator boundary. *)
 
-val query_checked : ?deadline:Mmdb_overload.Overload.Deadline.t ->
-  Catalog.t -> Optimizer.config -> Algebra.expr ->
+val query_checked : Catalog.t -> Optimizer.config -> Algebra.expr ->
   (Mmdb_storage.Relation.t, Mmdb_util.Diag.t list) result
 (** Like {!query}, but the expression is first validated with
     {!Plan_check}: ill-formed plans come back as [Error diags] without

@@ -1,8 +1,10 @@
 module Fault = Mmdb_fault.Fault
 module Fault_plan = Mmdb_fault.Fault_plan
 
+(* Simulated time of one snapshot page read or write. *)
+let page_io_time = 10e-3
+
 type t = {
-  page_io_time : float;
   records_per_page : int;
   recorder : Schedule.recorder option;
   mem : int array; (* volatile *)
@@ -33,7 +35,7 @@ let page_sum t page =
   let hi = min (Array.length t.snapshot) (lo + t.records_per_page) in
   Mmdb_util.Checksum.crc32_ints t.snapshot ~pos:lo ~len:(hi - lo)
 
-let create ?(page_io_time = 10e-3) ?faults ?recorder ~nrecords
+let create ?faults ?recorder ~nrecords
     ~records_per_page ~stable () =
   if nrecords <= 0 then invalid_arg "Kv_store.create: nrecords <= 0";
   if records_per_page <= 0 then
@@ -41,7 +43,6 @@ let create ?(page_io_time = 10e-3) ?faults ?recorder ~nrecords
   let npages = npages_of ~nrecords ~records_per_page in
   let t =
     {
-      page_io_time;
       records_per_page;
       recorder;
       mem = Array.make nrecords 0;
@@ -87,8 +88,6 @@ let get ?txn ?(domain = 0) t slot =
 let snapshot_read t slot =
   check_slot t slot;
   t.snapshot.(slot)
-
-let snapshot_balances t = Array.copy t.snapshot
 
 let page_of t slot = slot / t.records_per_page
 
@@ -156,7 +155,7 @@ let checkpoint ?now ?deadline t =
         match cutoff with
         | None -> true
         | Some (n, d) ->
-          n +. (float_of_int (!written + 1) *. t.page_io_time) <= d
+          n +. (float_of_int (!written + 1) *. page_io_time) <= d
       in
       if fits then begin
         write_snapshot_page t page;
@@ -164,7 +163,7 @@ let checkpoint ?now ?deadline t =
         incr written
       end)
     dirty;
-  { pages_flushed = !written; duration = float_of_int !written *. t.page_io_time }
+  { pages_flushed = !written; duration = float_of_int !written *. page_io_time }
 
 let dirty_pages t =
   Stable_memory.table_fold t.stable ~init:0 ~f:(fun acc ~key:_ ~value:_ ->
@@ -429,7 +428,7 @@ let recover ?(workers = 1) ?(use_domains = false) ?crash_after_steps
   let cmd_local = rstats.Replay.local_ops - !value_ops in
   let cmd_barrier = rstats.Replay.barrier_ops in
   let terms =
-    Mmdb_model.Recovery_model.replay_terms ~page_io_time:t.page_io_time
+    Mmdb_model.Recovery_model.replay_terms ~page_io_time
       ~log_page_bytes:4096 ~workers ~snapshot_pages:npages
       ~log_bytes:!scan_bytes ~local_value_ops:!value_ops
       ~local_command_ops:cmd_local ~serial_command_ops:cmd_barrier

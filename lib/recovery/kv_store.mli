@@ -10,17 +10,16 @@
 
 type t
 
-val create : ?page_io_time:float -> ?faults:Mmdb_fault.Fault_plan.t ->
+val create : ?faults:Mmdb_fault.Fault_plan.t ->
   ?recorder:Schedule.recorder -> nrecords:int -> records_per_page:int ->
   stable:Stable_memory.t -> unit -> t
-(** All balances start at 0; the disk snapshot starts clean.  The
-    dirty-page table lives in [stable] (it survives crashes).
-    [page_io_time] (default 10 ms) prices checkpoint writes and recovery
-    reads.  With [faults] armed, snapshot pages carry out-of-band CRCs:
-    checkpoint writes can be rotted by a [Snapshot]-site rule, and
-    {!recover} detects (FAULT002) and rebuilds (FAULT009) damaged
-    pages.  With [recorder], transactional accesses ({!get} /
-    {!apply_update} called with [~txn]) emit domain-stamped Read/Write
+(** All balances start at 0; the disk snapshot starts clean.  The dirty-page
+    table lives in [stable] (it survives crashes).  A checkpoint write or
+    recovery read of a page costs 10 ms.  With [faults] armed, snapshot pages
+    carry out-of-band CRCs: checkpoint writes can be rotted by a
+    [Snapshot]-site rule, and {!recover} detects (FAULT002) and rebuilds
+    (FAULT009) damaged pages.  With [recorder], transactional accesses ({!get}
+    / {!apply_update} called with [~txn]) emit domain-stamped Read/Write
     schedule events for {!Mmdb_verify.Txn_check} and
     {!Mmdb_verify.Race_check}. *)
 
@@ -38,9 +37,6 @@ val snapshot_read : t -> int -> int
     crash, so this stays answerable while recovery replay is in flight —
     stale as of the last completed checkpoint sweep.
     @raise Invalid_argument on bad slot. *)
-
-val snapshot_balances : t -> int array
-(** A copy of the whole checkpoint image (stale-read oracle). *)
 
 val apply_update :
   ?txn:int -> ?domain:int -> t -> lsn:int -> slot:int -> value:int -> unit

@@ -37,7 +37,6 @@ type result = {
 }
 
 val run : ?seed:int -> ?nrecords:int -> ?n_writers:int ->
-  ?reader_every:float -> ?reader_duration:float ->
   ?record_schedule:bool -> scheme -> result
 (** Defaults: 1000 accounts, 20,000 writers at saturation, a scanning
     reader every 2 simulated seconds holding its snapshot/lock for 1 s.

@@ -11,7 +11,6 @@ type replay_config = {
   logging : logging_mode;
   crash_steps : int option;
   record_replay : bool;
-  serve_stale : bool;
 }
 
 let default_replay =
@@ -21,7 +20,6 @@ let default_replay =
     logging = Value_logging;
     crash_steps = None;
     record_replay = false;
-    serve_stale = false;
   }
 
 type config = {
@@ -74,8 +72,6 @@ type outcome = {
   page_spans : (float * float) list;
   fault_tally : Fault.tally;
   fault_events : (string * int) list;
-  stale_reads_served : int;
-  stale_reads_current : int;
 }
 
 let run cfg =
@@ -227,11 +223,6 @@ let run cfg =
   in
   let durable = Txn.surviving_log kernel ~at:crash_at in
   Txn.crash kernel;
-  (* The checkpoint image survives the crash — capture it before replay
-     rewrites memory, so degraded read-only service can be modelled. *)
-  let stale =
-    if cfg.replay.serve_stale then Kv_store.snapshot_balances kv else [||]
-  in
   (* Recovery, optionally parallel, optionally crashing mid-replay.  A
      restart-crash (FAULT012) loses the volatile replay state; the
      durable snapshot pages written back before the crash carry their
@@ -279,28 +270,6 @@ let run cfg =
         Workload.apply ~balances:golden txn)
     txns;
   let recovered = Kv_store.balances kv in
-  (* Degraded read-only service during replay: while recovery is in
-     flight the snapshot keeps answering reads, stale as of the last
-     completed checkpoint sweep.  Model a 1 kHz Zipfian read stream over
-     the replay window and audit how many stale answers already match
-     the recovered state (skew means hot slots concentrate staleness:
-     they are also the most-updated ones). *)
-  let stale_reads_served, stale_reads_current =
-    if not cfg.replay.serve_stale then (0, 0)
-    else begin
-      let srng = U.Xorshift.create (cfg.seed lxor 0x5afe) in
-      let n =
-        int_of_float
-          (Float.ceil (recover_stats.Kv_store.recovery_time *. 1000.0))
-      in
-      let current = ref 0 in
-      for _ = 1 to n do
-        let slot = U.Xorshift.zipf srng ~n:cfg.nrecords ~theta:0.8 in
-        if stale.(slot) = recovered.(slot) then incr current
-      done;
-      (n, !current)
-    end
-  in
   let consistent = recovered = golden in
   let money_conserved = Array.fold_left ( + ) 0 recovered = 0 in
   (* Durability audit: a transaction acknowledged committed before the
@@ -343,6 +312,4 @@ let run cfg =
     page_spans = Wal.page_spans wal;
     fault_tally = Fault.tally_copy (Fault_plan.tally plan);
     fault_events = Fault_plan.event_counts plan;
-    stale_reads_served;
-    stale_reads_current;
   }

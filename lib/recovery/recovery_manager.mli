@@ -43,16 +43,11 @@ type replay_config = {
   record_replay : bool;
       (** capture the replay's domain-stamped Grant/Write/Release trace
           in [replay_events] for {!Mmdb_verify.Race_check} *)
-  serve_stale : bool;
-      (** degraded read-only service: while replay is in flight, model a
-          1 kHz Zipfian read stream answered from the surviving
-          checkpoint image and audit its staleness in
-          [stale_reads_served] / [stale_reads_current] *)
 }
 
 val default_replay : replay_config
 (** 1 worker, simulated scheduler, value logging, no mid-recovery
-    crash, no trace, no stale service. *)
+    crash, no trace. *)
 
 type config = {
   nrecords : int;
@@ -120,12 +115,6 @@ type outcome = {
   fault_tally : Mmdb_fault.Fault.tally;
   fault_events : (string * int) list;
       (** noted fault events grouped by FAULT code *)
-  stale_reads_served : int;
-      (** reads answered from the checkpoint image during replay; 0
-          unless [replay.serve_stale] *)
-  stale_reads_current : int;
-      (** of those, how many already equalled the recovered value —
-          the staleness audit for degraded read-only mode *)
 }
 
 val run : config -> outcome

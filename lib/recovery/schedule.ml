@@ -57,25 +57,3 @@ let kind_name = function
   | Commit_durable -> "CommitDurable"
   | Abort -> "Abort"
   | Release -> "Release"
-
-let pp_event ppf e =
-  Format.fprintf ppf "%.6f txn=%d" e.time e.txn;
-  if e.domain <> 0 then Format.fprintf ppf " dom=%d" e.domain;
-  (match e.key with
-  | Some k -> Format.fprintf ppf " key=%d" k
-  | None -> ());
-  (match e.lsn with
-  | Some l -> Format.fprintf ppf " lsn=%d" l
-  | None -> ());
-  (match e.ver with
-  | Some v -> Format.fprintf ppf " ver=%.6f" v
-  | None -> ());
-  Format.fprintf ppf " %s" (kind_name e.kind);
-  match e.kind with
-  | Grant { deps } | Wake { deps } ->
-    if deps <> [] then
-      Format.fprintf ppf " deps=[%s]"
-        (String.concat ";" (List.map string_of_int deps))
-  | Wait { holder } -> Format.fprintf ppf " holder=%d" holder
-  | Acquire | Read | Write | Precommit | Commit_durable | Abort | Release ->
-    ()

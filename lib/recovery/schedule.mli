@@ -75,5 +75,3 @@ val length : recorder -> int
 val clear : recorder -> unit
 
 val kind_name : kind -> string
-val pp_event : Format.formatter -> event -> unit
-(** ["0.003400 txn=4 key=7 lsn=12 Write"]. *)

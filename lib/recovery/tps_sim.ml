@@ -18,13 +18,13 @@ let strategy_label = function
   | Wal.Stable { devices; compressed; _ } ->
     Printf.sprintf "stable-%d%s" devices (if compressed then "-compressed" else "")
 
-let run ?(seed = 1984) ?(nrecords = 1000) ?(updates_per_txn = 6)
-    ?(arrival_interval = 0.0) ~n_txns strategy =
+let run ?(seed = 1984) ?(nrecords = 1000) ?(arrival_interval = 0.0) ~n_txns
+    strategy =
   if n_txns <= 0 then invalid_arg "Tps_sim.run: n_txns <= 0";
   let rng = U.Xorshift.create seed in
   let wal = Wal.create ~clock:(S.Sim_clock.create ()) strategy in
   let kernel = Txn.create ~nrecords ~wal () in
-  let txns = Workload.generate ~rng ~nrecords ~updates_per_txn ~n:n_txns () in
+  let txns = Workload.generate ~rng ~nrecords ~n:n_txns () in
   let tickets = ref [] in
   List.iteri
     (fun i (txn : Workload.txn) ->
@@ -58,7 +58,7 @@ let run ?(seed = 1984) ?(nrecords = 1000) ?(updates_per_txn = 6)
     log_disk_bytes = Wal.disk_bytes_written wal;
   }
 
-let paper_ladder ?(n_txns = 5000) () =
+let paper_ladder () =
   let model = Mmdb_model.Recovery_model.gray_banking in
   let open Mmdb_model.Recovery_model in
   let cases =
@@ -78,6 +78,6 @@ let paper_ladder ?(n_txns = 5000) () =
      is an ablation: see `bench recovery-tps`. *)
   List.map
     (fun (strategy, predicted) ->
-      let r = run ~nrecords:200_000 ~n_txns strategy in
+      let r = run ~nrecords:200_000 ~n_txns:5000 strategy in
       (r.strategy_label, r.tps, predicted))
     cases

@@ -21,19 +21,19 @@ type result = {
 
 val strategy_label : Wal.strategy -> string
 
-val run : ?seed:int -> ?nrecords:int -> ?updates_per_txn:int ->
-  ?arrival_interval:float -> n_txns:int -> Wal.strategy -> result
+val run : ?seed:int -> ?nrecords:int -> ?arrival_interval:float ->
+  n_txns:int -> Wal.strategy -> result
 (** [run ~n_txns strategy] pushes [n_txns] banking transactions through
     the strategy.  [arrival_interval] (default 0 = saturation: all work
     available immediately) spaces arrivals for open-loop runs;
     [nrecords] (default 1000) is the account-table size;
-    [updates_per_txn] defaults to the paper's 6 (400-byte logs).
+    each transaction makes the paper's 6 updates (400-byte logs).
     @raise Wal.Unresolved_ticket if a commit ticket is still pending
     after the final flush (a WAL-invariant violation).
     @raise Mmdb_fault.Fault.Io_error from the log device when a fault
     plan is armed. *)
 
-val paper_ladder : ?n_txns:int -> unit -> (string * float * float) list
+val paper_ladder : unit -> (string * float * float) list
 (** The Section 5.2 ladder: measured vs predicted tps for conventional,
     group commit, partitioned x{2,4}, and stable memory
     (compressed) — [(label, measured_tps, model_tps)]. *)

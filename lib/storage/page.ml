@@ -23,11 +23,6 @@ let get page ~tuple_width i =
   if i < 0 || i >= count page then invalid_arg "Page.get: slot out of bounds";
   Bytes.sub page (slot_off ~tuple_width i) tuple_width
 
-let blit_get page ~tuple_width i ~dst =
-  if i < 0 || i >= count page then
-    invalid_arg "Page.blit_get: slot out of bounds";
-  Bytes.blit page (slot_off ~tuple_width i) dst 0 tuple_width
-
 let set page ~tuple_width i tuple =
   if Bytes.length tuple <> tuple_width then
     invalid_arg "Page.set: tuple width mismatch";

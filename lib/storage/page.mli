@@ -18,15 +18,9 @@ val capacity : page_size:int -> tuple_width:int -> int
 val count : bytes -> int
 (** Number of tuples currently on the page. *)
 
-val set_count : bytes -> int -> unit
-(** Overwrite the tuple count (used by bulk loaders). *)
-
 val get : bytes -> tuple_width:int -> int -> bytes
 (** [get page ~tuple_width i] is a copy of slot [i].
     @raise Invalid_argument if [i] is out of bounds. *)
-
-val blit_get : bytes -> tuple_width:int -> int -> dst:bytes -> unit
-(** Copy slot [i] into [dst] without allocating. *)
 
 val set : bytes -> tuple_width:int -> int -> bytes -> unit
 (** [set page ~tuple_width i tuple] overwrites slot [i] (must be < count).

@@ -110,7 +110,7 @@ let seal t =
 
 let page_ids t = Array.of_list (List.rev t.pages)
 
-let iter_pages ?(mode = Disk.Seq) t f =
+let iter_pages ~mode t f =
   seal t;
   Array.iter (fun pid -> f (Disk.read t.rel_disk ~mode pid)) (page_ids t)
 
@@ -155,12 +155,12 @@ let iter_tids_nocharge t f =
           f (Tid.make ~page:pidx ~slot) tup))
     (page_ids t)
 
-let fetch ?(mode = Disk.Rand) t tid =
+let fetch t tid =
   seal t;
   let ids = page_ids t in
   if tid.Tid.page < 0 || tid.Tid.page >= Array.length ids then
     invalid_arg "Relation.fetch: page out of range";
-  let page = Disk.read t.rel_disk ~mode ids.(tid.Tid.page) in
+  let page = Disk.read t.rel_disk ~mode:Disk.Rand ids.(tid.Tid.page) in
   let tw = Schema.tuple_width t.rel_schema in
   if tid.Tid.slot < 0 || tid.Tid.slot >= Page.count page then
     invalid_arg "Relation.fetch: slot out of range";

@@ -52,16 +52,14 @@ val page_ids : t -> int array
 (** Disk page ids in relation order.  Call {!seal} first if a partial tail
     page must be included. *)
 
-val iter_pages : ?mode:Disk.io_mode -> t -> (bytes -> unit) -> unit
-(** [iter_pages t f] seals then reads each page in order, charging one I/O
-    per page ([mode] defaults to [Seq]).
+val iter_tuples : ?mode:Disk.io_mode -> t -> (bytes -> unit) -> unit
+(** [iter_tuples t f] seals then reads each page in order, charging one
+    I/O per page ([mode] defaults to [Seq]) and nothing per tuple, and
+    hands [f] a copy of each tuple.
     @raise Mmdb_fault.Fault.Io_error and
     @raise Mmdb_fault.Fault.Unrecoverable from the read path when a fault
     plan is armed (transient failures past the retry budget, or detected
     corruption with no redundancy to rebuild from). *)
-
-val iter_tuples : ?mode:Disk.io_mode -> t -> (bytes -> unit) -> unit
-(** Page-wise scan delivering tuple copies; charges I/O per page only. *)
 
 val iter_tuples_nocharge : t -> (bytes -> unit) -> unit
 
@@ -72,9 +70,9 @@ val iter_tuples_from_nocharge : t -> start:int -> (bytes -> unit) -> unit
 val iter_tids_nocharge : t -> (Tid.t -> bytes -> unit) -> unit
 (** Uncharged scan that also reports each tuple's TID. *)
 
-val fetch : ?mode:Disk.io_mode -> t -> Tid.t -> bytes
-(** [fetch t tid] reads the tuple's page ([mode] defaults to [Rand], the
-    paper's cost for TID-to-tuple resolution) and returns the tuple.
+val fetch : t -> Tid.t -> bytes
+(** [fetch t tid] reads the tuple's page as a random read (the paper's
+    cost for TID-to-tuple resolution) and returns the tuple.
     @raise Invalid_argument on a bad TID. *)
 
 val of_tuples : disk:Disk.t -> name:string -> schema:Schema.t ->

@@ -15,10 +15,10 @@ let table =
 
 let step crc byte = table.((crc lxor byte) land 0xFF) lxor (crc lsr 8)
 
-let crc32 ?(init = 0) buf ~pos ~len =
+let crc32 buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
     invalid_arg "Checksum.crc32: range out of bounds";
-  let crc = ref (init lxor 0xFFFFFFFF) in
+  let crc = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
     crc := step !crc (Char.code (Bytes.unsafe_get buf i))
   done;

@@ -7,10 +7,9 @@
     errors and all burst errors up to 32 bits, which covers the injected
     fault classes exactly. *)
 
-val crc32 : ?init:int -> bytes -> pos:int -> len:int -> int
+val crc32 : bytes -> pos:int -> len:int -> int
 (** [crc32 buf ~pos ~len] is the CRC-32 of [len] bytes of [buf] starting
-    at [pos], as a non-negative int in [\[0, 2^32)].  [init] continues a
-    running checksum (pass a previous result to chain regions).
+    at [pos], as a non-negative int in [\[0, 2^32)].
     @raise Invalid_argument if the range is out of bounds. *)
 
 val crc32_bytes : bytes -> int

@@ -1,5 +1,5 @@
-(** Fixed-bucket histogram for latency distributions in the recovery
-    simulator and workload diagnostics. *)
+(** Fixed-bucket histogram over floats: equal-width buckets plus
+    underflow and overflow bins. *)
 
 type t
 

@@ -1237,8 +1237,8 @@ let source_files dir =
   in
   List.rev (walk [] dir)
 
-let scan_lib ?root () =
-  match (match root with Some r -> Some r | None -> find_root ()) with
+let scan_lib () =
+  match find_root () with
   | None -> Error "could not locate lib/ (no dune-project found)"
   | Some r ->
     (* report root-relative paths, stable across checkouts and sandboxes *)

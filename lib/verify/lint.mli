@@ -97,14 +97,11 @@ val analyze :
     alike.  Findings are sorted by (file, line, code); the diagnostics
     are the parse failures. *)
 
-val scan_lib :
-  ?root:string ->
-  unit ->
-  (finding list * Mmdb_util.Diag.t list, string) result
+val scan_lib : unit -> (finding list * Mmdb_util.Diag.t list, string) result
 (** {!analyze} over every [.ml]/[.mli] under [root/lib], paths reported
-    root-relative.  Without [root], walk up from the current directory
-    until a [dune-project] with a [lib/] sibling appears (a checkout or
-    dune's sandbox alike); [Error] when there is none. *)
+    root-relative.  [root] is found by walking up from the current
+    directory until a [dune-project] with a [lib/] sibling appears (a
+    checkout or dune's sandbox alike); [Error] when there is none. *)
 
 val diags_of_findings : finding list -> Mmdb_util.Diag.t list
 (** One error per [Flagged] finding. *)

@@ -387,7 +387,11 @@ let check_join ?(tolerance_scale = 1.0) algo ~mem_pages ~fudge r s =
 
 let enumeration_cap = 8
 
-let lint_optimality ?(eps = 1e-9) catalog cfg expr =
+(* Relative slack before a chosen plan counts as costlier than the
+   optimum. *)
+let eps = 1e-9
+
+let lint_optimality catalog cfg expr =
   let plan = P.Optimizer.plan catalog cfg expr in
   let choices = P.Optimizer.join_choices plan in
   if choices = [] then []
@@ -471,10 +475,10 @@ let lint_optimality ?(eps = 1e-9) catalog cfg expr =
    statistics or an estimator regression of an order of magnitude. *)
 let selectivity_band = band ~abs:64.0 0.05 20.0
 
-let check_selectivity ?(band = selectivity_band) catalog expr ~actual =
+let check_selectivity catalog expr ~actual =
   let est = P.Selectivity.estimate catalog expr in
   check_class ~path:"$" ~kind:"selectivity" ~code:"MODEL009"
-    ~label:"output tuples" band ~predicted:est
+    ~label:"output tuples" selectivity_band ~predicted:est
     ~observed:(float_of_int actual)
 
 (* ------------------------------------------------------------------ *)

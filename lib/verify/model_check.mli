@@ -110,14 +110,13 @@ val pp_report : Format.formatter -> node_report -> unit
 (** {1 Optimality lint} *)
 
 val lint_optimality :
-  ?eps:float ->
   Mmdb_planner.Catalog.t ->
   Mmdb_planner.Optimizer.config ->
   Mmdb_planner.Algebra.expr ->
   Mmdb_util.Diag.t list
 (** Enumerate every algorithm assignment over the plan's joins (priced
     at each join's recorded workload and memory), and report MODEL008
-    when the chosen plan costs more than [(1 + eps)] times the
+    when the chosen plan costs more than [1 + 1e-9] times the
     enumerated minimum, MODEL010 when [estimated_cost] disagrees with
     [seconds (estimated_ops)].  Exhaustive up to 8 joins ([4^8]
     assignments); larger plans fall back to per-join minima, which bound
@@ -126,15 +125,13 @@ val lint_optimality :
 (** {1 Selectivity} *)
 
 val check_selectivity :
-  ?band:band ->
   Mmdb_planner.Catalog.t ->
   Mmdb_planner.Algebra.expr ->
   actual:int ->
   Mmdb_util.Diag.t list
-(** MODEL009 when the cardinality estimate misses [actual] beyond
-    [band] (default: a wide [0.05–20× ± 64] band — Selinger magic
-    numbers are coarse by design; the check catches broken statistics,
-    not imprecision). *)
+(** MODEL009 when the cardinality estimate misses [actual] beyond a wide
+    [0.05–20× ± 64] band (Selinger magic numbers are coarse by design;
+    the check catches broken statistics, not imprecision). *)
 
 (** {1 Seeded suite} *)
 

@@ -60,7 +60,6 @@ let default_replay =
     logging = R.Recovery_manager.Adaptive_logging;
     crash_steps = None;
     record_replay = false;
-    serve_stale = false;
   }
 
 (* Small, contended workload: every run is milliseconds, so the sweep can
@@ -76,6 +75,7 @@ let base_config ~seed ~txns strategy rules =
     strategy;
     faults = rules;
     seed;
+    replay = default_replay;
   }
 
 (* Candidate crash instants for one (strategy, spec) combination, taken
@@ -150,10 +150,14 @@ let spread_points k points =
     |> List.sort_uniq compare
   end
 
+(* The restart-crash matrix: this many crash points per combo, each re-run
+   once per entry of [restart_steps] with the recovery itself crashed after
+   that many replay/write-back steps. *)
+let restart_points_per_combo = 3
+let restart_steps = [ 1; 8; 64 ]
+
 let run ?(seed = 7) ?(txns = 48) ?(specs = default_specs)
-    ?(strategies = default_strategies) ?(max_points_per_combo = 32)
-    ?(replay = default_replay) ?(restart_points_per_combo = 3)
-    ?(restart_steps = [ 1; 8; 64 ]) () =
+    ?(strategies = default_strategies) ?(max_points_per_combo = 32) () =
   let combos = ref [] in
   let silent = ref [] in
   let flagged = ref [] in
@@ -172,10 +176,7 @@ let run ?(seed = 7) ?(txns = 48) ?(specs = default_specs)
             (* perf_lint: error path; raises immediately *)
             | Error m -> invalid_arg ("Torture: bad fault spec: " ^ m)
           in
-          let cfg =
-            { (base_config ~seed ~txns strategy rules) with
-              R.Recovery_manager.replay }
-          in
+          let cfg = base_config ~seed ~txns strategy rules in
           let probe = R.Recovery_manager.run cfg in
           let points =
             crash_points probe ~txns ~max_points:max_points_per_combo

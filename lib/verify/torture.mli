@@ -57,37 +57,27 @@ type report = {
   events : (string * int) list;  (** FAULT-code event counts, aggregated *)
 }
 
-val default_specs : string list
-(** ["none"], each single-fault spec, and ["torn-tail,bitflip"]. *)
-
-val default_strategies : Mmdb_recovery.Wal.strategy list
-(** Conventional, group commit, partitioned-2, and compressed stable
-    memory (small capacity, so drains happen under torture). *)
-
-val default_replay : Mmdb_recovery.Recovery_manager.replay_config
-(** Four replay partitions, adaptive logging, simulated scheduler: the
-    hardest deterministic replay configuration, so every harvested crash
-    point also exercises cross-partition commands split by partition and
-    the value-vs-command logging decision. *)
-
 val run :
   ?seed:int -> ?txns:int -> ?specs:string list ->
   ?strategies:Mmdb_recovery.Wal.strategy list -> ?max_points_per_combo:int ->
-  ?replay:Mmdb_recovery.Recovery_manager.replay_config ->
-  ?restart_points_per_combo:int -> ?restart_steps:int list ->
   unit -> report
-(** [run ()] sweeps every strategy x spec pair.  Crash points are
-    harvested from a crash-free probe run of the same configuration
-    (its page-write spans and arrival times), capped at
-    [max_points_per_combo] (default 32) per pair.  Deterministic in
-    [seed] (default 7): workload, fault schedule, and crash points are
-    all derived from it.
+(** [run ()] sweeps every strategy x spec pair.  [specs] defaults to
+    ["none"], each single-fault spec and ["torn-tail,bitflip"];
+    [strategies] to conventional, group commit, partitioned-2 and
+    compressed stable memory (small capacity, so drains happen under
+    torture).  Crash points are harvested from a crash-free probe run of
+    the same configuration (its page-write spans and arrival times),
+    capped at [max_points_per_combo] (default 32) per pair.
+    Deterministic in [seed] (default 7): workload, fault schedule, and
+    crash points are all derived from it.
 
-    Every run replays under [replay] (default {!default_replay}).  On
-    top of the plain sweep, [restart_points_per_combo] (default 3) crash
-    points spread across each combo's range are re-run once per entry of
-    [restart_steps] (default [[1; 8; 64]]) with the {e recovery itself}
-    crashed after that many replay/write-back steps and restarted — the
+    Every run replays on four partitions with adaptive logging under the
+    simulated scheduler: the hardest deterministic replay configuration,
+    so every harvested crash point also exercises cross-partition
+    commands split by partition and the value-vs-command logging
+    decision.  On top of the plain sweep, 3 crash points spread across
+    each combo's range are re-run with the {e recovery itself} crashed
+    after 1, 8 and 64 replay/write-back steps and restarted — the
     restart-crash matrix.  Those runs obey the same no-silent-corruption
     property and are counted in [report.restart_runs]. *)
 
@@ -97,5 +87,3 @@ val ok : report -> bool
 val pp : Format.formatter -> report -> unit
 (** Per-combo table, aggregate tally, FAULT-event counts, and any silent
     failures. *)
-
-val pp_failure : Format.formatter -> failure -> unit

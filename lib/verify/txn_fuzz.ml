@@ -38,9 +38,13 @@ let spike_rate = 2000.0
 let spike_burst = 2.0
 let spike_budget = 5e-4
 
-let run ?(txns = 40) ?(accounts = 16) ?(inflight = 4) ?(abort_pct = 15)
-    ?(scramble = false) ?(crash = false) ?(domains = 1) ?(spike = false)
-    ?(inject : inject list = []) ~seed () =
+(* Up to [inflight] transactions interleave; [abort_pct] percent of them
+   abort voluntarily. *)
+let inflight = 4
+let abort_pct = 15
+
+let run ?(txns = 40) ?(accounts = 16) ?(scramble = false) ?(crash = false)
+    ?(domains = 1) ?(spike = false) ?(inject : inject list = []) ~seed () =
   if txns < 1 then invalid_arg "Txn_fuzz.run: txns < 1";
   if accounts < 4 then invalid_arg "Txn_fuzz.run: accounts < 4";
   if domains < 1 then invalid_arg "Txn_fuzz.run: domains < 1";

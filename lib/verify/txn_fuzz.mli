@@ -53,8 +53,6 @@ type outcome = {
 val run :
   ?txns:int ->
   ?accounts:int ->
-  ?inflight:int ->
-  ?abort_pct:int ->
   ?scramble:bool ->
   ?crash:bool ->
   ?domains:int ->
@@ -64,14 +62,13 @@ val run :
   unit ->
   outcome
 (** [run ~seed ()] executes one fuzzed workload.  Defaults: [txns] = 40
-    transfer transactions of 2–4 accounts each over [accounts] = 16
-    accounts (small on purpose — contention is the point), up to
-    [inflight] = 4 transactions interleaved, [abort_pct] = 15 percent
-    voluntary aborts, [scramble] = false (sorted, deadlock-free
-    acquisition), [crash] = false.  With [crash:true] the driver stops
-    roughly two-thirds through without flushing the log: the trace is
-    truncated (in-flight transactions never finish) and the analyzers
-    must still accept it.
+    transfer transactions of 2–4 accounts each over [accounts] = 16 accounts
+    (small on purpose — contention is the point), up to 4 transactions
+    interleaved, 15 percent voluntary aborts, [scramble] = false (sorted,
+    deadlock-free acquisition), [crash] = false.  With [crash:true] the driver
+    stops roughly two-thirds through without flushing the log: the trace is
+    truncated (in-flight transactions never finish) and the analyzers must
+    still accept it.
 
     [spike] (default false) models an overload spike: arrivals pass a
     deliberately starved token bucket (sheds land in [ovld_codes] as

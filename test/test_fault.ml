@@ -175,6 +175,26 @@ let test_disk_transient_retry () =
   checkb "retries counted" true (t.Fault.retried >= 2);
   checki "nothing unrecoverable" 0 t.Fault.unrecoverable
 
+(* The device retry curve: deterministic torture expectations depend on
+   these exact waits, so they are pinned here rather than read back from
+   the policy that produces them. *)
+let test_retry_curve () =
+  let exact = Alcotest.float 0.0 in
+  Alcotest.(check (list exact))
+    "1, 2, 3 ms" [ 1e-3; 2e-3; 3e-3 ]
+    (List.map (fun attempt -> Plan.retry_backoff ~attempt) [ 1; 2; 3 ]);
+  checki "max_io_retries" 3 Plan.max_io_retries;
+  checkb "attempt 0 raises" true
+    (match Plan.retry_backoff ~attempt:0 with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let plan = Plan.create [] in
+  Plan.ride_transient plan ~site:"disk.read" ~failures:2
+    ~attempt:(fun ~attempt:_ ~backoff:_ -> ());
+  let t = Plan.tally plan in
+  checki "two retries" 2 t.Fault.retried;
+  Alcotest.check exact "3 ms of backoff recorded" 3e-3 t.Fault.retry_backoff
+
 (* Neither page was ever faulted, so the disk holds no sum for either:
    the flip is found against the stored image itself. *)
 let test_disk_bitflip_read_repaired () =
@@ -567,6 +587,7 @@ let () =
         [
           Alcotest.test_case "transient I/O retried" `Quick
             test_disk_transient_retry;
+          Alcotest.test_case "device retry curve" `Quick test_retry_curve;
           Alcotest.test_case "read bit flip repaired by reread" `Quick
             test_disk_bitflip_read_repaired;
           Alcotest.test_case "clean rewrite of a torn page reads clean" `Quick

@@ -341,7 +341,7 @@ let test_retry_budget () =
   let b = O.Retry.budget 1 in
   match
     shed_of (fun () ->
-        O.Retry.ride O.Retry.device ~budget:b ~site:"disk.read" ~failures:2
+        O.Retry.ride ~budget:b ~site:"disk.read" ~failures:2
           ~attempt:(fun ~attempt:_ ~backoff:_ -> ())
           ~exhausted:(fun ~retries:_ ->
             Alcotest.fail "policy exhausted before the budget")

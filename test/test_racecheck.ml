@@ -234,7 +234,6 @@ let test_parallel_replay_race_free () =
             logging = RM.Adaptive_logging;
             crash_steps = None;
             record_replay = true;
-            serve_stale = false;
           };
       }
   in

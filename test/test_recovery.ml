@@ -882,7 +882,6 @@ let replay_cfg ?(workers = 4) ?(logging = R.Recovery_manager.Value_logging)
     logging;
     crash_steps;
     record_replay = false;
-    serve_stale = false;
   }
 
 let para_cfg ?(crash_after = 170) ?(faults = []) replay =
