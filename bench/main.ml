@@ -1143,11 +1143,9 @@ let bechamel_suite () =
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable outputs: BENCH_model.json and the golden            *)
-(* Table 1 / Figure 1 regeneration diffed under `dune runtest`         *)
+(* Machine-readable outputs: the golden Table 1 / Figure 1            *)
+(* regeneration diffed under `dune runtest`                           *)
 (* ------------------------------------------------------------------ *)
-
-module V = Mmdb_verify
 
 (* Hand-rolled JSON (no JSON library in the image).  Floats print as
    %.9g: enough digits to round-trip every value these emitters produce,
@@ -1178,75 +1176,6 @@ let jlist items = "[" ^ String.concat ", " items ^ "]"
 let jobj fields =
   "{" ^ String.concat ", " (List.map (fun (k, v) -> jstr k ^ ": " ^ v) fields)
   ^ "}"
-
-let json_of_ops (o : JM.ops) seconds =
-  jobj
-    [
-      ("comps", jfloat o.JM.comps);
-      ("hashes", jfloat o.JM.hashes);
-      ("moves", jfloat o.JM.moves);
-      ("swaps", jfloat o.JM.swaps);
-      ("seq_ios", jfloat o.JM.seq_ios);
-      ("rand_ios", jfloat o.JM.rand_ios);
-      ("seconds", jfloat seconds);
-    ]
-
-let json_of_diag (d : U.Diag.t) =
-  jobj
-    [
-      ("code", jstr d.U.Diag.code);
-      ( "severity",
-        jstr
-          (match d.U.Diag.severity with
-          | U.Diag.Error -> "error"
-          | U.Diag.Warning -> "warning") );
-      ("path", jstr d.U.Diag.path);
-      ("message", jstr d.U.Diag.message);
-    ]
-
-let json_of_case (c : V.Model_check.case) =
-  let node (r : V.Model_check.node_report) =
-    jobj
-      [
-        ("path", jstr r.V.Model_check.path);
-        ("kind", jstr r.V.Model_check.kind);
-        ( "predicted",
-          json_of_ops r.V.Model_check.predicted
-            r.V.Model_check.predicted_seconds );
-        ( "observed",
-          json_of_ops r.V.Model_check.observed
-            r.V.Model_check.observed_seconds );
-        ("diags", jlist (List.map json_of_diag r.V.Model_check.diags));
-      ]
-  in
-  jobj
-    [
-      ("name", jstr c.V.Model_check.name);
-      ("nodes", jlist (List.map node c.V.Model_check.reports));
-      ("diags", jlist (List.map json_of_diag c.V.Model_check.diags));
-    ]
-
-(* E10: per-operator predicted vs observed, machine-readable. *)
-let model_json () =
-  let seed = 42 in
-  let cases = V.Model_check.run_suite ~seed ~enumerate:true () in
-  let doc =
-    jobj
-      [
-        ("seed", string_of_int seed);
-        ( "errors",
-          string_of_int
-            (List.length (U.Diag.errors (V.Model_check.suite_diags cases))) );
-        ("cases", jlist (List.map json_of_case cases));
-      ]
-  in
-  let oc = open_out "BENCH_model.json" in
-  output_string oc doc;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "wrote BENCH_model.json (%d cases, per-operator predicted vs observed)\n"
-    (List.length cases)
 
 (* Recorder-overhead microbenchmark: the schedule recorder is the data
    source for the race detector, so its cost when enabled — and its
@@ -1618,7 +1547,6 @@ let experiments =
     ("vm", "Section 6: VM paging vs explicit partitioning", vm_ablation);
     ("mvcc", "Section 6: locking vs versioning", mvcc);
     ("bulk-load", "B+-tree occupancy: 69% vs bulk-loaded", bulk_load_bench);
-    ("model-json", "write BENCH_model.json (predicted vs observed)", model_json);
     ("schedule-overhead", "write BENCH_schedule_overhead.json (recorder cost)", schedule_overhead);
     ("golden-json", "Table 1 + Figure 1 as canonical JSON (CI golden)", golden_json);
     ("recovery-json", "write BENCH_recovery.json (parallel-replay ladder)", recovery_json);

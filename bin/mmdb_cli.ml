@@ -455,7 +455,12 @@ let sql_cmd =
       & info [] ~docv:"QUERY" ~doc:"The SQL text.")
   in
   let explain_only =
-    Arg.(value & flag & info [ "explain" ] ~doc:"Show the plan only.")
+    Arg.(
+      value & flag
+      & info [ "explain" ]
+          ~doc:
+            "Check the query statically and show the plan without executing \
+             it; exits 1 when the plan checker reports errors.")
   in
   let limit =
     Arg.(value & opt int 20 & info [ "limit" ] ~doc:"Max rows to print.")
@@ -463,47 +468,6 @@ let sql_cmd =
   Cmd.v
     (Cmd.info "sql" ~doc:"Run a SQL query against a built-in demo database.")
     Term.(const run_sql $ text $ explain_only $ limit)
-
-(* ------------------------------------------------------------------ *)
-(* check                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let run_check text explain_after =
-  let db = demo_db () in
-  Printf.printf
-    "demo database: emp(id, dept, salary, name) x 5000, dept(dept_id, \
-     budget, dname) x 20\n\n";
-  match P.Sql.parse_checked (Mmdb.Db.catalog db) text with
-  | Error diags ->
-    Format.printf "%a@." U.Diag.pp_list diags;
-    Printf.printf "check: %s\n" (U.Diag.summary diags);
-    if U.Diag.has_errors diags then 1 else 0
-  | Ok expr ->
-    let diags = Mmdb.Db.check db expr in
-    Format.printf "query: %a@.@." A.pp expr;
-    if explain_after then Printf.printf "plan:\n%s\n" (Mmdb.Db.explain db expr);
-    if diags <> [] then Format.printf "%a@." U.Diag.pp_list diags;
-    Printf.printf "check: ok (%s)\n" (U.Diag.summary diags);
-    0
-
-let check_cmd =
-  let text =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"QUERY" ~doc:"The SQL text to check.")
-  in
-  let explain_after =
-    Arg.(
-      value & flag
-      & info [ "explain" ] ~doc:"Also show the optimizer's plan when valid.")
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Statically check a SQL query against the demo catalog without \
-          executing it; exits 1 when the plan checker reports errors.")
-    Term.(const run_check $ text $ explain_after)
 
 (* ------------------------------------------------------------------ *)
 (* txncheck                                                            *)
@@ -530,48 +494,117 @@ let txncheck_builtin () =
   Mmdb.Txn_db.flush db;
   Mmdb.Txn_db.crash db;
   ignore (Mmdb.Txn_db.recover db);
-  (Mmdb.Txn_db.schedule db, Mmdb.Txn_db.log_records db)
+  let events = Mmdb.Txn_db.schedule db and log = Mmdb.Txn_db.log_records db in
+  Printf.printf
+    "built-in Txn_db workload: %d schedule events, %d log records\n\n"
+    (List.length events) (List.length log);
+  V.Audit.report Format.std_formatter
+    (V.Audit.run_all [ V.Audit.Schedule { name = "txn schedule"; events; log } ])
 
-let run_txncheck fuzz seed txns accounts scramble crash_run =
-  if not fuzz then begin
-    let events, log = txncheck_builtin () in
-    Printf.printf
-      "built-in Txn_db workload: %d schedule events, %d log records\n\n"
-      (List.length events) (List.length log);
-    let results =
-      V.Audit.run_all [ V.Audit.Schedule { name = "txn schedule"; events; log } ]
-    in
-    if V.Audit.report Format.std_formatter results then 0 else 1
-  end
+let inject_of_spec spec =
+  let atom = function
+    | "ww" -> Ok [ `Ww ]
+    | "rw" -> Ok [ `Rw ]
+    | "unguarded" -> Ok [ `Unguarded ]
+    | "release" -> Ok [ `Release_no_acquire ]
+    | "snapshot" -> Ok [ `Snapshot ]
+    | "all" -> Ok [ `Ww; `Rw; `Unguarded; `Release_no_acquire; `Snapshot ]
+    | "" -> Ok []
+    | a -> Error a
+  in
+  List.fold_left
+    (fun acc tok ->
+      match (acc, atom (String.trim tok)) with
+      | Ok l, Ok a -> Ok (l @ a)
+      | (Error _ as e), _ -> e
+      | _, Error a -> Error a)
+    (Ok [])
+    (String.split_on_char ',' spec)
+
+let txncheck_fuzz ~seed ~txns ~accounts ~scramble ~crash ~domains ~inject =
+  let o =
+    V.Txn_fuzz.run ~txns ~accounts ~scramble ~crash ~domains ~inject ~seed ()
+  in
+  Printf.printf
+    "fuzz seed %d, %d domains: %d committed, %d aborted, %d lock waits, %d \
+     deadlocks broken%s\n"
+    seed domains o.V.Txn_fuzz.committed o.V.Txn_fuzz.aborted o.V.Txn_fuzz.waits
+    o.V.Txn_fuzz.deadlocks
+    (if o.V.Txn_fuzz.crashed then ", crashed mid-schedule" else "");
+  Printf.printf "schedule: %d events, %d log records, %d injected races\n"
+    (List.length o.V.Txn_fuzz.events)
+    (List.length o.V.Txn_fuzz.log)
+    (List.length o.V.Txn_fuzz.injected);
+  let diags = o.V.Txn_fuzz.diags in
+  if diags <> [] then Format.printf "%a@." U.Diag.pp_list diags;
+  Printf.printf "txncheck: %s\n" (U.Diag.summary diags);
+  if o.V.Txn_fuzz.injected = [] then not (U.Diag.has_errors diags)
   else begin
-    let o = V.Txn_fuzz.run ~txns ~accounts ~scramble ~crash:crash_run ~seed () in
-    Printf.printf
-      "fuzz seed %d: %d committed, %d aborted, %d lock waits, %d deadlocks \
-       broken%s\n"
-      seed o.V.Txn_fuzz.committed o.V.Txn_fuzz.aborted o.V.Txn_fuzz.waits
-      o.V.Txn_fuzz.deadlocks
-      (if o.V.Txn_fuzz.crashed then ", crashed mid-schedule" else "");
-    Printf.printf "schedule: %d events, %d log records\n"
-      (List.length o.V.Txn_fuzz.events)
-      (List.length o.V.Txn_fuzz.log);
-    let diags = o.V.Txn_fuzz.diags in
-    if diags <> [] then Format.printf "@.%a@." U.Diag.pp_list diags;
-    Printf.printf "txncheck: %s\n" (U.Diag.summary diags);
-    if U.Diag.has_errors diags then 1 else 0
+    (* Positive controls: every injected race must be flagged under its
+       expected code; a missed injection is a detector bug.  The ghosts'
+       own TXN002 findings are expected. *)
+    let missed =
+      List.filter (fun c -> not (U.Diag.has_code c diags)) o.V.Txn_fuzz.injected
+    in
+    List.iter (Printf.printf "txncheck: MISSED injected race %s\n") missed;
+    Printf.printf "fuzz: %d/%d injected races detected\n"
+      (List.length o.V.Txn_fuzz.injected - List.length missed)
+      (List.length o.V.Txn_fuzz.injected);
+    missed = []
   end
+
+let txncheck_mvcc ~seed =
+  let r =
+    R.Mvcc_sim.run ~seed ~n_writers:2_000 ~record_schedule:true
+      R.Mvcc_sim.Versioning
+  in
+  let diags = V.Schedule_check.audit r.R.Mvcc_sim.events in
+  if diags <> [] then Format.printf "%a@." U.Diag.pp_list diags;
+  Printf.printf "mvcc: %d version-store events across %d domains, %s\n"
+    (List.length r.R.Mvcc_sim.events)
+    (List.length (V.Schedule.domains r.R.Mvcc_sim.events))
+    (U.Diag.summary diags);
+  not (U.Diag.has_errors diags)
+
+let run_txncheck fuzz mvcc seed txns accounts scramble crash domains
+    inject_spec =
+  let inject =
+    match inject_of_spec inject_spec with
+    | Ok l -> l
+    | Error a ->
+      prerr_endline
+        ("txncheck: unknown injection `" ^ a
+       ^ "' (expected ww, rw, unguarded, release, snapshot or all)");
+      exit 2
+  in
+  (* No mode flag: the built-in workload, the fuzzer and MVCC. *)
+  let all = (not fuzz) && not mvcc in
+  let ok = ref true in
+  let part label b =
+    if not b then ok := false;
+    Printf.printf "%-7s %s\n\n" label (if b then "ok" else "FAIL")
+  in
+  if all then part "builtin" (txncheck_builtin ());
+  if fuzz || all then
+    part "fuzz"
+      (txncheck_fuzz ~seed ~txns ~accounts ~scramble ~crash ~domains ~inject);
+  if mvcc || all then part "mvcc" (txncheck_mvcc ~seed);
+  if !ok then 0 else 1
 
 let txncheck_cmd =
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
   let fuzz =
-    Arg.(
-      value & flag
-      & info [ "fuzz" ]
-          ~doc:
-            "Run the seeded interleaved-workload fuzzer (staged lock \
-             acquisition, aborts, optional deadlocks) instead of the \
-             built-in Txn_db workload.")
+    flag "fuzz"
+      "Run only the seeded interleaved-workload fuzzer (staged lock \
+       acquisition, aborts, optional deadlocks) on simulated domains."
+  in
+  let mvcc =
+    flag "mvcc"
+      "Run only the MVCC simulator and audit its version-store accesses \
+       (snapshot discipline, RACE005)."
   in
   let seed =
-    Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Fuzzer PRNG seed.")
+    Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Workload PRNG seed.")
   in
   let txns =
     Arg.(value & opt int 40 & info [ "txns" ] ~doc:"Fuzzer transaction count.")
@@ -582,30 +615,44 @@ let txncheck_cmd =
       & info [ "accounts" ] ~doc:"Fuzzer account count (small = contended).")
   in
   let scramble =
-    Arg.(
-      value & flag
-      & info [ "scramble" ]
-          ~doc:
-            "Shuffle each transaction's lock-acquisition order: deadlocks \
-             become possible and must be caught (TXN006/TXN101).")
+    flag "scramble"
+      "Shuffle each transaction's lock-acquisition order: deadlocks become \
+       possible and must be caught (TXN006/TXN101)."
   in
-  let crash_run =
+  let crash =
+    flag "crash"
+      "Stop the fuzzed run mid-schedule without flushing the log \
+       (truncated-trace tolerance)."
+  in
+  let domains =
     Arg.(
-      value & flag
-      & info [ "crash" ]
+      value & opt int 3
+      & info [ "domains" ] ~doc:"Simulated domain count for the fuzzer.")
+  in
+  let inject =
+    Arg.(
+      value & opt string ""
+      & info [ "inject" ]
           ~doc:
-            "Stop the fuzzed run mid-schedule without flushing the log \
-             (truncated-trace tolerance).")
+            "Comma-separated positive controls seeded into the fuzzed \
+             trace: $(b,ww), $(b,rw), $(b,unguarded), $(b,release), \
+             $(b,snapshot), or $(b,all). Every injected race must be \
+             flagged under its expected code or the run fails.")
   in
   Cmd.v
     (Cmd.info "txncheck"
        ~doc:
-         "Record a transaction schedule and run the Section 5.2 sanitizer: \
+         "Record transaction schedules and audit them: Section 5.2's \
           2PL/pre-commit conformance, waits-for deadlocks, \
-          conflict-serializability, and the group-commit dependency audit. \
-          Exits 1 when any TXN error is reported.")
+          conflict-serializability and the group-commit dependency audit, \
+          plus a happens-before race detector (Eraser lockset fallback, \
+          MVCC snapshot discipline) over multi-domain traces. With no mode \
+          flag, runs the built-in Txn_db workload, the fuzzer and MVCC. \
+          Exits 1 on any error, or with $(b,--inject) on a missed \
+          injection. The static half of the race gate is $(b,lint).")
     Term.(
-      const run_txncheck $ fuzz $ seed $ txns $ accounts $ scramble $ crash_run)
+      const run_txncheck $ fuzz $ mvcc $ seed $ txns $ accounts $ scramble
+      $ crash $ domains $ inject)
 
 (* ------------------------------------------------------------------ *)
 (* torture                                                             *)
@@ -744,143 +791,6 @@ let modelcheck_cmd =
           per-operator tolerance bands (MODEL001-MODEL011). Exits 1 on \
           any error-severity finding.")
     Term.(const modelcheck $ seed $ tolerance $ enumerate $ verbose)
-
-(* ------------------------------------------------------------------ *)
-(* racecheck                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let inject_of_spec spec =
-  let atom = function
-    | "ww" -> Ok [ `Ww ]
-    | "rw" -> Ok [ `Rw ]
-    | "unguarded" -> Ok [ `Unguarded ]
-    | "release" -> Ok [ `Release_no_acquire ]
-    | "snapshot" -> Ok [ `Snapshot ]
-    | "all" -> Ok [ `Ww; `Rw; `Unguarded; `Release_no_acquire; `Snapshot ]
-    | "" -> Ok []
-    | a -> Error a
-  in
-  List.fold_left
-    (fun acc tok ->
-      match (acc, atom (String.trim tok)) with
-      | Ok l, Ok a -> Ok (l @ a)
-      | (Error _ as e), _ -> e
-      | _, Error a -> Error a)
-    (Ok [])
-    (String.split_on_char ',' spec)
-
-let racecheck_fuzz ~seed ~domains ~inject =
-  let o = V.Txn_fuzz.run ~domains ~inject ~seed () in
-  Printf.printf
-    "fuzz seed %d, %d domains: %d committed, %d aborted, %d events, %d \
-     injected race%s\n"
-    seed domains o.V.Txn_fuzz.committed o.V.Txn_fuzz.aborted
-    (List.length o.V.Txn_fuzz.events)
-    (List.length o.V.Txn_fuzz.injected)
-    (if List.length o.V.Txn_fuzz.injected = 1 then "" else "s");
-  let diags = o.V.Txn_fuzz.race_diags in
-  if diags <> [] then Format.printf "%a@." U.Diag.pp_list diags;
-  let found = List.map (fun (d : U.Diag.t) -> d.U.Diag.code) diags in
-  (* Positive controls: every injected race must be flagged under its
-     expected code; a missed injection is a detector bug. *)
-  let missed =
-    List.filter (fun c -> not (List.mem c found)) o.V.Txn_fuzz.injected
-  in
-  List.iter
-    (fun c -> Printf.printf "racecheck: MISSED injected race %s\n" c)
-    missed;
-  if o.V.Txn_fuzz.injected = [] then begin
-    Printf.printf "fuzz: %s\n" (U.Diag.summary diags);
-    not (U.Diag.has_errors diags)
-  end
-  else begin
-    Printf.printf "fuzz: %d/%d injected races detected\n"
-      (List.length o.V.Txn_fuzz.injected - List.length missed)
-      (List.length o.V.Txn_fuzz.injected);
-    missed = []
-  end
-
-let racecheck_mvcc ~seed =
-  let r =
-    R.Mvcc_sim.run ~seed ~n_writers:2_000 ~record_schedule:true
-      R.Mvcc_sim.Versioning
-  in
-  let diags = V.Race_check.audit r.R.Mvcc_sim.events in
-  if diags <> [] then Format.printf "%a@." U.Diag.pp_list diags;
-  Printf.printf "mvcc: %d version-store events across %d domains, %s\n"
-    (List.length r.R.Mvcc_sim.events)
-    (List.length (V.Schedule.domains r.R.Mvcc_sim.events))
-    (U.Diag.summary diags);
-  not (U.Diag.has_errors diags)
-
-let run_racecheck fuzz mvcc domains inject_spec seed =
-  let inject =
-    match inject_of_spec inject_spec with
-    | Ok l -> l
-    | Error a ->
-      prerr_endline
-        ("racecheck: unknown injection `" ^ a
-       ^ "' (expected ww, rw, unguarded, release, snapshot or all)");
-      exit 2
-  in
-  (* No mode flag = the dynamic gate: clean multi-domain fuzz, MVCC. *)
-  let all = (not fuzz) && not mvcc in
-  let ok = ref true in
-  let part label b =
-    if not b then ok := false;
-    Printf.printf "%-6s %s\n\n" label (if b then "ok" else "FAIL")
-  in
-  if fuzz || all then part "fuzz" (racecheck_fuzz ~seed ~domains ~inject);
-  if mvcc || all then part "mvcc" (racecheck_mvcc ~seed);
-  if !ok then 0 else 1
-
-let racecheck_cmd =
-  let fuzz =
-    Arg.(
-      value & flag
-      & info [ "fuzz" ]
-          ~doc:
-            "Dynamic half only: run the multi-domain transaction fuzzer \
-             and audit the recorded schedule with the happens-before \
-             detector (RACE001-RACE005).")
-  in
-  let mvcc =
-    Arg.(
-      value & flag
-      & info [ "mvcc" ]
-          ~doc:
-            "Dynamic half, versioning engine: record the MVCC simulator's \
-             version-store accesses and audit them (snapshot discipline, \
-             RACE005).")
-  in
-  let domains =
-    Arg.(
-      value & opt int 3
-      & info [ "domains" ]
-          ~doc:"Simulated domain count for the fuzzed workload.")
-  in
-  let inject =
-    Arg.(
-      value & opt string ""
-      & info [ "inject" ]
-          ~doc:
-            "Comma-separated positive controls seeded into the fuzzed \
-             trace: $(b,ww), $(b,rw), $(b,unguarded), $(b,release), \
-             $(b,snapshot), or $(b,all). Every injected race must be \
-             flagged under its expected code or the run fails.")
-  in
-  let seed =
-    Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Workload PRNG seed.")
-  in
-  Cmd.v
-    (Cmd.info "racecheck"
-       ~doc:
-         "Dynamic domain-safety gate for the multicore engine: a \
-          FastTrack-style happens-before race detector (with Eraser lockset \
-          fallback and MVCC snapshot discipline) over recorded multi-domain \
-          schedules. With no mode flag, runs fuzz and mvcc. Exits 1 on any \
-          detected race or missed injection. The static half is $(b,lint).")
-    Term.(const run_racecheck $ fuzz $ mvcc $ domains $ inject $ seed)
 
 (* ------------------------------------------------------------------ *)
 (* lint                                                                *)
@@ -1275,7 +1185,6 @@ let () =
        (Cmd.group ~default info
           [
             crossover_cmd; join_cmd; tps_cmd; recover_cmd; plan_cmd; sql_cmd;
-            check_cmd; txncheck_cmd; torture_cmd; modelcheck_cmd;
-            racecheck_cmd; lint_cmd; codes_cmd; stats_cmd;
-            overload_cmd; repl_cmd;
+            txncheck_cmd; torture_cmd; modelcheck_cmd; lint_cmd; codes_cmd;
+            stats_cmd; overload_cmd; repl_cmd;
           ]))

@@ -69,7 +69,7 @@ type outcome = {
   buckets : bucket list;
   money_conserved : bool;
   audit_errors : int;
-      (** Txn_check errors over the recorded schedule; 0 when
+      (** Schedule_check errors over the recorded schedule; 0 when
           [record_schedule] was off (nothing to audit) *)
 }
 
@@ -244,16 +244,11 @@ let run cfg =
   in
   let audit_errors =
     if not cfg.record_schedule then 0
-    else begin
-      let diags =
-        Mmdb_verify.Txn_check.audit ~log:(Txn_db.log_records db)
-          (Txn_db.schedule db)
-      in
+    else
       List.length
-        (List.filter
-           (fun (d : U.Diag.t) -> d.U.Diag.severity = U.Diag.Error)
-           diags)
-    end
+        (U.Diag.errors
+           (Mmdb_verify.Schedule_check.audit ~log:(Txn_db.log_records db)
+              (Txn_db.schedule db)))
   in
   {
     label =

@@ -22,7 +22,7 @@ type config = {
           still count against goodput, and nothing stops the backlog
           from snowballing (the collapse control) *)
   storm : bool;  (** arm the [storm] fault spec (transient log faults) *)
-  record_schedule : bool;  (** audit the run with Txn_check afterwards *)
+  record_schedule : bool;  (** audit the run with Schedule_check afterwards *)
 }
 
 val default_config : config
@@ -64,7 +64,7 @@ type outcome = {
   buckets : bucket list;
   money_conserved : bool;  (** balances still sum to zero *)
   audit_errors : int;
-      (** Txn_check errors over the recorded schedule; 0 when
+      (** Schedule_check errors over the recorded schedule; 0 when
           [record_schedule] was off (nothing to audit) *)
 }
 

@@ -18,7 +18,7 @@ val create : ?strategy:Mmdb_recovery.Wal.strategy -> ?nrecords:int ->
     [record_schedule:true] every
     lock-manager and transaction event is captured as a
     {!Mmdb_recovery.Schedule.event} (see {!schedule}) so
-    {!Mmdb_verify.Txn_check} can audit the run.
+    {!Mmdb_verify.Schedule_check} can audit the run.
 
     Overload extensions: [admission] gates {!transact} (token bucket,
     backlog, priority classes — {!Mmdb_overload.Overload.Admission});
@@ -130,14 +130,14 @@ val committed_txns : t -> int list
 
 val schedule : t -> Mmdb_recovery.Schedule.event list
 (** The recorded transaction schedule, in emission order (audit input for
-    {!Mmdb_verify.Txn_check}); [[]] unless the database was created with
+    {!Mmdb_verify.Schedule_check}); [[]] unless the database was created with
     [record_schedule:true].  [Commit_durable] events are stamped with the
     exact log-ticket completion time, so they can carry earlier
     timestamps than trace-order neighbours. *)
 
 val log_records : t -> Mmdb_recovery.Log_record.t list
 (** Everything submitted to the WAL so far, in order (audit input for
-    {!Mmdb_verify.Log_check} and {!Mmdb_verify.Txn_check}). *)
+    {!Mmdb_verify.Log_check} and {!Mmdb_verify.Schedule_check}). *)
 
 val log_pages : t -> int
 val log_disk_bytes : t -> int

@@ -96,7 +96,7 @@ let apply_update ?txn ?(domain = 0) t ~lsn ~slot ~value =
   t.mem.(slot) <- value;
   (match txn with
   | Some txn ->
-    Schedule.emit t.recorder ~key:slot ~lsn ~domain ~txn Schedule.Write
+    Schedule.emit t.recorder ~key:slot ~domain ~txn Schedule.Write
   | None -> ());
   let page = page_of t slot in
   if lsn > t.mem_lsn.(page) then t.mem_lsn.(page) <- lsn;
@@ -346,7 +346,7 @@ let recover ?(workers = 1) ?(use_domains = false) ?crash_after_steps
           if lsn > redo_gate.(page) then begin
             incr value_ops;
             touch page lsn;
-            Replay.add_op plan ~txn ~lsn ~slot (Replay.Set new_value)
+            Replay.add_op plan ~txn ~slot (Replay.Set new_value)
           end
         | Log_record.Command { txn; lsn; ops } ->
           let eligible =
@@ -354,7 +354,7 @@ let recover ?(workers = 1) ?(use_domains = false) ?crash_after_steps
               ops
           in
           List.iter (fun (slot, _) -> touch (page_of t slot) lsn) eligible;
-          Replay.add_command plan ~txn ~lsn eligible
+          Replay.add_command plan ~txn eligible
         | Log_record.Begin _ | Log_record.Commit _ | Log_record.Abort _
         | Log_record.Ckpt_begin _ | Log_record.Ckpt_end _ -> ()
       end)
@@ -375,19 +375,19 @@ let recover ?(workers = 1) ?(use_domains = false) ?crash_after_steps
      gated per page so a restarted recovery skips already-resolved
      work.  Serial: undo order matters and volumes are small. *)
   let undo = ref 0 in
-  let emit_undo ~txn ~lsn ~slot =
+  let emit_undo ~txn ~slot =
     match replay_recorder with
     | None -> ()
     | Some _ ->
       Schedule.emit replay_recorder ~key:slot ~txn
         (Schedule.Grant { deps = [] });
-      Schedule.emit replay_recorder ~key:slot ~lsn ~txn Schedule.Write;
+      Schedule.emit replay_recorder ~key:slot ~txn Schedule.Write;
       Schedule.emit replay_recorder ~key:slot ~txn Schedule.Release
   in
   let undo_op ~txn ~lsn ~slot value =
     let page = page_of t slot in
     if lsn > undo_gate.(page) then begin
-      emit_undo ~txn ~lsn ~slot;
+      emit_undo ~txn ~slot;
       t.mem.(slot) <- value;
       touch page lsn;
       incr undo;

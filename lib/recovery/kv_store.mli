@@ -20,8 +20,7 @@ val create : ?faults:Mmdb_fault.Fault_plan.t ->
     [Snapshot]-site rule, and {!recover} detects (FAULT002) and rebuilds
     (FAULT009) damaged pages.  With [recorder], transactional accesses ({!get}
     / {!apply_update} called with [~txn]) emit domain-stamped Read/Write
-    schedule events for {!Mmdb_verify.Txn_check} and
-    {!Mmdb_verify.Race_check}. *)
+    schedule events for {!Mmdb_verify.Schedule_check}. *)
 
 val nrecords : t -> int
 val npages : t -> int
@@ -128,8 +127,8 @@ val recover :
     when [crash_after_steps] or [replay_recorder] forces the
     deterministic scheduler); every statistic but [used_domains] is the
     same either way.  [replay_recorder] witnesses every replay write as
-    domain-stamped Grant/Write/Release events for
-    {!Mmdb_verify.Race_check}.
+    domain-stamped Grant/Write/Release events for the race codes of
+    {!Mmdb_verify.Schedule_check}.
 
     With faults armed, snapshot pages failing their CRC are reset and
     rebuilt by replaying the whole log for their slots (FAULT002 /

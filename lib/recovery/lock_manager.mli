@@ -25,8 +25,8 @@ val create :
 (** [create ?recorder ?domain_of ()] — when [recorder] is given, every
     protocol transition (acquire / grant / wait / wake / release /
     precommit / abort) is appended to it as a {!Schedule.event} for
-    offline auditing by {!Mmdb_verify.Txn_check} and
-    {!Mmdb_verify.Race_check}.  Without it, recording costs nothing.
+    offline auditing by {!Mmdb_verify.Schedule_check}.  Without it,
+    recording costs nothing.
     [domain_of txn] supplies the domain stamp for each event (default:
     everything on domain 0 — the historical single-domain behaviour). *)
 

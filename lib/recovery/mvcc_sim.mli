@@ -41,7 +41,7 @@ val run : ?seed:int -> ?nrecords:int -> ?n_writers:int ->
 (** Defaults: 1000 accounts, 20,000 writers at saturation, a scanning
     reader every 2 simulated seconds holding its snapshot/lock for 1 s.
     [record_schedule] (default false) witnesses every version-store
-    access in [events] for {!Mmdb_verify.Race_check} auditing.
+    access in [events] for {!Mmdb_verify.Schedule_check} auditing.
     @raise Wal.Unresolved_ticket if a commit ticket is still pending
     after the final flush (a WAL-invariant violation).
     @raise Mmdb_fault.Fault.Io_error from the log device when a fault

@@ -42,7 +42,8 @@ type replay_config = {
           restart it once from the surviving durable state (FAULT012) *)
   record_replay : bool;
       (** capture the replay's domain-stamped Grant/Write/Release trace
-          in [replay_events] for {!Mmdb_verify.Race_check} *)
+          in [replay_events] for the race codes of
+          {!Mmdb_verify.Schedule_check} *)
 }
 
 val default_replay : replay_config

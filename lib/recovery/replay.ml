@@ -19,12 +19,11 @@ type stats = {
    and after-image or delta. *)
 type queue = { mutable data : int array; mutable len : int }
 
-let stride = 5
+let stride = 4
 let f_kind = 0
 let f_slot = 1
 let f_arg = 2
 let f_txn = 3
-let f_lsn = 4
 let k_set = 0
 let k_add = 1
 
@@ -46,7 +45,7 @@ let create ~workers ~partition_of =
     barrier_ops = 0;
   }
 
-let push q ~kind ~slot ~arg ~txn ~lsn =
+let push q ~kind ~slot ~arg ~txn =
   let base = q.len * stride in
   if base + stride > Array.length q.data then begin
     let data = Array.make (max (16 * stride) (2 * Array.length q.data)) 0 in
@@ -57,16 +56,15 @@ let push q ~kind ~slot ~arg ~txn ~lsn =
   q.data.(base + f_slot) <- slot;
   q.data.(base + f_arg) <- arg;
   q.data.(base + f_txn) <- txn;
-  q.data.(base + f_lsn) <- lsn;
   q.len <- q.len + 1
 
-let push_op t ~txn ~lsn ~slot action =
+let push_op t ~txn ~slot action =
   let kind, arg = match action with Set v -> (k_set, v) | Add d -> (k_add, d) in
-  push t.queues.(t.part slot) ~kind ~slot ~arg ~txn ~lsn
+  push t.queues.(t.part slot) ~kind ~slot ~arg ~txn
 
-let add_op t ~txn ~lsn ~slot action =
+let add_op t ~txn ~slot action =
   t.local_ops <- t.local_ops + 1;
-  push_op t ~txn ~lsn ~slot action
+  push_op t ~txn ~slot action
 
 (* Every op of a command is an [Add] on one slot, and every slot belongs
    to one partition, so a command splits by partition: each op joins
@@ -74,19 +72,19 @@ let add_op t ~txn ~lsn ~slot action =
    order holds with no synchronisation between partitions.  A command
    spanning partitions is counted, with its ops, as cross-partition:
    the recovery model prices those ops serially. *)
-let add_command t ~txn ~lsn ops =
+let add_command t ~txn ops =
   match ops with
   | [] -> ()
   | (first, _) :: rest ->
     let p = t.part first in
     if List.for_all (fun (slot, _) -> t.part slot = p) rest then
-      List.iter (fun (slot, d) -> add_op t ~txn ~lsn ~slot (Add d)) ops
+      List.iter (fun (slot, d) -> add_op t ~txn ~slot (Add d)) ops
     else begin
       t.ncmds <- t.ncmds + 1;
       List.iter
         (fun (slot, d) ->
           t.barrier_ops <- t.barrier_ops + 1;
-          push_op t ~txn ~lsn ~slot (Add d))
+          push_op t ~txn ~slot (Add d))
         ops
     end
 
@@ -119,8 +117,8 @@ let run_simulated ~recorder ~on_step ~apply queues =
         | Some _ ->
             Schedule.emit recorder ~at:(stamp ()) ~key:slot ~domain:p ~txn
               (Schedule.Grant { deps = [] });
-            Schedule.emit recorder ~at:(stamp ()) ~key:slot
-              ~lsn:(field q i f_lsn) ~domain:p ~txn Schedule.Write;
+            Schedule.emit recorder ~at:(stamp ()) ~key:slot ~domain:p ~txn
+              Schedule.Write;
             Schedule.emit recorder ~at:(stamp ()) ~key:slot ~domain:p ~txn
               Schedule.Release);
         apply ~slot (action_of q i);

@@ -17,7 +17,8 @@
       interleaves partitions one op at a time on the calling domain.
       This mode can stamp a {!Schedule} recorder (each applied op emits
       Grant/Write/Release under its slot key, stamped with its slot's
-      partition as the acting domain, so {!Race_check} can audit the
+      partition as the acting domain, so the race codes of
+      {!Mmdb_verify.Schedule_check} can audit the
       interleaving) and can crash mid-replay via [on_step].
     - {b domains} ([use_domains:true] when {!Domain_runner.available}):
       one {!Domain_runner.run} for the whole replay, one worker per
@@ -37,11 +38,11 @@ val create : workers:int -> partition_of:(int -> int) -> t
     partition [partition_of s] (taken modulo [workers]).
     @raise Invalid_argument if [workers <= 0]. *)
 
-val add_op : t -> txn:int -> lsn:int -> slot:int -> action -> unit
+val add_op : t -> txn:int -> slot:int -> action -> unit
 (** Append partition-local work: a value-record update, or one op of a
     command record. *)
 
-val add_command : t -> txn:int -> lsn:int -> (int * int) list -> unit
+val add_command : t -> txn:int -> (int * int) list -> unit
 (** Append a command record's eligible [(slot, delta)] ops, each as an
     [Add] in its own slot's partition.  A command whose ops span two or
     more partitions is counted in [barriers] and its ops in

@@ -14,7 +14,6 @@ type event = {
   time : float;
   txn : int;
   key : int option;
-  lsn : int option;
   domain : int;
   ver : float option;
   kind : kind;
@@ -28,12 +27,12 @@ type recorder = {
 
 let recorder ~now = { now; rev_events = []; n = 0 }
 
-let emit r ?at ?key ?lsn ?(domain = 0) ?ver ~txn kind =
+let emit r ?at ?key ?(domain = 0) ?ver ~txn kind =
   match r with
   | None -> ()
   | Some r ->
     let time = match at with Some t -> t | None -> r.now () in
-    r.rev_events <- { time; txn; key; lsn; domain; ver; kind } :: r.rev_events;
+    r.rev_events <- { time; txn; key; domain; ver; kind } :: r.rev_events;
     r.n <- r.n + 1
 
 let events r = List.rev r.rev_events

@@ -1,10 +1,11 @@
-(** Transaction-schedule recording (input to {!Mmdb_verify.Txn_check}).
+(** Transaction-schedule recording (input to
+    {!Mmdb_verify.Schedule_check}).
 
     The Section 5.2 locking protocol — two-phase locking with
     pre-committed transactions — is trusted blindly unless the system can
     show its work.  A {!recorder} captures every lock-manager and
     transaction event as it happens, stamped with the transaction id, the
-    key and LSN where applicable, and the simulated time.  The resulting
+    key where applicable, and the simulated time.  The resulting
     trace is an offline-checkable witness of the schedule the executable
     system actually produced: 2PL conformance, deadlock freedom,
     conflict-serializability, and the pre-commit dependency ordering can
@@ -35,13 +36,13 @@ type event = {
   time : float;  (** simulated seconds *)
   txn : int;
   key : int option;  (** the locked / accessed key, where applicable *)
-  lsn : int option;  (** the log record produced, where applicable *)
   domain : int;
       (** the (simulated or real) OCaml domain that executed the event;
           0 for the historical single-domain emitters.  Events of one
           domain are program-ordered by trace position; cross-domain
           ordering exists only through lock release/grant edges — the
-          happens-before relation {!Mmdb_verify.Race_check} audits. *)
+          happens-before relation {!Mmdb_verify.Schedule_check}
+          audits. *)
   ver : float option;
       (** version timestamp for multiversion (MVCC) accesses: a [Write]
           installed a version with this commit timestamp, a [Read] ran
@@ -57,8 +58,8 @@ val recorder : now:(unit -> float) -> recorder
     event (typically [fun () -> Sim_clock.now clock]). *)
 
 val emit :
-  recorder option -> ?at:float -> ?key:int -> ?lsn:int -> ?domain:int ->
-  ?ver:float -> txn:int -> kind -> unit
+  recorder option -> ?at:float -> ?key:int -> ?domain:int -> ?ver:float ->
+  txn:int -> kind -> unit
 (** Append one event.  [None] recorder: no-op.  [at] overrides the
     [now]-derived stamp — used for durability events whose true time (the
     log ticket's completion) differs from the clock at emission.

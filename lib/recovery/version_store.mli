@@ -15,8 +15,8 @@ val create : ?recorder:Schedule.recorder -> nrecords:int -> unit -> t
 (** All slots start at an initial version (timestamp −∞, value 0).  With
     [recorder], accesses carrying [~txn] are witnessed as version-stamped
     ([ver = ts]) Read/Write schedule events, so multiversion schedules
-    are auditable by {!Mmdb_verify.Txn_check} and
-    {!Mmdb_verify.Race_check} alike. *)
+    are auditable by {!Mmdb_verify.Schedule_check}'s version
+    discipline. *)
 
 val nrecords : t -> int
 

@@ -15,7 +15,6 @@ type component =
                   events : Mmdb_recovery.Schedule.event list;
                   log : Mmdb_recovery.Log_record.t list }
   | Model of { name : string; check : unit -> Mmdb_util.Diag.t list }
-  | Race of { name : string; events : Mmdb_recovery.Schedule.event list }
 
 let structure_diag ~code ~what ok =
   if ok then []
@@ -36,14 +35,13 @@ let run = function
   | Pool { pool; expect_unpinned; _ } -> Pool_check.audit ~expect_unpinned pool
   | Log { complete; records; _ } -> Log_check.audit ~complete records
   | Plan { catalog; expr; _ } -> Mmdb_planner.Plan_check.check catalog expr
-  | Schedule { events; log; _ } -> Txn_check.audit ~log events
+  | Schedule { events; log; _ } -> Schedule_check.audit ~log events
   | Model { check; _ } -> check ()
-  | Race { events; _ } -> Race_check.audit events
 
 let name_of = function
   | Btree (n, _) | Avl (n, _) | Paged_bst (n, _) | Heap_check (n, _) -> n
   | Pool { name; _ } | Log { name; _ } | Plan { name; _ }
-  | Schedule { name; _ } | Model { name; _ } | Race { name; _ } -> name
+  | Schedule { name; _ } | Model { name; _ } -> name
 
 let run_all components = List.map (fun c -> (name_of c, run c)) components
 

@@ -22,21 +22,15 @@ type component =
   | Schedule of { name : string;
                   events : Mmdb_recovery.Schedule.event list;
                   log : Mmdb_recovery.Log_record.t list }
-      (** A recorded transaction schedule (see
-          {!Mmdb_recovery.Schedule} and {!Txn_check}); [log] is the full
-          WAL submission stream cross-checked by the dependency auditor
-          ([[]] skips those checks). *)
+      (** A recorded transaction schedule audited by {!Schedule_check}
+          (protocol and race codes); [log] is the full WAL submission
+          stream cross-checked by the dependency audit ([[]] skips those
+          checks). *)
   | Model of { name : string; check : unit -> Mmdb_util.Diag.t list }
       (** A cost-model conformance check ({!Model_check}), thunked
           because it executes a workload: [Model { name = "model suite";
           check = fun () -> Model_check.suite_diags
           (Model_check.run_suite ()) }]. *)
-  | Race of { name : string; events : Mmdb_recovery.Schedule.event list }
-      (** A domain-stamped schedule replayed through the
-          happens-before race detector ({!Race_check}). *)
-
-val run : component -> Mmdb_util.Diag.t list
-(** Audit one component. *)
 
 val run_all : component list -> (string * Mmdb_util.Diag.t list) list
 (** Audit every component, pairing each name with its findings. *)

@@ -1330,7 +1330,7 @@ let status_label f =
   | Flagged -> "FLAGGED " ^ f.code
   | Justified why -> "justified: " ^ why
   | Safe why -> "safe: " ^ why
-  | Per_instance -> "per-instance (audited dynamically by Race_check)"
+  | Per_instance -> "per-instance (audited dynamically by Schedule_check)"
 
 let pp_inventory ppf fs =
   if fs = [] then Format.fprintf ppf "no findings@."

@@ -4,9 +4,10 @@
     type-checker sees.
 
     {b RACE} — module-level mutable state, the static half of the
-    domain-safety gate (the dynamic half is {!Race_check}).  Every
-    top-level binding built by [ref], [Hashtbl]/[Buffer]/[Queue]/[Stack]
-    creation or an [Array]/[Bytes] allocation, every top-level [lazy],
+    domain-safety gate (the dynamic half is {!Schedule_check}'s race
+    codes).  Every top-level binding built by [ref],
+    [Hashtbl]/[Buffer]/[Queue]/[Stack] creation or an [Array]/[Bytes]
+    allocation, every top-level [lazy],
     every shared global PRNG stream and every record type declaring
     [mutable] fields is inventoried:
     - [RACE101] unjustified top-level mutable value;
@@ -15,7 +16,7 @@
       per-domain by value).
     A binding built on [Atomic.make] or [Mutex.create] is [Safe]; a type
     declaring mutable fields is [Per_instance] (instances may be
-    domain-local; {!Race_check} audits them).  Both are reported under
+    domain-local; {!Schedule_check} audits them).  Both are reported under
     [RACE101], the rule that inventoried them.
 
     {b PERF} — accidentally super-linear idioms on per-operation paths:

@@ -11,11 +11,10 @@ module Plan_check = Mmdb_planner.Plan_check
 module Log_check = Log_check
 module Pool_check = Pool_check
 module Schedule = Mmdb_recovery.Schedule
-module Txn_check = Txn_check
+module Schedule_check = Schedule_check
 module Txn_fuzz = Txn_fuzz
 module Torture = Torture
 module Model_check = Model_check
-module Race_check = Race_check
 module Lint = Lint
 module Audit = Audit
 
@@ -25,7 +24,6 @@ module Audit = Audit
     copy. *)
 let code_catalogue =
   Plan_check.code_catalogue @ Log_check.code_catalogue
-  @ Pool_check.code_catalogue @ Txn_check.code_catalogue
-  @ Audit.code_catalogue @ Model_check.code_catalogue
-  @ Race_check.code_catalogue @ Lint.code_catalogue
+  @ Pool_check.code_catalogue @ Schedule_check.code_catalogue
+  @ Audit.code_catalogue @ Model_check.code_catalogue @ Lint.code_catalogue
   @ Mmdb_overload.Overload.code_catalogue @ Mmdb_fault.Fault.code_catalogue

@@ -31,9 +31,6 @@ type band = { lo : float; hi : float; abs : float }
     The ratio part states the constant-factor room an idealized formula
     allows its implementation; [abs] absorbs per-partition rounding. *)
 
-val band : ?abs:float -> float -> float -> band
-(** [band ?abs lo hi]; [abs] defaults to [0.]. *)
-
 type tolerance = {
   comps : band;
   hashes : band;

@@ -9,7 +9,6 @@ type outcome = {
   events : R.Schedule.event list;
   log : R.Log_record.t list;
   diags : Mmdb_util.Diag.t list;
-  race_diags : Mmdb_util.Diag.t list;
   injected : string list;
   committed : int;
   aborted : int;
@@ -56,7 +55,7 @@ let run ?(txns = 40) ?(accounts = 16) ?(scramble = false) ?(crash = false)
      [id mod domains].  The single-threaded scheduler already interleaves
      transactions arbitrarily, so with [domains > 1] the recorded trace
      is a genuine multi-domain interleaving — every cross-domain ordering
-     must come from lock edges, which is exactly what Race_check audits. *)
+     must come from lock edges, which is exactly what Schedule_check audits. *)
   let domain_of id = id mod domains in
   let admission =
     if spike then Some (O.Admission.create ~rate:spike_rate ~burst:spike_burst ())
@@ -232,8 +231,7 @@ let run ?(txns = 40) ?(accounts = 16) ?(scramble = false) ?(crash = false)
      range, so every control maps to exactly one expected RACE code and
      controls do not interfere with each other or the real workload.
      (Ghost accesses are lock-free by design, so they also surface as
-     TXN protocol errors in [diags]; race-gated runs assert on
-     [race_diags] only.) *)
+     TXN protocol errors in [diags]; race gates select the RACE codes.) *)
   let injected =
     List.mapi
       (fun i (kind : inject) ->
@@ -274,8 +272,7 @@ let run ?(txns = 40) ?(accounts = 16) ?(scramble = false) ?(crash = false)
   {
     events;
     log;
-    diags = Txn_check.audit ~log events;
-    race_diags = Race_check.audit events;
+    diags = Schedule_check.audit ~log events;
     injected;
     committed = !committed;
     aborted = !aborted;

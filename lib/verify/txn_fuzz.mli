@@ -7,7 +7,7 @@
     mid-schedule.  The driver keeps the interleaving scheduler, the
     domain placement and the race injections; the kernel's recorder
     witnesses everything (lock transitions, and reads and writes through
-    the store), and {!Txn_check.audit} runs over the result.
+    the store), and {!Schedule_check.audit} runs over the result.
 
     Determinism: all randomness comes from {!Mmdb_util.Xorshift} seeded
     with [seed]; the same parameters always produce the same schedule,
@@ -32,8 +32,7 @@ type outcome = {
   events : Mmdb_recovery.Schedule.event list;  (** the recorded trace *)
   log : Mmdb_recovery.Log_record.t list;
       (** every record submitted to the WAL, in order *)
-  diags : Mmdb_util.Diag.t list;  (** [Txn_check.audit ~log events] *)
-  race_diags : Mmdb_util.Diag.t list;  (** [Race_check.audit events] *)
+  diags : Mmdb_util.Diag.t list;  (** [Schedule_check.audit ~log events] *)
   injected : string list;
       (** expected RACE codes, one per injection, in injection order *)
   committed : int;  (** transactions that pre-committed *)
@@ -84,7 +83,7 @@ val run :
     multi-domain interleaving whose only cross-domain ordering comes
     from lock edges, so a clean 2PL run must produce zero race
     diagnostics.  [inject] appends seeded positive-control races (see
-    {!inject}); [injected] lists the codes {!Race_check.audit} is
-    expected to flag.  Injected ghost accesses are deliberately
-    lock-free, so they also surface as protocol errors in [diags] —
-    race gates assert on [race_diags] only. *)
+    {!inject}); [injected] lists the RACE codes [diags] is expected to
+    hold.  Injected ghost accesses are deliberately lock-free, so the
+    unversioned ones also surface as TXN002 — race gates select the
+    RACE codes from [diags]. *)

@@ -419,7 +419,7 @@ let test_txn_schedule_recording () =
   M.Txn_db.crash db;
   ignore (M.Txn_db.recover db);
   checkb "sanitizer clean" true
-    (V.Txn_check.ok ~log:(M.Txn_db.log_records db) (M.Txn_db.schedule db))
+    (V.Schedule_check.ok ~log:(M.Txn_db.log_records db) (M.Txn_db.schedule db))
 
 let () =
   Alcotest.run "mmdb_core"

@@ -3,7 +3,7 @@
    the circuit-breaker state machine, spike-mode fuzzing, and degraded
    modes.  The recurring assertion: every shed leaves the service clean —
    no locks held, no pinned frames, no balance drift, and a
-   Txn_check-clean audit trail. *)
+   Schedule_check-clean audit trail. *)
 
 module S = Mmdb_storage
 module R = Mmdb_recovery
@@ -24,8 +24,7 @@ let shed_of f =
   | _ -> None
   | exception O.Shed r -> Some r
 
-let audit_clean db =
-  not (D.has_errors (V.Txn_check.audit ~log:(C.log_records db) (C.schedule db)))
+let audit_clean db = V.Schedule_check.ok ~log:(C.log_records db) (C.schedule db)
 
 (* ------------------------------------------------------------------ *)
 (* Deadline expiry: lock stage (OVLD004)                               *)

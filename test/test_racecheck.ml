@@ -1,6 +1,6 @@
 (* Tests for the domain-safety pass: a hand-built corpus of racy and
-   race-free schedules asserting exact RACE codes out of the
-   happens-before detector, fuzz determinism and injected positive
+   race-free schedules asserting the exact RACE codes the schedule
+   auditor reports, fuzz determinism and injected positive
    controls, the MVCC snapshot-discipline rule, and the RACE family of
    the static lint over synthetic sources, including how the three lint
    families share one parse. *)
@@ -10,14 +10,20 @@ module U = Mmdb_util
 module D = U.Diag
 module V = Mmdb_verify
 module Sch = R.Schedule
-module RC = V.Race_check
+module SC = V.Schedule_check
 module L = V.Lint
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-let ev ?key ?lsn ?(domain = 0) ?ver ~t ~txn kind =
-  { Sch.time = t; txn; key; lsn; domain; ver; kind }
+let ev ?key ?(domain = 0) ?ver ~t ~txn kind =
+  { Sch.time = t; txn; key; domain; ver; kind }
+
+let race code = String.starts_with ~prefix:"RACE" code
+
+(* The race codes the schedule auditor reports for [trace]. *)
+let races diags = List.filter (fun (d : D.t) -> race d.D.code) diags
+let audit trace = races (SC.audit trace)
 
 let codes diags = List.sort_uniq compare (List.map (fun d -> d.D.code) diags)
 let check_codes msg expected diags =
@@ -36,34 +42,34 @@ let ww_locked () =
   [
     ev ~key:7 ~t:0.001 ~txn:1 ~domain:0 Sch.Acquire;
     ev ~key:7 ~t:0.001 ~txn:1 ~domain:0 (Sch.Grant { deps = [] });
-    ev ~key:7 ~lsn:1 ~t:0.002 ~txn:1 ~domain:0 Sch.Write;
+    ev ~key:7 ~t:0.002 ~txn:1 ~domain:0 Sch.Write;
     ev ~key:7 ~t:0.003 ~txn:1 ~domain:0 Sch.Release;
     ev ~key:7 ~t:0.004 ~txn:2 ~domain:1 Sch.Acquire;
     ev ~key:7 ~t:0.004 ~txn:2 ~domain:1 (Sch.Grant { deps = [] });
-    ev ~key:7 ~lsn:2 ~t:0.005 ~txn:2 ~domain:1 Sch.Write;
+    ev ~key:7 ~t:0.005 ~txn:2 ~domain:1 Sch.Write;
     ev ~key:7 ~t:0.006 ~txn:2 ~domain:1 Sch.Release;
   ]
 
 let ww_unlocked () =
   [
-    ev ~key:7 ~lsn:1 ~t:0.002 ~txn:1 ~domain:0 Sch.Write;
-    ev ~key:7 ~lsn:2 ~t:0.005 ~txn:2 ~domain:1 Sch.Write;
+    ev ~key:7 ~t:0.002 ~txn:1 ~domain:0 Sch.Write;
+    ev ~key:7 ~t:0.005 ~txn:2 ~domain:1 Sch.Write;
   ]
 
 let test_ww_2pl_prevents () =
-  check_codes "locked ww is clean" [] (RC.audit (ww_locked ()));
+  check_codes "locked ww is clean" [] (audit (ww_locked ()));
   check_codes "unlocked ww races"
     [ "RACE001"; "RACE003" ]
-    (RC.audit (ww_unlocked ()))
+    (audit (ww_unlocked ()))
 
 let test_rw_race () =
   let trace =
     [
       ev ~key:3 ~t:0.001 ~txn:1 ~domain:0 Sch.Read;
-      ev ~key:3 ~lsn:1 ~t:0.002 ~txn:2 ~domain:1 Sch.Write;
+      ev ~key:3 ~t:0.002 ~txn:2 ~domain:1 Sch.Write;
     ]
   in
-  check_codes "read/write race" [ "RACE002"; "RACE003" ] (RC.audit trace)
+  check_codes "read/write race" [ "RACE002"; "RACE003" ] (audit trace)
 
 (* Two lock-free reads from two domains: no conflicting pair for the
    vector clocks, so only the Eraser lockset fallback fires. *)
@@ -74,7 +80,7 @@ let test_lockset_fallback_only () =
       ev ~key:4 ~t:0.002 ~txn:2 ~domain:1 Sch.Read;
     ]
   in
-  check_codes "empty lockset" [ "RACE003" ] (RC.audit trace)
+  check_codes "empty lockset" [ "RACE003" ] (audit trace)
 
 (* Both writers hold a common lock on key 9 the whole time (a broken
    lock manager granted it twice), so the candidate lockset is non-empty
@@ -85,15 +91,15 @@ let test_ww_without_lockset_noise () =
     [
       ev ~key:9 ~t:0.001 ~txn:1 ~domain:0 (Sch.Grant { deps = [] });
       ev ~key:9 ~t:0.001 ~txn:2 ~domain:1 (Sch.Grant { deps = [] });
-      ev ~key:5 ~lsn:1 ~t:0.002 ~txn:1 ~domain:0 Sch.Write;
-      ev ~key:5 ~lsn:2 ~t:0.003 ~txn:2 ~domain:1 Sch.Write;
+      ev ~key:5 ~t:0.002 ~txn:1 ~domain:0 Sch.Write;
+      ev ~key:5 ~t:0.003 ~txn:2 ~domain:1 Sch.Write;
     ]
   in
-  check_codes "vector clocks alone" [ "RACE001" ] (RC.audit trace)
+  check_codes "vector clocks alone" [ "RACE001" ] (audit trace)
 
 let test_release_without_acquire () =
   let trace = [ ev ~key:2 ~t:0.001 ~txn:1 ~domain:0 Sch.Release ] in
-  check_codes "protocol break" [ "RACE004" ] (RC.audit trace)
+  check_codes "protocol break" [ "RACE004" ] (audit trace)
 
 (* Snapshot discipline.  A version installed below a snapshot while the
    snapshot's scan is in flight races (the scan straddles the install);
@@ -103,42 +109,42 @@ let test_snapshot_discipline () =
   let racy =
     [
       ev ~key:1 ~t:0.001 ~txn:10 ~domain:1 ~ver:10.0 Sch.Read;
-      ev ~key:1 ~lsn:1 ~t:0.002 ~txn:2 ~domain:0 ~ver:5.0 Sch.Write;
+      ev ~key:1 ~t:0.002 ~txn:2 ~domain:0 ~ver:5.0 Sch.Write;
       ev ~key:2 ~t:0.003 ~txn:10 ~domain:1 ~ver:10.0 Sch.Read;
     ]
   in
-  check_codes "install below active snapshot" [ "RACE005" ] (RC.audit racy);
+  check_codes "install below active snapshot" [ "RACE005" ] (audit racy);
   let clean_before =
     [
-      ev ~key:1 ~lsn:1 ~t:0.001 ~txn:2 ~domain:0 ~ver:5.0 Sch.Write;
+      ev ~key:1 ~t:0.001 ~txn:2 ~domain:0 ~ver:5.0 Sch.Write;
       ev ~key:1 ~t:0.002 ~txn:10 ~domain:1 ~ver:10.0 Sch.Read;
       ev ~key:2 ~t:0.003 ~txn:10 ~domain:1 ~ver:10.0 Sch.Read;
     ]
   in
-  check_codes "install before snapshot" [] (RC.audit clean_before);
+  check_codes "install before snapshot" [] (audit clean_before);
   let clean_above =
     [
       ev ~key:1 ~t:0.001 ~txn:10 ~domain:1 ~ver:10.0 Sch.Read;
-      ev ~key:1 ~lsn:1 ~t:0.002 ~txn:2 ~domain:0 ~ver:15.0 Sch.Write;
+      ev ~key:1 ~t:0.002 ~txn:2 ~domain:0 ~ver:15.0 Sch.Write;
       ev ~key:2 ~t:0.003 ~txn:10 ~domain:1 ~ver:10.0 Sch.Read;
     ]
   in
-  check_codes "install above snapshot" [] (RC.audit clean_above)
+  check_codes "install above snapshot" [] (audit clean_above)
 
 (* Single-domain traces are totally ordered: the historical (unstamped)
    emitters must keep auditing clean whatever they interleave. *)
 let test_single_domain_clean () =
   let trace =
     [
-      ev ~key:1 ~lsn:1 ~t:0.001 ~txn:1 Sch.Write;
+      ev ~key:1 ~t:0.001 ~txn:1 Sch.Write;
       ev ~key:1 ~t:0.002 ~txn:2 Sch.Read;
-      ev ~key:1 ~lsn:2 ~t:0.003 ~txn:2 Sch.Write;
+      ev ~key:1 ~t:0.003 ~txn:2 Sch.Write;
       ev ~key:1 ~t:0.004 ~txn:3 Sch.Release;
     ]
   in
   (* ... except a release-without-acquire, which is domain-count
      independent. *)
-  check_codes "single domain" [ "RACE004" ] (RC.audit trace)
+  check_codes "single domain" [ "RACE004" ] (audit trace)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzzer integration                                                  *)
@@ -150,7 +156,7 @@ let test_fuzz_clean_multi_domain () =
       let o = V.Txn_fuzz.run ~domains ~seed () in
       check_codes
         (Printf.sprintf "%d domains, seed %d race-free" domains seed)
-        [] o.V.Txn_fuzz.race_diags;
+        [] (races o.V.Txn_fuzz.diags);
       checkb
         (Printf.sprintf "%d domains, seed %d spans domains" domains seed)
         true
@@ -167,7 +173,7 @@ let test_fuzz_injections_detected () =
     "expected codes"
     [ "RACE001"; "RACE002"; "RACE003"; "RACE004"; "RACE005" ]
     (List.sort_uniq compare o.V.Txn_fuzz.injected);
-  let found = codes o.V.Txn_fuzz.race_diags in
+  let found = codes (races o.V.Txn_fuzz.diags) in
   List.iter
     (fun c -> checkb (c ^ " detected") true (List.mem c found))
     o.V.Txn_fuzz.injected
@@ -178,8 +184,9 @@ let test_fuzz_seed_determinism () =
     ( List.length o.V.Txn_fuzz.events,
       o.V.Txn_fuzz.committed,
       o.V.Txn_fuzz.aborted,
-      List.map (fun (d : D.t) -> (d.D.code, d.D.path)) o.V.Txn_fuzz.race_diags
-    )
+      List.map
+        (fun (d : D.t) -> (d.D.code, d.D.path))
+        (races o.V.Txn_fuzz.diags) )
   in
   checkb "same seed, same findings" true (run () = run ());
   let o1 = V.Txn_fuzz.run ~domains:2 ~seed:5 ()
@@ -203,7 +210,7 @@ let test_mvcc_trace_clean () =
         (Sch.domains r.R.Mvcc_sim.events);
       checkb (msg "snapshots consistent") true
         r.R.Mvcc_sim.snapshots_consistent;
-      check_codes (msg "clean MVCC trace") [] (RC.audit r.R.Mvcc_sim.events))
+      check_codes (msg "clean MVCC trace") [] (audit r.R.Mvcc_sim.events))
     [ (83, 3_000); (83, 4_000); (11, 2_000) ];
   (* Off by default: the unstamped path stays valid. *)
   let r0 = R.Mvcc_sim.run ~seed:83 ~n_writers:100 R.Mvcc_sim.Versioning in
@@ -240,24 +247,23 @@ let test_parallel_replay_race_free () =
   checkb "replay events recorded" true (o.RM.replay_events <> []);
   checkb "recovery consistent" true o.RM.consistent;
   checkb "replay schedule race-free" false
-    (D.has_errors (RC.audit o.RM.replay_events))
+    (D.has_errors (audit o.RM.replay_events))
 
 let test_audit_race_component () =
   let results =
     V.Audit.run_all
-      [ V.Audit.Race { name = "ww"; events = ww_unlocked () } ]
+      [ V.Audit.Schedule { name = "ww"; events = ww_unlocked (); log = [] } ]
   in
   match results with
   | [ (name, diags) ] ->
     Alcotest.(check string) "component name" "ww" name;
-    check_codes "component reports races" [ "RACE001"; "RACE003" ] diags
+    check_codes "component reports races" [ "RACE001"; "RACE003" ]
+      (races diags)
   | _ -> Alcotest.fail "expected one component result"
 
 (* ------------------------------------------------------------------ *)
 (* Static lint                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let race code = String.starts_with ~prefix:"RACE" code
 
 (* The RACE findings and diagnostics of a corpus of [(path, source)]. *)
 let lint sources =

@@ -1196,14 +1196,12 @@ let test_cross_partition_ops_stay_home () =
   let rng = U.Xorshift.create 31 in
   let plan = R.Replay.create ~workers ~partition_of in
   let expected = Array.make (workers * per_part) 0 in
-  let lsn = ref 0 and cross_ops = ref 0 and ncmds = 500 in
+  let cross_ops = ref 0 and ncmds = 500 in
   for txn = 1 to ncmds do
-    incr lsn;
     let slot = U.Xorshift.int rng (workers * per_part) in
     let v = U.Xorshift.int rng 1_000 in
     expected.(slot) <- v;
-    R.Replay.add_op plan ~txn ~lsn:!lsn ~slot (R.Replay.Set v);
-    incr lsn;
+    R.Replay.add_op plan ~txn ~slot (R.Replay.Set v);
     let first = U.Xorshift.int rng workers in
     let span = U.Xorshift.int_in_range rng ~lo:2 ~hi:workers in
     let ops =
@@ -1214,7 +1212,7 @@ let test_cross_partition_ops_stay_home () =
     in
     List.iter (fun (s, d) -> expected.(s) <- expected.(s) + d) ops;
     cross_ops := !cross_ops + span;
-    R.Replay.add_command plan ~txn ~lsn:!lsn ops
+    R.Replay.add_command plan ~txn ops
   done;
   let recorder = R.Schedule.recorder ~now:(fun () -> 0.0) in
   let mem = Array.make (workers * per_part) 0 in
@@ -1255,8 +1253,8 @@ let test_replay_raising_worker () =
     (fun (name, bad_slot) ->
       let plan = R.Replay.create ~workers:3 ~partition_of:Fun.id in
       for i = 1 to 2_000 do
-        R.Replay.add_op plan ~txn:i ~lsn:(2 * i) ~slot:4 (R.Replay.Set i);
-        R.Replay.add_command plan ~txn:i ~lsn:((2 * i) + 1) [ (0, 1); (1, -1) ]
+        R.Replay.add_op plan ~txn:i ~slot:4 (R.Replay.Set i);
+        R.Replay.add_command plan ~txn:i [ (0, 1); (1, -1) ]
       done;
       let seen = Atomic.make 0 in
       let apply ~slot _ =

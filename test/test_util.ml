@@ -1,4 +1,4 @@
-(* Tests for Mmdb_util: RNG, statistics, heap, table formatting, histogram. *)
+(* Tests for Mmdb_util: RNG, statistics, heap, table formatting. *)
 
 module U = Mmdb_util
 
@@ -264,27 +264,6 @@ let test_cell_float () =
   check Alcotest.string "4 decimals" "3.1416"
     (U.Tablefmt.cell_float ~decimals:4 3.14159)
 
-(* ------------------------------------------------------------------ *)
-(* Histogram                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_histogram_counts () =
-  let h = U.Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:10 in
-  List.iter (U.Histogram.add h) [ 0.5; 1.5; 1.6; 9.9; -1.0; 10.0; 11.0 ];
-  checki "total" 7 (U.Histogram.count h);
-  checki "underflow" 1 (U.Histogram.underflow h);
-  checki "overflow" 2 (U.Histogram.overflow h);
-  let counts = U.Histogram.bucket_counts h in
-  checki "bucket 0" 1 counts.(0);
-  checki "bucket 1" 2 counts.(1);
-  checki "bucket 9" 1 counts.(9)
-
-let test_histogram_bounds () =
-  let h = U.Histogram.create ~lo:0.0 ~hi:1.0 ~buckets:4 in
-  let lo, hi = U.Histogram.bucket_bounds h 1 in
-  feq "lo" 0.25 lo;
-  feq "hi" 0.5 hi
-
 let () =
   Alcotest.run "mmdb_util"
     [
@@ -334,10 +313,5 @@ let () =
           Alcotest.test_case "arity mismatch" `Quick test_table_arity_mismatch;
           Alcotest.test_case "cell_int" `Quick test_cell_int_separators;
           Alcotest.test_case "cell_float" `Quick test_cell_float;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "counts" `Quick test_histogram_counts;
-          Alcotest.test_case "bounds" `Quick test_histogram_bounds;
         ] );
     ]

@@ -670,16 +670,24 @@ let test_bst_delete_basics () =
     [ 40; 60; 70; 80 ]
 
 (* ------------------------------------------------------------------ *)
-(* Txn_check: hand-built schedule corpus                               *)
+(* Schedule_check: hand-built schedule corpus                          *)
 (* ------------------------------------------------------------------ *)
 
 module Sch = R.Schedule
-module TC = V.Txn_check
+module SC = V.Schedule_check
 
 (* Hand-built trace events: time increases with position so the traces
    read naturally. *)
-let ev ?key ?lsn ?(domain = 0) ?ver ~t ~txn kind =
-  { Sch.time = t; txn; key; lsn; domain; ver; kind }
+let ev ?key ?(domain = 0) ?ver ~t ~txn kind =
+  { Sch.time = t; txn; key; domain; ver; kind }
+
+(* Each corpus case targets one analysis: it selects that analysis's
+   codes from the audit. *)
+let select codes diags = List.filter (fun d -> List.mem d.D.code codes) diags
+let protocol = select [ "TXN001"; "TXN002"; "TXN003"; "TXN004"; "TXN005" ]
+let waits_for = select [ "TXN006"; "TXN101" ]
+let serializability = select [ "TXN007" ]
+let dependencies = select [ "TXN008" ]
 
 let grant ?(deps = []) ~t ~txn ~key () =
   ev ~key ~t ~txn (Sch.Grant { deps })
@@ -692,14 +700,14 @@ let clean_trace () =
     ev ~key:1 ~t:0.001 ~txn:1 Sch.Acquire;
     grant ~t:0.001 ~txn:1 ~key:1 ();
     ev ~key:1 ~t:0.002 ~txn:1 Sch.Read;
-    ev ~key:1 ~lsn:2 ~t:0.002 ~txn:1 Sch.Write;
+    ev ~key:1 ~t:0.002 ~txn:1 Sch.Write;
     ev ~key:1 ~t:0.003 ~txn:2 Sch.Acquire;
     ev ~key:1 ~t:0.003 ~txn:2 (Sch.Wait { holder = 1 });
     ev ~t:0.004 ~txn:1 Sch.Precommit;
     ev ~key:1 ~t:0.004 ~txn:1 Sch.Release;
     ev ~key:1 ~t:0.004 ~txn:2 (Sch.Wake { deps = [ 1 ] });
     ev ~key:1 ~t:0.005 ~txn:2 Sch.Read;
-    ev ~key:1 ~lsn:5 ~t:0.005 ~txn:2 Sch.Write;
+    ev ~key:1 ~t:0.005 ~txn:2 Sch.Write;
     ev ~t:0.006 ~txn:2 Sch.Precommit;
     ev ~key:1 ~t:0.006 ~txn:2 Sch.Release;
     ev ~t:0.010 ~txn:1 Sch.Commit_durable;
@@ -719,19 +727,19 @@ let clean_log () =
 let codes diags = List.sort_uniq compare (List.map (fun d -> d.D.code) diags)
 
 let test_txncheck_clean () =
-  let diags = TC.audit ~log:(clean_log ()) (clean_trace ()) in
+  let diags = SC.audit ~log:(clean_log ()) (clean_trace ()) in
   Alcotest.(check (list string)) "clean schedule" [] (codes diags);
-  checkb "ok" true (TC.ok ~log:(clean_log ()) (clean_trace ()));
+  checkb "ok" true (SC.ok ~log:(clean_log ()) (clean_trace ()));
   (* Truncated trace: active transactions at end are tolerated. *)
   let truncated =
     [
       ev ~key:1 ~t:0.001 ~txn:1 Sch.Acquire;
       grant ~t:0.001 ~txn:1 ~key:1 ();
-      ev ~key:1 ~lsn:2 ~t:0.002 ~txn:1 Sch.Write;
+      ev ~key:1 ~t:0.002 ~txn:1 Sch.Write;
     ]
   in
   Alcotest.(check (list string)) "truncated tolerated" []
-    (codes (TC.audit truncated))
+    (codes (SC.audit truncated))
 
 (* Mutation corpus: each injected protocol bug must be caught by exactly
    its TXN code. *)
@@ -743,21 +751,21 @@ let test_txncheck_early_release () =
   let trace =
     [
       grant ~t:0.001 ~txn:1 ~key:1 ();
-      ev ~key:1 ~lsn:1 ~t:0.002 ~txn:1 Sch.Write;
+      ev ~key:1 ~t:0.002 ~txn:1 Sch.Write;
       ev ~key:1 ~t:0.003 ~txn:1 Sch.Release;
       grant ~t:0.004 ~txn:1 ~key:2 ();
-      ev ~key:1 ~lsn:2 ~t:0.005 ~txn:1 Sch.Write;
+      ev ~key:1 ~t:0.005 ~txn:1 Sch.Write;
       ev ~t:0.006 ~txn:1 Sch.Precommit;
       ev ~key:2 ~t:0.006 ~txn:1 Sch.Release;
     ]
   in
-  let cs = codes (TC.check_2pl trace) in
+  let cs = codes (protocol (SC.audit trace)) in
   Alcotest.(check (list string)) "TXN001 + TXN002" [ "TXN001"; "TXN002" ] cs
 
 let test_txncheck_unlocked_access () =
   let trace = [ ev ~key:9 ~t:0.001 ~txn:4 Sch.Read ] in
   Alcotest.(check (list string)) "TXN002" [ "TXN002" ]
-    (codes (TC.check_2pl trace))
+    (codes (protocol (SC.audit trace)))
 
 (* Bug: pre-commit forgets to release (lock leak). *)
 let test_txncheck_held_after_precommit () =
@@ -769,13 +777,13 @@ let test_txncheck_held_after_precommit () =
     ]
   in
   Alcotest.(check (list string)) "TXN003" [ "TXN003" ]
-    (codes (TC.check_2pl trace));
+    (codes (protocol (SC.audit trace)));
   (* Same leak, trace ends before durability. *)
   let trace2 =
     [ grant ~t:0.001 ~txn:1 ~key:1 (); ev ~t:0.002 ~txn:1 Sch.Precommit ]
   in
   Alcotest.(check (list string)) "TXN003 at end of trace" [ "TXN003" ]
-    (codes (TC.check_2pl trace2))
+    (codes (protocol (SC.audit trace2)))
 
 let test_txncheck_precommitted_acquires () =
   let trace =
@@ -787,7 +795,7 @@ let test_txncheck_precommitted_acquires () =
       grant ~t:0.003 ~txn:1 ~key:2 ();
     ]
   in
-  let diags = TC.check_2pl trace in
+  let diags = protocol (SC.audit trace) in
   Alcotest.(check (list string)) "TXN004" [ "TXN004" ] (codes diags);
   checki "deduplicated per txn/key" 1 (List.length diags)
 
@@ -801,7 +809,7 @@ let test_txncheck_precommitted_aborts () =
     ]
   in
   Alcotest.(check (list string)) "TXN005" [ "TXN005" ]
-    (codes (TC.check_2pl trace))
+    (codes (protocol (SC.audit trace)))
 
 let test_txncheck_deadlock_cycle () =
   let trace =
@@ -812,7 +820,7 @@ let test_txncheck_deadlock_cycle () =
       ev ~key:1 ~t:0.004 ~txn:2 (Sch.Wait { holder = 1 });
     ]
   in
-  let diags = TC.check_deadlock trace in
+  let diags = waits_for (SC.audit trace) in
   checkb "TXN006 reported" true (D.has_code "TXN006" diags);
   checki "one cycle, once" 1 (List.length diags);
   let msg = (List.hd diags).D.message in
@@ -833,7 +841,7 @@ let test_txncheck_lock_order_lint () =
       grant ~t:0.005 ~txn:2 ~key:1 ();
     ]
   in
-  let diags = TC.check_deadlock trace in
+  let diags = waits_for (SC.audit trace) in
   checkb "no deadlock" false (D.has_code "TXN006" diags);
   checkb "TXN101 warning" true (D.has_code "TXN101" diags);
   checkb "warning severity" false (D.has_errors diags)
@@ -843,15 +851,15 @@ let test_txncheck_lock_order_lint () =
 let test_txncheck_serializability_cycle () =
   let trace =
     [
-      ev ~key:1 ~lsn:1 ~t:0.001 ~txn:1 Sch.Write;
-      ev ~key:1 ~lsn:2 ~t:0.002 ~txn:2 Sch.Write;
-      ev ~key:2 ~lsn:3 ~t:0.003 ~txn:2 Sch.Write;
-      ev ~key:2 ~lsn:4 ~t:0.004 ~txn:1 Sch.Write;
+      ev ~key:1 ~t:0.001 ~txn:1 Sch.Write;
+      ev ~key:1 ~t:0.002 ~txn:2 Sch.Write;
+      ev ~key:2 ~t:0.003 ~txn:2 Sch.Write;
+      ev ~key:2 ~t:0.004 ~txn:1 Sch.Write;
       ev ~t:0.005 ~txn:1 Sch.Precommit;
       ev ~t:0.005 ~txn:2 Sch.Precommit;
     ]
   in
-  let diags = TC.check_serializability trace in
+  let diags = serializability (SC.audit trace) in
   checkb "TXN007 reported" true (D.has_code "TXN007" diags);
   checki "one cycle" 1 (List.length diags);
   checkb "witness edge present" true
@@ -867,7 +875,7 @@ let test_txncheck_serializability_cycle () =
       trace
   in
   Alcotest.(check (list string)) "aborted txn excluded" []
-    (codes (TC.check_serializability aborted))
+    (codes (serializability (SC.audit aborted)))
 
 (* Bug: committing a dependant before its dependency. *)
 let test_txncheck_dependency_durability () =
@@ -884,7 +892,7 @@ let test_txncheck_dependency_durability () =
       ev ~t:0.007 ~txn:1 Sch.Commit_durable;
     ]
   in
-  let diags = TC.check_dependencies trace in
+  let diags = dependencies (SC.audit trace) in
   Alcotest.(check (list string)) "TXN008" [ "TXN008" ] (codes diags);
   checkb "names the dependency" true
     (contains (List.hd diags).D.message "dependency 1")
@@ -910,11 +918,13 @@ let test_txncheck_dependency_log_order () =
     ]
   in
   checkb "commit order violation" true
-    (D.has_code "TXN008" (TC.check_dependencies ~log:bad_order base_trace));
+    (D.has_code "TXN008"
+       (dependencies (SC.audit ~log:bad_order base_trace)));
   (* Dependency's commit record missing entirely. *)
   let missing = [ L.Begin { txn = 2; lsn = 1 }; L.Commit { txn = 2; lsn = 2 } ] in
   checkb "missing dep commit" true
-    (D.has_code "TXN008" (TC.check_dependencies ~log:missing base_trace));
+    (D.has_code "TXN008"
+       (dependencies (SC.audit ~log:missing base_trace)));
   (* Dependency aborted although a dependant committed on it. *)
   let dep_aborted =
     [
@@ -925,7 +935,8 @@ let test_txncheck_dependency_log_order () =
     ]
   in
   checkb "aborted dependency" true
-    (D.has_code "TXN008" (TC.check_dependencies ~log:dep_aborted base_trace));
+    (D.has_code "TXN008"
+       (dependencies (SC.audit ~log:dep_aborted base_trace)));
   (* Correct order is clean. *)
   let good =
     [
@@ -936,10 +947,14 @@ let test_txncheck_dependency_log_order () =
     ]
   in
   Alcotest.(check (list string)) "good log clean" []
-    (codes (TC.check_dependencies ~log:good base_trace))
+    (codes (dependencies (SC.audit ~log:good base_trace)))
 
 let test_txncheck_code_catalogue () =
-  let cat = TC.code_catalogue in
+  let cat =
+    List.filter
+      (fun (c, _) -> String.starts_with ~prefix:"TXN" c)
+      SC.code_catalogue
+  in
   checki "nine codes" 9 (List.length cat);
   List.iter
     (fun c ->
@@ -1032,6 +1047,50 @@ let test_fuzz_audit_component () =
     Alcotest.(check string) "component name" "fuzz schedule" name;
     checkb "no error diags" false (D.has_errors diags)
   | _ -> Alcotest.fail "expected one component"
+
+(* Every finding of a scrambled four-domain fuzz run with all five race
+   injections, as (code, path).  Protocol and race findings come out of
+   one audit; the snapshot control's versioned ghosts (txns 1000008 and
+   1000009 on key 21) raise RACE005 and no TXN002. *)
+let test_fuzz_pinned_findings () =
+  let o =
+    V.Txn_fuzz.run ~seed:11 ~domains:4 ~scramble:true
+      ~inject:[ `Ww; `Rw; `Unguarded; `Release_no_acquire; `Snapshot ]
+      ()
+  in
+  let keys txn key = Printf.sprintf "txn=%d key=%d" txn key in
+  let pairs =
+    [ (4, 7); (8, 13); (1, 12); (1, 8); (0, 13); (7, 9); (7, 13); (12, 13);
+      (3, 9); (7, 14); (10, 13); (0, 4) ]
+  in
+  let expected =
+    List.map (fun (t, k) -> ("TXN002", keys t k))
+      [ (1000000, 17); (1000001, 17); (1000002, 18); (1000003, 18);
+        (1000004, 19); (1000005, 19) ]
+    @ [ ("TXN006", "cycle=1->3"); ("TXN006", "cycle=32->35") ]
+    @ List.map (fun (a, b) -> ("TXN101", Printf.sprintf "keys=%d,%d" a b)) pairs
+    @ [
+        ("RACE001", "key=17 dom=6"); ("RACE003", "key=17 dom=6");
+        ("RACE002", "key=18 dom=8"); ("RACE003", "key=18 dom=8");
+        ("RACE003", "key=19 dom=10"); ("RACE004", "key=20 dom=11");
+        ("RACE005", "key=21 dom=14");
+      ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "findings" (List.sort compare expected)
+    (List.sort compare
+       (List.map (fun (d : D.t) -> (d.D.code, d.D.path)) o.V.Txn_fuzz.diags))
+
+(* The MVCC simulator's trace holds only versioned accesses: version
+   discipline judges them, so the lock-protocol codes stay quiet. *)
+let test_mvcc_trace_audits_clean () =
+  let r =
+    R.Mvcc_sim.run ~seed:11 ~n_writers:2_000 ~record_schedule:true
+      R.Mvcc_sim.Versioning
+  in
+  checkb "events recorded" true (r.R.Mvcc_sim.events <> []);
+  Alcotest.(check (list string)) "no findings" []
+    (codes (SC.audit r.R.Mvcc_sim.events))
 
 (* ------------------------------------------------------------------ *)
 (* Per-transaction LSN runs                                             *)
@@ -1221,5 +1280,9 @@ let () =
             test_fuzz_crash_truncation;
           Alcotest.test_case "audit component" `Quick
             test_fuzz_audit_component;
+          Alcotest.test_case "pinned findings, all injections" `Quick
+            test_fuzz_pinned_findings;
+          Alcotest.test_case "MVCC trace audits clean" `Quick
+            test_mvcc_trace_audits_clean;
         ] );
     ]
