@@ -6,6 +6,10 @@
      mmdb_cli tps --strategy group-commit --txns 5000
      mmdb_cli recover --strategy partitioned-2 --txns 2000 --checkpoint 500
      mmdb_cli plan --mem 512 [--no-hash]
+     mmdb_cli check [schedule|fuzz|mvcc|torture|model|lint ...] [--seed N]
+
+   [check] runs the verification passes (all six by default) and exits
+   0 when they are clean, 1 on a finding, 2 on bad input.
 *)
 
 module U = Mmdb_util
@@ -411,6 +415,22 @@ let demo_db () =
          ]));
   db
 
+let print_rows rows limit =
+  List.iteri
+    (fun i row ->
+      if i < limit then
+        print_endline
+          (String.concat " | "
+             (List.map
+                (function
+                  | S.Tuple.VInt v -> string_of_int v
+                  | S.Tuple.VStr s -> s)
+                row)))
+    rows;
+  let total = List.length rows in
+  if total > limit then Printf.printf "... (%d rows total)\n" total
+  else Printf.printf "(%d rows)\n" total
+
 let run_sql text explain_only limit =
   let db = demo_db () in
   Printf.printf
@@ -427,23 +447,7 @@ let run_sql text explain_only limit =
     Printf.printf "plan:\n%s\n" (Mmdb.Db.explain db expr);
     if explain_only then 0
     else begin
-      let rows = Mmdb.Db.query_rows db expr in
-      let total = List.length rows in
-      List.iteri
-        (fun i row ->
-          if i < limit then begin
-            let cells =
-              List.map
-                (function
-                  | S.Tuple.VInt v -> string_of_int v
-                  | S.Tuple.VStr s -> s)
-                row
-            in
-            print_endline (String.concat " | " cells)
-          end)
-        rows;
-      if total > limit then Printf.printf "... (%d rows total)\n" total
-      else Printf.printf "(%d rows)\n" total;
+      print_rows (Mmdb.Db.query_rows db expr) limit;
       0
     end
 
@@ -470,15 +474,39 @@ let sql_cmd =
     Term.(const run_sql $ text $ explain_only $ limit)
 
 (* ------------------------------------------------------------------ *)
-(* txncheck                                                            *)
+(* check                                                               *)
 (* ------------------------------------------------------------------ *)
 
 module V = Mmdb_verify
+module Fault = Mmdb_fault.Fault
+module Fault_plan = Mmdb_fault.Fault_plan
+
+let faults_doc =
+  "Comma-separated fault spec: "
+  ^ String.concat ", "
+      (List.map (fun (n, d) -> Printf.sprintf "$(b,%s) (%s)" n d)
+         Fault_plan.spec_names)
+  ^ "."
+
+(* What the passes read.  [seed], [txns] and [points] are [None] when not
+   given on the command line, so each pass keeps its own default. *)
+type check_opts = {
+  seed : int option; txns : int option; points : int option;
+  accounts : int; domains : int; scramble : bool; crash : bool;
+  inject : V.Txn_fuzz.inject list;
+  faults : string option; strategy : R.Wal.strategy option;
+  tolerance : float; enumerate : bool; verbose : bool;
+}
+
+(* Each pass prints its findings through [Audit.report] and returns its
+   verdict, which is the report's "no error-severity finding" except
+   where noted. *)
+let report groups = V.Audit.report Format.std_formatter groups
 
 (* A deterministic Txn_db workload with schedule recording on: a batch of
    transfers, one explicit abort, a fuzzy checkpoint, more transfers, a
    crash and recovery. *)
-let txncheck_builtin () =
+let schedule_pass _ =
   let db = Mmdb.Txn_db.create ~record_schedule:true ~nrecords:64 () in
   for i = 0 to 11 do
     let a = i * 5 mod 64 and b = ((i * 5) + 17) mod 64 in
@@ -495,345 +523,241 @@ let txncheck_builtin () =
   Mmdb.Txn_db.crash db;
   ignore (Mmdb.Txn_db.recover db);
   let events = Mmdb.Txn_db.schedule db and log = Mmdb.Txn_db.log_records db in
-  Printf.printf
-    "built-in Txn_db workload: %d schedule events, %d log records\n\n"
+  Format.printf "built-in Txn_db workload: %d schedule events, %d log records@."
     (List.length events) (List.length log);
-  V.Audit.report Format.std_formatter
-    (V.Audit.run_all [ V.Audit.Schedule { name = "txn schedule"; events; log } ])
+  report [ ("txn schedule", V.Schedule_check.audit ~log events) ]
 
-let inject_of_spec spec =
-  let atom = function
-    | "ww" -> Ok [ `Ww ]
-    | "rw" -> Ok [ `Rw ]
-    | "unguarded" -> Ok [ `Unguarded ]
-    | "release" -> Ok [ `Release_no_acquire ]
-    | "snapshot" -> Ok [ `Snapshot ]
-    | "all" -> Ok [ `Ww; `Rw; `Unguarded; `Release_no_acquire; `Snapshot ]
-    | "" -> Ok []
-    | a -> Error a
+let fuzz_pass o =
+  let seed = Option.value o.seed ~default:11 in
+  let f =
+    V.Txn_fuzz.run ?txns:o.txns ~accounts:o.accounts ~scramble:o.scramble
+      ~crash:o.crash ~domains:o.domains ~inject:o.inject ~seed ()
   in
-  List.fold_left
-    (fun acc tok ->
-      match (acc, atom (String.trim tok)) with
-      | Ok l, Ok a -> Ok (l @ a)
-      | (Error _ as e), _ -> e
-      | _, Error a -> Error a)
-    (Ok [])
-    (String.split_on_char ',' spec)
-
-let txncheck_fuzz ~seed ~txns ~accounts ~scramble ~crash ~domains ~inject =
-  let o =
-    V.Txn_fuzz.run ~txns ~accounts ~scramble ~crash ~domains ~inject ~seed ()
-  in
-  Printf.printf
+  Format.printf
     "fuzz seed %d, %d domains: %d committed, %d aborted, %d lock waits, %d \
-     deadlocks broken%s\n"
-    seed domains o.V.Txn_fuzz.committed o.V.Txn_fuzz.aborted o.V.Txn_fuzz.waits
-    o.V.Txn_fuzz.deadlocks
-    (if o.V.Txn_fuzz.crashed then ", crashed mid-schedule" else "");
-  Printf.printf "schedule: %d events, %d log records, %d injected races\n"
-    (List.length o.V.Txn_fuzz.events)
-    (List.length o.V.Txn_fuzz.log)
-    (List.length o.V.Txn_fuzz.injected);
-  let diags = o.V.Txn_fuzz.diags in
-  if diags <> [] then Format.printf "%a@." U.Diag.pp_list diags;
-  Printf.printf "txncheck: %s\n" (U.Diag.summary diags);
-  if o.V.Txn_fuzz.injected = [] then not (U.Diag.has_errors diags)
+     deadlocks broken%s@."
+    seed o.domains f.V.Txn_fuzz.committed f.V.Txn_fuzz.aborted
+    f.V.Txn_fuzz.waits f.V.Txn_fuzz.deadlocks
+    (if f.V.Txn_fuzz.crashed then ", crashed mid-schedule" else "");
+  Format.printf "schedule: %d events, %d log records, %d injected races@."
+    (List.length f.V.Txn_fuzz.events)
+    (List.length f.V.Txn_fuzz.log)
+    (List.length f.V.Txn_fuzz.injected);
+  let clean = report [ ("fuzz schedule", f.V.Txn_fuzz.diags) ] in
+  if f.V.Txn_fuzz.injected = [] then clean
   else begin
-    (* Positive controls: every injected race must be flagged under its
-       expected code; a missed injection is a detector bug.  The ghosts'
-       own TXN002 findings are expected. *)
+    (* Positive controls: the injected races are expected errors, and the
+       pass fails only on a missed one (a detector bug). *)
     let missed =
-      List.filter (fun c -> not (U.Diag.has_code c diags)) o.V.Txn_fuzz.injected
+      List.filter
+        (fun c -> not (U.Diag.has_code c f.V.Txn_fuzz.diags))
+        f.V.Txn_fuzz.injected
     in
-    List.iter (Printf.printf "txncheck: MISSED injected race %s\n") missed;
-    Printf.printf "fuzz: %d/%d injected races detected\n"
-      (List.length o.V.Txn_fuzz.injected - List.length missed)
-      (List.length o.V.Txn_fuzz.injected);
+    List.iter (Format.printf "fuzz: MISSED injected race %s@.") missed;
+    Format.printf "fuzz: %d/%d injected races detected@."
+      (List.length f.V.Txn_fuzz.injected - List.length missed)
+      (List.length f.V.Txn_fuzz.injected);
     missed = []
   end
 
-let txncheck_mvcc ~seed =
+let mvcc_pass o =
   let r =
-    R.Mvcc_sim.run ~seed ~n_writers:2_000 ~record_schedule:true
-      R.Mvcc_sim.Versioning
+    R.Mvcc_sim.run
+      ~seed:(Option.value o.seed ~default:11)
+      ~n_writers:2_000 ~record_schedule:true R.Mvcc_sim.Versioning
   in
-  let diags = V.Schedule_check.audit r.R.Mvcc_sim.events in
-  if diags <> [] then Format.printf "%a@." U.Diag.pp_list diags;
-  Printf.printf "mvcc: %d version-store events across %d domains, %s\n"
-    (List.length r.R.Mvcc_sim.events)
-    (List.length (V.Schedule.domains r.R.Mvcc_sim.events))
-    (U.Diag.summary diags);
-  not (U.Diag.has_errors diags)
+  let events = r.R.Mvcc_sim.events in
+  Format.printf "mvcc: %d version-store events across %d domains@."
+    (List.length events)
+    (List.length (V.Schedule.domains events));
+  report [ ("mvcc versions", V.Schedule_check.audit events) ]
 
-let run_txncheck fuzz mvcc seed txns accounts scramble crash domains
-    inject_spec =
-  let inject =
-    match inject_of_spec inject_spec with
-    | Ok l -> l
-    | Error a ->
-      prerr_endline
-        ("txncheck: unknown injection `" ^ a
-       ^ "' (expected ww, rw, unguarded, release, snapshot or all)");
-      exit 2
+let torture_pass o =
+  let one x = Option.map (fun x -> [ x ]) x in
+  let r =
+    V.Torture.run ?seed:o.seed ?txns:o.txns ?specs:(one o.faults)
+      ?strategies:(one o.strategy) ?max_points_per_combo:o.points ()
   in
-  (* No mode flag: the built-in workload, the fuzzer and MVCC. *)
-  let all = (not fuzz) && not mvcc in
-  let ok = ref true in
-  let part label b =
-    if not b then ok := false;
-    Printf.printf "%-7s %s\n\n" label (if b then "ok" else "FAIL")
-  in
-  if all then part "builtin" (txncheck_builtin ());
-  if fuzz || all then
-    part "fuzz"
-      (txncheck_fuzz ~seed ~txns ~accounts ~scramble ~crash ~domains ~inject);
-  if mvcc || all then part "mvcc" (txncheck_mvcc ~seed);
-  if !ok then 0 else 1
+  (* No diagnostics: the pass fails only on silent corruption. *)
+  Format.printf "%a" V.Torture.pp r;
+  V.Torture.ok r
 
-let txncheck_cmd =
-  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
-  let fuzz =
-    flag "fuzz"
-      "Run only the seeded interleaved-workload fuzzer (staged lock \
-       acquisition, aborts, optional deadlocks) on simulated domains."
+let model_pass o =
+  let cases =
+    V.Model_check.run_suite ?seed:o.seed ~tolerance_scale:o.tolerance
+      ~enumerate:o.enumerate ()
   in
-  let mvcc =
-    flag "mvcc"
-      "Run only the MVCC simulator and audit its version-store accesses \
-       (snapshot discipline, RACE005)."
+  if o.verbose then
+    List.iter
+      (fun (c : V.Model_check.case) ->
+        Format.printf "%s@." c.V.Model_check.name;
+        List.iter
+          (Format.printf "  @[<v>%a@]@." V.Model_check.pp_report)
+          c.V.Model_check.reports)
+      cases;
+  if not o.enumerate then
+    Format.printf "model: optimality lint skipped (use --enumerate)@.";
+  report
+    (List.map
+       (fun (c : V.Model_check.case) ->
+         (c.V.Model_check.name, V.Model_check.case_diags c))
+       cases)
+
+let lint_pass o =
+  match V.Lint.scan_lib () with
+  | Error m -> invalid_arg m
+  | Ok (found, parse_diags) ->
+    if o.verbose then begin
+      Format.printf "lint inventory (lib/):@.";
+      V.Lint.pp_inventory Format.std_formatter found
+    end;
+    Format.printf "lint: %d findings@." (List.length found);
+    report [ ("lint lib/", parse_diags @ V.Lint.diags_of_findings found) ]
+
+let passes =
+  [
+    ("schedule", schedule_pass); ("fuzz", fuzz_pass); ("mvcc", mvcc_pass);
+    ("torture", torture_pass); ("model", model_pass); ("lint", lint_pass);
+  ]
+
+let inject_of_spec spec =
+  let atom = function
+    | "ww" -> [ `Ww ]
+    | "rw" -> [ `Rw ]
+    | "unguarded" -> [ `Unguarded ]
+    | "release" -> [ `Release_no_acquire ]
+    | "snapshot" -> [ `Snapshot ]
+    | "all" -> [ `Ww; `Rw; `Unguarded; `Release_no_acquire; `Snapshot ]
+    | "" -> []
+    | a ->
+      invalid_arg
+        ("unknown injection `" ^ a
+       ^ "' (expected ww, rw, unguarded, release, snapshot or all)")
   in
+  List.concat_map
+    (fun tok -> atom (String.trim tok))
+    (String.split_on_char ',' spec)
+
+(* Run the selected passes (all six when none is named) in catalogue
+   order and print each verdict.  Exit 0 when every pass is clean, 1 when
+   one fails, 2 on bad input: an unknown pass, a bad spec or an
+   out-of-range number, which the library entry points reject with
+   [Invalid_argument]. *)
+let check names seed txns accounts scramble crash domains inject_spec faults
+    strategy points tolerance enumerate verbose =
+  let run_pass o ok (name, pass) =
+    let pass_ok = pass o in
+    Format.printf "%s: %s@.@." name (if pass_ok then "ok" else "FAIL");
+    ok && pass_ok
+  in
+  let known = List.map fst passes in
+  try
+    List.iter
+      (fun n ->
+        if not (List.mem n known) then
+          invalid_arg
+            ("unknown pass `" ^ n ^ "' (expected " ^ String.concat ", " known
+           ^ ")"))
+      names;
+    let inject = inject_of_spec inject_spec in
+    let o =
+      { seed; txns; points; accounts; domains; scramble; crash; inject;
+        faults; strategy; tolerance; enumerate; verbose }
+    in
+    let selected =
+      List.filter (fun (n, _) -> names = [] || List.mem n names) passes
+    in
+    if List.fold_left (run_pass o) true selected then 0 else 1
+  with Invalid_argument m ->
+    prerr_endline ("check: " ^ m);
+    2
+
+let check_cmd =
+  let names =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"PASS"
+          ~doc:
+            "A pass to run: $(b,schedule), $(b,fuzz), $(b,mvcc), \
+             $(b,torture), $(b,model) or $(b,lint). Default: all six.")
+  in
+  let flag names doc = Arg.(value & flag & info names ~doc) in
+  let opt c default name doc = Arg.(value & opt c default & info [ name ] ~doc) in
   let seed =
-    Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Workload PRNG seed.")
+    opt Arg.(some int) None "seed"
+      "PRNG seed for every selected pass. Default: 11 for fuzz and mvcc, 7 \
+       for torture, 42 for model."
   in
   let txns =
-    Arg.(value & opt int 40 & info [ "txns" ] ~doc:"Fuzzer transaction count.")
+    opt Arg.(some int) None "txns"
+      "Transactions per run (fuzz, torture). Default: 40, 48."
   in
   let accounts =
-    Arg.(
-      value & opt int 16
-      & info [ "accounts" ] ~doc:"Fuzzer account count (small = contended).")
+    opt Arg.int 16 "accounts" "Fuzzer account count (small = contended)."
   in
   let scramble =
-    flag "scramble"
-      "Shuffle each transaction's lock-acquisition order: deadlocks become \
-       possible and must be caught (TXN006/TXN101)."
+    flag [ "scramble" ]
+      "Fuzz: shuffle each transaction's lock-acquisition order; deadlocks \
+       become possible and must be caught (TXN006/TXN101)."
   in
   let crash =
-    flag "crash"
-      "Stop the fuzzed run mid-schedule without flushing the log \
-       (truncated-trace tolerance)."
+    flag [ "crash" ]
+      "Fuzz: stop mid-schedule without flushing the log (truncated-trace \
+       tolerance)."
   in
-  let domains =
-    Arg.(
-      value & opt int 3
-      & info [ "domains" ] ~doc:"Simulated domain count for the fuzzer.")
-  in
+  let domains = opt Arg.int 3 "domains" "Simulated domain count for the fuzzer." in
   let inject =
-    Arg.(
-      value & opt string ""
-      & info [ "inject" ]
-          ~doc:
-            "Comma-separated positive controls seeded into the fuzzed \
-             trace: $(b,ww), $(b,rw), $(b,unguarded), $(b,release), \
-             $(b,snapshot), or $(b,all). Every injected race must be \
-             flagged under its expected code or the run fails.")
-  in
-  Cmd.v
-    (Cmd.info "txncheck"
-       ~doc:
-         "Record transaction schedules and audit them: Section 5.2's \
-          2PL/pre-commit conformance, waits-for deadlocks, \
-          conflict-serializability and the group-commit dependency audit, \
-          plus a happens-before race detector (Eraser lockset fallback, \
-          MVCC snapshot discipline) over multi-domain traces. With no mode \
-          flag, runs the built-in Txn_db workload, the fuzzer and MVCC. \
-          Exits 1 on any error, or with $(b,--inject) on a missed \
-          injection. The static half of the race gate is $(b,lint).")
-    Term.(
-      const run_txncheck $ fuzz $ mvcc $ seed $ txns $ accounts $ scramble
-      $ crash $ domains $ inject)
-
-(* ------------------------------------------------------------------ *)
-(* torture                                                             *)
-(* ------------------------------------------------------------------ *)
-
-module Fault = Mmdb_fault.Fault
-module Fault_plan = Mmdb_fault.Fault_plan
-
-let faults_doc =
-  "Comma-separated fault spec: "
-  ^ String.concat ", "
-      (List.map (fun (n, d) -> Printf.sprintf "$(b,%s) (%s)" n d)
-         Fault_plan.spec_names)
-  ^ "."
-
-let torture seed txns faults strategy points =
-  (* Validate the spec before sweeping. *)
-  (match faults with
-  | None -> ()
-  | Some s -> (
-    match Fault_plan.of_spec s with
-    | Ok _ -> ()
-    | Error m ->
-      prerr_endline ("torture: " ^ m);
-      exit 2));
-  let specs = match faults with None -> None | Some s -> Some [ s ] in
-  let strategies = Option.map (fun s -> [ s ]) strategy in
-  let r =
-    V.Torture.run ~seed ~txns ?specs ?strategies
-      ~max_points_per_combo:points ()
-  in
-  Format.printf "%a" V.Torture.pp r;
-  if V.Torture.ok r then 0 else 1
-
-let torture_cmd =
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Sweep seed (workload, fault schedule, and crash points all derive from it).")
-  in
-  let txns =
-    Arg.(value & opt int 48 & info [ "txns" ] ~doc:"Transactions per run.")
+    opt Arg.string "" "inject"
+      "Fuzz: comma-separated positive controls seeded into the trace: \
+       $(b,ww), $(b,rw), $(b,unguarded), $(b,release), $(b,snapshot), or \
+       $(b,all). Every injected race must be flagged under its expected code \
+       or the pass fails."
   in
   let faults =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "faults" ] ~doc:(faults_doc ^ " Default: sweep every spec."))
+    opt Arg.(some string) None "faults"
+      ("Torture: " ^ faults_doc ^ " Default: sweep every spec.")
   in
   let strategy =
-    Arg.(
-      value
-      & opt (some strategy_conv) None
-      & info [ "strategy" ]
-          ~doc:"Restrict to one commit strategy (see tps). Default: all four.")
+    opt Arg.(some strategy_conv) None "strategy"
+      "Torture: one commit strategy (see tps). Default: all four."
   in
   let points =
-    Arg.(
-      value & opt int 32
-      & info [ "points" ] ~doc:"Max crash points per strategy x fault pair.")
-  in
-  Cmd.v
-    (Cmd.info "torture"
-       ~doc:
-         "Crash the recovery stack at every schedulable point — between \
-          arrivals, mid-log-page-write, past quiesce — for each commit \
-          strategy, with and without injected faults (torn log tails, bit \
-          flips, transient I/O errors, snapshot rot, battery droop). \
-          Exits 1 on silent corruption: an invariant violation without an \
-          unrecoverable-fault report.")
-    Term.(const torture $ seed $ txns $ faults $ strategy $ points)
-
-(* ------------------------------------------------------------------ *)
-(* modelcheck                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let modelcheck seed tolerance enumerate verbose =
-  let cases =
-    V.Model_check.run_suite ~seed ~tolerance_scale:tolerance ~enumerate ()
-  in
-  let all_clean = ref true in
-  List.iter
-    (fun (c : V.Model_check.case) ->
-      let diags = V.Model_check.case_diags c in
-      if U.Diag.has_errors diags then all_clean := false;
-      if diags = [] then Format.printf "%-24s ok@." c.V.Model_check.name
-      else begin
-        Format.printf "%-24s %s@." c.V.Model_check.name (U.Diag.summary diags);
-        List.iter (fun d -> Format.printf "  %a@." U.Diag.pp d) diags
-      end;
-      if verbose then
-        List.iter
-          (fun r ->
-            Format.printf "  @[<v>%a@]@." V.Model_check.pp_report r)
-          c.V.Model_check.reports)
-    cases;
-  let total = V.Model_check.suite_diags cases in
-  Format.printf "modelcheck: %d case%s, %s%s@." (List.length cases)
-    (if List.length cases = 1 then "" else "s")
-    (U.Diag.summary total)
-    (if enumerate then "" else " (optimality lint skipped; use --enumerate)");
-  if !all_clean then 0 else 1
-
-let modelcheck_cmd =
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Corpus seed (table contents derive from it).")
+    opt Arg.(some int) None "points"
+      "Torture: max crash points per strategy x fault pair. Default: 32."
   in
   let tolerance =
-    Arg.(
-      value & opt float 1.0
-      & info [ "tolerance" ]
-          ~doc:
-            "Scale every declared tolerance band: values above 1 widen \
-             (more permissive), below 1 tighten.")
+    opt Arg.float 1.0 "tolerance"
+      "Model: scale every declared tolerance band; above 1 widens, below 1 \
+       tightens. Must be positive."
   in
   let enumerate =
-    Arg.(
-      value & flag
-      & info [ "enumerate" ]
-          ~doc:
-            "Also lint the optimizer: exhaustively enumerate the \
-             algorithm-assignment plan space and flag chosen plans above \
-             the enumerated minimum (MODEL008).")
+    flag [ "enumerate" ]
+      "Model: also enumerate the algorithm-assignment plan space and flag \
+       chosen plans above its minimum (MODEL008)."
   in
   let verbose =
-    Arg.(
-      value & flag
-      & info [ "v"; "verbose" ]
-          ~doc:"Print every node's predicted vs observed breakdown.")
+    flag [ "v"; "verbose" ]
+      "Model: print every node's predicted vs observed breakdown. Lint: \
+       print the whole inventory, justified findings included."
   in
   Cmd.v
-    (Cmd.info "modelcheck"
+    (Cmd.info "check"
        ~doc:
-         "Check the executable operators against the Section 3 analytic \
-          cost model: predict each operator's comparisons, hashes, moves, \
-          swaps and page I/Os symbolically, execute a seeded corpus under \
-          counter instrumentation, and flag divergence beyond declared \
-          per-operator tolerance bands (MODEL001-MODEL011). Exits 1 on \
-          any error-severity finding.")
-    Term.(const modelcheck $ seed $ tolerance $ enumerate $ verbose)
-
-(* ------------------------------------------------------------------ *)
-(* lint                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let run_lint quiet =
-  match V.Lint.scan_lib () with
-  | Error m ->
-    prerr_endline ("lint: " ^ m);
-    2
-  | Ok (findings, parse_diags) ->
-    if not quiet then begin
-      Format.printf "lint inventory (lib/):@.";
-      V.Lint.pp_inventory Format.std_formatter findings
-    end;
-    let diags = parse_diags @ V.Lint.diags_of_findings findings in
-    if diags <> [] then Format.printf "@.%a@." U.Diag.pp_list diags;
-    Format.printf "lint: %d finding%s, %s@." (List.length findings)
-      (if List.length findings = 1 then "" else "s")
-      (U.Diag.summary diags);
-    if U.Diag.has_errors diags then 1 else 0
-
-let lint_cmd =
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "quiet"; "q" ]
-          ~doc:
-            "Print only unjustified findings and the summary, not the \
-             full inventory.")
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Static lint over lib/, one parse per file, three rule families: \
-          module-level mutable state (RACE100-RACE103), performance \
-          hazards (PERF100-PERF105), and exception flow and pin/lock \
-          discipline (EXN100-EXN105, RES101-RES104). A finding is \
-          silenced by a justification comment of its own family: \
-          (* race_check: ... *), (* perf_lint: ... *) or \
-          (* exn_flow: ... *). Exits 1 on any unjustified finding, 2 when \
-          lib/ cannot be found.")
-    Term.(const run_lint $ quiet)
+         "Run the verification passes and report their diagnostics. \
+          $(b,schedule) audits a built-in Txn_db schedule and $(b,fuzz) a \
+          seeded multi-domain one against Section 5.2's protocol (2PL to \
+          pre-commit, deadlocks, serializability, group-commit \
+          dependencies) and for races; $(b,mvcc) audits the versioning \
+          engine's snapshot discipline; $(b,torture) crashes the recovery \
+          stack at every schedulable point, with and without injected \
+          faults; $(b,model) checks the operators against the Section 3 \
+          cost model; $(b,lint) is the static lint over lib/. Exits 0 when \
+          every selected pass is clean; 1 on an error-severity finding, \
+          silent corruption, or with $(b,--inject) a missed injection; 2 on \
+          bad input.")
+    Term.(
+      const check $ names $ seed $ txns $ accounts $ scramble $ crash $ domains
+      $ inject $ faults $ strategy $ points $ tolerance $ enumerate $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* codes                                                               *)
@@ -1063,22 +987,6 @@ let overload_cmd =
 (* repl                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let print_rows rows limit =
-  List.iteri
-    (fun i row ->
-      if i < limit then
-        print_endline
-          (String.concat " | "
-             (List.map
-                (function
-                  | S.Tuple.VInt v -> string_of_int v
-                  | S.Tuple.VStr s -> s)
-                row)))
-    rows;
-  let total = List.length rows in
-  if total > limit then Printf.printf "... (%d rows total)\n" total
-  else Printf.printf "(%d rows)\n" total
-
 let repl_help () =
   print_endline
     "statements: SELECT/INSERT/DELETE/UPDATE/CREATE TABLE/DROP TABLE\n\
@@ -1185,6 +1093,5 @@ let () =
        (Cmd.group ~default info
           [
             crossover_cmd; join_cmd; tps_cmd; recover_cmd; plan_cmd; sql_cmd;
-            txncheck_cmd; torture_cmd; modelcheck_cmd; lint_cmd; codes_cmd;
-            stats_cmd; overload_cmd; repl_cmd;
+            check_cmd; codes_cmd; stats_cmd; overload_cmd; repl_cmd;
           ]))

@@ -52,8 +52,6 @@ let insert_sealed t table tuples =
   S.Relation.seal rel;
   P.Catalog.register t.cat rel
 
-let analyze t = List.iter (P.Catalog.refresh t.cat) (table_names t)
-
 let insert_many t ~table rows =
   insert_sealed t table (encode_rows (find_table t table) rows)
 

@@ -41,10 +41,6 @@ val insert_many : t -> table:string -> Mmdb_storage.Tuple.value list list ->
     @raise Invalid_argument if the table has an index and a key is
     already present or repeats among the rows; no row is inserted. *)
 
-val analyze : t -> unit
-(** Refresh optimizer statistics for every table (automatic after
-    [insert_many]; call manually after many single [insert]s). *)
-
 val create_index : t -> table:string -> index_kind -> unit
 (** Index the table on its schema key.  Existing rows are loaded.  An
     indexed table holds each key at most once.

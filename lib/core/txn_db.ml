@@ -63,7 +63,6 @@ let create ?(strategy = R.Wal.Group_commit) ?(nrecords = 1000)
   }
 
 let kv t = R.Txn.kv t.kernel
-let nrecords t = R.Kv_store.nrecords (kv t)
 let balance t slot = R.Kv_store.get (kv t) slot
 
 let balance_stale t slot = R.Kv_store.snapshot_read (kv t) slot
@@ -71,7 +70,6 @@ let balance_stale t slot = R.Kv_store.snapshot_read (kv t) slot
 let now t = S.Sim_clock.now t.clock
 let advance t dt = S.Sim_clock.advance t.clock dt
 let overload_tally t = t.ovld
-let admission t = t.admission
 
 (* Seconds of log-device backlog at [now]: the admission controller's
    congestion signal (writes queue behind [Wal.quiesce_time]). *)

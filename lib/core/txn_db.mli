@@ -32,8 +32,6 @@ val create : ?strategy:Mmdb_recovery.Wal.strategy -> ?nrecords:int ->
     @raise Invalid_argument if [work_per_update] or [retry_budget] is
     negative. *)
 
-val nrecords : t -> int
-
 val balance : t -> int -> int
 (** Current in-memory balance.
     @raise Invalid_argument after a crash (recover first). *)
@@ -54,9 +52,6 @@ val advance : t -> float -> unit
 val overload_tally : t -> Mmdb_overload.Overload.tally
 (** Shed/timeout/breaker tallies for this service (shared with the
     admission controller's tally when one was supplied). *)
-
-val admission : t -> Mmdb_overload.Overload.Admission.t option
-(** The admission controller supplied at {!create}, if any. *)
 
 val completion : t -> txn:int -> float option
 (** Durability time of [txn]'s commit, once its group-commit ticket

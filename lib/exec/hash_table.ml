@@ -45,9 +45,6 @@ let probe t ~probe_schema s_tuple f =
         f r_tuple)
       (List.rev !cell)
 
-let iter t f =
-  Hashtbl.iter (fun _ cell -> List.iter f (List.rev !cell)) t.buckets
-
 let clear t =
   Hashtbl.reset t.buckets;
   t.count <- 0

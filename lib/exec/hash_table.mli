@@ -32,6 +32,4 @@ val probe : t -> probe_schema:Mmdb_storage.Schema.t -> bytes ->
     field; widths must match).  Charges one [comp] per candidate in the
     bucket. *)
 
-val iter : t -> (bytes -> unit) -> unit
-
 val clear : t -> unit

@@ -15,7 +15,3 @@ let measure env f =
     seconds = S.Env.elapsed env -. t0;
     counters = S.Counters.diff ~after:env.S.Env.counters ~before;
   }
-
-let pp ppf t =
-  Format.fprintf ppf "out=%d time=%.3fs [%a]" t.output_tuples t.seconds
-    S.Counters.pp t.counters

@@ -13,5 +13,3 @@ type t = {
 val measure : Mmdb_storage.Env.t -> (unit -> int) -> t
 (** [measure env f] runs [f] (returning its output-tuple count) and
     captures the clock/counter deltas it charged to [env]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -14,13 +14,6 @@ type kind =
   | Io_transient of { failures : int }
   | Battery_droop of { batches : int }
 
-let kind_name = function
-  | Torn_write -> "torn-write"
-  | Bit_flip_read -> "bitflip-read"
-  | Bit_flip_rest -> "bitflip-rest"
-  | Io_transient _ -> "io-transient"
-  | Battery_droop _ -> "battery-droop"
-
 type tally = {
   mutable injected : int;
   mutable detected : int;
@@ -41,14 +34,6 @@ let tally_create () =
     unrecoverable = 0;
     retry_backoff = 0.0;
   }
-
-let tally_reset t =
-  t.injected <- 0;
-  t.detected <- 0;
-  t.retried <- 0;
-  t.repaired <- 0;
-  t.unrecoverable <- 0;
-  t.retry_backoff <- 0.0
 
 let tally_copy t =
   {

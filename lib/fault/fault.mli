@@ -37,8 +37,6 @@ type kind =
       (** stable memory loses its newest [batches] record batches at
           crash (partial battery failure) *)
 
-val kind_name : kind -> string
-
 (** Running counters for the fault plane: how many faults were
     injected, how many the checksum layer detected, how many I/O
     attempts were retried, how many faults were repaired (reread,
@@ -55,7 +53,6 @@ type tally = {
 }
 
 val tally_create : unit -> tally
-val tally_reset : tally -> unit
 val tally_copy : tally -> tally
 val tally_diff : after:tally -> before:tally -> tally
 val tally_total : tally -> int

@@ -51,7 +51,6 @@ let create ?(seed = 1) ?tally rules =
 
 let none () = create []
 
-let rules t = t.plan_rules
 let is_active t = t.plan_rules <> []
 let tally t = t.plan_tally
 
@@ -114,8 +113,6 @@ let note_repaired t ~code ~site detail =
 let note_unrecoverable t ~code ~site detail =
   t.plan_tally.Fault.unrecoverable <- t.plan_tally.Fault.unrecoverable + 1;
   log_event t ~code ~site detail
-
-let events t = List.rev t.event_log
 
 let event_counts t =
   let tbl = Hashtbl.create 8 in

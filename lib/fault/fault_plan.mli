@@ -37,7 +37,6 @@ val none : unit -> t
 (** The empty plan: {!draw} never fires.  Useful as an explicit
     "no faults" argument. *)
 
-val rules : t -> rule list
 val is_active : t -> bool
 (** [false] for {!none} (no rules) — fast-path guard for hot sites. *)
 
@@ -62,10 +61,6 @@ val note_detected : t -> code:string -> site:string -> string -> unit
 val note_retried : t -> backoff:float -> unit
 val note_repaired : t -> code:string -> site:string -> string -> unit
 val note_unrecoverable : t -> code:string -> site:string -> string -> unit
-
-val events : t -> Fault.error list
-(** Every noted event in order (capped; injection/detection/repair and
-    unrecoverable outcomes, not individual retries). *)
 
 val event_counts : t -> (string * int) list
 (** Events grouped by FAULT code, ascending code order. *)
@@ -102,7 +97,7 @@ val ride_transient :
 
 val of_spec : string -> (rule list, string) result
 (** Parse a comma-separated fault list as accepted by
-    [mmdb_cli torture --faults] / [mmdb_cli stats --faults]:
+    [mmdb_cli check torture --faults] / [mmdb_cli stats --faults]:
     ["torn-tail"], ["bitflip"], ["io-error"], ["battery-droop"],
     ["snapshot-rot"], ["media"], ["storm"], or ["none"].
     See {!spec_names}. *)

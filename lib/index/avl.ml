@@ -31,7 +31,6 @@ let create ~env ~schema () =
     visit = None;
   }
 
-let env t = t.env
 let schema t = t.schema
 let length t = t.count
 let node_count t = t.allocated

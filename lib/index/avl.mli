@@ -17,7 +17,6 @@ type t
 
 val create : env:Mmdb_storage.Env.t -> schema:Mmdb_storage.Schema.t -> unit -> t
 
-val env : t -> Mmdb_storage.Env.t
 val schema : t -> Mmdb_storage.Schema.t
 
 val length : t -> int

@@ -30,7 +30,6 @@ type t = {
   mutable visit : (int -> unit) option;
 }
 
-let env t = t.env
 let schema t = t.schema
 let length t = t.count
 let fanout t = t.fanout
@@ -446,15 +445,6 @@ let min_tuple t =
   match node t t.first_leaf with
   | Leaf lf -> if lf.ln > 0 then Some lf.tuples.(0) else None
   | Internal _ | Free -> assert false
-
-let max_tuple t =
-  let rec go n =
-    match node t n with
-    | Leaf lf -> if lf.ln > 0 then Some lf.tuples.(lf.ln - 1) else None
-    | Internal nd -> go nd.children.(nd.kn)
-    | Free -> assert false
-  in
-  go t.root
 
 let iter_in_order t f =
   let rec walk n =

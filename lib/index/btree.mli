@@ -32,7 +32,6 @@ val bulk_load : env:Mmdb_storage.Env.t -> schema:Mmdb_storage.Schema.t ->
     @raise Invalid_argument if the input is unsorted / has duplicates or
     [occupancy] is outside (0.5, 1.0]. *)
 
-val env : t -> Mmdb_storage.Env.t
 val schema : t -> Mmdb_storage.Schema.t
 
 val length : t -> int
@@ -62,7 +61,6 @@ val delete : t -> bytes -> bool
 (** Remove by key with underflow rebalancing; [false] if absent. *)
 
 val min_tuple : t -> bytes option
-val max_tuple : t -> bytes option
 
 val iter_in_order : t -> (bytes -> unit) -> unit
 (** Leaf-chain scan, ascending (uncharged; verification). *)

@@ -26,7 +26,6 @@ let create ~env ~schema () =
   }
 
 let length t = t.count
-let node_count t = t.allocated
 let charge_comp t = S.Env.charge_comp t.env
 
 let grow t =

@@ -18,7 +18,6 @@ val create : env:Mmdb_storage.Env.t -> schema:Mmdb_storage.Schema.t ->
 
 val length : t -> int
 val height : t -> int
-val node_count : t -> int
 
 val insert : t -> bytes -> unit
 (** Equal-key insert replaces the stored tuple. *)
@@ -28,10 +27,7 @@ val search : t -> bytes -> bytes option
 val delete : t -> bytes -> bool
 (** Remove the tuple with the given encoded key; [false] when absent.
     Standard BST splice (in-order successor for two-child nodes); freed
-    node slots are abandoned, not reused, so {!node_count} never
-    shrinks. *)
-
-val iter_in_order : t -> (bytes -> unit) -> unit
+    node slots are abandoned, not reused. *)
 
 val check_invariants : t -> bool
 (** BST ordering (no balance requirement, of course). *)

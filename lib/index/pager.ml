@@ -16,8 +16,6 @@ let create ~disk ~pool_capacity ~policy ~nodes_per_page =
     page_of_group = Hashtbl.create 1024;
   }
 
-let nodes_per_page t = t.nodes_per_page
-
 let hook t node_id =
   let group = node_id / t.nodes_per_page in
   let pid =
@@ -33,4 +31,3 @@ let hook t node_id =
 let attach_avl t avl = Avl.set_visit_hook avl (Some (hook t))
 let attach_btree t bt = Btree.set_visit_hook bt (Some (hook t))
 let pages_touched t = Hashtbl.length t.page_of_group
-let pool t = t.pool

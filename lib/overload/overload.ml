@@ -53,20 +53,6 @@ let tally_create () =
     breaker_reopens = 0;
   }
 
-let tally_reset t =
-  t.admitted <- 0;
-  t.shed_bucket <- 0;
-  t.shed_backlog <- 0;
-  t.shed_analytic <- 0;
-  t.lock_timeouts <- 0;
-  t.op_timeouts <- 0;
-  t.commit_timeouts <- 0;
-  t.shed_breaker <- 0;
-  t.budget_exhausted <- 0;
-  t.shed_readonly <- 0;
-  t.breaker_trips <- 0;
-  t.breaker_reopens <- 0
-
 let tally_copy t = { t with admitted = t.admitted }
 
 let tally_diff ~after ~before =

@@ -49,12 +49,8 @@ type tally = {
 }
 
 val tally_create : unit -> tally
-val tally_reset : tally -> unit
 val tally_copy : tally -> tally
 val tally_diff : after:tally -> before:tally -> tally
-
-val sheds : tally -> int
-(** Requests turned away before doing work (OVLD001/2/3/7/9). *)
 
 val tally_total : tally -> int
 (** Sheds, deadline expiries (OVLD004/5/6) and exhausted retry budgets. *)

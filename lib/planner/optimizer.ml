@@ -315,8 +315,6 @@ let rec estimated_ops = function
   | P_set_op { left; right; _ } ->
     JM.add_ops (estimated_ops left) (estimated_ops right)
 
-let estimated_pages = est_pages
-
 let rec join_choices = function
   | P_scan _ | P_index_lookup _ -> []
   | P_filter { input; _ } | P_project { input; _ } | P_aggregate { input; _ }

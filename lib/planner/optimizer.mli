@@ -87,11 +87,6 @@ val estimated_ops : plan -> Mmdb_model.Join_model.ops
     agrees with [estimated_cost p] up to float associativity — checked by
     [Mmdb_verify.Model_check] as MODEL010. *)
 
-val estimated_pages : Catalog.t -> Algebra.expr -> int
-(** Estimated result size in pages (selectivity-scaled, at least 1) — the
-    figure {!plan} prices join workloads with, exposed so the optimality
-    lint can re-derive the plan space independently. *)
-
 val join_choices : plan -> join_choice list
 (** Every join choice in the plan, preorder. *)
 

@@ -2,12 +2,6 @@
     the most selective operations toward the bottom of the tree
     (Section 4), so it needs output-size estimates. *)
 
-val predicate : Catalog.t -> table_hint:Catalog.column_stats option ->
-  Algebra.predicate -> float
-(** Selectivity in [\[0, 1\]] of a predicate given the column's stats:
-    equality 1/ndistinct; ranges interpolated on [min..max]; 1/3 fallback
-    when stats are missing (Selinger's magic number). *)
-
 val estimate : Catalog.t -> Algebra.expr -> float
 (** Estimated output cardinality in tuples.  Joins use
     [|L|·|R| / max(dL, dR)]; distinct projection caps at the product of

@@ -49,8 +49,6 @@ let breaker_note t ~at ~ok =
     if ok then Overload.Breaker.record_success b ~now:at
     else Overload.Breaker.record_failure b ~now:at
 
-let page_bytes t = t.page_size
-
 let encode_records ~compressed records =
   let total =
     List.fold_left

@@ -19,8 +19,6 @@ val create : ?page_write_time:float -> ?page_bytes:int ->
     failures, clean faulted-path writes successes) but never blocks the
     device itself — shedding is the service layer's decision. *)
 
-val page_bytes : t -> int
-
 val write_page : t -> ?protected:bool -> ?compressed:bool -> at:float ->
   Log_record.t list -> bytes:int -> float
 (** [write_page d ~at records ~bytes] schedules a page write issued at

@@ -38,19 +38,6 @@ let is_update = function
   | Update _ | Command _ -> true
   | Begin _ | Commit _ | Abort _ | Ckpt_begin _ | Ckpt_end _ -> false
 
-let pp ppf = function
-  | Begin { txn; lsn } -> Format.fprintf ppf "[%d] BEGIN t%d" lsn txn
-  | Commit { txn; lsn } -> Format.fprintf ppf "[%d] COMMIT t%d" lsn txn
-  | Abort { txn; lsn } -> Format.fprintf ppf "[%d] ABORT t%d" lsn txn
-  | Update { txn; lsn; slot; old_value; new_value } ->
-    Format.fprintf ppf "[%d] UPDATE t%d slot=%d %d->%d" lsn txn slot old_value
-      new_value
-  | Command { txn; lsn; ops } ->
-    Format.fprintf ppf "[%d] COMMAND t%d" lsn txn;
-    List.iter (fun (slot, delta) -> Format.fprintf ppf " %d%+d" slot delta) ops
-  | Ckpt_begin { lsn } -> Format.fprintf ppf "[%d] CKPT-BEGIN" lsn
-  | Ckpt_end { lsn } -> Format.fprintf ppf "[%d] CKPT-END" lsn
-
 (* Wire encoding.  Each record occupies exactly [size_bytes] bytes — the
    model sizes double as the physical layout, so byte accounting and
    serialization can never disagree.  Fields are little-endian; the last

@@ -59,8 +59,6 @@ val max_command_ops : int
 (** Operation-count ceiling of the command wire format (one count
     byte): 255. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 Wire encoding}
 
     Each record serializes to exactly [size_bytes] bytes — the model

@@ -12,8 +12,6 @@ let create ?recorder ~nrecords () =
     recorder;
   }
 
-let nrecords t = Array.length t.chains
-
 let check_slot t slot =
   if slot < 0 || slot >= Array.length t.chains then
     invalid_arg "Version_store: slot out of range"

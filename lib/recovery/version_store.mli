@@ -18,8 +18,6 @@ val create : ?recorder:Schedule.recorder -> nrecords:int -> unit -> t
     are auditable by {!Mmdb_verify.Schedule_check}'s version
     discipline. *)
 
-val nrecords : t -> int
-
 val write :
   ?txn:int -> ?domain:int -> t -> ts:float -> slot:int -> value:int -> unit
 (** Install a version.  When [txn] is given the install is witnessed as a

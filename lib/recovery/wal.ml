@@ -93,7 +93,6 @@ let create ?(page_write_time = 10e-3) ?(page_bytes = 4096) ?faults ?breaker
   }
 
 let strategy t = t.strat
-let page_bytes t = t.page_size
 
 let record_size t r = Log_record.size_bytes ~compressed:t.compressed r
 

@@ -59,7 +59,6 @@ val create : ?page_write_time:float -> ?page_bytes:int ->
     crashes only land at quiesce points. *)
 
 val strategy : t -> strategy
-val page_bytes : t -> int
 
 val commit_txn : t -> at:float -> txn:int -> deps:int list ->
   Log_record.t list -> ticket

@@ -32,20 +32,6 @@ let create () =
     ovld = O.tally_create ();
   }
 
-let reset t =
-  t.comparisons <- 0;
-  t.hashes <- 0;
-  t.moves <- 0;
-  t.swaps <- 0;
-  t.seq_reads <- 0;
-  t.seq_writes <- 0;
-  t.rand_reads <- 0;
-  t.rand_writes <- 0;
-  t.faults <- 0;
-  t.pool_hits <- 0;
-  F.tally_reset t.fault;
-  O.tally_reset t.ovld
-
 let snapshot t =
   {
     comparisons = t.comparisons;
@@ -93,5 +79,3 @@ let pp ppf t =
 
 let io_retries t = t.fault.F.retried
 let io_retry_backoff t = t.fault.F.retry_backoff
-let sheds t = O.sheds t.ovld
-let breaker_trips t = t.ovld.O.breaker_trips

@@ -32,8 +32,6 @@ type t = {
 val create : unit -> t
 (** All-zero counters. *)
 
-val reset : t -> unit
-
 val snapshot : t -> t
 (** Immutable copy (the copy is still a mutable record, but detached). *)
 
@@ -52,10 +50,3 @@ val io_retries : t -> int
 val io_retry_backoff : t -> float
 (** Simulated seconds spent waiting out retry backoff before those
     retries succeeded. *)
-
-val sheds : t -> int
-(** Arrivals turned away by admission control (overload tally's
-    OVLD001/2/3/7/9 rows). *)
-
-val breaker_trips : t -> int
-(** Circuit-breaker closed-to-open transitions. *)

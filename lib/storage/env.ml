@@ -46,7 +46,3 @@ let charge_io_rand_write t =
   Sim_clock.advance t.clock t.cost.Cost.io_rand
 
 let elapsed t = Sim_clock.now t.clock
-
-let reset t =
-  Sim_clock.reset t.clock;
-  Counters.reset t.counters

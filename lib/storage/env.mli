@@ -36,6 +36,3 @@ val charge_io_rand_write : t -> unit
 
 val elapsed : t -> float
 (** Simulated seconds since creation (or last clock reset). *)
-
-val reset : t -> unit
-(** Reset clock and counters (cost model unchanged). *)

@@ -8,7 +8,6 @@ let compare a b =
   | c -> c
 
 let equal a b = a.page = b.page && a.slot = b.slot
-let pp ppf t = Format.fprintf ppf "(%d,%d)" t.page t.slot
 
 let encoded_width = 8
 

@@ -10,7 +10,6 @@ type t = { page : int; slot : int }
 val make : page:int -> slot:int -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val encoded_width : int
 (** Bytes needed by {!encode} (8). *)

@@ -148,14 +148,3 @@ let encode_key schema = function
     buf
 
 let int_key_range schema = int_range (Schema.key_width schema)
-
-let pp schema ppf tuple =
-  Format.fprintf ppf "(";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Format.fprintf ppf ", ";
-      match v with
-      | VInt n -> Format.fprintf ppf "%d" n
-      | VStr s -> Format.fprintf ppf "%S" s)
-    (decode schema tuple);
-  Format.fprintf ppf ")"

@@ -51,5 +51,3 @@ val encode_key : Schema.t -> value -> bytes
 val int_key_range : Schema.t -> int * int
 (** [(min, max)] representable range of the key column when it is an
     integer column. *)
-
-val pp : Schema.t -> Format.formatter -> bytes -> unit

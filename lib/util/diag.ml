@@ -25,8 +25,6 @@ let pp ppf d =
     Format.fprintf ppf "%s[%s] at %s: %s" (severity_string d.severity) d.code
       d.path d.message
 
-let to_string d = Format.asprintf "%a" pp d
-
 let pp_list ppf = function
   | [] -> Format.fprintf ppf "no diagnostics"
   | ds ->

@@ -23,8 +23,6 @@ val warning : code:string -> path:string -> string -> t
 val errors : t list -> t list
 (** Just the [Error]-severity diagnostics. *)
 
-val warnings : t list -> t list
-
 val has_errors : t list -> bool
 
 val has_code : string -> t list -> bool
@@ -32,8 +30,6 @@ val has_code : string -> t list -> bool
 
 val pp : Format.formatter -> t -> unit
 (** ["error[PLAN002] at $.input: unknown column \"salry\""]. *)
-
-val to_string : t -> string
 
 val pp_list : Format.formatter -> t list -> unit
 (** One diagnostic per line; prints ["no diagnostics"] when empty. *)

@@ -515,6 +515,8 @@ let corpus_table ~disk ~rng ~name ~pages =
            ]))
 
 let run_suite ?(seed = 42) ?(tolerance_scale = 1.0) ?(enumerate = true) () =
+  if not (tolerance_scale > 0.0) then
+    invalid_arg "Model_check.run_suite: tolerance_scale <= 0";
   let env = S.Env.create () in
   let disk = S.Disk.create ~env ~page_size:4096 in
   let rng = U.Xorshift.create seed in

@@ -147,7 +147,10 @@ val run_suite :
     all four join algorithms resident and spilled, planned pipelines
     (filters, multi-join, aggregation, distinct, order-by, set
     operations, index probes) — plus the optimality lint
-    ([enumerate = false] skips it) and selectivity checks. *)
+    ([enumerate = false] skips it) and selectivity checks.
+
+    @raise Invalid_argument if [tolerance_scale <= 0]: a band scaled by
+    zero or less is empty, and every case would report divergence. *)
 
 val case_diags : case -> Mmdb_util.Diag.t list
 val suite_diags : case list -> Mmdb_util.Diag.t list

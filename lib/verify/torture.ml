@@ -158,6 +158,9 @@ let restart_steps = [ 1; 8; 64 ]
 
 let run ?(seed = 7) ?(txns = 48) ?(specs = default_specs)
     ?(strategies = default_strategies) ?(max_points_per_combo = 32) () =
+  if txns < 1 then invalid_arg "Torture.run: txns < 1";
+  if max_points_per_combo < 1 then
+    invalid_arg "Torture.run: max_points_per_combo < 1";
   let combos = ref [] in
   let silent = ref [] in
   let flagged = ref [] in

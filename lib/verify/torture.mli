@@ -79,7 +79,11 @@ val run :
     each combo's range are re-run with the {e recovery itself} crashed
     after 1, 8 and 64 replay/write-back steps and restarted — the
     restart-crash matrix.  Those runs obey the same no-silent-corruption
-    property and are counted in [report.restart_runs]. *)
+    property and are counted in [report.restart_runs].
+
+    @raise Invalid_argument if [txns] or [max_points_per_combo] is below
+    1 (a sweep over no transactions or no crash points proves nothing),
+    or a spec in [specs] does not parse. *)
 
 val ok : report -> bool
 (** No silent-corruption failures. *)

@@ -565,6 +565,15 @@ let test_torture_flags_unrecoverable_loss () =
   checkb "FAULT007 reported" true
     (List.mem_assoc "FAULT007" r.V.Torture.events)
 
+(* A sweep over no transactions or no crash points would report "ok"
+   having checked nothing; both are refused before any run. *)
+let test_torture_rejects_empty_sweep () =
+  Alcotest.check_raises "txns 0" (Invalid_argument "Torture.run: txns < 1")
+    (fun () -> ignore (V.Torture.run ~txns:0 ()));
+  Alcotest.check_raises "points 0"
+    (Invalid_argument "Torture.run: max_points_per_combo < 1") (fun () ->
+      ignore (V.Torture.run ~max_points_per_combo:0 ()))
+
 let () =
   Alcotest.run "mmdb fault"
     [
@@ -622,5 +631,7 @@ let () =
             test_torture_full_sweep;
           Alcotest.test_case "unrecoverable loss is flagged" `Quick
             test_torture_flags_unrecoverable_loss;
+          Alcotest.test_case "empty sweep rejected" `Quick
+            test_torture_rejects_empty_sweep;
         ] );
     ]

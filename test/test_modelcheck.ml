@@ -282,6 +282,16 @@ let test_tolerance_scale () =
   checkb "hi widens" true (w.MC.comps.MC.hi > t.MC.comps.MC.hi);
   checkb "lo widens" true (w.MC.comps.MC.lo < t.MC.comps.MC.lo)
 
+(* A zero or negative scale empties every band, so each case would
+   report divergence; the suite refuses it instead. *)
+let test_tolerance_scale_positive () =
+  List.iter
+    (fun f ->
+      Alcotest.check_raises (Printf.sprintf "scale %g" f)
+        (Invalid_argument "Model_check.run_suite: tolerance_scale <= 0")
+        (fun () -> ignore (MC.run_suite ~tolerance_scale:f ())))
+    [ 0.0; -1.0; Float.nan ]
+
 let () =
   Alcotest.run "modelcheck"
     [
@@ -328,5 +338,7 @@ let () =
           Alcotest.test_case "audit component" `Quick test_audit_component;
           Alcotest.test_case "code catalogue" `Quick test_code_catalogue;
           Alcotest.test_case "tolerance scaling" `Quick test_tolerance_scale;
+          Alcotest.test_case "non-positive tolerance scale rejected" `Quick
+            test_tolerance_scale_positive;
         ] );
     ]
