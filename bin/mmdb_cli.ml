@@ -495,7 +495,7 @@ type check_opts = {
   accounts : int; domains : int; scramble : bool; crash : bool;
   inject : V.Txn_fuzz.inject list;
   faults : string option; strategy : R.Wal.strategy option;
-  tolerance : float; enumerate : bool; verbose : bool;
+  tolerance : float; verbose : bool;
 }
 
 (* Each pass prints its findings through [Audit.report] and returns its
@@ -584,8 +584,7 @@ let torture_pass o =
 
 let model_pass o =
   let cases =
-    V.Model_check.run_suite ?seed:o.seed ~tolerance_scale:o.tolerance
-      ~enumerate:o.enumerate ()
+    V.Model_check.run_suite ?seed:o.seed ~tolerance_scale:o.tolerance ()
   in
   if o.verbose then
     List.iter
@@ -595,8 +594,6 @@ let model_pass o =
           (Format.printf "  @[<v>%a@]@." V.Model_check.pp_report)
           c.V.Model_check.reports)
       cases;
-  if not o.enumerate then
-    Format.printf "model: optimality lint skipped (use --enumerate)@.";
   report
     (List.map
        (fun (c : V.Model_check.case) ->
@@ -644,7 +641,7 @@ let inject_of_spec spec =
    out-of-range number, which the library entry points reject with
    [Invalid_argument]. *)
 let check names seed txns accounts scramble crash domains inject_spec faults
-    strategy points tolerance enumerate verbose =
+    strategy points tolerance verbose =
   let run_pass o ok (name, pass) =
     let pass_ok = pass o in
     Format.printf "%s: %s@.@." name (if pass_ok then "ok" else "FAIL");
@@ -662,7 +659,7 @@ let check names seed txns accounts scramble crash domains inject_spec faults
     let inject = inject_of_spec inject_spec in
     let o =
       { seed; txns; points; accounts; domains; scramble; crash; inject;
-        faults; strategy; tolerance; enumerate; verbose }
+        faults; strategy; tolerance; verbose }
     in
     let selected =
       List.filter (fun (n, _) -> names = [] || List.mem n names) passes
@@ -730,11 +727,6 @@ let check_cmd =
       "Model: scale every declared tolerance band; above 1 widens, below 1 \
        tightens. Must be positive."
   in
-  let enumerate =
-    flag [ "enumerate" ]
-      "Model: also enumerate the algorithm-assignment plan space and flag \
-       chosen plans above its minimum (MODEL008)."
-  in
   let verbose =
     flag [ "v"; "verbose" ]
       "Model: print every node's predicted vs observed breakdown. Lint: \
@@ -754,10 +746,10 @@ let check_cmd =
           cost model; $(b,lint) is the static lint over lib/. Exits 0 when \
           every selected pass is clean; 1 on an error-severity finding, \
           silent corruption, or with $(b,--inject) a missed injection; 2 on \
-          bad input.")
+          bad input, malformed flags included.")
     Term.(
       const check $ names $ seed $ txns $ accounts $ scramble $ crash $ domains
-      $ inject $ faults $ strategy $ points $ tolerance $ enumerate $ verbose)
+      $ inject $ faults $ strategy $ points $ tolerance $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* codes                                                               *)
@@ -1088,10 +1080,13 @@ let () =
   let doc = "Main-memory DBMS techniques (DeWitt et al., SIGMOD 1984)" in
   let info = Cmd.info "mmdb_cli" ~version:"1.0.0" ~doc in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
-  exit
-    (Cmd.eval'
-       (Cmd.group ~default info
-          [
-            crossover_cmd; join_cmd; tps_cmd; recover_cmd; plan_cmd; sql_cmd;
-            check_cmd; codes_cmd; stats_cmd; overload_cmd; repl_cmd;
-          ]))
+  let code =
+    Cmd.eval'
+      (Cmd.group ~default info
+         [
+           crossover_cmd; join_cmd; tps_cmd; recover_cmd; plan_cmd; sql_cmd;
+           check_cmd; codes_cmd; stats_cmd; overload_cmd; repl_cmd;
+         ])
+  in
+  (* A malformed flag is bad input like any other: exit 2, not 124. *)
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

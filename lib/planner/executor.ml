@@ -81,23 +81,9 @@ let node_output ~recurse catalog cfg plan =
       let out =
         S.Relation.create ~disk ~name:(temp_name "project") ~schema:out_schema
       in
-      let widths =
-        List.map
-          (fun c ->
-            let i = S.Schema.column_index schema c in
-            (S.Schema.offset schema i, (S.Schema.column_at schema i).S.Schema.width))
-          columns
-      in
-      let total = S.Schema.tuple_width out_schema in
+      let project = E.Projection.projector schema ~cols:columns out_schema in
       S.Relation.iter_tuples_nocharge src (fun tuple ->
-          let row = Bytes.make total '\000' in
-          let dst = ref 0 in
-          List.iter
-            (fun (off, w) ->
-              Bytes.blit tuple off row !dst w;
-              dst := !dst + w)
-            widths;
-          S.Relation.append_nocharge out row);
+          S.Relation.append_nocharge out (project tuple));
       S.Relation.seal out;
       out
     end

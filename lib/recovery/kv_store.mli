@@ -123,10 +123,9 @@ val recover :
     unified count of redo applies + undo applies + write-back page
     writes), running it again from the surviving durable state is
     correct.  [use_domains] runs the partitions as real domains, spawned
-    once for the whole replay, when {!Domain_runner.available} (ignored
-    when [crash_after_steps] or [replay_recorder] forces the
-    deterministic scheduler); every statistic but [used_domains] is the
-    same either way.  [replay_recorder] witnesses every replay write as
+    once for the whole replay (ignored when [crash_after_steps] or
+    [replay_recorder] forces the deterministic scheduler); every
+    statistic but [used_domains] is the same either way.  [replay_recorder] witnesses every replay write as
     domain-stamped Grant/Write/Release events for the race codes of
     {!Mmdb_verify.Schedule_check}.
 

@@ -141,7 +141,7 @@ let run_domains ~apply queues =
 let run ?recorder ?(use_domains = false) ?on_step ~apply t =
   (* Recording and crash injection are deterministic-mode features. *)
   let domains =
-    use_domains && Domain_runner.available
+    use_domains
     && (match (recorder, on_step) with None, None -> true | _ -> false)
   in
   if domains then run_domains ~apply t.queues

@@ -20,7 +20,7 @@
       partition as the acting domain, so the race codes of
       {!Mmdb_verify.Schedule_check} can audit the
       interleaving) and can crash mid-replay via [on_step].
-    - {b domains} ([use_domains:true] when {!Domain_runner.available}):
+    - {b domains} ([use_domains:true]):
       one {!Domain_runner.run} for the whole replay, one worker per
       partition over disjoint pages.  Recording and crash injection are
       rejected in this mode (they would be nondeterministic), so

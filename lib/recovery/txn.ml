@@ -71,8 +71,6 @@ let absorb t (grants : Lock_manager.grant list) =
 
 let lock ?deadline t ~txn ~key =
   let a = active t txn in
-  (* exn_flow: 2PL — locks are released by [commit]'s pre-commit or by
-     [abort], never by the function that took them. *)
   match Lock_manager.acquire ?deadline t.locks ~txn ~key with
   | Some g ->
     a.deps <- List.rev_append g.dependencies a.deps;
@@ -125,8 +123,6 @@ let retire t ~at =
           let txn = Wal.ticket_txn tkt in
           Schedule.emit t.recorder ~at:c ~domain:(t.domain_of txn) ~txn
             Schedule.Commit_durable;
-          (* exn_flow: 2PL — the locks were taken by [lock] and
-             pre-committed by [commit]; the durable commit retires them. *)
           Lock_manager.finalize t.locks ~txn;
           false
         | Some _ | None -> true)
@@ -135,7 +131,6 @@ let retire t ~at =
 let commit t ~txn ~at =
   let a = take t txn in
   let records = assemble t ~txn a (fun lsn -> Log_record.Commit { txn; lsn }) in
-  (* exn_flow: 2PL — pre-commit releases the locks [lock] took. *)
   let woken = absorb t (Lock_manager.precommit t.locks ~txn) in
   let ticket = Wal.commit_txn t.wal ~at ~txn ~deps:a.deps records in
   t.open_tickets <- ticket :: t.open_tickets;
@@ -163,8 +158,6 @@ let abort t ~txn ~at =
       | Log_record.Command _ | Log_record.Ckpt_begin _
       | Log_record.Ckpt_end _ -> assert false)
     a.rev_body;
-  (* exn_flow: 2PL — abort releases the locks [lock] took, after the
-     rollback. *)
   let woken = absorb t (Lock_manager.release_abort t.locks ~txn) in
   let records = assemble t ~txn a (fun lsn -> Log_record.Abort { txn; lsn }) in
   let ticket = Wal.commit_txn t.wal ~at ~txn ~deps:[] records in

@@ -1,5 +1,5 @@
 (* One lint sweep over lib/: each file is read and parsed once, and the
-   parsetree goes to the three rule families (RACE, PERF, EXN/RES).
+   parsetree goes to the three rule families (RACE, PERF, EXN).
    Only version-stable constructors are matched, and
    [Ast_iterator.default_iterator] walks everything else, so the sweep
    compiles across the CI compiler matrix. *)
@@ -19,7 +19,6 @@ type status =
   | Flagged
   | Justified of string
   | Safe of string
-  | Per_instance
 
 type finding = {
   file : string;
@@ -149,7 +148,6 @@ let race_findings { file; lines; items } =
   and item acc (si : Parsetree.structure_item) =
     match si.Parsetree.pstr_desc with
     | Parsetree.Pstr_value (_, vbs) -> List.fold_left binding acc vbs
-    | Parsetree.Pstr_type (_, decls) -> List.fold_left type_decl acc decls
     | Parsetree.Pstr_module mb -> module_binding acc mb
     | Parsetree.Pstr_recmodule mbs -> List.fold_left module_binding acc mbs
     | _ -> acc
@@ -175,33 +173,6 @@ let race_findings { file; lines; items } =
       let status = Safe (c ^ " is domain-safe") in
       { file; line; code = "RACE101"; name; construct = c; status } :: acc
     | Plain -> acc
-  and type_decl acc (d : Parsetree.type_declaration) =
-    match d.Parsetree.ptype_kind with
-    | Parsetree.Ptype_record labels -> (
-      let mut =
-        List.filter_map
-          (fun (l : Parsetree.label_declaration) ->
-            match l.Parsetree.pld_mutable with
-            | Asttypes.Mutable -> Some l.Parsetree.pld_name.Location.txt
-            | Asttypes.Immutable -> None)
-          labels
-      in
-      match mut with
-      | [] -> acc
-      | _ ->
-        {
-          file;
-          line = d.Parsetree.ptype_loc.Location.loc_start.Lexing.pos_lnum;
-          code = "RACE101";
-          name = d.Parsetree.ptype_name.Location.txt;
-          construct =
-            Printf.sprintf "mutable field%s %s"
-              (match mut with [ _ ] -> "" | _ -> "s")
-              (String.concat ", " mut);
-          status = Per_instance;
-        }
-        :: acc)
-    | _ -> acc
   in
   List.rev (structure [] items)
 
@@ -386,7 +357,7 @@ let perf_findings { file; lines; items } =
   List.rev !findings
 
 (* ------------------------------------------------------------------ *)
-(* EXN/RES: collection, one record per top-level binding               *)
+(* EXN: collection, one record per top-level binding                   *)
 (* ------------------------------------------------------------------ *)
 
 let fault_family = [ "Io_error"; "Unrecoverable"; "Crashed_during_recovery" ]
@@ -424,7 +395,6 @@ type frame = { fr_names : string list }
 
 type rsite = { r_line : int; r_exn : string; r_frames : frame list }
 type csite = { c_line : int; c_raw : string; c_frames : frame list }
-type res_kind = Pin | Unpin | Acquire | Release
 
 type swallow_kind =
   | Catch_all of { body_lo : int; body_hi : int }
@@ -442,8 +412,6 @@ type fn = {
   mutable f_partials : (int * string) list;
   mutable f_failwiths : int list;
   mutable f_swallows : swallow list;
-  mutable f_res : (int * res_kind) list;
-  mutable f_protect : bool;
   mutable f_reraises : (int * string) list;
   mutable f_summary : SSet.t;
 }
@@ -533,8 +501,6 @@ let fresh_fn cx ~name ~line =
         f_partials = [];
         f_failwiths = [];
         f_swallows = [];
-        f_res = [];
-        f_protect = false;
         f_reraises = [];
         f_summary = SSet.empty;
       }
@@ -572,9 +538,6 @@ let record_call cx ~line raw =
       f.f_calls <-
         { c_line = line; c_raw = raw; c_frames = cx.cx_frames } :: f.f_calls)
 
-let record_res cx ~line kind =
-  in_fn cx (fun f -> f.f_res <- (line, kind) :: f.f_res)
-
 let collect { file; items; _ } ~fns ~declared =
   let cx =
     {
@@ -590,7 +553,6 @@ let collect { file; items; _ } ~fns ~declared =
     }
   in
   let super = Ast_iterator.default_iterator in
-  let own_module m = cx.cx_module = m in
   let rec expr it (e : Parsetree.expression) =
     match e.Parsetree.pexp_desc with
     | Parsetree.Pexp_ident _ ->
@@ -662,8 +624,6 @@ let collect { file; items; _ } ~fns ~declared =
         in_fn cx (fun fn -> fn.f_failwiths <- line :: fn.f_failwiths)
       | "invalid_arg" | "Stdlib.invalid_arg" ->
         record_raise cx ~line "Invalid_argument"
-      | "Fun.protect" | "Stdlib.Fun.protect" ->
-        in_fn cx (fun fn -> fn.f_protect <- true)
       | _ -> ());
       match last_two raw with
       | ("List.hd" | "List.tl") as p ->
@@ -673,16 +633,6 @@ let collect { file; items; _ } ~fns ~declared =
         record_raise cx ~line "Invalid_argument";
         in_fn cx (fun fn ->
             fn.f_partials <- (line, "Option.get") :: fn.f_partials)
-      | "Buffer_pool.pin" when not (own_module "Buffer_pool") ->
-        record_res cx ~line Pin
-      | "Buffer_pool.unpin" when not (own_module "Buffer_pool") ->
-        record_res cx ~line Unpin
-      | "Lock_manager.acquire" when not (own_module "Lock_manager") ->
-        record_res cx ~line Acquire
-      | ("Lock_manager.precommit" | "Lock_manager.release_abort"
-        | "Lock_manager.finalize")
-        when not (own_module "Lock_manager") ->
-        record_res cx ~line Release
       | _ -> ()));
     (match f.Parsetree.pexp_desc with
     | Parsetree.Pexp_ident _ -> ()  (* recorded above *)
@@ -834,7 +784,7 @@ let collect { file; items; _ } ~fns ~declared =
   it.Ast_iterator.structure it items
 
 (* ------------------------------------------------------------------ *)
-(* EXN/RES: whole-program analysis                                     *)
+(* EXN: whole-program analysis                                         *)
 (* ------------------------------------------------------------------ *)
 
 let survives frames e =
@@ -1047,60 +997,7 @@ let exn_findings units sigs =
           (fun line ->
             emit ~line ~code:"EXN105"
               (Printf.sprintf "failwith (reachable from %s)" entry))
-          (List.sort compare f.f_failwiths));
-      (* RES101-RES104: per-function resource protocol *)
-      let res = List.sort compare (List.rev f.f_res) in
-      let count kind =
-        List.fold_left (fun n (_, k) -> if k = kind then n + 1 else n) 0 res
-      in
-      let first kind =
-        match List.find_opt (fun (_, k) -> k = kind) res with
-        | Some (l, _) -> l
-        | None -> 0
-      in
-      let pair ~acq ~rel ~what ~acq_name ~rel_name =
-        let na = count acq and nr = count rel in
-        if na > 0 && nr = 0 then
-          emit ~line:(first acq) ~code:(if acq = Pin then "RES101" else "RES102")
-            (Printf.sprintf "%s with no %s on some path" acq_name rel_name)
-        else if nr > 0 && na = 0 then
-          emit ~line:(first rel) ~code:"RES104"
-            (Printf.sprintf "%s with no preceding %s" rel_name acq_name)
-        else if na > 0 && nr > 0 && not f.f_protect then begin
-          let lo = first acq in
-          let hi =
-            List.fold_left
-              (fun acc (l, k) -> if k = rel then max acc l else acc)
-              0 res
-          in
-          let raiser =
-            let direct =
-              List.find_opt
-                (fun (r : rsite) -> r.r_line > lo && r.r_line < hi)
-                f.f_raises
-            in
-            match direct with
-            | Some r -> Some r.r_exn
-            | None ->
-              List.find_map
-                (fun (c : csite) ->
-                  if c.c_line > lo && c.c_line < hi then
-                    SSet.min_elt_opt (summary_of_call f c)
-                  else None)
-                f.f_calls
-          in
-          match raiser with
-          | Some e ->
-            emit ~line:lo ~code:"RES103"
-              (Printf.sprintf "%s span can raise %s with no Fun.protect" what
-                 e)
-          | None -> ()
-        end
-      in
-      pair ~acq:Pin ~rel:Unpin ~what:"pin..unpin" ~acq_name:"Buffer_pool.pin"
-        ~rel_name:"Buffer_pool.unpin";
-      pair ~acq:Acquire ~rel:Release ~what:"acquire..release"
-        ~acq_name:"Lock_manager.acquire" ~rel_name:"a release-set call")
+          (List.sort compare f.f_failwiths)))
     keys;
   (* EXN102: undeclared exception escape of an exported API, one
      finding per (module, exception), anchored at the first offending
@@ -1295,13 +1192,6 @@ let describe = function
   | "EXN105" ->
     "failwith reachable from a recovery/exec entry point — raise a \
      typed exception the torture harness can classify"
-  | "RES101" -> "Buffer_pool.pin with no unpin in the same function"
-  | "RES102" ->
-    "Lock_manager.acquire with no release-set call in the same function"
-  | "RES103" ->
-    "acquire/release span can raise with no Fun.protect — the \
-     exception unwinds past the release"
-  | "RES104" -> "resource release with no acquire in the same function"
   | code -> code
 
 let diags_of_findings fs =
@@ -1322,7 +1212,7 @@ let diags_of_findings fs =
                   "%s: `%s' in %s — fix it or justify with a (* %s ... *) \
                    comment"
                   (describe f.code) f.construct f.name (marker_of f.code)))
-      | Justified _ | Safe _ | Per_instance -> None)
+      | Justified _ | Safe _ -> None)
     fs
 
 let status_label f =
@@ -1330,7 +1220,6 @@ let status_label f =
   | Flagged -> "FLAGGED " ^ f.code
   | Justified why -> "justified: " ^ why
   | Safe why -> "safe: " ^ why
-  | Per_instance -> "per-instance (audited dynamically by Schedule_check)"
 
 let pp_inventory ppf fs =
   if fs = [] then Format.fprintf ppf "no findings@."
@@ -1363,8 +1252,4 @@ let code_catalogue =
     ("EXN103", "partial stdlib call (List.hd/List.tl/Option.get) reachable from a recovery/exec entry point");
     ("EXN104", "re-raise by plain raise drops the original backtrace");
     ("EXN105", "failwith reachable from a recovery/exec entry point (untyped Failure)");
-    ("RES101", "Buffer_pool.pin not matched by unpin in the same function");
-    ("RES102", "Lock_manager.acquire not matched by a release-set call");
-    ("RES103", "exception-unsafe acquire/release pairing (needs Fun.protect)");
-    ("RES104", "resource release without a matching acquire");
   ]

@@ -7,17 +7,14 @@
     domain-safety gate (the dynamic half is {!Schedule_check}'s race
     codes).  Every top-level binding built by [ref],
     [Hashtbl]/[Buffer]/[Queue]/[Stack] creation or an [Array]/[Bytes]
-    allocation, every top-level [lazy],
-    every shared global PRNG stream and every record type declaring
-    [mutable] fields is inventoried:
+    allocation, every top-level [lazy] and every shared global PRNG
+    stream is inventoried:
     - [RACE101] unjustified top-level mutable value;
     - [RACE102] unjustified top-level [lazy];
     - [RACE103] shared global random generator (streams must be passed
       per-domain by value).
-    A binding built on [Atomic.make] or [Mutex.create] is [Safe]; a type
-    declaring mutable fields is [Per_instance] (instances may be
-    domain-local; {!Schedule_check} audits them).  Both are reported under
-    [RACE101], the rule that inventoried them.
+    A binding built on [Atomic.make] or [Mutex.create] is [Safe],
+    reported under [RACE101], the rule that inventoried it.
 
     {b PERF} — accidentally super-linear idioms on per-operation paths:
     - [PERF101] list built by tail-append ([xs @ [x]]), flagged
@@ -32,10 +29,10 @@
       group sibling) in value-consumed position;
     - [PERF105] string concatenation ([^]) under iteration.
 
-    {b EXN/RES} — whole-program exception flow and resource discipline.
+    {b EXN} — whole-program exception flow.
     One summary per top-level binding (exceptions possibly raised, with
-    handler subtraction; calls; resource events) is closed over the call
-    graph (an unqualified name resolves into the enclosing module, a
+    handler subtraction; calls) is closed over the call graph (an
+    unqualified name resolves into the enclosing module, a
     dotted one by its last two components after [module X = Path] alias
     expansion); the [.mli]s supply export lists and [@raise] lines:
     - [EXN101] a catch-all whose protected body can raise
@@ -52,17 +49,10 @@
       under [lib/recovery] or [lib/exec]);
     - [EXN104] [raise v] of a handler-bound exception, which drops the
       original backtrace;
-    - [EXN105] [failwith] reachable from a recovery/exec entry point;
-    - [RES101] [Buffer_pool.pin] with no [unpin] in the same function;
-    - [RES102] [Lock_manager.acquire] with no release-set call
-      ([precommit]/[release_abort]/[finalize]);
-    - [RES103] an acquire/release pair whose span contains a
-      possibly-raising site and no [Fun.protect];
-    - [RES104] a release with no acquire in the same function.
-    The RES rules judge one function at a time and are blind inside the
-    resource's own module; protocols that hand the release to another
-    function (2PL holds locks to commit/abort) are justified, not
-    rewritten.
+    - [EXN105] [failwith] reachable from a recovery/exec entry point.
+    Lock and pin pairing is checked dynamically, not here:
+    {!Schedule_check} (TXN001–TXN005) audits every traced lock schedule
+    and {!Pool_check} finds frames left pinned.
 
     A file that does not parse yields [RACE100], [PERF100] and [EXN100];
     an interface that does not parse yields [EXN100].  The rest of the
@@ -79,15 +69,14 @@ type status =
   | Flagged
   | Justified of string  (** the justification comment's text *)
   | Safe of string  (** why, e.g. ["Atomic.make is domain-safe"] *)
-  | Per_instance  (** mutable-field type; instances audited dynamically *)
 
 type finding = {
   file : string;
   line : int;
   code : string;
   name : string;
-      (** the binding or type (RACE), the enclosing binding (PERF), or
-          the enclosing function as [Module.fn] (EXN/RES) *)
+      (** the binding (RACE), the enclosing binding (PERF), or the
+          enclosing function as [Module.fn] (EXN) *)
   construct : string;  (** what was found, e.g. ["xs @ [x]"] *)
   status : status;
 }

@@ -385,8 +385,6 @@ let check_join ?(tolerance_scale = 1.0) algo ~mem_pages ~fudge r s =
 (* Optimizer optimality lint                                           *)
 (* ------------------------------------------------------------------ *)
 
-let enumeration_cap = 8
-
 (* Relative slack before a chosen plan counts as costlier than the
    optimum. *)
 let eps = 1e-9
@@ -407,44 +405,28 @@ let lint_optimality catalog cfg expr =
             (JM.all_four_ops w ~m))
         choices
     in
-    (* Exhaustive enumeration of the 4^k algorithm assignments (capped:
-       beyond the cap the per-join minima give the same bound because
-       join costs are additive and independent). *)
-    let best_total, best_assignment =
-      if List.length priced <= enumeration_cap then
-        List.fold_left
-          (fun acc per_join ->
-            List.concat_map
-              (fun (total, names) ->
-                List.map
-                  (fun (nm, c) -> (total +. c, nm :: names))
-                  per_join)
-              acc)
-          [ (0.0, []) ]
-          priced
-        |> List.fold_left
-             (fun (bt, bn) (t, n) -> if t < bt then (t, List.rev n) else (bt, bn))
-             (infinity, [])
-      else
-        ( List.fold_left
-            (fun acc per_join ->
-              acc
-              +. List.fold_left (fun m (_, c) -> Float.min m c) infinity
-                   per_join)
-            0.0 priced,
-          [] )
+    (* Join costs are additive and independent, and rounded float
+       addition is monotone, so summing each join's cheapest algorithm
+       (in join order, as the 4^k assignments would be summed) gives
+       exactly the minimum over all of them. *)
+    let best =
+      List.map
+        (List.fold_left
+           (fun (bn, bc) (nm, c) -> if c < bc then (nm, c) else (bn, bc))
+           ("", infinity))
+        priced
     in
+    let best_total = List.fold_left (fun acc (_, c) -> acc +. c) 0.0 best in
     let chosen = P.Optimizer.estimated_cost plan in
     let optimality =
       if chosen > (best_total *. (1.0 +. eps)) +. 1e-12 then
         [
           D.error ~code:"MODEL008" ~path:"$"
             (Printf.sprintf
-               "optimizer chose a plan costing %.6fs but enumeration finds \
-                %.6fs%s"
+               "optimizer chose a plan costing %.6fs but the cheapest \
+                assignment costs %.6fs (%s)"
                chosen best_total
-               (if best_assignment = [] then ""
-                else " (" ^ String.concat ", " best_assignment ^ ")"));
+               (String.concat ", " (List.map fst best)));
         ]
       else []
     in
@@ -514,7 +496,7 @@ let corpus_table ~disk ~rng ~name ~pages =
              S.Tuple.VStr "";
            ]))
 
-let run_suite ?(seed = 42) ?(tolerance_scale = 1.0) ?(enumerate = true) () =
+let run_suite ?(seed = 42) ?(tolerance_scale = 1.0) () =
   if not (tolerance_scale > 0.0) then
     invalid_arg "Model_check.run_suite: tolerance_scale <= 0";
   let env = S.Env.create () in
@@ -542,8 +524,7 @@ let run_suite ?(seed = 42) ?(tolerance_scale = 1.0) ?(enumerate = true) () =
   let big_cfg = { cfg with P.Optimizer.mem_pages = 256 } in
   let conformance ?(cfg = cfg) name expr =
     let reports = check_plan ~tolerance_scale catalog cfg expr in
-    let lint = if enumerate then lint_optimality catalog cfg expr else [] in
-    { name; reports; diags = lint }
+    { name; reports; diags = lint_optimality catalog cfg expr }
   in
   let join_case name algo ~mem_pages =
     {
@@ -610,120 +591,6 @@ let run_suite ?(seed = 42) ?(tolerance_scale = 1.0) ?(enumerate = true) () =
       (join ~left_key:"k" ~right_key:"k" (scan "r") (scan "t"));
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Recovery-time conformance (MODEL012)                                *)
-(* ------------------------------------------------------------------ *)
-
-module RM = Mmdb_recovery.Recovery_manager
-module RMod = Mmdb_model.Recovery_model
-
-(* The store prices each recovery with Recovery_model.replay_seconds
-   over its own observable counters; re-derive the prediction from the
-   reported recover_stats and demand agreement (a tight band: both
-   sides must use the same terms — this catches the two drifting
-   apart).  Additionally, on the value-logged workload the parallel
-   terms dominate, so recovery time must not increase with the worker
-   count. *)
-let recovery_time_band = band ~abs:1e-9 0.999 1.001
-
-let check_recovery ?(seed = 7) () =
-  let base =
-    {
-      RM.default_config with
-      RM.nrecords = 200;
-      records_per_page = 10;
-      updates_per_txn = 4;
-      n_txns = 300;
-      checkpoint_every = Some 100;
-      crash_after = Some 260;
-      seed;
-    }
-  in
-  let run ~logging ~workers =
-    RM.run
-      {
-        base with
-        RM.replay = { RM.default_replay with RM.workers; logging };
-      }
-  in
-  let check_one ~label ~workers (o : RM.outcome) =
-    let st = o.RM.recover_stats in
-    let path = Printf.sprintf "recovery/%s/workers=%d" label workers in
-    let terms =
-      RMod.replay_terms ~page_io_time:10e-3 ~log_page_bytes:4096
-        ~workers:st.Mmdb_recovery.Kv_store.workers
-        ~snapshot_pages:st.Mmdb_recovery.Kv_store.snapshot_pages_read
-        ~log_bytes:st.Mmdb_recovery.Kv_store.log_bytes_scanned
-        ~local_value_ops:st.Mmdb_recovery.Kv_store.local_value_ops
-        ~local_command_ops:st.Mmdb_recovery.Kv_store.local_command_ops
-        ~serial_command_ops:st.Mmdb_recovery.Kv_store.barrier_ops
-        ~undo_ops:st.Mmdb_recovery.Kv_store.undo_applied
-        ~writeback_pages:st.Mmdb_recovery.Kv_store.pages_written_back
-    in
-    let invariants =
-      if o.RM.consistent && o.RM.money_conserved then []
-      else
-        [
-          D.error ~code:"MODEL012" ~path
-            "recovery run violated consistency while measuring its time";
-        ]
-    in
-    invariants
-    @ check_class ~path ~kind:"recovery" ~code:"MODEL012"
-        ~label:"recovery seconds" recovery_time_band
-        ~predicted:(RMod.replay_seconds terms)
-        ~observed:st.Mmdb_recovery.Kv_store.recovery_time
-  in
-  let worker_ladder = [ 1; 2; 4 ] in
-  let modes =
-    [
-      ("value", RM.Value_logging);
-      ("command", RM.Command_logging);
-      ("adaptive", RM.Adaptive_logging);
-    ]
-  in
-  List.concat_map
-    (fun (label, logging) ->
-      let runs =
-        List.map (fun workers -> (workers, run ~logging ~workers))
-          worker_ladder
-      in
-      let conformance =
-        List.concat_map
-          (fun (workers, o) -> check_one ~label ~workers o)
-          runs
-      in
-      let monotone =
-        if label <> "value" then []
-        else
-          let times =
-            List.map
-              (fun (w, (o : RM.outcome)) ->
-                ( w,
-                  o.RM.recover_stats.Mmdb_recovery.Kv_store.recovery_time ))
-              runs
-          in
-          let rec pairs = function
-            | (w1, t1) :: ((w2, t2) :: _ as rest) ->
-              (if t2 > t1 +. 1e-9 then
-                 [
-                   D.error ~code:"MODEL012"
-                     ~path:(Printf.sprintf "recovery/%s" label)
-                     (Printf.sprintf
-                        "recovery time not monotone in workers: %.6gs at \
-                         W=%d vs %.6gs at W=%d"
-                        t2 w2 t1 w1);
-                 ]
-               else [])
-              (* perf_lint: the worker ladder has 3 entries *)
-              @ pairs rest
-            | [ _ ] | [] -> []
-          in
-          pairs times
-      in
-      conformance @ monotone)
-    modes
-
 let code_catalogue =
   [
     ("MODEL001", "observed comparisons diverge from the cost model");
@@ -738,5 +605,4 @@ let code_catalogue =
     ("MODEL010", "plan cost annotation inconsistent with its per-term ops");
     ("MODEL011",
      "workload outside model validity; conformance skipped (warning)");
-    ("MODEL012", "recovery time diverges from the parallel-replay model");
   ]

@@ -11,12 +11,11 @@
        value falls outside that operator's declared tolerance band
        (MODEL001–MODEL007).  Predictions are evaluated at the {e actual}
        input sizes so estimation error cannot contaminate conformance.}
-    {- {b Optimality lint}: exhaustively enumerate the bounded plan
-       space (all algorithm assignments over the plan's joins, priced
-       with the same analytic model the optimizer used) and flag chosen
-       plans above the enumerated minimum (MODEL008), plus cost
-       annotations that do not re-price to their own per-term breakdown
-       (MODEL010).}
+    {- {b Optimality lint}: find the cheapest algorithm assignment over
+       the plan's joins, priced with the same analytic model the
+       optimizer used, and flag chosen plans above it (MODEL008), plus
+       cost annotations that do not re-price to their own per-term
+       breakdown (MODEL010).}
     {- {b Selectivity}: compare the Selinger-style cardinality estimate
        against the executed result (MODEL009).}}
 
@@ -111,13 +110,13 @@ val lint_optimality :
   Mmdb_planner.Optimizer.config ->
   Mmdb_planner.Algebra.expr ->
   Mmdb_util.Diag.t list
-(** Enumerate every algorithm assignment over the plan's joins (priced
-    at each join's recorded workload and memory), and report MODEL008
-    when the chosen plan costs more than [1 + 1e-9] times the
-    enumerated minimum, MODEL010 when [estimated_cost] disagrees with
-    [seconds (estimated_ops)].  Exhaustive up to 8 joins ([4^8]
-    assignments); larger plans fall back to per-join minima, which bound
-    the same optimum because join costs are additive. *)
+(** Price all four algorithms at each join's recorded workload and
+    memory, and report MODEL008 when the chosen plan costs more than
+    [1 + 1e-9] times the cheapest assignment, MODEL010 when
+    [estimated_cost] disagrees with [seconds (estimated_ops)].  Join
+    costs are additive and independent, so the cheapest assignment is
+    each join's cheapest algorithm: the sum of per-join minima is the
+    minimum over all [4^k] assignments. *)
 
 (** {1 Selectivity} *)
 
@@ -139,15 +138,14 @@ type case = {
 }
 
 val run_suite :
-  ?seed:int -> ?tolerance_scale:float -> ?enumerate:bool -> unit ->
-  case list
+  ?seed:int -> ?tolerance_scale:float -> unit -> case list
 (** Build a seeded corpus (three tables of 24/60/12 pages of 100-byte
     tuples, and two of 2,000 unique keys, one under a B+-tree and one
     under an AVL tree) and run conformance over every operator kind —
     all four join algorithms resident and spilled, planned pipelines
     (filters, multi-join, aggregation, distinct, order-by, set
-    operations, index probes) — plus the optimality lint
-    ([enumerate = false] skips it) and selectivity checks.
+    operations, index probes) — plus the optimality lint on every
+    planned case and selectivity checks.
 
     @raise Invalid_argument if [tolerance_scale <= 0]: a band scaled by
     zero or less is empty, and every case would report divergence. *)
@@ -157,18 +155,6 @@ val suite_diags : case list -> Mmdb_util.Diag.t list
 
 val suite_ok : case list -> bool
 (** No error-severity diagnostics anywhere in the suite. *)
-
-(** {1 Recovery-time conformance} *)
-
-val check_recovery : ?seed:int -> unit -> Mmdb_util.Diag.t list
-(** MODEL012: run a seeded crash-recovery workload under each logging
-    mode (value / command / adaptive) at 1, 2, and 4 replay workers;
-    demand (a) the reported recovery time re-derives exactly from the
-    run's own counters via {!Mmdb_model.Recovery_model.replay_terms}
-    (tight band — catches the store and the model drifting apart),
-    (b) recovery stays consistent while being measured, and (c) on the
-    value-logged workload recovery time is non-increasing in the worker
-    count (the parallel terms dominate there). *)
 
 val code_catalogue : (string * string) list
 (** Every MODEL code with a one-line description. *)

@@ -1,9 +1,10 @@
-(* Tests for the EXN/RES rule family of the lint: synthetic multi-file
-   corpora asserting the exact EXN/RES code for each defect class (and
+(* Tests for the EXN rule family of the lint: synthetic multi-file
+   corpora asserting the exact EXN code for each defect class (and
    the silence of the corresponding clean idiom), cross-module summary
    propagation and entry-point reachability, the exn_flow justification
    marker, determinism, EXN100 parse failures, and the catalogue
-   plumbing. *)
+   plumbing; and the buffer pool's pin discipline under injected I/O
+   faults. *)
 
 module V = Mmdb_verify
 module L = V.Lint
@@ -11,10 +12,9 @@ module L = V.Lint
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-let exn code =
-  String.starts_with ~prefix:"EXN" code || String.starts_with ~prefix:"RES" code
+let exn code = String.starts_with ~prefix:"EXN" code
 
-(* The EXN/RES findings of a corpus of [(path, source)] implementation
+(* The EXN findings of a corpus of [(path, source)] implementation
    files (plus optional interfaces), failing the test on any parse
    diag. *)
 let scan ?(mlis = []) mls =
@@ -220,100 +220,27 @@ let test_exn104_reraise () =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* RES101-RES104: resource pairing                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_res101_pin_without_unpin () =
-  check_codes "pin with no unpin" [ "RES101" ]
-    (scan
-       [ ("lib/storage/scan.ml", "let f pool pid = Buffer_pool.pin pool pid") ]);
-  check_codes "balanced pin/unpin is clean" []
-    (scan
-       [
-         ( "lib/storage/scan.ml",
-           "let f pool pid =\n\
-            \  let frame = Buffer_pool.pin pool pid in\n\
-            \  Buffer_pool.unpin pool pid;\n\
-            \  frame" );
-       ]);
-  (* Inside Buffer_pool itself the rule is blind by design. *)
-  check_codes "own module is exempt" []
-    (scan
-       [ ("lib/storage/buffer_pool.ml", "let reuse t pid = pin t pid") ])
-
-let test_res102_acquire_without_release () =
-  check_codes "acquire with no release-set call" [ "RES102" ]
-    (scan
-       [
-         ( "lib/core/fixture.ml",
-           "let f locks k = Lock_manager.acquire locks ~txn:1 ~key:k" );
-       ]);
-  check_codes "acquire + release_abort is clean" []
-    (scan
-       [
-         ( "lib/core/fixture.ml",
-           "let f locks k =\n\
-            \  let g = Lock_manager.acquire locks ~txn:1 ~key:k in\n\
-            \  Lock_manager.release_abort locks ~txn:1;\n\
-            \  g" );
-       ])
-
-let test_res103_unprotected_span () =
-  let fs =
-    scan
-      [
-        ( "lib/storage/scan.ml",
-          "let f pool pid =\n\
-           \  let frame = Buffer_pool.pin pool pid in\n\
-           \  if frame = Bytes.empty then invalid_arg \"empty\";\n\
-           \  Buffer_pool.unpin pool pid" );
-      ]
-  in
-  check_codes "raising site inside the span" [ "RES103" ] fs;
-  (match flagged fs with
-  | [ f ] -> checki "anchored at the pin" 2 f.L.line
-  | _ -> Alcotest.fail "expected exactly one finding");
-  (* Fun.protect is the remediation. *)
-  check_codes "Fun.protect span is clean" []
-    (scan
-       [
-         ( "lib/storage/scan.ml",
-           "let f pool pid =\n\
-            \  let frame = Buffer_pool.pin pool pid in\n\
-            \  Fun.protect\n\
-            \    ~finally:(fun () -> Buffer_pool.unpin pool pid)\n\
-            \    (fun () -> if frame = Bytes.empty then invalid_arg \
-            \"empty\")" );
-       ])
-
-let test_res104_release_without_acquire () =
-  check_codes "unpin with no pin" [ "RES104" ]
-    (scan
-       [ ("lib/storage/scan.ml", "let u pool pid = Buffer_pool.unpin pool pid") ])
-
-(* ------------------------------------------------------------------ *)
 (* Whitelist, determinism, parse failure                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A plain re-raise (EXN104): one finding, anchored at the [raise]. *)
+let reraise = "let f () = try g () with e -> cleanup (); raise e"
+
 let test_justification_whitelist () =
-  let src =
-    "(* exn_flow: fixture; release is the caller's job *)\n\
-     let f pool pid = Buffer_pool.pin pool pid"
-  in
-  let fs = scan [ ("lib/storage/scan.ml", src) ] in
+  let src = "(* exn_flow: fixture; the caller logs the trace *)\n" ^ reraise in
+  let fs = scan [ ("lib/core/fixture.ml", src) ] in
   check_codes "justified finding is not flagged" [] fs;
   (match fs with
   | [ { L.status = L.Justified why; _ } ] ->
     checkb "justification text echoed" true
-      (why = "fixture; release is the caller's job")
+      (why = "fixture; the caller logs the trace")
   | _ -> Alcotest.fail "expected one whitelisted finding");
   (* Three or more lines away, the comment no longer applies. *)
-  check_codes "distant comment does not silence" [ "RES101" ]
+  check_codes "distant comment does not silence" [ "EXN104" ]
     (scan
        [
-         ( "lib/storage/scan.ml",
-           "(* exn_flow: too far away *)\n\n\n\
-            let f pool pid = Buffer_pool.pin pool pid" );
+         ( "lib/core/fixture.ml",
+           "(* exn_flow: too far away *)\n\n\n" ^ reraise );
        ])
 
 let corpus =
@@ -323,14 +250,14 @@ let corpus =
        let f d = try risky d with _ -> 0" );
     ("lib/recovery/driver.ml", "let run () = Helper.pick [ 1 ]");
     ("lib/util/helper.ml", "let pick xs = List.hd xs");
-    ("lib/storage/scan.ml", "let u pool pid = Buffer_pool.unpin pool pid");
+    ("lib/core/retry.ml", reraise);
   ]
 
 let test_determinism () =
   checkb "two scans agree" true (scan corpus = scan corpus);
   Alcotest.(check (list string))
     "all three defect classes found"
-    [ "EXN101"; "EXN103"; "RES104" ]
+    [ "EXN101"; "EXN103"; "EXN104" ]
     (codes (flagged (scan corpus)))
 
 let test_parse_failure () =
@@ -338,7 +265,7 @@ let test_parse_failure () =
     L.analyze
       [
         ("lib/storage/bad.ml", "let = (");
-        ("lib/storage/scan.ml", "let u pool pid = Buffer_pool.unpin pool pid");
+        ("lib/core/retry.ml", reraise);
         ("lib/storage/worse.mli", "val : (");
       ]
   in
@@ -350,17 +277,16 @@ let test_parse_failure () =
       Alcotest.(check string) "code" "EXN100" d.V.Diag.code)
     diags;
   (* The rest of the sweep still runs. *)
-  check_codes "parseable files still scanned" [ "RES104" ] findings
+  check_codes "parseable files still scanned" [ "EXN104" ] findings
 
 (* ------------------------------------------------------------------ *)
 (* Pin/unpin under injected Io_error                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The dynamic counterpart of RES103: random pin/read/unpin spans, with
-   the unpin in a Fun.protect finally as the lint demands, against a
-   disk armed to raise Fault.Io_error past the retry budget.  The fault
-   is caught at the top, and Pool_check must find no frame left
-   pinned. *)
+(* Random pin/read/unpin spans, with the unpin in a Fun.protect
+   finally, against a disk armed to raise Fault.Io_error past the retry
+   budget.  The fault is caught at the top, and Pool_check must find no
+   frame left pinned. *)
 let test_pin_safety_under_io_error () =
   let module S = Mmdb_storage in
   let module F = Mmdb_fault in
@@ -438,10 +364,7 @@ let test_code_catalogue () =
       checkb (c ^ " catalogued") true (List.mem_assoc c cat);
       checki (c ^ " unique") 1
         (List.length (List.filter (fun (c', _) -> c' = c) cat)))
-    [
-      "EXN100"; "EXN101"; "EXN102"; "EXN103"; "EXN104"; "EXN105";
-      "RES101"; "RES102"; "RES103"; "RES104";
-    ]
+    [ "EXN100"; "EXN101"; "EXN102"; "EXN103"; "EXN104"; "EXN105" ]
 
 let () =
   Alcotest.run "exnflow"
@@ -462,14 +385,6 @@ let () =
         ] );
       ( "res",
         [
-          Alcotest.test_case "RES101 pin without unpin" `Quick
-            test_res101_pin_without_unpin;
-          Alcotest.test_case "RES102 acquire without release" `Quick
-            test_res102_acquire_without_release;
-          Alcotest.test_case "RES103 unprotected span" `Quick
-            test_res103_unprotected_span;
-          Alcotest.test_case "RES104 release without acquire" `Quick
-            test_res104_release_without_acquire;
           Alcotest.test_case "pins released under injected Io_error" `Quick
             test_pin_safety_under_io_error;
         ] );

@@ -54,26 +54,23 @@ let cfg = { P.Optimizer.mem_pages = 16; fudge = 1.2; allow_hash = true }
 (* ------------------------------------------------------------------ *)
 
 let test_suite_clean () =
-  let cases = MC.run_suite ~seed:42 ~enumerate:true () in
+  let cases = MC.run_suite ~seed:42 () in
   checkb "stock operators conform at declared tolerances"
     true (MC.suite_ok cases);
   checkb "no warnings either" true (MC.suite_diags cases = [])
 
 (* More corpora against a lucky one: seed 7 at the declared tolerances,
-   parallel-replay recovery time (MODEL012), and seed 99 with every
-   band widened by a quarter. *)
+   and seed 99 with every band widened by a quarter. *)
 let test_suite_more_seeds () =
   checkb "seed 7 suite clean" false
-    (D.has_errors (MC.suite_diags (MC.run_suite ~seed:7 ~enumerate:true ())));
-  checkb "recovery time conforms (MODEL012)" false
-    (D.has_errors (MC.check_recovery ~seed:7 ()));
+    (D.has_errors (MC.suite_diags (MC.run_suite ~seed:7 ())));
   checkb "seed 99 at 1.25x tolerance clean" false
     (D.has_errors
        (MC.suite_diags
-          (MC.run_suite ~seed:99 ~tolerance_scale:1.25 ~enumerate:true ())))
+          (MC.run_suite ~seed:99 ~tolerance_scale:1.25 ())))
 
 let test_suite_deterministic () =
-  let diags_of seed = MC.suite_diags (MC.run_suite ~seed ~enumerate:true ()) in
+  let diags_of seed = MC.suite_diags (MC.run_suite ~seed ()) in
   checkb "same seed, same findings" true (diags_of 5 = diags_of 5)
 
 let test_all_four_joins_conform () =
@@ -219,7 +216,11 @@ let test_lint_flags_crippled_optimizer () =
       { cfg with P.Optimizer.allow_hash = false }
       join_expr
   in
-  checkb "MODEL008 on forced sort-merge" true (D.has_code "MODEL008" diags)
+  checkb "MODEL008 on forced sort-merge" true (D.has_code "MODEL008" diags);
+  checkb "names the cheapest algorithm" true
+    (List.exists
+       (fun (d : D.t) -> String.ends_with ~suffix:"(simple)" d.D.message)
+       diags)
 
 let test_lint_no_joins_no_findings () =
   let catalog, _r, _s = corpus () in
@@ -262,7 +263,7 @@ let test_audit_component () =
             name = "model";
             check =
               (fun () ->
-                MC.suite_diags (MC.run_suite ~seed:11 ~enumerate:false ()));
+                MC.suite_diags (MC.run_suite ~seed:11 ()));
           };
       ]
   in
@@ -298,7 +299,7 @@ let () =
       ( "conformance",
         [
           Alcotest.test_case "seeded suite clean" `Quick test_suite_clean;
-          Alcotest.test_case "seeds 7 and 99, recovery time clean" `Quick
+          Alcotest.test_case "seeds 7/99 clean" `Quick
             test_suite_more_seeds;
           Alcotest.test_case "deterministic" `Quick test_suite_deterministic;
           Alcotest.test_case "all four joins conform" `Quick
