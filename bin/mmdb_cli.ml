@@ -23,6 +23,19 @@ module E = Mmdb_exec
 
 open Cmdliner
 
+(* Every command's EXIT STATUS section: 0, the command's own [codes], 2
+   for bad input and 125 for a bug.  cmdliner's defaults would list 124
+   for a malformed command line, which [main] turns into 2, and 123,
+   which no command returns. *)
+let exits ?(bad = "on a malformed command line.") codes =
+  (Cmd.Exit.info 0 ~doc:"on success."
+  :: List.map (fun (code, doc) -> Cmd.Exit.info code ~doc) codes)
+  @ [
+      Cmd.Exit.info 2 ~doc:bad;
+      Cmd.Exit.info Cmd.Exit.internal_error
+        ~doc:"on unexpected internal errors (bugs).";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* crossover                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -64,7 +77,7 @@ let crossover_cmd =
   let z = Arg.(value & opt float 20.0 & info [ "z" ] ~doc:"Page-read cost in comparisons (10-30).") in
   let y = Arg.(value & opt float 1.0 & info [ "y" ] ~doc:"AVL comparison cost relative to B+-tree (<= 1).") in
   Cmd.v
-    (Cmd.info "crossover" ~doc:"Section 2: AVL vs B+-tree memory-residency crossover.")
+    (Cmd.info "crossover" ~exits:(exits []) ~doc:"Section 2: AVL vs B+-tree memory-residency crossover.")
     Term.(const crossover $ tuples $ width $ key $ page $ z $ y)
 
 (* ------------------------------------------------------------------ *)
@@ -107,7 +120,7 @@ let join_cmd =
     Arg.(value & opt float 0.3 & info [ "ratio" ] ~doc:"|M| / (|R| * F).")
   in
   Cmd.v
-    (Cmd.info "join" ~doc:"Section 3: predicted cost of the four join algorithms.")
+    (Cmd.info "join" ~exits:(exits []) ~doc:"Section 3: predicted cost of the four join algorithms.")
     Term.(const join $ r $ s $ tpp $ ratio)
 
 (* ------------------------------------------------------------------ *)
@@ -156,7 +169,7 @@ let tps_cmd =
     Arg.(value & opt int 100_000 & info [ "accounts" ] ~doc:"Account-table size.")
   in
   Cmd.v
-    (Cmd.info "tps" ~doc:"Section 5.2: simulated transaction throughput.")
+    (Cmd.info "tps" ~exits:(exits []) ~doc:"Section 5.2: simulated transaction throughput.")
     Term.(const tps $ strategy $ txns $ accounts)
 
 (* ------------------------------------------------------------------ *)
@@ -301,7 +314,14 @@ let recover_cmd =
              it (restart-crash resilience demo).")
   in
   Cmd.v
-    (Cmd.info "recover" ~doc:"Sections 5.3-5.5: crash, recover, verify.")
+    (Cmd.info "recover" ~doc:"Sections 5.3-5.5: crash, recover, verify."
+       ~exits:
+         (exits
+            [
+              ( 1,
+                "when the recovered state is inconsistent or the audit finds \
+                 an error." );
+            ]))
     Term.(
       const recover $ strategy $ txns $ checkpoint $ crash $ audit $ parallel
       $ logging $ use_domains $ replay_crash)
@@ -369,7 +389,7 @@ let plan_cmd =
     Arg.(value & flag & info [ "no-hash" ] ~doc:"Restrict the optimizer to sort-merge.")
   in
   Cmd.v
-    (Cmd.info "plan" ~doc:"Section 4: optimize and run a demo star query.")
+    (Cmd.info "plan" ~exits:(exits []) ~doc:"Section 4: optimize and run a demo star query.")
     Term.(const plan $ mem $ no_hash)
 
 (* ------------------------------------------------------------------ *)
@@ -470,7 +490,14 @@ let sql_cmd =
     Arg.(value & opt int 20 & info [ "limit" ] ~doc:"Max rows to print.")
   in
   Cmd.v
-    (Cmd.info "sql" ~doc:"Run a SQL query against a built-in demo database.")
+    (Cmd.info "sql" ~doc:"Run a SQL query against a built-in demo database."
+       ~exits:
+         (exits
+            [
+              ( 1,
+                "when the query does not parse or the plan checker reports \
+                 an error." );
+            ]))
     Term.(const run_sql $ text $ explain_only $ limit)
 
 (* ------------------------------------------------------------------ *)
@@ -734,6 +761,16 @@ let check_cmd =
   in
   Cmd.v
     (Cmd.info "check"
+       ~exits:
+         (exits
+            ~bad:
+              "on bad input: an unknown pass, a bad spec, an out-of-range \
+               number or a malformed flag."
+            [
+              ( 1,
+                "on an error-severity finding, silent corruption, or with \
+                 $(b,--inject) a missed injection." );
+            ])
        ~doc:
          "Run the verification passes and report their diagnostics. \
           $(b,schedule) audits a built-in Txn_db schedule and $(b,fuzz) a \
@@ -775,7 +812,7 @@ let print_codes () =
 
 let codes_cmd =
   Cmd.v
-    (Cmd.info "codes"
+    (Cmd.info "codes" ~exits:(exits [])
        ~doc:
          "Print the diagnostic-code catalogue as the Markdown of CODES.md: \
           every stable code with its one-line meaning.")
@@ -868,6 +905,9 @@ let stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats"
+       ~exits:
+         (exits ~bad:"on a malformed command line or a bad $(b,--faults) spec."
+            [])
        ~doc:
          "Run a buffer-pool workload over the instrumented (optionally \
           faulted) disk and print the operation counters, including the \
@@ -964,6 +1004,7 @@ let overload_cmd =
   in
   Cmd.v
     (Cmd.info "overload"
+       ~exits:(exits [ (1, "when money is not conserved.") ])
        ~doc:
          "Open-loop overload experiment: Poisson arrivals with a rate \
           spike (optionally plus a transient-fault storm) against the \
@@ -1073,12 +1114,17 @@ let repl_cmd =
     repl initial
   in
   Cmd.v
-    (Cmd.info "repl" ~doc:"Interactive SQL shell over an mmdb database.")
+    (Cmd.info "repl" ~exits:(exits []) ~doc:"Interactive SQL shell over an mmdb database.")
     Term.(const run $ db_file $ with_demo)
 
 let () =
   let doc = "Main-memory DBMS techniques (DeWitt et al., SIGMOD 1984)" in
-  let info = Cmd.info "mmdb_cli" ~version:"1.0.0" ~doc in
+  let info =
+    Cmd.info "mmdb_cli" ~version:"1.0.0" ~doc
+      ~exits:
+        (exits
+           [ (1, "when the command reports a failure (see its $(b,--help)).") ])
+  in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   let code =
     Cmd.eval'

@@ -19,7 +19,7 @@ type t = {
   work_per_update : float;
   faults : F.t option;
   retry_budget : int option;
-  tickets : (int, R.Wal.ticket) Hashtbl.t;
+  mutable tickets : R.Wal.ticket option array;  (* by transaction id *)
   mutable next_txn : int;
   mutable crashed : bool;
 }
@@ -57,7 +57,7 @@ let create ?(strategy = R.Wal.Group_commit) ?(nrecords = 1000)
     work_per_update;
     faults;
     retry_budget;
-    tickets = Hashtbl.create 256;
+    tickets = Array.make 256 None;
     next_txn = 0;
     crashed = false;
   }
@@ -75,10 +75,20 @@ let overload_tally t = t.ovld
    congestion signal (writes queue behind [Wal.quiesce_time]). *)
 let log_lag t = Float.max 0.0 (R.Wal.quiesce_time t.wal -. now t)
 
+(* Ids run densely from 0 ([next_txn]), so the tickets sit in an array
+   that doubles when an id outruns it. *)
+let remember t txn tkt =
+  let n = Array.length t.tickets in
+  if txn >= n then begin
+    let a = Array.make (max (txn + 1) (2 * n)) None in
+    Array.blit t.tickets 0 a 0 n;
+    t.tickets <- a
+  end;
+  t.tickets.(txn) <- Some tkt
+
 let completion t ~txn =
-  match Hashtbl.find_opt t.tickets txn with
-  | Some tkt -> R.Wal.ticket_completion tkt
-  | None -> None
+  if txn < 0 || txn >= Array.length t.tickets then None
+  else Option.bind t.tickets.(txn) R.Wal.ticket_completion
 
 let check_alive t =
   if t.crashed then invalid_arg "Txn_db: crashed; recover first"
@@ -167,7 +177,7 @@ let transact ?(priority = O.Oltp) ?deadline t updates =
         updates;
       check_deadline t ~txn ~code:"OVLD006" ~site:"txn.commit" deadline;
       let o = R.Txn.commit t.kernel ~txn ~at:(now t) in
-      Hashtbl.replace t.tickets txn o.R.Txn.ticket;
+      remember t txn o.R.Txn.ticket;
       {
         txn_id = txn;
         submitted_at = at;

@@ -1,185 +1,264 @@
-type lock = {
-  mutable lock_holder : int option;
-  lock_waiters : int Queue.t;
-  mutable lock_precommitted : int list; (* newest first *)
-}
+type grant = { granted_txn : int; dependencies : int list }
 
+(* A live transaction: one that has touched the manager and has not
+   finished.  Finished ids leave the table for the [finished] bitset. *)
 type txn_state = {
-  mutable held : int list; (* keys *)
-  mutable waiting_for : int option;
+  mutable held : int list;
+      (* keys, newest first; kept past pre-commit for [finalize] *)
+  mutable waiting_for : int;  (* the key it is queued on, or -1 *)
   mutable wait_deadline : float option;
       (* absolute expiry for the current wait: unbounded waits turn
          convoy deadlocks into typed timeouts (OVLD004) *)
-  mutable phase : [ `Active | `Precommitted | `Done ];
+  mutable precommitted : bool;
+  no_deps : grant option;
+      (* the grant without dependencies, built once per transaction
+         rather than once per acquire *)
 }
 
-type grant = { granted_txn : int; dependencies : int list }
+module Itbl = Hashtbl.Make (Int)
 
+(* The three sets of Section 5.2 live in arrays indexed by key, grown on
+   demand to the largest key seen. *)
 type t = {
-  locks : (int, lock) Hashtbl.t;
-  txns : (int, txn_state) Hashtbl.t;
+  mutable holders : int array;  (* the holder, or -1 *)
+  mutable queues : int Queue.t option array;
+      (* waiters, oldest first; made at a key's first wait *)
+  mutable precommits : int list array;
+      (* pre-committed former holders, newest first *)
+  txns : txn_state Itbl.t;  (* active and pre-committed only *)
+  mutable finished : Bytes.t;  (* one bit per committed or aborted id *)
   recorder : Schedule.recorder option;
   domain_of : int -> int;
 }
 
 let create ?recorder ?(domain_of = fun _ -> 0) () =
-  { locks = Hashtbl.create 64; txns = Hashtbl.create 64; recorder; domain_of }
+  {
+    holders = [||];
+    queues = [||];
+    precommits = [||];
+    txns = Itbl.create 64;
+    finished = Bytes.empty;
+    recorder;
+    domain_of;
+  }
 
-let emit t ?key ~txn kind =
-  Schedule.emit t.recorder ?key ~domain:(t.domain_of txn) ~txn kind
+(* Without a recorder nothing is built: no [Some key], no domain lookup.
+   Callers build a kind that carries a payload only when [recording]. *)
+let recording t = Option.is_some t.recorder
 
-let get_lock t key =
-  match Hashtbl.find_opt t.locks key with
-  | Some l -> l
+let emit t ~key ~txn kind =
+  match t.recorder with
+  | None -> ()
+  | Some _ ->
+    Schedule.emit t.recorder
+      ?key:(if key < 0 then None else Some key)
+      ~domain:(t.domain_of txn) ~txn kind
+
+let grow_to n a fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let ensure_key t key =
+  let n = Array.length t.holders in
+  if key >= n then begin
+    let n = max (key + 1) (2 * n) in
+    t.holders <- grow_to n t.holders (-1);
+    t.queues <- grow_to n t.queues None;
+    t.precommits <- grow_to n t.precommits []
+  end
+
+let is_finished t txn =
+  let i = txn lsr 3 in
+  txn >= 0
+  && i < Bytes.length t.finished
+  && Char.code (Bytes.get t.finished i) land (1 lsl (txn land 7)) <> 0
+
+let mark_finished t txn =
+  let i = txn lsr 3 in
+  let n = Bytes.length t.finished in
+  if i >= n then begin
+    let b = Bytes.make (max (i + 1) (2 * n)) '\000' in
+    Bytes.blit t.finished 0 b 0 n;
+    t.finished <- b
+  end;
+  Bytes.set t.finished i
+    (Char.chr (Char.code (Bytes.get t.finished i) lor (1 lsl (txn land 7))))
+
+(* [txn]'s live state, made at its first touch; [None] once finished. *)
+let state t txn =
+  match Itbl.find_opt t.txns txn with
+  | Some _ as s -> s
+  | None when is_finished t txn -> None
   | None ->
-    let l =
+    if txn < 0 then
+      invalid_arg (Printf.sprintf "Lock_manager: txn %d is negative" txn);
+    let st =
       {
-        lock_holder = None;
-        lock_waiters = Queue.create ();
-        lock_precommitted = [];
+        held = [];
+        waiting_for = -1;
+        wait_deadline = None;
+        precommitted = false;
+        no_deps = Some { granted_txn = txn; dependencies = [] };
       }
     in
-    Hashtbl.replace t.locks key l;
-    l
+    Itbl.replace t.txns txn st;
+    Some st
 
-let get_txn t txn =
-  match Hashtbl.find_opt t.txns txn with
-  | Some s -> s
-  | None ->
-    let s =
-      { held = []; waiting_for = None; wait_deadline = None; phase = `Active }
-    in
-    Hashtbl.replace t.txns txn s;
-    s
-
-let grant_to t lock key txn =
-  let st = get_txn t txn in
-  lock.lock_holder <- Some txn;
+(* Hand [key] to [txn]; returns the grant's dependencies. *)
+let grant_to t key txn st =
+  t.holders.(key) <- txn;
   st.held <- key :: st.held;
-  st.waiting_for <- None;
+  st.waiting_for <- -1;
   st.wait_deadline <- None;
-  { granted_txn = txn; dependencies = lock.lock_precommitted }
+  t.precommits.(key)
 
 let acquire ?deadline t ~txn ~key =
-  let st = get_txn t txn in
   (* The paper's §5.2 invariant: a pre-committed transaction has released
      every lock and only awaits durability — it never grows its lock set
      again (and a finished transaction id is dead). *)
-  (match st.phase with
-  | `Active -> ()
-  | `Precommitted ->
+  let st =
+    match state t txn with
+    | Some st -> st
+    | None ->
+      invalid_arg
+        (Printf.sprintf
+           "Lock_manager.acquire: txn %d already finished (committed or \
+            aborted)"
+           txn)
+  in
+  if st.precommitted then
     invalid_arg
       (Printf.sprintf
          "Lock_manager.acquire: txn %d is pre-committed and cannot acquire \
           locks (pre-commit releases all locks for good)"
-         txn)
-  | `Done ->
-    invalid_arg
-      (Printf.sprintf
-         "Lock_manager.acquire: txn %d already finished (committed or \
-          aborted)"
-         txn));
-  (match st.waiting_for with
-  | Some k ->
+         txn);
+  if st.waiting_for >= 0 then
     invalid_arg
       (Printf.sprintf "Lock_manager.acquire: txn %d already waits for %d" txn
-         k)
-  | None -> ());
+         st.waiting_for);
+  if key < 0 then
+    invalid_arg (Printf.sprintf "Lock_manager.acquire: key %d is negative" key);
   emit t ~key ~txn Schedule.Acquire;
-  let lock = get_lock t key in
-  match lock.lock_holder with
-  | Some h when h = txn ->
+  ensure_key t key;
+  let holder = t.holders.(key) in
+  if holder = txn then begin
     emit t ~key ~txn (Schedule.Grant { deps = [] });
-    Some { granted_txn = txn; dependencies = [] }
-  | Some holder ->
-    Queue.push txn lock.lock_waiters;
-    st.waiting_for <- Some key;
+    st.no_deps
+  end
+  else if holder >= 0 then begin
+    let q =
+      match t.queues.(key) with
+      | Some q -> q
+      | None ->
+        let q = Queue.create () in
+        t.queues.(key) <- Some q;
+        q
+    in
+    Queue.push txn q;
+    st.waiting_for <- key;
     st.wait_deadline <-
       Option.map Mmdb_overload.Overload.Deadline.expires deadline;
-    emit t ~key ~txn (Schedule.Wait { holder });
+    if recording t then emit t ~key ~txn (Schedule.Wait { holder });
     None
-  | None ->
-    let g = grant_to t lock key txn in
-    emit t ~key ~txn (Schedule.Grant { deps = g.dependencies });
-    Some g
+  end
+  else begin
+    let deps = grant_to t key txn st in
+    if recording t then emit t ~key ~txn (Schedule.Grant { deps });
+    match deps with
+    | [] -> st.no_deps
+    | _ :: _ -> Some { granted_txn = txn; dependencies = deps }
+  end
 
-(* Wake the next waiter of a now-free lock, if any. *)
-let wake_next t key lock =
-  match Queue.pop lock.lock_waiters with
-  | exception Queue.Empty -> []
-  | next ->
-    let g = grant_to t lock key next in
-    emit t ~key ~txn:next (Schedule.Wake { deps = g.dependencies });
-    [ g ]
+(* Wake the next waiter of the now-free [key], if any.  Every queued id
+   is live and waits for this key. *)
+let wake_next t key =
+  match t.queues.(key) with
+  | None -> None
+  | Some q -> (
+    match Queue.take_opt q with
+    | None -> None
+    | Some next ->
+      let deps = grant_to t key next (Itbl.find t.txns next) in
+      if recording t then emit t ~key ~txn:next (Schedule.Wake { deps });
+      Some { granted_txn = next; dependencies = deps })
+
+(* Release [keys] in [held]'s order, moving [txn] to each key's
+   pre-committed set when [precommit]; returns the woken grants in
+   release order. *)
+let rec release t txn ~precommit acc = function
+  | [] -> List.rev acc
+  | key :: rest ->
+    assert (t.holders.(key) = txn);
+    t.holders.(key) <- -1;
+    if precommit then t.precommits.(key) <- txn :: t.precommits.(key);
+    emit t ~key ~txn Schedule.Release;
+    let acc = match wake_next t key with Some g -> g :: acc | None -> acc in
+    release t txn ~precommit acc rest
 
 let precommit t ~txn =
-  let st = get_txn t txn in
-  (match st.phase with
-  | `Active -> ()
-  | `Precommitted | `Done ->
-    invalid_arg "Lock_manager.precommit: transaction not active");
-  st.phase <- `Precommitted;
-  emit t ~txn Schedule.Precommit;
-  let grants =
-    List.concat_map
-      (fun key ->
-        let lock = get_lock t key in
-        assert (lock.lock_holder = Some txn);
-        lock.lock_holder <- None;
-        lock.lock_precommitted <- txn :: lock.lock_precommitted;
-        emit t ~key ~txn Schedule.Release;
-        wake_next t key lock)
-      st.held
-  in
-  grants
+  match state t txn with
+  | Some st when not st.precommitted ->
+    if st.waiting_for >= 0 then
+      invalid_arg
+        (Printf.sprintf "Lock_manager.precommit: txn %d waits for key %d" txn
+           st.waiting_for);
+    st.precommitted <- true;
+    emit t ~key:(-1) ~txn Schedule.Precommit;
+    release t txn ~precommit:true [] st.held
+  | Some _ | None ->
+    invalid_arg "Lock_manager.precommit: transaction not active"
+
+let dequeue t key txn =
+  match t.queues.(key) with
+  | None -> ()
+  | Some q ->
+    let kept = Queue.create () in
+    Queue.iter (fun w -> if w <> txn then Queue.push w kept) q;
+    Queue.clear q;
+    Queue.transfer kept q
+
+let stop_waiting t st txn =
+  if st.waiting_for >= 0 then begin
+    dequeue t st.waiting_for txn;
+    st.waiting_for <- -1;
+    st.wait_deadline <- None
+  end
 
 let release_abort t ~txn =
-  let st = get_txn t txn in
-  (match st.phase with
-  | `Active -> ()
-  | `Precommitted | `Done ->
+  match state t txn with
+  | Some st when not st.precommitted ->
+    stop_waiting t st txn;
+    let grants = release t txn ~precommit:false [] st.held in
+    Itbl.remove t.txns txn;
+    mark_finished t txn;
+    grants
+  | Some _ | None ->
     invalid_arg
-      "Lock_manager.release_abort: pre-committed transactions never abort");
-  emit t ~txn Schedule.Abort;
-  (* Remove any wait registration. *)
-  (match st.waiting_for with
-  | Some key ->
-    let lock = get_lock t key in
-    let remaining = Queue.create () in
-    Queue.iter (fun w -> if w <> txn then Queue.push w remaining) lock.lock_waiters;
-    Queue.clear lock.lock_waiters;
-    Queue.transfer remaining lock.lock_waiters;
-    st.waiting_for <- None;
-    st.wait_deadline <- None
-  | None -> ());
-  let grants =
-    List.concat_map
-      (fun key ->
-        let lock = get_lock t key in
-        assert (lock.lock_holder = Some txn);
-        lock.lock_holder <- None;
-        emit t ~key ~txn Schedule.Release;
-        wake_next t key lock)
-      st.held
-  in
-  st.held <- [];
-  st.phase <- `Done;
-  grants
+      "Lock_manager.release_abort: pre-committed transactions never abort"
+
+(* Each key holds [txn] once in its pre-committed set; the list after it
+   is shared, not copied. *)
+let rec remove_first txn before = function
+  | [] -> List.rev before
+  | x :: rest ->
+    if x = txn then List.rev_append before rest
+    else remove_first txn (x :: before) rest
+
+let rec unlink t txn = function
+  | [] -> ()
+  | key :: rest ->
+    t.precommits.(key) <- remove_first txn [] t.precommits.(key);
+    unlink t txn rest
 
 let finalize t ~txn =
-  let st = get_txn t txn in
-  (match st.phase with
-  | `Precommitted -> ()
-  | `Active | `Done ->
-    invalid_arg "Lock_manager.finalize: transaction not pre-committed");
-  List.iter
-    (fun key ->
-      let lock = get_lock t key in
-      lock.lock_precommitted <-
-        List.filter (fun x -> x <> txn) lock.lock_precommitted)
-    st.held;
-  st.held <- [];
-  st.phase <- `Done
+  match Itbl.find_opt t.txns txn with
+  | Some st when st.precommitted ->
+    unlink t txn st.held;
+    Itbl.remove t.txns txn;
+    mark_finished t txn
+  | Some _ | None ->
+    invalid_arg "Lock_manager.finalize: transaction not pre-committed"
 
 (* Sweep every waiter whose deadline passed: remove its queue
    registration and return the transaction ids (ascending, for
@@ -188,44 +267,32 @@ let finalize t ~txn =
    through the same audited path as any other abort. *)
 let expire_waiters t ~now =
   let expired =
-    Hashtbl.fold
+    Itbl.fold
       (fun txn st acc ->
-        match (st.waiting_for, st.wait_deadline) with
-        | Some key, Some d when now > d -> (txn, key, st) :: acc
-        | (Some _ | None), _ -> acc)
+        match st.wait_deadline with
+        | Some d when st.waiting_for >= 0 && now > d -> txn :: acc
+        | Some _ | None -> acc)
       t.txns []
     |> List.sort compare
   in
-  List.map
-    (fun (txn, key, st) ->
-      let lock = get_lock t key in
-      let remaining = Queue.create () in
-      Queue.iter
-        (fun w -> if w <> txn then Queue.push w remaining)
-        lock.lock_waiters;
-      Queue.clear lock.lock_waiters;
-      Queue.transfer remaining lock.lock_waiters;
-      st.waiting_for <- None;
-      st.wait_deadline <- None;
-      txn)
-    expired
+  List.iter (fun txn -> stop_waiting t (Itbl.find t.txns txn) txn) expired;
+  expired
+
+let in_range t key = key >= 0 && key < Array.length t.holders
 
 let holder t ~key =
-  match Hashtbl.find_opt t.locks key with
-  | Some l -> l.lock_holder
-  | None -> None
+  if in_range t key && t.holders.(key) >= 0 then Some t.holders.(key)
+  else None
 
 let waiters t ~key =
-  match Hashtbl.find_opt t.locks key with
-  | Some l -> List.of_seq (Queue.to_seq l.lock_waiters)
+  match if in_range t key then t.queues.(key) else None with
+  | Some q -> List.of_seq (Queue.to_seq q)
   | None -> []
 
 let precommitted t ~key =
-  match Hashtbl.find_opt t.locks key with
-  | Some l -> List.rev l.lock_precommitted
-  | None -> []
+  if in_range t key then List.rev t.precommits.(key) else []
 
 let locks_held t ~txn =
-  match Hashtbl.find_opt t.txns txn with
+  match Itbl.find_opt t.txns txn with
   | Some st -> List.rev st.held
   | None -> []

@@ -9,7 +9,17 @@
     transactions that formerly held the lock."
 
     Locks are exclusive (the banking workload updates records).  All locks
-    are held until pre-commit, per the paper's assumption. *)
+    are held until pre-commit, per the paper's assumption.
+
+    Keys are record slots, [>= 0].  The three sets are kept by slot, in
+    arrays that grow on demand to the largest key acquired (the
+    record-resident lock state of Larson et al.); a key's waiter queue is
+    made at its first wait.  Only active and pre-committed transactions
+    are kept per transaction: {!finalize} and {!release_abort} drop the
+    entry and set the id's bit in a bitset over the non-negative ids, so
+    a finished id is still rejected by {!acquire}, {!precommit} and
+    {!release_abort} at one bit, not one table entry, per transaction.
+    Transaction ids are [>= 0]. *)
 
 type t
 
@@ -23,10 +33,12 @@ type grant = {
 val create :
   ?recorder:Schedule.recorder -> ?domain_of:(int -> int) -> unit -> t
 (** [create ?recorder ?domain_of ()] — when [recorder] is given, every
-    protocol transition (acquire / grant / wait / wake / release /
-    precommit / abort) is appended to it as a {!Schedule.event} for
-    offline auditing by {!Mmdb_verify.Schedule_check}.  Without it,
-    recording costs nothing.
+    lock transition (acquire / grant / wait / wake / release / precommit)
+    is appended to it as a {!Schedule.event} for offline auditing by
+    {!Mmdb_verify.Schedule_check}.  Abort is the caller's to record
+    ({!Txn.abort} does, before {!release_abort}), so an abort that skips
+    the release still shows in the trace.  Without a recorder, recording
+    allocates nothing.
     [domain_of txn] supplies the domain stamp for each event (default:
     everything on domain 0 — the historical single-domain behaviour). *)
 
@@ -43,7 +55,7 @@ val acquire :
     already waits for some lock (no multi-wait in this model), or if
     [txn] has already pre-committed or finished — the paper's §5.2
     invariant: pre-commit releases every lock for good, so the lock set
-    never grows again. *)
+    never grows again — or if [key] or [txn] is negative. *)
 
 val expire_waiters : t -> now:float -> int list
 (** Remove every waiter whose wait deadline passed by [now] from its
@@ -55,18 +67,25 @@ val expire_waiters : t -> now:float -> int list
 val precommit : t -> txn:int -> grant list
 (** Move [txn] from holder to pre-committed on every lock it holds,
     releasing them; returns the grants handed to woken waiters (each now
-    dependent on the pre-committed chain). *)
+    dependent on the pre-committed chain).  @raise Invalid_argument if
+    [txn] is queued for a lock, or has pre-committed or finished. *)
 
 val release_abort : t -> txn:int -> grant list
 (** Abort before pre-commit: release all locks and any wait registration;
     returns grants to woken waiters.  (Pre-committed transactions never
-    abort — the paper's invariant — so calling this after {!precommit}
-    raises.) *)
+    abort — the paper's invariant — so calling this after {!precommit},
+    or on a finished id, raises.) *)
 
 val finalize : t -> txn:int -> unit
 (** The transaction's commit record is durable: remove it from every
     pre-committed set.  Dependants already granted keep their recorded
-    dependency lists (the commit-group machinery consults those). *)
+    dependency lists (the commit-group machinery consults those).
+    @raise Invalid_argument unless [txn] is pre-committed. *)
+
+(** Inspection.  A key beyond the largest acquired has no holder, waiters
+    or pre-committed set.  [locks_held] lists the keys [txn] was granted,
+    oldest first, until it finishes (after {!precommit} these are the
+    keys it released). *)
 
 val holder : t -> key:int -> int option
 val waiters : t -> key:int -> int list

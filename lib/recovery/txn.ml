@@ -1,4 +1,5 @@
 module Fault_plan = Mmdb_fault.Fault_plan
+module Heap = Mmdb_util.Heap
 
 (* What the kernel keeps for a transaction between its first lock and
    its commit or abort. *)
@@ -16,7 +17,11 @@ type t = {
   mutable locks : Lock_manager.t;
   active : (int, active) Hashtbl.t;
   mutable next_lsn : int;
-  mutable open_tickets : Wal.ticket list;
+  pending : (int * Wal.ticket) Queue.t;
+      (* unresolved tickets with their submission numbers, in order *)
+  mutable resolved : (int * Wal.ticket) Heap.t;
+      (* resolved, not yet retired, by completion *)
+  mutable submitted : int;
 }
 
 type outcome = {
@@ -24,6 +29,14 @@ type outcome = {
   records : Log_record.t list;
   woken : int list;
 }
+
+let completion tkt =
+  match Wal.ticket_completion tkt with Some c -> c | None -> assert false
+
+let by_completion (i, a) (j, b) =
+  match Float.compare (completion a) (completion b) with
+  | 0 -> Int.compare i j
+  | c -> c
 
 let create ?recorder ?(domain_of = fun _ -> 0) ?faults
     ?(records_per_page = 20) ~nrecords ~wal () =
@@ -36,12 +49,14 @@ let create ?recorder ?(domain_of = fun _ -> 0) ?faults
     locks = Lock_manager.create ?recorder ~domain_of ();
     active = Hashtbl.create 16;
     next_lsn = 0;
-    open_tickets = [];
+    pending = Queue.create ();
+    resolved = Heap.create ~cmp:by_completion ();
+    submitted = 0;
   }
 
 let kv t = t.kv
 let locks t = t.locks
-let unretired t = List.length t.open_tickets
+let unretired t = Queue.length t.pending + Heap.length t.resolved
 
 let fresh_lsn t =
   t.next_lsn <- t.next_lsn + 1;
@@ -114,26 +129,41 @@ let assemble t ~txn a terminator =
   let last = terminator (fresh_lsn t) in
   Log_record.Begin { txn; lsn = begin_lsn } :: List.rev (last :: a.rev_body)
 
+(* The WAL resolves tickets in submission order (a page's tickets all at
+   once, pages in order; stable memory at submission), so the resolved
+   ones are a prefix of [pending].  Completions need not be monotone
+   (partitioned devices), hence the heap.  The due tickets are retired
+   newest submission first. *)
 let retire t ~at =
-  t.open_tickets <-
-    List.filter
-      (fun tkt ->
-        match Wal.ticket_completion tkt with
-        | Some c when c <= at ->
-          let txn = Wal.ticket_txn tkt in
-          Schedule.emit t.recorder ~at:c ~domain:(t.domain_of txn) ~txn
-            Schedule.Commit_durable;
-          Lock_manager.finalize t.locks ~txn;
-          false
-        | Some _ | None -> true)
-      t.open_tickets
+  while
+    (not (Queue.is_empty t.pending))
+    && Option.is_some (Wal.ticket_completion (snd (Queue.peek t.pending)))
+  do
+    Heap.push t.resolved (Queue.take t.pending)
+  done;
+  let rec due acc =
+    match Heap.peek t.resolved with
+    | Some ((_, tkt) as e) when completion tkt <= at ->
+      ignore (Heap.pop t.resolved);
+      due (e :: acc)
+    | Some _ | None -> acc
+  in
+  due []
+  |> List.sort (fun (i, _) (j, _) -> Int.compare j i)
+  |> List.iter (fun (_, tkt) ->
+         let txn = Wal.ticket_txn tkt in
+         if Option.is_some t.recorder then
+           Schedule.emit t.recorder ~at:(completion tkt)
+             ~domain:(t.domain_of txn) ~txn Schedule.Commit_durable;
+         Lock_manager.finalize t.locks ~txn)
 
 let commit t ~txn ~at =
   let a = take t txn in
   let records = assemble t ~txn a (fun lsn -> Log_record.Commit { txn; lsn }) in
   let woken = absorb t (Lock_manager.precommit t.locks ~txn) in
   let ticket = Wal.commit_txn t.wal ~at ~txn ~deps:a.deps records in
-  t.open_tickets <- ticket :: t.open_tickets;
+  Queue.push (t.submitted, ticket) t.pending;
+  t.submitted <- t.submitted + 1;
   retire t ~at;
   { ticket; records; woken }
 
@@ -158,6 +188,7 @@ let abort t ~txn ~at =
       | Log_record.Command _ | Log_record.Ckpt_begin _
       | Log_record.Ckpt_end _ -> assert false)
     a.rev_body;
+  Schedule.emit t.recorder ~domain ~txn Schedule.Abort;
   let woken = absorb t (Lock_manager.release_abort t.locks ~txn) in
   let records = assemble t ~txn a (fun lsn -> Log_record.Abort { txn; lsn }) in
   let ticket = Wal.commit_txn t.wal ~at ~txn ~deps:[] records in
@@ -180,7 +211,8 @@ let crash t =
      go with it (the durable log decides their transactions). *)
   t.locks <- Lock_manager.create ?recorder:t.recorder ~domain_of:t.domain_of ();
   Hashtbl.reset t.active;
-  t.open_tickets <- []
+  Queue.clear t.pending;
+  t.resolved <- Heap.create ~cmp:by_completion ()
 
 let surviving_log t ~at =
   let durable = Wal.surviving_records t.wal ~at in

@@ -16,7 +16,8 @@
     Retirement: after every commit, and whenever a driver calls
     {!retire}, each commit ticket durable by then is finalized in the
     lock manager and witnessed as a [Commit_durable] event stamped with
-    its exact completion time.
+    its exact completion time, newest submission first.  A retire touches
+    only the tickets resolved since the last one and the due ones.
 
     Drivers keep everything else: arrivals, admission, deadlines, reader
     windows, checkpoints, crash timing and audits. *)
@@ -88,8 +89,8 @@ val commit : t -> txn:int -> at:float -> outcome
 
 val abort : t -> txn:int -> at:float -> outcome
 (** Undo every write in memory newest first, logging a compensating
-    Update for each; release the locks (and any wait); log Abort at
-    [at].  A transaction that never wrote logs just Begin and Abort.
+    Update for each; record the [Abort] schedule event and release the
+    locks (and any wait); log Abort at [at].  A transaction that never wrote logs just Begin and Abort.
     @raise Mmdb_fault.Fault.Io_error as {!commit}.
     @raise Mmdb_overload.Overload.Shed as {!commit}.
     @raise Invalid_argument if [txn] has pre-committed or ended. *)

@@ -340,12 +340,13 @@ let audit ?(log = []) events =
         t.aborted <- true;
         stop_waiting id t
       | Sch.Commit_durable, _ ->
-        if t.phase = Precommitted && not (IntSet.is_empty t.held) then
+        if (t.phase = Precommitted || t.aborted) && not (IntSet.is_empty t.held)
+        then
           add
             (D.error ~code:"TXN003" ~path:(path_txn id)
                (Printf.sprintf
                   "transaction %d still holds %s at commit durability \
-                   (pre-commit must release every lock)"
+                   (pre-commit and abort must release every lock)"
                   id (keys_phrase t.held)));
         t.phase <- Finished;
         if t.durable = None then t.durable <- Some e.Sch.time
@@ -360,14 +361,16 @@ let audit ?(log = []) events =
   (* ---------------------------------------------------------------- *)
   let ends = ref [] in
   let add d = ends := d :: !ends in
-  (* TXN003: pre-committed with locks left at the end of the trace. *)
+  (* TXN003: pre-committed or aborted with locks left at the end of the
+     trace. *)
   Hashtbl.iter
     (fun id t ->
-      if t.phase = Precommitted && not (IntSet.is_empty t.held) then
+      if (t.phase = Precommitted || t.aborted) && not (IntSet.is_empty t.held)
+      then
         add
           (D.error ~code:"TXN003" ~path:(path_txn id)
-             (Printf.sprintf
-                "transaction %d pre-committed but never released %s" id
+             (Printf.sprintf "transaction %d %s but never released %s" id
+                (if t.aborted then "aborted" else "pre-committed")
                 (keys_phrase t.held))))
     txns;
   (* TXN101: the same key pair taken in both orders by different
@@ -558,7 +561,7 @@ let code_catalogue =
   [
     ("TXN001", "lock acquired after the transaction's first release (2PL)");
     ("TXN002", "read/write of a key without holding its lock");
-    ("TXN003", "lock still held after pre-commit");
+    ("TXN003", "lock still held after pre-commit or abort");
     ("TXN004", "pre-committed transaction acquired a lock");
     ("TXN005", "pre-committed transaction aborted");
     ("TXN006", "deadlock: cycle in the waits-for graph");

@@ -17,7 +17,7 @@
     - [TXN001] — lock granted after the transaction's first release
       (two-phase-locking growing-phase violation)
     - [TXN002] — read or write of a key without holding its lock
-    - [TXN003] — lock still held after pre-commit (pre-commit must
+    - [TXN003] — lock still held after pre-commit or abort (both must
       release every lock)
     - [TXN004] — pre-committed transaction acquired a lock
     - [TXN005] — pre-committed transaction aborted

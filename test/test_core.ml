@@ -288,6 +288,26 @@ let test_txn_group_commit_pending () =
   checkb "committed after flush" true
     (List.mem o.M.Txn_db.txn_id (M.Txn_db.committed_txns db))
 
+(* [completion] reads the ticket by id, past the ticket array's first
+   size: pending until the flush, durable after it, [None] for an
+   aborted, a negative or an unknown id. *)
+let test_txn_completion_by_id () =
+  let db = M.Txn_db.create ~strategy:R.Wal.Group_commit ~nrecords:50 () in
+  let ids =
+    List.init 300 (fun i ->
+        (M.Txn_db.transact db [ (i mod 50, 1); ((i + 1) mod 50, -1) ])
+          .M.Txn_db.txn_id)
+  in
+  let aborted = M.Txn_db.transact_abort db [ (7, 3); (8, -3) ] in
+  let last = List.nth ids 299 in
+  checkb "last pending" true (M.Txn_db.completion db ~txn:last = None);
+  M.Txn_db.flush db;
+  checkb "every commit durable after flush" true
+    (List.for_all (fun txn -> M.Txn_db.completion db ~txn <> None) ids);
+  checkb "aborted: none" true (M.Txn_db.completion db ~txn:aborted = None);
+  checkb "negative: none" true (M.Txn_db.completion db ~txn:(-1) = None);
+  checkb "unknown: none" true (M.Txn_db.completion db ~txn:100_000 = None)
+
 let test_txn_crash_recover_durable () =
   let db = M.Txn_db.create ~strategy:R.Wal.Group_commit ~nrecords:50 () in
   for _ = 1 to 30 do
@@ -459,6 +479,7 @@ let () =
           Alcotest.test_case "basic commit" `Quick test_txn_basic_commit;
           Alcotest.test_case "group commit pending" `Quick
             test_txn_group_commit_pending;
+          Alcotest.test_case "completion by id" `Quick test_txn_completion_by_id;
           Alcotest.test_case "crash/recover durable" `Quick
             test_txn_crash_recover_durable;
           Alcotest.test_case "crash loses unflushed group" `Quick

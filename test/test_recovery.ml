@@ -366,6 +366,266 @@ let test_lock_schedule_recording () =
   R.Schedule.clear recorder;
   checki "cleared" 0 (R.Schedule.length recorder)
 
+(* A committed id and an aborted id stay dead however many transactions
+   finish after them, though the manager keeps no entry for either. *)
+let test_lock_finished_ids_stay_rejected () =
+  let lm = R.Lock_manager.create () in
+  ignore (R.Lock_manager.acquire lm ~txn:0 ~key:3);
+  ignore (R.Lock_manager.precommit lm ~txn:0);
+  R.Lock_manager.finalize lm ~txn:0;
+  ignore (R.Lock_manager.acquire lm ~txn:1 ~key:3);
+  ignore (R.Lock_manager.release_abort lm ~txn:1);
+  for txn = 2 to 100_001 do
+    ignore (R.Lock_manager.acquire lm ~txn ~key:(txn mod 64));
+    if txn mod 3 = 0 then ignore (R.Lock_manager.release_abort lm ~txn)
+    else begin
+      ignore (R.Lock_manager.precommit lm ~txn);
+      R.Lock_manager.finalize lm ~txn
+    end
+  done;
+  List.iter
+    (fun (what, txn) ->
+      checkb (what ^ " id: acquire rejected") true
+        (raises_invalid (fun () -> ignore (R.Lock_manager.acquire lm ~txn ~key:3)));
+      checkb (what ^ " id: precommit rejected") true
+        (raises_invalid (fun () -> ignore (R.Lock_manager.precommit lm ~txn)));
+      checkb (what ^ " id: release_abort rejected") true
+        (raises_invalid (fun () ->
+             ignore (R.Lock_manager.release_abort lm ~txn)));
+      checkb (what ^ " id: finalize rejected") true
+        (raises_invalid (fun () -> R.Lock_manager.finalize lm ~txn)))
+    [ ("committed", 0); ("aborted", 1) ];
+  checkb "key 3 free" true (R.Lock_manager.holder lm ~key:3 = None);
+  Alcotest.(check (list int)) "nothing pre-committed on key 3" []
+    (R.Lock_manager.precommitted lm ~key:3)
+
+(* Model-based test: random operation sequences against a pure reference
+   of Section 5.2's three sets per lock.  Every result (grant, wait,
+   woken grants, expired ids, raise) and every accessor must agree after
+   every step. *)
+module IM = Map.Make (Int)
+
+type lm_op =
+  | Acquire of int * int * float option  (* txn, key, wait budget *)
+  | Precommit of int
+  | Abort of int
+  | Finalize of int
+  | Expire of float
+
+let pp_lm_op = function
+  | Acquire (t, k, b) ->
+    Printf.sprintf "acquire %d %d%s" t k
+      (match b with Some b -> Printf.sprintf " ~%g" b | None -> "")
+  | Precommit t -> Printf.sprintf "precommit %d" t
+  | Abort t -> Printf.sprintf "abort %d" t
+  | Finalize t -> Printf.sprintf "finalize %d" t
+  | Expire n -> Printf.sprintf "expire %g" n
+
+type m_phase = M_active | M_precommitted | M_finished
+
+type m_txn = {
+  phase : m_phase;
+  held : int list;  (* newest first, kept past pre-commit *)
+  waiting : (int * float option) option;  (* key, expiry *)
+}
+
+type model = {
+  holder : int IM.t;
+  queue : int list IM.t;  (* oldest first *)
+  pre : int list IM.t;  (* newest first *)
+  txns : m_txn IM.t;
+}
+
+let m_empty =
+  { holder = IM.empty; queue = IM.empty; pre = IM.empty; txns = IM.empty }
+
+let m_list m k = Option.value ~default:[] (IM.find_opt k m)
+
+let m_txn m t =
+  Option.value
+    ~default:{ phase = M_active; held = []; waiting = None }
+    (IM.find_opt t m.txns)
+
+let m_set m t s = { m with txns = IM.add t s m.txns }
+
+let m_grant m t k =
+  let s = m_txn m t in
+  { (m_set m t { s with held = k :: s.held; waiting = None }) with
+    holder = IM.add k t m.holder }
+
+let m_unqueue m t =
+  let s = m_txn m t in
+  match s.waiting with
+  | None -> m
+  | Some (k, _) ->
+    m_set
+      { m with queue = IM.add k (List.filter (( <> ) t) (m_list m.queue k)) m.queue }
+      t { s with waiting = None }
+
+(* Release [keys] in order; each freed key goes to its oldest waiter. *)
+let m_release m t ~pre keys =
+  let m, grants =
+    List.fold_left
+      (fun (m, gs) k ->
+        let m =
+          { m with
+            holder = IM.remove k m.holder;
+            pre = (if pre then IM.add k (t :: m_list m.pre k) m.pre else m.pre) }
+        in
+        match m_list m.queue k with
+        | [] -> (m, gs)
+        | w :: rest ->
+          let m = m_grant { m with queue = IM.add k rest m.queue } w k in
+          (m, (w, m_list m.pre k) :: gs))
+      (m, []) keys
+  in
+  (m, List.rev grants)
+
+type m_result =
+  | R_raise
+  | R_acquire of (int * int list) option
+  | R_grants of (int * int list) list
+  | R_unit
+  | R_ids of int list
+
+let m_step m = function
+  | Acquire (t, k, budget) -> (
+    let s = m_txn m t in
+    if s.phase <> M_active || s.waiting <> None || k < 0 then (m, R_raise)
+    else
+      match IM.find_opt k m.holder with
+      | Some h when h = t -> (m, R_acquire (Some (t, [])))
+      | Some _ ->
+        let expiry =
+          Option.map
+            (fun budget ->
+              Mmdb_overload.Overload.Deadline.(expires (make ~now:0.0 ~budget)))
+            budget
+        in
+        ( { (m_set m t { s with waiting = Some (k, expiry) }) with
+            queue = IM.add k (m_list m.queue k @ [ t ]) m.queue },
+          R_acquire None )
+      | None -> (m_grant m t k, R_acquire (Some (t, m_list m.pre k))))
+  | Precommit t ->
+    let s = m_txn m t in
+    if s.phase <> M_active || s.waiting <> None then (m, R_raise)
+    else
+      let m, gs =
+        m_release (m_set m t { s with phase = M_precommitted }) t ~pre:true
+          s.held
+      in
+      (m, R_grants gs)
+  | Abort t ->
+    let s = m_txn m t in
+    if s.phase <> M_active then (m, R_raise)
+    else
+      let m, gs = m_release (m_unqueue m t) t ~pre:false s.held in
+      (m_set m t { phase = M_finished; held = []; waiting = None }, R_grants gs)
+  | Finalize t ->
+    let s = m_txn m t in
+    if s.phase <> M_precommitted then (m, R_raise)
+    else
+      let m =
+        List.fold_left
+          (fun m k ->
+            { m with pre = IM.add k (List.filter (( <> ) t) (m_list m.pre k)) m.pre })
+          m s.held
+      in
+      (m_set m t { phase = M_finished; held = []; waiting = None }, R_unit)
+  | Expire now ->
+    let ids =
+      IM.fold
+        (fun t s acc ->
+          match s.waiting with
+          | Some (_, Some d) when now > d -> t :: acc
+          | Some _ | None -> acc)
+        m.txns []
+      |> List.sort compare
+    in
+    (List.fold_left m_unqueue m ids, R_ids ids)
+
+let lm_step lm op =
+  let grant (g : R.Lock_manager.grant) =
+    (g.R.Lock_manager.granted_txn, g.R.Lock_manager.dependencies)
+  in
+  try
+    match op with
+    | Acquire (txn, key, budget) ->
+      let deadline =
+        Option.map
+          (fun budget -> Mmdb_overload.Overload.Deadline.make ~now:0.0 ~budget)
+          budget
+      in
+      R_acquire (Option.map grant (R.Lock_manager.acquire ?deadline lm ~txn ~key))
+    | Precommit txn -> R_grants (List.map grant (R.Lock_manager.precommit lm ~txn))
+    | Abort txn -> R_grants (List.map grant (R.Lock_manager.release_abort lm ~txn))
+    | Finalize txn ->
+      R.Lock_manager.finalize lm ~txn;
+      R_unit
+    | Expire now -> R_ids (R.Lock_manager.expire_waiters lm ~now)
+  with Invalid_argument _ -> R_raise
+
+let lm_txns = 10
+let gen_lm_op =
+  QCheck.Gen.(
+    let txn = int_bound (lm_txns - 1) in
+    frequency
+      [
+        ( 6,
+          map3
+            (fun t k b -> Acquire (t, k, b))
+            txn
+            (frequency [ (1, return (-1)); (2, return 40); (20, int_bound 5) ])
+            (opt ~ratio:0.3 (map float_of_int (int_range 1 4))) );
+        (2, map (fun t -> Precommit t) txn);
+        (2, map (fun t -> Abort t) txn);
+        (2, map (fun t -> Finalize t) txn);
+        (1, map (fun n -> Expire (float_of_int n)) (int_bound 5));
+      ])
+
+(* Where the manager and the model disagree after [op], if anywhere. *)
+let lm_disagreement lm m op got want =
+  let keys = List.init 50 Fun.id @ [ -1; 1000 ] in
+  if got <> want then Some (pp_lm_op op ^ ": results differ")
+  else
+    match
+      List.find_opt
+        (fun k ->
+          R.Lock_manager.holder lm ~key:k <> IM.find_opt k m.holder
+          || R.Lock_manager.waiters lm ~key:k <> m_list m.queue k
+          || R.Lock_manager.precommitted lm ~key:k <> List.rev (m_list m.pre k))
+        keys
+    with
+    | Some k -> Some (Printf.sprintf "%s: key %d's sets differ" (pp_lm_op op) k)
+    | None ->
+      List.find_map
+        (fun t ->
+          let s = m_txn m t in
+          let want = if s.phase = M_finished then [] else List.rev s.held in
+          if R.Lock_manager.locks_held lm ~txn:t <> want then
+            Some (Printf.sprintf "%s: locks_held %d differs" (pp_lm_op op) t)
+          else None)
+        (List.init lm_txns Fun.id)
+
+let qcheck_lock_manager_model =
+  QCheck.Test.make ~name:"lock manager agrees with the three-set model"
+    ~count:400
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_lm_op ops))
+       QCheck.Gen.(list_size (int_range 1 80) gen_lm_op))
+    (fun ops ->
+      let lm = R.Lock_manager.create () in
+      ignore
+        (List.fold_left
+           (fun m op ->
+             let m, want = m_step m op in
+             (match lm_disagreement lm m op (lm_step lm op) want with
+             | Some msg -> QCheck.Test.fail_report msg
+             | None -> ());
+             m)
+           m_empty ops);
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* WAL strategies                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -1295,6 +1555,103 @@ let test_kernel_retirement () =
   checki "nothing pre-committed after flush" 0 (List.length (precommitted ()));
   checki "no ticket left unretired" 0 (R.Txn.unretired k)
 
+(* Retirement order: the Commit_durable events (and so the finalizes)
+   come out as a filter over every open ticket, newest submission first,
+   would emit them: the same set at every retire, in the same order,
+   whether or not completions are monotone in submission order.  Each
+   retirement is keyed by the commits submitted before it, so one that
+   comes late shows.  [gap] spaces the submissions; [retires] are extra
+   retire times after the last one. *)
+let retirement_order ~strategy ~gap ~retires =
+  let clock = S.Sim_clock.create () in
+  let recorder = R.Schedule.recorder ~now:(fun () -> S.Sim_clock.now clock) in
+  let wal = R.Wal.create ~clock strategy in
+  let k = R.Txn.create ~recorder ~nrecords:1000 ~wal () in
+  let rng = U.Xorshift.create 77 in
+  let open_tickets = ref [] and expected = ref [] and submitted = ref 0 in
+  (* Whether some retirement held a newer commit durable before an older
+     one: there, completion order is not the retirement order. *)
+  let crossed = ref false in
+  let filter_retire at =
+    let last = ref infinity in
+    open_tickets :=
+      List.filter
+        (fun tkt ->
+          match R.Wal.ticket_completion tkt with
+          | Some c when c <= at ->
+            expected := (!submitted, R.Wal.ticket_txn tkt, c) :: !expected;
+            if c > !last then crossed := true;
+            last := c;
+            false
+          | Some _ | None -> true)
+        !open_tickets
+  in
+  let retire at =
+    R.Txn.retire k ~at;
+    filter_retire at
+  in
+  for txn = 0 to 299 do
+    (* Only two transfers in 60 share a slot (0): the page holding the
+       second waits for the first's page, and the pages after it, on
+       other devices, can finish first. *)
+    let at = (float_of_int txn +. U.Xorshift.float rng 0.8) *. gap in
+    let a =
+      if txn mod 60 = 40 || txn mod 60 = 55 then 0 else 1 + (2 * txn mod 998)
+    in
+    let b = 1 + (((2 * txn) + 1) mod 998) in
+    let o = R.Txn.run k ~txn ~at [ (a, 3); (b, -3) ] in
+    incr submitted;
+    open_tickets := o.R.Txn.ticket :: !open_tickets;
+    filter_retire at
+  done;
+  let last_at = 300.0 *. gap in
+  let done_at = R.Wal.flush wal ~at:last_at in
+  List.iter (fun dt -> retire (last_at +. dt)) retires;
+  retire (Float.max done_at (R.Wal.quiesce_time wal));
+  let precommits = ref 0 in
+  let got =
+    List.filter_map
+      (fun (e : R.Schedule.event) ->
+        match e.R.Schedule.kind with
+        | R.Schedule.Precommit ->
+          incr precommits;
+          None
+        | R.Schedule.Commit_durable ->
+          Some (!precommits, e.R.Schedule.txn, e.R.Schedule.time)
+        | _ -> None)
+      (R.Schedule.events recorder)
+  in
+  (got, List.rev !expected, !crossed, R.Txn.unretired k)
+
+let test_kernel_retirement_order () =
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun (pace, gap, retires) ->
+          let got, expected, crossed, unretired =
+            retirement_order ~strategy ~gap ~retires
+          in
+          let name = R.Tps_sim.strategy_label strategy ^ " " ^ pace in
+          checki (name ^ ": every commit retired") 300 (List.length got);
+          checkb (name ^ ": same retirements in the same order") true
+            (got = expected);
+          checki (name ^ ": nothing unretired") 0 unretired;
+          match (strategy, pace) with
+          | R.Wal.Partitioned _, "burst" ->
+            checkb (name ^ ": a retirement crosses completion order") true
+              crossed
+          | _ -> ())
+        (* Spread, the commits retire as they go; in a burst every page
+           is still in flight at the last commit, and the staged retires
+           take several pages at once. *)
+        [ ("spread", 1.2e-4, []); ("burst", 2e-5, [ 0.012; 0.024 ]) ])
+    [
+      R.Wal.Conventional;
+      R.Wal.Group_commit;
+      R.Wal.Partitioned { devices = 4 };
+      R.Wal.Stable { devices = 2; capacity_bytes = 16_384; compressed = false };
+    ]
+
 let () =
   Alcotest.run "mmdb_recovery"
     [
@@ -1332,6 +1689,9 @@ let () =
             test_lock_wake_dependency_property;
           Alcotest.test_case "schedule recording" `Quick
             test_lock_schedule_recording;
+          Alcotest.test_case "finished ids stay rejected" `Quick
+            test_lock_finished_ids_stay_rejected;
+          QCheck_alcotest.to_alcotest qcheck_lock_manager_model;
         ] );
       ( "wal",
         [
@@ -1376,7 +1736,11 @@ let () =
             test_kv_recover_uses_checkpoint_start;
         ] );
       ( "txn",
-        [ Alcotest.test_case "retirement" `Quick test_kernel_retirement ] );
+        [
+          Alcotest.test_case "retirement" `Quick test_kernel_retirement;
+          Alcotest.test_case "retirement order" `Quick
+            test_kernel_retirement_order;
+        ] );
       ( "tps_sim",
         [
           Alcotest.test_case "conventional ~100" `Quick

@@ -785,6 +785,27 @@ let test_txncheck_held_after_precommit () =
   Alcotest.(check (list string)) "TXN003 at end of trace" [ "TXN003" ]
     (codes (protocol (SC.audit trace2)))
 
+(* Bug: abort forgets to release.  The Abort event comes before the
+   Release events, so a clean abort holds its locks only until they
+   follow; one that never releases holds them at the end of the trace. *)
+let test_txncheck_held_after_abort () =
+  let trace =
+    [
+      grant ~t:0.001 ~txn:1 ~key:1 ();
+      ev ~key:1 ~t:0.002 ~txn:1 Sch.Write;
+      ev ~t:0.003 ~txn:1 Sch.Abort;
+    ]
+  in
+  let diags = protocol (SC.audit trace) in
+  Alcotest.(check (list string)) "TXN003" [ "TXN003" ] (codes diags);
+  checkb "names the abort" true
+    (List.exists
+       (fun d -> d.D.message = "transaction 1 aborted but never released key 1")
+       diags);
+  let released = trace @ [ ev ~key:1 ~t:0.003 ~txn:1 Sch.Release ] in
+  Alcotest.(check (list string)) "released abort clean" []
+    (codes (protocol (SC.audit released)))
+
 let test_txncheck_precommitted_acquires () =
   let trace =
     [
@@ -1247,6 +1268,8 @@ let () =
             test_txncheck_unlocked_access;
           Alcotest.test_case "held after precommit (TXN003)" `Quick
             test_txncheck_held_after_precommit;
+          Alcotest.test_case "held after abort (TXN003)" `Quick
+            test_txncheck_held_after_abort;
           Alcotest.test_case "precommitted acquires (TXN004)" `Quick
             test_txncheck_precommitted_acquires;
           Alcotest.test_case "precommitted aborts (TXN005)" `Quick
