@@ -713,7 +713,10 @@ let aggregates () =
         S.Relation.free_pages out;
         S.Env.elapsed env -. before
       in
-      let one_pass = time (fun () -> E.Aggregate.one_pass rel specs) in
+      let one_pass =
+        time (fun () ->
+            E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 rel specs)
+      in
       let hybrid =
         time (fun () -> E.Aggregate.hybrid ~mem_pages:8 ~fudge:1.2 rel specs)
       in

@@ -104,31 +104,6 @@ let emit_groups env out_schema specs groups out =
       S.Relation.append out tup)
     items
 
-let aggregate_stream rel specs ~scan ~hash out =
-  let schema = S.Relation.schema rel in
-  let env = S.Relation.env rel in
-  let cols = Array.of_list (List.map (spec_column schema) specs) in
-  let groups = Hashtbl.create 1024 in
-  (match scan with
-  | `Free -> S.Relation.iter_tuples_nocharge rel (feed env schema specs cols hash groups)
-  | `Charged ->
-    S.Relation.iter_tuples ~mode:S.Disk.Seq rel
-      (feed env schema specs cols hash groups));
-  emit_groups env (S.Relation.schema out) specs groups out
-
-let one_pass rel specs =
-  let schema = S.Relation.schema rel in
-  let env = S.Relation.env rel in
-  let out_schema = result_schema schema specs in
-  let out =
-    S.Relation.create ~disk:(S.Relation.disk rel)
-      ~name:(S.Relation.name rel ^ ".agg") ~schema:out_schema
-  in
-  let hash = Hash_fn.create ~env ~schema ~seed:0xa66 in
-  aggregate_stream rel specs ~scan:`Free ~hash out;
-  S.Relation.seal out;
-  out
-
 let sort_based ~mem_pages rel specs =
   let schema = S.Relation.schema rel in
   let env = S.Relation.env rel in
@@ -173,15 +148,6 @@ let sort_based ~mem_pages rel specs =
   S.Relation.seal out;
   out
 
-let group_count rel =
-  let schema = S.Relation.schema rel in
-  let seen = Hashtbl.create 1024 in
-  S.Relation.iter_tuples_nocharge rel (fun tuple ->
-      Hashtbl.replace seen
-        (Bytes.unsafe_to_string (S.Tuple.key_bytes schema tuple))
-        ());
-  Hashtbl.length seen
-
 let hybrid ~mem_pages ~fudge rel specs =
   if mem_pages <= 1 then invalid_arg "Aggregate.hybrid: mem_pages <= 1";
   let schema = S.Relation.schema rel in
@@ -199,7 +165,14 @@ let hybrid ~mem_pages ~fudge rel specs =
     Hybrid_hash.partitions ~mem_pages ~fudge
       ~r_pages:(S.Relation.npages rel)
   in
-  if b = 0 then aggregate_stream rel specs ~scan:`Free ~hash out
+  if b = 0 then begin
+    (* Everything fits: the one-pass hash aggregation. *)
+    let cols = Array.of_list (List.map (spec_column schema) specs) in
+    let groups = Hashtbl.create 1024 in
+    S.Relation.iter_tuples_nocharge rel
+      (feed env schema specs cols hash groups);
+    emit_groups env out_schema specs groups out
+  end
   else begin
     let q = Hybrid_hash.q_fraction ~mem_pages ~fudge ~r_pages:(S.Relation.npages rel) in
     let write_mode = if b <= 1 then S.Disk.Seq else S.Disk.Rand in

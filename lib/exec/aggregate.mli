@@ -5,8 +5,8 @@
     the fastest algorithm will be a one pass hashing algorithm in which
     each incoming tuple is hashed on the grouping attribute.  If there is
     not enough memory ... a variant of the hybrid-hash algorithm appears
-    fastest."  Both variants are implemented; grouping is on the input
-    schema's key column. *)
+    fastest."  {!hybrid} is both: it runs in one pass when the input
+    fits.  Grouping is on the input schema's key column. *)
 
 type spec =
   | Count
@@ -20,18 +20,15 @@ val result_schema : Mmdb_storage.Schema.t -> spec list -> Mmdb_storage.Schema.t
     integer column per aggregate, named ["count"], ["sum_c"], ["min_c"],
     ["max_c"], ["avg_c"]. *)
 
-val one_pass : Mmdb_storage.Relation.t -> spec list -> Mmdb_storage.Relation.t
-(** One-pass hash aggregation: every input tuple is hashed on the grouping
-    attribute into an in-memory table of groups; assumes the result fits
-    in memory.  Input scan is free (first read); result writes are
-    charged. *)
-
 val hybrid : mem_pages:int -> fudge:float ->
   Mmdb_storage.Relation.t -> spec list -> Mmdb_storage.Relation.t
 (** Hybrid-hash aggregation for results larger than memory: partition the
     input by group-key hash into partitions whose group tables fit, then
-    aggregate each partition in one pass.  Degenerates to {!one_pass} when
-    everything fits. *)
+    aggregate each partition in one pass.  When the input fits
+    ([mem_pages] at least its pages times [fudge]; [max_int] always
+    fits) it is the one-pass hash aggregation: every tuple is hashed on
+    the grouping attribute into one in-memory table of groups.  The
+    input scan is free (first read); result writes are charged. *)
 
 val sort_based : mem_pages:int -> Mmdb_storage.Relation.t -> spec list ->
   Mmdb_storage.Relation.t
@@ -39,6 +36,3 @@ val sort_based : mem_pages:int -> Mmdb_storage.Relation.t -> spec list ->
     externally sort on the grouping attribute, then aggregate adjacent
     runs of equal keys in one scan.  Pays the full
     [n·log n·(comp+swap)] sort plus run I/O. *)
-
-val group_count : Mmdb_storage.Relation.t -> int
-(** Distinct key values (uncharged; sizing helper for planners/tests). *)

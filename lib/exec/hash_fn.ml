@@ -1,12 +1,11 @@
 module S = Mmdb_storage
 
-type t = {
-  env : S.Env.t;
-  schema : S.Schema.t;
-  seed : int;
-}
+type t =
+  | Key of { env : S.Env.t; schema : S.Schema.t; seed : int }
+  | Whole of { env : S.Env.t; seed : int }
 
-let create ~env ~schema ~seed = { env; schema; seed }
+let create ~env ~schema ~seed = Key { env; schema; seed }
+let whole_tuple ~env ~seed = Whole { env; seed }
 
 (* Mix the FNV key hash with the seed through a splitmix64-style finaliser
    so different seeds give effectively independent functions. *)
@@ -18,8 +17,14 @@ let mix h seed =
   Int64.to_int (Int64.shift_right_logical x 2)
 
 let hash t tuple =
-  S.Env.charge_hash t.env;
-  mix (S.Tuple.hash_key t.schema tuple) t.seed
+  match t with
+  | Key { env; schema; seed } ->
+    S.Env.charge_hash env;
+    mix (S.Tuple.hash_key schema tuple) seed
+  | Whole { env; seed } ->
+    S.Env.charge_hash env;
+    (* perf_lint: the seeded structural hash IS the whole-tuple hash *)
+    Hashtbl.hash (Bytes.to_string tuple, seed)
 
 let uniform t tuple =
   let h = hash t tuple in

@@ -1,4 +1,4 @@
-(** Seeded, charged key hashing.
+(** Seeded, charged hashing of a tuple's key or of the whole tuple.
 
     All hash algorithms of Section 3 share one hash function [h] between R
     and S so their partitions are compatible (Section 3.3); recursive
@@ -9,11 +9,16 @@ type t
 
 val create : env:Mmdb_storage.Env.t -> schema:Mmdb_storage.Schema.t ->
   seed:int -> t
-(** A hash function over the schema's key field. *)
+(** A hash function over the schema's key field (joins, aggregation). *)
+
+val whole_tuple : env:Mmdb_storage.Env.t -> seed:int -> t
+(** A hash function over every byte of the tuple: equal tuples hash
+    alike whatever their schema's key, as duplicate elimination and the
+    set operations need. *)
 
 val hash : t -> bytes -> int
-(** [hash t tuple] is a non-negative hash of [tuple]'s key field; charges
-    one [hash] operation. *)
+(** [hash t tuple] is a non-negative hash of [tuple]; charges one [hash]
+    operation. *)
 
 val uniform : t -> bytes -> float
 (** [uniform t tuple] maps the hash to [\[0, 1)] — used for proportional

@@ -93,7 +93,7 @@ let distinct ~mem_pages ~fudge ~cols rel =
       ~schema:out_schema
   in
   (* Stage the projected tuples in a temporary relation sized by the
-     projected width, then dedupe it hybrid-style. *)
+     projected width, then dedupe it hybrid-style on the whole tuple. *)
   let projected =
     S.Relation.create ~disk ~name:(S.Relation.name rel ^ ".projtmp")
       ~schema:out_schema
@@ -102,12 +102,7 @@ let distinct ~mem_pages ~fudge ~cols rel =
       S.Env.charge_move env;
       S.Relation.append_nocharge projected (project tuple));
   S.Relation.seal projected;
-  (* Dedup key is the whole projected tuple. *)
-  let hash_whole tuple =
-    S.Env.charge_hash env;
-    (* perf_lint: the seeded structural hash IS the dedup hash function *)
-    Hashtbl.hash (Bytes.to_string tuple, 0xd15)
-  in
+  let hash = Hash_fn.whole_tuple ~env ~seed:0xd15 in
   let emit_unique seen tuple =
     let k = Bytes.to_string tuple in
     S.Env.charge_comp env;
@@ -116,55 +111,25 @@ let distinct ~mem_pages ~fudge ~cols rel =
       S.Relation.append out tuple
     end
   in
-  let b =
-    Hybrid_hash.partitions ~mem_pages ~fudge
-      ~r_pages:(S.Relation.npages projected)
+  let r_pages = S.Relation.npages projected in
+  let b = Hybrid_hash.partitions ~mem_pages ~fudge ~r_pages in
+  let q = Hybrid_hash.q_fraction ~mem_pages ~fudge ~r_pages in
+  let write_mode = if b <= 1 then S.Disk.Seq else S.Disk.Rand in
+  let resident, buckets =
+    Partition.split_fraction ~scan:Partition.Free ~q ~nbuckets:b ~hash
+      ~write_mode projected
   in
-  if b = 0 then begin
-    let seen = Hashtbl.create 1024 in
-    S.Relation.iter_tuples_nocharge projected (fun t ->
-        ignore (hash_whole t);
-        emit_unique seen t)
-  end
-  else begin
-    let q =
-      Hybrid_hash.q_fraction ~mem_pages ~fudge
-        ~r_pages:(S.Relation.npages projected)
-    in
-    let write_mode = if b <= 1 then S.Disk.Seq else S.Disk.Rand in
-    let buckets =
-      Array.init b (fun i ->
-          let r =
-            S.Relation.create ~disk
-              ~name:(Printf.sprintf "%s.dedup%d" (S.Relation.name rel) i)
-              ~schema:out_schema
-          in
-          S.Relation.set_write_mode r write_mode;
-          r)
-    in
-    let seen0 = Hashtbl.create 1024 in
-    S.Relation.iter_tuples_nocharge projected (fun t ->
-        let h = hash_whole t in
-        let u = float_of_int (h land 0xFFFFFF) /. 16777216.0 in
-        if u < q then emit_unique seen0 t
-        else begin
-          let scaled = (u -. q) /. Float.max 1e-12 (1.0 -. q) in
-          let i = min (b - 1) (max 0 (int_of_float (scaled *. float_of_int b))) in
-          S.Env.charge_move env;
-          S.Relation.append buckets.(i) t
-        end);
-    Array.iter S.Relation.seal buckets;
-    Array.iter
-      (fun bucket ->
-        if S.Relation.ntuples bucket > 0 then begin
-          let seen = Hashtbl.create 256 in
-          S.Relation.iter_tuples ~mode:S.Disk.Seq bucket (fun t ->
-              ignore (hash_whole t);
-              emit_unique seen t)
-        end)
-      buckets;
-    Array.iter S.Relation.free_pages buckets
-  end;
+  List.iter (emit_unique (Hashtbl.create 1024)) resident;
+  Array.iter
+    (fun bucket ->
+      if S.Relation.ntuples bucket > 0 then begin
+        let seen = Hashtbl.create 256 in
+        Partition.iter_bucket bucket (fun t ->
+            ignore (Hash_fn.hash hash t);
+            emit_unique seen t)
+      end)
+    buckets;
+  Partition.free buckets;
   S.Relation.free_pages projected;
   S.Relation.seal out;
   out

@@ -4,9 +4,11 @@
     for the projection operator as projection with duplicate elimination
     is very similar in nature to the aggregate function operation (in
     projection we are grouping identical tuples)."  Tuples are projected
-    to the requested columns, partitioned by a hash of the {e whole}
-    projected tuple when memory is short, and deduplicated per
-    partition. *)
+    to the requested columns and split by {!Partition.split_fraction}
+    on a hash of the {e whole} projected tuple
+    ({!Hash_fn.whole_tuple}), exactly as {!Aggregate.hybrid} splits on
+    the group key: the resident fraction is deduplicated in memory, each
+    spilled partition on re-read. *)
 
 val project_schema : Mmdb_storage.Schema.t -> cols:string list ->
   Mmdb_storage.Schema.t
@@ -16,14 +18,16 @@ val project_schema : Mmdb_storage.Schema.t -> cols:string list ->
 val projector : Mmdb_storage.Schema.t -> cols:string list ->
   Mmdb_storage.Schema.t -> bytes -> bytes
 (** [projector schema ~cols out_schema] is the byte-level row projector
-    matching {!project_schema} (shared with {!Division}). *)
+    matching {!project_schema}; the executor's plain projection uses it
+    too. *)
 
 val distinct : mem_pages:int -> fudge:float ->
   cols:string list -> Mmdb_storage.Relation.t -> Mmdb_storage.Relation.t
 (** [distinct ~mem_pages ~fudge ~cols rel] materialises the
     duplicate-free projection.  Charges: one [move] per input tuple (the
-    projection), one [hash] per tuple, one [comp] per dedup-table lookup,
-    partition I/O when spilling, charged writes of the result. *)
+    projection), one [hash] per tuple plus one per spilled tuple on
+    re-read, one [comp] per dedup-table lookup, partition I/O when
+    spilling, charged writes of the result. *)
 
 val sort_distinct : mem_pages:int -> cols:string list ->
   Mmdb_storage.Relation.t -> Mmdb_storage.Relation.t

@@ -6,44 +6,6 @@ let check_compatible l r =
     <> S.Schema.tuple_width (S.Relation.schema r)
   then invalid_arg "Set_ops: tuple widths differ"
 
-(* Partition a relation into [b] buckets by a hash of the whole tuple
-   (charged: hash + move per spilled tuple, page writes in [write_mode]).
-   [b = 0] keeps everything in memory. *)
-let split_whole env ~b ~write_mode rel suffix =
-  let schema = S.Relation.schema rel in
-  let disk = S.Relation.disk rel in
-  let hash_whole tuple =
-    S.Env.charge_hash env;
-    (* perf_lint: the seeded structural hash IS the partition function *)
-    Hashtbl.hash (Bytes.to_string tuple, 0x5e7)
-  in
-  if b = 0 then begin
-    let acc = ref [] in
-    S.Relation.iter_tuples_nocharge rel (fun t ->
-        ignore (hash_whole t);
-        acc := t :: !acc);
-    ([| List.rev !acc |], [||])
-  end
-  else begin
-    let buckets =
-      Array.init b (fun i ->
-          let r =
-            S.Relation.create ~disk
-              ~name:(Printf.sprintf "%s.%s%d" (S.Relation.name rel) suffix i)
-              ~schema
-          in
-          S.Relation.set_write_mode r write_mode;
-          r)
-    in
-    S.Relation.iter_tuples_nocharge rel (fun t ->
-        let h = hash_whole t in
-        let i = (h land max_int) mod b in
-        S.Env.charge_move env;
-        S.Relation.append buckets.(i) t);
-    Array.iter S.Relation.seal buckets;
-    ([||], buckets)
-  end
-
 type mode = Union | Intersection | Difference
 
 let run mode ~mem_pages ~fudge l r =
@@ -90,31 +52,29 @@ let run mode ~mem_pages ~fudge l r =
     | Union -> List.iter emit r_tuples
     | Intersection | Difference -> ()
   in
-  let mem_l, disk_l = split_whole env ~b ~write_mode l "u" in
-  let mem_r, disk_r = split_whole env ~b ~write_mode r "v" in
-  if b = 0 then resolve mem_l.(0) mem_r.(0)
-  else
-    for i = 0 to b - 1 do
-      let load bucket =
-        let acc = ref [] in
-        S.Relation.iter_tuples ~mode:S.Disk.Seq bucket (fun t ->
-            acc := t :: !acc);
-        List.rev !acc
-      in
-      let li =
-        if S.Relation.ntuples disk_l.(i) = 0 then []
-        else load disk_l.(i)
-      in
-      let ri =
-        if S.Relation.ntuples disk_r.(i) = 0 then []
-        else load disk_r.(i)
-      in
-      if li <> [] || ri <> [] then resolve li ri
-    done;
-  if b > 0 then begin
-    Array.iter S.Relation.free_pages disk_l;
-    Array.iter S.Relation.free_pages disk_r
-  end;
+  (* Both inputs split on the same whole-tuple hash, so equal tuples meet
+     in the same bucket pair; q = 0 spills everything once b > 0. *)
+  let split rel =
+    Partition.split_fraction ~scan:Partition.Free ~q:0.0 ~nbuckets:b
+      ~hash:(Hash_fn.whole_tuple ~env ~seed:0x5e7) ~write_mode rel
+  in
+  let mem_l, disk_l = split l in
+  let mem_r, disk_r = split r in
+  resolve mem_l mem_r;
+  let load bucket =
+    let acc = ref [] in
+    if S.Relation.ntuples bucket > 0 then
+      Partition.iter_bucket bucket (fun t -> acc := t :: !acc);
+    List.rev !acc
+  in
+  Array.iteri
+    (fun i bl ->
+      let li = load bl in
+      let ri = load disk_r.(i) in
+      if li <> [] || ri <> [] then resolve li ri)
+    disk_l;
+  Partition.free disk_l;
+  Partition.free disk_r;
   S.Relation.seal out;
   out
 

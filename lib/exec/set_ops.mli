@@ -2,9 +2,12 @@
 
     Section 3.9 argues hash algorithms carry over to "other relational
     operations"; these operators follow the same pattern as the
-    hybrid-hash projection: tuples are partitioned by a hash of the whole
-    tuple when memory is short, then each compatible partition pair is
-    resolved with an in-memory table.  Results are duplicate-free.
+    hybrid-hash projection.  When the larger input does not fit, both
+    inputs are split by {!Partition.split_fraction} on the same
+    whole-tuple hash ({!Hash_fn.whole_tuple}) with no resident fraction
+    ([q = 0]), so equal tuples meet in the same partition pair whatever
+    each schema's key; each pair is then resolved with an in-memory
+    table.  Results are duplicate-free.
 
     Inputs must be byte-compatible: equal tuple widths (column names may
     differ; the left schema names the result). *)

@@ -105,8 +105,8 @@ let set_op_ops ~mem_pages ~fudge ~kind ~out_tuples ~out_tuples_per_page l r =
   let nl = fi l.tuples and nr = fi r.tuples in
   let pages = fi (l.pages + r.pages) in
   let b, _q = spill_fraction ~mem_pages ~fudge ~pages:(max l.pages r.pages) in
-  (* split_whole has no memory fraction: either everything stays resident
-     (b = 0) or both inputs spill entirely. *)
+  (* Set_ops splits with q = 0, no memory fraction: either everything
+     stays resident (b = 0) or both inputs spill entirely. *)
   let spill = if b = 0 then 0.0 else 1.0 in
   let out_pages =
     fi (pages_of ~tuples:out_tuples ~tuples_per_page:out_tuples_per_page)

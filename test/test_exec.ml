@@ -319,6 +319,28 @@ let test_partition_write_mode_charges () =
     env.S.Env.counters.S.Counters.rand_writes;
   E.Partition.free buckets
 
+(* Whole-tuple hashing: equal tuples hash alike whatever the schema's
+   key, a change to any column moves the hash, and each evaluation
+   charges exactly one [hash]. *)
+let test_whole_tuple_hash () =
+  let env, _ = fresh_disk () in
+  let by_k = r_schema () in
+  let by_v = S.Schema.with_key by_k "v" in
+  let wh = E.Hash_fn.whole_tuple ~env ~seed:5 in
+  let kh = E.Hash_fn.create ~env ~schema:by_k ~seed:5 in
+  let a = mk by_k 1 10 and b = mk by_k 1 11 in
+  let h0 = env.S.Env.counters.S.Counters.hashes in
+  let ha = E.Hash_fn.hash wh a in
+  checki "one hash charged" (h0 + 1) env.S.Env.counters.S.Counters.hashes;
+  checki "same bytes under another key" ha (E.Hash_fn.hash wh (mk by_v 1 10));
+  checkb "non-key column moves the whole-tuple hash" true
+    (ha <> E.Hash_fn.hash wh b);
+  checki "key hash ignores the non-key column" (E.Hash_fn.hash kh a)
+    (E.Hash_fn.hash kh b);
+  checkb "non-negative" true (ha >= 0);
+  let u = E.Hash_fn.uniform wh a in
+  checkb "uniform in [0, 1)" true (u >= 0.0 && u < 1.0)
+
 (* ------------------------------------------------------------------ *)
 (* Join algorithms vs oracle                                           *)
 (* ------------------------------------------------------------------ *)
@@ -450,7 +472,7 @@ let test_one_pass_aggregate () =
   let _, disk = fresh_disk () in
   let rel = load disk "T" (r_schema ()) (agg_input ()) in
   let out =
-    E.Aggregate.one_pass rel
+    E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 rel
       [ E.Aggregate.Count; E.Aggregate.Sum "v"; E.Aggregate.Min "v";
         E.Aggregate.Max "v"; E.Aggregate.Avg "v" ]
   in
@@ -469,20 +491,17 @@ let test_hybrid_aggregate_matches_one_pass () =
   let pairs = random_pairs rng 1500 200 in
   let rel = load disk "T" (r_schema ()) pairs in
   let specs = [ E.Aggregate.Count; E.Aggregate.Sum "v" ] in
-  let a = E.Aggregate.one_pass rel specs in
+  let a = E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 rel specs in
   let b = E.Aggregate.hybrid ~mem_pages:3 ~fudge:1.2 rel specs in
   Alcotest.(check (list (list int)))
     "hybrid = one-pass" (decode_agg a) (decode_agg b)
 
-let test_aggregate_group_count () =
-  let _, disk = fresh_disk () in
-  let rel = load disk "T" (r_schema ()) (agg_input ()) in
-  checki "3 groups" 3 (E.Aggregate.group_count rel)
-
 let test_aggregate_empty () =
   let _, disk = fresh_disk () in
   let rel = load disk "T" (r_schema ()) [] in
-  let out = E.Aggregate.one_pass rel [ E.Aggregate.Count ] in
+  let out =
+    E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 rel [ E.Aggregate.Count ]
+  in
   checki "no groups" 0 (S.Relation.ntuples out)
 
 let test_aggregate_result_schema () =
@@ -502,7 +521,7 @@ let test_sort_based_aggregate_matches_hash () =
     [ E.Aggregate.Count; E.Aggregate.Sum "v"; E.Aggregate.Min "v";
       E.Aggregate.Max "v" ]
   in
-  let hash_out = E.Aggregate.one_pass rel specs in
+  let hash_out = E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 rel specs in
   let sort_out = E.Aggregate.sort_based ~mem_pages:4 rel specs in
   Alcotest.(check (list (list int)))
     "sort-based = hash" (decode_agg hash_out) (decode_agg sort_out)
@@ -520,7 +539,9 @@ let test_sort_based_aggregate_costs_more () =
     S.Env.elapsed env -. t0
   in
   let hash_t =
-    time (fun () -> E.Aggregate.one_pass rel [ E.Aggregate.Count ])
+    time (fun () ->
+        E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 rel
+          [ E.Aggregate.Count ])
   in
   let sort_t =
     time (fun () -> E.Aggregate.sort_based ~mem_pages:8 rel [ E.Aggregate.Count ])
@@ -528,188 +549,6 @@ let test_sort_based_aggregate_costs_more () =
   checkb
     (Printf.sprintf "hash %.3fs < sort %.3fs" hash_t sort_t)
     true (hash_t < sort_t)
-
-(* ------------------------------------------------------------------ *)
-(* Semi/anti join and division                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_semi_anti_join () =
-  let _, disk = fresh_disk () in
-  let rs = load disk "R" (r_schema ()) [ (1, 10); (2, 20); (2, 21); (3, 30) ] in
-  let ss = load disk "S" (s_schema ()) [ (2, 0); (4, 0) ] in
-  let keys rel =
-    let sch = S.Relation.schema rel in
-    let acc = ref [] in
-    S.Relation.iter_tuples_nocharge rel (fun t ->
-        acc := (key_of sch t, snd_of sch t) :: !acc);
-    List.sort compare !acc
-  in
-  Alcotest.(check (list (pair int int)))
-    "semi keeps matching R tuples (with duplicates)"
-    [ (2, 20); (2, 21) ]
-    (keys (E.Semi_join.semi rs ss));
-  Alcotest.(check (list (pair int int)))
-    "anti keeps the rest"
-    [ (1, 10); (3, 30) ]
-    (keys (E.Semi_join.anti rs ss))
-
-let qcheck_semi_anti_partition_r =
-  QCheck.Test.make ~name:"semi + anti partition R" ~count:80
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 0 80) (int_range 0 25))
-        (list_of_size Gen.(int_range 0 40) (int_range 0 25)))
-    (fun (rk, sk) ->
-      let _, disk = fresh_disk () in
-      let rs = load disk "R" (r_schema ()) (List.mapi (fun i k -> (k, i)) rk) in
-      let ss = load disk "S" (s_schema ()) (List.map (fun k -> (k, 0)) sk) in
-      let count rel = S.Relation.ntuples rel in
-      let semi = E.Semi_join.semi rs ss and anti = E.Semi_join.anti rs ss in
-      count semi + count anti = List.length rk
-      && (let sch = S.Relation.schema semi in
-          let ok = ref true in
-          S.Relation.iter_tuples_nocharge semi (fun t ->
-              if not (List.mem (S.Tuple.get_int sch t 0) sk) then ok := false);
-          S.Relation.iter_tuples_nocharge anti (fun t ->
-              if List.mem (S.Tuple.get_int sch t 0) sk then ok := false);
-          !ok))
-
-let test_index_join_matches_oracle () =
-  let env, disk = fresh_disk () in
-  let rng = U.Xorshift.create 97 in
-  (* Inner: unique keys (an indexed primary key). *)
-  let inner_pairs = List.init 200 (fun i -> (i, i * 3)) in
-  let inner = load disk "I" (r_schema ()) inner_pairs in
-  let outer = load disk "O" (s_schema ()) (random_pairs rng 300 400) in
-  let expected = oracle inner outer in
-  List.iter
-    (fun kind ->
-      let ix =
-        match kind with
-        | `Btree ->
-          let t =
-            Mmdb_index.Btree.create ~env ~schema:(r_schema ()) ~page_size:256 ()
-          in
-          S.Relation.iter_tuples_nocharge inner (Mmdb_index.Btree.insert t);
-          E.Index_join.Btree_ix t
-        | `Avl ->
-          let t = Mmdb_index.Avl.create ~env ~schema:(r_schema ()) () in
-          S.Relation.iter_tuples_nocharge inner (Mmdb_index.Avl.insert t);
-          E.Index_join.Avl_ix t
-      in
-      let got =
-        join_triples inner outer (fun emit -> E.Index_join.join ix outer emit)
-      in
-      Alcotest.(check (list (triple int int int)))
-        "index join matches oracle" expected got)
-    [ `Btree; `Avl ]
-
-let test_index_join_cheap_for_small_outer () =
-  (* Small outer vs big indexed inner: probes cost ~log n comparisons
-     each, far below hybrid hash's full scan of the inner. *)
-  let env, disk = fresh_disk ~page_size:512 () in
-  let inner_pairs = List.init 20_000 (fun i -> (i, i)) in
-  let inner = load disk "I" (r_schema ()) inner_pairs in
-  let rng = U.Xorshift.create 98 in
-  let outer =
-    load disk "O" (s_schema ())
-      (List.init 50 (fun _ -> (U.Xorshift.int rng 20_000, 0)))
-  in
-  let bt = Mmdb_index.Btree.create ~env ~schema:(r_schema ()) ~page_size:512 () in
-  S.Relation.iter_tuples_nocharge inner (Mmdb_index.Btree.insert bt);
-  let time f =
-    let t0 = S.Env.elapsed env in
-    ignore (f ());
-    S.Env.elapsed env -. t0
-  in
-  let inl =
-    time (fun () ->
-        E.Index_join.join (E.Index_join.Btree_ix bt) outer (fun _ _ -> ()))
-  in
-  let hybrid =
-    time (fun () ->
-        E.Hybrid_hash.join ~mem_pages:16 ~fudge:1.2 outer inner (fun _ _ -> ()))
-  in
-  checkb
-    (Printf.sprintf "index join %.4fs beats hybrid %.4fs for tiny outer" inl
-       hybrid)
-    true (inl < hybrid)
-
-(* supplies(supplier, part) / parts(part) *)
-let test_division_suppliers_all_parts () =
-  let _, disk = fresh_disk () in
-  let supplies_schema =
-    S.Schema.create ~key:"supplier"
-      [ S.Schema.column "supplier" S.Schema.Int; S.Schema.column "part" S.Schema.Int ]
-  in
-  let parts_schema =
-    S.Schema.create ~key:"part" [ S.Schema.column "part" S.Schema.Int ]
-  in
-  let supplies =
-    S.Relation.of_tuples ~disk ~name:"supplies" ~schema:supplies_schema
-      (List.map
-         (fun (s, p) ->
-           S.Tuple.encode supplies_schema [ S.Tuple.VInt s; S.Tuple.VInt p ])
-         [
-           (1, 10); (1, 11); (1, 12) (* supplier 1 supplies all *);
-           (2, 10); (2, 12) (* supplier 2 misses part 11 *);
-           (3, 10); (3, 11); (3, 12); (3, 99) (* 3 supplies all + extra *);
-           (4, 99) (* 4 supplies none of the asked parts *);
-         ])
-  in
-  let parts =
-    S.Relation.of_tuples ~disk ~name:"parts" ~schema:parts_schema
-      (List.map (fun p -> S.Tuple.encode parts_schema [ S.Tuple.VInt p ])
-         [ 10; 11; 12 ])
-  in
-  let quotient =
-    E.Division.divide ~mem_pages:8 ~fudge:1.2 ~divisor_col:"part" supplies
-      parts
-  in
-  let sch = S.Relation.schema quotient in
-  let got = ref [] in
-  S.Relation.iter_tuples_nocharge quotient (fun t ->
-      got := S.Tuple.get_int sch t 0 :: !got);
-  Alcotest.(check (list int)) "suppliers of all parts" [ 1; 3 ]
-    (List.sort compare !got)
-
-let test_division_empty_divisor () =
-  let _, disk = fresh_disk () in
-  let rs = load disk "R" (r_schema ()) [ (1, 5); (2, 5); (1, 6) ] in
-  let ss = load disk "S" (s_schema ()) [] in
-  (* Divide R(k,v) by S on v: empty divisor -> all distinct k groups. *)
-  let q = E.Division.divide ~mem_pages:8 ~fudge:1.2 ~divisor_col:"v" rs ss in
-  checki "all quotient groups" 2 (S.Relation.ntuples q)
-
-let qcheck_division_matches_model =
-  QCheck.Test.make ~name:"division agrees with a list model" ~count:60
-    QCheck.(
-      triple
-        (list_of_size Gen.(int_range 0 120)
-           (pair (int_range 0 12) (int_range 0 8)))
-        (list_of_size Gen.(int_range 0 6) (int_range 0 8))
-        (int_range 2 24))
-    (fun (rp, sk, mem_pages) ->
-      let _, disk = fresh_disk () in
-      let rs = load disk "R" (r_schema ()) rp in
-      let sset = List.sort_uniq compare sk in
-      let ss = load disk "S" (s_schema ()) (List.map (fun k -> (k, 0)) sset) in
-      (* Model: k qualifies iff its v-set covers sset.  NOTE: R's key is k,
-         divisor column is v. *)
-      let expected =
-        List.sort_uniq compare (List.map fst rp)
-        |> List.filter (fun k ->
-               let vs = List.filter_map (fun (k', v) -> if k' = k then Some v else None) rp in
-               List.for_all (fun s -> List.mem s vs) sset)
-      in
-      let q =
-        E.Division.divide ~mem_pages ~fudge:1.2 ~divisor_col:"v" rs ss
-      in
-      let sch = S.Relation.schema q in
-      let got = ref [] in
-      S.Relation.iter_tuples_nocharge q (fun t ->
-          got := S.Tuple.get_int sch t 0 :: !got);
-      List.sort compare !got = expected)
 
 (* ------------------------------------------------------------------ *)
 (* Projection                                                          *)
@@ -873,6 +712,9 @@ let () =
           Alcotest.test_case "write mode charges" `Quick
             test_partition_write_mode_charges;
         ] );
+      ( "hash: whole tuples",
+        [ Alcotest.test_case "key-independent, charged" `Quick
+            test_whole_tuple_hash ] );
       ("join: sort-merge", algo_cases E.Joiner.Sort_merge_join);
       ("join: simple hash", algo_cases E.Joiner.Simple_hash_join);
       ("join: grace hash", algo_cases E.Joiner.Grace_hash_join);
@@ -895,7 +737,6 @@ let () =
           Alcotest.test_case "one pass" `Quick test_one_pass_aggregate;
           Alcotest.test_case "hybrid matches one-pass" `Quick
             test_hybrid_aggregate_matches_one_pass;
-          Alcotest.test_case "group count" `Quick test_aggregate_group_count;
           Alcotest.test_case "empty" `Quick test_aggregate_empty;
           Alcotest.test_case "result schema" `Quick
             test_aggregate_result_schema;
@@ -903,19 +744,6 @@ let () =
             test_sort_based_aggregate_matches_hash;
           Alcotest.test_case "hash beats sort (3.9)" `Quick
             test_sort_based_aggregate_costs_more;
-        ] );
-      ( "semi/anti/division",
-        [
-          Alcotest.test_case "index join vs oracle" `Quick
-            test_index_join_matches_oracle;
-          Alcotest.test_case "index join cheap for small outer" `Quick
-            test_index_join_cheap_for_small_outer;
-          Alcotest.test_case "semi & anti" `Quick test_semi_anti_join;
-          QCheck_alcotest.to_alcotest qcheck_semi_anti_partition_r;
-          Alcotest.test_case "suppliers of all parts" `Quick
-            test_division_suppliers_all_parts;
-          Alcotest.test_case "empty divisor" `Quick test_division_empty_divisor;
-          QCheck_alcotest.to_alcotest qcheck_division_matches_model;
         ] );
       ( "projection",
         [
