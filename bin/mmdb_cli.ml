@@ -226,21 +226,14 @@ let recover strategy txns checkpoint crash_after audit parallel logging
       (* The full submitted log is a complete run; the durable log may be
          crash-truncated, so open transactions there are legitimate. *)
       let results =
-        Mmdb_verify.Audit.run_all
-          [
-            Mmdb_verify.Audit.Log
-              {
-                name = "wal (submitted)";
-                complete = true;
-                records = o.R.Recovery_manager.log_records;
-              };
-            Mmdb_verify.Audit.Log
-              {
-                name = "wal (durable)";
-                complete = false;
-                records = o.R.Recovery_manager.durable_log;
-              };
-          ]
+        [
+          ( "wal (submitted)",
+            Mmdb_verify.Log_check.audit ~complete:true
+              o.R.Recovery_manager.log_records );
+          ( "wal (durable)",
+            Mmdb_verify.Log_check.audit ~complete:false
+              o.R.Recovery_manager.durable_log );
+        ]
       in
       print_newline ();
       Mmdb_verify.Audit.report Format.std_formatter results
@@ -520,9 +513,7 @@ let faults_doc =
 type check_opts = {
   seed : int option; txns : int option; points : int option;
   accounts : int; domains : int; scramble : bool; crash : bool;
-  inject : V.Txn_fuzz.inject list;
-  faults : string option; strategy : R.Wal.strategy option;
-  tolerance : float; verbose : bool;
+  inject : V.Txn_fuzz.inject list; tolerance : float; verbose : bool;
 }
 
 (* Each pass prints its findings through [Audit.report] and returns its
@@ -600,12 +591,9 @@ let mvcc_pass o =
   report [ ("mvcc versions", V.Schedule_check.audit events) ]
 
 let torture_pass o =
-  let one x = Option.map (fun x -> [ x ]) x in
-  let r =
-    V.Torture.run ?seed:o.seed ?txns:o.txns ?specs:(one o.faults)
-      ?strategies:(one o.strategy) ?max_points_per_combo:o.points ()
-  in
-  (* No diagnostics: the pass fails only on silent corruption. *)
+  let r = V.Torture.run ?seed:o.seed ?count:o.points () in
+  (* No diagnostics: the pass fails only on silent corruption, and then
+     prints the shrunk case. *)
   Format.printf "%a" V.Torture.pp r;
   V.Torture.ok r
 
@@ -667,8 +655,8 @@ let inject_of_spec spec =
    one fails, 2 on bad input: an unknown pass, a bad spec or an
    out-of-range number, which the library entry points reject with
    [Invalid_argument]. *)
-let check names seed txns accounts scramble crash domains inject_spec faults
-    strategy points tolerance verbose =
+let check names seed txns accounts scramble crash domains inject_spec points
+    tolerance verbose =
   let run_pass o ok (name, pass) =
     let pass_ok = pass o in
     Format.printf "%s: %s@.@." name (if pass_ok then "ok" else "FAIL");
@@ -686,7 +674,7 @@ let check names seed txns accounts scramble crash domains inject_spec faults
     let inject = inject_of_spec inject_spec in
     let o =
       { seed; txns; points; accounts; domains; scramble; crash; inject;
-        faults; strategy; tolerance; verbose }
+        tolerance; verbose }
     in
     let selected =
       List.filter (fun (n, _) -> names = [] || List.mem n names) passes
@@ -714,7 +702,8 @@ let check_cmd =
   in
   let txns =
     opt Arg.(some int) None "txns"
-      "Transactions per run (fuzz, torture). Default: 40, 48."
+      "Fuzz: transactions in the schedule. Default: 40. Torture draws its \
+       own (1-48 per case)."
   in
   let accounts =
     opt Arg.int 16 "accounts" "Fuzzer account count (small = contended)."
@@ -737,17 +726,10 @@ let check_cmd =
        $(b,all). Every injected race must be flagged under its expected code \
        or the pass fails."
   in
-  let faults =
-    opt Arg.(some string) None "faults"
-      ("Torture: " ^ faults_doc ^ " Default: sweep every spec.")
-  in
-  let strategy =
-    opt Arg.(some strategy_conv) None "strategy"
-      "Torture: one commit strategy (see tps). Default: all four."
-  in
   let points =
     opt Arg.(some int) None "points"
-      "Torture: max crash points per strategy x fault pair. Default: 32."
+      "Torture: cases to draw (each one crash-recovery run, with its \
+       crash-free probes). Default: 2000."
   in
   let tolerance =
     opt Arg.float 1.0 "tolerance"
@@ -778,15 +760,17 @@ let check_cmd =
           pre-commit, deadlocks, serializability, group-commit \
           dependencies) and for races; $(b,mvcc) audits the versioning \
           engine's snapshot discipline; $(b,torture) crashes the recovery \
-          stack at every schedulable point, with and without injected \
-          faults; $(b,model) checks the operators against the Section 3 \
-          cost model; $(b,lint) is the static lint over lib/. Exits 0 when \
+          stack at drawn points (strategy, faults, crash instant, a \
+          restart crash and the replay configuration) and shrinks a \
+          failing case; $(b,model) checks the operators against the \
+          Section 3 cost model; $(b,lint) is the static lint over lib/. \
+          Exits 0 when \
           every selected pass is clean; 1 on an error-severity finding, \
           silent corruption, or with $(b,--inject) a missed injection; 2 on \
           bad input, malformed flags included.")
     Term.(
       const check $ names $ seed $ txns $ accounts $ scramble $ crash $ domains
-      $ inject $ faults $ strategy $ points $ tolerance $ verbose)
+      $ inject $ points $ tolerance $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* codes                                                               *)

@@ -106,20 +106,17 @@ let query_rows t expr =
   rows
 
 let audit t =
-  let names = List.sort compare (table_names t) in
-  let comps =
-    List.concat_map
-      (fun name ->
-        List.map
-          (function
-            (* perf_lint: audit labels; one concat per index *)
-            | P.Catalog.Avl ix -> Mmdb_verify.Audit.Avl (name ^ ".avl", ix)
-            (* perf_lint: audit labels; one concat per index *)
-            | P.Catalog.Btree ix -> Mmdb_verify.Audit.Btree (name ^ ".btree", ix))
-          (P.Catalog.indexes t.cat name))
-      names
-  in
-  Mmdb_verify.Audit.run_all comps
+  List.concat_map
+    (fun name ->
+      List.map
+        (function
+          (* perf_lint: audit labels; one concat per index *)
+          | P.Catalog.Avl ix -> (name ^ ".avl", Mmdb_verify.Audit.avl ix)
+          (* perf_lint: audit labels; one concat per index *)
+          | P.Catalog.Btree ix ->
+            (name ^ ".btree", Mmdb_verify.Audit.btree ix))
+        (P.Catalog.indexes t.cat name))
+    (List.sort compare (table_names t))
 
 let explain t expr =
   P.Optimizer.explain (P.Optimizer.plan t.cat t.planner_cfg expr)

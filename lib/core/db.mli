@@ -74,8 +74,9 @@ val check : t -> Mmdb_planner.Algebra.expr -> Mmdb_util.Diag.t list
     executing. *)
 
 val audit : t -> (string * Mmdb_util.Diag.t list) list
-(** Run {!Mmdb_verify.Audit} over every index of every table (components
-    named ["table.avl"] / ["table.btree"], sorted). *)
+(** Check every index of every table with {!Mmdb_verify.Audit.avl} or
+    {!Mmdb_verify.Audit.btree}, each result named ["table.avl"] /
+    ["table.btree"], sorted by table. *)
 
 val sql : t -> string -> Mmdb_storage.Tuple.value list list
 (** [sql db "SELECT dept, COUNT( * ) FROM emp GROUP BY dept"] — parse

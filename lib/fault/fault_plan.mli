@@ -97,7 +97,7 @@ val ride_transient :
 
 val of_spec : string -> (rule list, string) result
 (** Parse a comma-separated fault list as accepted by
-    [mmdb_cli check torture --faults] / [mmdb_cli stats --faults]:
+    [mmdb_cli stats --faults] (the torture property draws its atoms):
     ["torn-tail"], ["bitflip"], ["io-error"], ["battery-droop"],
     ["snapshot-rot"], ["media"], ["storm"], or ["none"].
     See {!spec_names}. *)

@@ -1,7 +1,8 @@
 (** Real-parallelism shim for the replay engine: [Domain.spawn] and
     [Domain.join] behind one call.  {!Replay} uses it only for
     wall-clock runs; the deterministic simulated scheduler never spawns
-    domains, so tests and torture sweeps do not depend on it. *)
+    domains.  The torture property draws both, so a case that replays on
+    domains must recover the same state as the simulated one. *)
 
 val available : bool
 (** Always [true]: the build requires OCaml 5, so [run] executes its

@@ -2,10 +2,18 @@ module Fault = Mmdb_fault.Fault
 module Fault_plan = Mmdb_fault.Fault_plan
 module Overload = Mmdb_overload.Overload
 
+(* When a page survives a crash.  The ordinary case is an immediate, so
+   an unprotected page carries no extra word. *)
+type durability =
+  | On_completion
+  | Battery_backed of float
+      (* from the instant the drain queued the page and dropped its
+         records from stable memory, before a busy device starts it *)
+
 type page = {
   start : float; (* when the device began writing this page *)
   completion : float;
-  protected : bool; (* battery-backed: durable from [start] *)
+  durability : durability;
   records : Log_record.t list;
   image : bytes option; (* physical encoding; built when faults armed *)
 }
@@ -113,7 +121,8 @@ let write_page t ?(protected = false) ?(compressed = false) ~at records ~bytes
   let start = Float.max (at +. delay) t.busy in
   let completion = start +. t.page_write_time in
   t.busy <- completion;
-  t.pages <- { start; completion; protected; records; image } :: t.pages;
+  let durability = if protected then Battery_backed at else On_completion in
+  t.pages <- { start; completion; durability; records; image } :: t.pages;
   t.npages <- t.npages + 1;
   t.nbytes <- t.nbytes + bytes;
   (* Keep the shared clock monotone with device activity. *)
@@ -125,7 +134,9 @@ let pages_written t = t.npages
 let bytes_written t = t.nbytes
 
 let page_durable p ~at =
-  p.completion <= at || (p.protected && p.start <= at)
+  match p.durability with
+  | On_completion -> p.completion <= at
+  | Battery_backed queued -> queued <= at
 
 let durable_records t ~at =
   List.concat_map
@@ -191,7 +202,7 @@ let surviving_pages t ~at =
              match p.image with
              | None -> [ (p.completion, p.records) ]
              | Some img -> [ (p.completion, decode_image t ~idx img) ]
-           else if p.start <= at && at < p.completion && not p.protected then
+           else if p.start <= at && at < p.completion then
              (* The page in flight at the crash: with a torn-write rule
                 armed, a checksum-valid prefix of it persists. *)
              match (Fault_plan.peek t.faults Fault.Log_write, p.image) with

@@ -4,7 +4,9 @@
     paper's 10 ms for a 4096-byte page with no seek).  Writes queue:
     a write issued at time [t] starts at [max t busy_until] and the device
     is busy until it completes.  Completed pages are durable; a crash at
-    time [T] preserves exactly the pages whose write completed by [T]. *)
+    time [T] preserves exactly the pages whose write completed by [T],
+    and the protected (battery-backed) pages queued by [T], even those
+    still waiting behind a busy device. *)
 
 type t
 

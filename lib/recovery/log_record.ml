@@ -199,8 +199,6 @@ let decode_run buf ~pos ~len =
     invalid_arg "Log_record.decode_run: out of bounds";
   let rec go off acc =
     if off >= pos + len then (List.rev acc, None)
-    else if Bytes.get buf off = '\000' then (List.rev acc, None)
-      (* zero padding after the last record of a partly-filled page *)
     else
       match decode buf ~pos:off with
       | Ok (r, size) when off + size <= pos + len -> go (off + size) (r :: acc)

@@ -83,8 +83,9 @@ val decode : bytes -> pos:int -> (t * int, string) result
     are never undone. *)
 
 val decode_run : bytes -> pos:int -> len:int -> t list * string option
-(** Decode a packed run of records, stopping at zero padding, the end of
-    the window, or the first undecodable byte.  Returns the records that
-    decoded cleanly and the error that stopped the walk, if any — the
-    torn-tail truncation primitive: everything before the error is
-    checksum-valid, everything after is discarded. *)
+(** Decode a packed run of records, stopping at the end of the window or
+    the first undecodable byte.  A page image has no padding, so a zero
+    byte where a record should start is a bad tag, not an end.  Returns
+    the records that decoded cleanly and the error that stopped the
+    walk, if any — the torn-tail truncation primitive: everything
+    before the error is checksum-valid, everything after is discarded. *)

@@ -74,6 +74,8 @@ type outcome = {
   fault_events : (string * int) list;
 }
 
+(* exn_flow: Crashed_during_recovery fires only with [crash_after_steps],
+   whose one call runs under its handler; the restart passes none. *)
 let run cfg =
   let rng = U.Xorshift.create cfg.seed in
   let clock = S.Sim_clock.create () in
@@ -227,8 +229,8 @@ let run cfg =
      restart-crash (FAULT012) loses the volatile replay state; the
      durable snapshot pages written back before the crash carry their
      advanced redo/undo floors, so running recovery again from scratch
-     is correct — that is the property the torture sweep's
-     restart-crash points check. *)
+     is correct — that is the property the torture cases with a
+     restart crash check. *)
   let replay_recorder =
     if cfg.replay.record_replay then
       Some (Schedule.recorder ~now:(fun () -> 0.0))

@@ -121,8 +121,8 @@ type outcome = {
 val run : config -> outcome
 (** Drive the whole workload → crash → recover cycle described by
     [config].
+    When [replay.crash_steps] fires mid-recovery, [run] catches
+    {!Kv_store.Crashed_during_recovery}, notes FAULT012 and runs recovery
+    again from the surviving durable state ([recovery_attempts = 2]).
     @raise Mmdb_fault.Fault.Io_error from the log or snapshot device
-    when the armed fault plan exhausts the retry budget.
-    @raise Kv_store.Crashed_during_recovery when [crash_after_steps]
-    fires mid-replay (restart-crash testing; the driver re-runs
-    recovery). *)
+    when the armed fault plan exhausts the retry budget. *)

@@ -10,8 +10,8 @@ type strategy =
 type ticket = { tkt_txn : int; mutable completion : float option }
 
 (* A simulator flushed its WAL yet a commit ticket never resolved —
-   the flush contract is broken.  Typed (with the offending simulator
-   and transaction) so the torture harness can classify it. *)
+   the flush contract is broken.  Typed, with the offending simulator
+   and transaction. *)
 exception Unresolved_ticket of { sim : string; txn : int }
 
 let () =

@@ -33,8 +33,8 @@ type ticket
 exception Unresolved_ticket of { sim : string; txn : int }
 (** A commit ticket survived a full flush unresolved — the flush
     contract is broken.  Raised by the simulators ({!Tps_sim},
-    {!Mvcc_sim}) rather than a stringly [Failure] so the torture
-    harness can classify it. *)
+    {!Mvcc_sim}) rather than a stringly [Failure], with a printer that
+    names the simulator and the transaction. *)
 
 val create : ?page_write_time:float -> ?page_bytes:int ->
   ?faults:Mmdb_fault.Fault_plan.t ->
@@ -52,7 +52,8 @@ val create : ?page_write_time:float -> ?page_bytes:int ->
     [strict_page_order] (default [false]) chains a page that continues a
     straddling transaction behind the completion of the page holding its
     earlier records.  Required whenever a crash can land mid-page-write
-    (the torture harness always enables it): otherwise a straddler's
+    ({!Recovery_manager} enables it for every [crash_at] run and every
+    armed fault plan): otherwise a straddler's
     commit record can become durable on an idle device while its update
     records are still in flight on a busier one.  The default preserves
     the seed's fully-parallel partitioned timing, which is safe when

@@ -1,46 +1,45 @@
 module Fault = Mmdb_fault.Fault
 module Fault_plan = Mmdb_fault.Fault_plan
 module R = Mmdb_recovery
-
-type verdict =
-  | Clean
-  | Repaired
-  | Flagged of string list
-  | Silent of string list
+module RM = R.Recovery_manager
+module Gen = QCheck2.Gen
 
 type failure = {
-  f_strategy : string;
-  f_spec : string;
-  f_crash_at : float;
-  f_crash_steps : int option;
-  f_violations : string list;
-}
-
-type combo = {
-  cb_strategy : string;
-  cb_spec : string;
-  cb_runs : int;
-  cb_clean : int;
-  cb_repaired : int;
-  cb_flagged : int;
-  cb_silent : int;
+  spec : string;
+  config : RM.config;
+  violations : string list;
 }
 
 type report = {
-  combos : combo list;
-  total_runs : int;
+  runs : int;
   restart_runs : int;
-  silent : failure list;
-  flagged : failure list;
+  flagged : int;
   tally : Fault.tally;
   events : (string * int) list;
+  counterexample : failure option;
 }
 
-let default_specs =
-  [ "none"; "torn-tail"; "bitflip"; "torn-tail,bitflip"; "io-error";
-    "battery-droop"; "media"; "snapshot-rot" ]
+type crash =
+  | After of int  (** right after this many submissions *)
+  | At of int  (** a position on [scale] over the probe's crash instants *)
 
-let default_strategies =
+(* One drawn case.  The crash instant and the restart-crash step are
+   positions on [scale], resolved against probe runs of the same
+   configuration, so a position that shrinks moves its crash earlier. *)
+type case = {
+  strategy : R.Wal.strategy;
+  atoms : string list;
+  txns : int;
+  crash : crash;
+  steps : int option;  (** a position on [scale] over the replay's steps *)
+  workers : int;
+  logging : RM.logging_mode;
+  domains : bool;
+}
+
+let scale = 1024
+
+let strategies =
   [
     R.Wal.Conventional;
     R.Wal.Group_commit;
@@ -48,86 +47,112 @@ let default_strategies =
     R.Wal.Stable { devices = 2; capacity_bytes = 8192; compressed = true };
   ]
 
-(* Sweep under the hardest replay configuration: four partitions with
-   adaptive logging, so every crash point also exercises
-   cross-partition commands split by partition and the value/command
-   decision.  Simulated scheduler keeps the sweep deterministic in
-   [seed]. *)
-let default_replay =
-  {
-    R.Recovery_manager.workers = 4;
-    use_domains = false;
-    logging = R.Recovery_manager.Adaptive_logging;
-    crash_steps = None;
-    record_replay = false;
-  }
+let atoms =
+  List.filter_map
+    (fun (name, _) -> if name = "none" then None else Some name)
+    Fault_plan.spec_names
 
-(* Small, contended workload: every run is milliseconds, so the sweep can
-   afford hundreds of crash points. *)
-let base_config ~seed ~txns strategy rules =
+let gen =
+  let open Gen in
+  let* txns = int_range 1 48
+  and* steps = option ~ratio:0.5 (int_bound (scale - 1)) in
+  let+ strategy = oneofl strategies
+  and+ atoms = list_size (int_bound 2) (oneofl atoms)
+  and+ crash =
+    oneof
+      [
+        map (fun k -> After k) (int_range 1 txns);
+        map (fun p -> At p) (int_bound (scale - 1));
+      ]
+  and+ workers = int_range 1 4
+  and+ logging =
+    oneofl [ RM.Value_logging; RM.Command_logging; RM.Adaptive_logging ]
+  and+ domains = if steps = None then bool else pure false in
+  { strategy; atoms; txns; crash; steps; workers; logging; domains }
+
+let spec_of c = if c.atoms = [] then "none" else String.concat "," c.atoms
+
+(* Small, contended workload: every run is milliseconds, so a check can
+   afford thousands of cases. *)
+let base_config ~seed c =
+  let faults =
+    match Fault_plan.of_spec (spec_of c) with
+    | Ok rules -> rules
+    (* perf_lint: error path; raises immediately *)
+    | Error m -> invalid_arg ("Torture: bad fault atom: " ^ m)
+  in
   {
-    R.Recovery_manager.default_config with
-    R.Recovery_manager.nrecords = 64;
+    RM.default_config with
+    RM.nrecords = 64;
     records_per_page = 8;
     updates_per_txn = 4;
-    n_txns = txns;
-    checkpoint_every = Some (max 4 (txns / 3));
-    strategy;
-    faults = rules;
+    n_txns = c.txns;
+    checkpoint_every = Some (max 4 (c.txns / 3));
+    strategy = c.strategy;
+    faults;
     seed;
-    replay = default_replay;
+    replay =
+      { RM.default_replay with RM.workers = c.workers; logging = c.logging };
   }
 
-(* Candidate crash instants for one (strategy, spec) combination, taken
-   from a crash-free probe run: just after each log-page write is issued
-   and at its midpoint (mid-page-write torture), between transaction
-   arrivals, and well past quiesce (clean-shutdown control). *)
-let crash_points (probe : R.Recovery_manager.outcome) ~txns ~max_points =
-  let pts = ref [] in
-  let last_completion = ref 0.0 in
-  List.iter
-    (fun (s, c) ->
-      last_completion := Float.max !last_completion c;
-      pts := (s +. 1e-6) :: ((s +. c) /. 2.0) :: !pts)
-    probe.R.Recovery_manager.page_spans;
-  let stride = max 1 (txns / 8) in
-  let i = ref 0 in
-  while !i < txns do
-    pts := ((float_of_int !i *. 1e-3) +. 5e-4) :: !pts;
-    i := !i + stride
-  done;
-  pts := (!last_completion +. 1.0) :: !pts;
-  let all = List.sort_uniq compare (List.filter (fun t -> t > 0.0) !pts) in
-  let n = List.length all in
-  if n <= max_points then all
-  else
-    (* Evenly subsample to the cap. *)
-    List.filteri (fun i _ -> i * max_points / n <> (i - 1) * max_points / n) all
-
-(* The sweep's central property: no silent corruption.  Either every
-   invariant holds, or the fault plane reported an unrecoverable loss
-   (battery droop dropping acknowledged commits, at-rest media damage
-   destroying committed log records).  An invariant violation without an
-   unrecoverable report is a bug in the recovery stack. *)
-let evaluate (o : R.Recovery_manager.outcome) =
-  let violations =
-    List.filter_map
-      (fun (bad, name) -> if bad then Some name else None)
-      [
-        (not o.R.Recovery_manager.consistent, "state diverges from golden replay");
-        (not o.R.Recovery_manager.money_conserved, "money not conserved");
-        (not o.R.Recovery_manager.durability_ok, "acknowledged commit lost");
-        ( not (Log_check.ok ~complete:false o.R.Recovery_manager.durable_log),
-          "durable log fails protocol audit" );
-      ]
+(* Crash instants a crash-free probe of [cfg] exposes: just after each
+   log-page write starts and at its midpoint, between arrivals, and
+   well past quiesce (a clean-shutdown control). *)
+let crash_instants cfg =
+  let spans = (RM.run cfg).RM.page_spans in
+  let quiesce = List.fold_left (fun acc (_, c) -> Float.max acc c) 0.0 spans in
+  let arrivals =
+    List.init cfg.RM.n_txns (fun i -> (float_of_int i *. 1e-3) +. 5e-4)
   in
-  match violations with
-  | [] ->
-    if Fault.tally_total o.R.Recovery_manager.fault_tally = 0 then Clean
-    else Repaired
-  | v ->
-    if o.R.Recovery_manager.fault_tally.Fault.unrecoverable > 0 then Flagged v
-    else Silent v
+  List.concat_map (fun (s, c) -> [ s +. 1e-6; (s +. c) /. 2.0 ]) spans
+  |> List.rev_append arrivals
+  |> List.cons (quiesce +. 1.0)
+  |> List.filter (fun t -> t > 0.0)
+  |> List.sort_uniq compare |> Array.of_list
+
+(* The config a case runs: its crash resolved against a crash-free
+   probe, and its restart crash against the same crash's recovery run
+   without one, as a step in [1, redo + undo + pages written back]. *)
+let resolve ~seed c =
+  let cfg = base_config ~seed c in
+  let cfg =
+    match c.crash with
+    | After k -> { cfg with RM.crash_after = Some k }
+    | At p ->
+      let instants = crash_instants cfg in
+      let at = instants.(p * Array.length instants / scale) in
+      { cfg with RM.crash_at = Some at }
+  in
+  let crash_steps =
+    Option.map
+      (fun p ->
+        let rs = (RM.run cfg).RM.recover_stats in
+        let total =
+          rs.R.Kv_store.redo_applied + rs.R.Kv_store.undo_applied
+          + rs.R.Kv_store.pages_written_back
+        in
+        1 + (p * max 1 total / scale))
+      c.steps
+  in
+  { cfg with
+    RM.replay =
+      { cfg.RM.replay with RM.crash_steps; use_domains = c.domains } }
+
+let violations (o : RM.outcome) =
+  List.filter_map
+    (fun (bad, name) -> if bad then Some name else None)
+    [
+      (not o.RM.consistent, "state diverges from golden replay");
+      (not o.RM.money_conserved, "money not conserved");
+      (not o.RM.durability_ok, "acknowledged commit lost");
+      ( not (Log_check.ok ~complete:false o.RM.durable_log),
+        "durable log fails protocol audit" );
+    ]
+
+(* A broken invariant the fault plane reported unrecoverable.  Any
+   other violation is silent corruption. *)
+let flagged (o : RM.outcome) v =
+  v <> [] && o.RM.fault_tally.Fault.unrecoverable > 0
 
 let add_tally ~into (t : Fault.tally) =
   into.Fault.injected <- into.Fault.injected + t.Fault.injected;
@@ -137,161 +162,110 @@ let add_tally ~into (t : Fault.tally) =
   into.Fault.unrecoverable <- into.Fault.unrecoverable + t.Fault.unrecoverable;
   into.Fault.retry_backoff <- into.Fault.retry_backoff +. t.Fault.retry_backoff
 
-(* Up to [k] crash points spread evenly across [points] (first, interior,
-   last): the late points sit past quiesce, where the merged log is
-   longest and a mid-replay crash interrupts the most work. *)
-let spread_points k points =
-  let arr = Array.of_list points in
-  let n = Array.length arr in
-  if n = 0 || k <= 0 then []
-  else begin
-    let k = min k n in
-    List.init k (fun i -> arr.(i * (n - 1) / max 1 (k - 1)))
-    |> List.sort_uniq compare
-  end
-
-(* The restart-crash matrix: this many crash points per combo, each re-run
-   once per entry of [restart_steps] with the recovery itself crashed after
-   that many replay/write-back steps. *)
-let restart_points_per_combo = 3
-let restart_steps = [ 1; 8; 64 ]
-
-let run ?(seed = 7) ?(txns = 48) ?(specs = default_specs)
-    ?(strategies = default_strategies) ?(max_points_per_combo = 32) () =
-  if txns < 1 then invalid_arg "Torture.run: txns < 1";
-  if max_points_per_combo < 1 then
-    invalid_arg "Torture.run: max_points_per_combo < 1";
-  let combos = ref [] in
-  let silent = ref [] in
-  let flagged = ref [] in
-  let total = ref 0 in
-  let restarts = ref 0 in
+let run ?(seed = 7) ?(count = 2000) () =
+  if count < 1 then invalid_arg "Torture.run: count < 1";
+  let runs = ref 0 and restarts = ref 0 and nflagged = ref 0 in
   let tally = Fault.tally_create () in
   let events = Hashtbl.create 16 in
-  List.iter
-    (fun strategy ->
-      let label = R.Tps_sim.strategy_label strategy in
+  (* Runs made while shrinking stay out of the report. *)
+  let drawing = ref true in
+  let handler _ _ = function
+    | QCheck2.Test.Testing _ -> drawing := true
+    | QCheck2.Test.Shrunk _ | QCheck2.Test.Shrinking _ -> drawing := false
+    | QCheck2.Test.Generating | QCheck2.Test.Collecting _ -> ()
+  in
+  let prop c =
+    let o = RM.run (resolve ~seed c) in
+    let v = violations o in
+    if !drawing then begin
+      incr runs;
+      restarts := !restarts + (o.RM.recovery_attempts - 1);
+      add_tally ~into:tally o.RM.fault_tally;
       List.iter
-        (fun spec ->
-          let rules =
-            match Fault_plan.of_spec spec with
-            | Ok r -> r
-            (* perf_lint: error path; raises immediately *)
-            | Error m -> invalid_arg ("Torture: bad fault spec: " ^ m)
-          in
-          let cfg = base_config ~seed ~txns strategy rules in
-          let probe = R.Recovery_manager.run cfg in
-          let points =
-            crash_points probe ~txns ~max_points:max_points_per_combo
-          in
-          let cb = ref
-              {
-                cb_strategy = label;
-                cb_spec = spec;
-                cb_runs = 0;
-                cb_clean = 0;
-                cb_repaired = 0;
-                cb_flagged = 0;
-                cb_silent = 0;
-              }
-          in
-          let exec ~ct ~steps =
-            let o =
-              R.Recovery_manager.run
-                { cfg with
-                  R.Recovery_manager.crash_at = Some ct;
-                  replay =
-                    { cfg.R.Recovery_manager.replay with
-                      R.Recovery_manager.crash_steps = steps };
-                }
-            in
-            incr total;
-            restarts :=
-              !restarts + max 0 (o.R.Recovery_manager.recovery_attempts - 1);
-            add_tally ~into:tally o.R.Recovery_manager.fault_tally;
-            List.iter
-              (fun (code, n) ->
-                Hashtbl.replace events code
-                  (n + Option.value ~default:0 (Hashtbl.find_opt events code)))
-              o.R.Recovery_manager.fault_events;
-            let fail v =
-              {
-                f_strategy = label;
-                f_spec = spec;
-                f_crash_at = ct;
-                f_crash_steps = steps;
-                f_violations = v;
-              }
-            in
-            match evaluate o with
-            | Clean ->
-              cb := { !cb with cb_runs = !cb.cb_runs + 1;
-                      cb_clean = !cb.cb_clean + 1 }
-            | Repaired ->
-              cb := { !cb with cb_runs = !cb.cb_runs + 1;
-                      cb_repaired = !cb.cb_repaired + 1 }
-            | Flagged v ->
-              flagged := fail v :: !flagged;
-              cb := { !cb with cb_runs = !cb.cb_runs + 1;
-                      cb_flagged = !cb.cb_flagged + 1 }
-            | Silent v ->
-              silent := fail v :: !silent;
-              cb := { !cb with cb_runs = !cb.cb_runs + 1;
-                      cb_silent = !cb.cb_silent + 1 }
-          in
-          List.iter (fun ct -> exec ~ct ~steps:None) points;
-          (* Restart-crash runs: crash at [ct], then crash {e again} after
-             [n] replay/write-back steps of the resulting recovery, restart,
-             and demand the same no-silent-corruption property. *)
-          List.iter
-            (fun ct ->
-              List.iter (fun n -> exec ~ct ~steps:(Some n)) restart_steps)
-            (spread_points restart_points_per_combo points);
-          combos := !cb :: !combos)
-        specs)
-    strategies;
+        (fun (code, n) ->
+          Hashtbl.replace events code
+            (n + Option.value ~default:0 (Hashtbl.find_opt events code)))
+        o.RM.fault_events;
+      if flagged o v then incr nflagged
+    end;
+    v = [] || flagged o v
+  in
+  let cell =
+    QCheck2.Test.make_cell ~count ~max_fail:1 ~name:"torture" gen prop
+  in
+  let result =
+    QCheck2.Test.check_cell ~handler ~rand:(Random.State.make [| seed |]) cell
+  in
+  let failure c ~raised =
+    let config = resolve ~seed c in
+    let violations =
+      match raised with
+      | Some e -> [ "raised " ^ Printexc.to_string e ]
+      | None -> violations (RM.run config)
+    in
+    { spec = spec_of c; config; violations }
+  in
+  let counterexample =
+    match QCheck2.TestResult.get_state result with
+    | QCheck2.TestResult.Success -> None
+    | QCheck2.TestResult.Failed { instances } ->
+      List.nth_opt instances 0
+      |> Option.map (fun i ->
+             failure i.QCheck2.TestResult.instance ~raised:None)
+    | QCheck2.TestResult.Error { instance; exn; _ } ->
+      Some (failure instance.QCheck2.TestResult.instance ~raised:(Some exn))
+    | QCheck2.TestResult.Failed_other { msg } -> failwith msg
+  in
   {
-    combos = List.rev !combos;
-    total_runs = !total;
+    runs = !runs;
     restart_runs = !restarts;
-    silent = List.rev !silent;
-    flagged = List.rev !flagged;
+    flagged = !nflagged;
     tally;
     events =
       Hashtbl.fold (fun c n acc -> (c, n) :: acc) events []
       |> List.sort compare;
+    counterexample;
   }
 
-let ok r = r.silent = []
+let ok r = r.counterexample = None
 
 let pp_failure ppf f =
-  Format.fprintf ppf "%-14s %-20s crash_at=%.6f%s: %s" f.f_strategy f.f_spec
-    f.f_crash_at
-    (match f.f_crash_steps with
-    | None -> ""
-    | Some n -> Printf.sprintf " crash_steps=%d" n)
-    (String.concat "; " f.f_violations)
+  let c = f.config in
+  let r = c.RM.replay in
+  Format.fprintf ppf
+    "%s, faults %s, %d txns (checkpoint every %d), %s%s, %d worker(s), %s \
+     logging%s, seed %d: %s"
+    (R.Tps_sim.strategy_label c.RM.strategy)
+    f.spec c.RM.n_txns
+    (Option.value ~default:0 c.RM.checkpoint_every)
+    (match (c.RM.crash_at, c.RM.crash_after) with
+    | Some t, _ -> Printf.sprintf "crash_at %.9g" t
+    | None, Some k -> Printf.sprintf "crash_after %d" k
+    | None, None -> "no crash")
+    (match r.RM.crash_steps with
+    | Some n -> Printf.sprintf ", crash_steps %d" n
+    | None -> "")
+    r.RM.workers
+    (match r.RM.logging with
+    | RM.Value_logging -> "value"
+    | RM.Command_logging -> "command"
+    | RM.Adaptive_logging -> "adaptive")
+    (if r.RM.use_domains then " on domains" else "")
+    c.RM.seed
+    (String.concat "; " f.violations)
 
 let pp ppf r =
-  Format.fprintf ppf "%-14s %-20s %5s %6s %9s %8s %7s@." "strategy" "faults"
-    "runs" "clean" "repaired" "flagged" "silent";
-  List.iter
-    (fun cb ->
-      Format.fprintf ppf "%-14s %-20s %5d %6d %9d %8d %7d@." cb.cb_strategy
-        cb.cb_spec cb.cb_runs cb.cb_clean cb.cb_repaired cb.cb_flagged
-        cb.cb_silent)
-    r.combos;
   Format.fprintf ppf
-    "@.%d crash-recovery runs (%d mid-replay restarts); faults %a@."
-    r.total_runs r.restart_runs Fault.pp_tally r.tally;
+    "%d crash-recovery runs (%d mid-replay restarts, %d flagged \
+     unrecoverable); faults %a@."
+    r.runs r.restart_runs r.flagged Fault.pp_tally r.tally;
   if r.events <> [] then begin
     Format.fprintf ppf "fault events:";
     List.iter (fun (c, n) -> Format.fprintf ppf " %s=%d" c n) r.events;
     Format.fprintf ppf "@."
   end;
-  List.iter (fun f -> Format.fprintf ppf "SILENT: %a@." pp_failure f) r.silent;
-  if r.silent = [] then
-    Format.fprintf ppf "torture: ok (no silent corruption)@."
-  else
-    Format.fprintf ppf "torture: %d silent corruption case(s)@."
-      (List.length r.silent)
+  match r.counterexample with
+  | None -> Format.fprintf ppf "torture: ok (no silent corruption)@."
+  | Some f ->
+    Format.fprintf ppf "SILENT (shrunk): %a@." pp_failure f;
+    Format.fprintf ppf "torture: silent corruption@."

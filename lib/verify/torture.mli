@@ -1,93 +1,68 @@
-(** Crash-point torture harness.
+(** Crash-point torture: one shrinking property over
+    {!Mmdb_recovery.Recovery_manager.run}.
 
-    Sweeps the end-to-end recovery stack ({!Mmdb_recovery.Recovery_manager})
-    across every schedulable crash instant — between transaction
-    arrivals, just after each log-page write is issued, mid-page-write,
-    and past quiesce — for each WAL commit strategy, with and without an
-    armed fault plan (torn log tails, read/rest bit flips, transient I/O
-    errors, snapshot rot, stable-memory battery droop).
+    Each case draws one point of the crash space and runs the end-to-end
+    recovery stack through it:
+    - a WAL commit strategy (conventional, group commit, partitioned-2,
+      or compressed stable memory small enough to drain under torture);
+    - 0-2 fault atoms of {!Mmdb_fault.Fault_plan.spec_names};
+    - a workload of 1-48 transactions, checkpointed every
+      [max 4 (txns / 3)];
+    - the crash: after [k] submissions, or at one of the instants a
+      crash-free probe of the same configuration exposes (just after a
+      log-page write starts, mid-page-write, between arrivals, past
+      quiesce);
+    - optionally a second crash of the {e recovery itself} after a drawn
+      number of its replay, undo and write-back steps, followed by a
+      restart (FAULT012);
+    - the replay configuration: 1-4 workers, value, command or adaptive
+      logging, and real domains when recovery is not crashed.
 
-    The property checked is {e no silent corruption}: every run must
-    either satisfy all recovery invariants (recovered state equals the
-    golden replay, money conserved, every acknowledged commit durable,
-    durable log passes the protocol audit) or carry an explicit
-    unrecoverable-fault report in its tally (battery droop losing
-    acknowledged commits, at-rest media damage destroying committed log
-    records).  An invariant violation with a quiet fault plane is a bug
-    in the recovery stack and fails the sweep. *)
-
-type verdict =
-  | Clean  (** all invariants hold, no faults were even injected *)
-  | Repaired  (** faults injected; detected/repaired; invariants hold *)
-  | Flagged of string list
-      (** invariants violated, but the loss was reported unrecoverable *)
-  | Silent of string list
-      (** invariants violated with no unrecoverable report — a bug *)
+    The property is {e no silent corruption}: every run either satisfies
+    all recovery invariants (recovered state equals the golden replay,
+    money conserved, every acknowledged commit durable, durable log
+    passes the protocol audit) or carries an explicit unrecoverable-fault
+    report in its tally (battery droop losing acknowledged commits,
+    at-rest media damage destroying committed log records).  A violation
+    with a quiet fault plane is a bug in the recovery stack; QCheck2
+    shrinks it toward fewer transactions, earlier crashes, fewer fault
+    atoms, one worker and value logging. *)
 
 type failure = {
-  f_strategy : string;
-  f_spec : string;
-  f_crash_at : float;
-  f_crash_steps : int option;
-      (** [Some n]: recovery itself was crashed after [n] replay steps
-          and restarted before this verdict was taken *)
-  f_violations : string list;
-}
-
-type combo = {
-  cb_strategy : string;
-  cb_spec : string;
-  cb_runs : int;
-  cb_clean : int;
-  cb_repaired : int;
-  cb_flagged : int;
-  cb_silent : int;
+  spec : string;  (** the fault atoms, comma-separated, or ["none"] *)
+  config : Mmdb_recovery.Recovery_manager.config;
+      (** the failing run, replayable with
+          {!Mmdb_recovery.Recovery_manager.run} *)
+  violations : string list;
+      (** the broken invariants, or the exception the run raised *)
 }
 
 type report = {
-  combos : combo list;  (** one row per strategy x fault-spec pair *)
-  total_runs : int;
+  runs : int;  (** crash-recovery runs over drawn cases (shrinking excluded) *)
   restart_runs : int;
-      (** recoveries that were crashed mid-replay and restarted
-          (FAULT012); a restart run whose crash budget outlasts the
-          replay counts zero *)
-  silent : failure list;  (** the sweep fails iff nonempty *)
-  flagged : failure list;
-  tally : Mmdb_fault.Fault.tally;  (** aggregated over all runs *)
+      (** runs whose recovery was crashed mid-replay and restarted; a
+          crash budget that outlasts the replay counts zero *)
+  flagged : int;
+      (** runs that broke an invariant but reported the loss
+          unrecoverable *)
+  tally : Mmdb_fault.Fault.tally;  (** aggregated over the runs *)
   events : (string * int) list;  (** FAULT-code event counts, aggregated *)
+  counterexample : failure option;
+      (** the first silent-corruption case, shrunk; the run fails iff
+          [Some] *)
 }
 
-val run :
-  ?seed:int -> ?txns:int -> ?specs:string list ->
-  ?strategies:Mmdb_recovery.Wal.strategy list -> ?max_points_per_combo:int ->
-  unit -> report
-(** [run ()] sweeps every strategy x spec pair.  [specs] defaults to
-    ["none"], each single-fault spec and ["torn-tail,bitflip"];
-    [strategies] to conventional, group commit, partitioned-2 and
-    compressed stable memory (small capacity, so drains happen under
-    torture).  Crash points are harvested from a crash-free probe run of
-    the same configuration (its page-write spans and arrival times),
-    capped at [max_points_per_combo] (default 32) per pair.
-    Deterministic in [seed] (default 7): workload, fault schedule, and
-    crash points are all derived from it.
-
-    Every run replays on four partitions with adaptive logging under the
-    simulated scheduler: the hardest deterministic replay configuration,
-    so every harvested crash point also exercises cross-partition
-    commands split by partition and the value-vs-command logging
-    decision.  On top of the plain sweep, 3 crash points spread across
-    each combo's range are re-run with the {e recovery itself} crashed
-    after 1, 8 and 64 replay/write-back steps and restarted — the
-    restart-crash matrix.  Those runs obey the same no-silent-corruption
-    property and are counted in [report.restart_runs].
-
-    @raise Invalid_argument if [txns] or [max_points_per_combo] is below
-    1 (a sweep over no transactions or no crash points proves nothing),
-    or a spec in [specs] does not parse. *)
+val run : ?seed:int -> ?count:int -> unit -> report
+(** [run ()] checks the property on [count] (default 2000) cases drawn
+    from a generator seeded with [seed] (default 7), which also seeds
+    each run's workload and fault plan.  Stops at the first
+    counterexample and shrinks it.  Deterministic in [seed] and [count].
+    @raise Invalid_argument if [count] is below 1 (a run over no cases
+    proves nothing). *)
 
 val ok : report -> bool
-(** No silent-corruption failures. *)
+(** No silent-corruption counterexample. *)
 
 val pp : Format.formatter -> report -> unit
-(** Per-combo table, aggregate tally, FAULT-event counts, and any silent
-    failures. *)
+(** Run and restart counts, aggregate tally, FAULT-event counts, and the
+    shrunk counterexample if any. *)

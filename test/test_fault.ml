@@ -1,8 +1,8 @@
 (* Fault-plane tests: CRC-32 checksums, the log wire encoding and its
    corruption detection, torn-tail truncation at every cut point, typed
    storage faults (transient retry, pool rot + scrub), stable-memory
-   battery droop, and the crash-point torture sweep's determinism and
-   no-silent-corruption property. *)
+   battery droop, and the crash-point torture property's determinism,
+   its no-silent-corruption verdict and the counterexamples it shrank. *)
 
 module U = Mmdb_util
 module S = Mmdb_storage
@@ -146,6 +146,29 @@ let test_decode_run_every_cut () =
       true
       (decoded
       = List.filteri (fun i _ -> i < expect) sample_records)
+  done
+
+(* Shrunk by the torture property (conventional commit, bitflip plus
+   snapshot-rot, 37 transactions, crash after 34): a read flip that
+   turned a Begin tag (1) into 0 made the page look zero-padded, so the
+   run ended clean and the transaction's commit was dropped unreported.
+   Every single-bit flip anywhere in a page must stop the run with an
+   error, never end it quietly short. *)
+let test_decode_run_detects_any_bit_flip () =
+  let page =
+    Bytes.concat Bytes.empty
+      (List.map (L.encode ~compressed:false) sample_records)
+  in
+  let len = Bytes.length page in
+  for byte = 0 to len - 1 do
+    for bit = 0 to 7 do
+      let c = Bytes.copy page in
+      Bytes.set c byte
+        (Char.chr (Char.code (Bytes.get c byte) lxor (1 lsl bit)));
+      match L.decode_run c ~pos:0 ~len with
+      | _, Some _ -> ()
+      | _, None -> Alcotest.failf "byte %d bit %d: run ended clean" byte bit
+    done
   done
 
 (* ------------------------------------------------------------------ *)
@@ -513,66 +536,114 @@ let test_txn_db_media_recovery () =
 (* Torture sweep                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let small_sweep seed =
-  V.Torture.run ~seed ~txns:24 ~specs:[ "none"; "torn-tail,bitflip" ]
-    ~max_points_per_combo:8 ()
+module RM = R.Recovery_manager
+
+let torture ~seed ~count = V.Torture.run ~seed ~count ()
 
 let test_torture_seeds_clean () =
   List.iter
     (fun seed ->
-      let r = small_sweep seed in
+      let r = torture ~seed ~count:500 in
       checkb (Printf.sprintf "seed %d no silent corruption" seed) true
         (V.Torture.ok r);
+      checki (Printf.sprintf "seed %d ran every case" seed) 500
+        r.V.Torture.runs;
       checkb
-        (Printf.sprintf "seed %d covers all strategies" seed)
+        (Printf.sprintf "seed %d crashed recovery itself" seed)
         true
-        (List.length r.V.Torture.combos = 2 * 4))
+        (r.V.Torture.restart_runs > 0))
     [ 7; 11; 13 ]
 
 let test_torture_deterministic () =
   List.iter
     (fun seed ->
-      let a = small_sweep seed and b = small_sweep seed in
-      checkb (Printf.sprintf "seed %d combos repeat" seed) true
-        (a.V.Torture.combos = b.V.Torture.combos);
-      checkb (Printf.sprintf "seed %d tally repeats" seed) true
-        (a.V.Torture.tally = b.V.Torture.tally);
-      checkb (Printf.sprintf "seed %d events repeat" seed) true
-        (a.V.Torture.events = b.V.Torture.events))
+      let a = torture ~seed ~count:100 and b = torture ~seed ~count:100 in
+      checkb (Printf.sprintf "seed %d report repeats" seed) true (a = b))
     [ 7; 11; 13 ]
 
-(* The full default sweep at seed 7 (every strategy x fault spec x
-   harvested crash point, plus the restart-crash matrix), and a reduced
-   sweep at seed 11 against a lucky crash-point harvest. *)
+(* The gate's run (seed 7 at the default count, as [check torture]
+   makes it), and a reduced run at seed 11. *)
 let test_torture_full_sweep () =
-  checkb "seed 7 full sweep: no silent corruption" true
+  checkb "seed 7 default count: no silent corruption" true
     (V.Torture.ok (V.Torture.run ~seed:7 ()));
-  checkb "seed 11 reduced sweep: no silent corruption" true
-    (V.Torture.ok (V.Torture.run ~seed:11 ~max_points_per_combo:8 ()))
+  checkb "seed 11 reduced count: no silent corruption" true
+    (V.Torture.ok (torture ~seed:11 ~count:400))
 
 let test_torture_flags_unrecoverable_loss () =
-  (* Battery droop on the stable strategy loses acknowledged commits:
-     the sweep must classify those runs as flagged (reported), never
-     silent. *)
-  let r =
-    V.Torture.run ~seed:7 ~txns:24 ~specs:[ "battery-droop" ]
-      ~strategies:
-        [ R.Wal.Stable { devices = 2; capacity_bytes = 4096; compressed = true } ]
-      ~max_points_per_combo:12 ()
-  in
+  (* Battery droop on the stable strategy and at-rest media damage lose
+     acknowledged commits: the property must count those runs as
+     flagged (reported), never silent. *)
+  let r = torture ~seed:7 ~count:500 in
   checkb "no silent corruption" true (V.Torture.ok r);
-  checkb "droop was exercised and flagged" true (r.V.Torture.flagged <> []);
+  checkb "losses were exercised and flagged" true (r.V.Torture.flagged > 0);
   checkb "FAULT007 reported" true
     (List.mem_assoc "FAULT007" r.V.Torture.events)
 
-(* A sweep over no transactions or no crash points would report "ok"
-   having checked nothing; both are refused before any run. *)
+(* A run over no cases would report "ok" having checked nothing. *)
 let test_torture_rejects_empty_sweep () =
-  Alcotest.check_raises "txns 0" (Invalid_argument "Torture.run: txns < 1")
-    (fun () -> ignore (V.Torture.run ~txns:0 ()));
-  Alcotest.check_raises "points 0"
-    (Invalid_argument "Torture.run: max_points_per_combo < 1") (fun () ->
-      ignore (V.Torture.run ~max_points_per_combo:0 ()))
+  Alcotest.check_raises "count 0" (Invalid_argument "Torture.run: count < 1")
+    (fun () -> ignore (torture ~seed:7 ~count:0))
+
+(* The torture workload shape, for replaying shrunk counterexamples. *)
+let torture_config ~txns strategy spec =
+  let faults =
+    match Plan.of_spec spec with Ok r -> r | Error m -> Alcotest.fail m
+  in
+  {
+    RM.default_config with
+    RM.nrecords = 64;
+    records_per_page = 8;
+    updates_per_txn = 4;
+    n_txns = txns;
+    checkpoint_every = Some (max 4 (txns / 3));
+    strategy;
+    faults;
+  }
+
+(* Shrunk by the property: with the stable log drained behind a busy
+   device (page writes spanning 3-13, 7-17 and 13-23 ms), the drained
+   batches had left stable memory when queued but counted as durable only
+   from the start of their page write.  A crash in between found the
+   records nowhere: 4 of 12 acknowledged commits lost with a quiet
+   fault plane, and at 13 transactions a diverged state. *)
+let test_stable_drain_durable_when_queued () =
+  let stable =
+    R.Wal.Stable { devices = 2; capacity_bytes = 8192; compressed = true }
+  in
+  List.iter
+    (fun (txns, crash_at) ->
+      let o =
+        RM.run
+          { (torture_config ~txns stable "none") with
+            RM.crash_at = Some crash_at }
+      in
+      let msg what =
+        Printf.sprintf "%d txns, crash at %g: %s" txns crash_at what
+      in
+      checki (msg "acknowledged") txns o.RM.acked_committed;
+      checki (msg "acknowledged lost") 0 o.RM.acked_lost;
+      checkb (msg "consistent") true o.RM.consistent;
+      checki (msg "no fault injected") 0 (Fault.tally_total o.RM.fault_tally))
+    [ (12, 0.0115); (13, 0.0125) ]
+
+(* Shrunk by the property with the undo floor ([resolved_lsn]) dropped:
+   a torn first page leaves the only transaction a loser, recovery
+   undoes its command record, writes the page back and crashes after 9
+   steps.  Without the floor the restarted recovery subtracts the
+   deltas a second time. *)
+let test_restart_keeps_undo_floor () =
+  let o =
+    RM.run
+      { (torture_config ~txns:1 R.Wal.Conventional "torn-tail,torn-tail") with
+        RM.crash_at = Some 1e-6;
+        replay =
+          { RM.default_replay with
+            RM.logging = RM.Command_logging;
+            crash_steps = Some 9 } }
+  in
+  checki "recovery restarted" 2 o.RM.recovery_attempts;
+  checkb "consistent" true o.RM.consistent;
+  checkb "money conserved" true o.RM.money_conserved
 
 let () =
   Alcotest.run "mmdb fault"
@@ -591,6 +662,8 @@ let () =
             test_decode_detects_any_bit_flip;
           Alcotest.test_case "every torn cut recovers a valid prefix" `Quick
             test_decode_run_every_cut;
+          Alcotest.test_case "any bit flip in a page detected" `Quick
+            test_decode_run_detects_any_bit_flip;
         ] );
       ( "storage-faults",
         [
@@ -633,5 +706,9 @@ let () =
             test_torture_flags_unrecoverable_loss;
           Alcotest.test_case "empty sweep rejected" `Quick
             test_torture_rejects_empty_sweep;
+          Alcotest.test_case "stable drain durable when queued" `Quick
+            test_stable_drain_durable_when_queued;
+          Alcotest.test_case "restart crash keeps the undo floor" `Quick
+            test_restart_keeps_undo_floor;
         ] );
     ]

@@ -250,16 +250,12 @@ let test_parallel_replay_race_free () =
     (D.has_errors (audit o.RM.replay_events))
 
 let test_audit_race_component () =
-  let results =
-    V.Audit.run_all
-      [ V.Audit.Schedule { name = "ww"; events = ww_unlocked (); log = [] } ]
-  in
-  match results with
-  | [ (name, diags) ] ->
-    Alcotest.(check string) "component name" "ww" name;
-    check_codes "component reports races" [ "RACE001"; "RACE003" ]
-      (races diags)
-  | _ -> Alcotest.fail "expected one component result"
+  let diags = SC.audit (ww_unlocked ()) in
+  check_codes "schedule audit reports races" [ "RACE001"; "RACE003" ]
+    (races diags);
+  checkb "the audit report fails on them" false
+    (V.Audit.report (Format.formatter_of_buffer (Buffer.create 256))
+       [ ("ww", diags) ])
 
 (* ------------------------------------------------------------------ *)
 (* Static lint                                                         *)

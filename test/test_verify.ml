@@ -473,24 +473,19 @@ let test_audit_run_all () =
   in
   let _, pool = pool_setup 4 in
   let results =
-    V.Audit.run_all
-      [
-        V.Audit.Btree ("btree", btree);
-        V.Audit.Avl ("avl", avl);
-        V.Audit.Paged_bst ("bst", bst);
-        V.Audit.Heap_check ("heap", fun () -> U.Heap.check_invariant heap);
-        V.Audit.Pool { name = "pool"; pool; expect_unpinned = true };
-        V.Audit.Log
-          { name = "log"; complete = true; records = clean_log () };
-      ]
+    [
+      ("btree", V.Audit.btree btree);
+      ("avl", V.Audit.avl avl);
+      ("bst", V.Audit.paged_bst bst);
+      ("heap", V.Audit.heap heap);
+      ("pool", V.Pool_check.audit ~expect_unpinned:true pool);
+      ("log", V.Log_check.audit ~complete:true (clean_log ()));
+    ]
   in
-  checki "six components" 6 (List.length results);
   List.iter
     (fun (name, diags) ->
       checki (name ^ " clean") 0 (List.length diags))
     results;
-  checkb "ok" true
-    (V.Audit.ok [ V.Audit.Btree ("btree", btree); V.Audit.Avl ("avl", avl) ]);
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   checkb "report clean" true (V.Audit.report ppf results);
@@ -499,17 +494,17 @@ let test_audit_run_all () =
     (contains (Buffer.contents buf) "0 errors")
 
 let test_audit_flags_violations () =
+  (* A heap whose ordering flips after it was built breaks the heap
+     property without touching its contents. *)
+  let flipped = ref false in
+  let cmp a b = if !flipped then compare b a else compare a b in
+  let heap = U.Heap.of_array ~cmp [| 1; 2; 3; 4; 5 |] in
+  flipped := true;
   let results =
-    V.Audit.run_all
-      [
-        V.Audit.Heap_check ("broken heap", fun () -> false);
-        V.Audit.Log
-          {
-            name = "bad log";
-            complete = false;
-            records = [ L.Commit { txn = 1; lsn = 1 } ];
-          };
-      ]
+    [
+      ("broken heap", V.Audit.heap heap);
+      ("bad log", V.Log_check.audit [ L.Commit { txn = 1; lsn = 1 } ]);
+    ]
   in
   checkb "not ok" false
     (List.for_all (fun (_, ds) -> not (D.has_errors ds)) results);
@@ -1040,34 +1035,17 @@ let test_fuzz_crash_truncation () =
   checkb "crashed" true o.V.Txn_fuzz.crashed;
   checkb "truncated trace accepted" false (D.has_errors o.V.Txn_fuzz.diags)
 
+(* The fuzzer's schedule, audited directly and reported by name. *)
 let test_fuzz_audit_component () =
   let o = V.Txn_fuzz.run ~seed:22 () in
-  let results =
-    V.Audit.run_all
-      [
-        V.Audit.Schedule
-          {
-            name = "fuzz schedule";
-            events = o.V.Txn_fuzz.events;
-            log = o.V.Txn_fuzz.log;
-          };
-      ]
-  in
-  checkb "audit ok" true
-    (V.Audit.ok
-       [
-         V.Audit.Schedule
-           {
-             name = "fuzz schedule";
-             events = o.V.Txn_fuzz.events;
-             log = o.V.Txn_fuzz.log;
-           };
-       ]);
-  match results with
-  | [ (name, diags) ] ->
-    Alcotest.(check string) "component name" "fuzz schedule" name;
-    checkb "no error diags" false (D.has_errors diags)
-  | _ -> Alcotest.fail "expected one component"
+  let diags = SC.audit ~log:o.V.Txn_fuzz.log o.V.Txn_fuzz.events in
+  checkb "no error diags" false (D.has_errors diags);
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  checkb "report clean" true (V.Audit.report ppf [ ("fuzz schedule", diags) ]);
+  Format.pp_print_flush ppf ();
+  checkb "report names the schedule" true
+    (contains (Buffer.contents buf) "fuzz schedule")
 
 (* Every finding of a scrambled four-domain fuzz run with all five race
    injections, as (code, path).  Protocol and race findings come out of
