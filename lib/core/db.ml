@@ -89,21 +89,16 @@ let range t ~table ~lo ~hi =
 
 let check t expr = P.Plan_check.check t.cat expr
 
-let query t expr =
-  match P.Executor.query_checked t.cat t.planner_cfg expr with
-  | Ok rel -> rel
+let planned t expr =
+  match P.Plan_check.check_schema t.cat expr with
+  | Ok _ -> P.Optimizer.plan t.cat t.planner_cfg expr
   | Error diags ->
     invalid_arg
       (Format.asprintf "Db.query: invalid plan:@ %a" Mmdb_util.Diag.pp_list
          diags)
 
-(* The result's pages are freed once decoded, unless it is a table
-   itself (a bare [SELECT *]). *)
-let query_rows t expr =
-  let rel = query t expr in
-  let rows = P.Executor.rows rel in
-  if not (P.Catalog.mem t.cat (S.Relation.name rel)) then S.Relation.free_pages rel;
-  rows
+let query t expr = P.Executor.run t.cat t.planner_cfg (planned t expr)
+let query_rows t expr = P.Executor.run_rows t.cat t.planner_cfg (planned t expr)
 
 let audit t =
   List.concat_map

@@ -106,8 +106,8 @@ val execute : t -> string -> exec_result
 
 val query_rows : t -> Mmdb_planner.Algebra.expr ->
   Mmdb_storage.Tuple.value list list
-(** {!query} decoded; the result's pages are then freed unless the
-    result is a table itself. *)
+(** {!query} decoded as its root streams, so a point SELECT builds no
+    relation; a blocking root's result is freed once decoded. *)
 
 val explain : t -> Mmdb_planner.Algebra.expr -> string
 (** The optimizer's plan for the expression. *)

@@ -2,42 +2,30 @@ module S = Mmdb_storage
 module E = Mmdb_exec
 module O = Mmdb_overload.Overload
 
-(* Deadline check at an operator boundary: raised between nodes, when no
-   intermediate result is mid-construction and nothing is pinned, so an
-   expired query aborts with the pool clean by construction. *)
-let check_deadline env d =
+(* Every plan bottoms out in scans and index lookups: the leftmost names
+   the disk and environment the query runs on. *)
+let rec base_relation catalog = function
+  | Optimizer.P_scan name | Optimizer.P_index_lookup { table = name; _ } ->
+    Catalog.find catalog name
+  | Optimizer.P_filter { input; _ }
+  | Optimizer.P_project { input; _ }
+  | Optimizer.P_aggregate { input; _ }
+  | Optimizer.P_order_by { input; _ }
+  | Optimizer.P_set_op { left = input; _ }
+  | Optimizer.P_join { left = input; _ } -> base_relation catalog input
+
+(* Deadline check as a node opens, before any tuple flows through it:
+   no intermediate result is mid-construction and nothing is pinned, so
+   an expired query aborts with the pool clean by construction. *)
+let check_deadline catalog plan d =
+  let env = S.Relation.env (base_relation catalog plan) in
   let now = S.Sim_clock.now env.S.Env.clock in
   if O.Deadline.expired d ~now then begin
     O.note_code env.S.Env.counters.S.Counters.ovld "OVLD005";
     O.shed ~code:"OVLD005" ~site:"exec.node"
-      (Printf.sprintf "query deadline exceeded by %.6f s at an operator \
-                       boundary"
+      (Printf.sprintf "query deadline exceeded by %.6f s at an operator boundary"
          (now -. O.Deadline.expires d))
   end
-
-(* race_check: planner-local temp-name tick, single-domain; a duplicate
-   temp name would be cosmetic, not a safety issue *)
-let temp_counter = ref 0
-
-let temp_name prefix =
-  incr temp_counter;
-  Printf.sprintf "%s#%d" prefix !temp_counter
-
-let base_relation catalog plan =
-  let rec first_scan = function
-    | Optimizer.P_scan name | Optimizer.P_index_lookup { table = name; _ } -> Some name
-    | Optimizer.P_filter { input; _ }
-    | Optimizer.P_project { input; _ }
-    | Optimizer.P_aggregate { input; _ } -> first_scan input
-    | Optimizer.P_order_by { input; _ } -> first_scan input
-    | Optimizer.P_set_op { left; right; _ } -> (
-      match first_scan left with Some n -> Some n | None -> first_scan right)
-    | Optimizer.P_join { left; right; _ } -> (
-      match first_scan left with Some n -> Some n | None -> first_scan right)
-  in
-  match first_scan plan with
-  | Some name -> Catalog.find catalog name
-  | None -> invalid_arg "Executor: plan references no base relation"
 
 let disk_of catalog plan = S.Relation.disk (base_relation catalog plan)
 
@@ -46,60 +34,80 @@ let rekey rel key =
   if S.Schema.key_index schema = S.Schema.column_index schema key then rel
   else S.Relation.with_schema rel (S.Schema.with_key schema key)
 
-(* One plan node's own work; children execute through [recurse] so callers
-   can interpose instrumentation (see {!run_traced}). *)
-let node_output ~recurse catalog cfg plan =
+(* An opened node's output: a relation (a catalog table, or a blocking
+   node's sealed result), or a stream that pushes each encoded tuple into
+   a sink when it is drained, once. *)
+type output =
+  | Rel of S.Relation.t
+  | Stream of S.Schema.t * ((bytes -> unit) -> unit)
+
+let schema_of = function Rel rel -> S.Relation.schema rel | Stream (s, _) -> s
+
+(* A consumed result's pages are freed, unless it is a catalog table. *)
+let release catalog rel =
+  if not (Catalog.mem catalog (S.Relation.name rel)) then S.Relation.free_pages rel
+
+let drain catalog out sink =
+  match out with
+  | Rel rel ->
+    S.Relation.iter_tuples_nocharge rel sink;
+    release catalog rel
+  | Stream (_, push) -> push sink
+
+(* A stream becomes a relation only for a blocking operator or {!run}'s root. *)
+let materialise disk = function
+  | Rel rel -> rel
+  | Stream (schema, push) ->
+    let out = S.Relation.create ~disk ~name:"#stream" ~schema in
+    push (S.Relation.append_nocharge out);
+    S.Relation.seal out;
+    out
+
+(* Open one plan node; children open through [recurse] so callers can
+   interpose instrumentation (see {!run_traced}).  A scan passes its
+   table; index lookups, filters and plain projections stream; every
+   other node runs its [Mmdb_exec] operator here over materialised
+   inputs, which are freed once it has consumed them. *)
+let open_node ~recurse catalog cfg plan =
   let disk = disk_of catalog plan in
+  let inputs = ref [] in
+  let input child =
+    let rel = materialise disk (recurse catalog cfg child) in
+    inputs := rel :: !inputs;
+    rel
+  in
+  let blocking out =
+    List.iter (fun rel -> if rel != out then release catalog rel) !inputs;
+    Rel out
+  in
+  let mem_pages = cfg.Optimizer.mem_pages and fudge = cfg.Optimizer.fudge in
   match plan with
-  | Optimizer.P_scan name -> Catalog.find catalog name
+  | Optimizer.P_scan name -> Rel (Catalog.find catalog name)
   | Optimizer.P_index_lookup { table; value; _ } ->
     let schema = S.Relation.schema (Catalog.find catalog table) in
-    let out = S.Relation.create ~disk ~name:(temp_name "index") ~schema in
-    Option.iter (S.Relation.append_nocharge out)
-      (Catalog.lookup catalog table (S.Tuple.encode_key schema value));
-    S.Relation.seal out;
-    out
+    let hit = Catalog.lookup catalog table (S.Tuple.encode_key schema value) in
+    Stream (schema, fun sink -> Option.iter sink hit)
   | Optimizer.P_filter { input; pred } ->
     let src = recurse catalog cfg input in
-    let schema = S.Relation.schema src in
-    let out =
-      S.Relation.create ~disk ~name:(temp_name "filter") ~schema
-    in
-    S.Relation.iter_tuples_nocharge src (fun tuple ->
-        if Algebra.eval_predicate schema pred tuple then
-          S.Relation.append_nocharge out tuple);
-    S.Relation.seal out;
-    out
-  | Optimizer.P_project { input; columns; distinct } ->
+    let keep = Algebra.eval_predicate (schema_of src) pred in
+    Stream (schema_of src, fun sink -> drain catalog src (fun t -> if keep t then sink t))
+  | Optimizer.P_project { input; columns; distinct = false } ->
     let src = recurse catalog cfg input in
-    if distinct then
-      E.Projection.distinct ~mem_pages:cfg.Optimizer.mem_pages
-        ~fudge:cfg.Optimizer.fudge ~cols:columns src
-    else begin
-      let schema = S.Relation.schema src in
-      let out_schema = E.Projection.project_schema schema ~cols:columns in
-      let out =
-        S.Relation.create ~disk ~name:(temp_name "project") ~schema:out_schema
-      in
-      let project = E.Projection.projector schema ~cols:columns out_schema in
-      S.Relation.iter_tuples_nocharge src (fun tuple ->
-          S.Relation.append_nocharge out (project tuple));
-      S.Relation.seal out;
-      out
-    end
+    let out_schema = E.Projection.project_schema (schema_of src) ~cols:columns in
+    let project = E.Projection.projector (schema_of src) ~cols:columns out_schema in
+    Stream (out_schema, fun sink -> drain catalog src (fun t -> sink (project t)))
+  | Optimizer.P_project { input = child; columns; distinct = true } ->
+    blocking (E.Projection.distinct ~mem_pages ~fudge ~cols:columns (input child))
   | Optimizer.P_join { left; right; left_key; right_key; choice } ->
-    let lrel = rekey (recurse catalog cfg left) left_key in
-    let rrel = rekey (recurse catalog cfg right) right_key in
+    let lrel = rekey (input left) left_key in
+    let rrel = rekey (input right) right_key in
     let build, probe, build_is_left =
       if choice.Optimizer.swapped then (rrel, lrel, false)
       else (lrel, rrel, true)
     in
-    let l_schema = S.Relation.schema lrel in
-    let r_schema = S.Relation.schema rrel in
-    let out_schema =
-      E.Join_common.result_schema ~r_schema:l_schema ~s_schema:r_schema
-    in
-    let out = S.Relation.create ~disk ~name:(temp_name "join") ~schema:out_schema in
+    let l_schema = S.Relation.schema lrel and r_schema = S.Relation.schema rrel in
+    let out_schema = E.Join_common.result_schema ~r_schema:l_schema ~s_schema:r_schema in
+    let out = S.Relation.create ~disk ~name:"#join" ~schema:out_schema in
     let emit build_tup probe_tup =
       let left_tup, right_tup =
         if build_is_left then (build_tup, probe_tup) else (probe_tup, build_tup)
@@ -108,76 +116,51 @@ let node_output ~recurse catalog cfg plan =
         (E.Join_common.concat_tuples ~r_schema:l_schema ~s_schema:r_schema
            left_tup right_tup)
     in
-    ignore
-      (E.Joiner.run choice.Optimizer.algorithm
-         ~mem_pages:cfg.Optimizer.mem_pages ~fudge:cfg.Optimizer.fudge build
-         probe emit);
+    ignore (E.Joiner.run choice.Optimizer.algorithm ~mem_pages ~fudge build probe emit);
     S.Relation.seal out;
-    out
-  | Optimizer.P_aggregate { input; group_by; aggs } ->
-    let src = rekey (recurse catalog cfg input) group_by in
-    E.Aggregate.hybrid ~mem_pages:cfg.Optimizer.mem_pages
-      ~fudge:cfg.Optimizer.fudge src aggs
+    blocking out
+  | Optimizer.P_aggregate { input = child; group_by; aggs } ->
+    blocking (E.Aggregate.hybrid ~mem_pages ~fudge (rekey (input child) group_by) aggs)
   | Optimizer.P_set_op { op; left; right } ->
     (* Sequential lets: the left child must execute first so traced paths
        ($.0 = left) are deterministic. *)
-    let l = recurse catalog cfg left in
-    let r = recurse catalog cfg right in
+    let l = input left in
+    let r = input right in
     let f =
       match op with
       | Algebra.Union -> E.Set_ops.union
       | Algebra.Intersect -> E.Set_ops.intersection
       | Algebra.Except -> E.Set_ops.difference
     in
-    f ~mem_pages:cfg.Optimizer.mem_pages ~fudge:cfg.Optimizer.fudge l r
-  | Optimizer.P_order_by { input; column; descending } ->
-    let src = rekey (recurse catalog cfg input) column in
-    let sorted = E.External_sort.sort ~mem_pages:cfg.Optimizer.mem_pages src in
-    if not descending then sorted
+    blocking (f ~mem_pages ~fudge l r)
+  | Optimizer.P_order_by { input = child; column; descending } ->
+    let sorted = E.External_sort.sort ~mem_pages (rekey (input child) column) in
+    if not descending then blocking sorted
     else begin
       (* Reverse scan materialised back-to-front. *)
       let acc = ref [] in
       S.Relation.iter_tuples_nocharge sorted (fun t -> acc := t :: !acc);
-      let out =
-        S.Relation.create ~disk ~name:(temp_name "order_desc")
-          ~schema:(S.Relation.schema sorted)
-      in
-      List.iter (S.Relation.append_nocharge out) !acc;
+      let out = S.Relation.of_tuples ~disk ~name:"#desc" ~schema:(S.Relation.schema sorted) !acc in
       S.Relation.free_pages sorted;
-      S.Relation.seal out;
-      out
+      blocking out
     end
 
-(* A child's output is dead once its parent has consumed it, so its pages
-   are freed then, unless it is a catalog table (the rule [Db] applies to
-   a query's result) or the parent's own output. *)
-let run_node ~recurse catalog cfg plan =
-  let inputs = ref [] in
-  let recurse catalog cfg child =
-    let rel = recurse catalog cfg child in
-    if not (List.memq rel !inputs) then inputs := rel :: !inputs;
-    rel
-  in
-  let out = node_output ~recurse catalog cfg plan in
-  List.iter
-    (fun rel ->
-      if rel != out && not (Catalog.mem catalog (S.Relation.name rel)) then
-        S.Relation.free_pages rel)
-    !inputs;
-  out
-
-let rec run_plain catalog cfg plan = run_node ~recurse:run_plain catalog cfg plan
+(* Open a plan's nodes, checking [deadline] as each one opens. *)
+let rec open_tree deadline catalog cfg plan =
+  Option.iter (check_deadline catalog plan) deadline;
+  open_node ~recurse:(open_tree deadline) catalog cfg plan
 
 let run ?deadline catalog cfg plan =
-  match deadline with
-  | None -> run_plain catalog cfg plan
-  | Some d ->
-    let env = S.Relation.env (base_relation catalog plan) in
-    let rec go catalog cfg plan =
-      check_deadline env d;
-      run_node ~recurse:go catalog cfg plan
-    in
-    go catalog cfg plan
+  materialise (disk_of catalog plan) (open_tree deadline catalog cfg plan)
+
+let decode schema iter =
+  let acc = ref [] in
+  iter (fun tuple -> acc := S.Tuple.decode schema tuple :: !acc);
+  List.rev !acc
+
+let run_rows catalog cfg plan =
+  let out = open_tree None catalog cfg plan in
+  decode (schema_of out) (drain catalog out)
 
 type node_obs = {
   path : string;
@@ -209,6 +192,9 @@ let kind_of = function
 
 let run_traced catalog cfg plan =
   let env = S.Relation.env (base_relation catalog plan) in
+  let disk = disk_of catalog plan in
+  (* Each node's observation, in post-order; a stream's is read once the
+     root has drained it. *)
   let acc = ref [] in
   let rec go path plan =
     let before = S.Counters.snapshot env.S.Env.counters in
@@ -226,7 +212,7 @@ let run_traced catalog cfg plan =
       child_seconds := !child_seconds +. (S.Env.elapsed env -. ct0);
       r
     in
-    let out = run_node ~recurse catalog cfg plan in
+    let out = open_node ~recurse catalog cfg plan in
     let total = S.Counters.diff ~after:env.S.Env.counters ~before in
     let total_seconds = S.Env.elapsed env -. t0 in
     (* The node's own work is the total minus every child's activity. *)
@@ -235,23 +221,33 @@ let run_traced catalog cfg plan =
         (fun a c -> S.Counters.diff ~after:a ~before:c)
         total !child_diffs
     in
+    (* A stream counts its tuples as they flow; its pages are those its
+       relation would fill, ⌈tuples / per page⌉, as a relation's are. *)
+    let tuples = ref (match out with Rel rel -> S.Relation.ntuples rel | Stream _ -> 0) in
+    let per_page =
+      S.Page.capacity ~page_size:(S.Disk.page_size disk)
+        ~tuple_width:(S.Schema.tuple_width (schema_of out))
+    in
     acc :=
-      {
-        path;
-        kind = kind_of plan;
-        output_tuples = S.Relation.ntuples out;
-        output_pages = S.Relation.npages out;
-        output_tuples_per_page = S.Relation.tuples_per_page out;
-        total;
-        self;
-        total_seconds;
-        self_seconds = total_seconds -. !child_seconds;
-      }
+      (fun () ->
+        {
+          path;
+          kind = kind_of plan;
+          output_tuples = !tuples;
+          output_pages = (!tuples + per_page - 1) / per_page;
+          output_tuples_per_page = per_page;
+          total;
+          self;
+          total_seconds;
+          self_seconds = total_seconds -. !child_seconds;
+        })
       :: !acc;
-    out
+    match out with
+    | Rel _ -> out
+    | Stream (schema, push) -> Stream (schema, fun sink -> push (fun t -> incr tuples; sink t))
   in
-  let result = go "$" plan in
-  (result, List.rev !acc)
+  let result = materialise disk (go "$" plan) in
+  (result, List.rev_map (fun o -> o ()) !acc)
 
 let query ?deadline catalog cfg expr =
   run ?deadline catalog cfg (Optimizer.plan catalog cfg expr)
@@ -261,9 +257,4 @@ let query_checked catalog cfg expr =
   | Error diags -> Error diags
   | Ok _ -> Ok (query catalog cfg expr)
 
-let rows rel =
-  let schema = S.Relation.schema rel in
-  let acc = ref [] in
-  S.Relation.iter_tuples_nocharge rel (fun tuple ->
-      acc := S.Tuple.decode schema tuple :: !acc);
-  List.rev !acc
+let rows rel = decode (S.Relation.schema rel) (S.Relation.iter_tuples_nocharge rel)

@@ -1,19 +1,24 @@
 (** Plan execution over the storage and operator layers.
 
-    Intermediate results materialise as temporary relations on the same
-    simulated disk as the base tables.  Join inputs are re-keyed views
+    Scans, index lookups, filters and non-distinct projections stream
+    encoded tuples into their parent and build no relation.  Joins,
+    aggregates, set operations, [ORDER BY] and [DISTINCT] block: their
+    [Mmdb_exec] operators take relations, so a streamed input is appended
+    (uncharged) into a temporary relation on the base tables' simulated
+    disk, and a scan passes its table itself.  Join inputs are re-keyed views
     ({!Mmdb_storage.Relation.with_schema}) so any column can serve as the
     join key; join outputs concatenate left-then-right regardless of which
     side the optimizer chose to build on. *)
 
 val run : ?deadline:Mmdb_overload.Overload.Deadline.t -> Catalog.t ->
   Optimizer.config -> Optimizer.plan -> Mmdb_storage.Relation.t
-(** Execute a plan, returning the (sealed) result relation.  Its schema
-    matches {!Optimizer.output_schema} of the planned expression.  Each
+(** Execute a plan, returning the (sealed) result relation: a streamed
+    root is materialised here.  Its schema matches
+    {!Optimizer.output_schema} of the planned expression.  Each
     intermediate result's pages are freed once its parent node has
     consumed it; catalog tables are never freed.  When [deadline] is
-    given it is checked at every operator boundary (before each node
-    runs): an expired query aborts between operators — when no
+    given it is checked as each node opens, before any tuple flows
+    through it: an expired query aborts between operators — when no
     intermediate result is mid-construction and nothing is pinned — so
     the buffer pool audits clean.
     @raise Mmdb_overload.Overload.Shed (OVLD005) when [deadline] expires
@@ -22,12 +27,18 @@ val run : ?deadline:Mmdb_overload.Overload.Deadline.t -> Catalog.t ->
     @raise Mmdb_fault.Fault.Unrecoverable from the storage layer when a
     fault plan is armed (execution reads and spills pages). *)
 
+val run_rows : Catalog.t -> Optimizer.config -> Optimizer.plan ->
+  Mmdb_storage.Tuple.value list list
+(** {!run} then {!rows}, but the root's tuples are decoded as they
+    stream, so a plan of streamed nodes builds no relation; a blocking
+    root's result is freed once decoded. *)
+
 type node_obs = {
   path : string;  (** ["$"] for the root, ["$.0"], ["$.0.1"], … below *)
   kind : string;
       (** ["scan:name"], ["index:name"], ["filter"], ["join:hybrid"], … *)
   output_tuples : int;
-  output_pages : int;
+  output_pages : int;  (** [⌈output_tuples / output_tuples_per_page⌉] *)
   output_tuples_per_page : int;
   total : Mmdb_storage.Counters.t;  (** node including its inputs *)
   self : Mmdb_storage.Counters.t;  (** node alone (children subtracted) *)
@@ -38,8 +49,10 @@ type node_obs = {
 
 val run_traced : Catalog.t -> Optimizer.config -> Optimizer.plan ->
   Mmdb_storage.Relation.t * node_obs list
-(** Like {!run}, but records each plan node's observed operation counters
-    and simulated seconds, in post-order.  The [self] fields isolate one
+(** Like {!run}, through the same nodes, but records each plan node's
+    observed operation counters and simulated seconds, in post-order,
+    taken as it opens: every charged operation runs then (an index
+    lookup probes as it opens).  The [self] fields isolate one
     operator's charges so they can be checked against the cost model's
     prediction for that node ([Mmdb_verify.Model_check]). *)
 

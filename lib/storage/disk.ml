@@ -35,11 +35,24 @@ let page_count t = Hashtbl.length t.pages
 let faults t = t.faults
 let arm t plan = t.faults <- plan
 
+(* Every freshly allocated page is bound to one shared zero page: no
+   stored page is ever changed in place, so they can share it.  It is
+   remade only when a disk of another page size allocates. *)
+let zero_page = Atomic.make Bytes.empty
+
 let alloc t =
   let id = t.next_id in
   t.next_id <- id + 1;
-  let page = Page.create t.page_size in
-  Hashtbl.replace t.pages id page;
+  let zero =
+    let z = Atomic.get zero_page in
+    if Bytes.length z = t.page_size then z
+    else begin
+      let z = Page.create t.page_size in
+      Atomic.set zero_page z;
+      z
+    end
+  in
+  Hashtbl.replace t.pages id zero;
   id
 
 let find t pid =
@@ -195,6 +208,10 @@ let free t pid =
   Hashtbl.remove t.sums pid
 
 let read_nocharge t pid = Bytes.copy (find t pid)
+
+let count_nocharge t pid = Page.count (find t pid)
+
+let iter_nocharge t pid ~tuple_width f = Page.iter (find t pid) ~tuple_width f
 
 let write_nocharge t pid page =
   check_size t ~site:"disk.write" page;

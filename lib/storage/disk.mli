@@ -87,6 +87,18 @@ val read_nocharge : t -> int -> bytes
 (** Uninstrumented, unchecked read for tests and recovery-inspection
     code paths. *)
 
+val count_nocharge : t -> int -> int
+(** The tuple count in a stored page's header, read where the page lies
+    (uninstrumented and unchecked, like {!read_nocharge}). *)
+
+val iter_nocharge : t -> int -> tuple_width:int -> (int -> bytes -> unit) ->
+  unit
+(** [iter_nocharge d pid ~tuple_width f] calls [f slot tuple] with a copy
+    of each tuple of the stored page, in slot order, without copying the
+    page: a stored page is never changed in place (every write stores a
+    copy), so the iteration sees one image even if [f] writes or frees
+    [pid].  Uninstrumented and unchecked, like {!read_nocharge}. *)
+
 val write_nocharge : t -> int -> bytes -> unit
 (** Uninstrumented write, used when pre-loading workloads so that setup
     cost does not pollute an experiment's counters.  The page is stored

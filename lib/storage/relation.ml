@@ -118,13 +118,12 @@ let iter_tuples ?(mode = Disk.Seq) t f =
   let tw = Schema.tuple_width t.rel_schema in
   iter_pages ~mode t (fun page -> Page.iter page ~tuple_width:tw (fun _ tup -> f tup))
 
+(* The uncharged scans read each stored page where it lies. *)
 let iter_tuples_nocharge t f =
   seal t;
   let tw = Schema.tuple_width t.rel_schema in
   Array.iter
-    (fun pid ->
-      let page = Disk.read_nocharge t.rel_disk pid in
-      Page.iter page ~tuple_width:tw (fun _ tup -> f tup))
+    (fun pid -> Disk.iter_nocharge t.rel_disk pid ~tuple_width:tw (fun _ tup -> f tup))
     (page_ids t)
 
 let iter_tuples_from_nocharge t ~start f =
@@ -132,26 +131,24 @@ let iter_tuples_from_nocharge t ~start f =
   (* Newest pages first, until they hold the [ntuples - start] wanted. *)
   let rec collect acc wanted = function
     | pid :: older when wanted > 0 ->
-      let page = Disk.read_nocharge t.rel_disk pid in
-      collect (page :: acc) (wanted - Page.count page) older
+      collect (pid :: acc) (wanted - Disk.count_nocharge t.rel_disk pid) older
     | _ -> (acc, wanted)
   in
-  let pages, wanted = collect [] (t.ntuples - start) t.pages in
+  let pids, wanted = collect [] (t.ntuples - start) t.pages in
   let skip = ref (max 0 (-wanted)) in
   let tw = Schema.tuple_width t.rel_schema in
   List.iter
-    (fun page ->
-      Page.iter page ~tuple_width:tw (fun _ tup ->
+    (fun pid ->
+      Disk.iter_nocharge t.rel_disk pid ~tuple_width:tw (fun _ tup ->
           if !skip > 0 then decr skip else f tup))
-    pages
+    pids
 
 let iter_tids_nocharge t f =
   seal t;
   let tw = Schema.tuple_width t.rel_schema in
   Array.iteri
     (fun pidx pid ->
-      let page = Disk.read_nocharge t.rel_disk pid in
-      Page.iter page ~tuple_width:tw (fun slot tup ->
+      Disk.iter_nocharge t.rel_disk pid ~tuple_width:tw (fun slot tup ->
           f (Tid.make ~page:pidx ~slot) tup))
     (page_ids t)
 

@@ -776,6 +776,49 @@ let qcheck_planner_matches_naive =
       in
       planned = expected && planned_small_mem = expected)
 
+(* Major-heap words [f] allocates, from an empty minor heap: a 4 KiB
+   page is a major-heap block (514 words), the small values of a
+   statement are not.  [Gc.counters], not [Gc.quick_stat], which does
+   not count direct major allocations on OCaml 5.1. *)
+let major_words f =
+  Gc.minor ();
+  let _, _, before = Gc.counters () in
+  f ();
+  let _, _, after = Gc.counters () in
+  int_of_float (after -. before)
+
+(* A point SELECT streams its index lookup, filter and projection into
+   the decoded rows and builds no relation, so it allocates no page.  An
+   INSERT that refills the last page copies it once to reopen it and once
+   as the disk stores it; the statistics read the new tuple in place. *)
+let test_point_statement_pages () =
+  let db = Mmdb.Db.create () in
+  let schema =
+    S.Schema.create ~key:"id"
+      [
+        S.Schema.column "id" S.Schema.Int;
+        S.Schema.column "grp" S.Schema.Int;
+        S.Schema.column ~width:32 "pad" S.Schema.Fixed_string;
+      ]
+  in
+  Mmdb.Db.create_table db ~name:"acct" ~schema;
+  Mmdb.Db.insert_many db ~table:"acct"
+    (List.init 20_000 (fun i ->
+         [ S.Tuple.VInt i; S.Tuple.VInt (i mod 1000); S.Tuple.VStr "pad" ]));
+  Mmdb.Db.create_index db ~table:"acct" Mmdb.Db.Btree_index;
+  let words stmt =
+    (* The first run computes the statistics the planner reads. *)
+    ignore (Mmdb.Db.execute db stmt);
+    major_words (fun () -> ignore (Mmdb.Db.execute db stmt))
+  in
+  checki "SELECT * by key" 0 (words "SELECT * FROM acct WHERE id = 4321");
+  checki "projection by key" 0 (words "SELECT grp FROM acct WHERE id = 4321");
+  checki "filter by key" 0
+    (words "SELECT * FROM acct WHERE id = 4321 AND grp = 321");
+  checki "INSERT refilling the last page" 1028
+    (major_words (fun () ->
+         ignore (Mmdb.Db.execute db "INSERT INTO acct VALUES (20000, 0, 'pad')")))
+
 let () =
   Alcotest.run "mmdb_planner"
     [
@@ -836,5 +879,7 @@ let () =
           Alcotest.test_case "join + aggregate" `Quick
             test_execute_three_way_join;
           QCheck_alcotest.to_alcotest qcheck_planner_matches_naive;
+          Alcotest.test_case "point statements allocate no page" `Quick
+            test_point_statement_pages;
         ] );
     ]

@@ -1652,6 +1652,52 @@ let test_kernel_retirement_order () =
       R.Wal.Stable { devices = 2; capacity_bytes = 16_384; compressed = false };
     ]
 
+(* FAULT008's demotion, driven directly: [Recovery_manager] sets
+   [strict_page_order] whenever it crashes mid-write, so it never leaves
+   an incomplete record set behind.  Without it, a partitioned log holds
+   a page behind the commit group it depends on while the next page, on
+   another device, is written at once: a transaction that straddles the
+   two has its Commit durable before its earlier records.  A crash in
+   between must demote it to a loser. *)
+let test_surviving_log_demotes_incomplete () =
+  let wal = R.Wal.create ~clock:(S.Sim_clock.create ()) (R.Wal.Partitioned { devices = 3 }) in
+  let k = R.Txn.create ~nrecords:5000 ~wal () in
+  let rng = U.Xorshift.create 3 in
+  for txn = 0 to 199 do
+    let slots = List.sort_uniq compare (List.init 3 (fun _ -> U.Xorshift.int rng 5000)) in
+    ignore (R.Txn.run k ~txn ~at:(float_of_int txn *. 1e-4) (List.map (fun s -> (s, 1)) slots))
+  done;
+  ignore (R.Wal.flush wal ~at:0.2);
+  (* The transactions whose Commit survives a crash at [at] without the
+     rest of their LSN run. *)
+  let incomplete at =
+    let records = R.Wal.surviving_records wal ~at in
+    List.filter_map
+      (function
+        | R.Log_record.Commit { txn; lsn } -> (
+          match List.filter (fun r -> R.Log_record.txn r = Some txn) records with
+          | R.Log_record.Begin { lsn = first; _ } :: _ as run
+            when List.length run = lsn - first + 1 ->
+            None
+          | _ -> Some txn)
+        | _ -> None)
+      records
+  in
+  let crash_points = List.concat_map (fun (a, b) -> [ a; b ]) (R.Wal.page_spans wal) in
+  match List.find_opt (fun at -> incomplete at <> []) crash_points with
+  | None -> Alcotest.fail "no crash point leaves an incomplete record set"
+  | Some at ->
+    let losers = incomplete at in
+    let survivors = R.Txn.surviving_log k ~at in
+    checkb "incomplete commits demoted" true
+      (List.for_all
+         (fun txn ->
+           not (List.exists (function R.Log_record.Commit { txn = t; _ } -> t = txn | _ -> false) survivors))
+         losers);
+    checki "FAULT008 noted per demoted txn" (List.length losers)
+      (Option.value ~default:0
+         (List.assoc_opt "FAULT008" (Mmdb_fault.Fault_plan.event_counts (R.Wal.faults wal))))
+
 let () =
   Alcotest.run "mmdb_recovery"
     [
@@ -1740,6 +1786,8 @@ let () =
           Alcotest.test_case "retirement" `Quick test_kernel_retirement;
           Alcotest.test_case "retirement order" `Quick
             test_kernel_retirement_order;
+          Alcotest.test_case "surviving log demotes incomplete commits" `Quick
+            test_surviving_log_demotes_incomplete;
         ] );
       ( "tps_sim",
         [

@@ -545,6 +545,198 @@ let test_dml_parse_errors () =
     | Error _ -> true
     | Ok _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Db SELECTs against a list-of-rows model                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Three tables of one shape: "bt" with a B+-tree on [id], "av" with an
+   AVL tree, "heap" with none; and "dim", joined on [grp = gid].  Keys
+   skip multiples of 5, and INSERTs after the index, a DELETE and an
+   UPDATE run through [Db.execute] on each table as on its model rows.
+   Small pages give each table several. *)
+let model_tables = [ "bt"; "av"; "heap" ]
+let model_cols = [ "id"; "grp"; "val"; "tag" ]
+let model_tags = [| "ant"; "bee"; "be"; "cat" |]
+
+let model_row id =
+  [
+    S.Tuple.VInt id;
+    S.Tuple.VInt (id * 7919 mod 9);
+    S.Tuple.VInt (id * 31 mod 50);
+    S.Tuple.VStr model_tags.(id * 13 mod 4);
+  ]
+
+let model_setup () =
+  let db = M.Db.create ~page_size:256 () in
+  let model = Hashtbl.create 4 in
+  let schema =
+    S.Schema.create ~key:"id"
+      [
+        S.Schema.column "id" S.Schema.Int;
+        S.Schema.column "grp" S.Schema.Int;
+        S.Schema.column "val" S.Schema.Int;
+        S.Schema.column ~width:6 "tag" S.Schema.Fixed_string;
+      ]
+  in
+  let dim_rows = List.init 7 (fun g -> [ S.Tuple.VInt g; S.Tuple.VInt (10 * g) ]) in
+  M.Db.create_table db ~name:"dim"
+    ~schema:
+      (S.Schema.create ~key:"gid"
+         [ S.Schema.column "gid" S.Schema.Int; S.Schema.column "w" S.Schema.Int ]);
+  M.Db.insert_many db ~table:"dim" dim_rows;
+  Hashtbl.replace model "dim" dim_rows;
+  List.iter
+    (fun table ->
+      let rows =
+        List.map model_row (List.filter (fun i -> i mod 5 <> 0) (List.init 120 Fun.id))
+      in
+      M.Db.create_table db ~name:table ~schema;
+      M.Db.insert_many db ~table rows;
+      if table = "bt" then M.Db.create_index db ~table M.Db.Btree_index;
+      if table = "av" then M.Db.create_index db ~table M.Db.Avl_index;
+      let row id grp v tag = [ S.Tuple.VInt id; S.Tuple.VInt grp; S.Tuple.VInt v; S.Tuple.VStr tag ] in
+      let dml : ((string -> string, unit, string) format * _) list =
+        [
+          ( "INSERT INTO %s VALUES (200, 3, 7, 'bee'), (201, 8, 7, 'ant')",
+            fun rows -> rows @ [ row 200 3 7 "bee"; row 201 8 7 "ant" ] );
+          ("DELETE FROM %s WHERE val = 4", List.filter (fun r -> List.nth r 2 <> S.Tuple.VInt 4));
+          ( "UPDATE %s SET grp = 2 WHERE tag = 'cat'",
+            List.map (fun r ->
+                if List.nth r 3 = S.Tuple.VStr "cat" then List.mapi (fun i v -> if i = 1 then S.Tuple.VInt 2 else v) r
+                else r) );
+          ("INSERT INTO %s VALUES (202, 1, 49, 'be')", fun rows -> rows @ [ row 202 1 49 "be" ]);
+        ]
+      in
+      Hashtbl.replace model table
+        (List.fold_left
+           (fun rows (stmt, apply) ->
+             ignore (M.Db.execute db (Printf.sprintf stmt table));
+             apply rows)
+           rows dml))
+    model_tables;
+  (db, model)
+
+type model_query = {
+  table : string;
+  key : int option;  (** [id = k] *)
+  preds : (string * A.cmp_op * S.Tuple.value) list;
+  join : bool;  (** [JOIN dim ON grp = gid], columns then prefixed *)
+  cols : string list option;  (** [None] is [*] *)
+  distinct : bool;
+  order : (string * bool) option;  (** column, descending *)
+}
+
+let op_sql = function
+  | A.Eq -> "=" | A.Ne -> "<>" | A.Lt -> "<" | A.Le -> "<=" | A.Gt -> ">" | A.Ge -> ">="
+
+let value_sql = function S.Tuple.VInt v -> string_of_int v | S.Tuple.VStr s -> "'" ^ s ^ "'"
+
+let model_sql q =
+  let name c = if q.join then "r_" ^ c else c in
+  let preds =
+    Option.to_list (Option.map (fun k -> (name "id", A.Eq, S.Tuple.VInt k)) q.key) @ q.preds
+  in
+  String.concat ""
+    [
+      "SELECT ";
+      (if q.distinct then "DISTINCT " else "");
+      (match q.cols with None -> "*" | Some cs -> String.concat ", " cs);
+      " FROM ";
+      q.table;
+      (if q.join then " JOIN dim ON grp = gid" else "");
+      (match preds with
+      | [] -> ""
+      | ps ->
+        " WHERE "
+        ^ String.concat " AND "
+            (List.map (fun (c, op, v) -> Printf.sprintf "%s %s %s" c (op_sql op) (value_sql v)) ps));
+      (match q.order with
+      | None -> ""
+      | Some (c, desc) -> " ORDER BY " ^ c ^ if desc then " DESC" else "");
+    ]
+
+(* The output column names before projection. *)
+let model_names q =
+  if q.join then List.map (( ^ ) "r_") model_cols @ [ "s_gid"; "s_w" ] else model_cols
+
+let model_eval model q =
+  let named row = List.combine (model_names q) row in
+  let base = Hashtbl.find model q.table in
+  let rows =
+    if not q.join then base
+    else
+      List.concat_map
+        (fun l ->
+          List.filter_map
+            (fun d -> if List.nth l 1 = List.hd d then Some (l @ d) else None)
+            (Hashtbl.find model "dim"))
+        base
+  in
+  let holds row (c, op, v) =
+    let x = compare (List.assoc c row) v in
+    match op with
+    | A.Eq -> x = 0 | A.Ne -> x <> 0 | A.Lt -> x < 0 | A.Le -> x <= 0 | A.Gt -> x > 0 | A.Ge -> x >= 0
+  in
+  let key = Option.to_list (Option.map (fun k -> (List.hd (model_names q), A.Eq, S.Tuple.VInt k)) q.key) in
+  let rows = List.filter (fun r -> List.for_all (holds (named r)) (key @ q.preds)) rows in
+  let rows =
+    match q.cols with
+    | None -> rows
+    | Some cs -> List.map (fun r -> List.map (fun c -> List.assoc c (named r)) cs) rows
+  in
+  if q.distinct then List.sort_uniq compare rows else rows
+
+let gen_model_query =
+  let open QCheck.Gen in
+  oneofl model_tables >>= fun table ->
+  bool >>= fun join ->
+  let q0 = { table; key = None; preds = []; join; cols = None; distinct = false; order = None } in
+  let names = model_names q0 in
+  opt ~ratio:0.6 (int_range (-2) 210) >>= fun key ->
+  let pred =
+    oneofl names >>= fun c ->
+    oneofl [ A.Eq; A.Ne; A.Lt; A.Le; A.Gt; A.Ge ] >>= fun op ->
+    (if String.ends_with ~suffix:"tag" c then map (fun t -> S.Tuple.VStr t) (oneofa model_tags)
+     else map (fun v -> S.Tuple.VInt v) (int_range (-1) 60))
+    >|= fun v -> (c, op, v)
+  in
+  list_size (int_range 0 2) pred >>= fun preds ->
+  opt (shuffle_l names >>= fun cs -> int_range 1 (List.length cs) >|= fun k -> List.filteri (fun i _ -> i < k) cs)
+  >>= fun cols ->
+  (match cols with None -> return false | Some _ -> bool) >>= fun distinct ->
+  opt (oneofl (Option.value cols ~default:names) >>= fun c -> bool >|= fun d -> (c, d)) >|= fun order ->
+  { q0 with key; preds; cols; distinct; order }
+
+(* Simpler queries first: drop the order, the distinct, the projection,
+   the join (when no column needs it), a predicate, the key. *)
+let shrink_model_query q yield =
+  let uses_join = q.join && (q.cols <> None || q.order <> None || q.preds <> []) in
+  if q.order <> None then yield { q with order = None };
+  if q.distinct then yield { q with distinct = false };
+  if q.cols <> None && q.order = None then yield { q with cols = None; distinct = false };
+  if q.join && not uses_join then yield { q with join = false };
+  List.iteri (fun i _ -> yield { q with preds = List.filteri (fun j _ -> j <> i) q.preds }) q.preds;
+  if q.key <> None then yield { q with key = None }
+
+let qcheck_db_selects_match_model =
+  let db, model = model_setup () in
+  QCheck.Test.make ~name:"Db SELECTs match a list-of-rows model" ~count:400
+    (QCheck.make ~print:model_sql ~shrink:shrink_model_query gen_model_query)
+    (fun q ->
+      let expected = model_eval model q in
+      match M.Db.execute db (model_sql q) with
+      | M.Db.Affected _ -> false
+      | M.Db.Rows got -> (
+        List.sort compare got = List.sort compare expected
+        &&
+        match q.order with
+        | None -> true
+        | Some (c, desc) ->
+          let i = Option.value ~default:0 (List.find_index (( = ) c) (Option.value q.cols ~default:(model_names q))) in
+          let keys = List.map (fun r -> List.nth r i) got in
+          let sorted = List.stable_sort compare keys in
+          keys = if desc then List.rev sorted else sorted))
+
 let () =
   Alcotest.run "mmdb_sql"
     [
@@ -575,6 +767,8 @@ let () =
             test_sql_set_ops_end_to_end;
           Alcotest.test_case "unknown table" `Quick test_sql_unknown_table;
         ] );
+      ( "model",
+        [ QCheck_alcotest.to_alcotest qcheck_db_selects_match_model ] );
       ( "dml",
         [
           Alcotest.test_case "insert" `Quick test_dml_insert;
