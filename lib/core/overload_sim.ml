@@ -96,7 +96,7 @@ let run cfg =
         (O.Admission.create ~rate:rate_limit ~burst ~max_lag ~tally ())
     else None
   in
-  let breaker = O.Breaker.create ~tally ~name:"log" () in
+  let breaker = O.Breaker.create ~tally () in
   let faults =
     if not cfg.storm then None
     else

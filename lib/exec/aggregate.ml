@@ -9,9 +9,9 @@ type spec =
 
 type acc = {
   mutable n : int;
-  mutable sums : int array; (* one slot per spec needing a column *)
-  mutable mins : int array;
-  mutable maxs : int array;
+  sums : int array; (* one slot per spec needing a column *)
+  mins : int array;
+  maxs : int array;
 }
 
 let spec_column schema = function

@@ -107,15 +107,6 @@ let next c =
     v
   | None -> advance c
 
-let check_run_count ~mem_pages runs =
-  let n = List.length runs in
-  if n > mem_pages then
-    invalid_arg
-      (Printf.sprintf
-         "External_sort: %d runs exceed %d buffer pages (single merge pass \
-          assumption violated)"
-         n mem_pages)
-
 (* Merge one group of runs into a single longer run (charged writes). *)
 let merge_group ~schema runs =
   match runs with

@@ -33,7 +33,3 @@ val sort : mem_pages:int -> Mmdb_storage.Relation.t ->
 (** [sort ~mem_pages rel] materialises a sorted copy of [rel]
     (runs + merge passes + charged sequential writes of the result).  Run
     pages are freed before returning. *)
-
-val check_run_count : mem_pages:int -> Mmdb_storage.Relation.t list -> unit
-(** @raise Invalid_argument when more runs than buffer pages (exposed for
-    tests of the paper's assumption). *)

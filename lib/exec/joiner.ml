@@ -17,14 +17,6 @@ let name = function
   | Hybrid_hash_join -> "hybrid"
   | Nested_loop_join -> "nested-loop"
 
-let of_name = function
-  | "sort-merge" -> Sort_merge_join
-  | "simple" -> Simple_hash_join
-  | "grace" -> Grace_hash_join
-  | "hybrid" -> Hybrid_hash_join
-  | "nested-loop" -> Nested_loop_join
-  | s -> invalid_arg ("Joiner.of_name: unknown algorithm " ^ s)
-
 let run algo ~mem_pages ~fudge r s emit =
   match algo with
   | Sort_merge_join -> Sort_merge.join ~mem_pages ~fudge r s emit

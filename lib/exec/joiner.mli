@@ -14,9 +14,6 @@ val all : algorithm list
 
 val name : algorithm -> string
 
-val of_name : string -> algorithm
-(** Inverse of {!name}.  @raise Invalid_argument on unknown names. *)
-
 val run : algorithm -> mem_pages:int -> fudge:float ->
   Mmdb_storage.Relation.t -> Mmdb_storage.Relation.t ->
   Join_common.emit -> int

@@ -1,8 +1,6 @@
 module S = Mmdb_storage
 module U = Mmdb_util
 
-let expected_run_length ~mem_pages = 2.0 *. float_of_int mem_pages
-
 (* Heap elements are (run_id, tuple): ordering by run first makes tuples
    destined for the next run sink below all current-run tuples. *)
 let runs ~mem_pages rel =

@@ -13,7 +13,3 @@ val runs : mem_pages:int -> Mmdb_storage.Relation.t ->
     queue of [mem_pages] pages' worth of tuples.  Each run is a sealed
     temporary relation on [rel]'s disk; the caller frees them.
     @raise Invalid_argument if [mem_pages <= 0]. *)
-
-val expected_run_length : mem_pages:int -> float
-(** [2·|M|] pages — Knuth's replacement-selection expectation, used by
-    tests. *)

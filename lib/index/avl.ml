@@ -12,7 +12,6 @@ type t = {
   mutable allocated : int;
   mutable root : int;
   mutable count : int;
-  mutable free_slots : int list;
   mutable visit : (int -> unit) option;
 }
 
@@ -27,7 +26,6 @@ let create ~env ~schema () =
     allocated = 0;
     root = nil;
     count = 0;
-    free_slots = [];
     visit = None;
   }
 
@@ -70,24 +68,14 @@ let grow t =
   t.heights <- nh
 
 let alloc_node t tuple =
-  let slot =
-    match t.free_slots with
-    | s :: rest ->
-      t.free_slots <- rest;
-      s
-    | [] ->
-      if t.allocated = Array.length t.tuples then grow t;
-      let s = t.allocated in
-      t.allocated <- s + 1;
-      s
-  in
+  if t.allocated = Array.length t.tuples then grow t;
+  let slot = t.allocated in
+  t.allocated <- slot + 1;
   t.tuples.(slot) <- tuple;
   t.left.(slot) <- nil;
   t.right.(slot) <- nil;
   t.heights.(slot) <- 1;
   slot
-
-let free_node t n = t.free_slots <- n :: t.free_slots
 
 let rotate_right t n =
   let l = t.left.(n) in
@@ -158,90 +146,6 @@ let search t key =
   in
   go t.root
 
-let rec min_node t n =
-  if t.left.(n) = nil then n
-  else begin
-    touch t t.left.(n);
-    min_node t t.left.(n)
-  end
-
-let delete t key =
-  let deleted = ref false in
-  let rec del n =
-    if n = nil then nil
-    else begin
-      touch t n;
-      charge_comp t;
-      let c = S.Tuple.compare_key_to t.schema t.tuples.(n) key in
-      if c > 0 then begin
-        t.left.(n) <- del t.left.(n);
-        rebalance t n
-      end
-      else if c < 0 then begin
-        t.right.(n) <- del t.right.(n);
-        rebalance t n
-      end
-      else begin
-        deleted := true;
-        if t.left.(n) = nil then begin
-          let r = t.right.(n) in
-          free_node t n;
-          r
-        end
-        else if t.right.(n) = nil then begin
-          let l = t.left.(n) in
-          free_node t n;
-          l
-        end
-        else begin
-          (* Two children: replace payload with in-order successor, then
-             delete the successor from the right subtree. *)
-          let succ = min_node t t.right.(n) in
-          t.tuples.(n) <- t.tuples.(succ);
-          let key' = S.Tuple.key_bytes t.schema t.tuples.(succ) in
-          let rec del_min m =
-            if m = nil then nil
-            else begin
-              touch t m;
-              charge_comp t;
-              let c = S.Tuple.compare_key_to t.schema t.tuples.(m) key' in
-              if c > 0 then begin
-                t.left.(m) <- del_min t.left.(m);
-                rebalance t m
-              end
-              else if c < 0 then begin
-                t.right.(m) <- del_min t.right.(m);
-                rebalance t m
-              end
-              else begin
-                (* Successor has no left child by construction. *)
-                let r = t.right.(m) in
-                free_node t m;
-                r
-              end
-            end
-          in
-          t.right.(n) <- del_min t.right.(n);
-          rebalance t n
-        end
-      end
-    end
-  in
-  t.root <- del t.root;
-  if !deleted then t.count <- t.count - 1;
-  !deleted
-
-let min_tuple t =
-  if t.root = nil then None
-  else begin
-    touch t t.root;
-    Some t.tuples.(min_node t t.root)
-  end
-
-let max_tuple t =
-  let rec go n = if t.right.(n) = nil then n else go t.right.(n) in
-  if t.root = nil then None else Some t.tuples.(go t.root)
-
 let iter_in_order t f =
   let rec go n =
     if n <> nil then begin
@@ -251,44 +155,6 @@ let iter_in_order t f =
     end
   in
   go t.root
-
-exception Done
-
-let scan_from t key n =
-  let acc = ref [] in
-  let remaining = ref n in
-  (* In-order traversal pruned to keys >= key; descent comparisons are
-     charged, successor pointer-chases only touch pages. *)
-  let rec go node =
-    if node <> nil then begin
-      touch t node;
-      charge_comp t;
-      let c = S.Tuple.compare_key_to t.schema t.tuples.(node) key in
-      if c >= 0 then begin
-        go t.left.(node);
-        if !remaining > 0 then begin
-          acc := t.tuples.(node) :: !acc;
-          decr remaining;
-          if !remaining = 0 then raise Done
-        end;
-        go_all t.right.(node)
-      end
-      else go t.right.(node)
-    end
-  and go_all node =
-    if node <> nil then begin
-      touch t node;
-      go_all t.left.(node);
-      if !remaining > 0 then begin
-        acc := t.tuples.(node) :: !acc;
-        decr remaining;
-        if !remaining = 0 then raise Done
-      end;
-      go_all t.right.(node)
-    end
-  in
-  (try go t.root with Done -> ());
-  List.rev !acc
 
 let range_scan t ~lo ~hi f =
   let rec go node =

@@ -4,7 +4,7 @@
     The paper's AVL stores the tuples themselves with two child pointers
     per node, so the structure occupies [|R|·(t + 2s) / P] pages.  Nodes
     here live in a growable array; a node's array index determines which
-    simulated page it lands on (see {!Paged_avl}), reproducing the paper's
+    simulated page it lands on (see {!Pager}), reproducing the paper's
     observation that without special precautions each of the [C] nodes on a
     root-to-leaf path sits on a different page.
 
@@ -26,7 +26,7 @@ val height : t -> int
 (** Height in nodes (0 for empty). *)
 
 val node_count : t -> int
-(** Allocated node slots, including freed ones (drives page placement). *)
+(** Allocated node slots (drives page placement). *)
 
 val insert : t -> bytes -> unit
 (** [insert t tuple] adds (or replaces, on equal key) a tuple. *)
@@ -36,28 +36,16 @@ val search : t -> bytes -> bytes option
     [key] (standalone key bytes, as from
     {!Mmdb_storage.Tuple.encode_int_key}). *)
 
-val delete : t -> bytes -> bool
-(** [delete t key] removes the tuple with that key; [false] if absent. *)
-
-val min_tuple : t -> bytes option
-val max_tuple : t -> bytes option
-
 val iter_in_order : t -> (bytes -> unit) -> unit
 (** Visit every tuple in ascending key order (no comparison charges; used
     for verification). *)
-
-val scan_from : t -> bytes -> int -> bytes list
-(** [scan_from t key n] locates the smallest key [>= key] and returns up to
-    [n] tuples in ascending order — the paper's sequential-access case 2.
-    Charges comparisons for the descent; successor steps charge pointer
-    chases via the visit hook but no comparisons. *)
 
 val range_scan : t -> lo:bytes -> hi:bytes -> (bytes -> unit) -> unit
 (** All tuples with [lo <= key <= hi], ascending. *)
 
 val set_visit_hook : t -> (int -> unit) option -> unit
 (** [set_visit_hook t (Some f)] makes every node touch during subsequent
-    operations call [f node_id] — {!Paged_avl} uses this to route touches
+    operations call [f node_id] — {!Pager} uses this to route touches
     through a buffer pool. *)
 
 val check_invariants : t -> bool

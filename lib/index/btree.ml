@@ -3,15 +3,15 @@ module S = Mmdb_storage
 let nil = -1
 
 type leaf = {
-  mutable tuples : bytes array; (* capacity lcap + 1 (transient overflow) *)
+  tuples : bytes array; (* capacity lcap + 1 (transient overflow) *)
   mutable ln : int;
   mutable next : int;
 }
 
 type internal = {
-  mutable keys : bytes array; (* capacity fanout (transient overflow) *)
+  keys : bytes array; (* capacity fanout (transient overflow) *)
   mutable kn : int; (* number of separator keys; children = kn + 1 *)
-  mutable children : int array; (* capacity fanout + 1 *)
+  children : int array; (* capacity fanout + 1 *)
 }
 
 type node = Leaf of leaf | Internal of internal | Free
@@ -23,7 +23,6 @@ type t = {
   lcap : int; (* max tuples per leaf *)
   mutable nodes : node array;
   mutable allocated : int;
-  mutable free_slots : int list;
   mutable root : int;
   mutable count : int;
   mutable first_leaf : int;
@@ -51,23 +50,11 @@ let grow t =
   t.nodes <- nn
 
 let alloc t nd =
-  let slot =
-    match t.free_slots with
-    | s :: rest ->
-      t.free_slots <- rest;
-      s
-    | [] ->
-      if t.allocated = Array.length t.nodes then grow t;
-      let s = t.allocated in
-      t.allocated <- s + 1;
-      s
-  in
+  if t.allocated = Array.length t.nodes then grow t;
+  let slot = t.allocated in
+  t.allocated <- slot + 1;
   t.nodes.(slot) <- nd;
   slot
-
-let free_node t n =
-  t.nodes.(n) <- Free;
-  t.free_slots <- n :: t.free_slots
 
 let new_leaf t =
   alloc t
@@ -100,7 +87,6 @@ let create ~env ~schema ?(page_size = 4096) () =
       lcap;
       nodes = [||];
       allocated = 0;
-      free_slots = [];
       root = nil;
       count = 0;
       first_leaf = nil;
@@ -112,14 +98,15 @@ let create ~env ~schema ?(page_size = 4096) () =
   t.first_leaf <- root;
   t
 
-let node_count t = t.allocated - List.length t.free_slots
-
-let leaf_count t =
+let count_nodes t keep =
   let c = ref 0 in
   for i = 0 to t.allocated - 1 do
-    match t.nodes.(i) with Leaf _ -> incr c | Internal _ | Free -> ()
+    if keep t.nodes.(i) then incr c
   done;
   !c
+
+let node_count t = count_nodes t (function Free -> false | Leaf _ | Internal _ -> true)
+let leaf_count t = count_nodes t (function Leaf _ -> true | Internal _ | Free -> false)
 
 let rec height_of t n =
   match node t n with
@@ -270,182 +257,6 @@ let insert t tuple =
 let leaf_min t = t.lcap / 2
 let internal_min_children t = t.fanout / 2
 
-(* Rebalance child [ci] of internal [nd] after a deletion underflow. *)
-let fix_underflow t (nd : internal) ci =
-  let child_id = nd.children.(ci) in
-  let merge_leaves li ri sep_idx =
-    let l = match node t nd.children.(li) with Leaf x -> x | _ -> assert false in
-    let r = match node t nd.children.(ri) with Leaf x -> x | _ -> assert false in
-    for j = 0 to r.ln - 1 do
-      l.tuples.(l.ln + j) <- r.tuples.(j)
-    done;
-    l.ln <- l.ln + r.ln;
-    l.next <- r.next;
-    free_node t nd.children.(ri);
-    for j = sep_idx to nd.kn - 2 do
-      nd.keys.(j) <- nd.keys.(j + 1)
-    done;
-    for j = ri to nd.kn - 1 do
-      nd.children.(j) <- nd.children.(j + 1)
-    done;
-    nd.keys.(nd.kn - 1) <- Bytes.empty;
-    nd.children.(nd.kn) <- nil;
-    nd.kn <- nd.kn - 1
-  in
-  let merge_internals li ri sep_idx =
-    let l =
-      match node t nd.children.(li) with Internal x -> x | _ -> assert false
-    in
-    let r =
-      match node t nd.children.(ri) with Internal x -> x | _ -> assert false
-    in
-    l.keys.(l.kn) <- nd.keys.(sep_idx);
-    for j = 0 to r.kn - 1 do
-      l.keys.(l.kn + 1 + j) <- r.keys.(j)
-    done;
-    for j = 0 to r.kn do
-      l.children.(l.kn + 1 + j) <- r.children.(j)
-    done;
-    l.kn <- l.kn + 1 + r.kn;
-    free_node t nd.children.(ri);
-    for j = sep_idx to nd.kn - 2 do
-      nd.keys.(j) <- nd.keys.(j + 1)
-    done;
-    for j = ri to nd.kn - 1 do
-      nd.children.(j) <- nd.children.(j + 1)
-    done;
-    nd.keys.(nd.kn - 1) <- Bytes.empty;
-    nd.children.(nd.kn) <- nil;
-    nd.kn <- nd.kn - 1
-  in
-  match node t child_id with
-  | Free -> assert false
-  | Leaf lf ->
-    if lf.ln >= leaf_min t then ()
-    else begin
-      let borrowed = ref false in
-      if ci > 0 then begin
-        match node t nd.children.(ci - 1) with
-        | Leaf left when left.ln > leaf_min t ->
-          (* Move left's last tuple to the front of lf. *)
-          for j = lf.ln downto 1 do
-            lf.tuples.(j) <- lf.tuples.(j - 1)
-          done;
-          lf.tuples.(0) <- left.tuples.(left.ln - 1);
-          left.tuples.(left.ln - 1) <- Bytes.empty;
-          left.ln <- left.ln - 1;
-          lf.ln <- lf.ln + 1;
-          nd.keys.(ci - 1) <- tuple_key t lf.tuples.(0);
-          borrowed := true
-        | _ -> ()
-      end;
-      if (not !borrowed) && ci < nd.kn then begin
-        match node t nd.children.(ci + 1) with
-        | Leaf right when right.ln > leaf_min t ->
-          lf.tuples.(lf.ln) <- right.tuples.(0);
-          lf.ln <- lf.ln + 1;
-          for j = 0 to right.ln - 2 do
-            right.tuples.(j) <- right.tuples.(j + 1)
-          done;
-          right.tuples.(right.ln - 1) <- Bytes.empty;
-          right.ln <- right.ln - 1;
-          nd.keys.(ci) <- tuple_key t right.tuples.(0);
-          borrowed := true
-        | _ -> ()
-      end;
-      if not !borrowed then
-        if ci > 0 then merge_leaves (ci - 1) ci (ci - 1)
-        else merge_leaves ci (ci + 1) ci
-    end
-  | Internal ch ->
-    if ch.kn + 1 >= internal_min_children t then ()
-    else begin
-      let borrowed = ref false in
-      if ci > 0 then begin
-        match node t nd.children.(ci - 1) with
-        | Internal left when left.kn + 1 > internal_min_children t ->
-          for j = ch.kn downto 1 do
-            ch.keys.(j) <- ch.keys.(j - 1)
-          done;
-          for j = ch.kn + 1 downto 1 do
-            ch.children.(j) <- ch.children.(j - 1)
-          done;
-          ch.keys.(0) <- nd.keys.(ci - 1);
-          ch.children.(0) <- left.children.(left.kn);
-          ch.kn <- ch.kn + 1;
-          nd.keys.(ci - 1) <- left.keys.(left.kn - 1);
-          left.keys.(left.kn - 1) <- Bytes.empty;
-          left.children.(left.kn) <- nil;
-          left.kn <- left.kn - 1;
-          borrowed := true
-        | _ -> ()
-      end;
-      if (not !borrowed) && ci < nd.kn then begin
-        match node t nd.children.(ci + 1) with
-        | Internal right when right.kn + 1 > internal_min_children t ->
-          ch.keys.(ch.kn) <- nd.keys.(ci);
-          ch.children.(ch.kn + 1) <- right.children.(0);
-          ch.kn <- ch.kn + 1;
-          nd.keys.(ci) <- right.keys.(0);
-          for j = 0 to right.kn - 2 do
-            right.keys.(j) <- right.keys.(j + 1)
-          done;
-          for j = 0 to right.kn - 1 do
-            right.children.(j) <- right.children.(j + 1)
-          done;
-          right.keys.(right.kn - 1) <- Bytes.empty;
-          right.children.(right.kn) <- nil;
-          right.kn <- right.kn - 1;
-          borrowed := true
-        | _ -> ()
-      end;
-      if not !borrowed then
-        if ci > 0 then merge_internals (ci - 1) ci (ci - 1)
-        else merge_internals ci (ci + 1) ci
-    end
-
-let delete t key =
-  let deleted = ref false in
-  let rec del n =
-    touch t n;
-    match node t n with
-    | Leaf lf ->
-      let i = leaf_lower_bound t lf key in
-      if
-        i < lf.ln
-        && (charge_comp t;
-            S.Tuple.compare_key_to t.schema lf.tuples.(i) key = 0)
-      then begin
-        for j = i to lf.ln - 2 do
-          lf.tuples.(j) <- lf.tuples.(j + 1)
-        done;
-        lf.tuples.(lf.ln - 1) <- Bytes.empty;
-        lf.ln <- lf.ln - 1;
-        deleted := true;
-        t.count <- t.count - 1
-      end
-    | Internal nd ->
-      let ci = child_index t nd key in
-      del nd.children.(ci);
-      if !deleted then fix_underflow t nd ci
-    | Free -> assert false
-  in
-  del t.root;
-  (* Shrink the root if it lost all separators. *)
-  (match node t t.root with
-  | Internal nd when nd.kn = 0 ->
-    let only = nd.children.(0) in
-    free_node t t.root;
-    t.root <- only
-  | Internal _ | Leaf _ -> ()
-  | Free -> assert false);
-  !deleted
-
-let min_tuple t =
-  match node t t.first_leaf with
-  | Leaf lf -> if lf.ln > 0 then Some lf.tuples.(0) else None
-  | Internal _ | Free -> assert false
-
 let iter_in_order t f =
   let rec walk n =
     if n <> nil then
@@ -458,39 +269,6 @@ let iter_in_order t f =
       | Internal _ | Free -> assert false
   in
   walk t.first_leaf
-
-let scan_from t key n =
-  (* Charged descent to the leaf holding the first key >= key. *)
-  let rec descend nid =
-    touch t nid;
-    match node t nid with
-    | Leaf lf -> (nid, lf, leaf_lower_bound t lf key)
-    | Internal nd -> descend nd.children.(child_index t nd key)
-    | Free -> assert false
-  in
-  let _, lf0, i0 = descend t.root in
-  let acc = ref [] in
-  let remaining = ref n in
-  (* Walk the leaf chain collecting tuples. *)
-  let cur = ref (Some (lf0, i0)) in
-  while !remaining > 0 && !cur <> None do
-    match !cur with
-    | None -> ()
-    | Some (lf, i) ->
-      if i < lf.ln then begin
-        acc := lf.tuples.(i) :: !acc;
-        decr remaining;
-        cur := Some (lf, i + 1)
-      end
-      else if lf.next = nil then cur := None
-      else begin
-        touch t lf.next;
-        match node t lf.next with
-        | Leaf nxt -> cur := Some (nxt, 0)
-        | Internal _ | Free -> assert false
-      end
-  done;
-  List.rev !acc
 
 let range_scan t ~lo ~hi f =
   let rec descend nid =
@@ -677,7 +455,7 @@ let bulk_load ~env ~schema ?(page_size = 4096) ?(occupancy = 1.0) tuples =
       match level with
       | [ (only, _) ] ->
         (* Free the placeholder root leaf, then install. *)
-        free_node t t.root;
+        t.nodes.(t.root) <- Free;
         t.root <- only;
         t.first_leaf <- fst (List.hd leaves)
       | _ ->

@@ -57,17 +57,8 @@ val insert : t -> bytes -> unit
 val search : t -> bytes -> bytes option
 (** Lookup by standalone encoded key. *)
 
-val delete : t -> bytes -> bool
-(** Remove by key with underflow rebalancing; [false] if absent. *)
-
-val min_tuple : t -> bytes option
-
 val iter_in_order : t -> (bytes -> unit) -> unit
 (** Leaf-chain scan, ascending (uncharged; verification). *)
-
-val scan_from : t -> bytes -> int -> bytes list
-(** [scan_from t key n]: descend to the first key [>= key], then follow
-    leaf links collecting up to [n] tuples (Section 2's case 2). *)
 
 val range_scan : t -> lo:bytes -> hi:bytes -> (bytes -> unit) -> unit
 

@@ -103,57 +103,6 @@ let search t key =
   in
   go t.root
 
-let delete t key =
-  let parent = ref nil in
-  let from_left = ref false in
-  let n = ref t.root in
-  let found = ref false in
-  while (not !found) && !n <> nil do
-    charge_comp t;
-    let c = S.Tuple.compare_key_to t.schema t.tuples.(!n) key in
-    if c = 0 then found := true
-    else begin
-      parent := !n;
-      if c > 0 then begin
-        from_left := true;
-        n := t.left.(!n)
-      end
-      else begin
-        from_left := false;
-        n := t.right.(!n)
-      end
-    end
-  done;
-  if not !found then false
-  else begin
-    let replace_child child =
-      if !parent = nil then t.root <- child
-      else if !from_left then t.left.(!parent) <- child
-      else t.right.(!parent) <- child
-    in
-    let node = !n in
-    if t.left.(node) = nil then replace_child t.right.(node)
-    else if t.right.(node) = nil then replace_child t.left.(node)
-    else begin
-      (* Two children: move the in-order successor's tuple up, splice the
-         successor out.  The freed slot is simply abandoned — allocation
-         order (page placement) of live nodes is untouched. *)
-      let sp = ref node in
-      let s_from_left = ref false in
-      let s = ref t.right.(node) in
-      while t.left.(!s) <> nil do
-        sp := !s;
-        s_from_left := true;
-        s := t.left.(!s)
-      done;
-      t.tuples.(node) <- t.tuples.(!s);
-      if !s_from_left then t.left.(!sp) <- t.right.(!s)
-      else t.right.(!sp) <- t.right.(!s)
-    end;
-    t.count <- t.count - 1;
-    true
-  end
-
 let iter_in_order t f =
   (* Explicit stack: the degenerate (sorted-insertion) tree would blow the
      call stack with naive recursion. *)

@@ -24,10 +24,5 @@ val insert : t -> bytes -> unit
 
 val search : t -> bytes -> bytes option
 
-val delete : t -> bytes -> bool
-(** Remove the tuple with the given encoded key; [false] when absent.
-    Standard BST splice (in-order successor for two-child nodes); freed
-    node slots are abandoned, not reused. *)
-
 val check_invariants : t -> bool
 (** BST ordering (no balance requirement, of course). *)

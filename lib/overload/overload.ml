@@ -162,7 +162,6 @@ module Breaker = struct
     | Half_open -> "half-open"
 
   type t = {
-    name : string;
     threshold : int;
     cooldown : float;
     tally : tally;
@@ -175,11 +174,10 @@ module Breaker = struct
     mutable reopens : int;
   }
 
-  let create ?(threshold = 5) ?(cooldown = 50e-3) ?tally ~name () =
+  let create ?(threshold = 5) ?(cooldown = 50e-3) ?tally () =
     if threshold <= 0 then invalid_arg "Breaker.create: threshold <= 0";
     if cooldown <= 0.0 then invalid_arg "Breaker.create: cooldown <= 0";
     {
-      name;
       threshold;
       cooldown;
       tally = (match tally with Some t -> t | None -> tally_create ());

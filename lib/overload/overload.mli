@@ -114,8 +114,7 @@ module Breaker : sig
   type t
 
   val create :
-    ?threshold:int -> ?cooldown:float -> ?tally:tally -> name:string ->
-    unit -> t
+    ?threshold:int -> ?cooldown:float -> ?tally:tally -> unit -> t
   (** Defaults: 5 consecutive failures, 50 ms cooldown.  [tally] shares
       trip/reopen counts with an external record.
       @raise Invalid_argument on a non-positive threshold or cooldown. *)

@@ -14,9 +14,9 @@ let rec base_relation catalog = function
   | Optimizer.P_set_op { left = input; _ }
   | Optimizer.P_join { left = input; _ } -> base_relation catalog input
 
-(* Deadline check as a node opens, before any tuple flows through it:
-   no intermediate result is mid-construction and nothing is pinned, so
-   an expired query aborts with the pool clean by construction. *)
+(* Deadline check as a node opens, before any tuple flows through it,
+   so an expired query aborts with no intermediate result
+   mid-construction. *)
 let check_deadline catalog plan d =
   let env = S.Relation.env (base_relation catalog plan) in
   let now = S.Sim_clock.now env.S.Env.clock in
@@ -251,10 +251,5 @@ let run_traced catalog cfg plan =
 
 let query ?deadline catalog cfg expr =
   run ?deadline catalog cfg (Optimizer.plan catalog cfg expr)
-
-let query_checked catalog cfg expr =
-  match Plan_check.check_schema catalog expr with
-  | Error diags -> Error diags
-  | Ok _ -> Ok (query catalog cfg expr)
 
 let rows rel = decode (S.Relation.schema rel) (S.Relation.iter_tuples_nocharge rel)

@@ -18,9 +18,8 @@ val run : ?deadline:Mmdb_overload.Overload.Deadline.t -> Catalog.t ->
     intermediate result's pages are freed once its parent node has
     consumed it; catalog tables are never freed.  When [deadline] is
     given it is checked as each node opens, before any tuple flows
-    through it: an expired query aborts between operators — when no
-    intermediate result is mid-construction and nothing is pinned — so
-    the buffer pool audits clean.
+    through it: an expired query aborts between operators, when no
+    intermediate result is mid-construction.
     @raise Mmdb_overload.Overload.Shed (OVLD005) when [deadline] expires
     at an operator boundary.
     @raise Mmdb_fault.Fault.Io_error and
@@ -61,13 +60,6 @@ val query : ?deadline:Mmdb_overload.Overload.Deadline.t -> Catalog.t ->
 (** [query catalog cfg expr] = plan + run.
     @raise Mmdb_overload.Overload.Shed (OVLD005) when [deadline] expires
     at an operator boundary. *)
-
-val query_checked : Catalog.t -> Optimizer.config -> Algebra.expr ->
-  (Mmdb_storage.Relation.t, Mmdb_util.Diag.t list) result
-(** Like {!query}, but the expression is first validated with
-    {!Plan_check}: ill-formed plans come back as [Error diags] without
-    touching any operator, instead of raising mid-execution.  Well-formed
-    plans execute normally (warnings do not block execution). *)
 
 val rows : Mmdb_storage.Relation.t -> Mmdb_storage.Tuple.value list list
 (** Decode every tuple (convenience for examples and tests). *)

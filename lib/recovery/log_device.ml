@@ -138,18 +138,11 @@ let page_durable p ~at =
   | On_completion -> p.completion <= at
   | Battery_backed queued -> queued <= at
 
-let durable_records t ~at =
-  List.concat_map
-    (fun p -> if page_durable p ~at then p.records else [])
-    (List.rev t.pages)
-
 let durable_pages t ~at =
   List.filter_map
     (fun p ->
       if page_durable p ~at then Some (p.completion, p.records) else None)
     (List.rev t.pages)
-
-let all_records t = List.concat_map (fun p -> p.records) (List.rev t.pages)
 
 let page_spans t =
   List.rev_map (fun p -> (p.start, p.completion)) t.pages

@@ -41,16 +41,9 @@ val busy_until : t -> float
 val pages_written : t -> int
 val bytes_written : t -> int
 
-val durable_records : t -> at:float -> Log_record.t list
-(** All records on pages whose writes completed by [at], in write order —
-    what a crash at [at] leaves on this device. *)
-
 val durable_pages : t -> at:float -> (float * Log_record.t list) list
 (** Durable pages with their completion timestamps, oldest first — the
     fragments that {!Log_merge} recombines per Section 5.2. *)
-
-val all_records : t -> Log_record.t list
-(** Every record ever scheduled (test helper). *)
 
 val page_spans : t -> (float * float) list
 (** [(start, completion)] of every page written, oldest first — the

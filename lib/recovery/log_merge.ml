@@ -47,5 +47,3 @@ let merge fragments =
   in
   drain ();
   List.fold_left (fun out records -> records @ out) [] !rev_pages
-
-let backward fragments = List.rev (merge fragments)

@@ -23,7 +23,3 @@ val merge : (float * Log_record.t list) list list -> Log_record.t list
     deterministic function of the input alone: equal-timestamp pages
     across devices and empty fragments cannot reshuffle with heap
     internals.  [merge [] = []]. *)
-
-val backward : (float * Log_record.t list) list list -> Log_record.t list
-(** The paper's roll-backward order: newest record first (the reverse of
-    {!merge}). *)

@@ -34,10 +34,6 @@ let size_bytes ~compressed = function
   | Update _ -> if compressed then 30 else 60
   | Command { ops; _ } -> 20 + (8 * List.length ops)
 
-let is_update = function
-  | Update _ | Command _ -> true
-  | Begin _ | Commit _ | Abort _ | Ckpt_begin _ | Ckpt_end _ -> false
-
 (* Wire encoding.  Each record occupies exactly [size_bytes] bytes — the
    model sizes double as the physical layout, so byte accounting and
    serialization can never disagree.  Fields are little-endian; the last

@@ -52,9 +52,6 @@ val size_bytes : compressed:bool -> t -> int
     header plus 8 bytes per operation, in both modes (a command carries
     no old values to drop). *)
 
-val is_update : t -> bool
-(** [true] for data-carrying body records: [Update] and [Command]. *)
-
 val max_command_ops : int
 (** Operation-count ceiling of the command wire format (one count
     byte): 255. *)
@@ -75,16 +72,12 @@ val encode_into : compressed:bool -> t -> bytes -> pos:int -> int
     and returns the number of bytes written.
     @raise Invalid_argument if the record does not fit. *)
 
-val decode : bytes -> pos:int -> (t * int, string) result
-(** [decode buf ~pos] reads one record, returning it with its encoded
-    size, or [Error] on a bad tag, truncation, or CRC mismatch.
-    Compressed updates decode with [old_value = 0]: the old value was
-    dropped (§5.4), legal only for transactions known committed, which
-    are never undone. *)
-
 val decode_run : bytes -> pos:int -> len:int -> t list * string option
 (** Decode a packed run of records, stopping at the end of the window or
-    the first undecodable byte.  A page image has no padding, so a zero
+    the first undecodable byte: a bad tag, a truncated record or a CRC
+    mismatch.  Compressed updates decode with [old_value = 0]: the old
+    value was dropped (§5.4), legal only for transactions known
+    committed, which are never undone.  A page image has no padding, so a zero
     byte where a record should start is a bad tag, not an end.  Returns
     the records that decoded cleanly and the error that stopped the
     walk, if any — the torn-tail truncation primitive: everything

@@ -109,8 +109,9 @@ let run cfg =
       ~updates_per_txn:cfg.updates_per_txn ~n:cfg.n_txns ()
   in
   (* Per-transaction-class logging choice (adaptive logging): command
-     records are ~7x smaller but replay serially when the transaction
-     spans replay partitions, so the model's decision rule flips to
+     records are ~7x smaller, and Recovery_model prices the ops of a
+     transaction that spans replay partitions serially (Replay itself
+     splits them by partition), so the model's decision rule flips to
      value records for cross-partition transactions as the worker count
      grows.  Partitioning here must mirror Kv_store.recover's:
      page mod workers. *)

@@ -22,8 +22,10 @@ type logging_mode =
   | Value_logging  (** after-image update records: big log, cheap replay *)
   | Command_logging
       (** one operation record per transaction: ~7x smaller log, replay
-          re-executes the deltas (50x slower per op, serially when the
-          transaction spans replay partitions) *)
+          re-executes the deltas (50x slower per op).  {!Replay} splits a
+          command that spans replay partitions by partition, so its ops
+          replay in parallel; only {!Mmdb_model.Recovery_model} prices
+          such ops serially. *)
   | Adaptive_logging
       (** per-transaction choice by
           {!Mmdb_model.Recovery_model.adaptive_command_wins}:

@@ -71,8 +71,3 @@ val events : recorder -> event list
 
 val domains : event list -> int list
 (** The distinct domain stamps appearing in a trace, sorted. *)
-
-val length : recorder -> int
-val clear : recorder -> unit
-
-val kind_name : kind -> string

@@ -18,7 +18,6 @@ let create ~capacity_bytes =
   }
 
 let capacity t = t.capacity_bytes
-let used t = t.used_bytes
 let available t = t.capacity_bytes - t.used_bytes
 
 let put_records t records ~bytes =
@@ -29,21 +28,6 @@ let put_records t records ~bytes =
     t.used_bytes <- t.used_bytes + bytes;
     true
   end
-
-let drain t ~max_bytes =
-  let out = ref [] in
-  let taken = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Queue.peek_opt t.batches with
-    | Some b when !taken + b.bytes <= max_bytes ->
-      ignore (Queue.pop t.batches);
-      out := List.rev_append b.records !out;
-      taken := !taken + b.bytes;
-      t.used_bytes <- t.used_bytes - b.bytes
-    | Some _ | None -> continue := false
-  done;
-  (List.rev !out, !taken)
 
 let peek_batch t =
   match Queue.peek_opt t.batches with

@@ -12,21 +12,15 @@ val create : capacity_bytes:int -> t
 (** @raise Invalid_argument if [capacity_bytes <= 0]. *)
 
 val capacity : t -> int
-val used : t -> int
 val available : t -> int
 
 val put_records : t -> Log_record.t list -> bytes:int -> bool
 (** [put_records sm records ~bytes] stores log records if [bytes] fit;
     [false] when full (the caller must drain first). *)
 
-val drain : t -> max_bytes:int -> Log_record.t list * int
-(** [drain sm ~max_bytes] removes up to [max_bytes] worth of the oldest
-    records (whole batches), returning them with their byte size —
-    feeding a disk log page. *)
-
 val peek_batch : t -> (Log_record.t list * int) option
-(** Oldest batch (records, stable bytes) without removing it — lets the
-    drainer pack disk pages by a different (compressed) size measure. *)
+(** Oldest batch (records, stable bytes) without removing it — the
+    drainer packs disk pages by its own (compressed) size measure. *)
 
 val drop_batch : t -> unit
 (** Remove the oldest batch.

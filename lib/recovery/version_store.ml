@@ -42,10 +42,6 @@ let read ?txn ?(domain = 0) t ~ts ~slot =
   in
   find t.chains.(slot)
 
-let read_latest t ~slot =
-  check_slot t slot;
-  match t.chains.(slot) with (_, v) :: _ -> v | [] -> 0
-
 let version_count t = t.total_versions
 
 let gc t ~oldest_active_ts =

@@ -30,8 +30,6 @@ val read : ?txn:int -> ?domain:int -> t -> ts:float -> slot:int -> int
 (** Snapshot read: the newest value with [commit_ts <= ts].  When [txn]
     is given the access is witnessed as a [Read] event with [ver = ts]. *)
 
-val read_latest : t -> slot:int -> int
-
 val version_count : t -> int
 (** Total stored versions across all slots (space cost of versioning). *)
 

@@ -40,7 +40,6 @@ type open_page = {
 type t = {
   strat : strategy;
   page_size : int;
-  clock : Mmdb_storage.Sim_clock.t;
   devices : Log_device.t array;
   mutable next_device : int;
   mutable page : open_page;
@@ -75,7 +74,6 @@ let create ?(page_write_time = 10e-3) ?(page_bytes = 4096) ?faults ?breaker
   {
     strat;
     page_size = page_bytes;
-    clock;
     devices =
       Array.init ndev (fun _ ->
           Log_device.create ~page_write_time ~page_bytes ~faults ?breaker

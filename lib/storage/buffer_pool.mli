@@ -4,8 +4,8 @@
     under the assumption of a *random* replacement policy with [|M|] resident
     pages; this module implements that policy (plus LRU and Clock for the
     ablation in DESIGN.md) and counts hits and faults in the environment's
-    counters.  A miss charges one random I/O; a dirty eviction charges a
-    random write. *)
+    counters.  A miss charges one random read.  Frames are read-only
+    copies of disk pages, so eviction writes nothing back. *)
 
 type policy =
   | Random_replacement of Mmdb_util.Xorshift.t
@@ -36,61 +36,15 @@ val is_resident : t -> int -> bool
 val get : t -> int -> bytes
 (** [get t pid] returns the page, faulting it in (one random read, one
     fault counted) if absent; a hit counts [pool_hits] and costs nothing.
-    The returned bytes are the live frame: callers that mutate it must call
-    {!mark_dirty}.  Eviction of a dirty frame writes it back (one random
-    write).
+    The returned bytes are the live frame, which callers must not mutate.
     @raise Mmdb_fault.Fault.Io_error when an armed fault plan makes the
-    fault-in read (or dirty write-back) exhaust its retry budget.
+    fault-in read exhaust its retry budget.
     @raise Mmdb_fault.Fault.Unrecoverable when detected frame corruption
     cannot be rebuilt from any surviving redundancy. *)
 
-val mark_dirty : t -> int -> unit
-(** Flag a resident page as modified.  @raise Invalid_argument if the page
-    is not resident. *)
-
-val pin : t -> int -> bytes
-(** [pin t pid] is {!get} plus an eviction pin: the frame cannot be chosen
-    as a victim until a matching {!unpin}.  Pins nest.
-    @raise Invalid_argument (from the fault path) when the page is absent
-    and every resident frame is pinned. *)
-
-val unpin : t -> int -> unit
-(** Release one pin.  Unpinning a page that is absent or has no pins is a
-    protocol violation: it is {e recorded} (see {!stats}) rather than
-    raised, so {!Mmdb_verify.Pool_check} can report it. *)
-
-val pin_count : t -> int -> int
-(** Current pin count ([0] when absent). *)
-
-val flush : t -> int -> unit
-(** Write one resident dirty page back (random write); no-op when clean or
-    absent. *)
-
-val flush_all : t -> unit
-(** Write back every dirty frame; pages stay resident. *)
-
-val drop_all : t -> unit
-(** Discard every frame {e without} write-back — simulates losing volatile
-    memory in a crash. *)
-
 val scrub : t -> int
-(** Verify every {e clean} resident frame against its disk image and
-    reload (one charged random read each) any that diverge — e.g. after
-    the disk's fault plan rotted a frame in memory.  Dirty frames are
-    skipped; their divergence is legitimate.  Returns the number of
-    frames repaired; detections and repairs are tallied in the disk's
-    fault plan. *)
-
-type stats = {
-  dirtied : int;  (** clean->dirty transitions since creation *)
-  writebacks : int;  (** dirty frames written back (flush or eviction) *)
-  dropped_dirty : int;  (** dirty frames discarded by {!drop_all} *)
-  dirty_resident : int;  (** frames currently dirty *)
-  pinned_pages : (int * int) list;  (** (pid, pins) with pins > 0, sorted *)
-  unpin_underflows : int;  (** unmatched {!unpin} calls *)
-}
-
-val stats : t -> stats
-(** Accounting snapshot.  Invariant audited by
-    {!Mmdb_verify.Pool_check}: [dirtied = writebacks + dropped_dirty +
-    dirty_resident]. *)
+(** Verify every resident frame against its disk image and reload (one
+    charged random read each) any that diverge — e.g. after the disk's
+    fault plan rotted a frame in memory.  Returns the number of frames
+    repaired; detections and repairs are tallied in the disk's fault
+    plan. *)

@@ -23,12 +23,6 @@ let get page ~tuple_width i =
   if i < 0 || i >= count page then invalid_arg "Page.get: slot out of bounds";
   Bytes.sub page (slot_off ~tuple_width i) tuple_width
 
-let set page ~tuple_width i tuple =
-  if Bytes.length tuple <> tuple_width then
-    invalid_arg "Page.set: tuple width mismatch";
-  if i < 0 || i >= count page then invalid_arg "Page.set: slot out of bounds";
-  Bytes.blit tuple 0 page (slot_off ~tuple_width i) tuple_width
-
 let append page ~tuple_width tuple =
   if Bytes.length tuple <> tuple_width then
     invalid_arg "Page.append: tuple width mismatch";
@@ -46,7 +40,5 @@ let iter page ~tuple_width f =
   for i = 0 to n - 1 do
     f i (Bytes.sub page (slot_off ~tuple_width i) tuple_width)
   done
-
-let clear page = set_count page 0
 
 let checksum page = Mmdb_util.Checksum.crc32_bytes page

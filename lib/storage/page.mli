@@ -22,10 +22,6 @@ val get : bytes -> tuple_width:int -> int -> bytes
 (** [get page ~tuple_width i] is a copy of slot [i].
     @raise Invalid_argument if [i] is out of bounds. *)
 
-val set : bytes -> tuple_width:int -> int -> bytes -> unit
-(** [set page ~tuple_width i tuple] overwrites slot [i] (must be < count).
-    @raise Invalid_argument on bounds or width mismatch. *)
-
 val append : bytes -> tuple_width:int -> bytes -> bool
 (** [append page ~tuple_width tuple] adds a tuple if space remains; returns
     [false] when the page is full.  @raise Invalid_argument on width
@@ -33,9 +29,6 @@ val append : bytes -> tuple_width:int -> bytes -> bool
 
 val iter : bytes -> tuple_width:int -> (int -> bytes -> unit) -> unit
 (** [iter page ~tuple_width f] applies [f slot tuple_copy] to each tuple. *)
-
-val clear : bytes -> unit
-(** Reset the tuple count to zero (slots are not zeroed). *)
 
 val checksum : bytes -> int
 (** CRC-32 of the whole page image.  Stored out of band (the disk keeps a

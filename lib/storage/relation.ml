@@ -143,26 +143,6 @@ let iter_tuples_from_nocharge t ~start f =
           if !skip > 0 then decr skip else f tup))
     pids
 
-let iter_tids_nocharge t f =
-  seal t;
-  let tw = Schema.tuple_width t.rel_schema in
-  Array.iteri
-    (fun pidx pid ->
-      Disk.iter_nocharge t.rel_disk pid ~tuple_width:tw (fun slot tup ->
-          f (Tid.make ~page:pidx ~slot) tup))
-    (page_ids t)
-
-let fetch t tid =
-  seal t;
-  let ids = page_ids t in
-  if tid.Tid.page < 0 || tid.Tid.page >= Array.length ids then
-    invalid_arg "Relation.fetch: page out of range";
-  let page = Disk.read t.rel_disk ~mode:Disk.Rand ids.(tid.Tid.page) in
-  let tw = Schema.tuple_width t.rel_schema in
-  if tid.Tid.slot < 0 || tid.Tid.slot >= Page.count page then
-    invalid_arg "Relation.fetch: slot out of range";
-  Page.get page ~tuple_width:tw tid.Tid.slot
-
 let of_tuples ~disk ~name ~schema tuples =
   let t = create ~disk ~name ~schema in
   List.iter (append_nocharge t) tuples;

@@ -67,14 +67,6 @@ val iter_tuples_from_nocharge : t -> start:int -> (bytes -> unit) -> unit
 (** [iter_tuples_from_nocharge t ~start f] visits the tuples after the
     first [start], in order, reading only the pages that hold them. *)
 
-val iter_tids_nocharge : t -> (Tid.t -> bytes -> unit) -> unit
-(** Uncharged scan that also reports each tuple's TID. *)
-
-val fetch : t -> Tid.t -> bytes
-(** [fetch t tid] reads the tuple's page as a random read (the paper's
-    cost for TID-to-tuple resolution) and returns the tuple.
-    @raise Invalid_argument on a bad TID. *)
-
 val of_tuples : disk:Disk.t -> name:string -> schema:Schema.t ->
   bytes list -> t
 (** Bulk, uncharged load. *)

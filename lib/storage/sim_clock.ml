@@ -8,4 +8,3 @@ let advance t dt =
   t.time <- t.time +. dt
 
 let advance_to t at = if at > t.time then t.time <- at
-let reset t = t.time <- 0.0

@@ -20,6 +20,3 @@ val advance : t -> float -> unit
 val advance_to : t -> float -> unit
 (** [advance_to t at] moves time forward to absolute time [at]; no-op if
     [at] is in the past (useful for device-busy-until bookkeeping). *)
-
-val reset : t -> unit
-(** Rewind to time 0. *)

@@ -26,7 +26,6 @@ let crc32 buf ~pos ~len =
 
 let crc32_bytes buf = crc32 buf ~pos:0 ~len:(Bytes.length buf)
 
-let crc32_string s = crc32_bytes (Bytes.unsafe_of_string s)
 
 let crc32_ints arr ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Array.length arr then

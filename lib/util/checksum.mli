@@ -15,8 +15,6 @@ val crc32 : bytes -> pos:int -> len:int -> int
 val crc32_bytes : bytes -> int
 (** Checksum of a whole buffer. *)
 
-val crc32_string : string -> int
-
 val crc32_ints : int array -> pos:int -> len:int -> int
 (** Checksum of a slice of an int array (each element contributes its
     low 8 bytes, little-endian) — used for the recovery store's

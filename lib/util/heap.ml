@@ -69,13 +69,6 @@ let pop_exn h =
   | Some x -> x
   | None -> invalid_arg "Heap.pop_exn: empty heap"
 
-let replace_min h x =
-  if h.size = 0 then invalid_arg "Heap.replace_min: empty heap";
-  let min = h.data.(0) in
-  h.data.(0) <- x;
-  sift_down h 0;
-  min
-
 let of_array ?(on_swap = nop) ~cmp a =
   let data = Array.copy a in
   let h = { cmp; on_swap; data; size = Array.length a } in
@@ -83,12 +76,6 @@ let of_array ?(on_swap = nop) ~cmp a =
     sift_down h i
   done;
   h
-
-let to_sorted_list h =
-  let rec drain acc =
-    match pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  drain []
 
 let check_invariant h =
   let ok = ref true in

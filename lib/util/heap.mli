@@ -31,17 +31,9 @@ val pop : 'a t -> 'a option
 val pop_exn : 'a t -> 'a
 (** Like {!pop}.  @raise Invalid_argument if the heap is empty. *)
 
-val replace_min : 'a t -> 'a -> 'a
-(** [replace_min h x] atomically pops the minimum and pushes [x], returning
-    the old minimum.  One sift instead of two — the hot operation of
-    replacement selection.  @raise Invalid_argument if empty. *)
-
 val of_array :
   ?on_swap:(unit -> unit) -> cmp:('a -> 'a -> int) -> 'a array -> 'a t
 (** [of_array ~cmp a] heapifies a copy of [a] in O(n). *)
-
-val to_sorted_list : 'a t -> 'a list
-(** Drains the heap, returning elements in ascending order.  Destructive. *)
 
 val check_invariant : 'a t -> bool
 (** [check_invariant h] verifies the heap property (test helper). *)

@@ -64,23 +64,3 @@ let pp_summary ppf s =
   Format.fprintf ppf
     "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g" s.n
     s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max
-
-type welford = {
-  mutable count : int;
-  mutable w_mean : float;
-  mutable m2 : float;
-}
-
-let welford_create () = { count = 0; w_mean = 0.0; m2 = 0.0 }
-
-let welford_add w x =
-  w.count <- w.count + 1;
-  let delta = x -. w.w_mean in
-  w.w_mean <- w.w_mean +. (delta /. float_of_int w.count);
-  w.m2 <- w.m2 +. (delta *. (x -. w.w_mean))
-
-let welford_count w = w.count
-let welford_mean w = w.w_mean
-
-let welford_stddev w =
-  if w.count < 2 then 0.0 else sqrt (w.m2 /. float_of_int (w.count - 1))

@@ -30,13 +30,3 @@ val percentile : float array -> float -> float
 
 val pp_summary : Format.formatter -> summary -> unit
 (** Render a summary on one line. *)
-
-type welford
-(** Online mean/variance accumulator (Welford's algorithm), for streams too
-    large to buffer. *)
-
-val welford_create : unit -> welford
-val welford_add : welford -> float -> unit
-val welford_count : welford -> int
-val welford_mean : welford -> float
-val welford_stddev : welford -> float

@@ -15,8 +15,6 @@ let create seed =
     zeta_memo = Hashtbl.create 7;
   }
 
-let copy t = { state = t.state; zeta_memo = Hashtbl.copy t.zeta_memo }
-
 (* xorshift64* : Vigna, "An experimental exploration of Marsaglia's xorshift
    generators, scrambled". *)
 let next_int64 t =

@@ -13,12 +13,6 @@ val create : int -> t
 (** [create seed] builds a generator.  A zero seed is remapped to a fixed
     non-zero constant because xorshift has a fixed point at zero. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator starting from [t]'s current state. *)
-
-val next_int64 : t -> int64
-(** [next_int64 t] is the next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  @raise Invalid_argument if
     [bound <= 0]. *)

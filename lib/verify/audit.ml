@@ -11,13 +11,6 @@ let btree t =
 let avl t =
   structure_diag ~code:"IDX002" ~what:"AVL" (Mmdb_index.Avl.check_invariants t)
 
-let paged_bst t =
-  structure_diag ~code:"IDX003" ~what:"paged BST"
-    (Mmdb_index.Paged_bst.check_invariants t)
-
-let heap h =
-  structure_diag ~code:"IDX004" ~what:"heap" (Mmdb_util.Heap.check_invariant h)
-
 let report ppf results =
   let all_clean = ref true in
   List.iter
@@ -39,6 +32,4 @@ let code_catalogue =
   [
     ("IDX001", "B-tree invariant violated");
     ("IDX002", "AVL invariant violated");
-    ("IDX003", "paged BST invariant violated");
-    ("IDX004", "heap property violated");
   ]

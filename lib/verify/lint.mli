@@ -50,9 +50,8 @@
     - [EXN104] [raise v] of a handler-bound exception, which drops the
       original backtrace;
     - [EXN105] [failwith] reachable from a recovery/exec entry point.
-    Lock and pin pairing is checked dynamically, not here:
-    {!Schedule_check} (TXN001–TXN005) audits every traced lock schedule
-    and {!Pool_check} finds frames left pinned.
+    Lock pairing is checked dynamically, not here: {!Schedule_check}
+    (TXN001–TXN005) audits every traced lock schedule.
 
     A file that does not parse yields [RACE100], [PERF100] and [EXN100];
     an interface that does not parse yields [EXN100].  The rest of the

@@ -9,7 +9,6 @@
 module Diag = Mmdb_util.Diag
 module Plan_check = Mmdb_planner.Plan_check
 module Log_check = Log_check
-module Pool_check = Pool_check
 module Schedule = Mmdb_recovery.Schedule
 module Schedule_check = Schedule_check
 module Txn_fuzz = Txn_fuzz
@@ -24,6 +23,6 @@ module Audit = Audit
     copy. *)
 let code_catalogue =
   Plan_check.code_catalogue @ Log_check.code_catalogue
-  @ Pool_check.code_catalogue @ Schedule_check.code_catalogue
+  @ Schedule_check.code_catalogue
   @ Audit.code_catalogue @ Model_check.code_catalogue @ Lint.code_catalogue
   @ Mmdb_overload.Overload.code_catalogue @ Mmdb_fault.Fault.code_catalogue

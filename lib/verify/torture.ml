@@ -23,6 +23,12 @@ type crash =
   | After of int  (** right after this many submissions *)
   | At of int  (** a position on [scale] over the probe's crash instants *)
 
+(* A restart crash: a position on [scale] over all of the replay's steps,
+   or over its write-back steps only.  Write-back follows redo and undo
+   and is where a crash meets a half-applied undo, so half the restart
+   crashes land there. *)
+type restart = Any_step of int | Write_back of int
+
 (* One drawn case.  The crash instant and the restart-crash step are
    positions on [scale], resolved against probe runs of the same
    configuration, so a position that shrinks moves its crash earlier. *)
@@ -31,7 +37,7 @@ type case = {
   atoms : string list;
   txns : int;
   crash : crash;
-  steps : int option;  (** a position on [scale] over the replay's steps *)
+  steps : restart option;
   workers : int;
   logging : RM.logging_mode;
   domains : bool;
@@ -55,7 +61,14 @@ let atoms =
 let gen =
   let open Gen in
   let* txns = int_range 1 48
-  and* steps = option ~ratio:0.5 (int_bound (scale - 1)) in
+  and* steps =
+    option ~ratio:0.5
+      (oneof
+         [
+           map (fun p -> Any_step p) (int_bound (scale - 1));
+           map (fun p -> Write_back p) (int_bound (scale - 1));
+         ])
+  in
   let+ strategy = oneofl strategies
   and+ atoms = list_size (int_bound 2) (oneofl atoms)
   and+ crash =
@@ -112,7 +125,9 @@ let crash_instants cfg =
 
 (* The config a case runs: its crash resolved against a crash-free
    probe, and its restart crash against the same crash's recovery run
-   without one, as a step in [1, redo + undo + pages written back]. *)
+   without one, as a step in [1, redo + undo + pages written back] or,
+   for [Write_back], in [redo + undo + 1, redo + undo + pages written
+   back]. *)
 let resolve ~seed c =
   let cfg = base_config ~seed c in
   let cfg =
@@ -125,13 +140,13 @@ let resolve ~seed c =
   in
   let crash_steps =
     Option.map
-      (fun p ->
+      (fun restart ->
         let rs = (RM.run cfg).RM.recover_stats in
-        let total =
-          rs.R.Kv_store.redo_applied + rs.R.Kv_store.undo_applied
-          + rs.R.Kv_store.pages_written_back
-        in
-        1 + (p * max 1 total / scale))
+        let replayed = rs.R.Kv_store.redo_applied + rs.R.Kv_store.undo_applied in
+        let written = rs.R.Kv_store.pages_written_back in
+        match restart with
+        | Any_step p -> 1 + (p * max 1 (replayed + written) / scale)
+        | Write_back p -> replayed + 1 + (p * max 1 written / scale))
       c.steps
   in
   { cfg with

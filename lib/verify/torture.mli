@@ -13,8 +13,8 @@
       log-page write starts, mid-page-write, between arrivals, past
       quiesce);
     - optionally a second crash of the {e recovery itself} after a drawn
-      number of its replay, undo and write-back steps, followed by a
-      restart (FAULT012);
+      number of its replay, undo and write-back steps (half the time
+      inside write-back), followed by a restart (FAULT012);
     - the replay configuration: 1-4 workers, value, command or adaptive
       logging, and real domains when recovery is not crashed.
 

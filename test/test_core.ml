@@ -417,10 +417,20 @@ let test_txn_schedule_recording () =
   M.Txn_db.flush db;
   let events = M.Txn_db.schedule db in
   checkb "events recorded" true (events <> []);
+  let kind_name : R.Schedule.kind -> string = function
+    | Acquire -> "Acquire"
+    | Grant _ -> "Grant"
+    | Wait _ -> "Wait"
+    | Wake _ -> "Wake"
+    | Read -> "Read"
+    | Write -> "Write"
+    | Precommit -> "Precommit"
+    | Commit_durable -> "CommitDurable"
+    | Abort -> "Abort"
+    | Release -> "Release"
+  in
   let has k =
-    List.exists
-      (fun (e : R.Schedule.event) -> R.Schedule.kind_name e.R.Schedule.kind = k)
-      events
+    List.exists (fun (e : R.Schedule.event) -> kind_name e.R.Schedule.kind = k) events
   in
   List.iter
     (fun k -> checkb (k ^ " present") true (has k))

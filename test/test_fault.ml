@@ -21,8 +21,8 @@ let checki = Alcotest.check Alcotest.int
 
 let test_crc32_vector () =
   (* The CRC-32/IEEE check value. *)
-  checki "123456789" 0xCBF43926 (U.Checksum.crc32_string "123456789");
-  checki "empty" 0 (U.Checksum.crc32_string "")
+  checki "123456789" 0xCBF43926 (U.Checksum.crc32_bytes (Bytes.of_string "123456789"));
+  checki "empty" 0 (U.Checksum.crc32_bytes Bytes.empty)
 
 let test_page_checksum () =
   let p = Bytes.make 256 '\000' in
@@ -62,11 +62,10 @@ let test_encode_roundtrip () =
       let b = L.encode ~compressed:false r in
       checki "declared size" (Bytes.length b)
         (L.size_bytes ~compressed:false r);
-      match L.decode b ~pos:0 with
-      | Ok (r', n) ->
-        checki "consumed" (Bytes.length b) n;
-        checkb "roundtrip" true (r = r')
-      | Error m -> Alcotest.failf "decode failed: %s" m)
+      match L.decode_run b ~pos:0 ~len:(Bytes.length b) with
+      | [ r' ], None -> checkb "roundtrip" true (r = r')
+      | _, Some m -> Alcotest.failf "decode failed: %s" m
+      | _, None -> Alcotest.fail "not one record")
     sample_records
 
 let test_encode_roundtrip_compressed () =
@@ -75,8 +74,8 @@ let test_encode_roundtrip_compressed () =
   List.iter
     (fun r ->
       let b = L.encode ~compressed:true r in
-      match L.decode b ~pos:0 with
-      | Ok (r', _) ->
+      match L.decode_run b ~pos:0 ~len:(Bytes.length b) with
+      | [ r' ], None ->
         let expect =
           match r with
           | L.Update { txn; lsn; slot; old_value = _; new_value } ->
@@ -84,7 +83,8 @@ let test_encode_roundtrip_compressed () =
           | other -> other
         in
         checkb "roundtrip (new values only)" true (expect = r')
-      | Error m -> Alcotest.failf "decode failed: %s" m)
+      | _, Some m -> Alcotest.failf "decode failed: %s" m
+      | _, None -> Alcotest.fail "not one record")
     sample_records
 
 let test_decode_detects_any_bit_flip () =
@@ -97,13 +97,11 @@ let test_decode_detects_any_bit_flip () =
       let c = Bytes.copy b in
       Bytes.set c byte
         (Char.chr (Char.code (Bytes.get c byte) lxor (1 lsl bit)));
-      match L.decode c ~pos:0 with
-      | Ok (r', _) ->
-        if r' <> r then
-          Alcotest.failf "byte %d bit %d decoded to a different record" byte
-            bit
-        else Alcotest.failf "byte %d bit %d: flip not detected" byte bit
-      | Error _ -> ()
+      match L.decode_run c ~pos:0 ~len:(Bytes.length c) with
+      | [], Some _ -> ()
+      | r' :: _, _ when r' <> r ->
+        Alcotest.failf "byte %d bit %d decoded to a different record" byte bit
+      | _ -> Alcotest.failf "byte %d bit %d: flip not detected" byte bit
     done
   done
 

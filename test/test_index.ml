@@ -24,7 +24,6 @@ module IntMap = Map.Make (Int)
 type ops = {
   insert : bytes -> unit;
   search : bytes -> bytes option;
-  delete : bytes -> bool;
   length : unit -> int;
   check : unit -> bool;
   iter : (bytes -> unit) -> unit;
@@ -34,7 +33,6 @@ let avl_ops t =
   {
     insert = I.Avl.insert t;
     search = I.Avl.search t;
-    delete = I.Avl.delete t;
     length = (fun () -> I.Avl.length t);
     check = (fun () -> I.Avl.check_invariants t);
     iter = (fun f -> I.Avl.iter_in_order t f);
@@ -44,7 +42,6 @@ let btree_ops t =
   {
     insert = I.Btree.insert t;
     search = I.Btree.search t;
-    delete = I.Btree.delete t;
     length = (fun () -> I.Btree.length t);
     check = (fun () -> I.Btree.check_invariants t);
     iter = (fun f -> I.Btree.iter_in_order t f);
@@ -73,10 +70,9 @@ let model_test make_ops n_ops seed () =
       ops.insert (mk sch k v);
       model := IntMap.add k v !model
     | _ ->
-      let deleted = ops.delete (key sch k) in
-      let expected = IntMap.mem k !model in
-      checkb (Printf.sprintf "step %d delete %d" step k) expected deleted;
-      model := IntMap.remove k !model);
+      let found = Option.map (val_of sch) (ops.search (key sch k)) in
+      checkb (Printf.sprintf "step %d search %d" step k) true
+        (found = IntMap.find_opt k !model));
     if step mod 50 = 0 then begin
       checkb (Printf.sprintf "invariants at step %d" step) true (ops.check ());
       checki
@@ -117,9 +113,6 @@ let test_avl_empty () =
   checki "length" 0 (I.Avl.length t);
   checki "height" 0 (I.Avl.height t);
   checkb "search misses" true (I.Avl.search t (key sch 1) = None);
-  checkb "delete misses" false (I.Avl.delete t (key sch 1));
-  checkb "min none" true (I.Avl.min_tuple t = None);
-  checkb "max none" true (I.Avl.max_tuple t = None);
   checkb "invariants" true (I.Avl.check_invariants t)
 
 let test_avl_height_bound () =
@@ -147,33 +140,6 @@ let test_avl_duplicate_replaces () =
   match I.Avl.search t (key sch 5) with
   | Some tup -> checki "replaced" 2 (val_of sch tup)
   | None -> Alcotest.fail "missing"
-
-let test_avl_min_max () =
-  let t = fresh_avl () in
-  let sch = schema () in
-  List.iter (fun k -> I.Avl.insert t (mk sch k k)) [ 7; 2; 9; 4; 1; 8 ];
-  (match I.Avl.min_tuple t with
-  | Some tup -> checki "min" 1 (key_of sch tup)
-  | None -> Alcotest.fail "no min");
-  match I.Avl.max_tuple t with
-  | Some tup -> checki "max" 9 (key_of sch tup)
-  | None -> Alcotest.fail "no max"
-
-let test_avl_scan_from () =
-  let t = fresh_avl () in
-  let sch = schema () in
-  List.iter (fun k -> I.Avl.insert t (mk sch k (k * 2))) [ 10; 20; 30; 40; 50 ];
-  let got = I.Avl.scan_from t (key sch 25) 2 in
-  Alcotest.(check (list int)) "scan from 25" [ 30; 40 ]
-    (List.map (key_of sch) got);
-  let from_existing = I.Avl.scan_from t (key sch 20) 3 in
-  Alcotest.(check (list int)) "inclusive start" [ 20; 30; 40 ]
-    (List.map (key_of sch) from_existing);
-  let past_end = I.Avl.scan_from t (key sch 60) 5 in
-  checki "past end empty" 0 (List.length past_end);
-  let overrun = I.Avl.scan_from t (key sch 40) 10 in
-  Alcotest.(check (list int)) "overrun clips" [ 40; 50 ]
-    (List.map (key_of sch) overrun)
 
 let test_avl_range_scan () =
   let t = fresh_avl () in
@@ -221,8 +187,6 @@ let test_btree_empty () =
   checki "length" 0 (I.Btree.length t);
   checki "height" 1 (I.Btree.height t);
   checkb "search misses" true (I.Btree.search t (key sch 1) = None);
-  checkb "delete misses" false (I.Btree.delete t (key sch 1));
-  checkb "min none" true (I.Btree.min_tuple t = None);
   checkb "invariants" true (I.Btree.check_invariants t)
 
 let test_btree_capacities () =
@@ -258,31 +222,17 @@ let test_btree_sorted_bulk () =
     | None -> Alcotest.fail (Printf.sprintf "missing %d" k)
   done
 
-let test_btree_delete_collapses () =
-  let t = fresh_btree ~page_size:64 () in
-  let sch = schema () in
-  for k = 1 to 100 do
-    I.Btree.insert t (mk sch k k)
-  done;
-  for k = 1 to 100 do
-    checkb (Printf.sprintf "delete %d" k) true (I.Btree.delete t (key sch k));
-    checkb
-      (Printf.sprintf "invariants after delete %d" k)
-      true (I.Btree.check_invariants t)
-  done;
-  checki "empty" 0 (I.Btree.length t);
-  checki "height back to 1" 1 (I.Btree.height t)
-
-let test_btree_scan_from_crosses_leaves () =
+let test_btree_scan_crosses_leaves () =
   let t = fresh_btree ~page_size:64 () in
   let sch = schema () in
   for k = 1 to 50 do
     I.Btree.insert t (mk sch (k * 2) k)
   done;
-  (* Keys 2,4,...,100; scan from 51 -> 52,54,...  *)
-  let got = I.Btree.scan_from t (key sch 51) 5 in
-  Alcotest.(check (list int)) "scan" [ 52; 54; 56; 58; 60 ]
-    (List.map (key_of sch) got)
+  (* Keys 2,4,...,100 at three per leaf; [51, 60] spans two leaves. *)
+  let acc = ref [] in
+  I.Btree.range_scan t ~lo:(key sch 51) ~hi:(key sch 60) (fun tup ->
+      acc := key_of sch tup :: !acc);
+  Alcotest.(check (list int)) "scan" [ 52; 54; 56; 58; 60 ] (List.rev !acc)
 
 let test_btree_range_scan () =
   let t = fresh_btree ~page_size:64 () in
@@ -507,21 +457,22 @@ let qcheck_avl_btree_agree =
       let sch = schema () in
       let avl = fresh_avl () in
       let bt = fresh_btree ~page_size:64 () in
-      List.iter
-        (fun (k, v) ->
-          if v mod 4 = 0 then begin
-            ignore (I.Avl.delete avl (key sch k));
-            ignore (I.Btree.delete bt (key sch k))
-          end
-          else begin
-            I.Avl.insert avl (mk sch k v);
-            I.Btree.insert bt (mk sch k v)
-          end)
-        ops_list;
+      let probes_agree =
+        List.for_all
+          (fun (k, v) ->
+            if v mod 4 = 0 then I.Avl.search avl (key sch k) = I.Btree.search bt (key sch k)
+            else begin
+              I.Avl.insert avl (mk sch k v);
+              I.Btree.insert bt (mk sch k v);
+              true
+            end)
+          ops_list
+      in
       let dump_avl = ref [] and dump_bt = ref [] in
       I.Avl.iter_in_order avl (fun t -> dump_avl := (key_of sch t, val_of sch t) :: !dump_avl);
       I.Btree.iter_in_order bt (fun t -> dump_bt := (key_of sch t, val_of sch t) :: !dump_bt);
-      !dump_avl = !dump_bt
+      probes_agree
+      && !dump_avl = !dump_bt
       && I.Avl.check_invariants avl
       && I.Btree.check_invariants bt)
 
@@ -536,8 +487,6 @@ let () =
           Alcotest.test_case "height bound" `Quick test_avl_height_bound;
           Alcotest.test_case "duplicate replaces" `Quick
             test_avl_duplicate_replaces;
-          Alcotest.test_case "min/max" `Quick test_avl_min_max;
-          Alcotest.test_case "scan_from" `Quick test_avl_scan_from;
           Alcotest.test_case "range_scan" `Quick test_avl_range_scan;
           Alcotest.test_case "comparisons ~ log2 n" `Quick
             test_avl_comparison_count_logarithmic;
@@ -553,10 +502,8 @@ let () =
           Alcotest.test_case "split grows height" `Quick
             test_btree_split_grows_height;
           Alcotest.test_case "sorted bulk" `Quick test_btree_sorted_bulk;
-          Alcotest.test_case "delete collapses" `Quick
-            test_btree_delete_collapses;
           Alcotest.test_case "scan crosses leaves" `Quick
-            test_btree_scan_from_crosses_leaves;
+            test_btree_scan_crosses_leaves;
           Alcotest.test_case "range_scan" `Quick test_btree_range_scan;
           Alcotest.test_case "occupancy ~69%" `Quick
             test_btree_random_load_occupancy;

@@ -55,11 +55,7 @@ let test_record_sizes () =
     (R.Log_record.txn (List.hd records));
   Alcotest.(check (option int))
     "markers have no txn" None
-    (R.Log_record.txn (R.Log_record.Ckpt_begin { lsn = 9 }));
-  checkb "update detection" true
-    (R.Log_record.is_update (List.nth records 1));
-  checkb "commit not update" false
-    (R.Log_record.is_update (List.nth records 7))
+    (R.Log_record.txn (R.Log_record.Ckpt_begin { lsn = 9 }))
 
 (* ------------------------------------------------------------------ *)
 (* Log device                                                          *)
@@ -85,13 +81,12 @@ let test_log_device_durability_cutoff () =
   let r2 = R.Log_record.Begin { txn = 2; lsn = 2 } in
   ignore (R.Log_device.write_page d ~at:0.0 [ r1 ] ~bytes:20);
   ignore (R.Log_device.write_page d ~at:0.0 [ r2 ] ~bytes:20);
-  checki "nothing durable at 5ms" 0
-    (List.length (R.Log_device.durable_records d ~at:5e-3));
-  checki "one durable at 15ms" 1
-    (List.length (R.Log_device.durable_records d ~at:15e-3));
-  checki "both durable at 25ms" 2
-    (List.length (R.Log_device.durable_records d ~at:25e-3));
-  checki "all records" 2 (List.length (R.Log_device.all_records d))
+  let durable at =
+    List.concat_map snd (R.Log_device.durable_pages d ~at) |> List.length
+  in
+  checki "nothing durable at 5ms" 0 (durable 5e-3);
+  checki "one durable at 15ms" 1 (durable 15e-3);
+  checki "both durable at 25ms" 2 (durable 25e-3)
 
 let test_log_device_oversize_rejected () =
   let clock = S.Sim_clock.create () in
@@ -110,23 +105,32 @@ let test_stable_memory_capacity () =
   let sm = R.Stable_memory.create ~capacity_bytes:100 in
   checki "capacity" 100 (R.Stable_memory.capacity sm);
   checkb "fits" true (R.Stable_memory.put_records sm [] ~bytes:60);
-  checki "used" 60 (R.Stable_memory.used sm);
+  checki "available" 40 (R.Stable_memory.available sm);
   checkb "overflow rejected" false (R.Stable_memory.put_records sm [] ~bytes:50);
   checkb "exact fit" true (R.Stable_memory.put_records sm [] ~bytes:40);
   checki "full" 0 (R.Stable_memory.available sm)
 
+(* The drainer takes whole batches oldest first, as Wal's stable drain
+   does with peek_batch and drop_batch. *)
 let test_stable_memory_fifo_drain () =
   let sm = R.Stable_memory.create ~capacity_bytes:1000 in
   let r i = R.Log_record.Begin { txn = i; lsn = i } in
   ignore (R.Stable_memory.put_records sm [ r 1; r 2 ] ~bytes:40);
   ignore (R.Stable_memory.put_records sm [ r 3 ] ~bytes:20);
   ignore (R.Stable_memory.put_records sm [ r 4 ] ~bytes:20);
-  let records, bytes = R.Stable_memory.drain sm ~max_bytes:60 in
-  checki "drained bytes" 60 bytes;
+  let take_batch () =
+    match R.Stable_memory.peek_batch sm with
+    | Some (records, _) ->
+      R.Stable_memory.drop_batch sm;
+      records
+    | None -> Alcotest.fail "stable memory empty"
+  in
+  let first = take_batch () in
+  let second = take_batch () in
   Alcotest.(check (list int))
     "oldest first, in order" [ 1; 2; 3 ]
-    (List.map R.Log_record.lsn records);
-  checki "remaining" 20 (R.Stable_memory.used sm);
+    (List.map R.Log_record.lsn (first @ second));
+  checki "remaining" 980 (R.Stable_memory.available sm);
   Alcotest.(check (list int))
     "contents" [ 4 ]
     (List.map R.Log_record.lsn (R.Stable_memory.records sm))
@@ -140,7 +144,7 @@ let test_stable_memory_peek_drop () =
   | Some ([ x ], 20) -> checki "peek oldest" 1 (R.Log_record.lsn x)
   | _ -> Alcotest.fail "unexpected peek");
   R.Stable_memory.drop_batch sm;
-  checki "used after drop" 30 (R.Stable_memory.used sm);
+  checki "available after drop" 970 (R.Stable_memory.available sm);
   R.Stable_memory.drop_batch sm;
   checkb "drop empty raises FAULT010" true
     (try
@@ -350,21 +354,20 @@ let test_lock_schedule_recording () =
   S.Sim_clock.advance clock 1e-3;
   checkb "2 waits" true (R.Lock_manager.acquire lm ~txn:2 ~key:5 = None);
   ignore (R.Lock_manager.precommit lm ~txn:1);
-  let names =
-    List.map
-      (fun (e : R.Schedule.event) -> R.Schedule.kind_name e.R.Schedule.kind)
-      (R.Schedule.events recorder)
-  in
-  Alcotest.(check (list string))
-    "protocol transitions recorded"
-    [ "Acquire"; "Grant"; "Acquire"; "Wait"; "Precommit"; "Release"; "Wake" ]
-    names;
+  checkb "protocol transitions recorded" true
+    (match
+       List.map
+         (fun (e : R.Schedule.event) -> e.R.Schedule.kind)
+         (R.Schedule.events recorder)
+     with
+    | R.Schedule.
+        [ Acquire; Grant _; Acquire; Wait _; Precommit; Release; Wake _ ] ->
+      true
+    | _ -> false);
   (* Times come from the injected clock. *)
-  (match R.Schedule.events recorder with
+  match R.Schedule.events recorder with
   | a :: _ -> feq "first event at t=0" 0.0 a.R.Schedule.time
-  | [] -> Alcotest.fail "no events");
-  R.Schedule.clear recorder;
-  checki "cleared" 0 (R.Schedule.length recorder)
+  | [] -> Alcotest.fail "no events"
 
 (* A committed id and an aborted id stay dead however many transactions
    finish after them, though the manager keeps no entry for either. *)

@@ -2,7 +2,6 @@
    equivalence with hand-built algebra expressions. *)
 
 module S = Mmdb_storage
-module E = Mmdb_exec
 module P = Mmdb_planner
 module A = P.Algebra
 module M = Mmdb
@@ -631,6 +630,13 @@ let op_sql = function
 
 let value_sql = function S.Tuple.VInt v -> string_of_int v | S.Tuple.VStr s -> "'" ^ s ^ "'"
 
+let where_sql = function
+  | [] -> ""
+  | ps ->
+    " WHERE "
+    ^ String.concat " AND "
+        (List.map (fun (c, op, v) -> Printf.sprintf "%s %s %s" c (op_sql op) (value_sql v)) ps)
+
 let model_sql q =
   let name c = if q.join then "r_" ^ c else c in
   let preds =
@@ -644,12 +650,7 @@ let model_sql q =
       " FROM ";
       q.table;
       (if q.join then " JOIN dim ON grp = gid" else "");
-      (match preds with
-      | [] -> ""
-      | ps ->
-        " WHERE "
-        ^ String.concat " AND "
-            (List.map (fun (c, op, v) -> Printf.sprintf "%s %s %s" c (op_sql op) (value_sql v)) ps));
+      where_sql preds;
       (match q.order with
       | None -> ""
       | Some (c, desc) -> " ORDER BY " ^ c ^ if desc then " DESC" else "");
@@ -658,6 +659,12 @@ let model_sql q =
 (* The output column names before projection. *)
 let model_names q =
   if q.join then List.map (( ^ ) "r_") model_cols @ [ "s_gid"; "s_w" ] else model_cols
+
+(* [row], a list of (column, value), satisfies the predicate. *)
+let holds row (c, op, v) =
+  let x = compare (List.assoc c row) v in
+  match op with
+  | A.Eq -> x = 0 | A.Ne -> x <> 0 | A.Lt -> x < 0 | A.Le -> x <= 0 | A.Gt -> x > 0 | A.Ge -> x >= 0
 
 let model_eval model q =
   let named row = List.combine (model_names q) row in
@@ -672,11 +679,6 @@ let model_eval model q =
             (Hashtbl.find model "dim"))
         base
   in
-  let holds row (c, op, v) =
-    let x = compare (List.assoc c row) v in
-    match op with
-    | A.Eq -> x = 0 | A.Ne -> x <> 0 | A.Lt -> x < 0 | A.Le -> x <= 0 | A.Gt -> x > 0 | A.Ge -> x >= 0
-  in
   let key = Option.to_list (Option.map (fun k -> (List.hd (model_names q), A.Eq, S.Tuple.VInt k)) q.key) in
   let rows = List.filter (fun r -> List.for_all (holds (named r)) (key @ q.preds)) rows in
   let rows =
@@ -686,26 +688,29 @@ let model_eval model q =
   in
   if q.distinct then List.sort_uniq compare rows else rows
 
-let gen_model_query =
+let gen_pred names =
   let open QCheck.Gen in
-  oneofl model_tables >>= fun table ->
+  oneofl names >>= fun c ->
+  oneofl [ A.Eq; A.Ne; A.Lt; A.Le; A.Gt; A.Ge ] >>= fun op ->
+  (if String.ends_with ~suffix:"tag" c then map (fun t -> S.Tuple.VStr t) (oneofa model_tags)
+   else map (fun v -> S.Tuple.VInt v) (int_range (-1) 60))
+  >|= fun v -> (c, op, v)
+
+let gen_model_query_on tables =
+  let open QCheck.Gen in
+  oneofl tables >>= fun table ->
   bool >>= fun join ->
   let q0 = { table; key = None; preds = []; join; cols = None; distinct = false; order = None } in
   let names = model_names q0 in
   opt ~ratio:0.6 (int_range (-2) 210) >>= fun key ->
-  let pred =
-    oneofl names >>= fun c ->
-    oneofl [ A.Eq; A.Ne; A.Lt; A.Le; A.Gt; A.Ge ] >>= fun op ->
-    (if String.ends_with ~suffix:"tag" c then map (fun t -> S.Tuple.VStr t) (oneofa model_tags)
-     else map (fun v -> S.Tuple.VInt v) (int_range (-1) 60))
-    >|= fun v -> (c, op, v)
-  in
-  list_size (int_range 0 2) pred >>= fun preds ->
+  list_size (int_range 0 2) (gen_pred names) >>= fun preds ->
   opt (shuffle_l names >>= fun cs -> int_range 1 (List.length cs) >|= fun k -> List.filteri (fun i _ -> i < k) cs)
   >>= fun cols ->
   (match cols with None -> return false | Some _ -> bool) >>= fun distinct ->
   opt (oneofl (Option.value cols ~default:names) >>= fun c -> bool >|= fun d -> (c, d)) >|= fun order ->
   { q0 with key; preds; cols; distinct; order }
+
+let gen_model_query = gen_model_query_on model_tables
 
 (* Simpler queries first: drop the order, the distinct, the projection,
    the join (when no column needs it), a predicate, the key. *)
@@ -718,24 +723,158 @@ let shrink_model_query q yield =
   List.iteri (fun i _ -> yield { q with preds = List.filteri (fun j _ -> j <> i) q.preds }) q.preds;
   if q.key <> None then yield { q with key = None }
 
+(* The rows [Db.execute] returns for [q] are the model's, in the
+   requested order when there is one. *)
+let select_matches db model q =
+  let expected = model_eval model q in
+  match M.Db.execute db (model_sql q) with
+  | M.Db.Affected _ -> false
+  | M.Db.Rows got -> (
+    List.sort compare got = List.sort compare expected
+    &&
+    match q.order with
+    | None -> true
+    | Some (c, desc) ->
+      let i = Option.value ~default:0 (List.find_index (( = ) c) (Option.value q.cols ~default:(model_names q))) in
+      let keys = List.map (fun r -> List.nth r i) got in
+      let sorted = List.stable_sort compare keys in
+      keys = if desc then List.rev sorted else sorted)
+
 let qcheck_db_selects_match_model =
   let db, model = model_setup () in
   QCheck.Test.make ~name:"Db SELECTs match a list-of-rows model" ~count:400
     (QCheck.make ~print:model_sql ~shrink:shrink_model_query gen_model_query)
-    (fun q ->
-      let expected = model_eval model q in
-      match M.Db.execute db (model_sql q) with
-      | M.Db.Affected _ -> false
-      | M.Db.Rows got -> (
-        List.sort compare got = List.sort compare expected
-        &&
-        match q.order with
-        | None -> true
-        | Some (c, desc) ->
-          let i = Option.value ~default:0 (List.find_index (( = ) c) (Option.value q.cols ~default:(model_names q))) in
-          let keys = List.map (fun r -> List.nth r i) got in
-          let sorted = List.stable_sort compare keys in
-          keys = if desc then List.rev sorted else sorted))
+    (select_matches db model)
+
+(* ------------------------------------------------------------------ *)
+(* Db statement sequences against the same model                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A fresh database per case: CREATE TABLE through SQL for "dim" and
+   one of the three model tables, its index (if any), rows with ids
+   0, 3, ..., 33, then drawn statements.  Each statement's effect is
+   applied to the model rows, and the SELECTs drawn with it must match
+   the model afterwards.  Ids are drawn from [0, 40], so INSERTs and
+   key-changing UPDATEs often collide: on "bt" and "av" the statement
+   must raise and leave the table as it was; "heap" keeps both rows.
+   Every change reaches an index only through the table rebuild. *)
+type dml =
+  | Insert of int list  (** rows [model_row id] *)
+  | Delete of (string * A.cmp_op * S.Tuple.value) list
+  | Update of string * S.Tuple.value * (string * A.cmp_op * S.Tuple.value) list
+  | Save_load  (** [Db.save], then continue on [Db.load] of the file *)
+
+type dml_case = { table : string; script : (dml * model_query list) list }
+
+let dml_sql table = function
+  | Insert ids ->
+    let row id = "(" ^ String.concat ", " (List.map value_sql (model_row id)) ^ ")" in
+    Printf.sprintf "INSERT INTO %s VALUES %s" table (String.concat ", " (List.map row ids))
+  | Delete ps -> "DELETE FROM " ^ table ^ where_sql ps
+  | Update (c, v, ps) -> Printf.sprintf "UPDATE %s SET %s = %s%s" table c (value_sql v) (where_sql ps)
+  | Save_load -> "(save, load)"
+
+let print_dml_case c =
+  String.concat "\n"
+    (List.concat_map
+       (fun (stmt, probes) -> dml_sql c.table stmt :: List.map (fun q -> "  " ^ model_sql q) probes)
+       c.script)
+
+(* The table's rows after [stmt], or [None] when the statement must raise
+   (a duplicate key in an indexed table), with the count it reports. *)
+let model_apply table rows stmt =
+  let matching ps r = List.for_all (holds (List.combine model_cols r)) ps in
+  let checked rows' affected =
+    let ids = List.map List.hd rows' in
+    if table <> "heap" && List.length (List.sort_uniq compare ids) <> List.length ids then None
+    else Some (rows', affected)
+  in
+  match stmt with
+  | Insert ids -> checked (rows @ List.map model_row ids) (List.length ids)
+  | Delete ps ->
+    let kept = List.filter (fun r -> not (matching ps r)) rows in
+    Some (kept, List.length rows - List.length kept)
+  | Update (c, v, ps) ->
+    let col = Option.get (List.find_index (( = ) c) model_cols) in
+    checked
+      (List.map (fun r -> if matching ps r then List.mapi (fun i x -> if i = col then v else x) r else r) rows)
+      (List.length (List.filter (matching ps) rows))
+  | Save_load -> Some (rows, 0)
+
+let gen_dml_case =
+  let open QCheck.Gen in
+  oneofl model_tables >>= fun table ->
+  let id = int_range 0 40 in
+  let preds = list_size (int_range 0 2) (gen_pred model_cols) in
+  let stmt =
+    frequency
+      [
+        (3, list_size (int_range 1 3) id >|= fun ids -> Insert ids);
+        (2, preds >|= fun ps -> Delete ps);
+        ( 3,
+          oneofl model_cols >>= fun c ->
+          (match c with
+          | "id" -> map (fun v -> S.Tuple.VInt v) id
+          | "tag" -> map (fun t -> S.Tuple.VStr t) (oneofa model_tags)
+          | _ -> map (fun v -> S.Tuple.VInt v) (int_range (-1) 60))
+          >>= fun v -> preds >|= fun ps -> Update (c, v, ps) );
+        (1, return Save_load);
+      ]
+  in
+  let probes = list_size (int_range 1 2) (gen_model_query_on [ table ]) in
+  list_size (int_range 1 8) (pair stmt probes) >|= fun script -> { table; script }
+
+(* Shorter scripts first, then fewer and simpler SELECTs. *)
+let shrink_dml_case c =
+  let shrink_step (stmt, probes) =
+    QCheck.Iter.map (fun probes -> (stmt, probes))
+      (QCheck.Shrink.list ~shrink:shrink_model_query probes)
+  in
+  QCheck.Iter.map (fun script -> { c with script }) (QCheck.Shrink.list ~shrink:shrink_step c.script)
+
+let run_dml_case c =
+  let db = ref (M.Db.create ~page_size:256 ()) in
+  let exec sql = M.Db.execute !db sql in
+  ignore (exec "CREATE TABLE dim (gid INT PRIMARY KEY, w INT)");
+  ignore (exec "INSERT INTO dim VALUES (0, 0), (1, 10), (2, 20), (3, 30), (4, 40), (5, 50), (6, 60)");
+  ignore
+    (exec
+       (Printf.sprintf "CREATE TABLE %s (id INT PRIMARY KEY, grp INT, val INT, tag STRING(6))" c.table));
+  if c.table = "bt" then M.Db.create_index !db ~table:c.table M.Db.Btree_index;
+  if c.table = "av" then M.Db.create_index !db ~table:c.table M.Db.Avl_index;
+  let model = Hashtbl.create 2 in
+  Hashtbl.replace model "dim" (List.init 7 (fun g -> [ S.Tuple.VInt g; S.Tuple.VInt (10 * g) ]));
+  Hashtbl.replace model c.table [];
+  let step (stmt, probes) =
+    let rows = Hashtbl.find model c.table in
+    let applied =
+      match (model_apply c.table rows stmt, stmt) with
+      | Some _, Save_load ->
+        let path = Filename.temp_file "mmdb_model" ".db" in
+        M.Db.save !db path;
+        db := M.Db.load path;
+        Sys.remove path;
+        true
+      | Some (rows', affected), _ -> (
+        match exec (dml_sql c.table stmt) with
+        | M.Db.Affected n ->
+          Hashtbl.replace model c.table rows';
+          n = affected
+        | M.Db.Rows _ -> false
+        | exception Invalid_argument _ -> false)
+      | None, _ -> (
+        match exec (dml_sql c.table stmt) with
+        | _ -> false
+        | exception Invalid_argument _ -> true)
+    in
+    applied && List.for_all (select_matches !db model) probes
+  in
+  List.for_all step ((Insert (List.init 12 (fun i -> 3 * i)), []) :: c.script)
+
+let qcheck_db_statements_match_model =
+  QCheck.Test.make ~name:"Db statement sequences match a list-of-rows model" ~count:300
+    (QCheck.make ~print:print_dml_case ~shrink:shrink_dml_case gen_dml_case)
+    run_dml_case
 
 let () =
   Alcotest.run "mmdb_sql"
@@ -768,7 +907,10 @@ let () =
           Alcotest.test_case "unknown table" `Quick test_sql_unknown_table;
         ] );
       ( "model",
-        [ QCheck_alcotest.to_alcotest qcheck_db_selects_match_model ] );
+        [
+          QCheck_alcotest.to_alcotest qcheck_db_selects_match_model;
+          QCheck_alcotest.to_alcotest qcheck_db_statements_match_model;
+        ] );
       ( "dml",
         [
           Alcotest.test_case "insert" `Quick test_dml_insert;

@@ -44,9 +44,7 @@ let test_clock () =
   S.Sim_clock.advance_to c 1.0;
   feq "advance_to past is noop" 1.5 (S.Sim_clock.now c);
   S.Sim_clock.advance_to c 2.0;
-  feq "advance_to future" 2.0 (S.Sim_clock.now c);
-  S.Sim_clock.reset c;
-  feq "reset" 0.0 (S.Sim_clock.now c)
+  feq "advance_to future" 2.0 (S.Sim_clock.now c)
 
 let test_clock_negative () =
   let c = S.Sim_clock.create () in
@@ -116,21 +114,18 @@ let test_page_fills_up () =
   checkb "2" true (S.Page.append p ~tuple_width:10 tup);
   checkb "3" true (S.Page.append p ~tuple_width:10 tup);
   checkb "full" false (S.Page.append p ~tuple_width:10 tup);
-  S.Page.clear p;
-  checki "cleared" 0 (S.Page.count p);
-  checkb "reusable" true (S.Page.append p ~tuple_width:10 tup)
+  checki "count stays 3" 3 (S.Page.count p)
 
-let test_page_set_and_iter () =
+let test_page_iter () =
   let p = S.Page.create 64 in
   ignore (S.Page.append p ~tuple_width:4 (Bytes.of_string "aaaa"));
   ignore (S.Page.append p ~tuple_width:4 (Bytes.of_string "bbbb"));
-  S.Page.set p ~tuple_width:4 0 (Bytes.of_string "cccc");
   let seen = ref [] in
   S.Page.iter p ~tuple_width:4 (fun i tup ->
       seen := (i, Bytes.to_string tup) :: !seen);
   Alcotest.(check (list (pair int string)))
     "iter order"
-    [ (0, "cccc"); (1, "bbbb") ]
+    [ (0, "aaaa"); (1, "bbbb") ]
     (List.rev !seen)
 
 let test_page_bounds () =
@@ -349,44 +344,6 @@ let test_pool_lru_eviction_order () =
   ignore (S.Buffer_pool.get pool pids.(0));
   checki "no new fault for 0" f0 env.S.Env.counters.S.Counters.faults
 
-let test_pool_dirty_writeback () =
-  let env, d, pids, pool = pool_setup S.Buffer_pool.Lru 1 in
-  let frame = S.Buffer_pool.get pool pids.(0) in
-  Bytes.set frame 5 'D';
-  S.Buffer_pool.mark_dirty pool pids.(0);
-  let w0 = env.S.Env.counters.S.Counters.rand_writes in
-  ignore (S.Buffer_pool.get pool pids.(1));
-  (* evicts dirty page 0 -> writeback *)
-  checki "one writeback" (w0 + 1) env.S.Env.counters.S.Counters.rand_writes;
-  let back = S.Disk.read_nocharge d pids.(0) in
-  checkb "write persisted" true (Bytes.get back 5 = 'D')
-
-let test_pool_flush_all () =
-  let _, d, pids, pool = pool_setup S.Buffer_pool.Lru 4 in
-  let frame = S.Buffer_pool.get pool pids.(3) in
-  Bytes.set frame 0 'F';
-  S.Buffer_pool.mark_dirty pool pids.(3);
-  S.Buffer_pool.flush_all pool;
-  let back = S.Disk.read_nocharge d pids.(3) in
-  checkb "flushed" true (Bytes.get back 0 = 'F');
-  checkb "still resident" true (S.Buffer_pool.is_resident pool pids.(3))
-
-let test_pool_drop_all_discards () =
-  let _, d, pids, pool = pool_setup S.Buffer_pool.Lru 4 in
-  let frame = S.Buffer_pool.get pool pids.(0) in
-  Bytes.set frame 0 'X';
-  S.Buffer_pool.mark_dirty pool pids.(0);
-  S.Buffer_pool.drop_all pool;
-  checki "nothing resident" 0 (S.Buffer_pool.resident pool);
-  let back = S.Disk.read_nocharge d pids.(0) in
-  checkb "dirty data lost" true (Bytes.get back 0 = '\000')
-
-let test_pool_mark_dirty_nonresident () =
-  let _, _, pids, pool = pool_setup S.Buffer_pool.Lru 2 in
-  Alcotest.check_raises "not resident"
-    (Invalid_argument "Buffer_pool.mark_dirty: page not resident") (fun () ->
-      S.Buffer_pool.mark_dirty pool pids.(0))
-
 let test_pool_random_policy_bounded () =
   let rng = U.Xorshift.create 99 in
   let _, _, pids, pool =
@@ -522,32 +479,6 @@ let test_relation_charged_scan () =
   S.Relation.iter_tuples r (fun _ -> ());
   checki "3 seq reads" (before + 3) env.S.Env.counters.S.Counters.seq_reads
 
-let test_relation_fetch_by_tid () =
-  let env, d = rel_setup ~page_size:128 () in
-  let sch = schema () in
-  let tuples = List.init 9 (fun i -> mk_tuple sch i (100 + i) "") in
-  let r = S.Relation.of_tuples ~disk:d ~name:"r" ~schema:sch tuples in
-  let tids = ref [] in
-  S.Relation.iter_tids_nocharge r (fun tid tup ->
-      tids := (tid, S.Tuple.get_int sch tup 0) :: !tids);
-  let rr0 = env.S.Env.counters.S.Counters.rand_reads in
-  List.iter
-    (fun (tid, k) ->
-      let tup = S.Relation.fetch r tid in
-      checki "fetched key" k (S.Tuple.get_int sch tup 0))
-    !tids;
-  checki "rand reads" (rr0 + 9) env.S.Env.counters.S.Counters.rand_reads
-
-let test_relation_fetch_bad_tid () =
-  let _, d = rel_setup () in
-  let sch = schema () in
-  let r = S.Relation.of_tuples ~disk:d ~name:"r" ~schema:sch [] in
-  checkb "bad tid raises" true
-    (try
-       ignore (S.Relation.fetch r (S.Tid.make ~page:0 ~slot:0));
-       false
-     with Invalid_argument _ -> true)
-
 let test_relation_append_after_seal () =
   let _, d = rel_setup ~page_size:128 () in
   let sch = schema () in
@@ -622,23 +553,6 @@ let test_relation_page_ids_stable () =
   checki "distinct" 3 (List.length distinct);
   Array.iter (fun pid -> ignore (S.Disk.read_nocharge d pid)) ids
 
-(* ------------------------------------------------------------------ *)
-(* Tid                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_tid_encode_roundtrip () =
-  let tid = S.Tid.make ~page:123456 ~slot:789 in
-  let buf = Bytes.make S.Tid.encoded_width '\000' in
-  S.Tid.encode_into tid buf 0;
-  let back = S.Tid.decode_from buf 0 in
-  checkb "equal" true (S.Tid.equal tid back)
-
-let test_tid_compare () =
-  let a = S.Tid.make ~page:1 ~slot:5 and b = S.Tid.make ~page:2 ~slot:0 in
-  checkb "page dominates" true (S.Tid.compare a b < 0);
-  let c = S.Tid.make ~page:1 ~slot:6 in
-  checkb "slot breaks ties" true (S.Tid.compare a c < 0)
-
 let () =
   Alcotest.run "mmdb_storage"
     [
@@ -655,7 +569,7 @@ let () =
           Alcotest.test_case "capacity" `Quick test_page_capacity;
           Alcotest.test_case "append/get" `Quick test_page_append_get;
           Alcotest.test_case "fills up" `Quick test_page_fills_up;
-          Alcotest.test_case "set/iter" `Quick test_page_set_and_iter;
+          Alcotest.test_case "iter" `Quick test_page_iter;
           Alcotest.test_case "bounds" `Quick test_page_bounds;
         ] );
       ( "schema",
@@ -692,11 +606,6 @@ let () =
           Alcotest.test_case "hit & fault" `Quick test_pool_hit_and_fault;
           Alcotest.test_case "capacity bound" `Quick test_pool_capacity_bound;
           Alcotest.test_case "lru order" `Quick test_pool_lru_eviction_order;
-          Alcotest.test_case "dirty writeback" `Quick test_pool_dirty_writeback;
-          Alcotest.test_case "flush_all" `Quick test_pool_flush_all;
-          Alcotest.test_case "drop_all" `Quick test_pool_drop_all_discards;
-          Alcotest.test_case "mark_dirty nonresident" `Quick
-            test_pool_mark_dirty_nonresident;
           Alcotest.test_case "random bounded" `Quick
             test_pool_random_policy_bounded;
           Alcotest.test_case "clock bounded" `Quick test_pool_clock_policy_bounded;
@@ -710,8 +619,6 @@ let () =
           Alcotest.test_case "npages" `Quick test_relation_npages;
           Alcotest.test_case "charged append" `Quick test_relation_charged_append;
           Alcotest.test_case "charged scan" `Quick test_relation_charged_scan;
-          Alcotest.test_case "fetch by tid" `Quick test_relation_fetch_by_tid;
-          Alcotest.test_case "fetch bad tid" `Quick test_relation_fetch_bad_tid;
           Alcotest.test_case "append after seal" `Quick
             test_relation_append_after_seal;
           Alcotest.test_case "free pages" `Quick test_relation_free_pages;
@@ -720,10 +627,5 @@ let () =
             test_relation_with_schema_view;
           Alcotest.test_case "page_ids stable" `Quick
             test_relation_page_ids_stable;
-        ] );
-      ( "tid",
-        [
-          Alcotest.test_case "encode roundtrip" `Quick test_tid_encode_roundtrip;
-          Alcotest.test_case "compare" `Quick test_tid_compare;
         ] );
     ]

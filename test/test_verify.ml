@@ -1,8 +1,8 @@
 (* Tests for the verification layer: the static plan checker's
    ill-formed-plan corpus (one case per error code), the WAL auditor's
-   log-corruption injector (one per violation class), the buffer-pool
-   sanitizer, the unified audit driver, and invariant property tests over
-   random insert/delete workloads. *)
+   log-corruption injector (one per violation class), the unified audit
+   driver, and invariant property tests over random insert/search
+   workloads. *)
 
 module S = Mmdb_storage
 module E = Mmdb_exec
@@ -184,21 +184,6 @@ let test_plan_paths () =
 
 let test_executor_and_sql_checked () =
   let cat = setup_catalog () in
-  let cfg = P.Optimizer.default_config in
-  (match
-     P.Executor.query_checked cat cfg
-       (A.select ~column:"salry" ~op:A.Gt ~value:(S.Tuple.VInt 1)
-          (A.scan "emp"))
-   with
-  | Ok _ -> Alcotest.fail "query_checked accepted a bad plan"
-  | Error ds -> checkb "PLAN002 surfaced" true (D.has_code "PLAN002" ds));
-  (match
-     P.Executor.query_checked cat cfg
-       (A.select ~column:"salary" ~op:A.Gt ~value:(S.Tuple.VInt 50_000)
-          (A.scan "emp"))
-   with
-  | Ok rel -> checkb "rows" true (S.Relation.ntuples rel > 0)
-  | Error ds -> Alcotest.failf "good plan rejected: %s" (D.summary ds));
   (match P.Sql.parse_checked cat "SELEC id FROM emp" with
   | Ok _ -> Alcotest.fail "parse_checked accepted garbage"
   | Error ds -> checkb "SQL001" true (D.has_code "SQL001" ds));
@@ -345,100 +330,6 @@ let test_log_real_scenarios () =
   checki "money conserved" 0 !total
 
 (* ------------------------------------------------------------------ *)
-(* Pool sanitizer                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let pool_setup capacity =
-  let env = S.Env.create () in
-  let disk = S.Disk.create ~env ~page_size:64 in
-  let pids = Array.init 10 (fun _ -> S.Disk.alloc disk) in
-  let pool = S.Buffer_pool.create ~disk ~capacity S.Buffer_pool.Lru in
-  (pids, pool)
-
-let test_pool_clean () =
-  let pids, pool = pool_setup 4 in
-  Array.iter (fun pid -> ignore (S.Buffer_pool.get pool pid)) pids;
-  ignore (S.Buffer_pool.get pool pids.(0));
-  S.Buffer_pool.mark_dirty pool pids.(0);
-  S.Buffer_pool.flush_all pool;
-  checki "clean pool" 0 (List.length (V.Pool_check.audit pool))
-
-let test_pool_pin_leak () =
-  let pids, pool = pool_setup 4 in
-  ignore (S.Buffer_pool.pin pool pids.(0));
-  let diags = V.Pool_check.audit pool in
-  checkb "POOL001" true (D.has_code "POOL001" diags);
-  checkb "mid-operation audit tolerates pins" true
-    (V.Pool_check.ok ~expect_unpinned:false pool);
-  S.Buffer_pool.unpin pool pids.(0);
-  checkb "clean after unpin" true (V.Pool_check.ok pool)
-
-let test_pool_unpin_underflow () =
-  let pids, pool = pool_setup 4 in
-  ignore (S.Buffer_pool.get pool pids.(0));
-  S.Buffer_pool.unpin pool pids.(0);
-  S.Buffer_pool.unpin pool pids.(1);
-  let diags = V.Pool_check.audit pool in
-  checkb "POOL002" true (D.has_code "POOL002" diags)
-
-let test_pool_pins_block_eviction () =
-  let pids, pool = pool_setup 2 in
-  ignore (S.Buffer_pool.pin pool pids.(0));
-  ignore (S.Buffer_pool.get pool pids.(1));
-  ignore (S.Buffer_pool.get pool pids.(2));
-  ignore (S.Buffer_pool.get pool pids.(3));
-  checkb "pinned page survives pressure" true
-    (S.Buffer_pool.is_resident pool pids.(0));
-  checki "pin count" 1 (S.Buffer_pool.pin_count pool pids.(0));
-  (* All frames pinned: the next fault cannot evict. *)
-  ignore (S.Buffer_pool.pin pool pids.(1));
-  checkb "all-pinned fault raises" true
-    (try
-       ignore (S.Buffer_pool.get pool pids.(4));
-       false
-     with Invalid_argument _ -> true);
-  S.Buffer_pool.unpin pool pids.(0);
-  S.Buffer_pool.unpin pool pids.(1);
-  ignore (S.Buffer_pool.get pool pids.(4));
-  checkb "evicts again after unpin" true (S.Buffer_pool.is_resident pool pids.(4))
-
-let test_pool_random_workload () =
-  (* 500 random pin/unpin spans over an LRU pool, half of them dirtying
-     the frame: the protocol and the dirty accounting stay clean. *)
-  let env = S.Env.create () in
-  let disk = S.Disk.create ~env ~page_size:64 in
-  let pids = Array.init 32 (fun _ -> S.Disk.alloc disk) in
-  let pool = S.Buffer_pool.create ~disk ~capacity:8 S.Buffer_pool.Lru in
-  let rng = U.Xorshift.create 13 in
-  for _ = 1 to 500 do
-    let pid = pids.(U.Xorshift.int rng 32) in
-    let data = S.Buffer_pool.pin pool pid in
-    if U.Xorshift.int rng 2 = 0 then begin
-      Bytes.set data 0 'x';
-      S.Buffer_pool.mark_dirty pool pid
-    end;
-    S.Buffer_pool.unpin pool pid
-  done;
-  S.Buffer_pool.flush_all pool;
-  checkb "random workload clean" true (V.Pool_check.ok pool)
-
-let test_pool_accounting_across_drop () =
-  let pids, pool = pool_setup 4 in
-  ignore (S.Buffer_pool.get pool pids.(0));
-  S.Buffer_pool.mark_dirty pool pids.(0);
-  S.Buffer_pool.mark_dirty pool pids.(0);
-  (* no double count *)
-  ignore (S.Buffer_pool.get pool pids.(1));
-  S.Buffer_pool.mark_dirty pool pids.(1);
-  S.Buffer_pool.flush pool pids.(0);
-  S.Buffer_pool.drop_all pool;
-  let st = S.Buffer_pool.stats pool in
-  checki "dirtied" 2 st.S.Buffer_pool.dirtied;
-  checki "writebacks" 1 st.S.Buffer_pool.writebacks;
-  checki "dropped dirty" 1 st.S.Buffer_pool.dropped_dirty;
-  checkb "accounting invariant" true (V.Pool_check.ok pool)
-
-(* ------------------------------------------------------------------ *)
 (* Unified audit                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -453,32 +344,20 @@ let test_audit_run_all () =
   let env = S.Env.create () in
   let avl = I.Avl.create ~env ~schema:sch () in
   let btree = I.Btree.create ~env ~schema:sch ~page_size:256 () in
-  let bst = I.Paged_bst.create ~env ~schema:sch () in
-  (* The same mixed insert/delete stream into each structure. *)
-  let workload insert delete =
+  (* The same insert stream, with repeated keys, into each structure. *)
+  let workload insert =
     let rng = U.Xorshift.create 2026 in
     for _ = 1 to 2000 do
       let k = U.Xorshift.int rng 800 in
-      if U.Xorshift.int rng 4 < 3 then insert (mk sch k (k * 7))
-      else ignore (delete (S.Tuple.encode_int_key sch k))
+      insert (mk sch k (k * 7))
     done
   in
-  workload (I.Avl.insert avl) (I.Avl.delete avl);
-  workload (I.Btree.insert btree) (I.Btree.delete btree);
-  workload (I.Paged_bst.insert bst) (I.Paged_bst.delete bst);
-  let heap =
-    let rng = U.Xorshift.create 7 in
-    U.Heap.of_array ~cmp:compare
-      (Array.init 500 (fun _ -> U.Xorshift.int rng 10_000))
-  in
-  let _, pool = pool_setup 4 in
+  workload (I.Avl.insert avl);
+  workload (I.Btree.insert btree);
   let results =
     [
       ("btree", V.Audit.btree btree);
       ("avl", V.Audit.avl avl);
-      ("bst", V.Audit.paged_bst bst);
-      ("heap", V.Audit.heap heap);
-      ("pool", V.Pool_check.audit ~expect_unpinned:true pool);
       ("log", V.Log_check.audit ~complete:true (clean_log ()));
     ]
   in
@@ -494,22 +373,26 @@ let test_audit_run_all () =
     (contains (Buffer.contents buf) "0 errors")
 
 let test_audit_flags_violations () =
-  (* A heap whose ordering flips after it was built breaks the heap
-     property without touching its contents. *)
-  let flipped = ref false in
-  let cmp a b = if !flipped then compare b a else compare a b in
-  let heap = U.Heap.of_array ~cmp [| 1; 2; 3; 4; 5 |] in
-  flipped := true;
+  (* Search hands back the stored tuple itself, so rewriting its key in
+     place breaks the tree's order without going through the tree. *)
+  let sch = idx_schema () in
+  let avl = I.Avl.create ~env:(S.Env.create ()) ~schema:sch () in
+  for k = 1 to 10 do
+    I.Avl.insert avl (mk sch k k)
+  done;
+  (match I.Avl.search avl (S.Tuple.encode_int_key sch 5) with
+  | Some tup -> S.Tuple.set_int sch tup 0 100
+  | None -> Alcotest.fail "key 5 missing");
   let results =
     [
-      ("broken heap", V.Audit.heap heap);
+      ("broken avl", V.Audit.avl avl);
       ("bad log", V.Log_check.audit [ L.Commit { txn = 1; lsn = 1 } ]);
     ]
   in
   checkb "not ok" false
     (List.for_all (fun (_, ds) -> not (D.has_errors ds)) results);
-  (match List.assoc "broken heap" results with
-  | [ d ] -> Alcotest.(check string) "IDX004" "IDX004" d.D.code
+  (match List.assoc "broken avl" results with
+  | [ d ] -> Alcotest.(check string) "IDX002" "IDX002" d.D.code
   | ds -> Alcotest.failf "expected one diag, got %s" (D.summary ds));
   checkb "LOG003 found" true
     (D.has_code "LOG003" (List.assoc "bad log" results));
@@ -571,14 +454,14 @@ let test_code_catalogue_unique () =
   check_dir (Filename.concat (root (Sys.getcwd ())) "lib")
 
 (* ------------------------------------------------------------------ *)
-(* Invariant property tests: random insert/delete workloads            *)
+(* Invariant property tests: random insert/search workloads            *)
 (* ------------------------------------------------------------------ *)
 
 module IntMap = Map.Make (Int)
 
 type idx_ops = {
   insert : bytes -> unit;
-  delete : bytes -> bool;
+  search : bytes -> bytes option;
   length : unit -> int;
   check : unit -> bool;
 }
@@ -597,11 +480,15 @@ let property_workload name make_ops seed () =
         model := IntMap.add k v !model
       end
       else begin
-        let deleted = ops.delete (S.Tuple.encode_int_key sch k) in
+        let found =
+          Option.map
+            (fun tup -> S.Tuple.get_int sch tup 1)
+            (ops.search (S.Tuple.encode_int_key sch k))
+        in
         checkb
-          (Printf.sprintf "%s batch %d delete %d" name batch k)
-          (IntMap.mem k !model) deleted;
-        model := IntMap.remove k !model
+          (Printf.sprintf "%s batch %d search %d" name batch k)
+          true
+          (found = IntMap.find_opt k !model)
       end
     done;
     (* The satellite requirement: invariants hold after every batch. *)
@@ -616,7 +503,7 @@ let avl_ops sch =
   let t = I.Avl.create ~env ~schema:sch () in
   {
     insert = I.Avl.insert t;
-    delete = I.Avl.delete t;
+    search = I.Avl.search t;
     length = (fun () -> I.Avl.length t);
     check = (fun () -> I.Avl.check_invariants t);
   }
@@ -626,7 +513,7 @@ let btree_ops sch =
   let t = I.Btree.create ~env ~schema:sch ~page_size:256 () in
   {
     insert = I.Btree.insert t;
-    delete = I.Btree.delete t;
+    search = I.Btree.search t;
     length = (fun () -> I.Btree.length t);
     check = (fun () -> I.Btree.check_invariants t);
   }
@@ -636,33 +523,10 @@ let bst_ops sch =
   let t = I.Paged_bst.create ~env ~schema:sch () in
   {
     insert = I.Paged_bst.insert t;
-    delete = I.Paged_bst.delete t;
+    search = I.Paged_bst.search t;
     length = (fun () -> I.Paged_bst.length t);
     check = (fun () -> I.Paged_bst.check_invariants t);
   }
-
-let test_bst_delete_basics () =
-  let sch = idx_schema () in
-  let env = S.Env.create () in
-  let t = I.Paged_bst.create ~env ~schema:sch () in
-  List.iter (fun k -> I.Paged_bst.insert t (mk sch k k))
-    [ 50; 30; 70; 20; 40; 60; 80 ];
-  checkb "delete leaf" true (I.Paged_bst.delete t (S.Tuple.encode_int_key sch 20));
-  checkb "delete one-child" true
-    (I.Paged_bst.delete t (S.Tuple.encode_int_key sch 30));
-  checkb "delete two-children root" true
-    (I.Paged_bst.delete t (S.Tuple.encode_int_key sch 50));
-  checkb "delete absent" false
-    (I.Paged_bst.delete t (S.Tuple.encode_int_key sch 999));
-  checki "length" 4 (I.Paged_bst.length t);
-  checkb "ordered" true (I.Paged_bst.check_invariants t);
-  List.iter
-    (fun k ->
-      checkb
-        (Printf.sprintf "still finds %d" k)
-        true
-        (I.Paged_bst.search t (S.Tuple.encode_int_key sch k) <> None))
-    [ 40; 60; 70; 80 ]
 
 (* ------------------------------------------------------------------ *)
 (* Schedule_check: hand-built schedule corpus                          *)
@@ -1204,19 +1068,6 @@ let () =
           Alcotest.test_case "real recovery scenarios" `Quick
             test_log_real_scenarios;
         ] );
-      ( "pool-check",
-        [
-          Alcotest.test_case "clean pool" `Quick test_pool_clean;
-          Alcotest.test_case "pin leak" `Quick test_pool_pin_leak;
-          Alcotest.test_case "unpin underflow" `Quick
-            test_pool_unpin_underflow;
-          Alcotest.test_case "pins block eviction" `Quick
-            test_pool_pins_block_eviction;
-          Alcotest.test_case "accounting across drop" `Quick
-            test_pool_accounting_across_drop;
-          Alcotest.test_case "random pin/dirty workload" `Quick
-            test_pool_random_workload;
-        ] );
       ( "audit",
         [
           Alcotest.test_case "run_all clean" `Quick test_audit_run_all;
@@ -1234,8 +1085,6 @@ let () =
             (property_workload "btree" btree_ops 202);
           Alcotest.test_case "paged-bst random workload" `Quick
             (property_workload "bst" bst_ops 303);
-          Alcotest.test_case "paged-bst delete basics" `Quick
-            test_bst_delete_basics;
         ] );
       ( "txn-check",
         [
