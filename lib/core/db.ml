@@ -11,8 +11,8 @@ type t = {
   planner_cfg : P.Optimizer.config;
 }
 
-let create ?(page_size = 4096) ?(mem_pages = 256) ?(cost = S.Cost.table2) () =
-  let env = S.Env.create ~cost () in
+let create ?(page_size = 4096) ?(mem_pages = 256) () =
+  let env = S.Env.create () in
   {
     env;
     disk = S.Disk.create ~env ~page_size;
@@ -21,7 +21,7 @@ let create ?(page_size = 4096) ?(mem_pages = 256) ?(cost = S.Cost.table2) () =
     planner_cfg =
       {
         P.Optimizer.mem_pages;
-        P.Optimizer.fudge = cost.S.Cost.fudge;
+        P.Optimizer.fudge = S.Cost.table2.S.Cost.fudge;
         P.Optimizer.allow_hash = true;
       };
   }
@@ -191,19 +191,15 @@ let stats t =
 (* Persistence                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let magic = "MMDB0001"
-
-let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xFF))
+let magic = "MMDB0002"
 
 let put_u16 buf v =
   if v < 0 || v > 0xFFFF then invalid_arg "Db.save: u16 overflow";
-  put_u8 buf (v lsr 8);
-  put_u8 buf v
+  Buffer.add_uint16_be buf v
 
 let put_u32 buf v =
   if v < 0 || v > 0xFFFFFFFF then invalid_arg "Db.save: u32 overflow";
-  put_u16 buf (v lsr 16);
-  put_u16 buf (v land 0xFFFF)
+  Buffer.add_int32_be buf (Int32.of_int v)
 
 let put_string buf s =
   put_u16 buf (String.length s);
@@ -212,6 +208,8 @@ let put_string buf s =
 let save t path =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
+  put_u32 buf (S.Disk.page_size t.disk);
+  put_u32 buf t.mem_pages;
   let names = List.sort compare (table_names t) in
   put_u32 buf (List.length names);
   List.iter
@@ -226,15 +224,15 @@ let save t path =
       List.iter
         (fun (c : S.Schema.column) ->
           put_string buf c.S.Schema.name;
-          put_u8 buf
+          Buffer.add_uint8 buf
             (match c.S.Schema.ty with S.Schema.Int -> 0 | S.Schema.Fixed_string -> 1);
           put_u16 buf c.S.Schema.width)
         cols;
       put_u16 buf (S.Schema.key_index schema);
       let kinds = List.map P.Catalog.kind_of_index (P.Catalog.indexes t.cat name) in
       let has kind = if List.mem kind kinds then 1 else 0 in
-      put_u8 buf (has Avl_index);
-      put_u8 buf (has Btree_index);
+      Buffer.add_uint8 buf (has Avl_index);
+      Buffer.add_uint8 buf (has Btree_index);
       put_u32 buf (S.Relation.ntuples rel);
       S.Relation.iter_tuples_nocharge rel (fun tuple ->
           Buffer.add_bytes buf tuple))
@@ -252,44 +250,30 @@ let load path =
   let data = really_input_string ic len in
   close_in ic;
   let pos = ref 0 in
-  let need n =
-    if !pos + n > len then invalid_arg "Db.load: truncated file"
-  in
-  let get_u8 () =
-    need 1;
-    let v = Char.code data.[!pos] in
-    incr pos;
+  let get n read =
+    if !pos + n > len then invalid_arg "Db.load: truncated file";
+    let v = read data !pos in
+    pos := !pos + n;
     v
   in
-  let get_u16 () =
-    let hi = get_u8 () in
-    let lo = get_u8 () in
-    (hi lsl 8) lor lo
-  in
+  let get_u8 () = get 1 String.get_uint8 in
+  let get_u16 () = get 2 String.get_uint16_be in
   let get_u32 () =
-    let hi = get_u16 () in
-    let lo = get_u16 () in
-    (hi lsl 16) lor lo
+    get 4 (fun s i -> Int32.to_int (String.get_int32_be s i) land 0xFFFFFFFF)
   in
-  let get_string () =
-    let n = get_u16 () in
-    need n;
-    let s = String.sub data !pos n in
-    pos := !pos + n;
-    s
-  in
-  need (String.length magic);
-  if String.sub data 0 (String.length magic) <> magic then
+  let get_string n = get n (fun s i -> String.sub s i n) in
+  if get_string (String.length magic) <> magic then
     invalid_arg "Db.load: bad magic (not an mmdb file or wrong version)";
-  pos := String.length magic;
-  let db = create () in
+  let page_size = get_u32 () in
+  let mem_pages = get_u32 () in
+  let db = create ~page_size ~mem_pages () in
   let ntables = get_u32 () in
   for _ = 1 to ntables do
-    let name = get_string () in
+    let name = get_string (get_u16 ()) in
     let ncols = get_u16 () in
     let cols =
       List.init ncols (fun _ ->
-          let cname = get_string () in
+          let cname = get_string (get_u16 ()) in
           let ty =
             match get_u8 () with
             | 0 -> S.Schema.Int
@@ -314,9 +298,7 @@ let load path =
     create_table db ~name ~schema;
     let tuples = ref [] in
     for _ = 1 to ntuples do
-      need width;
-      tuples := Bytes.of_string (String.sub data !pos width) :: !tuples;
-      pos := !pos + width
+      tuples := Bytes.of_string (get_string width) :: !tuples
     done;
     insert_sealed db name (List.rev !tuples);
     if has_avl then create_index db ~table:name Avl_index;

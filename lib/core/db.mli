@@ -14,9 +14,8 @@ type index_kind = Mmdb_planner.Catalog.index_kind = Avl_index | Btree_index
 (** Indexes live in the catalog entry of their table, so the planner and
     {!lookup} share them. *)
 
-val create : ?page_size:int -> ?mem_pages:int -> ?cost:Mmdb_storage.Cost.t ->
-  unit -> t
-(** Defaults: 4096-byte pages, 256 memory pages, Table 2 costs. *)
+val create : ?page_size:int -> ?mem_pages:int -> unit -> t
+(** Defaults: 4096-byte pages, 256 memory pages.  Costs are Table 2's. *)
 
 val env : t -> Mmdb_storage.Env.t
 val mem_pages : t -> int
@@ -116,13 +115,15 @@ val stats : t -> string
 (** One-line simulated-time / counter summary since creation. *)
 
 val save : t -> string -> unit
-(** [save db path] writes every table (schema, rows, index kinds) to a
-    single binary file.  The format is versioned and
-    architecture-independent (fixed-width big-endian fields; tuple bytes
-    are stored verbatim — they are already order-preserving encodings). *)
+(** [save db path] writes the page size, the memory budget and every
+    table (schema, rows, index kinds) to a single binary file.  The
+    format is versioned and architecture-independent (fixed-width
+    big-endian fields; tuple bytes are stored verbatim — they are
+    already order-preserving encodings). *)
 
 val load : string -> t
-(** [load path] reconstructs a database saved with {!save}: tables are
-    bulk-loaded, declared indexes rebuilt, statistics recomputed.
+(** [load path] reconstructs a database saved with {!save} at its page
+    size and memory budget: tables are bulk-loaded, declared indexes
+    rebuilt, statistics recomputed.
     @raise Invalid_argument on a bad magic number, version, or truncated
     file. *)

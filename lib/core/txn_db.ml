@@ -22,6 +22,7 @@ type t = {
   mutable tickets : R.Wal.ticket option array;  (* by transaction id *)
   mutable next_txn : int;
   mutable crashed : bool;
+  mutable crash_log : R.Log_record.t list option;  (* until the next write *)
 }
 
 let create ?(strategy = R.Wal.Group_commit) ?(nrecords = 1000)
@@ -60,6 +61,7 @@ let create ?(strategy = R.Wal.Group_commit) ?(nrecords = 1000)
     tickets = Array.make 256 None;
     next_txn = 0;
     crashed = false;
+    crash_log = None;
   }
 
 let kv t = R.Txn.kv t.kernel
@@ -90,8 +92,10 @@ let completion t ~txn =
   if txn < 0 || txn >= Array.length t.tickets then None
   else Option.bind t.tickets.(txn) R.Wal.ticket_completion
 
+(* Every call that writes or flushes the log checks this first. *)
 let check_alive t =
-  if t.crashed then invalid_arg "Txn_db: crashed; recover first"
+  if t.crashed then invalid_arg "Txn_db: crashed; recover first";
+  t.crash_log <- None
 
 (* A slot locked twice inside one transaction would hit the lock
    manager's re-acquire path, whose empty grant muddies the dependency
@@ -203,17 +207,14 @@ let flush t =
 
 let checkpoint t =
   check_alive t;
-  R.Wal.log_control t.wal ~at:(now t)
-    [ R.Log_record.Ckpt_begin { lsn = R.Txn.fresh_lsn t.kernel } ];
-  flush t;
-  let st = R.Kv_store.checkpoint (kv t) in
-  R.Wal.log_control t.wal ~at:(now t)
-    [ R.Log_record.Ckpt_end { lsn = R.Txn.fresh_lsn t.kernel } ];
-  st
+  let c = R.Txn.checkpoint t.kernel ~at:(now t) ~deadline:None in
+  S.Sim_clock.advance_to t.clock c.R.Txn.log_durable;
+  R.Txn.retire t.kernel ~at:(now t);
+  c.R.Txn.sweep
 
 let crash t =
   check_alive t;
-  R.Txn.crash t.kernel;
+  t.crash_log <- Some (R.Txn.crash t.kernel ~at:(now t));
   t.crashed <- true;
   (* Degrade rather than refuse: with an admission controller attached,
      the service keeps answering stale snapshot reads ([balance_stale])
@@ -222,10 +223,14 @@ let crash t =
   | Some a -> O.Admission.set_mode a O.Admission.Read_only
   | None -> ()
 
+(* exn_flow: Crashed_during_recovery fires only with a crash budget, and
+   this restart passes none. *)
 let recover t =
   if not t.crashed then invalid_arg "Txn_db.recover: not crashed";
-  let log = R.Txn.surviving_log t.kernel ~at:(now t) in
-  let stats = R.Kv_store.recover (kv t) ~log in
+  let stats, _ =
+    R.Txn.recover t.kernel ~workers:1 ~use_domains:false ~crash_steps:None
+      ~recorder:None
+  in
   t.crashed <- false;
   (match t.admission with
   | Some a -> O.Admission.set_mode a O.Admission.Normal
@@ -233,19 +238,13 @@ let recover t =
   stats
 
 let committed_txns t =
-  List.filter_map
-    (fun r ->
-      match r with
-      | R.Log_record.Commit { txn; _ } -> Some txn
-      | R.Log_record.Begin _ | R.Log_record.Update _ | R.Log_record.Command _
-      | R.Log_record.Abort _ | R.Log_record.Ckpt_begin _
-      | R.Log_record.Ckpt_end _ -> None)
-    (R.Txn.surviving_log t.kernel ~at:(now t))
+  R.Log_record.committed
+    (match t.crash_log with
+    | Some log -> log
+    | None -> R.Txn.surviving_log t.kernel ~at:(now t))
 
 let schedule t =
-  match t.recorder with
-  | Some r -> R.Schedule.events r
-  | None -> []
+  Option.value (Option.map R.Schedule.events t.recorder) ~default:[]
 
 let log_records t = R.Wal.all_records t.wal
 let log_pages t = R.Wal.pages_written t.wal

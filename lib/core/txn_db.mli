@@ -2,7 +2,7 @@
     transaction kernel.  It runs a memory-resident account store one
     transaction at a time, with a pluggable commit strategy, fuzzy
     checkpoints, crash and recovery.  The kernel does the locking,
-    applying, logging, commit, abort, retirement and recovery log; this
+    applying, logging, commit, abort, retirement and restart; this
     facade keeps admission control, deadlines, the per-transaction retry
     budget and degraded read-only mode. *)
 
@@ -99,29 +99,28 @@ val flush : t -> unit
     clock to durability. *)
 
 val checkpoint : t -> Mmdb_recovery.Kv_store.checkpoint_stats
-(** Fuzzy checkpoint: log [Ckpt_begin], flush the log (WAL rule), sweep
-    dirty pages to the snapshot, log [Ckpt_end]. *)
+(** Fuzzy checkpoint now ({!Mmdb_recovery.Txn.checkpoint}, no deadline);
+    the clock then advances to the instant the log was durable. *)
 
 val crash : t -> unit
-(** Lose volatile state at the current instant (pending group-commit
-    buffers and the lock table are lost; completed and scheduled log
-    writes survive, as does stable memory).  With an admission controller
-    attached the service enters degraded read-only mode: {!balance_stale}
-    keeps answering from the checkpoint image and {!transact} sheds
-    OVLD009 until {!recover} restores normal service. *)
+(** Crash now, which fixes what survives: log writes complete by now
+    survive, writes in flight are lost (or torn, under a torn-write
+    rule), and so are the open group-commit buffer and the lock table.
+    With an admission controller attached the service enters degraded
+    read-only mode: {!balance_stale} keeps answering from the checkpoint
+    image and {!transact} sheds OVLD009 until {!recover}. *)
 
 val recover : t -> Mmdb_recovery.Kv_store.recover_stats
-(** Rebuild memory from the snapshot and the log that survives the
-    crash ({!Mmdb_recovery.Txn.surviving_log}: with a fault plan armed,
-    damaged log pages are truncated and incomplete transactions
-    demoted, FAULT008).
-    @raise Invalid_argument unless crashed.
-    @raise Mmdb_recovery.Kv_store.Crashed_during_recovery when the
-    store's crash hook fires mid-replay (restart-crash testing). *)
+(** Serial replay of the log fixed at the crash, however long the caller
+    waited, over the snapshot ({!Mmdb_recovery.Txn.surviving_log}: with a
+    fault plan armed, damaged log pages are truncated and incomplete
+    transactions demoted, FAULT008).
+    @raise Invalid_argument unless crashed. *)
 
 val committed_txns : t -> int list
 (** Transaction ids whose commit records a crash now would let recovery
-    redo ({!Mmdb_recovery.Txn.surviving_log}). *)
+    redo; from a {!crash} until the log is next written or flushed, those
+    in the log that crash fixed. *)
 
 val schedule : t -> Mmdb_recovery.Schedule.event list
 (** The recorded transaction schedule, in emission order (audit input for

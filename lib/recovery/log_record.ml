@@ -23,6 +23,9 @@ let txn = function
   | Commit { txn; _ } | Abort { txn; _ } -> Some txn
   | Ckpt_begin _ | Ckpt_end _ -> None
 
+let committed log =
+  List.filter_map (function Commit { txn; _ } -> Some txn | _ -> None) log
+
 (* Sizes chosen so the paper's "typical" banking transaction (begin + 6
    updates + commit) writes 40 + 360 = 400 bytes uncompressed: 20 + 20
    header bytes and 6 * 60 update bytes, of which half of each update is

@@ -44,6 +44,9 @@ val lsn : t -> int
 val txn : t -> int option
 (** The owning transaction; [None] for checkpoint markers. *)
 
+val committed : t list -> int list
+(** The transactions [log] holds a Commit record for, in log order. *)
+
 val size_bytes : compressed:bool -> t -> int
 (** Begin/Commit/Abort and checkpoint markers: 20 bytes each (the paper's
     40 for begin+end).  Update: 60 bytes full (30 old value + 30 new

@@ -74,8 +74,8 @@ type outcome = {
   fault_events : (string * int) list;
 }
 
-(* exn_flow: Crashed_during_recovery fires only with [crash_after_steps],
-   whose one call runs under its handler; the restart passes none. *)
+(* exn_flow: Crashed_during_recovery fires only under Txn.recover's own
+   handler, whose restart passes no crash budget. *)
 let run cfg =
   let rng = U.Xorshift.create cfg.seed in
   let clock = S.Sim_clock.create () in
@@ -91,7 +91,6 @@ let run cfg =
     Txn.create ~faults:plan ~records_per_page:cfg.records_per_page
       ~nrecords:cfg.nrecords ~wal ()
   in
-  let kv = Txn.kv kernel in
   let n_submit =
     match cfg.crash_after with
     | Some k ->
@@ -140,11 +139,6 @@ let run cfg =
   let command_txns = ref 0 in
   let checkpoints = ref 0 in
   let checkpoint_pages = ref 0 in
-  (* A fuzzy-checkpoint bracket stays open until some sweep finishes the
-     whole dirty set: a sweep cut short by the crash deadline must not
-     open a second bracket (nested Ckpt_begin is a LOG007 protocol
-     violation); the next attempt resumes the open one. *)
-  let ckpt_open = ref false in
   let arrival i = float_of_int i *. 1e-3 in
   let crash_time = ref 0.0 in
   let tickets = ref [] in
@@ -168,46 +162,13 @@ let run cfg =
             txn.Workload.updates
         in
         tickets := (txn.Workload.txn_id, o.Txn.ticket) :: !tickets;
-        (match cfg.checkpoint_every with
+        match cfg.checkpoint_every with
         | Some every when (i + 1) mod every = 0 ->
-          if not !ckpt_open then begin
-            Wal.log_control wal ~at
-              [ Log_record.Ckpt_begin { lsn = Txn.fresh_lsn kernel } ];
-            ckpt_open := true
-          end;
-          (* WAL rule: the log is flushed before data pages go out.  The
-             flush call returns when its own page completes, but earlier
-             pages may still sit in the device queues (conventional
-             commit builds a deep one) — the sweeper must also wait for
-             those, since the page images it writes reflect updates
-             whose log records ride them. *)
-          let flush_done = Wal.flush wal ~at in
-          let log_durable = Float.max flush_done (Wal.quiesce_time wal) in
-          (match cfg.crash_at with
-          | Some ct when log_durable > ct ->
-            (* The crash lands before the log is durable: the background
-               sweeper never starts, so no data page of this checkpoint
-               reaches the snapshot and no Ckpt_end is logged.
-               Log_check tolerates the open bracket. *)
-            ()
-          | Some ct ->
-            let st = Kv_store.checkpoint ~now:log_durable ~deadline:ct kv in
-            checkpoint_pages := !checkpoint_pages + st.Kv_store.pages_flushed;
-            if Kv_store.dirty_pages kv = 0 then begin
-              (* Complete sweep: certify it. *)
-              Wal.log_control wal ~at
-                [ Log_record.Ckpt_end { lsn = Txn.fresh_lsn kernel } ];
-              ckpt_open := false;
-              incr checkpoints
-            end
-          | None ->
-            let st = Kv_store.checkpoint kv in
-            Wal.log_control wal ~at
-              [ Log_record.Ckpt_end { lsn = Txn.fresh_lsn kernel } ];
-            ckpt_open := false;
-            incr checkpoints;
-            checkpoint_pages := !checkpoint_pages + st.Kv_store.pages_flushed)
-        | Some _ | None -> ())
+          let c = Txn.checkpoint kernel ~at ~deadline:cfg.crash_at in
+          checkpoint_pages :=
+            !checkpoint_pages + c.Txn.sweep.Kv_store.pages_flushed;
+          if c.Txn.closed then incr checkpoints
+        | Some _ | None -> ()
       end)
     txns;
   (* Crash.  With crash_at, the crash hits at that exact simulated time —
@@ -224,55 +185,29 @@ let run cfg =
       let done_at = Wal.flush wal ~at:!crash_time in
       Float.max done_at (Wal.quiesce_time wal) +. 1.0
   in
-  let durable = Txn.surviving_log kernel ~at:crash_at in
-  Txn.crash kernel;
-  (* Recovery, optionally parallel, optionally crashing mid-replay.  A
-     restart-crash (FAULT012) loses the volatile replay state; the
-     durable snapshot pages written back before the crash carry their
-     advanced redo/undo floors, so running recovery again from scratch
-     is correct — that is the property the torture cases with a
-     restart crash check. *)
+  let durable = Txn.crash kernel ~at:crash_at in
   let replay_recorder =
     if cfg.replay.record_replay then
       Some (Schedule.recorder ~now:(fun () -> 0.0))
     else None
   in
-  let recovery_attempts = ref 1 in
-  let do_recover ?crash_after_steps () =
-    Kv_store.recover kv ~workers:replay_workers
-      ~use_domains:cfg.replay.use_domains ?crash_after_steps ?replay_recorder
-      ~log:durable
-  in
-  let recover_stats =
-    match cfg.replay.crash_steps with
-    | None -> do_recover ()
-    | Some n -> (
-      try do_recover ~crash_after_steps:n ()
-      with Kv_store.Crashed_during_recovery ->
-        incr recovery_attempts;
-        Fault_plan.note_detected plan ~code:"FAULT012" ~site:"recovery.replay"
-          (Printf.sprintf
-             "crash after %d replay steps; restarting recovery" n);
-        Kv_store.crash kv;
-        do_recover ())
+  let recover_stats, recovery_attempts =
+    Txn.recover kernel ~workers:replay_workers
+      ~use_domains:cfg.replay.use_domains ~crash_steps:cfg.replay.crash_steps
+      ~recorder:replay_recorder
   in
   (* Golden state: replay exactly the durably committed transactions. *)
   let committed = Hashtbl.create 256 in
   List.iter
-    (fun r ->
-      match r with
-      | Log_record.Commit { txn; _ } -> Hashtbl.replace committed txn ()
-      | Log_record.Begin _ | Log_record.Update _ | Log_record.Command _
-      | Log_record.Abort _ | Log_record.Ckpt_begin _ | Log_record.Ckpt_end _
-        -> ())
-    durable;
+    (fun txn -> Hashtbl.replace committed txn ())
+    (Log_record.committed durable);
   let golden = Array.make cfg.nrecords 0 in
   List.iter
     (fun (txn : Workload.txn) ->
       if Hashtbl.mem committed txn.Workload.txn_id then
         Workload.apply ~balances:golden txn)
     txns;
-  let recovered = Kv_store.balances kv in
+  let recovered = Kv_store.balances (Txn.kv kernel) in
   let consistent = recovered = golden in
   let money_conserved = Array.fold_left ( + ) 0 recovered = 0 in
   (* Durability audit: a transaction acknowledged committed before the
@@ -300,12 +235,10 @@ let run cfg =
     consistent;
     money_conserved;
     recover_stats;
-    recovery_attempts = !recovery_attempts;
+    recovery_attempts;
     command_txns = !command_txns;
     replay_events =
-      (match replay_recorder with
-      | Some r -> Schedule.events r
-      | None -> []);
+      Option.value (Option.map Schedule.events replay_recorder) ~default:[];
     checkpoints_taken = !checkpoints;
     checkpoint_pages = !checkpoint_pages;
     log_pages = Wal.pages_written wal;

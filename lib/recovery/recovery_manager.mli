@@ -2,21 +2,19 @@
     the transaction kernel.
 
     Runs a banking workload through the kernel (each arrival one
-    {!Txn.run}, value- or command-logged by the per-transaction choice
-    below) with optional periodic fuzzy checkpoints, crashes at a chosen
-    point, recovers from the disk snapshot plus {!Txn.surviving_log},
-    and verifies the recovered state against a golden replay of exactly
-    the durably-committed transactions.  The driver keeps checkpoints,
-    crash timing, the golden audit, stale reads and the logging
-    choice.
+    {!Txn.run}, value- or command-logged by the choice below), with a
+    {!Txn.checkpoint} every [checkpoint_every] transactions, then
+    {!Txn.crash} and {!Txn.recover}, the path [Txn_db] runs too.  The
+    driver keeps the workload, the logging choice, where the crash lands
+    and the audit: the recovered state must equal a golden replay of
+    exactly the durably committed transactions.
 
     Crashes land at a transaction boundary ([crash_after]) or at an
-    arbitrary simulated instant ([crash_at]) — including mid-drain,
-    mid-log-page-write, and mid-checkpoint.  An armed fault plan
-    additionally models torn writes, bit flips, transient I/O errors,
-    snapshot rot, and stable-memory battery droop; the outcome then
-    reports the fault tally and a durability audit of acknowledged
-    commits. *)
+    arbitrary simulated instant ([crash_at]): mid-drain, mid-log-page
+    write or mid-checkpoint.  An armed fault plan also models torn
+    writes, bit flips, transient I/O errors, snapshot rot and
+    stable-memory battery droop; the outcome then reports the fault
+    tally and a durability audit of acknowledged commits. *)
 
 type logging_mode =
   | Value_logging  (** after-image update records: big log, cheap replay *)
@@ -65,10 +63,8 @@ type config = {
   crash_at : float option;
       (** crash at this absolute simulated time, taking precedence over
           [crash_after]'s quiesce behaviour: device writes still in
-          flight are lost (or torn, under a torn-write rule), a
-          checkpoint whose log flush outlives the crash never writes
-          data pages (WAL rule), and an in-progress sweep is cut short
-          at the page boundary *)
+          flight are lost (or torn, under a torn-write rule); it is
+          every checkpoint's deadline ({!Txn.checkpoint}) *)
   faults : Mmdb_fault.Fault_plan.rule list;
       (** fault-injection rules, armed with a plan seeded by [seed] *)
   seed : int;
@@ -122,9 +118,7 @@ type outcome = {
 
 val run : config -> outcome
 (** Drive the whole workload → crash → recover cycle described by
-    [config].
-    When [replay.crash_steps] fires mid-recovery, [run] catches
-    {!Kv_store.Crashed_during_recovery}, notes FAULT012 and runs recovery
-    again from the surviving durable state ([recovery_attempts = 2]).
+    [config].  When [replay.crash_steps] fires mid-recovery, {!Txn.recover}
+    notes FAULT012 and recovers again ([recovery_attempts = 2]).
     @raise Mmdb_fault.Fault.Io_error from the log or snapshot device
     when the armed fault plan exhausts the retry budget. *)

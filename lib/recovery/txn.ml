@@ -22,6 +22,8 @@ type t = {
   mutable resolved : (int * Wal.ticket) Heap.t;
       (* resolved, not yet retired, by completion *)
   mutable submitted : int;
+  mutable ckpt_open : bool;  (* a Ckpt_begin awaits its Ckpt_end *)
+  mutable crash_log : Log_record.t list option;  (* fixed by [crash] *)
 }
 
 type outcome = {
@@ -52,6 +54,8 @@ let create ?recorder ?(domain_of = fun _ -> 0) ?faults
     pending = Queue.create ();
     resolved = Heap.create ~cmp:by_completion ();
     submitted = 0;
+    ckpt_open = false;
+    crash_log = None;
   }
 
 let kv t = t.kv
@@ -205,14 +209,32 @@ let run ?(command = false) t ~txn ~at updates =
   else List.iter (fun (slot, delta) -> write t ~txn ~slot ~delta) updates;
   commit t ~txn ~at
 
-let crash t =
-  Kv_store.crash t.kv;
-  (* The lock table is volatile: holders, waiters and pre-committed sets
-     go with it (the durable log decides their transactions). *)
-  t.locks <- Lock_manager.create ?recorder:t.recorder ~domain_of:t.domain_of ();
-  Hashtbl.reset t.active;
-  Queue.clear t.pending;
-  t.resolved <- Heap.create ~cmp:by_completion ()
+type checkpoint = {
+  sweep : Kv_store.checkpoint_stats;
+  closed : bool;
+  log_durable : float;
+}
+
+(* A sweep cut short by the deadline leaves the bracket open for the next
+   call (a nested Ckpt_begin is LOG007).  WAL rule: the sweep waits for
+   every queued log page, since its page images reflect their records. *)
+let checkpoint t ~at ~deadline =
+  if not t.ckpt_open then begin
+    Wal.log_control t.wal ~at [ Log_record.Ckpt_begin { lsn = fresh_lsn t } ];
+    t.ckpt_open <- true
+  end;
+  let log_durable = Float.max (Wal.flush t.wal ~at) (Wal.quiesce_time t.wal) in
+  match deadline with
+  | Some d when log_durable > d ->
+    { sweep = { pages_flushed = 0; duration = 0.0 }; closed = false; log_durable }
+  | Some _ | None ->
+    let sweep = Kv_store.checkpoint ~now:log_durable ?deadline t.kv in
+    let closed = Kv_store.dirty_pages t.kv = 0 in
+    if closed then begin
+      Wal.log_control t.wal ~at [ Log_record.Ckpt_end { lsn = fresh_lsn t } ];
+      t.ckpt_open <- false
+    end;
+    { sweep; closed; log_durable }
 
 let surviving_log t ~at =
   let durable = Wal.surviving_records t.wal ~at in
@@ -261,3 +283,40 @@ let surviving_log t ~at =
       | Log_record.Begin _ | Log_record.Update _ | Log_record.Command _
       | Log_record.Ckpt_begin _ | Log_record.Ckpt_end _ -> true)
     durable
+
+let crash t ~at =
+  let log = surviving_log t ~at in
+  Kv_store.crash t.kv;
+  (* The lock table is volatile: holders, waiters and pre-committed sets
+     go with it (the durable log decides their transactions). *)
+  t.locks <- Lock_manager.create ?recorder:t.recorder ~domain_of:t.domain_of ();
+  Hashtbl.reset t.active;
+  Queue.clear t.pending;
+  t.resolved <- Heap.create ~cmp:by_completion ();
+  t.crash_log <- Some log;
+  log
+
+(* A restart starts over safely: pages written back before the crash
+   carry their advanced redo and undo floors.
+   exn_flow: Crashed_during_recovery fires only with [crash_after_steps],
+   whose one call runs under its handler; the restart passes none. *)
+let recover t ~workers ~use_domains ~crash_steps ~recorder =
+  let log =
+    match t.crash_log with
+    | Some log -> log
+    | None -> invalid_arg "Txn.recover: not crashed"
+  in
+  let replay ?crash_after_steps () =
+    Kv_store.recover t.kv ~workers ~use_domains ?crash_after_steps
+      ?replay_recorder:recorder ~log
+  in
+  match crash_steps with
+  | None -> (replay (), 1)
+  | Some n -> (
+    try (replay ~crash_after_steps:n (), 1)
+    with Kv_store.Crashed_during_recovery ->
+      Fault_plan.note_detected (Wal.faults t.wal) ~code:"FAULT012"
+        ~site:"recovery.replay"
+        (Printf.sprintf "crash after %d replay steps; restarting recovery" n);
+      Kv_store.crash t.kv;
+      (replay (), 2))

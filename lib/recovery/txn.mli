@@ -19,8 +19,11 @@
     its exact completion time, newest submission first.  A retire touches
     only the tickets resolved since the last one and the due ones.
 
-    Drivers keep everything else: arrivals, admission, deadlines, reader
-    windows, checkpoints, crash timing and audits. *)
+    Restart: {!checkpoint} keeps the fuzzy-checkpoint bracket, {!crash}
+    fixes the surviving log at one instant and {!recover} replays it;
+    {!Recovery_manager} and [Txn_db] both run these three.  Drivers keep
+    the rest: arrivals, admission, deadlines, reader windows, when to
+    checkpoint or crash, and audits. *)
 
 type t
 
@@ -47,10 +50,6 @@ val kv : t -> Kv_store.t
 val locks : t -> Lock_manager.t
 (** The lock table, for inspection and {!Lock_manager.expire_waiters}
     sweeps.  Protocol transitions go through this module. *)
-
-val fresh_lsn : t -> int
-(** Draw the next LSN (checkpoint brackets share the transaction
-    sequence). *)
 
 val unretired : t -> int
 (** Commit tickets not yet retired: the in-flight count admission
@@ -109,9 +108,35 @@ val retire : t -> at:float -> unit
 (** Finalize every commit durable by [at], emitting its
     [Commit_durable] at the ticket's completion time. *)
 
-val crash : t -> unit
-(** Lose volatile state: the store's memory, the lock table, open
-    transactions and unretired tickets.  The WAL is untouched. *)
+type checkpoint = {
+  sweep : Kv_store.checkpoint_stats;
+  closed : bool;  (** the sweep emptied the dirty set; Ckpt_end logged *)
+  log_durable : float;  (** when the flushed log was durable *)
+}
+
+val checkpoint : t -> at:float -> deadline:float option -> checkpoint
+(** Fuzzy checkpoint (Section 5.3) at [at]: log [Ckpt_begin] unless a
+    bracket is open, flush the log and wait out its device queues (WAL
+    rule), sweep dirty pages, and once none is left log [Ckpt_end] at
+    [at].  No page write completes after [deadline] (a crash instant);
+    a cut-short sweep leaves the bracket for the next call to resume.
+    @raise Mmdb_fault.Fault.Io_error when a fault plan is armed. *)
+
+val crash : t -> at:float -> Log_record.t list
+(** Crash at [at]: fix {!surviving_log} at [at], then lose the store's
+    memory, the lock table, open transactions and unretired tickets.
+    Returns that log and keeps it for {!recover}.  The WAL is untouched. *)
+
+val recover :
+  t -> workers:int -> use_domains:bool -> crash_steps:int option ->
+  recorder:Schedule.recorder option -> Kv_store.recover_stats * int
+(** {!Kv_store.recover} over the log the last {!crash} kept, with
+    [workers] partitions (on domains when [use_domains]) and [recorder]
+    capturing the replay.  [crash_steps] crashes the restart after that
+    many steps; FAULT012 is noted and recovery runs again.  Returns the
+    stats and the attempts (1 or 2).
+    @raise Invalid_argument before the first {!crash}.
+    @raise Mmdb_fault.Fault.Io_error when a fault plan is armed. *)
 
 val surviving_log : t -> at:float -> Log_record.t list
 (** What recovery replays after a crash at [at]:

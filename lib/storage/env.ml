@@ -4,8 +4,8 @@ type t = {
   counters : Counters.t;
 }
 
-let create ?(cost = Cost.table2) () =
-  { cost; clock = Sim_clock.create (); counters = Counters.create () }
+let create () =
+  { cost = Cost.table2; clock = Sim_clock.create (); counters = Counters.create () }
 
 let charge_comp t =
   t.counters.Counters.comparisons <- t.counters.Counters.comparisons + 1;

@@ -11,8 +11,8 @@ type t = {
   counters : Counters.t;
 }
 
-val create : ?cost:Cost.t -> unit -> t
-(** Fresh environment; [cost] defaults to {!Cost.table2}. *)
+val create : unit -> t
+(** Fresh environment charging {!Cost.table2}. *)
 
 val charge_comp : t -> unit
 (** One key comparison. *)

@@ -335,6 +335,28 @@ let test_txn_crash_loses_unflushed_group () =
   checki "update rolled away" 0 (M.Txn_db.balance db 0);
   checki "partner rolled away" 0 (M.Txn_db.balance db 1)
 
+(* What survives a crash is fixed at the crash instant: a conventional
+   commit's log write is still in flight when the crash lands, so it is
+   lost however long the caller waits before recovering. *)
+let test_txn_crash_instant_fixed () =
+  let run ~wait =
+    let db = M.Txn_db.create ~strategy:R.Wal.Conventional ~nrecords:10 () in
+    ignore (M.Txn_db.transact db [ (0, 5); (1, -5) ]);
+    M.Txn_db.crash db;
+    if wait then M.Txn_db.advance db 1.0;
+    let before = M.Txn_db.committed_txns db in
+    ignore (M.Txn_db.recover db);
+    (M.Txn_db.balance db 0, M.Txn_db.balance db 1, before, M.Txn_db.committed_txns db)
+  in
+  let b0, b1, before, after = run ~wait:false in
+  let b0', b1', before', after' = run ~wait:true in
+  checki "in-flight write lost" 0 b0;
+  checki "same balance 0" b0 b0';
+  checki "same balance 1" b1 b1';
+  Alcotest.(check (list int)) "same committed before recovery" before before';
+  Alcotest.(check (list int)) "same committed after recovery" after after';
+  Alcotest.(check (list int)) "nothing committed" [] after'
+
 let test_txn_checkpoint_and_recover () =
   let db = M.Txn_db.create ~strategy:R.Wal.Group_commit ~nrecords:50 () in
   for _ = 1 to 20 do
@@ -494,6 +516,8 @@ let () =
             test_txn_crash_recover_durable;
           Alcotest.test_case "crash loses unflushed group" `Quick
             test_txn_crash_loses_unflushed_group;
+          Alcotest.test_case "crash instant fixed" `Quick
+            test_txn_crash_instant_fixed;
           Alcotest.test_case "checkpoint + recover" `Quick
             test_txn_checkpoint_and_recover;
           Alcotest.test_case "stable immediate" `Quick

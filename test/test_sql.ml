@@ -833,7 +833,7 @@ let shrink_dml_case c =
   QCheck.Iter.map (fun script -> { c with script }) (QCheck.Shrink.list ~shrink:shrink_step c.script)
 
 let run_dml_case c =
-  let db = ref (M.Db.create ~page_size:256 ()) in
+  let db = ref (M.Db.create ~page_size:256 ~mem_pages:64 ()) in
   let exec sql = M.Db.execute !db sql in
   ignore (exec "CREATE TABLE dim (gid INT PRIMARY KEY, w INT)");
   ignore (exec "INSERT INTO dim VALUES (0, 0), (1, 10), (2, 20), (3, 30), (4, 40), (5, 50), (6, 60)");
@@ -850,11 +850,20 @@ let run_dml_case c =
     let applied =
       match (model_apply c.table rows stmt, stmt) with
       | Some _, Save_load ->
+        (* A reload keeps the page size and memory budget, so every
+           table spans as many pages as before. *)
+        let layout db =
+          ( M.Db.mem_pages db,
+            List.map
+              (fun name -> (name, S.Relation.npages (P.Catalog.find (M.Db.catalog db) name)))
+              (List.sort compare (M.Db.table_names db)) )
+        in
         let path = Filename.temp_file "mmdb_model" ".db" in
         M.Db.save !db path;
+        let saved = layout !db in
         db := M.Db.load path;
         Sys.remove path;
-        true
+        layout !db = saved
       | Some (rows', affected), _ -> (
         match exec (dml_sql c.table stmt) with
         | M.Db.Affected n ->
