@@ -148,8 +148,10 @@ let rebuild_table t name ~keep ~transform =
       registered := true);
   !affected
 
-let matches_all schema preds tuple =
-  List.for_all (fun pred -> P.Algebra.eval_predicate schema pred tuple) preds
+(* A statement's WHERE, resolved once against the table's schema. *)
+let matches_all schema preds =
+  let tests = List.map (P.Algebra.eval_predicate schema) preds in
+  fun tuple -> List.for_all (fun test -> test tuple) tests
 
 let execute t text =
   match P.Sql.parse_statement_exn text with
@@ -158,19 +160,20 @@ let execute t text =
     insert_sealed t table (encode_rows (find_table t table) rows);
     Affected (List.length rows)
   | P.Sql.Delete { table; preds } ->
-    let schema = S.Relation.schema (find_table t table) in
+    let matches = matches_all (S.Relation.schema (find_table t table)) preds in
     Affected
       (rebuild_table t table
-         ~keep:(fun tuple -> not (matches_all schema preds tuple))
+         ~keep:(fun tuple -> not (matches tuple))
          ~transform:(fun _ -> None))
   | P.Sql.Update { table; sets; preds } ->
     let schema = S.Relation.schema (find_table t table) in
     let set_indices =
       List.map (fun (col, v) -> (S.Schema.column_index schema col, v)) sets
     in
+    let matches = matches_all schema preds in
     Affected
       (rebuild_table t table
-         ~keep:(fun tuple -> not (matches_all schema preds tuple))
+         ~keep:(fun tuple -> not (matches tuple))
          ~transform:(fun tuple ->
            let values = Array.of_list (S.Tuple.decode schema tuple) in
            List.iter (fun (i, v) -> values.(i) <- v) set_indices;

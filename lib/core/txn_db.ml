@@ -214,8 +214,16 @@ let checkpoint t =
 
 let crash t =
   check_alive t;
-  t.crash_log <- Some (R.Txn.crash t.kernel ~at:(now t));
+  let log = R.Txn.crash t.kernel ~at:(now t) in
+  t.crash_log <- Some log;
   t.crashed <- true;
+  (* A commit the crash lost never becomes durable. *)
+  let survived = Hashtbl.create 64 in
+  List.iter (fun txn -> Hashtbl.replace survived txn ()) (R.Log_record.committed log);
+  Array.iteri
+    (fun txn tkt ->
+      if Option.is_some tkt && not (Hashtbl.mem survived txn) then t.tickets.(txn) <- None)
+    t.tickets;
   (* Degrade rather than refuse: with an admission controller attached,
      the service keeps answering stale snapshot reads ([balance_stale])
      and sheds writes typed (OVLD009) until [recover] runs. *)

@@ -106,6 +106,8 @@ val crash : t -> unit
 (** Crash now, which fixes what survives: log writes complete by now
     survive, writes in flight are lost (or torn, under a torn-write
     rule), and so are the open group-commit buffer and the lock table.
+    What is lost never becomes durable later, and a commit whose record
+    did not survive has no {!completion}.
     With an admission controller attached the service enters degraded
     read-only mode: {!balance_stale} keeps answering from the checkpoint
     image and {!transact} sheds OVLD009 until {!recover}. *)

@@ -7,17 +7,6 @@ type spec =
   | Max of string
   | Avg of string
 
-type acc = {
-  mutable n : int;
-  sums : int array; (* one slot per spec needing a column *)
-  mins : int array;
-  maxs : int array;
-}
-
-let spec_column schema = function
-  | Count -> None
-  | Sum c | Min c | Max c | Avg c -> Some (S.Schema.column_index schema c)
-
 let spec_name = function
   | Count -> "count"
   | Sum c -> "sum_" ^ c
@@ -34,168 +23,179 @@ let result_schema schema specs =
   in
   S.Schema.create ~key:"group" (group_col :: agg_cols)
 
-let fresh_acc nspecs =
-  {
-    n = 0;
-    sums = Array.make nspecs 0;
-    mins = Array.make nspecs max_int;
-    maxs = Array.make nspecs min_int;
-  }
+(* One aggregation over [rel]: its specs, each spec's input column (-1
+   for [Count]) and the output relation.  A group's running aggregate is
+   [1 + nspecs] ints of an [int array] from some base: the tuple count,
+   then per spec its sum (Sum, Avg), minimum or maximum; [init] is the
+   aggregate of no tuples. *)
+type agg = {
+  env : S.Env.t;
+  schema : S.Schema.t;
+  specs : spec array;
+  cols : int array;
+  init : int array;
+  out : S.Relation.t;
+}
 
-let update_acc env schema specs cols acc tuple =
-  acc.n <- acc.n + 1;
-  List.iteri
-    (fun i sp ->
-      match (sp, cols.(i)) with
-      | Count, _ -> ()
-      | (Sum _ | Avg _), Some c ->
-        acc.sums.(i) <- acc.sums.(i) + S.Tuple.get_int schema tuple c
-      | Min _, Some c ->
-        S.Env.charge_comp env;
-        acc.mins.(i) <- min acc.mins.(i) (S.Tuple.get_int schema tuple c)
-      | Max _, Some c ->
-        S.Env.charge_comp env;
-        acc.maxs.(i) <- max acc.maxs.(i) (S.Tuple.get_int schema tuple c)
-      | (Sum _ | Avg _ | Min _ | Max _), None -> assert false)
-    specs
-
-let acc_values specs acc =
-  List.mapi
-    (fun i sp ->
-      match sp with
-      | Count -> acc.n
-      | Sum _ -> acc.sums.(i)
-      | Min _ -> acc.mins.(i)
-      | Max _ -> acc.maxs.(i)
-      | Avg _ -> if acc.n = 0 then 0 else acc.sums.(i) / acc.n)
-    specs
-
-(* Aggregate a tuple stream into [groups]; charges one hash per tuple and
-   one comp per group-table lookup. *)
-let feed env schema specs cols hash groups tuple =
-  ignore (Hash_fn.hash hash tuple);
-  let k = Bytes.unsafe_to_string (S.Tuple.key_bytes schema tuple) in
-  S.Env.charge_comp env;
-  let acc =
-    match Hashtbl.find_opt groups k with
-    | Some a -> a
-    | None ->
-      let a = fresh_acc (List.length specs) in
-      S.Env.charge_move env;
-      Hashtbl.replace groups k a;
-      a
-  in
-  update_acc env schema specs cols acc tuple
-
-let emit_groups env out_schema specs groups out =
-  ignore env;
-  (* Deterministic output order: sorted by group key bytes. *)
-  let items = Hashtbl.fold (fun k a l -> (k, a) :: l) groups [] in
-  let items = List.sort (fun (a, _) (b, _) -> String.compare a b) items in
-  List.iter
-    (fun (k, acc) ->
-      let vals = acc_values specs acc in
-      let width = S.Schema.tuple_width out_schema in
-      let tup = Bytes.make width '\000' in
-      Bytes.blit_string k 0 tup 0 (String.length k);
-      List.iteri
-        (fun i v -> S.Tuple.set_int out_schema tup (i + 1) v)
-        vals;
-      S.Relation.append out tup)
-    items
-
-let sort_based ~mem_pages rel specs =
+let start rel specs =
   let schema = S.Relation.schema rel in
-  let env = S.Relation.env rel in
-  let out_schema = result_schema schema specs in
   let out =
     S.Relation.create ~disk:(S.Relation.disk rel)
-      ~name:(S.Relation.name rel ^ ".agg") ~schema:out_schema
+      ~name:(S.Relation.name rel ^ ".agg") ~schema:(result_schema schema specs)
   in
-  let cols = Array.of_list (List.map (spec_column schema) specs) in
+  let specs = Array.of_list specs in
+  let col = function
+    | Count -> -1
+    | Sum c | Min c | Max c | Avg c -> S.Schema.column_index schema c
+  in
+  let init = function Min _ -> max_int | Max _ -> min_int | _ -> 0 in
+  { env = S.Relation.env rel; schema; specs; cols = Array.map col specs;
+    init = Array.append [| 0 |] (Array.map init specs); out }
+
+let stride a = Array.length a.init
+let init_acc a accs base = Array.blit a.init 0 accs base (stride a)
+
+let update_acc a accs base tuple =
+  accs.(base) <- accs.(base) + 1;
+  for i = 0 to Array.length a.specs - 1 do
+    let slot = base + 1 + i in
+    match a.specs.(i) with
+    | Count -> ()
+    | Sum _ | Avg _ ->
+      accs.(slot) <- accs.(slot) + S.Tuple.get_int a.schema tuple a.cols.(i)
+    | Min _ ->
+      S.Env.charge_comp a.env;
+      accs.(slot) <- Int.min accs.(slot) (S.Tuple.get_int a.schema tuple a.cols.(i))
+    | Max _ ->
+      S.Env.charge_comp a.env;
+      accs.(slot) <- Int.max accs.(slot) (S.Tuple.get_int a.schema tuple a.cols.(i))
+  done
+
+(* Fill the aggregate columns of [row], whose group column is set, and
+   append it to the output. *)
+let emit_row a row accs base =
+  let out_schema = S.Relation.schema a.out in
+  let n = accs.(base) in
+  Array.iteri
+    (fun i sp ->
+      let v = accs.(base + 1 + i) in
+      S.Tuple.set_int out_schema row (i + 1)
+        (match sp with
+        | Count -> n
+        | Avg _ -> if n = 0 then 0 else v / n
+        | Sum _ | Min _ | Max _ -> v))
+    a.specs;
+  S.Relation.append a.out row
+
+(* The group table holds one output row per group, its group column set
+   when the group is created; [accs] is indexed by the row's position. *)
+type groups = { table : Hash_table.t; mutable accs : int array }
+
+(* A fresh output row holding [tuple]'s key as its group column. *)
+let group_row a tuple =
+  let out_schema = S.Relation.schema a.out in
+  let row = Bytes.make (S.Schema.tuple_width out_schema) '\000' in
+  Bytes.blit tuple (S.Schema.key_offset a.schema) row 0
+    (S.Schema.key_width out_schema);
+  row
+
+let new_group a g tuple =
+  Hash_table.insert g.table (group_row a tuple);
+  let i = Hash_table.length g.table - 1 in
+  if (i + 1) * stride a > Array.length g.accs then
+    g.accs <- Array.append g.accs (Array.make (Array.length g.accs + stride a) 0);
+  init_acc a g.accs (i * stride a);
+  i
+
+(* Aggregate one tuple into [g]: one hash and one comparison to find its
+   group, one move when the group is new. *)
+let feed a hash g tuple =
+  Hash_fn.charge hash;
+  S.Env.charge_comp a.env;
+  let i =
+    match Hash_table.find g.table ~probe_schema:a.schema tuple with
+    | -1 -> new_group a g tuple
+    | i -> i
+  in
+  update_acc a g.accs (i * stride a) tuple
+
+(* Emit [g]'s groups sorted by group key bytes (a deterministic order),
+   then empty it for the next partition. *)
+let emit_groups a g =
+  let out_schema = S.Relation.schema a.out in
+  let rows = Array.init (Hash_table.length g.table) (Hash_table.get g.table) in
+  let order = Array.init (Array.length rows) Fun.id in
+  Array.sort (fun i j -> S.Tuple.compare_keys out_schema rows.(i) rows.(j)) order;
+  Array.iter (fun i -> emit_row a rows.(i) g.accs (i * stride a)) order;
+  Hash_table.clear g.table
+
+let sort_based ~mem_pages rel specs =
+  let a = start rel specs in
   let sorted = External_sort.sort ~mem_pages rel in
-  (* One pass over the sorted stream: adjacent equal keys form a group. *)
-  let current_key = ref None in
-  let acc = ref (fresh_acc (List.length specs)) in
-  let emit_current () =
-    match !current_key with
-    | None -> ()
-    | Some key ->
-      let vals = acc_values specs !acc in
-      let width = S.Schema.tuple_width out_schema in
-      let tup = Bytes.make width '\000' in
-      Bytes.blit key 0 tup 0 (Bytes.length key);
-      List.iteri (fun i v -> S.Tuple.set_int out_schema tup (i + 1) v) vals;
-      S.Relation.append out tup
-  in
+  let key_width = S.Schema.key_width a.schema in
+  (* One pass over the sorted stream: adjacent equal keys form a group,
+     whose output row is [row]. *)
+  let acc = Array.make (stride a) 0 in
+  let row = ref None in
+  let emit_current () = Option.iter (fun r -> emit_row a r acc 0) !row in
   S.Relation.iter_tuples ~mode:S.Disk.Seq sorted (fun tuple ->
-      let key = S.Tuple.key_bytes schema tuple in
       let same =
-        match !current_key with
-        | Some k ->
-          S.Env.charge_comp env;
-          Bytes.equal k key
+        match !row with
+        | Some r ->
+          S.Env.charge_comp a.env;
+          S.Tuple.equal_range r 0 tuple (S.Schema.key_offset a.schema) key_width
         | None -> false
       in
       if not same then begin
         emit_current ();
-        current_key := Some key;
-        acc := fresh_acc (List.length specs)
+        row := Some (group_row a tuple);
+        init_acc a acc 0
       end;
-      update_acc env schema specs cols !acc tuple);
+      update_acc a acc 0 tuple);
   emit_current ();
   S.Relation.free_pages sorted;
-  S.Relation.seal out;
-  out
+  S.Relation.seal a.out;
+  a.out
 
 let hybrid ~mem_pages ~fudge rel specs =
   if mem_pages <= 1 then invalid_arg "Aggregate.hybrid: mem_pages <= 1";
-  let schema = S.Relation.schema rel in
-  let env = S.Relation.env rel in
-  let out_schema = result_schema schema specs in
-  let out =
-    S.Relation.create ~disk:(S.Relation.disk rel)
-      ~name:(S.Relation.name rel ^ ".agg") ~schema:out_schema
+  let a = start rel specs in
+  let hash = Hash_fn.create ~env:a.env ~schema:a.schema ~seed:0xa66 in
+  let g =
+    { table =
+        Hash_table.create ~env:a.env ~schema:(S.Relation.schema a.out)
+          ~tuples_per_page:(S.Relation.tuples_per_page a.out);
+      accs = [||] }
   in
-  let hash = Hash_fn.create ~env ~schema ~seed:0xa66 in
   (* Groups needed ~= distinct keys; bound by input pages.  Partition so
      each bucket's group table fits: B as in the hybrid join, treating the
      input as R. *)
-  let b =
-    Hybrid_hash.partitions ~mem_pages ~fudge
-      ~r_pages:(S.Relation.npages rel)
-  in
+  let r_pages = S.Relation.npages rel in
+  let b = Hybrid_hash.partitions ~mem_pages ~fudge ~r_pages in
   if b = 0 then begin
     (* Everything fits: the one-pass hash aggregation. *)
-    let cols = Array.of_list (List.map (spec_column schema) specs) in
-    let groups = Hashtbl.create 1024 in
-    S.Relation.iter_tuples_nocharge rel
-      (feed env schema specs cols hash groups);
-    emit_groups env out_schema specs groups out
+    S.Relation.iter_tuples_nocharge rel (feed a hash g);
+    emit_groups a g
   end
   else begin
-    let q = Hybrid_hash.q_fraction ~mem_pages ~fudge ~r_pages:(S.Relation.npages rel) in
+    let q = Hybrid_hash.q_fraction ~mem_pages ~fudge ~r_pages in
     let write_mode = if b <= 1 then S.Disk.Seq else S.Disk.Rand in
     let mem_part, buckets =
       Partition.split_fraction ~scan:Partition.Free ~q ~nbuckets:b ~hash
         ~write_mode rel
     in
     (* In-memory slice aggregates immediately. *)
-    let cols = Array.of_list (List.map (spec_column schema) specs) in
-    let groups = Hashtbl.create 1024 in
-    List.iter (feed env schema specs cols hash groups) mem_part;
-    emit_groups env out_schema specs groups out;
+    List.iter (feed a hash g) mem_part;
+    emit_groups a g;
     (* Disk partitions: aggregate each on re-read. *)
     Array.iter
       (fun bucket ->
         if S.Relation.ntuples bucket > 0 then begin
-          let groups = Hashtbl.create 256 in
-          Partition.iter_bucket bucket
-            (feed env schema specs cols hash groups);
-          emit_groups env out_schema specs groups out
+          Partition.iter_bucket bucket (feed a hash g);
+          emit_groups a g
         end)
       buckets;
     Partition.free buckets
   end;
-  S.Relation.seal out;
-  out
+  S.Relation.seal a.out;
+  a.out

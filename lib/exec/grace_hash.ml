@@ -36,11 +36,11 @@ let join ~mem_pages ~fudge r s emit =
       (* Build: read R_i back (sequential) and hash every tuple into the
          table. *)
       Partition.iter_bucket rb.(i) (fun tuple ->
-          ignore (Hash_fn.hash hash_r tuple);
+          Hash_fn.charge hash_r;
           Hash_table.insert table tuple);
       (* Probe with S_i. *)
       Partition.iter_bucket sb.(i) (fun tuple ->
-          ignore (Hash_fn.hash hash_s tuple);
+          Hash_fn.charge hash_s;
           Hash_table.probe table ~probe_schema:s_schema tuple (fun r_tup ->
               incr count;
               emit r_tup tuple))

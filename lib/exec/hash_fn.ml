@@ -16,13 +16,13 @@ let mix h seed =
   let x = Int64.logxor x (Int64.shift_right_logical x 31) in
   Int64.to_int (Int64.shift_right_logical x 2)
 
+let charge = function Key { env; _ } | Whole { env; _ } -> S.Env.charge_hash env
+
 let hash t tuple =
+  charge t;
   match t with
-  | Key { env; schema; seed } ->
-    S.Env.charge_hash env;
-    mix (S.Tuple.hash_key schema tuple) seed
-  | Whole { env; seed } ->
-    S.Env.charge_hash env;
+  | Key { schema; seed; _ } -> mix (S.Tuple.hash_key schema tuple) seed
+  | Whole { seed; _ } ->
     (* perf_lint: the seeded structural hash IS the whole-tuple hash *)
     Hashtbl.hash (Bytes.to_string tuple, seed)
 

@@ -20,6 +20,9 @@ val hash : t -> bytes -> int
 (** [hash t tuple] is a non-negative hash of [tuple]; charges one [hash]
     operation. *)
 
+val charge : t -> unit
+(** Charge {!hash}'s one [hash] and compute nothing (a re-paid hash). *)
+
 val uniform : t -> bytes -> float
 (** [uniform t tuple] maps the hash to [\[0, 1)] — used for proportional
     partition splitting (hybrid's [q] split).  Charges one [hash]. *)

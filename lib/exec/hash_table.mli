@@ -1,11 +1,12 @@
-(** In-memory hash table of tuples keyed by the key field.
-
-    The build side of every hash join.  Tracks its size in "data pages" so
-    callers can enforce the paper's constraint that a table over [X] pages
-    of tuples needs [X·F] pages of memory.  Inserting charges one [move]
-    (the tuple moves into the table); probing charges one [comp] per
-    candidate examined — together these realise the paper's
-    [||R||·move + ||S||·F·comp] terms. *)
+(** In-memory hash table of tuples keyed by the key field: the build side
+    of every hash join and the group table of hash aggregation.  Tuples
+    are copied into one growing [bytes] arena, chained by key hash through
+    [int] arrays, and probed by comparing key bytes where they lie.  Its
+    size in "data pages" lets callers enforce the paper's constraint that
+    [X] pages of tuples need [X·F] pages of memory.  An insert charges one
+    [move]; a probe one [comp] per stored tuple whose key equals the
+    probe's (hash collisions are free), or one when none does — the
+    paper's [||R||·move + ||S||·F·comp] terms. *)
 
 type t
 
@@ -13,7 +14,7 @@ val create : env:Mmdb_storage.Env.t -> schema:Mmdb_storage.Schema.t ->
   tuples_per_page:int -> t
 
 val insert : t -> bytes -> unit
-(** Add a tuple (duplicates allowed — joins are bags). *)
+(** Copy a tuple in (duplicates allowed — joins are bags). *)
 
 val length : t -> int
 (** Tuples stored. *)
@@ -25,11 +26,18 @@ val memory_pages : t -> fudge:float -> int
 (** [⌈data_pages · F⌉]: memory the table occupies under the paper's fudge
     factor. *)
 
+val get : t -> int -> bytes
+(** [get t i] copies the [i]th tuple inserted since the last {!clear}. *)
+
 val probe : t -> probe_schema:Mmdb_storage.Schema.t -> bytes ->
   (bytes -> unit) -> unit
-(** [probe t ~probe_schema s_tuple f] calls [f r_tuple] for every stored
-    tuple whose key equals [s_tuple]'s key (under [probe_schema]'s key
-    field; widths must match).  Charges one [comp] per candidate in the
-    bucket. *)
+(** [probe t ~probe_schema s_tuple f] calls [f r_tuple] with a copy of
+    every stored tuple whose key equals [s_tuple]'s key (under
+    [probe_schema]'s key field; widths must match), oldest first. *)
+
+val find : t -> probe_schema:Mmdb_storage.Schema.t -> bytes -> int
+(** The index (for {!get}) of the oldest stored tuple whose key equals
+    the given tuple's, or [-1]; charges nothing. *)
 
 val clear : t -> unit
+(** Empty the table, keeping its arena for the next build. *)

@@ -52,10 +52,10 @@ let rec join_rec ~mem_pages ~fudge ~seed ~depth ~scan r s emit =
       if fits || depth >= 8 then begin
         Hash_table.clear table;
         Partition.iter_bucket ri (fun tuple ->
-            ignore (Hash_fn.hash hash_r tuple);
+            Hash_fn.charge hash_r;
             Hash_table.insert table tuple);
         Partition.iter_bucket si (fun tuple ->
-            ignore (Hash_fn.hash hash_s tuple);
+            Hash_fn.charge hash_s;
             Hash_table.probe table ~probe_schema:s_schema tuple (fun r_tup ->
                 incr count;
                 emit r_tup tuple))

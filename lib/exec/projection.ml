@@ -125,7 +125,7 @@ let distinct ~mem_pages ~fudge ~cols rel =
       if S.Relation.ntuples bucket > 0 then begin
         let seen = Hashtbl.create 256 in
         Partition.iter_bucket bucket (fun t ->
-            ignore (Hash_fn.hash hash t);
+            Hash_fn.charge hash;
             emit_unique seen t)
       end)
     buckets;

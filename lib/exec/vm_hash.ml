@@ -28,13 +28,13 @@ let join ~mem_pages ~fudge r s emit =
   in
   (* Build over all of R. *)
   S.Relation.iter_tuples_nocharge r (fun tuple ->
-      ignore (Hash_fn.hash hash_r tuple);
+      Hash_fn.charge hash_r;
       vm_touch ();
       Hash_table.insert table tuple);
   (* Probe with all of S. *)
   let count = ref 0 in
   S.Relation.iter_tuples_nocharge s (fun tuple ->
-      ignore (Hash_fn.hash hash_s tuple);
+      Hash_fn.charge hash_s;
       vm_touch ();
       Hash_table.probe table ~probe_schema:s_schema tuple (fun r_tup ->
           incr count;

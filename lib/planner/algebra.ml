@@ -43,14 +43,16 @@ let cmp_result op c =
   | Gt -> c > 0
   | Ge -> c >= 0
 
-let eval_predicate schema pred tuple =
+let eval_predicate schema pred =
   let idx = S.Schema.column_index schema pred.column in
+  let off = S.Schema.offset schema idx and op = pred.op in
   let col = S.Schema.column_at schema idx in
+  let width = col.S.Schema.width in
   match (col.S.Schema.ty, pred.value) with
   | S.Schema.Int, S.Tuple.VInt v ->
-    cmp_result pred.op (Int.compare (S.Tuple.get_int schema tuple idx) v)
+    fun tuple -> cmp_result op (Int.compare (S.Tuple.decode_int_at tuple off width) v)
   | S.Schema.Fixed_string, S.Tuple.VStr v ->
-    cmp_result pred.op (String.compare (S.Tuple.get_str schema tuple idx) v)
+    fun tuple -> cmp_result op (String.compare (S.Tuple.decode_str_at tuple off width) v)
   | S.Schema.Int, S.Tuple.VStr _ | S.Schema.Fixed_string, S.Tuple.VInt _ ->
     invalid_arg ("Algebra: predicate type mismatch on column " ^ pred.column)
 

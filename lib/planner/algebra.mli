@@ -41,8 +41,11 @@ val order_by : ?descending:bool -> column:string -> expr -> expr
 val set_op : set_op -> expr -> expr -> expr
 
 val eval_predicate : Mmdb_storage.Schema.t -> predicate -> bytes -> bool
-(** Apply a predicate to an encoded tuple.
-    @raise Invalid_argument on unknown column or type mismatch. *)
+(** [eval_predicate schema pred] resolves [pred]'s column, offset and type
+    once; the function it returns applies the predicate to an encoded
+    tuple.
+    @raise Invalid_argument on unknown column or type mismatch, when
+    applied to [schema] and [pred]. *)
 
 val base_relations : expr -> string list
 (** Names of the base relations referenced, left-to-right, with

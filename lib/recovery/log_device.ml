@@ -6,9 +6,11 @@ module Overload = Mmdb_overload.Overload
    an unprotected page carries no extra word. *)
 type durability =
   | On_completion
-  | Battery_backed of float
-      (* from the instant the drain queued the page and dropped its
-         records from stable memory, before a busy device starts it *)
+  | Durable_from of float
+      (* a battery-backed page: from the instant the drain queued it and
+         dropped its records from stable memory, before a busy device
+         starts it; a torn page's valid prefix: from the crash *)
+  | Lost (* not durable at a crash: it never completes *)
 
 type page = {
   start : float; (* when the device began writing this page *)
@@ -121,7 +123,7 @@ let write_page t ?(protected = false) ?(compressed = false) ~at records ~bytes
   let start = Float.max (at +. delay) t.busy in
   let completion = start +. t.page_write_time in
   t.busy <- completion;
-  let durability = if protected then Battery_backed at else On_completion in
+  let durability = if protected then Durable_from at else On_completion in
   t.pages <- { start; completion; durability; records; image } :: t.pages;
   t.npages <- t.npages + 1;
   t.nbytes <- t.nbytes + bytes;
@@ -136,7 +138,8 @@ let bytes_written t = t.nbytes
 let page_durable p ~at =
   match p.durability with
   | On_completion -> p.completion <= at
-  | Battery_backed queued -> queued <= at
+  | Durable_from since -> since <= at
+  | Lost -> false
 
 let durable_pages t ~at =
   List.filter_map
@@ -184,39 +187,58 @@ let decode_image t ~idx img =
       ignore first_records;
       records)
 
-let surviving_pages t ~at =
-  if not (Fault_plan.is_active t.faults) then durable_pages t ~at
-  else
-    let pages = List.rev t.pages in
-    List.concat
-      (List.mapi
-         (fun idx p ->
-           if page_durable p ~at then
-             match p.image with
-             | None -> [ (p.completion, p.records) ]
-             | Some img -> [ (p.completion, decode_image t ~idx img) ]
-           else if p.start <= at && at < p.completion then
-             (* The page in flight at the crash: with a torn-write rule
-                armed, a checksum-valid prefix of it persists. *)
-             match (Fault_plan.peek t.faults Fault.Log_write, p.image) with
-             | Some Fault.Torn_write, Some img when Bytes.length img > 0 ->
-               let cut = Fault_plan.rand_int t.faults (Bytes.length img) in
-               Fault_plan.note_injected t.faults ~code:"FAULT001"
-                 ~site:"log.write"
-                 (Printf.sprintf "log page %d torn after byte %d" idx cut);
-               let prefix = Bytes.sub img 0 cut in
-               let records, err =
-                 Log_record.decode_run prefix ~pos:0 ~len:cut
-               in
-               (match err with
-               | Some e ->
-                 Fault_plan.note_detected t.faults ~code:"FAULT008"
-                   ~site:"log.read"
-                   (Printf.sprintf
-                      "log page %d tail truncated at last valid record (%s)"
-                      idx e)
-               | None -> ());
-               [ (p.completion, records) ]
-             | _ -> []
-           else [])
-         pages)
+(* What of the [idx]th page written survives a crash at [at]. *)
+let survive t ~at idx p =
+  let armed = Fault_plan.is_active t.faults in
+  if page_durable p ~at then
+    match p.image with
+    | Some img when armed -> Some (decode_image t ~idx img)
+    | Some _ | None -> Some p.records
+  else if armed && p.start <= at && at < p.completion
+          && match p.durability with Lost -> false | On_completion | Durable_from _ -> true
+  then
+    (* The page in flight at the crash: with a torn-write rule armed, a
+       checksum-valid prefix of it persists. *)
+    match (Fault_plan.peek t.faults Fault.Log_write, p.image) with
+    | Some Fault.Torn_write, Some img when Bytes.length img > 0 ->
+      let cut = Fault_plan.rand_int t.faults (Bytes.length img) in
+      Fault_plan.note_injected t.faults ~code:"FAULT001" ~site:"log.write"
+        (Printf.sprintf "log page %d torn after byte %d" idx cut);
+      let prefix = Bytes.sub img 0 cut in
+      let records, err = Log_record.decode_run prefix ~pos:0 ~len:cut in
+      (match err with
+      | Some e ->
+        Fault_plan.note_detected t.faults ~code:"FAULT008" ~site:"log.read"
+          (Printf.sprintf "log page %d tail truncated at last valid record (%s)"
+             idx e)
+      | None -> ());
+      Some records
+    | _ -> None
+  else None
+
+let survivors t ~at =
+  List.mapi (fun idx p -> (p, survive t ~at idx p)) (List.rev t.pages)
+
+let stamped kept =
+  List.filter_map (fun (p, r) -> Option.map (fun records -> (p.completion, records)) r) kept
+
+let surviving_pages t ~at = stamped (survivors t ~at)
+
+(* The device stops; a page that did not survive never completes, and a
+   torn page keeps only the prefix that survived. *)
+let crash t ~at =
+  let kept = survivors t ~at in
+  t.busy <-
+    List.fold_left
+      (fun acc (p, _) -> if page_durable p ~at then Float.max acc p.completion else acc)
+      0.0 kept;
+  t.pages <-
+    List.rev_map
+      (fun (p, survived) ->
+        match survived with
+        | None -> { p with durability = Lost }
+        | Some records when not (page_durable p ~at) ->
+          { p with records; image = None; durability = Durable_from at }
+        | Some _ -> p)
+      kept;
+  stamped kept

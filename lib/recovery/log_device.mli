@@ -58,3 +58,9 @@ val surviving_pages : t -> at:float -> (float * Log_record.t list) list
     {e in flight} at the crash survives as a checksum-valid prefix when
     a torn-write rule is armed (FAULT001/FAULT008) instead of vanishing
     wholesale. *)
+
+val crash : t -> at:float -> (float * Log_record.t list) list
+(** A crash at [at]: returns {!surviving_pages} at [at] and makes it what
+    the device holds from then on.  The device stops, a page that did not
+    survive never becomes durable later, and a torn page keeps only its
+    surviving prefix. *)

@@ -65,6 +65,14 @@ let records_dropping_newest t ~batches =
     t.batches;
   (List.rev !kept, !lost)
 
+let drop_newest t ~batches =
+  let keep = Queue.length t.batches - batches in
+  let kept = Queue.create () in
+  Queue.iter (fun b -> if Queue.length kept < keep then Queue.push b kept) t.batches;
+  Queue.clear t.batches;
+  Queue.transfer kept t.batches;
+  t.used_bytes <- Queue.fold (fun acc b -> acc + b.bytes) 0 t.batches
+
 let table_put t ~key ~value = Hashtbl.replace t.table key value
 let table_get t ~key = Hashtbl.find_opt t.table key
 let table_remove t ~key = Hashtbl.remove t.table key

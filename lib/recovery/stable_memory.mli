@@ -34,6 +34,9 @@ val records_dropping_newest : t -> batches:int -> Log_record.t list * int
     crash: the surviving records after the newest [batches] batches are
     lost (FAULT007), with the count of records dropped.  Read-only. *)
 
+val drop_newest : t -> batches:int -> unit
+(** Lose the newest [batches] batches, as a battery-droop crash does. *)
+
 val table_put : t -> key:int -> value:int -> unit
 (** Dirty-page-table slot (Section 5.5): record the log LSN of the first
     update to a page since its last checkpoint.  Keys are page numbers;

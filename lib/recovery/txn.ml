@@ -236,8 +236,9 @@ let checkpoint t ~at ~deadline =
     end;
     { sweep; closed; log_durable }
 
-let surviving_log t ~at =
-  let durable = Wal.surviving_records t.wal ~at in
+(* FAULT008: a transaction whose durable records are incomplete loses
+   its terminator. *)
+let demote_incomplete t durable =
   (* txn -> (min_lsn, max_lsn, count, has_begin, terminator_lsn) *)
   let stats = Hashtbl.create 64 in
   List.iter
@@ -284,8 +285,10 @@ let surviving_log t ~at =
       | Log_record.Ckpt_begin _ | Log_record.Ckpt_end _ -> true)
     durable
 
+let surviving_log t ~at = demote_incomplete t (Wal.surviving_records t.wal ~at)
+
 let crash t ~at =
-  let log = surviving_log t ~at in
+  let log = demote_incomplete t (Wal.crash t.wal ~at) in
   Kv_store.crash t.kv;
   (* The lock table is volatile: holders, waiters and pre-committed sets
      go with it (the durable log decides their transactions). *)

@@ -125,7 +125,8 @@ val checkpoint : t -> at:float -> deadline:float option -> checkpoint
 val crash : t -> at:float -> Log_record.t list
 (** Crash at [at]: fix {!surviving_log} at [at], then lose the store's
     memory, the lock table, open transactions and unretired tickets.
-    Returns that log and keeps it for {!recover}.  The WAL is untouched. *)
+    Returns that log and keeps it for {!recover}.  The log writes the
+    crash lost stay lost ({!Wal.crash}). *)
 
 val recover :
   t -> workers:int -> use_domains:bool -> crash_steps:int option ->

@@ -320,17 +320,18 @@ let page_spans t =
   |> List.concat_map Log_device.page_spans
   |> List.sort compare
 
-let surviving_records t ~at =
+(* The records a crash at [at] leaves, the devices' share read through
+   [pages], and how many stable-memory batches it loses (battery
+   droop). *)
+let survivors t ~at ~pages =
   let on_disk =
-    Log_merge.merge
-      (Array.to_list t.devices
-      |> List.map (fun d -> Log_device.surviving_pages d ~at))
+    Log_merge.merge (Array.to_list t.devices |> List.map (fun d -> pages d ~at))
   in
-  let in_stable =
+  let in_stable, dropped =
     match t.stable with
-    | None -> []
+    | None -> ([], 0)
     | Some sm ->
-      if not (Fault_plan.is_active t.faults) then Stable_memory.records sm
+      if not (Fault_plan.is_active t.faults) then (Stable_memory.records sm, 0)
       else begin
         match Fault_plan.peek t.faults Fault.Stable_crash with
         | Some (Fault.Battery_droop { batches }) ->
@@ -346,11 +347,19 @@ let surviving_records t ~at =
               ~site:"stable.crash"
               (Printf.sprintf "%d acknowledged record(s) lost" lost)
           end;
-          kept
+          (kept, batches)
         | Some
             ( Fault.Torn_write | Fault.Bit_flip_read | Fault.Bit_flip_rest
             | Fault.Io_transient _ )
-        | None -> Stable_memory.records sm
+        | None -> (Stable_memory.records sm, 0)
       end
   in
-  append_stable on_disk in_stable
+  (append_stable on_disk in_stable, dropped)
+
+let surviving_records t ~at = fst (survivors t ~at ~pages:Log_device.surviving_pages)
+
+let crash t ~at =
+  let records, dropped = survivors t ~at ~pages:Log_device.crash in
+  t.page <- fresh_page ();
+  Option.iter (Stable_memory.drop_newest ~batches:dropped) t.stable;
+  records

@@ -121,3 +121,10 @@ val surviving_records : t -> at:float -> Log_record.t list
     by reread, at-rest damage truncates at the last valid record), and a
     battery-droop rule drops the newest stable-memory batches
     (FAULT007) before the merge. *)
+
+val crash : t -> at:float -> Log_record.t list
+(** A crash at [at]: returns {!surviving_records} at [at] and makes it
+    what the log holds from then on.  The open buffer page, every page
+    write not durable by then and the stable-memory batches a battery
+    droop lost never become durable later; a torn page keeps only its
+    surviving prefix ({!Log_device.crash}). *)

@@ -195,12 +195,21 @@ let read_checked t ~charge pid =
   in
   go 1 None
 
-let read t ~mode pid =
-  if not (Fault_plan.is_active t.faults) then begin
+(* What a charged read sees: unarmed, the stored page itself (no stored
+   page is changed in place); armed, read_checked's verified copy. *)
+let read_image t ~mode pid =
+  if Fault_plan.is_active t.faults then
+    read_checked t ~charge:(fun () -> charge_read t mode) pid
+  else begin
     charge_read t mode;
-    Bytes.copy (find t pid)
+    find t pid
   end
-  else read_checked t ~charge:(fun () -> charge_read t mode) pid
+
+let read t ~mode pid =
+  let page = read_image t ~mode pid in
+  if Fault_plan.is_active t.faults then page else Bytes.copy page
+
+let iter t ~mode pid ~tuple_width f = Page.iter (read_image t ~mode pid) ~tuple_width f
 
 let free t pid =
   ignore (find t pid);

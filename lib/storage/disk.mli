@@ -70,6 +70,13 @@ val read : t -> mode:io_mode -> int -> bytes
     @raise Mmdb_overload.Overload.Shed (OVLD008) when a per-transaction
     retry budget installed on the armed plan runs dry mid-ride. *)
 
+val iter : t -> mode:io_mode -> int -> tuple_width:int ->
+  (int -> bytes -> unit) -> unit
+(** [iter d ~mode pid ~tuple_width f] charges and raises as {!read} does,
+    then calls [f slot tuple] with a copy of each tuple: of the stored
+    page where it lies (see {!iter_nocharge}) when no plan is armed, else
+    of {!read}'s checksum-verified copy. *)
+
 val write : t -> mode:io_mode -> int -> bytes -> unit
 (** [write d ~mode pid page] charges one I/O and stores a copy.  Only a
     write that the armed plan tears or rots records the out-of-band

@@ -88,10 +88,10 @@ let append_common t tuple ~charge =
   if not (Page.append page ~tuple_width:tw tuple) then begin
     ignore (spill t page ~charge);
     t.reopen <- None;
-    let fresh = Page.create (Disk.page_size t.rel_disk) in
-    let ok = Page.append fresh ~tuple_width:tw tuple in
-    assert ok;
-    t.tail <- Some fresh
+    (* The disk stored a copy, so the tail page starts over in place. *)
+    Bytes.fill page 0 (Bytes.length page) '\000';
+    let ok = Page.append page ~tuple_width:tw tuple in
+    assert ok
   end;
   t.ntuples <- t.ntuples + 1
 
@@ -110,21 +110,14 @@ let seal t =
 
 let page_ids t = Array.of_list (List.rev t.pages)
 
-let iter_pages ~mode t f =
-  seal t;
-  Array.iter (fun pid -> f (Disk.read t.rel_disk ~mode pid)) (page_ids t)
-
-let iter_tuples ?(mode = Disk.Seq) t f =
-  let tw = Schema.tuple_width t.rel_schema in
-  iter_pages ~mode t (fun page -> Page.iter page ~tuple_width:tw (fun _ tup -> f tup))
-
-(* The uncharged scans read each stored page where it lies. *)
-let iter_tuples_nocharge t f =
+(* Both scans walk stored pages in place; {!Disk.iter} copies when armed. *)
+let iter_with iter t f =
   seal t;
   let tw = Schema.tuple_width t.rel_schema in
-  Array.iter
-    (fun pid -> Disk.iter_nocharge t.rel_disk pid ~tuple_width:tw (fun _ tup -> f tup))
-    (page_ids t)
+  Array.iter (fun pid -> iter t.rel_disk pid ~tuple_width:tw (fun _ tup -> f tup)) (page_ids t)
+
+let iter_tuples ?(mode = Disk.Seq) t f = iter_with (Disk.iter ~mode) t f
+let iter_tuples_nocharge t f = iter_with Disk.iter_nocharge t f
 
 let iter_tuples_from_nocharge t ~start f =
   seal t;

@@ -1,7 +1,8 @@
 (** Relations: named sequences of tuple pages on a simulated disk.
 
     A relation owns an ordered list of disk pages plus an in-memory tail
-    page being filled.  Appends that fill a page spill it to disk; whether
+    page being filled.  Appends that fill a page spill it to disk (the disk
+    stores a copy, so the same tail page is zeroed and refilled); whether
     that spill is charged depends on the append function used, so workload
     setup can be free while operator output is charged — mirroring the
     paper's convention of "ignoring the cost of reading the relations
@@ -55,7 +56,7 @@ val page_ids : t -> int array
 val iter_tuples : ?mode:Disk.io_mode -> t -> (bytes -> unit) -> unit
 (** [iter_tuples t f] seals then reads each page in order, charging one
     I/O per page ([mode] defaults to [Seq]) and nothing per tuple, and
-    hands [f] a copy of each tuple.
+    hands [f] a copy of each tuple, taken as {!Disk.iter} does.
     @raise Mmdb_fault.Fault.Io_error and
     @raise Mmdb_fault.Fault.Unrecoverable from the read path when a fault
     plan is armed (transient failures past the retry budget, or detected

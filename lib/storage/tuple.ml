@@ -15,24 +15,24 @@ let encode_int_at buf off width v =
   if v < lo || v > hi then
     invalid_arg
       (Printf.sprintf "Tuple: int %d out of range for width %d" v width);
-  let biased =
-    if width >= 8 then Int64.logxor (Int64.of_int v) Int64.min_int
-    else Int64.of_int (v + (1 lsl ((8 * width) - 1)))
-  in
-  for i = 0 to width - 1 do
-    let shift = 8 * (width - 1 - i) in
-    let b = Int64.to_int (Int64.logand (Int64.shift_right_logical biased shift) 0xFFL) in
-    Bytes.set buf (off + i) (Char.chr b)
-  done
+  if width >= 8 then
+    Bytes.set_int64_be buf off (Int64.logxor (Int64.of_int v) Int64.min_int)
+  else
+    let biased = v + (1 lsl ((8 * width) - 1)) in
+    for i = 0 to width - 1 do
+      Bytes.set buf (off + i)
+        (Char.unsafe_chr ((biased lsr (8 * (width - 1 - i))) land 0xFF))
+    done
 
 let decode_int_at buf off width =
-  let raw = ref 0L in
-  for i = 0 to width - 1 do
-    raw := Int64.logor (Int64.shift_left !raw 8)
-             (Int64.of_int (Char.code (Bytes.get buf (off + i))))
-  done;
-  if width >= 8 then Int64.to_int (Int64.logxor !raw Int64.min_int)
-  else Int64.to_int !raw - (1 lsl ((8 * width) - 1))
+  if width >= 8 then
+    Int64.to_int (Int64.logxor (Bytes.get_int64_be buf off) Int64.min_int)
+  else
+    let raw = ref 0 in
+    for i = 0 to width - 1 do
+      raw := (!raw lsl 8) lor Char.code (Bytes.get buf (off + i))
+    done;
+    !raw - (1 lsl ((8 * width) - 1))
 
 let encode_str_at buf off width s =
   if String.length s > width then
@@ -112,6 +112,11 @@ let compare_range a aoff b boff len =
       if ca = cb then go (i + 1) else Char.compare ca cb
   in
   go 0
+
+let rec equal_range a aoff b boff len =
+  len = 0
+  || Bytes.get a aoff = Bytes.get b boff
+     && equal_range a (aoff + 1) b (boff + 1) (len - 1)
 
 let compare_keys schema t1 t2 =
   let off = Schema.key_offset schema and w = Schema.key_width schema in

@@ -16,6 +16,11 @@ val encode : Schema.t -> value list -> bytes
 val decode : Schema.t -> bytes -> value list
 (** Inverse of {!encode} (strings come back NUL-stripped). *)
 
+val decode_int_at : bytes -> int -> int -> int
+val decode_str_at : bytes -> int -> int -> string
+(** [decode_int_at tuple off width] and [decode_str_at tuple off width]
+    decode the field of [width] bytes at [off] with no schema lookup. *)
+
 val get_int : Schema.t -> bytes -> int -> int
 (** [get_int schema tuple i] decodes integer column [i]. *)
 
@@ -35,6 +40,10 @@ val compare_keys : Schema.t -> bytes -> bytes -> int
 val compare_key_to : Schema.t -> bytes -> bytes -> int
 (** [compare_key_to schema tuple key] compares [tuple]'s key field against
     a standalone encoded key value. *)
+
+val equal_range : bytes -> int -> bytes -> int -> int -> bool
+(** [equal_range a aoff b boff len]: [a]'s [len] bytes at [aoff] equal
+    [b]'s at [boff] (keys compared where they lie). *)
 
 val hash_key : Schema.t -> bytes -> int
 (** FNV-1a over the key field — the "hash a key" primitive. *)

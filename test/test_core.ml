@@ -357,6 +357,29 @@ let test_txn_crash_instant_fixed () =
   Alcotest.(check (list int)) "same committed after recovery" after after';
   Alcotest.(check (list int)) "nothing committed" [] after'
 
+(* Log writes a crash loses (the open group-commit buffer, a page in
+   flight) stay lost: a later flush must not make them durable. *)
+let test_txn_crash_drops_lost_writes () =
+  List.iter
+    (fun strategy ->
+      let db = M.Txn_db.create ~strategy ~nrecords:4 () in
+      let first = M.Txn_db.transact db [ (0, 5); (1, -5) ] in
+      M.Txn_db.crash db;
+      ignore (M.Txn_db.recover db);
+      checki "lost transfer rolled away" 0 (M.Txn_db.balance db 0);
+      Alcotest.(check (list int)) "nothing committed" [] (M.Txn_db.committed_txns db);
+      checkb "lost commit never durable" true (M.Txn_db.completion db ~txn:first.M.Txn_db.txn_id = None);
+      M.Txn_db.advance db 1.0;
+      let second = M.Txn_db.transact db [ (2, 3); (3, -3) ] in
+      M.Txn_db.flush db;
+      Alcotest.(check (list int)) "only the later commit" [ second.M.Txn_db.txn_id ]
+        (M.Txn_db.committed_txns db);
+      M.Txn_db.crash db;
+      ignore (M.Txn_db.recover db);
+      checki "lost transfer stays lost" 0 (M.Txn_db.balance db 0);
+      checki "later transfer survives" 3 (M.Txn_db.balance db 2))
+    [ R.Wal.Conventional; R.Wal.Group_commit ]
+
 let test_txn_checkpoint_and_recover () =
   let db = M.Txn_db.create ~strategy:R.Wal.Group_commit ~nrecords:50 () in
   for _ = 1 to 20 do
@@ -514,6 +537,8 @@ let () =
           Alcotest.test_case "completion by id" `Quick test_txn_completion_by_id;
           Alcotest.test_case "crash/recover durable" `Quick
             test_txn_crash_recover_durable;
+          Alcotest.test_case "crash drops lost log writes" `Quick
+            test_txn_crash_drops_lost_writes;
           Alcotest.test_case "crash loses unflushed group" `Quick
             test_txn_crash_loses_unflushed_group;
           Alcotest.test_case "crash instant fixed" `Quick

@@ -220,6 +220,55 @@ let test_hash_table_charges () =
   E.Hash_table.probe t ~probe_schema:sch (mk sch 1 0) (fun _ -> ());
   checki "probe charges comp" (c0 + 1) env.S.Env.counters.S.Counters.comparisons
 
+(* Model test: a list of (key, value) in insertion order.  Keys are
+   1-byte ints, so distinct keys share chains; the probe schema holds its
+   key at offset 8 where the table's is at 0.  Each phase starts with
+   [clear] and reuses the table, as the partition loops do. *)
+let qcheck_hash_table_model =
+  let table_schema =
+    S.Schema.create ~key:"k"
+      [ S.Schema.column ~width:1 "k" S.Schema.Int; S.Schema.column "v" S.Schema.Int ]
+  in
+  let probe_schema =
+    S.Schema.create ~key:"k"
+      [ S.Schema.column "w" S.Schema.Int; S.Schema.column ~width:1 "k" S.Schema.Int ]
+  in
+  let key = QCheck.Gen.int_range (-128) 127 in
+  let phase =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 0 300) (oneof [ int_range 0 7; key ]))
+        (list_size (int_range 0 40) key))
+  in
+  QCheck.Test.make ~name:"hash table matches a list model" ~count:60
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair (list int) (list int)))
+       QCheck.Gen.(list_size (int_range 1 4) phase))
+    (fun phases ->
+      let env = S.Env.create () in
+      let t = E.Hash_table.create ~env ~schema:table_schema ~tuples_per_page:5 in
+      let counters = env.S.Env.counters in
+      List.for_all
+        (fun (inserts, probes) ->
+          E.Hash_table.clear t;
+          let m0 = counters.S.Counters.moves in
+          let model = List.mapi (fun v k -> (k, v)) inserts in
+          List.iter (fun (k, v) -> E.Hash_table.insert t (mk table_schema k v)) model;
+          counters.S.Counters.moves - m0 = List.length model
+          && E.Hash_table.length t = List.length model
+          && List.for_all
+               (fun k ->
+                 let c0 = counters.S.Counters.comparisons in
+                 let got = ref [] in
+                 E.Hash_table.probe t ~probe_schema
+                   (S.Tuple.encode probe_schema [ S.Tuple.VInt (-1); S.Tuple.VInt k ])
+                   (fun r -> got := (key_of table_schema r, snd_of table_schema r) :: !got);
+                 let want = List.filter (fun (k', _) -> k' = k) model in
+                 List.rev !got = want
+                 && counters.S.Counters.comparisons - c0 = max 1 (List.length want))
+               probes)
+        phases)
+
 (* ------------------------------------------------------------------ *)
 (* Partition                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -542,6 +591,60 @@ let test_sort_based_aggregate_costs_more () =
     true (hash_t < sort_t)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned charges                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The exact counters and simulated clock of one spilling hybrid join and
+   one spilling hybrid aggregation.  Every figure the repo reports is
+   built from these charges, so a change to how an operator holds its
+   tuples must leave every count and every bit of the clock as it is. *)
+let charges env =
+  let c = env.S.Env.counters in
+  ( [ c.S.Counters.comparisons; c.S.Counters.hashes; c.S.Counters.moves;
+      c.S.Counters.swaps; c.S.Counters.seq_reads; c.S.Counters.seq_writes;
+      c.S.Counters.rand_reads; c.S.Counters.rand_writes ],
+    Int64.bits_of_float (S.Env.elapsed env) )
+
+let check_charges name (counts, bits) env =
+  let got_counts, got_bits = charges env in
+  Alcotest.(check (list int)) (name ^ " counters") counts got_counts;
+  Alcotest.(check int64) (name ^ " elapsed bits") bits got_bits
+
+let test_pinned_hybrid_join_charges () =
+  let env, disk = fresh_disk () in
+  let rng = U.Xorshift.create 2024 in
+  let rs = load disk "R" (r_schema ()) (random_pairs rng 2000 1500) in
+  let ss = load disk "S" (s_schema ()) (random_pairs rng 2000 1500) in
+  let r_schema = S.Relation.schema rs and s_schema = S.Relation.schema ss in
+  let out =
+    S.Relation.create ~disk ~name:"out"
+      ~schema:(E.Join_common.result_schema ~r_schema ~s_schema)
+  in
+  let n =
+    E.Hybrid_hash.join ~mem_pages:24 ~fudge:1.2 rs ss (fun r s ->
+        S.Relation.append out (E.Join_common.concat_tuples ~r_schema ~s_schema r s))
+  in
+  S.Relation.seal out;
+  checki "matches" 2665 n;
+  check_charges "hybrid join"
+    ([ 3167; 8073; 6073; 0; 598; 926; 0; 561 ], 4628987896247372492L)
+    env
+
+let test_pinned_hybrid_aggregate_charges () =
+  let env, disk = fresh_disk () in
+  let rng = U.Xorshift.create 2025 in
+  let rel = load disk "T" (r_schema ()) (random_pairs rng 2000 700) in
+  let out =
+    E.Aggregate.hybrid ~mem_pages:12 ~fudge:1.2 rel
+      [ E.Aggregate.Count; E.Aggregate.Sum "v"; E.Aggregate.Min "v";
+        E.Aggregate.Max "v"; E.Aggregate.Avg "v" ]
+  in
+  checki "groups" 667 (S.Relation.ntuples out);
+  check_charges "hybrid aggregate"
+    ([ 6000; 4000; 2667; 0; 301; 334; 0; 301 ], 4624060975706478330L)
+    env
+
+(* ------------------------------------------------------------------ *)
 (* Projection                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -692,6 +795,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_hash_table_basics;
           Alcotest.test_case "memory pages" `Quick test_hash_table_memory_pages;
           Alcotest.test_case "charges" `Quick test_hash_table_charges;
+          QCheck_alcotest.to_alcotest qcheck_hash_table_model;
         ] );
       ( "partition",
         [
@@ -734,6 +838,13 @@ let () =
             test_sort_based_aggregate_matches_hash;
           Alcotest.test_case "hash beats sort (3.9)" `Quick
             test_sort_based_aggregate_costs_more;
+        ] );
+      ( "pinned charges",
+        [
+          Alcotest.test_case "hybrid join 2000x2000 spilling" `Quick
+            test_pinned_hybrid_join_charges;
+          Alcotest.test_case "hybrid aggregate spilling" `Quick
+            test_pinned_hybrid_aggregate_charges;
         ] );
       ( "projection",
         [

@@ -246,6 +246,47 @@ let test_disk_bitflip_read_repaired () =
   checki "detected" 2 t.Fault.detected;
   checki "repaired" 2 t.Fault.repaired
 
+(* A charged scan walks each stored page where it lies while no plan is
+   armed, and the checksum-verified copy once one is: an in-flight flip
+   is then detected and repaired, and the tuples come back as written.
+   The relation's pages were all spilled from one reused tail page. *)
+let test_relation_scan_in_place () =
+  let env = S.Env.create () in
+  let disk = S.Disk.create ~env ~page_size:128 in
+  let schema =
+    S.Schema.create ~key:"k" [ S.Schema.column "k" S.Schema.Int; S.Schema.column "v" S.Schema.Int ]
+  in
+  let rel = S.Relation.create ~disk ~name:"t" ~schema in
+  let want = List.init 50 (fun i -> S.Tuple.encode schema [ S.Tuple.VInt i; S.Tuple.VInt (i * i) ]) in
+  List.iter (S.Relation.append rel) want;
+  S.Relation.seal rel;
+  let npages = S.Relation.npages rel in
+  checki "seven tuples a page" 8 npages;
+  let scan () =
+    let got = ref [] in
+    S.Relation.iter_tuples rel (fun t ->
+        got := Bytes.copy t :: !got;
+        (* A scan hands out copies: this must not reach the disk. *)
+        Bytes.fill t 0 (Bytes.length t) '\255');
+    List.rev !got
+  in
+  let reads () = env.S.Env.counters.S.Counters.seq_reads in
+  let r0 = reads () in
+  Alcotest.(check (list bytes)) "unarmed scan reads back intact" want (scan ());
+  checki "one read a page" npages (reads () - r0);
+  Alcotest.(check (list bytes)) "stored pages unchanged" want (scan ());
+  let plan =
+    Plan.create ~seed:3
+      [ { Plan.site = Fault.Disk_read; kind = Fault.Bit_flip_read; trigger = Plan.Every 1 } ]
+  in
+  S.Disk.arm disk plan;
+  Alcotest.(check (list bytes)) "armed scan returns the intended tuples" want (scan ());
+  let t = Plan.tally plan in
+  checki "each page flipped" npages t.Fault.injected;
+  checki "each flip detected" npages t.Fault.detected;
+  checki "each flip repaired" npages t.Fault.repaired;
+  checki "nothing unrecoverable" 0 t.Fault.unrecoverable
+
 let test_disk_clean_rewrite_of_torn_page () =
   let env = S.Env.create () in
   let disk = S.Disk.create ~env ~page_size:128 in
@@ -422,6 +463,50 @@ let test_stable_droop_drops_newest () =
   checki "two batches kept" 4 (List.length kept);
   checki "newest batch records lost" 2 lost;
   checkb "oldest survive in order" true (kept = batch 1 @ batch 2)
+
+(* A crash fixes the log for good: the prefix a torn page left is what
+   a later crash finds too, torn no further, and a batch a battery droop
+   lost never reaches the disk at a later flush. *)
+let test_crash_losses_stay_lost () =
+  let plan =
+    Plan.create ~seed:4
+      [ { Plan.site = Fault.Log_write; kind = Fault.Torn_write; trigger = Plan.Always } ]
+  in
+  let d = R.Log_device.create ~faults:plan ~clock:(S.Sim_clock.create ()) () in
+  let bytes =
+    List.fold_left (fun a r -> a + L.size_bytes ~compressed:false r) 0 sample_records
+  in
+  let done_at = R.Log_device.write_page d ~at:0.0 sample_records ~bytes in
+  let torn = R.Log_device.crash d ~at:(done_at /. 2.0) in
+  checki "one tear" 1 (Plan.tally plan).Fault.injected;
+  checkb "a proper prefix survives" true
+    (match torn with
+    | [ (_, rs) ] -> rs <> [] && List.length rs < List.length sample_records
+    | _ -> false);
+  checkb "the prefix is what survives later" true
+    (R.Log_device.surviving_pages d ~at:(done_at +. 1.0) = torn
+    && R.Log_device.durable_pages d ~at:(done_at +. 1.0) = torn);
+  checki "torn once only" 1 (Plan.tally plan).Fault.injected;
+  let droop =
+    Plan.create ~seed:1
+      [ { Plan.site = Fault.Stable_crash; kind = Fault.Battery_droop { batches = 1 };
+          trigger = Plan.Always } ]
+  in
+  let db =
+    Mmdb.Txn_db.create
+      ~strategy:(R.Wal.Stable { devices = 1; capacity_bytes = 65536; compressed = false })
+      ~nrecords:4 ~faults:droop ()
+  in
+  let first = Mmdb.Txn_db.transact db [ (0, 5); (1, -5) ] in
+  Mmdb.Txn_db.advance db 1e-3;
+  ignore (Mmdb.Txn_db.transact db [ (2, 7); (3, -7) ]);
+  Mmdb.Txn_db.crash db;
+  ignore (Mmdb.Txn_db.recover db);
+  checki "drooped transfer lost" 0 (Mmdb.Txn_db.balance db 2);
+  Mmdb.Txn_db.advance db 1.0;
+  Mmdb.Txn_db.flush db;
+  Alcotest.(check (list int)) "a flush does not bring it back"
+    [ first.Mmdb.Txn_db.txn_id ] (Mmdb.Txn_db.committed_txns db)
 
 let test_code_catalogue () =
   let codes = List.map fst Fault.code_catalogue in
@@ -668,6 +753,8 @@ let () =
           Alcotest.test_case "transient I/O retried" `Quick
             test_disk_transient_retry;
           Alcotest.test_case "device retry curve" `Quick test_retry_curve;
+          Alcotest.test_case "charged scan in place" `Quick
+            test_relation_scan_in_place;
           Alcotest.test_case "read bit flip repaired by reread" `Quick
             test_disk_bitflip_read_repaired;
           Alcotest.test_case "clean rewrite of a torn page reads clean" `Quick
@@ -679,6 +766,8 @@ let () =
             test_pool_rot_scrubbed;
           Alcotest.test_case "battery droop drops newest batches" `Quick
             test_stable_droop_drops_newest;
+          Alcotest.test_case "crash losses stay lost" `Quick
+            test_crash_losses_stay_lost;
           Alcotest.test_case "code catalogue" `Quick test_code_catalogue;
         ] );
       ( "torn-tail",
