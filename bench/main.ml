@@ -40,8 +40,13 @@ let table1 () =
         (Printf.sprintf "Z=%.0f" z
         :: List.map
              (fun y ->
-               U.Tablefmt.cell_float ~decimals:3
-                 (AM.crossover_h { AM.default with AM.z; AM.y }))
+               let h = AM.crossover_h { AM.default with AM.z; AM.y } in
+               if h < 0.80 then begin
+                 Printf.eprintf "table1: H = %.3f < 0.80 at Z=%.0f, Y=%.2f\n"
+                   h z y;
+                 exit 1
+               end;
+               U.Tablefmt.cell_float ~decimals:3 h)
              ys))
     zs;
   U.Tablefmt.print t;
@@ -1419,8 +1424,7 @@ let overload_json () =
         OS.duration = 4.0;
         OS.spike_mult = (if spike then 10.0 else 1.0);
         OS.storm = storm;
-        OS.admission = protected;
-        OS.enforce_deadlines = protected;
+        OS.protected;
       }
     in
     let o = OS.run cfg in
@@ -1442,8 +1446,8 @@ let overload_json () =
       jobj
         [
           ("label", jstr label);
-          ("admission", string_of_bool cfg.OS.admission);
-          ("deadlines_enforced", string_of_bool cfg.OS.enforce_deadlines);
+          ("admission", string_of_bool protected);
+          ("deadlines_enforced", string_of_bool protected);
           ("spike_mult", jfloat cfg.OS.spike_mult);
           ("storm", string_of_bool storm);
           ("arrivals", string_of_int o.OS.arrivals);

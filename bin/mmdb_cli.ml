@@ -1,25 +1,20 @@
-(* mmdb command-line tool: run the paper's analyses and simulations with
-   your own parameters.
+(* mmdb command-line tool: SQL over a built-in demo database, the
+   verification passes, and the diagnostic-code catalogue.
 
-     mmdb_cli crossover --tuples 1000000 --z 20 --y 0.8
-     mmdb_cli join --r-pages 10000 --s-pages 10000 --ratio 0.3
-     mmdb_cli tps --strategy group-commit --txns 5000
-     mmdb_cli recover --strategy partitioned-2 --txns 2000 --checkpoint 500
-     mmdb_cli plan --mem 512 [--no-hash]
+     mmdb_cli sql [--explain] [--limit N] "SELECT ..."
+     mmdb_cli repl [--demo | --db FILE]
      mmdb_cli check [schedule|fuzz|mvcc|torture|model|lint ...] [--seed N]
+     mmdb_cli codes
 
    [check] runs the verification passes (all six by default) and exits
-   0 when they are clean, 1 on a finding, 2 on bad input.
+   0 when they are clean, 1 on a finding, 2 on bad input.  The paper's
+   analyses are bench/main.exe's experiments and the examples/ programs.
 *)
 
 module U = Mmdb_util
 module S = Mmdb_storage
-module AM = Mmdb_model.Access_model
-module JM = Mmdb_model.Join_model
 module R = Mmdb_recovery
 module P = Mmdb_planner
-module A = P.Algebra
-module E = Mmdb_exec
 
 open Cmdliner
 
@@ -35,355 +30,6 @@ let exits ?(bad = "on a malformed command line.") codes =
       Cmd.Exit.info Cmd.Exit.internal_error
         ~doc:"on unexpected internal errors (bugs).";
     ]
-
-(* ------------------------------------------------------------------ *)
-(* crossover                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let crossover tuples tuple_width key_width page_size z y =
-  let p =
-    {
-      AM.r_tuples = tuples;
-      AM.tuple_width;
-      AM.key_width;
-      AM.page_size;
-      AM.pointer_width = 4;
-      AM.z;
-      AM.y;
-    }
-  in
-  Printf.printf "relation: %s\n" (Format.asprintf "%a" AM.pp p);
-  let h = AM.crossover_h p in
-  Printf.printf
-    "AVL beats B+-tree once %.1f%% of the AVL structure (%d pages; %d MB at \
-     %d-byte pages) is memory-resident.\n"
-    (100.0 *. h) (AM.avl_pages p)
-    (AM.avl_pages p * page_size / 1_000_000)
-    page_size;
-  let hseq = AM.crossover_h_seq p ~n:1000 in
-  Printf.printf "sequential access (1000 records): crossover at %.1f%%.\n"
-    (100.0 *. hseq);
-  0
-
-let crossover_cmd =
-  let tuples =
-    Arg.(value & opt int 1_000_000 & info [ "tuples" ] ~doc:"Relation cardinality ||R||.")
-  in
-  let width =
-    Arg.(value & opt int 40 & info [ "tuple-width" ] ~doc:"Tuple width t in bytes.")
-  in
-  let key = Arg.(value & opt int 8 & info [ "key-width" ] ~doc:"Key width K in bytes.") in
-  let page = Arg.(value & opt int 4096 & info [ "page-size" ] ~doc:"Page size P in bytes.") in
-  let z = Arg.(value & opt float 20.0 & info [ "z" ] ~doc:"Page-read cost in comparisons (10-30).") in
-  let y = Arg.(value & opt float 1.0 & info [ "y" ] ~doc:"AVL comparison cost relative to B+-tree (<= 1).") in
-  Cmd.v
-    (Cmd.info "crossover" ~exits:(exits []) ~doc:"Section 2: AVL vs B+-tree memory-residency crossover.")
-    Term.(const crossover $ tuples $ width $ key $ page $ z $ y)
-
-(* ------------------------------------------------------------------ *)
-(* join                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let join r_pages s_pages tpp ratio =
-  let w =
-    {
-      JM.r_pages = min r_pages s_pages;
-      JM.s_pages = max r_pages s_pages;
-      JM.r_tuples_per_page = tpp;
-      JM.s_tuples_per_page = tpp;
-      JM.cost = S.Cost.table2;
-    }
-  in
-  let m =
-    max (JM.min_memory w)
-      (int_of_float (ratio *. float_of_int w.JM.r_pages *. 1.2))
-  in
-  Printf.printf
-    "|R| = %d pages, |S| = %d pages, |M| = %d pages (ratio %.3f)\n\n"
-    w.JM.r_pages w.JM.s_pages m ratio;
-  let t = U.Tablefmt.create [ "algorithm"; "predicted seconds" ] in
-  List.iter
-    (fun (name, cost) ->
-      U.Tablefmt.add_row t [ name; U.Tablefmt.cell_float ~decimals:1 cost ])
-    (JM.all_four w ~m);
-  U.Tablefmt.print t;
-  Printf.printf "\nhybrid: B = %d partitions, q = %.2f in memory; simple: %d passes.\n"
-    (JM.hybrid_partitions w ~m) (JM.hybrid_q w ~m)
-    (JM.simple_hash_passes w ~m);
-  0
-
-let join_cmd =
-  let r = Arg.(value & opt int 10_000 & info [ "r-pages" ] ~doc:"Pages in R.") in
-  let s = Arg.(value & opt int 10_000 & info [ "s-pages" ] ~doc:"Pages in S.") in
-  let tpp = Arg.(value & opt int 40 & info [ "tuples-per-page" ] ~doc:"Tuples per page.") in
-  let ratio =
-    Arg.(value & opt float 0.3 & info [ "ratio" ] ~doc:"|M| / (|R| * F).")
-  in
-  Cmd.v
-    (Cmd.info "join" ~exits:(exits []) ~doc:"Section 3: predicted cost of the four join algorithms.")
-    Term.(const join $ r $ s $ tpp $ ratio)
-
-(* ------------------------------------------------------------------ *)
-(* tps                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let strategy_of_string = function
-  | "conventional" -> Ok R.Wal.Conventional
-  | "group-commit" -> Ok R.Wal.Group_commit
-  | s when String.length s > 12 && String.sub s 0 12 = "partitioned-" -> (
-    match int_of_string_opt (String.sub s 12 (String.length s - 12)) with
-    | Some n when n > 0 -> Ok (R.Wal.Partitioned { devices = n })
-    | _ -> Error (`Msg "bad device count"))
-  | "stable" ->
-    Ok (R.Wal.Stable { devices = 1; capacity_bytes = 65536; compressed = true })
-  | s -> Error (`Msg ("unknown strategy " ^ s))
-
-let strategy_conv =
-  Arg.conv
-    ( strategy_of_string,
-      fun ppf s -> Format.fprintf ppf "%s" (R.Tps_sim.strategy_label s) )
-
-let tps strategy txns accounts =
-  let r = R.Tps_sim.run ~nrecords:accounts ~n_txns:txns strategy in
-  Printf.printf "strategy:    %s\n" r.R.Tps_sim.strategy_label;
-  Printf.printf "committed:   %d transactions in %.3f simulated s\n"
-    r.R.Tps_sim.committed r.R.Tps_sim.makespan;
-  Printf.printf "throughput:  %.0f tps\n" r.R.Tps_sim.tps;
-  Printf.printf "latency:     %s\n"
-    (Format.asprintf "%a" U.Stats.pp_summary r.R.Tps_sim.latency);
-  Printf.printf "log written: %d pages, %d bytes\n" r.R.Tps_sim.log_pages
-    r.R.Tps_sim.log_disk_bytes;
-  0
-
-let tps_cmd =
-  let strategy =
-    Arg.(
-      value
-      & opt strategy_conv R.Wal.Group_commit
-      & info [ "strategy" ]
-          ~doc:
-            "conventional | group-commit | partitioned-N | stable.")
-  in
-  let txns = Arg.(value & opt int 3000 & info [ "txns" ] ~doc:"Transactions to run.") in
-  let accounts =
-    Arg.(value & opt int 100_000 & info [ "accounts" ] ~doc:"Account-table size.")
-  in
-  Cmd.v
-    (Cmd.info "tps" ~exits:(exits []) ~doc:"Section 5.2: simulated transaction throughput.")
-    Term.(const tps $ strategy $ txns $ accounts)
-
-(* ------------------------------------------------------------------ *)
-(* recover                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let recover strategy txns checkpoint crash_after audit parallel logging
-    use_domains replay_crash =
-  let cfg =
-    {
-      R.Recovery_manager.default_config with
-      R.Recovery_manager.strategy;
-      R.Recovery_manager.n_txns = txns;
-      R.Recovery_manager.checkpoint_every = checkpoint;
-      R.Recovery_manager.crash_after;
-      replay =
-        {
-          R.Recovery_manager.workers = parallel;
-          use_domains;
-          logging;
-          crash_steps = replay_crash;
-          record_replay = false;
-        };
-    }
-  in
-  let o = R.Recovery_manager.run cfg in
-  Printf.printf "submitted:           %d\n" o.R.Recovery_manager.submitted;
-  Printf.printf "durably committed:   %d\n" o.R.Recovery_manager.durably_committed;
-  Printf.printf "checkpoints:         %d (%d pages)\n"
-    o.R.Recovery_manager.checkpoints_taken o.R.Recovery_manager.checkpoint_pages;
-  Printf.printf "log:                 %d pages, %d bytes (%d command txns)\n"
-    o.R.Recovery_manager.log_pages o.R.Recovery_manager.log_disk_bytes
-    o.R.Recovery_manager.command_txns;
-  let rs = o.R.Recovery_manager.recover_stats in
-  Printf.printf "recovery:            redo %d, undo %d, %d records scanned, %.3f s\n"
-    rs.R.Kv_store.redo_applied rs.R.Kv_store.undo_applied
-    rs.R.Kv_store.records_scanned rs.R.Kv_store.recovery_time;
-  Printf.printf
-    "replay:              %d worker(s)%s, %d local ops, %d ops of %d \
-     cross-partition commands, %d pages written back\n"
-    rs.R.Kv_store.workers
-    (if rs.R.Kv_store.used_domains then " (domains)" else "")
-    (rs.R.Kv_store.local_value_ops + rs.R.Kv_store.local_command_ops)
-    rs.R.Kv_store.barrier_ops rs.R.Kv_store.barriers
-    rs.R.Kv_store.pages_written_back;
-  if o.R.Recovery_manager.recovery_attempts > 1 then
-    Printf.printf "recovery attempts:   %d (crashed mid-replay, restarted)\n"
-      o.R.Recovery_manager.recovery_attempts;
-  Printf.printf "consistent:          %b\nmoney conserved:     %b\n"
-    o.R.Recovery_manager.consistent o.R.Recovery_manager.money_conserved;
-  let audit_ok =
-    if not audit then true
-    else begin
-      (* The full submitted log is a complete run; the durable log may be
-         crash-truncated, so open transactions there are legitimate. *)
-      let results =
-        [
-          ( "wal (submitted)",
-            Mmdb_verify.Log_check.audit ~complete:true
-              o.R.Recovery_manager.log_records );
-          ( "wal (durable)",
-            Mmdb_verify.Log_check.audit ~complete:false
-              o.R.Recovery_manager.durable_log );
-        ]
-      in
-      print_newline ();
-      Mmdb_verify.Audit.report Format.std_formatter results
-    end
-  in
-  if o.R.Recovery_manager.consistent && audit_ok then 0 else 1
-
-let recover_cmd =
-  let strategy =
-    Arg.(
-      value
-      & opt strategy_conv R.Wal.Group_commit
-      & info [ "strategy" ] ~doc:"Commit strategy (see tps).")
-  in
-  let txns = Arg.(value & opt int 2000 & info [ "txns" ] ~doc:"Transactions.") in
-  let checkpoint =
-    Arg.(
-      value
-      & opt (some int) (Some 500)
-      & info [ "checkpoint" ] ~doc:"Checkpoint interval in transactions.")
-  in
-  let crash =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "crash-after" ] ~doc:"Crash after N submissions (default: clean run).")
-  in
-  let audit =
-    Arg.(
-      value & flag
-      & info [ "audit" ] ~doc:"Run the WAL protocol auditor on the logs.")
-  in
-  let parallel =
-    Arg.(
-      value & opt int 1
-      & info [ "parallel" ]
-          ~doc:"Replay partitions (log is partitioned by page).")
-  in
-  let logging =
-    let logging_conv =
-      Arg.enum
-        [
-          ("value", R.Recovery_manager.Value_logging);
-          ("command", R.Recovery_manager.Command_logging);
-          ("adaptive", R.Recovery_manager.Adaptive_logging);
-        ]
-    in
-    Arg.(
-      value
-      & opt logging_conv R.Recovery_manager.Value_logging
-      & info [ "logging" ]
-          ~doc:
-            "Log record choice: $(b,value), $(b,command), or $(b,adaptive) \
-             (per-transaction, priced by the recovery-time model).")
-  in
-  let use_domains =
-    Arg.(
-      value & flag
-      & info [ "domains" ]
-          ~doc:
-            "Replay partitions on real domains (OCaml 5; falls back to the \
-             deterministic scheduler elsewhere).")
-  in
-  let replay_crash =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "replay-crash" ]
-          ~doc:
-            "Crash the recovery itself after N replay steps, then restart \
-             it (restart-crash resilience demo).")
-  in
-  Cmd.v
-    (Cmd.info "recover" ~doc:"Sections 5.3-5.5: crash, recover, verify."
-       ~exits:
-         (exits
-            [
-              ( 1,
-                "when the recovered state is inconsistent or the audit finds \
-                 an error." );
-            ]))
-    Term.(
-      const recover $ strategy $ txns $ checkpoint $ crash $ audit $ parallel
-      $ logging $ use_domains $ replay_crash)
-
-(* ------------------------------------------------------------------ *)
-(* plan                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let plan mem no_hash =
-  let db = Mmdb.Db.create ~mem_pages:mem () in
-  let emp =
-    S.Schema.create ~key:"id"
-      [
-        S.Schema.column "id" S.Schema.Int;
-        S.Schema.column "dept" S.Schema.Int;
-        S.Schema.column "salary" S.Schema.Int;
-      ]
-  in
-  let dept =
-    S.Schema.create ~key:"dept_id"
-      [
-        S.Schema.column "dept_id" S.Schema.Int;
-        S.Schema.column "region" S.Schema.Int;
-      ]
-  in
-  Mmdb.Db.create_table db ~name:"emp" ~schema:emp;
-  Mmdb.Db.create_table db ~name:"dept" ~schema:dept;
-  let rng = U.Xorshift.create 5 in
-  Mmdb.Db.insert_many db ~table:"emp"
-    (List.init 10_000 (fun i ->
-         [
-           S.Tuple.VInt i;
-           S.Tuple.VInt (U.Xorshift.int rng 50);
-           S.Tuple.VInt (30_000 + U.Xorshift.int rng 70_000);
-         ]));
-  Mmdb.Db.insert_many db ~table:"dept"
-    (List.init 50 (fun i -> [ S.Tuple.VInt i; S.Tuple.VInt (i mod 4) ]));
-  let q =
-    A.aggregate ~group_by:"r_dept" ~aggs:[ E.Aggregate.Count ]
-      (A.select ~column:"r_salary" ~op:A.Gt ~value:(S.Tuple.VInt 80_000)
-         (A.join ~left_key:"dept" ~right_key:"dept_id" (A.scan "emp")
-            (A.scan "dept")))
-  in
-  let cfg =
-    {
-      P.Optimizer.mem_pages = mem;
-      P.Optimizer.fudge = 1.2;
-      P.Optimizer.allow_hash = not no_hash;
-    }
-  in
-  let plan = P.Optimizer.plan (Mmdb.Db.catalog db) cfg q in
-  Printf.printf "query: %s\n\nplan (|M| = %d pages%s):\n%s\n"
-    (Format.asprintf "%a" A.pp q)
-    mem
-    (if no_hash then ", hash disabled" else "")
-    (P.Optimizer.explain plan);
-  Printf.printf "estimated join cost: %.4f s\n" (P.Optimizer.estimated_cost plan);
-  let out = P.Executor.run (Mmdb.Db.catalog db) cfg plan in
-  Printf.printf "executed: %d result rows\n" (S.Relation.ntuples out);
-  0
-
-let plan_cmd =
-  let mem = Arg.(value & opt int 512 & info [ "mem" ] ~doc:"Memory pages |M|.") in
-  let no_hash =
-    Arg.(value & flag & info [ "no-hash" ] ~doc:"Restrict the optimizer to sort-merge.")
-  in
-  Cmd.v
-    (Cmd.info "plan" ~exits:(exits []) ~doc:"Section 4: optimize and run a demo star query.")
-    Term.(const plan $ mem $ no_hash)
 
 (* ------------------------------------------------------------------ *)
 (* sql                                                                 *)
@@ -498,15 +144,6 @@ let sql_cmd =
 (* ------------------------------------------------------------------ *)
 
 module V = Mmdb_verify
-module Fault = Mmdb_fault.Fault
-module Fault_plan = Mmdb_fault.Fault_plan
-
-let faults_doc =
-  "Comma-separated fault spec: "
-  ^ String.concat ", "
-      (List.map (fun (n, d) -> Printf.sprintf "$(b,%s) (%s)" n d)
-         Fault_plan.spec_names)
-  ^ "."
 
 (* What the passes read.  [seed], [txns] and [points] are [None] when not
    given on the command line, so each pass keeps its own default. *)
@@ -803,204 +440,6 @@ let codes_cmd =
     Term.(const print_codes $ const ())
 
 (* ------------------------------------------------------------------ *)
-(* stats                                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Exercise the instrumented storage plane — faulted disk, buffer pool
-   with scrubbing — and print the operation counters, whose media tally
-   shares the fault plan's counter record. *)
-let stats seed faults_spec pages ops =
-  let rules =
-    match Fault_plan.of_spec faults_spec with
-    | Ok r -> r
-    | Error m ->
-      prerr_endline ("stats: " ^ m);
-      exit 2
-  in
-  let env = S.Env.create () in
-  let disk = S.Disk.create ~env ~page_size:4096 in
-  let plan =
-    Fault_plan.create ~seed ~tally:env.S.Env.counters.S.Counters.fault
-      (* The spec atoms name log-plane sites; this workload exercises the
-         storage plane, so map each rule onto its disk/pool analogue
-         (battery droop has none and stays a no-op here). *)
-      (List.map
-         (fun r ->
-           let site =
-             match r.Fault_plan.site with
-             | Fault.Log_write -> Fault.Disk_write
-             | Fault.Log_read -> Fault.Disk_read
-             | Fault.Snapshot | Fault.Stable_crash -> Fault.Pool_frame
-             | (Fault.Disk_read | Fault.Disk_write | Fault.Pool_frame) as s
-               -> s
-           in
-           { r with Fault_plan.site })
-         rules)
-  in
-  S.Disk.arm disk plan;
-  let pids = Array.init pages (fun _ -> S.Disk.alloc disk) in
-  let rng = U.Xorshift.create seed in
-  Array.iter
-    (fun pid ->
-      let b = Bytes.make 4096 '\000' in
-      Bytes.set b 0 (Char.chr (pid land 0xff));
-      S.Disk.write disk ~mode:S.Disk.Seq pid b)
-    pids;
-  let pool =
-    S.Buffer_pool.create ~disk ~capacity:(max 1 (pages / 2)) S.Buffer_pool.Lru
-  in
-  let unrecoverable = ref 0 in
-  for _ = 1 to ops do
-    let pid = pids.(U.Xorshift.int rng pages) in
-    match S.Buffer_pool.get pool pid with
-    | (_ : bytes) -> ()
-    | exception Fault.Unrecoverable _ -> incr unrecoverable
-  done;
-  let repaired = S.Buffer_pool.scrub pool in
-  Printf.printf "workload:  %d pages, %d pool frames, %d random gets\n" pages
-    (S.Buffer_pool.capacity pool) ops;
-  Printf.printf "counters:  %s\n"
-    (Format.asprintf "%a" S.Counters.pp env.S.Env.counters);
-  Printf.printf "io retry:  %d transient retr%s, %.1f ms total backoff\n"
-    (S.Counters.io_retries env.S.Env.counters)
-    (if S.Counters.io_retries env.S.Env.counters = 1 then "y" else "ies")
-    (S.Counters.io_retry_backoff env.S.Env.counters *. 1e3);
-  Printf.printf "scrub:     %d frame(s) repaired from disk\n" repaired;
-  if !unrecoverable > 0 then
-    Printf.printf "unrecoverable reads: %d\n" !unrecoverable;
-  (match Fault_plan.event_counts plan with
-  | [] -> ()
-  | evs ->
-    Printf.printf "events:   ";
-    List.iter (fun (c, n) -> Printf.printf " %s=%d" c n) evs;
-    print_newline ());
-  0
-
-let stats_cmd =
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Fault-plan seed.") in
-  let faults =
-    Arg.(value & opt string "none" & info [ "faults" ] ~doc:faults_doc)
-  in
-  let pages =
-    Arg.(value & opt int 64 & info [ "pages" ] ~doc:"Disk pages to allocate.")
-  in
-  let ops =
-    Arg.(value & opt int 500 & info [ "ops" ] ~doc:"Random page reads.")
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~exits:
-         (exits ~bad:"on a malformed command line or a bad $(b,--faults) spec."
-            [])
-       ~doc:
-         "Run a buffer-pool workload over the instrumented (optionally \
-          faulted) disk and print the operation counters, including the \
-          fault-plane media tally and a scrub pass.")
-    Term.(const stats $ seed $ faults $ pages $ ops)
-
-(* ------------------------------------------------------------------ *)
-(* overload                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let overload spike deadline_ms no_admission no_deadlines storm seed duration =
-  let module OS = Mmdb.Overload_sim in
-  let cfg =
-    {
-      OS.default_config with
-      OS.seed;
-      OS.spike_mult = spike;
-      OS.deadline_budget = deadline_ms /. 1000.0;
-      OS.admission = not no_admission;
-      OS.enforce_deadlines = not no_deadlines;
-      OS.storm;
-      OS.duration;
-    }
-  in
-  let o = OS.run cfg in
-  Printf.printf "run:        %s, %.1fs, %gx spike, %.0f ms deadlines%s\n"
-    o.OS.label cfg.OS.duration cfg.OS.spike_mult deadline_ms
-    (if storm then ", storm armed" else "");
-  Printf.printf "arrivals:   %d\n" o.OS.arrivals;
-  Printf.printf "goodput:    %d txns (%.0f tps) durable within deadline\n"
-    o.OS.goodput_txns o.OS.goodput_tps;
-  Printf.printf "committed:  %d total (%d late past their deadline)\n"
-    o.OS.committed o.OS.late;
-  Printf.printf "shed:       %d typed rejections\n" o.OS.shed;
-  Printf.printf "timed out:  %d typed deadline expiries\n" o.OS.timed_out;
-  if o.OS.io_failures > 0 then
-    Printf.printf "io failed:  %d\n" o.OS.io_failures;
-  Printf.printf "latency:    p50 %.1f ms, p99 %.1f ms\n"
-    (o.OS.p50_latency *. 1e3) (o.OS.p99_latency *. 1e3);
-  if o.OS.shed_codes <> [] then begin
-    Printf.printf "codes:     ";
-    List.iter (fun (c, n) -> Printf.printf " %s=%d" c n) o.OS.shed_codes;
-    print_newline ()
-  end;
-  Printf.printf "breaker:    %d trip(s), %d reopen(s), final %s\n"
-    o.OS.breaker_trips o.OS.breaker_reopens o.OS.breaker_final;
-  Printf.printf "money:      %s\n"
-    (if o.OS.money_conserved then "conserved" else "NOT CONSERVED");
-  if o.OS.money_conserved then 0 else 1
-
-let overload_cmd =
-  let spike =
-    Arg.(
-      value & opt float 10.0
-      & info [ "spike" ] ~doc:"Arrival-rate multiplier during the spike window.")
-  in
-  let deadline =
-    Arg.(
-      value & opt float 50.0
-      & info [ "deadline" ] ~doc:"Per-transaction deadline in milliseconds.")
-  in
-  let no_admission =
-    Arg.(
-      value & flag
-      & info [ "no-admission" ]
-          ~doc:
-            "Disarm admission control (the collapse control: every arrival \
-             is admitted and queues behind the log device).")
-  in
-  let no_deadlines =
-    Arg.(
-      value & flag
-      & info [ "no-deadlines" ]
-          ~doc:
-            "Disarm in-service deadline enforcement: expired transactions \
-             run to commit anyway (clients just observe the lateness), so \
-             the backlog snowballs.")
-  in
-  let storm =
-    Arg.(
-      value & flag
-      & info [ "storm" ]
-          ~doc:
-            "Arm the $(b,storm) fault spec: a burst of transient log-device \
-             faults that trips the circuit breaker.")
-  in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Workload PRNG seed.")
-  in
-  let duration =
-    Arg.(
-      value & opt float 3.0
-      & info [ "duration" ] ~doc:"Simulated seconds of arrivals.")
-  in
-  Cmd.v
-    (Cmd.info "overload"
-       ~exits:(exits [ (1, "when money is not conserved.") ])
-       ~doc:
-         "Open-loop overload experiment: Poisson arrivals with a rate \
-          spike (optionally plus a transient-fault storm) against the \
-          transactional service, with admission control, deadlines, \
-          circuit breaker and typed load shedding — or without, to watch \
-          the unprotected service collapse. Exits 1 if money is not \
-          conserved.")
-    Term.(
-      const overload $ spike $ deadline $ no_admission $ no_deadlines $ storm
-      $ seed $ duration)
-
-(* ------------------------------------------------------------------ *)
 (* repl                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1114,8 +553,7 @@ let () =
     Cmd.eval'
       (Cmd.group ~default info
          [
-           crossover_cmd; join_cmd; tps_cmd; recover_cmd; plan_cmd; sql_cmd;
-           check_cmd; codes_cmd; stats_cmd; overload_cmd; repl_cmd;
+           sql_cmd; check_cmd; codes_cmd; repl_cmd;
          ])
   in
   (* A malformed flag is bad input like any other: exit 2, not 124. *)

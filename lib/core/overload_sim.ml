@@ -8,9 +8,7 @@ type config = {
   seed : int;
   duration : float;
   spike_mult : float;
-  deadline_budget : float;
-  admission : bool;
-  enforce_deadlines : bool;
+  protected : bool;
   storm : bool;
   record_schedule : bool;
 }
@@ -20,9 +18,7 @@ let default_config =
     seed = 7;
     duration = 3.0;
     spike_mult = 10.0;
-    deadline_budget = 0.05;
-    admission = true;
-    enforce_deadlines = true;
+    protected = true;
     storm = false;
     record_schedule = false;
   }
@@ -33,6 +29,7 @@ let nrecords = 512
 let base_rate = 700.0
 let spike_lo, spike_hi = (1.0, 2.0)
 let analytic_fraction = 0.15
+let deadline_budget = 0.05
 let work_per_update = 250e-6
 let rate_limit = 900.0
 let burst = 64.0
@@ -50,7 +47,6 @@ type bucket = {
 }
 
 type outcome = {
-  label : string;
   arrivals : int;
   committed : int;
   goodput_txns : int;
@@ -91,7 +87,7 @@ let run cfg =
   let rng = U.Xorshift.create cfg.seed in
   let tally = O.tally_create () in
   let admission =
-    if cfg.admission then
+    if cfg.protected then
       Some
         (O.Admission.create ~rate:rate_limit ~burst ~max_lag ~tally ())
     else None
@@ -130,7 +126,7 @@ let run cfg =
        backlogged service blows deadlines instead of stretching time. *)
     if at > Txn_db.now db then Txn_db.advance db (at -. Txn_db.now db);
     let arrival = at in
-    let deadline = O.Deadline.make ~now:arrival ~budget:cfg.deadline_budget in
+    let deadline = O.Deadline.make ~now:arrival ~budget:deadline_budget in
     let priority =
       if U.Xorshift.float rng 1.0 < analytic_fraction then O.Analytic
       else O.Oltp
@@ -142,7 +138,7 @@ let run cfg =
     (* Without enforcement the service never aborts expired work — the
        deadline exists only in the client's eyes (lateness), which is
        what lets the backlog snowball: the collapse control. *)
-    let enforced = if cfg.enforce_deadlines then Some deadline else None in
+    let enforced = if cfg.protected then Some deadline else None in
     (match Txn_db.transact ~priority ?deadline:enforced db updates with
     | o ->
       arrivals :=
@@ -251,10 +247,6 @@ let run cfg =
               (Txn_db.schedule db)))
   in
   {
-    label =
-      Printf.sprintf "%s%s"
-        (if cfg.admission then "admission" else "no-admission")
-        (if cfg.storm then "+storm" else "");
     arrivals = List.length arrivals;
     committed = !committed;
     goodput_txns = !goodput_txns;

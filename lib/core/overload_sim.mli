@@ -14,11 +14,10 @@ type config = {
   seed : int;
   duration : float;  (** simulated seconds of arrivals *)
   spike_mult : float;  (** rate multiplier inside the [1, 2) s spike *)
-  deadline_budget : float;  (** per-transaction time budget, seconds *)
-  admission : bool;  (** arm the admission controller *)
-  enforce_deadlines : bool;
-      (** abort expired transactions in the service (OVLD004/6); when
-          off, deadlines exist only in the client's eyes — late commits
+  protected : bool;
+      (** arm the admission controller and abort expired transactions in
+          the service (OVLD004/6); when off, every arrival is admitted
+          and deadlines exist only in the client's eyes — late commits
           still count against goodput, and nothing stops the backlog
           from snowballing (the collapse control) *)
   storm : bool;  (** arm the [storm] fault spec (transient log faults) *)
@@ -26,12 +25,12 @@ type config = {
 }
 
 val default_config : config
-(** 3 s with a 10x spike, 50 ms deadlines, admission and deadlines
-    armed, no storm.  The rest of the workload is fixed: 512 accounts,
-    700 arrivals/s outside the spike, 15% analytic, two updates of
-    250 us each per transaction, admission at 900/s with a 64-token
-    burst and a 50 ms log-backlog bound, a per-transaction budget of 8
-    transient retries, group commit. *)
+(** 3 s with a 10x spike, protected, no storm.  The rest of the
+    workload is fixed: 512 accounts, 700 arrivals/s outside the spike,
+    15% analytic, 50 ms deadlines, two updates of 250 us each per
+    transaction, admission at 900/s with a 64-token burst and a 50 ms
+    log-backlog bound, a per-transaction budget of 8 transient retries,
+    group commit. *)
 
 type bucket = {
   b_start : float;
@@ -45,7 +44,6 @@ type bucket = {
 (** One 100 ms slice of the run (the degradation curve). *)
 
 type outcome = {
-  label : string;
   arrivals : int;
   committed : int;
   goodput_txns : int;  (** commits durable within their deadline *)

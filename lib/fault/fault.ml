@@ -45,16 +45,6 @@ let tally_copy t =
     retry_backoff = t.retry_backoff;
   }
 
-let tally_diff ~after ~before =
-  {
-    injected = after.injected - before.injected;
-    detected = after.detected - before.detected;
-    retried = after.retried - before.retried;
-    repaired = after.repaired - before.repaired;
-    unrecoverable = after.unrecoverable - before.unrecoverable;
-    retry_backoff = after.retry_backoff -. before.retry_backoff;
-  }
-
 let tally_total t =
   t.injected + t.detected + t.retried + t.repaired + t.unrecoverable
 

@@ -54,7 +54,6 @@ type tally = {
 
 val tally_create : unit -> tally
 val tally_copy : tally -> tally
-val tally_diff : after:tally -> before:tally -> tally
 val tally_total : tally -> int
 val pp_tally : Format.formatter -> tally -> unit
 

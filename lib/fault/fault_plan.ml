@@ -24,7 +24,7 @@ type t = {
 
 let max_events = 10_000
 
-let create ?(seed = 1) ?tally rules =
+let create ?(seed = 1) rules =
   List.iter
     (fun r ->
       match r.trigger with
@@ -41,8 +41,7 @@ let create ?(seed = 1) ?tally rules =
   {
     plan_rules = rules;
     rng = U.Xorshift.create seed;
-    plan_tally =
-      (match tally with Some t -> t | None -> Fault.tally_create ());
+    plan_tally = Fault.tally_create ();
     ops = Hashtbl.create 8;
     event_log = [];
     event_count = 0;

@@ -27,11 +27,8 @@ type rule = { site : Fault.site; kind : Fault.kind; trigger : trigger }
 
 type t
 
-val create : ?seed:int -> ?tally:Fault.tally -> rule list -> t
-(** [create ~seed rules] builds a plan.  [tally] shares an external
-    counter record (e.g. {!Mmdb_storage.Counters}'s fault tally) so
-    fault counts land next to the workload's other operation counters;
-    by default the plan allocates its own. *)
+val create : ?seed:int -> rule list -> t
+(** [create ~seed rules] builds a plan with its own fresh tally. *)
 
 val none : unit -> t
 (** The empty plan: {!draw} never fires.  Useful as an explicit
@@ -96,11 +93,10 @@ val ride_transient :
     per-transaction retry budget runs dry mid-ride. *)
 
 val of_spec : string -> (rule list, string) result
-(** Parse a comma-separated fault list as accepted by
-    [mmdb_cli stats --faults] (the torture property draws its atoms):
-    ["torn-tail"], ["bitflip"], ["io-error"], ["battery-droop"],
+(** Parse a comma-separated list of the fault atoms the torture
+    property draws from: ["torn-tail"], ["bitflip"], ["io-error"], ["battery-droop"],
     ["snapshot-rot"], ["media"], ["storm"], or ["none"].
     See {!spec_names}. *)
 
 val spec_names : (string * string) list
-(** Accepted spec atoms with one-line descriptions (CLI help text). *)
+(** The atoms {!of_spec} accepts, each with a one-line description. *)

@@ -28,9 +28,8 @@ type priority = Oltp | Analytic
 
 (** {1 Shared tally}
 
-    One mutable record accumulates the run's overload story, mirroring
-    {!Mmdb_fault.Fault.tally}: embed it in
-    {!Mmdb_storage.Counters} so shed/timeout counts land next to the
+    One mutable record accumulates the run's overload story: embed it
+    in {!Mmdb_storage.Counters} so shed/timeout counts land next to the
     workload's other operation counters. *)
 
 type tally = {

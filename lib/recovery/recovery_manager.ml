@@ -63,9 +63,7 @@ type outcome = {
   recovery_attempts : int;
   command_txns : int;
   replay_events : Schedule.event list;
-  checkpoints_taken : int;
   checkpoint_pages : int;
-  log_pages : int;
   log_disk_bytes : int;
   log_records : Log_record.t list;
   durable_log : Log_record.t list;
@@ -137,7 +135,6 @@ let run cfg =
         ~cross_partition
   in
   let command_txns = ref 0 in
-  let checkpoints = ref 0 in
   let checkpoint_pages = ref 0 in
   let arrival i = float_of_int i *. 1e-3 in
   let crash_time = ref 0.0 in
@@ -166,8 +163,7 @@ let run cfg =
         | Some every when (i + 1) mod every = 0 ->
           let c = Txn.checkpoint kernel ~at ~deadline:cfg.crash_at in
           checkpoint_pages :=
-            !checkpoint_pages + c.Txn.sweep.Kv_store.pages_flushed;
-          if c.Txn.closed then incr checkpoints
+            !checkpoint_pages + c.Txn.sweep.Kv_store.pages_flushed
         | Some _ | None -> ()
       end)
     txns;
@@ -239,9 +235,7 @@ let run cfg =
     command_txns = !command_txns;
     replay_events =
       Option.value (Option.map Schedule.events replay_recorder) ~default:[];
-    checkpoints_taken = !checkpoints;
     checkpoint_pages = !checkpoint_pages;
-    log_pages = Wal.pages_written wal;
     log_disk_bytes = Wal.disk_bytes_written wal;
     log_records = Wal.all_records wal;
     durable_log = durable;

@@ -98,11 +98,7 @@ type outcome = {
       (** transactions logged as command records (logging-mode choice) *)
   replay_events : Schedule.event list;
       (** the replay schedule trace; [[]] unless [replay.record_replay] *)
-  checkpoints_taken : int;
-      (** completed (bracket-certified) checkpoints; a sweep cut short by
-          the crash is not counted *)
   checkpoint_pages : int;
-  log_pages : int;
   log_disk_bytes : int;
   log_records : Log_record.t list;
       (** everything submitted to the WAL, in order (audit input) *)

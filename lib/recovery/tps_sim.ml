@@ -3,8 +3,6 @@ module S = Mmdb_storage
 
 type result = {
   strategy_label : string;
-  committed : int;
-  makespan : float;
   tps : float;
   latency : U.Stats.summary;
   log_pages : int;
@@ -18,10 +16,9 @@ let strategy_label = function
   | Wal.Stable { devices; compressed; _ } ->
     Printf.sprintf "stable-%d%s" devices (if compressed then "-compressed" else "")
 
-let run ?(seed = 1984) ?(nrecords = 1000) ?(arrival_interval = 0.0) ~n_txns
-    strategy =
+let run ?(nrecords = 1000) ?(arrival_interval = 0.0) ~n_txns strategy =
   if n_txns <= 0 then invalid_arg "Tps_sim.run: n_txns <= 0";
-  let rng = U.Xorshift.create seed in
+  let rng = U.Xorshift.create 1984 in
   let wal = Wal.create ~clock:(S.Sim_clock.create ()) strategy in
   let kernel = Txn.create ~nrecords ~wal () in
   let txns = Workload.generate ~rng ~nrecords ~n:n_txns () in
@@ -50,8 +47,6 @@ let run ?(seed = 1984) ?(nrecords = 1000) ?(arrival_interval = 0.0) ~n_txns
   let makespan = Float.max 1e-9 !last_completion in
   {
     strategy_label = strategy_label strategy;
-    committed = n_txns;
-    makespan;
     tps = float_of_int n_txns /. makespan;
     latency = U.Stats.summarize (Array.of_list !latencies);
     log_pages = Wal.pages_written wal;

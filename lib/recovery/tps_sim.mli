@@ -11,8 +11,6 @@
 
 type result = {
   strategy_label : string;
-  committed : int;
-  makespan : float;  (** first arrival to last commit, seconds *)
   tps : float;
   latency : Mmdb_util.Stats.summary;  (** arrival-to-durable-commit *)
   log_pages : int;
@@ -21,7 +19,7 @@ type result = {
 
 val strategy_label : Wal.strategy -> string
 
-val run : ?seed:int -> ?nrecords:int -> ?arrival_interval:float ->
+val run : ?nrecords:int -> ?arrival_interval:float ->
   n_txns:int -> Wal.strategy -> result
 (** [run ~n_txns strategy] pushes [n_txns] banking transactions through
     the strategy.  [arrival_interval] (default 0 = saturation: all work

@@ -211,7 +211,6 @@ let run ?(command = false) t ~txn ~at updates =
 
 type checkpoint = {
   sweep : Kv_store.checkpoint_stats;
-  closed : bool;
   log_durable : float;
 }
 
@@ -226,15 +225,14 @@ let checkpoint t ~at ~deadline =
   let log_durable = Float.max (Wal.flush t.wal ~at) (Wal.quiesce_time t.wal) in
   match deadline with
   | Some d when log_durable > d ->
-    { sweep = { pages_flushed = 0; duration = 0.0 }; closed = false; log_durable }
+    { sweep = { pages_flushed = 0; duration = 0.0 }; log_durable }
   | Some _ | None ->
     let sweep = Kv_store.checkpoint ~now:log_durable ?deadline t.kv in
-    let closed = Kv_store.dirty_pages t.kv = 0 in
-    if closed then begin
+    if Kv_store.dirty_pages t.kv = 0 then begin
       Wal.log_control t.wal ~at [ Log_record.Ckpt_end { lsn = fresh_lsn t } ];
       t.ckpt_open <- false
     end;
-    { sweep; closed; log_durable }
+    { sweep; log_durable }
 
 (* FAULT008: a transaction whose durable records are incomplete loses
    its terminator. *)

@@ -110,7 +110,6 @@ val retire : t -> at:float -> unit
 
 type checkpoint = {
   sweep : Kv_store.checkpoint_stats;
-  closed : bool;  (** the sweep emptied the dirty set; Ckpt_end logged *)
   log_durable : float;  (** when the flushed log was durable *)
 }
 

@@ -37,7 +37,6 @@ let create ~disk ~capacity policy =
     clock_hand = Queue.create ();
   }
 
-let capacity t = t.capacity
 let resident t = Hashtbl.length t.frames
 let is_resident t pid = Hashtbl.mem t.frames pid
 

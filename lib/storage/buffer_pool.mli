@@ -24,8 +24,6 @@ val create : disk:Disk.t -> capacity:int -> policy -> t
 (** [create ~disk ~capacity policy] is an empty pool of [capacity] frames
     ([|M|] pages).  @raise Invalid_argument if [capacity <= 0]. *)
 
-val capacity : t -> int
-
 val resident : t -> int
 (** Number of frames currently holding a page. *)
 

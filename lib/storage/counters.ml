@@ -1,4 +1,3 @@
-module F = Mmdb_fault.Fault
 module O = Mmdb_overload.Overload
 
 type t = {
@@ -12,7 +11,6 @@ type t = {
   mutable rand_writes : int;
   mutable faults : int;
   mutable pool_hits : int;
-  fault : F.tally;
   ovld : O.tally;
 }
 
@@ -28,7 +26,6 @@ let create () =
     rand_writes = 0;
     faults = 0;
     pool_hits = 0;
-    fault = F.tally_create ();
     ovld = O.tally_create ();
   }
 
@@ -44,7 +41,6 @@ let snapshot t =
     rand_writes = t.rand_writes;
     faults = t.faults;
     pool_hits = t.pool_hits;
-    fault = F.tally_copy t.fault;
     ovld = O.tally_copy t.ovld;
   }
 
@@ -60,7 +56,6 @@ let diff ~after ~before =
     rand_writes = after.rand_writes - before.rand_writes;
     faults = after.faults - before.faults;
     pool_hits = after.pool_hits - before.pool_hits;
-    fault = F.tally_diff ~after:after.fault ~before:before.fault;
     ovld = O.tally_diff ~after:after.ovld ~before:before.ovld;
   }
 
@@ -72,10 +67,5 @@ let pp ppf t =
      faults=%d hits=%d"
     t.comparisons t.hashes t.moves t.swaps t.seq_reads t.seq_writes
     t.rand_reads t.rand_writes t.faults t.pool_hits;
-  if F.tally_total t.fault > 0 then
-    Format.fprintf ppf " media[%a]" F.pp_tally t.fault;
   if O.tally_total t.ovld + t.ovld.O.admitted > 0 then
     Format.fprintf ppf " ovld[%a]" O.pp_tally t.ovld
-
-let io_retries t = t.fault.F.retried
-let io_retry_backoff t = t.fault.F.retry_backoff

@@ -17,11 +17,6 @@ type t = {
   mutable rand_writes : int;
   mutable faults : int;  (** buffer-pool misses *)
   mutable pool_hits : int;  (** buffer-pool hits *)
-  fault : Mmdb_fault.Fault.tally;
-      (** media-fault tally: injected/detected/retried/repaired/
-          unrecoverable.  The field is immutable but the tally record it
-          holds is mutable; share it with a {!Mmdb_fault.Fault_plan} via
-          [Fault_plan.create ~tally] so injection sites count here. *)
   ovld : Mmdb_overload.Overload.tally;
       (** overload tally: admissions, typed sheds, deadline timeouts,
           retry-budget exhaustions, breaker trips.  Share it with an
@@ -42,11 +37,3 @@ val total_io : t -> int
 (** All page reads and writes, sequential and random. *)
 
 val pp : Format.formatter -> t -> unit
-
-val io_retries : t -> int
-(** Transient-I/O attempts that were retried (media-fault tally's
-    [retried] field — FAULT003 rides). *)
-
-val io_retry_backoff : t -> float
-(** Simulated seconds spent waiting out retry backoff before those
-    retries succeeded. *)

@@ -59,8 +59,3 @@ let summarize xs =
     p90 = percentile_sorted sorted 0.9;
     p99 = percentile_sorted sorted 0.99;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g" s.n
-    s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max

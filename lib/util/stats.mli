@@ -27,6 +27,3 @@ val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [\[0, 1\]] using linear interpolation on a
     sorted copy.  @raise Invalid_argument on empty input or p outside
     [\[0,1\]]. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-(** Render a summary on one line. *)

@@ -449,8 +449,7 @@ let test_sim_storm_conserves_money () =
             OS.seed = 7;
             duration = 3.0;
             storm = true;
-            admission = protected;
-            enforce_deadlines = protected;
+            protected;
           }
       in
       checkb
