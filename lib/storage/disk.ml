@@ -15,6 +15,11 @@ type t = {
          stored is the sum that would have been recorded. *)
   mutable faults : Fault_plan.t;
   mutable next_id : int;
+  mutable zero : bytes; (* the shared zero page, from this disk's first alloc *)
+  mutable frames : bytes Weak.t; (* freed frames, a weak stack of [nframes] *)
+  mutable nframes : int;
+  mutable walks : int; (* in-place page walks open *)
+  mutable parked : bytes list; (* frames freed while a walk is open *)
 }
 
 let create ~env ~page_size =
@@ -27,6 +32,11 @@ let create ~env ~page_size =
     sums = Hashtbl.create 1024;
     faults = Fault_plan.none ();
     next_id = 0;
+    zero = Bytes.empty;
+    frames = Weak.create 0;
+    nframes = 0;
+    walks = 0;
+    parked = [];
   }
 
 let env t = t.env
@@ -43,17 +53,51 @@ let zero_page = Atomic.make Bytes.empty
 let alloc t =
   let id = t.next_id in
   t.next_id <- id + 1;
-  let zero =
+  if Bytes.length t.zero <> t.page_size then begin
     let z = Atomic.get zero_page in
-    if Bytes.length z = t.page_size then z
-    else begin
-      let z = Page.create t.page_size in
-      Atomic.set zero_page z;
-      z
-    end
-  in
-  Hashtbl.replace t.pages id zero;
+    t.zero <- (if Bytes.length z = t.page_size then z else Page.create t.page_size);
+    Atomic.set zero_page t.zero
+  end;
+  Hashtbl.replace t.pages id t.zero;
   id
+
+(* The top pooled frame the GC left, else a new one; contents unspecified. *)
+let rec take t =
+  if t.nframes = 0 then Bytes.create t.page_size
+  else begin
+    t.nframes <- t.nframes - 1;
+    match Weak.get t.frames t.nframes with Some f -> f | None -> take t
+  end
+
+let pool t f =
+  let n = Weak.length t.frames in
+  if t.nframes = n then begin
+    let grown = Weak.create (max 16 (2 * n)) in
+    Weak.blit t.frames 0 grown 0 n;
+    t.frames <- grown
+  end;
+  Weak.set t.frames t.nframes (Some f);
+  t.nframes <- t.nframes + 1
+
+(* Not the shared zero page, nor while a walk may be reading [f]. *)
+let release t f =
+  if f != t.zero then if t.walks > 0 then t.parked <- f :: t.parked else pool t f
+
+let close_walk t =
+  t.walks <- t.walks - 1;
+  if t.walks = 0 then (List.iter (pool t) t.parked; t.parked <- [])
+
+let walk t page ~tuple_width f =
+  t.walks <- t.walks + 1;
+  match Page.iter page ~tuple_width f with
+  | () -> close_walk t
+  | exception e ->
+    close_walk t;
+    Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())
+
+let copy t page = let f = take t in Bytes.blit page 0 f 0 t.page_size; f
+let frame t = let f = take t in Bytes.fill f 0 t.page_size '\000'; f
+let recycle t f = if Bytes.length f = t.page_size then release t f
 
 let find t pid =
   match Hashtbl.find_opt t.pages pid with
@@ -98,18 +142,19 @@ let flip_bit data bit =
   let i = bit / 8 in
   Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor (1 lsl (bit mod 8))))
 
-let store t pid page =
-  Hashtbl.replace t.pages pid (Bytes.copy page);
-  Hashtbl.remove t.sums pid
+let store t ~old pid page =
+  Hashtbl.replace t.pages pid (copy t page);
+  Hashtbl.remove t.sums pid;
+  release t old
 
 let write t ~mode pid page =
   check_size t ~site:"disk.write" page;
-  ignore (find t pid);
+  let old = find t pid in
   match Fault_plan.draw t.faults Fault.Disk_write with
   | Some Fault.Torn_write ->
     charge_write t mode;
     let cut = 1 + Fault_plan.rand_int t.faults (t.page_size - 1) in
-    let torn = Bytes.copy (find t pid) in
+    let torn = Bytes.copy old in
     Bytes.blit page 0 torn 0 cut;
     Hashtbl.replace t.pages pid torn;
     Hashtbl.replace t.sums pid (Page.checksum page);
@@ -129,10 +174,10 @@ let write t ~mode pid page =
       ~charge:(fun () -> charge_write t mode)
       ~failures;
     charge_write t mode;
-    store t pid page
+    store t ~old pid page
   | Some (Fault.Bit_flip_read | Fault.Battery_droop _) | None ->
     charge_write t mode;
-    store t pid page
+    store t ~old pid page
 
 (* Checked read: reread on checksum mismatch (transient flips clear; a
    page corrupted on the medium itself stays bad and, after the retry
@@ -209,20 +254,20 @@ let read t ~mode pid =
   let page = read_image t ~mode pid in
   if Fault_plan.is_active t.faults then page else Bytes.copy page
 
-let iter t ~mode pid ~tuple_width f = Page.iter (read_image t ~mode pid) ~tuple_width f
+let iter t ~mode pid ~tuple_width f = walk t (read_image t ~mode pid) ~tuple_width f
 
 let free t pid =
-  ignore (find t pid);
+  let old = find t pid in
   Hashtbl.remove t.pages pid;
-  Hashtbl.remove t.sums pid
+  Hashtbl.remove t.sums pid;
+  release t old
 
-let read_nocharge t pid = Bytes.copy (find t pid)
+let read_nocharge t pid = copy t (find t pid)
 
 let count_nocharge t pid = Page.count (find t pid)
 
-let iter_nocharge t pid ~tuple_width f = Page.iter (find t pid) ~tuple_width f
+let iter_nocharge t pid ~tuple_width f = walk t (find t pid) ~tuple_width f
 
 let write_nocharge t pid page =
   check_size t ~site:"disk.write" page;
-  ignore (find t pid);
-  store t pid page
+  store t ~old:(find t pid) pid page

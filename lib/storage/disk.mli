@@ -29,7 +29,10 @@
 
     Lookup and size errors are typed: unknown pages raise
     {!Mmdb_fault.Fault.Io_error} with code FAULT005, size mismatches
-    FAULT006 — never bare [Invalid_argument]. *)
+    FAULT006 — never bare [Invalid_argument].
+
+    A freed or overwritten page's frame goes to a weak pool that later
+    copies reuse; the zero page fresh pages share is never pooled. *)
 
 type t
 
@@ -78,21 +81,21 @@ val iter : t -> mode:io_mode -> int -> tuple_width:int ->
     of {!read}'s checksum-verified copy. *)
 
 val write : t -> mode:io_mode -> int -> bytes -> unit
-(** [write d ~mode pid page] charges one I/O and stores a copy.  Only a
+(** [write d ~mode pid page] charges one I/O and stores a copy, in a
+    pooled frame if one is free; it pools the frame it replaces.  Only a
     write that the armed plan tears or rots records the out-of-band
     checksum of [page]; any other write drops the page's sum.
     @raise Mmdb_fault.Fault.Io_error on unknown page (FAULT005), size
-    mismatch (FAULT006), or exhausted transient-error retries
-    (FAULT004).
+    mismatch (FAULT006), or exhausted transient-error retries (FAULT004).
     @raise Mmdb_overload.Overload.Shed (OVLD008) when a per-transaction
     retry budget installed on the armed plan runs dry mid-ride. *)
 
 val free : t -> int -> unit
-(** Release a page (e.g. temporary partition files after a join). *)
+(** Release a page and pool its frame (e.g. a join's partition files). *)
 
 val read_nocharge : t -> int -> bytes
 (** Uninstrumented, unchecked read for tests and recovery-inspection
-    code paths. *)
+    code paths; the caller owns the copy. *)
 
 val count_nocharge : t -> int -> int
 (** The tuple count in a stored page's header, read where the page lies
@@ -103,10 +106,17 @@ val iter_nocharge : t -> int -> tuple_width:int -> (int -> bytes -> unit) ->
 (** [iter_nocharge d pid ~tuple_width f] calls [f slot tuple] with a copy
     of each tuple of the stored page, in slot order, without copying the
     page: a stored page is never changed in place (every write stores a
-    copy), so the iteration sees one image even if [f] writes or frees
-    [pid].  Uninstrumented and unchecked, like {!read_nocharge}. *)
+    copy, and frames freed during a walk are pooled only when every walk
+    has closed), so the iteration sees one image even if [f] writes or
+    frees [pid].  Uninstrumented and unchecked, like {!read_nocharge}. *)
 
 val write_nocharge : t -> int -> bytes -> unit
 (** Uninstrumented write, used when pre-loading workloads so that setup
     cost does not pollute an experiment's counters.  The page is stored
     as given, so its out-of-band sum is dropped. *)
+
+val frame : t -> bytes
+(** A zeroed page-size buffer, pooled if one is free (a relation's tail). *)
+
+val recycle : t -> bytes -> unit
+(** Pool a buffer from {!frame} or {!read_nocharge} the caller is done with. *)

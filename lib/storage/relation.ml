@@ -75,7 +75,7 @@ let tail_page t =
     t.tail <- Some p;
     p
   | None, None ->
-    let p = Page.create (Disk.page_size t.rel_disk) in
+    let p = Disk.frame t.rel_disk in
     t.tail <- Some p;
     p
 
@@ -106,7 +106,8 @@ let seal t =
       let pid = spill t page ~charge:t.charged in
       t.reopen <- (if Page.count page < tuples_per_page t then Some pid else None)
     end;
-    t.tail <- None
+    t.tail <- None;
+    Disk.recycle t.rel_disk page
 
 let page_ids t = Array.of_list (List.rev t.pages)
 

@@ -1,12 +1,12 @@
 (** Relations: named sequences of tuple pages on a simulated disk.
 
-    A relation owns an ordered list of disk pages plus an in-memory tail
-    page being filled.  Appends that fill a page spill it to disk (the disk
-    stores a copy, so the same tail page is zeroed and refilled); whether
-    that spill is charged depends on the append function used, so workload
-    setup can be free while operator output is charged — mirroring the
-    paper's convention of "ignoring the cost of reading the relations
-    initially and writing the result of the join". *)
+    A relation owns an ordered list of disk pages plus a tail page being
+    filled, a pooled {!Disk.frame} that {!seal} recycles.  A full tail
+    spills to disk (the disk stores a copy, so the tail is zeroed and
+    refilled); whether that spill is charged depends on the append
+    function used, so workload setup can be free while operator output is
+    charged — mirroring the paper's convention of "ignoring the cost of
+    reading the relations initially and writing the result of the join". *)
 
 type t
 

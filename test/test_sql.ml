@@ -565,8 +565,8 @@ let model_row id =
     S.Tuple.VStr model_tags.(id * 13 mod 4);
   ]
 
-let model_setup () =
-  let db = M.Db.create ~page_size:256 () in
+let model_setup ?mem_pages () =
+  let db = M.Db.create ~page_size:256 ?mem_pages () in
   let model = Hashtbl.create 4 in
   let schema =
     S.Schema.create ~key:"id"
@@ -740,11 +740,21 @@ let select_matches db model q =
       let sorted = List.stable_sort compare keys in
       keys = if desc then List.rev sorted else sorted)
 
-let qcheck_db_selects_match_model =
-  let db, model = model_setup () in
-  QCheck.Test.make ~name:"Db SELECTs match a list-of-rows model" ~count:400
+let qcheck_selects_match_model ?mem_pages name =
+  let db, model = model_setup ?mem_pages () in
+  QCheck.Test.make ~name ~count:400
     (QCheck.make ~print:model_sql ~shrink:shrink_model_query gen_model_query)
     (select_matches db model)
+
+let qcheck_db_selects_match_model =
+  qcheck_selects_match_model "Db SELECTs match a list-of-rows model"
+
+(* The same queries with three pages of memory: every join and DISTINCT
+   spills its partitions and frees them mid-plan, so the disk's frames
+   are reused under a live plan. *)
+let qcheck_db_selects_match_model_spilling =
+  qcheck_selects_match_model ~mem_pages:3
+    "Db SELECTs match a list-of-rows model, spilling at mem_pages = 3"
 
 (* ------------------------------------------------------------------ *)
 (* Db statement sequences against the same model                       *)
@@ -918,6 +928,7 @@ let () =
       ( "model",
         [
           QCheck_alcotest.to_alcotest qcheck_db_selects_match_model;
+          QCheck_alcotest.to_alcotest qcheck_db_selects_match_model_spilling;
           QCheck_alcotest.to_alcotest qcheck_db_statements_match_model;
         ] );
       ( "dml",

@@ -305,6 +305,93 @@ let test_disk_nocharge () =
   checki "no io counted" 0 (S.Counters.total_io env.S.Env.counters);
   feq "no time" 0.0 (S.Env.elapsed env)
 
+(* Every fresh page shares one zero page; were its frame pooled when
+   such a page is freed or first written, the next write would fill it
+   and every fresh page would read that write. *)
+let test_disk_zero_page_not_pooled () =
+  let env = S.Env.create () in
+  let d = S.Disk.create ~env ~page_size:64 in
+  let freed = S.Disk.alloc d and written = S.Disk.alloc d in
+  S.Disk.free d freed;
+  S.Disk.write_nocharge d written (Bytes.make 64 'x');
+  let other = S.Disk.alloc d in
+  S.Disk.write_nocharge d other (Bytes.make 64 'y');
+  S.Disk.write_nocharge d other (Bytes.make 64 'z');
+  checks "fresh page reads zeroed" (String.make 64 '\000')
+    (Bytes.to_string (S.Disk.read_nocharge d (S.Disk.alloc d)))
+
+let page_of sch ks =
+  let p = S.Page.create 128 in
+  List.iter (fun k -> assert (S.Page.append p ~tuple_width:40 (mk_tuple sch k 0 ""))) ks;
+  p
+
+(* The callback rewrites the page it walks, writes another page (which
+   would reuse the walked frame, were it pooled at once), then frees the
+   walked page: the walk still reads the image it began on. *)
+let test_disk_walk_keeps_its_image () =
+  let env = S.Env.create () in
+  let d = S.Disk.create ~env ~page_size:128 in
+  let sch = schema () in
+  let walked = S.Disk.alloc d in
+  S.Disk.write_nocharge d walked (page_of sch [ 1; 2; 3 ]);
+  let other = S.Disk.alloc d in
+  let seen = ref [] in
+  S.Disk.iter_nocharge d walked ~tuple_width:40 (fun slot tup ->
+      if slot = 0 then begin
+        S.Disk.write_nocharge d walked (page_of sch [ 4; 5; 6 ]);
+        S.Disk.write_nocharge d other (page_of sch [ 7; 8; 9 ]);
+        S.Disk.free d walked;
+        S.Disk.write_nocharge d other (page_of sch [ 10; 11; 12 ])
+      end;
+      seen := S.Tuple.get_int sch tup 0 :: !seen);
+  Alcotest.(check (list int)) "walk saw the first image" [ 1; 2; 3 ] (List.rev !seen);
+  checks "other page intact" (Bytes.to_string (page_of sch [ 10; 11; 12 ]))
+    (Bytes.to_string (S.Disk.read_nocharge d other))
+
+(* Major-heap words [f] allocates (a 4 KiB frame is 514), or [None] when
+   a major cycle ended meanwhile and may have emptied the weak frame pool.
+   [Gc.counters], as [Gc.quick_stat] does not count direct major
+   allocations on OCaml 5.1. *)
+let major_words_in_one_cycle f =
+  let cycles = (Gc.quick_stat ()).Gc.major_collections in
+  Gc.minor ();
+  let _, _, before = Gc.counters () in
+  f ();
+  let _, _, after = Gc.counters () in
+  if (Gc.quick_stat ()).Gc.major_collections = cycles then
+    Some (int_of_float (after -. before))
+  else None
+
+(* Spilling 100 pages after 100 were freed reuses their frames, also
+   after a walk that an exception left (frames freed while a walk is
+   open wait for it to close). *)
+let test_disk_frames_reused () =
+  let env = S.Env.create () in
+  let d = S.Disk.create ~env ~page_size:4096 in
+  let sch = schema () in
+  let per_page = S.Page.capacity ~page_size:4096 ~tuple_width:40 in
+  let tuples = Array.init (100 * per_page) (fun i -> mk_tuple sch i 0 "") in
+  let spill () =
+    let r = S.Relation.create ~disk:d ~name:"spill" ~schema:sch in
+    Array.iter (S.Relation.append r) tuples;
+    S.Relation.seal r;
+    r
+  in
+  let rec measure tries =
+    let first = spill () in
+    (try S.Relation.iter_tuples_nocharge first (fun _ -> raise Exit) with Exit -> ());
+    match
+      major_words_in_one_cycle (fun () ->
+          S.Relation.free_pages first;
+          ignore (spill ()))
+    with
+    | Some words -> words
+    | None when tries > 1 -> measure (tries - 1)
+    | None -> Alcotest.fail "a major cycle ended in every try"
+  in
+  let words = measure 5 in
+  checkb (Printf.sprintf "%d major words < 10 frames" words) true (words < 10 * 514)
+
 (* ------------------------------------------------------------------ *)
 (* Buffer pool                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -504,6 +591,30 @@ let test_relation_free_pages () =
   checki "disk pages released" 0 (S.Disk.page_count d);
   checki "empty" 0 (S.Relation.ntuples r)
 
+(* Two relations on one disk append, seal, free and refill in turn, so
+   each reuses frames the other freed; each keeps its own tuples. *)
+let test_relation_interleaved_reuse () =
+  let _, d = rel_setup ~page_size:128 () in
+  let sch = schema () in
+  let r = S.Relation.create ~disk:d ~name:"r" ~schema:sch in
+  let s = S.Relation.create ~disk:d ~name:"s" ~schema:sch in
+  let keys rel = List.map (fun t -> S.Tuple.get_int sch t 0) (S.Relation.to_list rel) in
+  let want_r = ref [] and want_s = ref [] in
+  for round = 0 to 5 do
+    for i = 0 to 10 do
+      let k = (100 * round) + i in
+      S.Relation.append r (mk_tuple sch k 0 "");
+      S.Relation.append s (mk_tuple sch (-k) 0 "");
+      want_r := k :: !want_r;
+      want_s := -k :: !want_s;
+      if i mod 4 = 0 then S.Relation.seal r
+    done;
+    Alcotest.(check (list int)) "r keeps its tuples" (List.rev !want_r) (keys r);
+    Alcotest.(check (list int)) "s keeps its tuples" (List.rev !want_s) (keys s);
+    if round mod 2 = 0 then (S.Relation.free_pages r; want_r := [])
+    else (S.Relation.free_pages s; want_s := [])
+  done
+
 let qcheck_relation_roundtrip =
   QCheck.Test.make ~name:"relation roundtrips arbitrary int lists" ~count:100
     QCheck.(list (int_range (-1000) 1000))
@@ -600,6 +711,11 @@ let () =
             test_disk_read_copy_isolated;
           Alcotest.test_case "free" `Quick test_disk_free;
           Alcotest.test_case "nocharge" `Quick test_disk_nocharge;
+          Alcotest.test_case "zero page never pooled" `Quick
+            test_disk_zero_page_not_pooled;
+          Alcotest.test_case "walk keeps its image" `Quick
+            test_disk_walk_keeps_its_image;
+          Alcotest.test_case "freed frames reused" `Quick test_disk_frames_reused;
         ] );
       ( "buffer_pool",
         [
@@ -622,6 +738,8 @@ let () =
           Alcotest.test_case "append after seal" `Quick
             test_relation_append_after_seal;
           Alcotest.test_case "free pages" `Quick test_relation_free_pages;
+          Alcotest.test_case "interleaved frame reuse" `Quick
+            test_relation_interleaved_reuse;
           QCheck_alcotest.to_alcotest qcheck_relation_roundtrip;
           Alcotest.test_case "with_schema view" `Quick
             test_relation_with_schema_view;
