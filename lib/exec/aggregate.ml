@@ -23,9 +23,13 @@ let result_schema schema specs =
   in
   S.Schema.create ~key:"group" (group_col :: agg_cols)
 
-(* One aggregation over [rel]: its specs, each spec's input column (-1
-   for [Count]) and the output relation.  A group's running aggregate is
-   [1 + nspecs] ints of an [int array] from some base: the tuple count,
+type source =
+  | Relation of S.Relation.t
+  | Stream of { disk : S.Disk.t; schema : S.Schema.t; push : (bytes -> unit) -> unit }
+
+(* One aggregation: its input schema, its specs, each spec's input column
+   (-1 for [Count]) and the output relation.  A group's running aggregate
+   is [1 + nspecs] ints of an [int array] from some base: the tuple count,
    then per spec its sum (Sum, Avg), minimum or maximum; [init] is the
    aggregate of no tuples. *)
 type agg = {
@@ -37,11 +41,14 @@ type agg = {
   out : S.Relation.t;
 }
 
-let start rel specs =
-  let schema = S.Relation.schema rel in
+let start source specs =
+  let disk, name, schema =
+    match source with
+    | Relation rel -> (S.Relation.disk rel, S.Relation.name rel, S.Relation.schema rel)
+    | Stream { disk; schema; _ } -> (disk, "#stream", schema)
+  in
   let out =
-    S.Relation.create ~disk:(S.Relation.disk rel)
-      ~name:(S.Relation.name rel ^ ".agg") ~schema:(result_schema schema specs)
+    S.Relation.create ~disk ~name:(name ^ ".agg") ~schema:(result_schema schema specs)
   in
   let specs = Array.of_list specs in
   let col = function
@@ -49,7 +56,7 @@ let start rel specs =
     | Sum c | Min c | Max c | Avg c -> S.Schema.column_index schema c
   in
   let init = function Min _ -> max_int | Max _ -> min_int | _ -> 0 in
-  { env = S.Relation.env rel; schema; specs; cols = Array.map col specs;
+  { env = S.Disk.env disk; schema; specs; cols = Array.map col specs;
     init = Array.append [| 0 |] (Array.map init specs); out }
 
 let stride a = Array.length a.init
@@ -130,7 +137,7 @@ let emit_groups a g =
   Hash_table.clear g.table
 
 let sort_based ~mem_pages rel specs =
-  let a = start rel specs in
+  let a = start (Relation rel) specs in
   let sorted = External_sort.sort ~mem_pages rel in
   let key_width = S.Schema.key_width a.schema in
   (* One pass over the sorted stream: adjacent equal keys form a group,
@@ -157,33 +164,51 @@ let sort_based ~mem_pages rel specs =
   S.Relation.seal a.out;
   a.out
 
-let hybrid ~mem_pages ~fudge rel specs =
+(* The pages [groups] output rows fill: the group table, not the input,
+   is what must fit in |M|, so B and q treat it as the hybrid join's R. *)
+let group_pages ~groups ~tuples_per_page = (groups + tuples_per_page - 1) / tuples_per_page
+
+let partitions ~mem_pages ~fudge ~groups ~tuples_per_page =
+  Hybrid_hash.partitions ~mem_pages ~fudge ~r_pages:(group_pages ~groups ~tuples_per_page)
+
+let hybrid ~mem_pages ~fudge ~groups source specs =
   if mem_pages <= 1 then invalid_arg "Aggregate.hybrid: mem_pages <= 1";
-  let a = start rel specs in
+  let a = start source specs in
   let hash = Hash_fn.create ~env:a.env ~schema:a.schema ~seed:0xa66 in
+  let tuples_per_page = S.Relation.tuples_per_page a.out in
   let g =
-    { table =
-        Hash_table.create ~env:a.env ~schema:(S.Relation.schema a.out)
-          ~tuples_per_page:(S.Relation.tuples_per_page a.out);
+    { table = Hash_table.create ~env:a.env ~schema:(S.Relation.schema a.out) ~tuples_per_page;
       accs = [||] }
   in
-  (* Groups needed ~= distinct keys; bound by input pages.  Partition so
-     each bucket's group table fits: B as in the hybrid join, treating the
-     input as R. *)
-  let r_pages = S.Relation.npages rel in
+  let r_pages = group_pages ~groups ~tuples_per_page in
   let b = Hybrid_hash.partitions ~mem_pages ~fudge ~r_pages in
   if b = 0 then begin
-    (* Everything fits: the one-pass hash aggregation. *)
-    S.Relation.iter_tuples_nocharge rel (feed a hash g);
+    (* The groups fit: the one-pass hash aggregation, fed as the input
+       arrives. *)
+    (match source with
+    | Relation rel -> S.Relation.iter_tuples_nocharge rel (feed a hash g)
+    | Stream { push; _ } -> push (feed a hash g));
     emit_groups a g
   end
   else begin
+    (* Split the input by group-key hash so that a fraction q of the
+       groups stays resident and each disk partition's groups fit. *)
+    let rel =
+      match source with
+      | Relation rel -> rel
+      | Stream { disk; schema; push } ->
+        let rel = S.Relation.create ~disk ~name:"#stream" ~schema in
+        push (S.Relation.append_nocharge rel);
+        S.Relation.seal rel;
+        rel
+    in
     let q = Hybrid_hash.q_fraction ~mem_pages ~fudge ~r_pages in
     let write_mode = if b <= 1 then S.Disk.Seq else S.Disk.Rand in
     let mem_part, buckets =
       Partition.split_fraction ~scan:Partition.Free ~q ~nbuckets:b ~hash
         ~write_mode rel
     in
+    (match source with Stream _ -> S.Relation.free_pages rel | Relation _ -> ());
     (* In-memory slice aggregates immediately. *)
     List.iter (feed a hash g) mem_part;
     emit_groups a g;

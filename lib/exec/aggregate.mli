@@ -5,8 +5,8 @@
     the fastest algorithm will be a one pass hashing algorithm in which
     each incoming tuple is hashed on the grouping attribute.  If there is
     not enough memory ... a variant of the hybrid-hash algorithm appears
-    fastest."  {!hybrid} is both: it runs in one pass when the input
-    fits.  Grouping is on the input schema's key column. *)
+    fastest."  {!hybrid} is both: it runs in one pass when the groups
+    fit.  Grouping is on the input schema's key column. *)
 
 type spec =
   | Count
@@ -20,15 +20,37 @@ val result_schema : Mmdb_storage.Schema.t -> spec list -> Mmdb_storage.Schema.t
     integer column per aggregate, named ["count"], ["sum_c"], ["min_c"],
     ["max_c"], ["avg_c"]. *)
 
-val hybrid : mem_pages:int -> fudge:float ->
-  Mmdb_storage.Relation.t -> spec list -> Mmdb_storage.Relation.t
-(** Hybrid-hash aggregation for results larger than memory: partition the
-    input by group-key hash into partitions whose group tables fit, then
-    aggregate each partition in one pass.  When the input fits
-    ([mem_pages] at least its pages times [fudge]; [max_int] always
-    fits) it is the one-pass hash aggregation: every tuple is hashed on
-    the grouping attribute into one in-memory table of groups.  The
-    input scan is free (first read); result writes are charged. *)
+type source =
+  | Relation of Mmdb_storage.Relation.t
+  | Stream of {
+      disk : Mmdb_storage.Disk.t;
+      schema : Mmdb_storage.Schema.t;
+      push : (bytes -> unit) -> unit;
+          (** pushes every input tuple into its sink, once *)
+    }
+      (** An input that no relation holds, such as a join's output as it
+          is produced; a spilling aggregation stores it on [disk]
+          (uncharged) before it splits it. *)
+
+val partitions : mem_pages:int -> fudge:float -> groups:int ->
+  tuples_per_page:int -> int
+(** The hybrid join's B for a group table of [groups] output rows at
+    [tuples_per_page] a page: 0 when the groups fit in [mem_pages]. *)
+
+val hybrid : mem_pages:int -> fudge:float -> groups:int ->
+  source -> spec list -> Mmdb_storage.Relation.t
+(** Hash aggregation sized by [groups], the expected number of groups
+    (the optimizer passes the catalog's distinct count).  When the
+    groups fit ({!partitions} is 0; [mem_pages = max_int] always fits)
+    it is the one-pass hash aggregation: every input tuple is hashed on
+    the grouping attribute once, into one in-memory table of groups, as
+    it arrives; no partition is written.  Otherwise it is the hybrid
+    variant for results larger than memory: split the input by
+    group-key hash so that a fraction q of the groups stays resident and
+    each of the B disk partitions' groups fit, then aggregate each
+    partition in one pass.  The input scan is free (first read); result
+    writes are charged.  An estimate below the true count only makes the
+    group table outgrow [mem_pages]; the result is the same. *)
 
 val sort_based : mem_pages:int -> Mmdb_storage.Relation.t -> spec list ->
   Mmdb_storage.Relation.t

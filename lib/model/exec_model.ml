@@ -52,10 +52,15 @@ let spill_fraction ~mem_pages ~fudge ~pages =
   in
   (b, q)
 
-let aggregate_ops ~mem_pages ~fudge ~comp_specs ~groups ~out_tuples_per_page i
-    =
+let aggregate_ops ~mem_pages ~fudge ~comp_specs ~est_groups ~groups
+    ~out_tuples_per_page i =
   let n = fi i.tuples and p = fi i.pages in
-  let b, q = spill_fraction ~mem_pages ~fudge ~pages:i.pages in
+  (* B and q size the group table the estimate fills, not the input; a
+     fraction 1 - q of the input (its hash range) spills. *)
+  let b, q =
+    spill_fraction ~mem_pages ~fudge
+      ~pages:(pages_of ~tuples:est_groups ~tuples_per_page:out_tuples_per_page)
+  in
   let spill = if b = 0 then 0.0 else 1.0 -. q in
   let out_pages = fi (pages_of ~tuples:groups ~tuples_per_page:out_tuples_per_page) in
   {

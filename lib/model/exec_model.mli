@@ -29,12 +29,17 @@ val aggregate_ops :
   mem_pages:int ->
   fudge:float ->
   comp_specs:int ->
+  est_groups:int ->
   groups:int ->
   out_tuples_per_page:int ->
   input ->
   Join_model.ops
-(** Hybrid hash aggregation into [groups] groups; [comp_specs] is the
-    number of Min/Max specs (each charges a comparison per tuple). *)
+(** Hash aggregation into [groups] groups, sized as
+    [Mmdb_exec.Aggregate.hybrid] sizes it: one pass when the pages
+    [est_groups] output rows fill (at [out_tuples_per_page]) fit in
+    [mem_pages], else the hybrid split with B and q computed from those
+    pages.  [comp_specs] is the number of Min/Max specs (each charges a
+    comparison per tuple). *)
 
 val distinct_ops :
   mem_pages:int ->

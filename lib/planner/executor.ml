@@ -54,7 +54,8 @@ let drain catalog out sink =
     release catalog rel
   | Stream (_, push) -> push sink
 
-(* A stream becomes a relation only for a blocking operator or {!run}'s root. *)
+(* A stream becomes a relation only for a blocking operator, {!run}'s
+   root or {!run_traced}'s nodes. *)
 let materialise disk = function
   | Rel rel -> rel
   | Stream (schema, push) ->
@@ -65,9 +66,10 @@ let materialise disk = function
 
 (* Open one plan node; children open through [recurse] so callers can
    interpose instrumentation (see {!run_traced}).  A scan passes its
-   table; index lookups, filters and plain projections stream; every
-   other node runs its [Mmdb_exec] operator here over materialised
-   inputs, which are freed once it has consumed them. *)
+   table; index lookups, filters, plain projections and joins stream; an
+   aggregation drains its input as it arrives; every other node runs its
+   [Mmdb_exec] operator here over materialised inputs.  Inputs are freed
+   once consumed. *)
 let open_node ~recurse catalog cfg plan =
   let disk = disk_of catalog plan in
   let inputs = ref [] in
@@ -88,9 +90,16 @@ let open_node ~recurse catalog cfg plan =
     let hit = Catalog.lookup catalog table (S.Tuple.encode_key schema value) in
     Stream (schema, fun sink -> Option.iter sink hit)
   | Optimizer.P_filter { input; pred } ->
+    (* One comparison per predicate evaluation. *)
+    let env = S.Disk.env disk in
     let src = recurse catalog cfg input in
     let keep = Algebra.eval_predicate (schema_of src) pred in
-    Stream (schema_of src, fun sink -> drain catalog src (fun t -> if keep t then sink t))
+    Stream
+      ( schema_of src,
+        fun sink ->
+          drain catalog src (fun t ->
+              S.Env.charge_comp env;
+              if keep t then sink t) )
   | Optimizer.P_project { input; columns; distinct = false } ->
     let src = recurse catalog cfg input in
     let out_schema = E.Projection.project_schema (schema_of src) ~cols:columns in
@@ -107,20 +116,29 @@ let open_node ~recurse catalog cfg plan =
     in
     let l_schema = S.Relation.schema lrel and r_schema = S.Relation.schema rrel in
     let out_schema = E.Join_common.result_schema ~r_schema:l_schema ~s_schema:r_schema in
-    let out = S.Relation.create ~disk ~name:"#join" ~schema:out_schema in
-    let emit build_tup probe_tup =
-      let left_tup, right_tup =
-        if build_is_left then (build_tup, probe_tup) else (probe_tup, build_tup)
-      in
-      S.Relation.append_nocharge out
-        (E.Join_common.concat_tuples ~r_schema:l_schema ~s_schema:r_schema
-           left_tup right_tup)
-    in
-    ignore (E.Joiner.run choice.Optimizer.algorithm ~mem_pages ~fudge build probe emit);
-    S.Relation.seal out;
-    blocking out
-  | Optimizer.P_aggregate { input = child; group_by; aggs } ->
-    blocking (E.Aggregate.hybrid ~mem_pages ~fudge (rekey (input child) group_by) aggs)
+    Stream
+      ( out_schema,
+        fun sink ->
+          let emit build_tup probe_tup =
+            let left_tup, right_tup =
+              if build_is_left then (build_tup, probe_tup) else (probe_tup, build_tup)
+            in
+            sink
+              (E.Join_common.concat_tuples ~r_schema:l_schema ~s_schema:r_schema
+                 left_tup right_tup)
+          in
+          ignore (E.Joiner.run choice.Optimizer.algorithm ~mem_pages ~fudge build probe emit);
+          List.iter (release catalog) !inputs )
+  | Optimizer.P_aggregate { input = child; group_by; aggs; est_groups = groups; _ } -> (
+    let aggregate source = E.Aggregate.hybrid ~mem_pages ~fudge ~groups source aggs in
+    match recurse catalog cfg child with
+    | Rel rel ->
+      let out = aggregate (E.Aggregate.Relation (rekey rel group_by)) in
+      release catalog rel;
+      Rel out
+    | Stream (schema, push) ->
+      let schema = S.Schema.with_key schema group_by in
+      Rel (aggregate (E.Aggregate.Stream { disk; schema; push })))
   | Optimizer.P_set_op { op; left; right } ->
     (* Sequential lets: the left child must execute first so traced paths
        ($.0 = left) are deterministic. *)
@@ -193,8 +211,9 @@ let kind_of = function
 let run_traced catalog cfg plan =
   let env = S.Relation.env (base_relation catalog plan) in
   let disk = disk_of catalog plan in
-  (* Each node's observation, in post-order; a stream's is read once the
-     root has drained it. *)
+  (* Each node's observation, in post-order.  A node's output is
+     materialised (uncharged) before its counters are read, so a stream's
+     work is charged to the node that produced it. *)
   let acc = ref [] in
   let rec go path plan =
     let before = S.Counters.snapshot env.S.Env.counters in
@@ -212,7 +231,7 @@ let run_traced catalog cfg plan =
       child_seconds := !child_seconds +. (S.Env.elapsed env -. ct0);
       r
     in
-    let out = open_node ~recurse catalog cfg plan in
+    let out = materialise disk (open_node ~recurse catalog cfg plan) in
     let total = S.Counters.diff ~after:env.S.Env.counters ~before in
     let total_seconds = S.Env.elapsed env -. t0 in
     (* The node's own work is the total minus every child's activity. *)
@@ -221,33 +240,25 @@ let run_traced catalog cfg plan =
         (fun a c -> S.Counters.diff ~after:a ~before:c)
         total !child_diffs
     in
-    (* A stream counts its tuples as they flow; its pages are those its
-       relation would fill, ⌈tuples / per page⌉, as a relation's are. *)
-    let tuples = ref (match out with Rel rel -> S.Relation.ntuples rel | Stream _ -> 0) in
-    let per_page =
-      S.Page.capacity ~page_size:(S.Disk.page_size disk)
-        ~tuple_width:(S.Schema.tuple_width (schema_of out))
-    in
+    let tuples = S.Relation.ntuples out in
+    let per_page = S.Relation.tuples_per_page out in
     acc :=
-      (fun () ->
-        {
-          path;
-          kind = kind_of plan;
-          output_tuples = !tuples;
-          output_pages = (!tuples + per_page - 1) / per_page;
-          output_tuples_per_page = per_page;
-          total;
-          self;
-          total_seconds;
-          self_seconds = total_seconds -. !child_seconds;
-        })
+      {
+        path;
+        kind = kind_of plan;
+        output_tuples = tuples;
+        output_pages = (tuples + per_page - 1) / per_page;
+        output_tuples_per_page = per_page;
+        total;
+        self;
+        total_seconds;
+        self_seconds = total_seconds -. !child_seconds;
+      }
       :: !acc;
-    match out with
-    | Rel _ -> out
-    | Stream (schema, push) -> Stream (schema, fun sink -> push (fun t -> incr tuples; sink t))
+    Rel out
   in
   let result = materialise disk (go "$" plan) in
-  (result, List.rev_map (fun o -> o ()) !acc)
+  (result, List.rev !acc)
 
 let query ?deadline catalog cfg expr =
   run ?deadline catalog cfg (Optimizer.plan catalog cfg expr)

@@ -1,11 +1,16 @@
 (** Plan execution over the storage and operator layers.
 
-    Scans, index lookups, filters and non-distinct projections stream
-    encoded tuples into their parent and build no relation.  Joins,
-    aggregates, set operations, [ORDER BY] and [DISTINCT] block: their
-    [Mmdb_exec] operators take relations, so a streamed input is appended
-    (uncharged) into a temporary relation on the base tables' simulated
-    disk, and a scan passes its table itself.  Join inputs are re-keyed views
+    Scans, index lookups, filters, non-distinct projections and joins
+    stream encoded tuples into their parent and build no relation: a
+    join runs its algorithm when its parent drains it and frees its
+    inputs after.  A filter charges one comparison per tuple it tests.
+    An aggregation drains its input straight into its group table when
+    the optimizer's group estimate fits in memory
+    ({!Mmdb_exec.Aggregate.hybrid}).  Set operations, [ORDER BY],
+    [DISTINCT] and a join's inputs block: their [Mmdb_exec] operators
+    take relations, so a streamed input is appended (uncharged) into a
+    temporary relation on the base tables' simulated disk, and a scan
+    passes its table itself.  Join inputs are re-keyed views
     ({!Mmdb_storage.Relation.with_schema}) so any column can serve as the
     join key; join outputs concatenate left-then-right regardless of which
     side the optimizer chose to build on. *)
@@ -49,11 +54,13 @@ type node_obs = {
 val run_traced : Catalog.t -> Optimizer.config -> Optimizer.plan ->
   Mmdb_storage.Relation.t * node_obs list
 (** Like {!run}, through the same nodes, but records each plan node's
-    observed operation counters and simulated seconds, in post-order,
-    taken as it opens: every charged operation runs then (an index
-    lookup probes as it opens).  The [self] fields isolate one
-    operator's charges so they can be checked against the cost model's
-    prediction for that node ([Mmdb_verify.Model_check]). *)
+    observed operation counters and simulated seconds, in post-order.
+    Each node's output is materialised (uncharged) before its counters
+    are read, so a streamed node's work (a join's hashes and
+    comparisons, a filter's comparisons) is charged to that node, not to
+    the parent that drains it.  The [self] fields isolate one operator's
+    charges so they can be checked against the cost model's prediction
+    for that node ([Mmdb_verify.Model_check]). *)
 
 val query : ?deadline:Mmdb_overload.Overload.Deadline.t -> Catalog.t ->
   Optimizer.config -> Algebra.expr -> Mmdb_storage.Relation.t

@@ -42,6 +42,8 @@ type plan =
       input : plan;
       group_by : string;
       aggs : Mmdb_exec.Aggregate.spec list;
+      est_groups : int;
+      est_partitions : int;
     }
   | P_order_by of { input : plan; column : string; descending : bool }
   | P_set_op of { op : Algebra.set_op; left : plan; right : plan }
@@ -285,8 +287,13 @@ let plan catalog cfg expr =
     | Algebra.Join { left; right; left_key; right_key } ->
       let choice = choose_join catalog cfg left right in
       P_join { left = go left; right = go right; left_key; right_key; choice }
-    | Algebra.Aggregate { input; group_by; aggs } ->
-      P_aggregate { input = go input; group_by; aggs }
+    | Algebra.Aggregate { input; group_by; aggs } as agg ->
+      let est_groups = int_of_float (Float.ceil (Selectivity.estimate catalog agg)) in
+      let est_partitions =
+        E.Aggregate.partitions ~mem_pages:cfg.mem_pages ~fudge:cfg.fudge ~groups:est_groups
+          ~tuples_per_page:(tuples_per_page_of catalog agg)
+      in
+      P_aggregate { input = go input; group_by; aggs; est_groups; est_partitions }
     | Algebra.Order_by { input; column; descending } ->
       P_order_by { input = go input; column; descending }
     | Algebra.Set_op { op; left; right } ->
@@ -354,11 +361,13 @@ let explain plan =
            choice.est_build_pages choice.est_probe_pages choice.est_seconds);
       go (indent + 2) left;
       go (indent + 2) right
-    | P_aggregate { input; group_by; aggs } ->
+    | P_aggregate { input; group_by; aggs; est_groups; est_partitions } ->
       Buffer.add_string buf
-        (Printf.sprintf "%saggregate by %s (%d aggs)\n" pad group_by
+        (Printf.sprintf "%saggregate by %s (%d aggs) groups=%d %s\n" pad group_by
            (* perf_lint: explain printer; one length per aggregate node *)
-           (List.length aggs));
+           (List.length aggs) est_groups
+           (if est_partitions = 0 then "one-pass"
+            else Printf.sprintf "two-pass B=%d" est_partitions));
       go (indent + 2) input
     | P_order_by { input; column; descending } ->
       Buffer.add_string buf

@@ -63,6 +63,11 @@ type plan =
       input : plan;
       group_by : string;
       aggs : Mmdb_exec.Aggregate.spec list;
+      est_groups : int;
+          (** {!Selectivity.estimate} of the aggregation, rounded up: the
+              group count {!Mmdb_exec.Aggregate.hybrid} is sized by *)
+      est_partitions : int;
+          (** its disk partitions B at that count; 0 is one pass *)
     }
   | P_order_by of { input : plan; column : string; descending : bool }
   | P_set_op of { op : Algebra.set_op; left : plan; right : plan }
@@ -92,4 +97,6 @@ val join_choices : plan -> join_choice list
 
 val explain : plan -> string
 (** Human-readable plan tree with algorithm choices and estimates; an
-    index probe prints as [index-lookup acct.id = 7 (btree)]. *)
+    index probe prints as [index-lookup acct.id = 7 (btree)], an
+    aggregation as [aggregate by r_dept (1 aggs) groups=20 one-pass]
+    (or [two-pass B=3] when its groups overflow [mem_pages]). *)

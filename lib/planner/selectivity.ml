@@ -50,10 +50,18 @@ let rec find_column_stats catalog expr column =
   | Algebra.Project { input; columns; _ } ->
     if List.mem column columns then find_column_stats catalog input column
     else None
-  | Algebra.Join { left; right; _ } -> (
-    match find_column_stats catalog left column with
-    | Some cs -> Some cs
-    | None -> find_column_stats catalog right column)
+  | Algebra.Join { left; right; _ } ->
+    (* A join output column is its side's column prefixed [r_] or [s_]
+       (Join_common.result_schema); an unprefixed name is looked up on
+       either side. *)
+    let side prefix input () =
+      if String.starts_with ~prefix column then
+        let pl = String.length prefix in
+        find_column_stats catalog input (String.sub column pl (String.length column - pl))
+      else None
+    in
+    List.find_map (fun f -> f ())
+      [ side "r_" left; side "s_" right; side "" left; side "" right ]
   | Algebra.Order_by { input; _ } -> find_column_stats catalog input column
   | Algebra.Set_op { left; _ } -> find_column_stats catalog left column
   | Algebra.Aggregate _ -> None

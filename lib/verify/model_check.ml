@@ -25,7 +25,7 @@ type tolerance = {
   seconds : band;
 }
 
-(* Operators that never charge (scan, filter, plain projection run on the
+(* Operators that never charge (scan and plain projection run on the
    nocharge paths): predicted zero, observed must be zero. *)
 let silent_band = band 1.0 1.0
 let silent =
@@ -82,8 +82,13 @@ let sort_tolerance =
 let index_tolerance =
   { silent with comps = band ~abs:2.0 0.5 1.5; seconds = band ~abs:6e-6 0.5 1.5 }
 
+(* A filter charges exactly one comparison per tuple it tests. *)
+let filter_tolerance =
+  { silent with comps = band 1.0 1.0; seconds = band ~abs:1e-9 1.0 1.0 }
+
 let tolerance_for kind =
-  if kind = "filter" || kind = "project" then silent
+  if kind = "filter" then filter_tolerance
+  else if kind = "project" then silent
   else if String.starts_with ~prefix:"scan:" kind then silent
   else if String.starts_with ~prefix:"index:" kind then index_tolerance
   else if kind = "join:sort-merge" || kind = "order-by" then sort_tolerance
@@ -206,7 +211,11 @@ let predict_node catalog (cfg : P.Optimizer.config) ~kind plan
   let mem_pages = cfg.P.Optimizer.mem_pages and fudge = cfg.P.Optimizer.fudge in
   let out_tpp = self_obs.P.Executor.output_tuples_per_page in
   match plan with
-  | P.Optimizer.P_scan _ | P.Optimizer.P_filter _ -> Ok JM.zero_ops
+  | P.Optimizer.P_scan _ -> Ok JM.zero_ops
+  | P.Optimizer.P_filter _ -> (
+    match children with
+    | [ child ] -> Ok { JM.zero_ops with JM.comps = float_of_int child.P.Executor.output_tuples }
+    | _ -> Error "filter expects one input")
   | P.Optimizer.P_index_lookup { table; kind; _ } ->
     (* Section 2's per-lookup comparisons at the table's current size. *)
     let am =
@@ -259,7 +268,7 @@ let predict_node catalog (cfg : P.Optimizer.config) ~kind plan
              w ~m:mem_pages)
       | exception Invalid_argument msg -> Error msg)
     | _ -> Error "join expects two inputs")
-  | P.Optimizer.P_aggregate { aggs; _ } -> (
+  | P.Optimizer.P_aggregate { aggs; est_groups; _ } -> (
     match children with
     | [ child ] ->
       let comp_specs =
@@ -271,7 +280,7 @@ let predict_node catalog (cfg : P.Optimizer.config) ~kind plan
              aggs)
       in
       Ok
-        (XM.aggregate_ops ~mem_pages ~fudge ~comp_specs
+        (XM.aggregate_ops ~mem_pages ~fudge ~comp_specs ~est_groups
            ~groups:self_obs.P.Executor.output_tuples
            ~out_tuples_per_page:(max 1 out_tpp) (input_of_obs child))
     | _ -> Error "aggregate expects one input")
@@ -565,7 +574,13 @@ let run_suite ?(seed = 42) ?(tolerance_scale = 1.0) () =
       (join ~left_key:"r_k" ~right_key:"k"
          (join ~left_key:"k" ~right_key:"k" (scan "r") (scan "t"))
          (scan "s"));
+    (* s's groups fill 12 pages: one pass at |M| = 16, spilled at 8. *)
     conformance "plan/aggregate"
+      (aggregate ~group_by:"k"
+         ~aggs:[ E.Aggregate.Count; E.Aggregate.Sum "v"; E.Aggregate.Max "v" ]
+         (scan "s"));
+    conformance "plan/aggregate/spilled"
+      ~cfg:{ cfg with P.Optimizer.mem_pages = 8 }
       (aggregate ~group_by:"k"
          ~aggs:[ E.Aggregate.Count; E.Aggregate.Sum "v"; E.Aggregate.Max "v" ]
          (scan "s"));

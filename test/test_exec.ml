@@ -512,7 +512,7 @@ let test_one_pass_aggregate () =
   let _, disk = fresh_disk () in
   let rel = load disk "T" (r_schema ()) (agg_input ()) in
   let out =
-    E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 rel
+    E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 ~groups:3 (E.Aggregate.Relation rel)
       [ E.Aggregate.Count; E.Aggregate.Sum "v"; E.Aggregate.Min "v";
         E.Aggregate.Max "v"; E.Aggregate.Avg "v" ]
   in
@@ -531,8 +531,9 @@ let test_hybrid_aggregate_matches_one_pass () =
   let pairs = random_pairs rng 1500 200 in
   let rel = load disk "T" (r_schema ()) pairs in
   let specs = [ E.Aggregate.Count; E.Aggregate.Sum "v" ] in
-  let a = E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 rel specs in
-  let b = E.Aggregate.hybrid ~mem_pages:3 ~fudge:1.2 rel specs in
+  let agg mem_pages = E.Aggregate.hybrid ~mem_pages ~fudge:1.2 ~groups:200 (E.Aggregate.Relation rel) specs in
+  let a = agg max_int in
+  let b = agg 3 in
   Alcotest.(check (list (list int)))
     "hybrid = one-pass" (decode_agg a) (decode_agg b)
 
@@ -540,7 +541,8 @@ let test_aggregate_empty () =
   let _, disk = fresh_disk () in
   let rel = load disk "T" (r_schema ()) [] in
   let out =
-    E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 rel [ E.Aggregate.Count ]
+    E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 ~groups:0 (E.Aggregate.Relation rel)
+      [ E.Aggregate.Count ]
   in
   checki "no groups" 0 (S.Relation.ntuples out)
 
@@ -561,7 +563,9 @@ let test_sort_based_aggregate_matches_hash () =
     [ E.Aggregate.Count; E.Aggregate.Sum "v"; E.Aggregate.Min "v";
       E.Aggregate.Max "v" ]
   in
-  let hash_out = E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 rel specs in
+  let hash_out =
+    E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 ~groups:150 (E.Aggregate.Relation rel) specs
+  in
   let sort_out = E.Aggregate.sort_based ~mem_pages:4 rel specs in
   Alcotest.(check (list (list int)))
     "sort-based = hash" (decode_agg hash_out) (decode_agg sort_out)
@@ -580,7 +584,7 @@ let test_sort_based_aggregate_costs_more () =
   in
   let hash_t =
     time (fun () ->
-        E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 rel
+        E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 ~groups:100 (E.Aggregate.Relation rel)
           [ E.Aggregate.Count ])
   in
   let sort_t =
@@ -589,6 +593,71 @@ let test_sort_based_aggregate_costs_more () =
   checkb
     (Printf.sprintf "hash %.3fs < sort %.3fs" hash_t sort_t)
     true (hash_t < sort_t)
+
+(* [n] 100-byte tuples (key, value, 84-byte pad) whose keys fall in
+   [groups] distinct values, on a 4 KiB-page disk. *)
+let wide_input ~n ~groups =
+  let env, disk = fresh_disk ~page_size:4096 () in
+  let schema =
+    S.Schema.create ~key:"k"
+      [ S.Schema.column "k" S.Schema.Int; S.Schema.column "v" S.Schema.Int;
+        S.Schema.column ~width:84 "pad" S.Schema.Fixed_string ]
+  in
+  let rng = U.Xorshift.create 77 in
+  let rel =
+    S.Relation.of_tuples ~disk ~name:"T" ~schema
+      (List.init n (fun i ->
+           S.Tuple.encode schema
+             [ S.Tuple.VInt (U.Xorshift.int rng groups); S.Tuple.VInt i; S.Tuple.VStr "" ]))
+  in
+  (env, disk, rel)
+
+(* [hybrid] over [rel] read as a relation and as a stream: the two agree
+   on their rows and charges; returns the rows and the relation run's
+   counter delta. *)
+let aggregate_both env disk rel ~mem_pages ~groups specs =
+  let run source =
+    let before = S.Counters.snapshot env.S.Env.counters in
+    let out = E.Aggregate.hybrid ~mem_pages ~fudge:1.2 ~groups source specs in
+    let delta = S.Counters.diff ~after:env.S.Env.counters ~before in
+    (decode_agg out, delta, S.Relation.npages out)
+  in
+  let rows, delta, out_pages = run (E.Aggregate.Relation rel) in
+  let stream =
+    E.Aggregate.Stream
+      { disk; schema = S.Relation.schema rel; push = S.Relation.iter_tuples_nocharge rel }
+  in
+  let s_rows, s_delta, _ = run stream in
+  Alcotest.(check (list (list int))) "stream rows = relation rows" rows s_rows;
+  checkb "stream charges = relation charges" true (s_delta = delta);
+  (rows, delta, out_pages)
+
+let test_aggregate_groups_fit_one_pass () =
+  (* 100 groups fill one page of |M| = 64, though the 20,000 input
+     tuples fill 500: one pass, each tuple hashed once, no partition
+     written, nothing read back. *)
+  let env, disk, rel = wide_input ~n:20_000 ~groups:100 in
+  let specs = [ E.Aggregate.Count; E.Aggregate.Sum "v" ] in
+  let rows, c, out_pages = aggregate_both env disk rel ~mem_pages:64 ~groups:100 specs in
+  checki "one hash per tuple" 20_000 c.S.Counters.hashes;
+  checki "no random writes" 0 c.S.Counters.rand_writes;
+  checki "only the result written" out_pages c.S.Counters.seq_writes;
+  checki "nothing read" 0 (c.S.Counters.seq_reads + c.S.Counters.rand_reads);
+  Alcotest.(check (list (list int)))
+    "= sort-based" (decode_agg (E.Aggregate.sort_based ~mem_pages:64 rel specs)) rows
+
+let test_aggregate_groups_overflow_spill () =
+  (* 40,000 groups fill far more than |M| = 8 pages: the hybrid split
+     writes partitions and reads them back, and every tuple is hashed
+     twice, once by the split and once into the group table. *)
+  let env, disk, rel = wide_input ~n:40_000 ~groups:40_000 in
+  let specs = [ E.Aggregate.Count; E.Aggregate.Min "v" ] in
+  let rows, c, out_pages = aggregate_both env disk rel ~mem_pages:8 ~groups:40_000 specs in
+  checkb "partitions written" true (c.S.Counters.seq_writes + c.S.Counters.rand_writes > out_pages);
+  checkb "partitions read back" true (c.S.Counters.seq_reads > 0);
+  checki "two hashes per tuple" 80_000 c.S.Counters.hashes;
+  Alcotest.(check (list (list int)))
+    "= sort-based" (decode_agg (E.Aggregate.sort_based ~mem_pages:8 rel specs)) rows
 
 (* ------------------------------------------------------------------ *)
 (* Pinned charges                                                      *)
@@ -631,17 +700,18 @@ let test_pinned_hybrid_join_charges () =
     env
 
 let test_pinned_hybrid_aggregate_charges () =
+  (* 700 expected groups of 48-byte result rows fill 350 pages: B = 38. *)
   let env, disk = fresh_disk () in
   let rng = U.Xorshift.create 2025 in
   let rel = load disk "T" (r_schema ()) (random_pairs rng 2000 700) in
   let out =
-    E.Aggregate.hybrid ~mem_pages:12 ~fudge:1.2 rel
+    E.Aggregate.hybrid ~mem_pages:12 ~fudge:1.2 ~groups:700 (E.Aggregate.Relation rel)
       [ E.Aggregate.Count; E.Aggregate.Sum "v"; E.Aggregate.Min "v";
         E.Aggregate.Max "v"; E.Aggregate.Avg "v" ]
   in
   checki "groups" 667 (S.Relation.ntuples out);
   check_charges "hybrid aggregate"
-    ([ 6000; 4000; 2667; 0; 301; 334; 0; 301 ], 4624060975706478330L)
+    ([ 6000; 4000; 2667; 0; 303; 334; 0; 303 ], 4624100382203217786L)
     env
 
 (* ------------------------------------------------------------------ *)
@@ -838,6 +908,10 @@ let () =
             test_sort_based_aggregate_matches_hash;
           Alcotest.test_case "hash beats sort (3.9)" `Quick
             test_sort_based_aggregate_costs_more;
+          Alcotest.test_case "groups fit: one pass" `Quick
+            test_aggregate_groups_fit_one_pass;
+          Alcotest.test_case "groups overflow: spill" `Quick
+            test_aggregate_groups_overflow_spill;
         ] );
       ( "pinned charges",
         [

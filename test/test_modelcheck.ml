@@ -130,19 +130,22 @@ let test_ops_of_counters () =
   checkb "seq reads+writes merge" true (o.JM.seq_ios = 30.0);
   checkb "rand reads+writes merge" true (o.JM.rand_ios = 42.0)
 
-let test_scan_and_filter_silent () =
-  (* Nocharge operators must predict and observe exactly zero. *)
-  let catalog, _r, _s = corpus () in
+let test_scan_silent_filter_charged () =
+  (* A scan predicts and observes exactly zero; a filter exactly one
+     comparison per tuple it tests. *)
+  let catalog, r, _s = corpus () in
   let reports =
     MC.check_plan catalog cfg
       (A.select ~column:"v" ~op:A.Lt ~value:(S.Tuple.VInt 100) (A.scan "r"))
   in
   checki "two nodes traced" 2 (List.length reports);
+  let tested = { JM.zero_ops with JM.comps = float_of_int (S.Relation.ntuples r) } in
   List.iter
     (fun (r : MC.node_report) ->
       checkb (r.MC.kind ^ " clean") true (r.MC.diags = []);
-      checkb (r.MC.kind ^ " observed nothing") true
-        (r.MC.observed = JM.zero_ops))
+      let expected = if r.MC.kind = "filter" then tested else JM.zero_ops in
+      checkb (r.MC.kind ^ " observed") true (r.MC.observed = expected);
+      checkb (r.MC.kind ^ " predicted") true (r.MC.predicted = expected))
     reports
 
 (* A table of [n] unique keys 0..n-1, registered alone in a catalog. *)
@@ -302,8 +305,8 @@ let () =
           Alcotest.test_case "invalid workload skipped (MODEL011)" `Quick
             test_model011_on_invalid_workload;
           Alcotest.test_case "counter projection" `Quick test_ops_of_counters;
-          Alcotest.test_case "nocharge operators silent" `Quick
-            test_scan_and_filter_silent;
+          Alcotest.test_case "scan silent, filter one comp per tuple" `Quick
+            test_scan_silent_filter_charged;
           Alcotest.test_case "index lookups conform" `Quick
             test_index_lookup_conforms;
           Alcotest.test_case "index misprediction flagged (MODEL001)" `Quick

@@ -299,6 +299,22 @@ let test_selectivity_aggregate () =
   in
   feq "groups = distinct depts" 10.0 (P.Selectivity.estimate cat e)
 
+let test_selectivity_aggregate_over_join () =
+  (* A join prefixes its columns r_/s_; the group estimate resolves the
+     prefix on its side and reads the catalog's distinct count. *)
+  let _, _, cat = setup () in
+  let grouped column =
+    A.aggregate ~group_by:column ~aggs:[ E.Aggregate.Count ]
+      (A.join ~left_key:"dept" ~right_key:"dept_id" (A.scan "emp") (A.scan "dept"))
+  in
+  let distinct table column =
+    float_of_int (P.Catalog.column_stats cat ~table ~column).P.Catalog.ndistinct
+  in
+  feq "r_dept = emp.dept distinct" (distinct "emp" "dept")
+    (P.Selectivity.estimate cat (grouped "r_dept"));
+  feq "s_budget = dept.budget distinct" (distinct "dept" "budget")
+    (P.Selectivity.estimate cat (grouped "s_budget"))
+
 (* ------------------------------------------------------------------ *)
 (* Optimizer                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -541,6 +557,34 @@ let test_execute_three_way_join () =
   checki "10 groups" 10 (List.length rows);
   checki "counts total 200" 200
     (List.fold_left (fun a r -> a + List.nth r 1) 0 rows)
+
+(* [run_traced] materialises each node before it reads its counters, so
+   a join's own charges (its output streamed into an aggregation) are
+   exactly those of the join run alone. *)
+let test_traced_join_counters () =
+  let _, _, cat = setup ~n_emp:2000 () in
+  let cfg = { cfg with P.Optimizer.mem_pages = 4 } in
+  let plan =
+    P.Optimizer.plan cat cfg
+      (A.aggregate ~group_by:"s_budget" ~aggs:[ E.Aggregate.Count ]
+         (A.join ~left_key:"dept" ~right_key:"dept_id" (A.scan "emp") (A.scan "dept")))
+  in
+  let _, nodes = P.Executor.run_traced cat cfg plan in
+  let join = List.find (fun (o : P.Executor.node_obs) -> o.P.Executor.path = "$.0") nodes in
+  let choice = List.hd (P.Optimizer.join_choices plan) in
+  let rekey name key =
+    let rel = P.Catalog.find cat name in
+    S.Relation.with_schema rel (S.Schema.with_key (S.Relation.schema rel) key)
+  in
+  let emp = rekey "emp" "dept" and dept = rekey "dept" "dept_id" in
+  let build, probe = if choice.P.Optimizer.swapped then (dept, emp) else (emp, dept) in
+  let alone =
+    E.Joiner.run_measured choice.P.Optimizer.algorithm ~mem_pages:cfg.P.Optimizer.mem_pages
+      ~fudge:cfg.P.Optimizer.fudge build probe
+  in
+  checkb "join charged" true (alone.E.Op_stats.counters.S.Counters.hashes > 0);
+  checkb "traced join self = join alone" true (join.P.Executor.self = alone.E.Op_stats.counters);
+  checki "join output" 2000 join.P.Executor.output_tuples
 
 (* ------------------------------------------------------------------ *)
 (* Naive reference evaluator + random query trees                      *)
@@ -853,6 +897,8 @@ let () =
             test_selectivity_histogram_skew;
           Alcotest.test_case "join" `Quick test_selectivity_join;
           Alcotest.test_case "aggregate" `Quick test_selectivity_aggregate;
+          Alcotest.test_case "aggregate over a join" `Quick
+            test_selectivity_aggregate_over_join;
         ] );
       ( "optimizer",
         [
@@ -887,6 +933,8 @@ let () =
             test_execute_order_by_above_aggregate;
           Alcotest.test_case "join + aggregate" `Quick
             test_execute_three_way_join;
+          Alcotest.test_case "traced join counters" `Quick
+            test_traced_join_counters;
           QCheck_alcotest.to_alcotest qcheck_planner_matches_naive;
           Alcotest.test_case "point statements allocate no page" `Quick
             test_point_statement_pages;
