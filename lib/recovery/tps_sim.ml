@@ -52,27 +52,3 @@ let run ?(nrecords = 1000) ?(arrival_interval = 0.0) ~n_txns strategy =
     log_pages = Wal.pages_written wal;
     log_disk_bytes = Wal.disk_bytes_written wal;
   }
-
-let paper_ladder () =
-  let model = Mmdb_model.Recovery_model.gray_banking in
-  let open Mmdb_model.Recovery_model in
-  let cases =
-    [
-      (Wal.Conventional, conventional_tps model);
-      (Wal.Group_commit, group_commit_tps model);
-      (Wal.Partitioned { devices = 2 }, partitioned_tps model ~devices:2);
-      (Wal.Partitioned { devices = 4 }, partitioned_tps model ~devices:4);
-      ( Wal.Stable
-          { devices = 1; capacity_bytes = 64 * 1024; compressed = true },
-        stable_memory_tps model ~devices:1 ~compressed:true );
-    ]
-  in
-  (* A large account table keeps lock conflicts — and hence commit-group
-     dependencies — rare, which the paper's multi-device scaling argument
-     tacitly assumes (the low-conflict regime).  The high-conflict regime
-     is an ablation: see `bench recovery-tps`. *)
-  List.map
-    (fun (strategy, predicted) ->
-      let r = run ~nrecords:200_000 ~n_txns:5000 strategy in
-      (r.strategy_label, r.tps, predicted))
-    cases

@@ -30,8 +30,3 @@ val run : ?nrecords:int -> ?arrival_interval:float ->
     after the final flush (a WAL-invariant violation).
     @raise Mmdb_fault.Fault.Io_error from the log device when a fault
     plan is armed. *)
-
-val paper_ladder : unit -> (string * float * float) list
-(** The Section 5.2 ladder: measured vs predicted tps for conventional,
-    group commit, partitioned x{2,4}, and stable memory
-    (compressed) — [(label, measured_tps, model_tps)]. *)

@@ -357,96 +357,6 @@ let test_pager_btree_one_node_per_page () =
     (I.Pager.pages_touched pager <= I.Btree.node_count t)
 
 (* ------------------------------------------------------------------ *)
-(* Paged BST (the Section 2 footnote's structure)                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_bst_basic_ops () =
-  let env = S.Env.create () in
-  let sch = schema () in
-  let t = I.Paged_bst.create ~env ~schema:sch () in
-  List.iter (fun k -> I.Paged_bst.insert t (mk sch k (k * 10))) [ 5; 2; 8; 1; 9 ];
-  checki "length" 5 (I.Paged_bst.length t);
-  (match I.Paged_bst.search t (key sch 8) with
-  | Some tup -> checki "value" 80 (val_of sch tup)
-  | None -> Alcotest.fail "missing");
-  checkb "miss" true (I.Paged_bst.search t (key sch 7) = None);
-  I.Paged_bst.insert t (mk sch 8 99);
-  checki "replace keeps length" 5 (I.Paged_bst.length t);
-  (match I.Paged_bst.search t (key sch 8) with
-  | Some tup -> checki "replaced" 99 (val_of sch tup)
-  | None -> Alcotest.fail "missing after replace");
-  checkb "invariants" true (I.Paged_bst.check_invariants t)
-
-let test_bst_degenerates_on_sorted_input () =
-  (* The footnote: "paged binary trees are not balanced and the worst case
-     access time may be significantly poorer". *)
-  let env = S.Env.create () in
-  let sch = schema () in
-  let n = 2000 in
-  let degenerate = I.Paged_bst.create ~env ~schema:sch () in
-  for k = 1 to n do
-    I.Paged_bst.insert degenerate (mk sch k k)
-  done;
-  checki "sorted insertion = linked list" n (I.Paged_bst.height degenerate);
-  let random_tree = I.Paged_bst.create ~env ~schema:sch () in
-  let keys = Array.init n (fun i -> i) in
-  U.Xorshift.shuffle (U.Xorshift.create 7) keys;
-  Array.iter (fun k -> I.Paged_bst.insert random_tree (mk sch k k)) keys;
-  let h = I.Paged_bst.height random_tree in
-  (* ~1.39 log2 n expected for a random BST; allow generous slack. *)
-  checkb (Printf.sprintf "random height %d reasonable" h) true
-    (h < 4 * int_of_float (Float.log2 (float_of_int n)));
-  checkb "still a valid BST" true (I.Paged_bst.check_invariants random_tree)
-
-let test_bst_vs_avl_comparisons () =
-  let env_bst = S.Env.create () and env_avl = S.Env.create () in
-  let sch = schema () in
-  let bst = I.Paged_bst.create ~env:env_bst ~schema:sch () in
-  let avl = I.Avl.create ~env:env_avl ~schema:sch () in
-  (* Adversarial (sorted) load. *)
-  for k = 1 to 1000 do
-    I.Paged_bst.insert bst (mk sch k k);
-    I.Avl.insert avl (mk sch k k)
-  done;
-  let probe_cost env search =
-    let before = env.S.Env.counters.S.Counters.comparisons in
-    for k = 1 to 1000 do
-      ignore (search (key sch k))
-    done;
-    env.S.Env.counters.S.Counters.comparisons - before
-  in
-  let bst_comps = probe_cost env_bst (I.Paged_bst.search bst) in
-  let avl_comps = probe_cost env_avl (I.Avl.search avl) in
-  checkb
-    (Printf.sprintf "degenerate BST (%d comps) >> AVL (%d comps)" bst_comps
-       avl_comps)
-    true
-    (bst_comps > 20 * avl_comps)
-
-let qcheck_bst_matches_map =
-  QCheck.Test.make ~name:"paged BST equals Map on inserts/searches" ~count:80
-    QCheck.(list (pair (int_range 0 60) (int_range 0 1000)))
-    (fun ops ->
-      let sch = schema () in
-      let env = S.Env.create () in
-      let t = I.Paged_bst.create ~env ~schema:sch () in
-      let model =
-        List.fold_left
-          (fun m (k, v) ->
-            I.Paged_bst.insert t (mk sch k v);
-            IntMap.add k v m)
-          IntMap.empty ops
-      in
-      IntMap.for_all
-        (fun k v ->
-          match I.Paged_bst.search t (key sch k) with
-          | Some tup -> val_of sch tup = v
-          | None -> false)
-        model
-      && I.Paged_bst.length t = IntMap.cardinal model
-      && I.Paged_bst.check_invariants t)
-
-(* ------------------------------------------------------------------ *)
 (* QCheck cross-structure equivalence                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -518,15 +428,6 @@ let () =
             test_pager_faults_under_pressure;
           Alcotest.test_case "btree node pages" `Quick
             test_pager_btree_one_node_per_page;
-        ] );
-      ( "paged_bst",
-        [
-          Alcotest.test_case "basic ops" `Quick test_bst_basic_ops;
-          Alcotest.test_case "degenerates on sorted input" `Quick
-            test_bst_degenerates_on_sorted_input;
-          Alcotest.test_case "footnote: BST >> AVL comparisons" `Quick
-            test_bst_vs_avl_comparisons;
-          QCheck_alcotest.to_alcotest qcheck_bst_matches_map;
         ] );
       ( "equivalence",
         [ QCheck_alcotest.to_alcotest qcheck_avl_btree_agree ] );

@@ -998,14 +998,6 @@ let test_tps_latency_sane () =
      page write. *)
   within "latency = 10ms" 0.01 r.R.Tps_sim.latency.U.Stats.mean 10e-3
 
-let test_paper_ladder_shape () =
-  let ladder = R.Tps_sim.paper_ladder () in
-  checki "5 rungs" 5 (List.length ladder);
-  List.iter
-    (fun (label, measured, predicted) ->
-      within (label ^ " within 12% of model") 0.12 measured predicted)
-    ladder
-
 (* ------------------------------------------------------------------ *)
 (* Recovery_manager: end-to-end crash consistency                      *)
 (* ------------------------------------------------------------------ *)
@@ -1805,7 +1797,6 @@ let () =
           Alcotest.test_case "stable compressed ~1800" `Quick
             test_tps_stable_compressed_1800;
           Alcotest.test_case "open-loop latency" `Quick test_tps_latency_sane;
-          Alcotest.test_case "paper ladder" `Slow test_paper_ladder_shape;
         ] );
       ( "recovery_manager",
         [

@@ -518,16 +518,6 @@ let btree_ops sch =
     check = (fun () -> I.Btree.check_invariants t);
   }
 
-let bst_ops sch =
-  let env = S.Env.create () in
-  let t = I.Paged_bst.create ~env ~schema:sch () in
-  {
-    insert = I.Paged_bst.insert t;
-    search = I.Paged_bst.search t;
-    length = (fun () -> I.Paged_bst.length t);
-    check = (fun () -> I.Paged_bst.check_invariants t);
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Schedule_check: hand-built schedule corpus                          *)
 (* ------------------------------------------------------------------ *)
@@ -1083,8 +1073,6 @@ let () =
             (property_workload "avl" avl_ops 101);
           Alcotest.test_case "btree random workload" `Quick
             (property_workload "btree" btree_ops 202);
-          Alcotest.test_case "paged-bst random workload" `Quick
-            (property_workload "bst" bst_ops 303);
         ] );
       ( "txn-check",
         [
