@@ -4,6 +4,7 @@
      mmdb_cli sql [--explain] [--limit N] "SELECT ..."
      mmdb_cli repl [--demo | --db FILE]
      mmdb_cli check [schedule|fuzz|mvcc|torture|model|lint ...] [--seed N]
+                    [--points N] [--tolerance F] [-v]
      mmdb_cli codes
 
    [check] runs the verification passes (all six by default) and exits
@@ -145,12 +146,10 @@ let sql_cmd =
 
 module V = Mmdb_verify
 
-(* What the passes read.  [seed], [txns] and [points] are [None] when not
-   given on the command line, so each pass keeps its own default. *)
+(* What the passes read.  [seed] and [points] are [None] when not given
+   on the command line, so each pass keeps its own default. *)
 type check_opts = {
-  seed : int option; txns : int option; points : int option;
-  accounts : int; domains : int; scramble : bool; crash : bool;
-  inject : V.Txn_fuzz.inject list; tolerance : float; verbose : bool;
+  seed : int option; points : int option; tolerance : float; verbose : bool;
 }
 
 (* Each pass prints its findings through [Audit.report] and returns its
@@ -182,50 +181,63 @@ let schedule_pass _ =
     (List.length events) (List.length log);
   report [ ("txn schedule", V.Schedule_check.audit ~log events) ]
 
-let fuzz_pass o =
-  let seed = Option.value o.seed ~default:11 in
-  let f =
-    V.Txn_fuzz.run ?txns:o.txns ~accounts:o.accounts ~scramble:o.scramble
-      ~crash:o.crash ~domains:o.domains ~inject:o.inject ~seed ()
+(* A drawn pass: [check] on [points] cases from [gen] as one shrinking
+   property, which holds on a case when [check] returns no broken
+   clause.  It fails only on a counterexample, and prints it shrunk, as
+   the [call] that replays it, with the clauses it broke and its
+   findings. *)
+let drawn_pass o ~name ~points ~what ~call gen check =
+  let drawn = ref 0 in
+  let holds ~counted c =
+    if counted then incr drawn;
+    fst (check c) = []
   in
-  Format.printf
-    "fuzz seed %d, %d domains: %d committed, %d aborted, %d lock waits, %d \
-     deadlocks broken%s@."
-    seed o.domains f.V.Txn_fuzz.committed f.V.Txn_fuzz.aborted
-    f.V.Txn_fuzz.waits f.V.Txn_fuzz.deadlocks
-    (if f.V.Txn_fuzz.crashed then ", crashed mid-schedule" else "");
-  Format.printf "schedule: %d events, %d log records, %d injected races@."
-    (List.length f.V.Txn_fuzz.events)
-    (List.length f.V.Txn_fuzz.log)
-    (List.length f.V.Txn_fuzz.injected);
-  let clean = report [ ("fuzz schedule", f.V.Txn_fuzz.diags) ] in
-  if f.V.Txn_fuzz.injected = [] then clean
-  else begin
-    (* Positive controls: the injected races are expected errors, and the
-       pass fails only on a missed one (a detector bug). *)
-    let missed =
-      List.filter
-        (fun c -> not (U.Diag.has_code c f.V.Txn_fuzz.diags))
-        f.V.Txn_fuzz.injected
-    in
-    List.iter (Format.printf "fuzz: MISSED injected race %s@.") missed;
-    Format.printf "fuzz: %d/%d injected races detected@."
-      (List.length f.V.Txn_fuzz.injected - List.length missed)
-      (List.length f.V.Txn_fuzz.injected);
-    missed = []
-  end
+  match
+    V.Audit.property ~name ~seed:(Option.value o.seed ~default:11)
+      ~count:(Option.value o.points ~default:points) gen holds
+  with
+  | None ->
+    Format.printf "%s: the property holds on %d drawn %s@." name !drawn what;
+    true
+  | Some (c, raised) ->
+    Format.printf "counterexample (shrunk): %s@." (call c);
+    (match raised with
+    | Some e -> Format.printf "  raised %s@." (Printexc.to_string e)
+    | None ->
+      let broken, diags = check c in
+      List.iter (Format.printf "  %s@.") broken;
+      ignore (report [ (name ^ " counterexample", diags) ]));
+    false
+
+let fuzz_pass o =
+  drawn_pass o ~name:"fuzz" ~points:500 ~what:"schedules"
+    ~call:(Format.asprintf "Txn_fuzz.run %a" V.Txn_fuzz.pp_case)
+    V.Txn_fuzz.gen
+    (fun c ->
+      let r = V.Txn_fuzz.run c in
+      (V.Txn_fuzz.violations c r, r.V.Txn_fuzz.diags))
 
 let mvcc_pass o =
-  let r =
-    R.Mvcc_sim.run
-      ~seed:(Option.value o.seed ~default:11)
-      ~n_writers:2_000 ~record_schedule:true R.Mvcc_sim.Versioning
-  in
-  let events = r.R.Mvcc_sim.events in
-  Format.printf "mvcc: %d version-store events across %d domains@."
-    (List.length events)
-    (List.length (V.Schedule.domains events));
-  report [ ("mvcc versions", V.Schedule_check.audit events) ]
+  drawn_pass o ~name:"mvcc" ~points:20 ~what:"versioning runs"
+    ~call:(fun (seed, n_writers) ->
+      Printf.sprintf
+        "Mvcc_sim.run ~seed:%d ~n_writers:%d ~record_schedule:true Versioning"
+        seed n_writers)
+    QCheck2.Gen.(pair (no_shrink (int_bound 1_000_000)) (int_range 1 4_000))
+    (fun (seed, n_writers) ->
+      let r =
+        R.Mvcc_sim.run ~seed ~n_writers ~record_schedule:true
+          R.Mvcc_sim.Versioning
+      in
+      let diags = V.Schedule_check.audit r.R.Mvcc_sim.events in
+      ( List.filter_map
+          (fun (bad, clause) -> if bad then Some clause else None)
+          [
+            ( not r.R.Mvcc_sim.snapshots_consistent,
+              "a snapshot is inconsistent" );
+            (diags <> [], "the version-store trace has findings");
+          ],
+        diags ))
 
 let torture_pass o =
   let r = V.Torture.run ?seed:o.seed ?count:o.points () in
@@ -269,31 +281,11 @@ let passes =
     ("torture", torture_pass); ("model", model_pass); ("lint", lint_pass);
   ]
 
-let inject_of_spec spec =
-  let atom = function
-    | "ww" -> [ `Ww ]
-    | "rw" -> [ `Rw ]
-    | "unguarded" -> [ `Unguarded ]
-    | "release" -> [ `Release_no_acquire ]
-    | "snapshot" -> [ `Snapshot ]
-    | "all" -> [ `Ww; `Rw; `Unguarded; `Release_no_acquire; `Snapshot ]
-    | "" -> []
-    | a ->
-      invalid_arg
-        ("unknown injection `" ^ a
-       ^ "' (expected ww, rw, unguarded, release, snapshot or all)")
-  in
-  List.concat_map
-    (fun tok -> atom (String.trim tok))
-    (String.split_on_char ',' spec)
-
 (* Run the selected passes (all six when none is named) in catalogue
    order and print each verdict.  Exit 0 when every pass is clean, 1 when
-   one fails, 2 on bad input: an unknown pass, a bad spec or an
-   out-of-range number, which the library entry points reject with
-   [Invalid_argument]. *)
-let check names seed txns accounts scramble crash domains inject_spec points
-    tolerance verbose =
+   one fails, 2 on bad input: an unknown pass or an out-of-range number,
+   which the library entry points reject with [Invalid_argument]. *)
+let check names seed points tolerance verbose =
   let run_pass o ok (name, pass) =
     let pass_ok = pass o in
     Format.printf "%s: %s@.@." name (if pass_ok then "ok" else "FAIL");
@@ -308,11 +300,7 @@ let check names seed txns accounts scramble crash domains inject_spec points
             ("unknown pass `" ^ n ^ "' (expected " ^ String.concat ", " known
            ^ ")"))
       names;
-    let inject = inject_of_spec inject_spec in
-    let o =
-      { seed; txns; points; accounts; domains; scramble; crash; inject;
-        tolerance; verbose }
-    in
+    let o = { seed; points; tolerance; verbose } in
     let selected =
       List.filter (fun (n, _) -> names = [] || List.mem n names) passes
     in
@@ -337,36 +325,12 @@ let check_cmd =
       "PRNG seed for every selected pass. Default: 11 for fuzz and mvcc, 7 \
        for torture, 42 for model."
   in
-  let txns =
-    opt Arg.(some int) None "txns"
-      "Fuzz: transactions in the schedule. Default: 40. Torture draws its \
-       own (1-48 per case)."
-  in
-  let accounts =
-    opt Arg.int 16 "accounts" "Fuzzer account count (small = contended)."
-  in
-  let scramble =
-    flag [ "scramble" ]
-      "Fuzz: shuffle each transaction's lock-acquisition order; deadlocks \
-       become possible and must be caught (TXN006/TXN101)."
-  in
-  let crash =
-    flag [ "crash" ]
-      "Fuzz: stop mid-schedule without flushing the log (truncated-trace \
-       tolerance)."
-  in
-  let domains = opt Arg.int 3 "domains" "Simulated domain count for the fuzzer." in
-  let inject =
-    opt Arg.string "" "inject"
-      "Fuzz: comma-separated positive controls seeded into the trace: \
-       $(b,ww), $(b,rw), $(b,unguarded), $(b,release), $(b,snapshot), or \
-       $(b,all). Every injected race must be flagged under its expected code \
-       or the pass fails."
-  in
   let points =
     opt Arg.(some int) None "points"
-      "Torture: cases to draw (each one crash-recovery run, with its \
-       crash-free probes). Default: 2000."
+      "Cases to draw in each drawn pass (each fuzz case one schedule, each \
+       mvcc case one simulation, each torture case one crash-recovery run \
+       with its crash-free probes). Default: 500 for fuzz, 20 for mvcc, \
+       2000 for torture."
   in
   let tolerance =
     opt Arg.float 1.0 "tolerance"
@@ -387,27 +351,26 @@ let check_cmd =
                number or a malformed flag."
             [
               ( 1,
-                "on an error-severity finding, silent corruption, or with \
-                 $(b,--inject) a missed injection." );
+                "on an error-severity finding, silent corruption, or a \
+                 missed injection." );
             ])
        ~doc:
          "Run the verification passes and report their diagnostics. \
-          $(b,schedule) audits a built-in Txn_db schedule and $(b,fuzz) a \
-          seeded multi-domain one against Section 5.2's protocol (2PL to \
-          pre-commit, deadlocks, serializability, group-commit \
-          dependencies) and for races; $(b,mvcc) audits the versioning \
-          engine's snapshot discipline; $(b,torture) crashes the recovery \
-          stack at drawn points (strategy, faults, crash instant, a \
-          restart crash and the replay configuration) and shrinks a \
-          failing case; $(b,model) checks the operators against the \
-          Section 3 cost model; $(b,lint) is the static lint over lib/. \
-          Exits 0 when \
-          every selected pass is clean; 1 on an error-severity finding, \
-          silent corruption, or with $(b,--inject) a missed injection; 2 on \
-          bad input, malformed flags included.")
-    Term.(
-      const check $ names $ seed $ txns $ accounts $ scramble $ crash $ domains
-      $ inject $ points $ tolerance $ verbose)
+          $(b,schedule) audits a built-in Txn_db schedule against Section \
+          5.2's protocol (2PL to pre-commit, deadlocks, serializability, \
+          group-commit dependencies) and for races; $(b,fuzz) audits drawn \
+          schedules (transactions, domains, scrambled lock order, a crash, \
+          an overload spike, injected races) the same way; $(b,mvcc) \
+          audits drawn runs of the versioning engine for snapshot \
+          discipline; $(b,torture) crashes the recovery stack at drawn \
+          points (strategy, faults, crash instant, a restart crash and the \
+          replay configuration). The three drawn passes shrink a failing \
+          case and print it as a call that replays it. $(b,model) checks \
+          the operators against the Section 3 cost model; $(b,lint) is the \
+          static lint over lib/. Exits 0 when every selected pass is clean; \
+          1 on an error-severity finding, silent corruption, or a missed \
+          injection; 2 on bad input, malformed flags included.")
+    Term.(const check $ names $ seed $ points $ tolerance $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* codes                                                               *)

@@ -28,6 +28,31 @@ let report ppf results =
     (D.summary total);
   !all_clean
 
+let property ~name ~seed ~count gen holds =
+  if count < 1 then invalid_arg (name ^ ": count < 1");
+  (* Runs made while shrinking are not counted. *)
+  let drawing = ref true in
+  let handler _ _ = function
+    | QCheck2.Test.Testing _ -> drawing := true
+    | QCheck2.Test.Shrunk _ | QCheck2.Test.Shrinking _ -> drawing := false
+    | QCheck2.Test.Generating | QCheck2.Test.Collecting _ -> ()
+  in
+  let cell =
+    QCheck2.Test.make_cell ~count ~max_fail:1 ~name gen (fun c ->
+        holds ~counted:!drawing c)
+  in
+  let result =
+    QCheck2.Test.check_cell ~handler ~rand:(Random.State.make [| seed |]) cell
+  in
+  match QCheck2.TestResult.get_state result with
+  | QCheck2.TestResult.Success -> None
+  | QCheck2.TestResult.Failed { instances } ->
+    List.nth_opt instances 0
+    |> Option.map (fun i -> (i.QCheck2.TestResult.instance, None))
+  | QCheck2.TestResult.Error { instance; exn; _ } ->
+    Some (instance.QCheck2.TestResult.instance, Some exn)
+  | QCheck2.TestResult.Failed_other { msg } -> failwith msg
+
 let code_catalogue =
   [
     ("IDX001", "B-tree invariant violated");

@@ -33,10 +33,17 @@ type finding = {
 (* Shared helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let has_sub s sub =
+(* The index just past the first [sub] in [s] (no Str in the image). *)
+let find_sub s sub =
   let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  let rec go i =
+    if i + m > n then None
+    else if String.sub s i m = sub then Some (i + m)
+    else go (i + 1)
+  in
   go 0
+
+let has_sub s sub = find_sub s sub <> None
 
 let is_race code = String.starts_with ~prefix:"RACE" code
 
@@ -48,34 +55,23 @@ let marker_of code =
 (* The text of a [(* <marker> why *)] comment inside the [lo .. hi]
    window or within the two lines above it. *)
 let justification ~marker ~lines ~lo ~hi =
-  let lo = max 1 (lo - 2) and hi = min (Array.length lines) hi in
-  let found = ref None in
-  for i = lo to hi do
-    if !found = None then begin
+  let hi = min (Array.length lines) hi in
+  let rec at i =
+    if i > hi then None
+    else
       let l = lines.(i - 1) in
-      match
-        (* no Str in the image: a plain substring scan *)
-        let n = String.length l and m = String.length marker in
-        let rec go j =
-          if j + m > n then None
-          else if String.sub l j m = marker then Some (j + m)
-          else go (j + 1)
-        in
-        go 0
-      with
+      match find_sub l marker with
+      | None -> at (i + 1)
       | Some j ->
         let rest = String.sub l j (String.length l - j) in
         (* trim the closing "*)" when the comment ends on this line *)
-        let rec close k =
-          if k + 2 > String.length rest then rest
-          else if String.sub rest k 2 = "*)" then String.sub rest 0 k
-          else close (k + 1)
-        in
-        found := Some (String.trim (close 0))
-      | None -> ()
-    end
-  done;
-  !found
+        Some
+          (String.trim
+             (match find_sub rest "*)" with
+             | Some k -> String.sub rest 0 (k - 2)
+             | None -> rest))
+  in
+  at (max 1 (lo - 2))
 
 (* A rule hit, justified only by its own family's marker. *)
 let judged ~file ~lines ~line ?(hi = line) ~code ~name construct =
@@ -1155,46 +1151,31 @@ let scan_lib () =
 (* Reporting                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let describe = function
-  | "RACE101" -> "top-level mutable state shared by every domain"
-  | "RACE102" -> "top-level lazy value (forcing from two domains is unsafe)"
-  | "RACE103" ->
-    "shared global random generator (streams must be per-domain, passed \
-     by value)"
-  | "PERF101" ->
-    "list built by tail-append (O(n) copy per append, quadratic under \
-     accumulation) — cons and List.rev once, or use a Queue"
-  | "PERF102" ->
-    "O(n) list primitive under iteration (O(n\xc2\xb2) per sweep) — use an \
-     array, a counter, or List.compare_length_with"
-  | "PERF103" ->
-    "polymorphic compare/hash on a hot path — use a monomorphic \
-     comparator (Int.compare, a record comparator)"
-  | "PERF104" ->
-    "non-tail self-recursion over list-structured data (stack grows \
-     with input) — use an accumulator"
-  | "PERF105" ->
-    "string concatenation under iteration (copies both operands each \
-     time) — accumulate in a Buffer"
-  | "EXN101" ->
-    "handler swallows a fault-family exception (or a partial lookup \
-     with a total _opt variant) — let it propagate, match it \
-     explicitly, or use the _opt lookup"
-  | "EXN102" ->
-    "exception escapes an exported API with no @raise declaration in \
-     the .mli — document the contract"
-  | "EXN103" ->
-    "partial stdlib call reachable from a recovery/exec entry point — \
-     replace with an explicit match carrying a diagnostic"
-  | "EXN104" ->
-    "re-raise by plain raise drops the original backtrace — use \
-     Printexc.raise_with_backtrace or Fun.protect"
-  | "EXN105" ->
-    "failwith reachable from a recovery/exec entry point — raise a \
-     typed exception the torture harness can classify"
-  | code -> code
+let code_catalogue =
+  [
+    ("RACE100", "source failed to parse; lint inventory incomplete");
+    ( "RACE101",
+      "unjustified top-level mutable value (ref/Hashtbl/Buffer/Queue/Array)"
+    );
+    ("RACE102", "unjustified top-level lazy value");
+    ("RACE103", "shared global random generator (must be per-domain)");
+    ("PERF100", "source failed to parse; perf lint scan incomplete");
+    ("PERF101", "list built by tail-append (xs @ [x]); quadratic under accumulation");
+    ("PERF102", "List.nth/List.length under iteration (O(n) per step)");
+    ("PERF103", "polymorphic compare/Hashtbl.hash on a hot path (exec/storage/index)");
+    ("PERF104", "non-tail self-recursion over list-structured data");
+    ("PERF105", "string concatenation (^) under iteration");
+    ("EXN100", "source failed to parse; exception-flow scan incomplete");
+    ("EXN101", "catch-all handler can swallow a fault-family exception (or partial lookup with a total _opt variant)");
+    ("EXN102", "exception escapes an exported API with no @raise declaration in the .mli");
+    ("EXN103", "partial stdlib call (List.hd/List.tl/Option.get) reachable from a recovery/exec entry point");
+    ("EXN104", "re-raise by plain raise drops the original backtrace");
+    ("EXN105", "failwith reachable from a recovery/exec entry point (untyped Failure)");
+  ]
 
+(* A flagged finding's message leads with its code's catalogue meaning. *)
 let diags_of_findings fs =
+  let describe code = List.assoc code code_catalogue in
   List.filter_map
     (fun f ->
       match f.status with
@@ -1231,25 +1212,3 @@ let pp_inventory ppf fs =
           (Printf.sprintf "%s in %s" f.construct f.name)
           (status_label f))
       fs
-
-let code_catalogue =
-  [
-    ("RACE100", "source failed to parse; lint inventory incomplete");
-    ( "RACE101",
-      "unjustified top-level mutable value (ref/Hashtbl/Buffer/Queue/Array)"
-    );
-    ("RACE102", "unjustified top-level lazy value");
-    ("RACE103", "shared global random generator (must be per-domain)");
-    ("PERF100", "source failed to parse; perf lint scan incomplete");
-    ("PERF101", "list built by tail-append (xs @ [x]); quadratic under accumulation");
-    ("PERF102", "List.nth/List.length under iteration (O(n) per step)");
-    ("PERF103", "polymorphic compare/Hashtbl.hash on a hot path (exec/storage/index)");
-    ("PERF104", "non-tail self-recursion over list-structured data");
-    ("PERF105", "string concatenation (^) under iteration");
-    ("EXN100", "source failed to parse; exception-flow scan incomplete");
-    ("EXN101", "catch-all handler can swallow a fault-family exception (or partial lookup with a total _opt variant)");
-    ("EXN102", "exception escapes an exported API with no @raise declaration in the .mli");
-    ("EXN103", "partial stdlib call (List.hd/List.tl/Option.get) reachable from a recovery/exec entry point");
-    ("EXN104", "re-raise by plain raise drops the original backtrace");
-    ("EXN105", "failwith reachable from a recovery/exec entry point (untyped Failure)");
-  ]

@@ -137,9 +137,8 @@ let check_class ~path ~kind ~code ~label b ~predicted ~observed =
     ]
   else []
 
-let check_ops ~path ~kind ~tol ~cost ~(predicted : JM.ops)
-    ~(observed : JM.ops) ~predicted_seconds ~observed_seconds =
-  ignore cost;
+let check_ops ~path ~kind ~tol ~(predicted : JM.ops) ~(observed : JM.ops)
+    ~predicted_seconds ~observed_seconds =
   check_class ~path ~kind ~code:"MODEL001" ~label:"comparisons" tol.comps
     ~predicted:predicted.JM.comps ~observed:observed.JM.comps
   @ check_class ~path ~kind ~code:"MODEL002" ~label:"hashes" tol.hashes
@@ -210,12 +209,20 @@ let predict_node catalog (cfg : P.Optimizer.config) ~kind plan
     (children : P.Executor.node_obs list) (self_obs : P.Executor.node_obs) =
   let mem_pages = cfg.P.Optimizer.mem_pages and fudge = cfg.P.Optimizer.fudge in
   let out_tpp = self_obs.P.Executor.output_tuples_per_page in
+  let one f =
+    match children with
+    | [ c ] -> f c
+    | _ -> Error (kind ^ " expects one input")
+  and two f =
+    match children with
+    | [ l; r ] -> f l r
+    | _ -> Error (kind ^ " expects two inputs")
+  in
   match plan with
   | P.Optimizer.P_scan _ -> Ok JM.zero_ops
-  | P.Optimizer.P_filter _ -> (
-    match children with
-    | [ child ] -> Ok { JM.zero_ops with JM.comps = float_of_int child.P.Executor.output_tuples }
-    | _ -> Error "filter expects one input")
+  | P.Optimizer.P_filter _ ->
+    one (fun c ->
+        Ok { JM.zero_ops with JM.comps = float_of_int c.P.Executor.output_tuples })
   | P.Optimizer.P_index_lookup { table; kind; _ } ->
     (* Section 2's per-lookup comparisons at the table's current size. *)
     let am =
@@ -231,9 +238,8 @@ let predict_node catalog (cfg : P.Optimizer.config) ~kind plan
     in
     Ok { JM.zero_ops with JM.comps }
   | P.Optimizer.P_project { distinct = false; _ } -> Ok JM.zero_ops
-  | P.Optimizer.P_project { distinct = true; _ } -> (
-    match children with
-    | [ child ] ->
+  | P.Optimizer.P_project { distinct = true; _ } ->
+    one (fun child ->
       let tuples = child.P.Executor.output_tuples in
       let staging =
         XM.input ~tuples
@@ -243,11 +249,9 @@ let predict_node catalog (cfg : P.Optimizer.config) ~kind plan
       Ok
         (XM.distinct_ops ~mem_pages ~fudge
            ~distinct:self_obs.P.Executor.output_tuples
-           ~out_tuples_per_page:(max 1 out_tpp) staging)
-    | _ -> Error "projection expects one input")
-  | P.Optimizer.P_join { choice; _ } -> (
-    match children with
-    | [ l; r ] -> (
+           ~out_tuples_per_page:(max 1 out_tpp) staging))
+  | P.Optimizer.P_join { choice; _ } ->
+    two (fun l r ->
       let build, probe =
         if choice.P.Optimizer.swapped then (r, l) else (l, r)
       in
@@ -267,10 +271,8 @@ let predict_node catalog (cfg : P.Optimizer.config) ~kind plan
              (E.Joiner.name choice.P.Optimizer.algorithm)
              w ~m:mem_pages)
       | exception Invalid_argument msg -> Error msg)
-    | _ -> Error "join expects two inputs")
-  | P.Optimizer.P_aggregate { aggs; est_groups; _ } -> (
-    match children with
-    | [ child ] ->
+  | P.Optimizer.P_aggregate { aggs; est_groups; _ } ->
+    one (fun child ->
       let comp_specs =
         List.length
           (List.filter
@@ -282,15 +284,11 @@ let predict_node catalog (cfg : P.Optimizer.config) ~kind plan
       Ok
         (XM.aggregate_ops ~mem_pages ~fudge ~comp_specs ~est_groups
            ~groups:self_obs.P.Executor.output_tuples
-           ~out_tuples_per_page:(max 1 out_tpp) (input_of_obs child))
-    | _ -> Error "aggregate expects one input")
-  | P.Optimizer.P_order_by _ -> (
-    match children with
-    | [ child ] -> Ok (XM.sort_ops ~mem_pages (input_of_obs child))
-    | _ -> Error "order-by expects one input")
-  | P.Optimizer.P_set_op { op; _ } -> (
-    match children with
-    | [ l; r ] ->
+           ~out_tuples_per_page:(max 1 out_tpp) (input_of_obs child)))
+  | P.Optimizer.P_order_by _ ->
+    one (fun child -> Ok (XM.sort_ops ~mem_pages (input_of_obs child)))
+  | P.Optimizer.P_set_op { op; _ } ->
+    two (fun l r ->
       let kind_x =
         match op with
         | P.Algebra.Union -> XM.Union
@@ -301,8 +299,7 @@ let predict_node catalog (cfg : P.Optimizer.config) ~kind plan
         (XM.set_op_ops ~mem_pages ~fudge ~kind:kind_x
            ~out_tuples:self_obs.P.Executor.output_tuples
            ~out_tuples_per_page:(max 1 out_tpp) (input_of_obs l)
-           (input_of_obs r))
-    | _ -> Error (Printf.sprintf "%s expects two inputs" kind))
+           (input_of_obs r)))
 
 (* Children of node [path] among the traced observations: entries whose
    path is [path ^ "." ^ digit+] with no further dot. *)
@@ -342,7 +339,7 @@ let check_planned ?(tolerance_scale = 1.0) catalog cfg plan =
         let predicted_seconds = JM.seconds cost predicted in
         let tol = scale_tolerance tolerance_scale (tolerance_for kind) in
         let diags =
-          check_ops ~path ~kind ~tol ~cost ~predicted ~observed
+          check_ops ~path ~kind ~tol ~predicted ~observed
             ~predicted_seconds ~observed_seconds
         in
         { path; kind; predicted; observed; predicted_seconds;
@@ -386,7 +383,7 @@ let check_join ?(tolerance_scale = 1.0) algo ~mem_pages ~fudge r s =
     let stats = E.Joiner.run_measured algo ~mem_pages ~fudge r s in
     let observed = ops_of_counters stats.E.Op_stats.counters in
     let tol = scale_tolerance tolerance_scale (tolerance_for kind) in
-    check_ops ~path:"$" ~kind ~tol ~cost:w.JM.cost ~predicted ~observed
+    check_ops ~path:"$" ~kind ~tol ~predicted ~observed
       ~predicted_seconds:(JM.seconds w.JM.cost predicted)
       ~observed_seconds:stats.E.Op_stats.seconds
 

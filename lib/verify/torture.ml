@@ -178,21 +178,13 @@ let add_tally ~into (t : Fault.tally) =
   into.Fault.retry_backoff <- into.Fault.retry_backoff +. t.Fault.retry_backoff
 
 let run ?(seed = 7) ?(count = 2000) () =
-  if count < 1 then invalid_arg "Torture.run: count < 1";
   let runs = ref 0 and restarts = ref 0 and nflagged = ref 0 in
   let tally = Fault.tally_create () in
   let events = Hashtbl.create 16 in
-  (* Runs made while shrinking stay out of the report. *)
-  let drawing = ref true in
-  let handler _ _ = function
-    | QCheck2.Test.Testing _ -> drawing := true
-    | QCheck2.Test.Shrunk _ | QCheck2.Test.Shrinking _ -> drawing := false
-    | QCheck2.Test.Generating | QCheck2.Test.Collecting _ -> ()
-  in
-  let prop c =
+  let holds ~counted c =
     let o = RM.run (resolve ~seed c) in
     let v = violations o in
-    if !drawing then begin
+    if counted then begin
       incr runs;
       restarts := !restarts + (o.RM.recovery_attempts - 1);
       add_tally ~into:tally o.RM.fault_tally;
@@ -205,13 +197,7 @@ let run ?(seed = 7) ?(count = 2000) () =
     end;
     v = [] || flagged o v
   in
-  let cell =
-    QCheck2.Test.make_cell ~count ~max_fail:1 ~name:"torture" gen prop
-  in
-  let result =
-    QCheck2.Test.check_cell ~handler ~rand:(Random.State.make [| seed |]) cell
-  in
-  let failure c ~raised =
+  let failure (c, raised) =
     let config = resolve ~seed c in
     let violations =
       match raised with
@@ -221,15 +207,8 @@ let run ?(seed = 7) ?(count = 2000) () =
     { spec = spec_of c; config; violations }
   in
   let counterexample =
-    match QCheck2.TestResult.get_state result with
-    | QCheck2.TestResult.Success -> None
-    | QCheck2.TestResult.Failed { instances } ->
-      List.nth_opt instances 0
-      |> Option.map (fun i ->
-             failure i.QCheck2.TestResult.instance ~raised:None)
-    | QCheck2.TestResult.Error { instance; exn; _ } ->
-      Some (failure instance.QCheck2.TestResult.instance ~raised:(Some exn))
-    | QCheck2.TestResult.Failed_other { msg } -> failwith msg
+    Audit.property ~name:"Torture.run" ~seed ~count gen holds
+    |> Option.map failure
   in
   {
     runs = !runs;

@@ -1,5 +1,5 @@
 (** Crash-point torture: one shrinking property over
-    {!Mmdb_recovery.Recovery_manager.run}.
+    {!Mmdb_recovery.Recovery_manager.run}, on {!Audit.property}.
 
     Each case draws one point of the crash space and runs the end-to-end
     recovery stack through it:

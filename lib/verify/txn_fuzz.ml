@@ -2,8 +2,19 @@ module R = Mmdb_recovery
 module S = Mmdb_storage
 module X = Mmdb_util.Xorshift
 module O = Mmdb_overload.Overload
+module D = Mmdb_util.Diag
 
 type inject = [ `Ww | `Rw | `Unguarded | `Release_no_acquire | `Snapshot ]
+
+type case = {
+  seed : int;
+  txns : int;
+  domains : int;
+  scramble : bool;
+  crash : bool;
+  spike : bool;
+  inject : inject list;
+}
 
 type outcome = {
   events : R.Schedule.event list;
@@ -37,30 +48,44 @@ let spike_rate = 2000.0
 let spike_burst = 2.0
 let spike_budget = 5e-4
 
-(* Up to [inflight] transactions interleave; [abort_pct] percent of them
-   abort voluntarily. *)
+(* Up to [inflight] transactions interleave over [accounts] accounts
+   (few, so they contend); [abort_pct] percent of them abort
+   voluntarily. *)
 let inflight = 4
+let accounts = 16
 let abort_pct = 15
 
-let run ?(txns = 40) ?(accounts = 16) ?(scramble = false) ?(crash = false)
-    ?(domains = 1) ?(spike = false) ?(inject : inject list = []) ~seed () =
+(* Each control's name, expected code, and ghost accesses as (ghost,
+   version, op). *)
+let control (i : inject) =
+  let open R.Schedule in
+  match i with
+  | `Ww -> ("`Ww", "RACE001", [ (0, None, Write); (1, None, Write) ])
+  | `Rw -> ("`Rw", "RACE002", [ (0, None, Read); (1, None, Write) ])
+  (* two lock-free reads: only the Eraser lockset fallback sees them *)
+  | `Unguarded ->
+    ("`Unguarded", "RACE003", [ (0, None, Read); (1, None, Read) ])
+  | `Release_no_acquire ->
+    ("`Release_no_acquire", "RACE004", [ (0, None, Release) ])
+  (* version 99 installed mid-scan, below the active snapshot 100 *)
+  | `Snapshot ->
+    ( "`Snapshot",
+      "RACE005",
+      [ (0, Some 100.0, Read); (1, Some 99.0, Write); (0, Some 100.0, Read) ]
+    )
+
+let run { seed; txns; domains; scramble; crash; spike; inject } =
   if txns < 1 then invalid_arg "Txn_fuzz.run: txns < 1";
-  if accounts < 4 then invalid_arg "Txn_fuzz.run: accounts < 4";
   if domains < 1 then invalid_arg "Txn_fuzz.run: domains < 1";
   let rng = X.create seed in
   let clock = S.Sim_clock.create () in
   let recorder = R.Schedule.recorder ~now:(fun () -> S.Sim_clock.now clock) in
   let rec_opt = Some recorder in
-  (* Simulated domain placement: transaction [id] executes on domain
-     [id mod domains].  The single-threaded scheduler already interleaves
-     transactions arbitrarily, so with [domains > 1] the recorded trace
-     is a genuine multi-domain interleaving — every cross-domain ordering
-     must come from lock edges, which is exactly what Schedule_check audits. *)
+  (* Transaction [id] runs on simulated domain [id mod domains]: the
+     scheduler interleaves transactions arbitrarily, so every
+     cross-domain ordering must come from lock edges. *)
   let domain_of id = id mod domains in
-  let admission =
-    if spike then Some (O.Admission.create ~rate:spike_rate ~burst:spike_burst ())
-    else None
-  in
+  let admission = O.Admission.create ~rate:spike_rate ~burst:spike_burst () in
   let ovld = Hashtbl.create 8 in
   let note_ovld c =
     Hashtbl.replace ovld c
@@ -81,13 +106,9 @@ let run ?(txns = 40) ?(accounts = 16) ?(scramble = false) ?(crash = false)
             (Array.map (fun s -> (s, X.int_in_range rng ~lo:(-50) ~hi:50)) slots),
           X.int rng 100 < abort_pct ))
   in
-  let next_plan = ref 0 in
-  let next_id = ref 0 in
-  let live : txn list ref = ref [] in
-  let committed = ref 0 in
-  let aborted = ref 0 in
-  let waits = ref 0 in
-  let deadlocks = ref 0 in
+  let next_plan = ref 0 and next_id = ref 0 and live = ref [] in
+  let committed = ref 0 and aborted = ref 0 in
+  let waits = ref 0 and deadlocks = ref 0 in
   let remove t = live := List.filter (fun u -> u.id <> t.id) !live in
   (* Transactions a commit or abort woke move back to Running: the key
      each was queued on becomes acquired. *)
@@ -97,9 +118,7 @@ let run ?(txns = 40) ?(accounts = 16) ?(scramble = false) ?(crash = false)
         match List.find_opt (fun u -> u.id = id) !live with
         | Some ({ state = Waiting key; _ } as w) ->
           let delta =
-            match List.assoc_opt key w.to_acquire with
-            | Some d -> d
-            | None -> 0
+            Option.value ~default:0 (List.assoc_opt key w.to_acquire)
           in
           w.to_acquire <- List.remove_assoc key w.to_acquire;
           w.acquired <- (key, delta) :: w.acquired;
@@ -149,6 +168,10 @@ let run ?(txns = 40) ?(accounts = 16) ?(scramble = false) ?(crash = false)
   in
   let crashed = ref false in
   let running () = List.filter (fun t -> t.state = Running) !live in
+  let pick l =
+    let a = Array.of_list l in
+    a.(X.int rng (Array.length a))
+  in
   (try
      while !live <> [] || !next_plan < txns do
        if !committed + !aborted >= crash_after then begin
@@ -160,9 +183,7 @@ let run ?(txns = 40) ?(accounts = 16) ?(scramble = false) ?(crash = false)
           abort each through the same audited Begin/Abort path as a
           deadlock victim — a typed OVLD004 timeout, never an unbounded
           wait. *)
-       (match admission with
-       | None -> ()
-       | Some _ ->
+       if spike then
          List.iter
            (fun id ->
              match List.find_opt (fun u -> u.id = id) !live with
@@ -170,7 +191,7 @@ let run ?(txns = 40) ?(accounts = 16) ?(scramble = false) ?(crash = false)
                note_ovld "OVLD004";
                kill_victim t
              | None -> ())
-           (R.Lock_manager.expire_waiters (R.Txn.locks kernel) ~now:(now ())));
+           (R.Lock_manager.expire_waiters (R.Txn.locks kernel) ~now:(now ()));
        (* Admit new work (through the token bucket in spike mode: a shed
           arrival consumes its plan — the client was turned away). *)
        if List.compare_length_with !live inflight < 0 && !next_plan < txns
@@ -178,30 +199,25 @@ let run ?(txns = 40) ?(accounts = 16) ?(scramble = false) ?(crash = false)
          let plan, will_abort = plans.(!next_plan) in
          incr next_plan;
          let admitted =
-           match admission with
-           | None -> true
-           | Some a -> (
-             match O.Admission.admit a ~now:(now ()) ~priority:O.Oltp with
-             | () -> true
-             | exception O.Shed r ->
-               note_ovld r.O.code;
-               false)
+           (not spike)
+           ||
+           match O.Admission.admit admission ~now:(now ()) ~priority:O.Oltp with
+           | () -> true
+           | exception O.Shed r ->
+             note_ovld r.O.code;
+             false
          in
          if admitted then begin
            let id = !next_id in
            incr next_id;
+           let deadline =
+             if spike then
+               Some (O.Deadline.make ~now:(now ()) ~budget:spike_budget)
+             else None
+           in
            live :=
-             {
-               id;
-               to_acquire = plan;
-               acquired = [];
-               state = Running;
-               will_abort;
-               deadline =
-                 (if spike then
-                    Some (O.Deadline.make ~now:(now ()) ~budget:spike_budget)
-                  else None);
-             }
+             { id; to_acquire = plan; acquired = []; state = Running;
+               will_abort; deadline }
              :: !live
          end
        end;
@@ -210,15 +226,11 @@ let run ?(txns = 40) ?(accounts = 16) ?(scramble = false) ?(crash = false)
          (* Everyone in flight is queued on someone else: with a finite
             set of transactions each waiting for exactly one held key,
             that is a waits-for cycle.  Break it by aborting a victim. *)
-         (match !live with
-         | [] -> ()
-         | l ->
+         if !live <> [] then begin
            incr deadlocks;
-           let arr = Array.of_list l in
-           kill_victim arr.(X.int rng (Array.length arr)))
-       | rs ->
-         let arr = Array.of_list rs in
-         step_txn arr.(X.int rng (Array.length arr))
+           kill_victim (pick !live)
+         end
+       | rs -> step_txn (pick rs)
      done
    with Exit -> ());
   if not !crashed then begin
@@ -226,45 +238,21 @@ let run ?(txns = 40) ?(accounts = 16) ?(scramble = false) ?(crash = false)
     ignore (R.Wal.flush wal ~at:(now ()))
   end;
   R.Txn.retire kernel ~at:(now ());
-  (* Positive controls: seeded injected races.  Each injection uses ghost
-     transactions on fresh domains and a private key above the account
-     range, so every control maps to exactly one expected RACE code and
-     controls do not interfere with each other or the real workload.
-     (Ghost accesses are lock-free by design, so they also surface as
-     TXN protocol errors in [diags]; race gates select the RACE codes.) *)
+  (* Positive controls, after the workload: ghost [g] of injection [i]
+     is transaction [1_000_000 + 2i + g] on domain [domains + 1 + 2i + g],
+     and each injection has a private key above the account range, so
+     controls interfere neither with each other nor with the workload. *)
   let injected =
     List.mapi
-      (fun i (kind : inject) ->
-        let key = accounts + 1 + i in
-        let da = domains + 1 + (2 * i) and db = domains + 2 + (2 * i) in
-        let ta = 1_000_000 + (2 * i) and tb = 1_000_001 + (2 * i) in
-        match kind with
-        | `Ww ->
-          R.Schedule.emit rec_opt ~key ~domain:da ~txn:ta R.Schedule.Write;
-          R.Schedule.emit rec_opt ~key ~domain:db ~txn:tb R.Schedule.Write;
-          "RACE001"
-        | `Rw ->
-          R.Schedule.emit rec_opt ~key ~domain:da ~txn:ta R.Schedule.Read;
-          R.Schedule.emit rec_opt ~key ~domain:db ~txn:tb R.Schedule.Write;
-          "RACE002"
-        | `Unguarded ->
-          (* two lock-free reads: no write/write or read/write pair, so
-             only the Eraser lockset fallback can catch it *)
-          R.Schedule.emit rec_opt ~key ~domain:da ~txn:ta R.Schedule.Read;
-          R.Schedule.emit rec_opt ~key ~domain:db ~txn:tb R.Schedule.Read;
-          "RACE003"
-        | `Release_no_acquire ->
-          R.Schedule.emit rec_opt ~key ~domain:da ~txn:ta R.Schedule.Release;
-          "RACE004"
-        | `Snapshot ->
-          (* version 99 installed mid-scan, below the active snapshot 100 *)
-          R.Schedule.emit rec_opt ~key ~domain:da ~ver:100.0 ~txn:ta
-            R.Schedule.Read;
-          R.Schedule.emit rec_opt ~key ~domain:db ~ver:99.0 ~txn:tb
-            R.Schedule.Write;
-          R.Schedule.emit rec_opt ~key ~domain:da ~ver:100.0 ~txn:ta
-            R.Schedule.Read;
-          "RACE005")
+      (fun i kind ->
+        let _, code, accesses = control kind in
+        List.iter
+          (fun (g, ver, op) ->
+            R.Schedule.emit rec_opt ~key:(accounts + 1 + i)
+              ~domain:(domains + 1 + (2 * i) + g)
+              ?ver ~txn:(1_000_000 + (2 * i) + g) op)
+          accesses;
+        code)
       inject
   in
   let events = R.Schedule.events recorder in
@@ -282,3 +270,53 @@ let run ?(txns = 40) ?(accounts = 16) ?(scramble = false) ?(crash = false)
     ovld_codes =
       List.sort compare (Hashtbl.fold (fun c n acc -> (c, n) :: acc) ovld []);
   }
+
+(* The property.  Every injected race is reported; the only errors are
+   on the injected controls (their keys lie above the account range)
+   and, under scrambled acquisition order, TXN006: a deadlock the driver
+   broke must be reported, and one a spike's lock-wait timeout broke or
+   a crash cut off may be. *)
+let on_control (d : D.t) =
+  List.exists
+    (fun kv ->
+      Scanf.sscanf_opt kv "key=%d%!" (fun k -> k > accounts) = Some true)
+    (String.split_on_char ' ' d.D.path)
+
+let violations c o =
+  List.filter_map
+    (fun code ->
+      if D.has_code code o.diags then None
+      else Some (Printf.sprintf "missed %s" code))
+    o.injected
+  @ List.filter_map
+      (fun (d : D.t) ->
+        if on_control d || (c.scramble && d.D.code = "TXN006") then None
+        else Some (Format.asprintf "%a" D.pp d))
+      (D.errors o.diags)
+  @
+  if o.deadlocks > 0 && not (D.has_code "TXN006" o.diags) then
+    [ Printf.sprintf "%d deadlocks broken, no TXN006" o.deadlocks ]
+  else []
+
+let gen =
+  let open QCheck2.Gen in
+  let+ seed = no_shrink (int_bound 1_000_000)
+  and+ txns = int_range 1 120
+  and+ domains = int_range 1 4
+  and+ scramble = bool
+  and+ crash = bool
+  and+ spike = bool
+  and+ inject =
+    [ `Ww; `Rw; `Unguarded; `Release_no_acquire; `Snapshot ]
+    |> List.map (fun i -> option ~ratio:0.5 (pure i))
+    |> flatten_l |> map (List.filter_map Fun.id)
+  in
+  { seed; txns; domains; scramble; crash; spike; inject }
+
+let pp_case ppf c =
+  Format.fprintf ppf
+    "{ seed = %d; txns = %d; domains = %d; scramble = %b; crash = %b; \
+     spike = %b; inject = [%s] }"
+    c.seed c.txns c.domains c.scramble c.crash c.spike
+    (String.concat "; "
+       (List.map (fun i -> match control i with name, _, _ -> name) c.inject))

@@ -371,8 +371,12 @@ let test_read_only_degraded () =
 (* Spike-mode fuzzing                                                  *)
 (* ------------------------------------------------------------------ *)
 
+let spike_case =
+  { V.Txn_fuzz.seed = 11; txns = 120; domains = 1; scramble = false;
+    crash = false; spike = true; inject = [] }
+
 let test_spike_fuzz () =
-  let o = V.Txn_fuzz.run ~spike:true ~txns:120 ~seed:11 () in
+  let o = V.Txn_fuzz.run spike_case in
   checkb "no audit errors" false (D.has_errors o.V.Txn_fuzz.diags);
   checkb "work still done" true (o.V.Txn_fuzz.committed > 0);
   checkb "bucket sheds (OVLD001)" true
@@ -386,8 +390,8 @@ let test_spike_fuzz () =
     o.V.Txn_fuzz.ovld_codes
 
 let test_spike_fuzz_deterministic () =
-  let a = V.Txn_fuzz.run ~spike:true ~txns:120 ~seed:11 () in
-  let b = V.Txn_fuzz.run ~spike:true ~txns:120 ~seed:11 () in
+  let a = V.Txn_fuzz.run spike_case in
+  let b = V.Txn_fuzz.run spike_case in
   checkb "same codes" true (a.V.Txn_fuzz.ovld_codes = b.V.Txn_fuzz.ovld_codes);
   checkb "same log" true (a.V.Txn_fuzz.log = b.V.Txn_fuzz.log)
 

@@ -150,10 +150,14 @@ let test_single_domain_clean () =
 (* Fuzzer integration                                                  *)
 (* ------------------------------------------------------------------ *)
 
+let case ~domains seed =
+  { V.Txn_fuzz.seed; txns = 40; domains; scramble = false; crash = false;
+    spike = false; inject = [] }
+
 let test_fuzz_clean_multi_domain () =
   List.iter
     (fun (domains, seed) ->
-      let o = V.Txn_fuzz.run ~domains ~seed () in
+      let o = V.Txn_fuzz.run (case ~domains seed) in
       check_codes
         (Printf.sprintf "%d domains, seed %d race-free" domains seed)
         [] (races o.V.Txn_fuzz.diags);
@@ -165,9 +169,10 @@ let test_fuzz_clean_multi_domain () =
 
 let test_fuzz_injections_detected () =
   let o =
-    V.Txn_fuzz.run ~domains:3
-      ~inject:[ `Ww; `Rw; `Unguarded; `Release_no_acquire; `Snapshot ]
-      ~seed:11 ()
+    V.Txn_fuzz.run
+      { (case ~domains:3 11) with
+        inject = [ `Ww; `Rw; `Unguarded; `Release_no_acquire; `Snapshot ];
+      }
   in
   Alcotest.(check (list string))
     "expected codes"
@@ -180,7 +185,7 @@ let test_fuzz_injections_detected () =
 
 let test_fuzz_seed_determinism () =
   let run () =
-    let o = V.Txn_fuzz.run ~domains:4 ~inject:[ `Ww ] ~seed:77 () in
+    let o = V.Txn_fuzz.run { (case ~domains:4 77) with inject = [ `Ww ] } in
     ( List.length o.V.Txn_fuzz.events,
       o.V.Txn_fuzz.committed,
       o.V.Txn_fuzz.aborted,
@@ -189,8 +194,8 @@ let test_fuzz_seed_determinism () =
         (races o.V.Txn_fuzz.diags) )
   in
   checkb "same seed, same findings" true (run () = run ());
-  let o1 = V.Txn_fuzz.run ~domains:2 ~seed:5 ()
-  and o2 = V.Txn_fuzz.run ~domains:2 ~seed:6 () in
+  let o1 = V.Txn_fuzz.run (case ~domains:2 5)
+  and o2 = V.Txn_fuzz.run (case ~domains:2 6) in
   checkb "different seeds differ" true
     (o1.V.Txn_fuzz.events <> o2.V.Txn_fuzz.events)
 

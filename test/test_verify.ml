@@ -425,6 +425,40 @@ let code_literals src =
   in
   go 0 []
 
+(* The shrinking-property harness on a toy property over int lists. *)
+let test_audit_property_harness () =
+  let gen = QCheck2.Gen.(list_size (int_range 0 20) (int_bound 100)) in
+  let counted = ref 0 and shrinking = ref 0 in
+  let short ~counted:c l =
+    if c then incr counted else incr shrinking;
+    List.length l < 3
+  in
+  (match V.Audit.property ~name:"toy" ~seed:5 ~count:200 gen short with
+  | Some (l, None) -> checki "shrunk to length 3" 3 (List.length l)
+  | Some (_, Some e) -> Alcotest.failf "raised %s" (Printexc.to_string e)
+  | None -> Alcotest.fail "no counterexample");
+  checkb "drawn runs counted" true (!counted >= 1 && !counted <= 200);
+  checkb "shrink runs not counted" true (!shrinking > 0);
+  counted := 0;
+  let holds ~counted:c _ =
+    if c then incr counted;
+    true
+  in
+  checkb "a holding property has no counterexample" true
+    (V.Audit.property ~name:"toy" ~seed:5 ~count:50 gen holds = None);
+  checki "every drawn case counted" 50 !counted;
+  (match
+     V.Audit.property ~name:"toy" ~seed:5 ~count:200 gen (fun ~counted:_ l ->
+         if List.length l >= 2 then failwith "boom" else true)
+   with
+  | Some (l, Some (Failure m)) ->
+    Alcotest.(check string) "exception carried" "boom" m;
+    checki "shrunk to length 2" 2 (List.length l)
+  | _ -> Alcotest.fail "expected a raised counterexample");
+  Alcotest.check_raises "count 0" (Invalid_argument "toy: count < 1")
+    (fun () ->
+      ignore (V.Audit.property ~name:"toy" ~seed:5 ~count:0 gen holds))
+
 let test_code_catalogue_unique () =
   let codes = List.map fst V.code_catalogue in
   checki "no duplicate codes" (List.length codes)
@@ -843,10 +877,16 @@ let test_txncheck_code_catalogue () =
 (* Txn_fuzz: seeded interleaved workloads                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The fuzzer's case at [seed] with 40 sorted transactions on one
+   domain; tests set the other fields explicitly. *)
+let case seed =
+  { V.Txn_fuzz.seed; txns = 40; domains = 1; scramble = false;
+    crash = false; spike = false; inject = [] }
+
 let test_fuzz_clean_seeds () =
   List.iter
     (fun seed ->
-      let o = V.Txn_fuzz.run ~seed () in
+      let o = V.Txn_fuzz.run (case seed) in
       checkb
         (Printf.sprintf "seed %d: no errors" seed)
         false
@@ -865,15 +905,15 @@ let test_fuzz_clean_seeds () =
     [ 11; 22; 33; 44; 55 ]
 
 let test_fuzz_determinism () =
-  let a = V.Txn_fuzz.run ~seed:77 () in
-  let b = V.Txn_fuzz.run ~seed:77 () in
+  let a = V.Txn_fuzz.run (case 77) in
+  let b = V.Txn_fuzz.run (case 77) in
   checkb "same schedule" true (a.V.Txn_fuzz.events = b.V.Txn_fuzz.events);
   checkb "same log" true (a.V.Txn_fuzz.log = b.V.Txn_fuzz.log)
 
 let test_fuzz_scramble_finds_deadlocks () =
   (* Scrambled acquisition order: the driver runs into real deadlocks and
      the waits-for analyzer must report them. *)
-  let o = V.Txn_fuzz.run ~scramble:true ~seed:11 () in
+  let o = V.Txn_fuzz.run { (case 11) with scramble = true } in
   checkb "driver hit deadlocks" true (o.V.Txn_fuzz.deadlocks > 0);
   checkb "TXN006 reported" true (D.has_code "TXN006" o.V.Txn_fuzz.diags);
   checkb "TXN101 lint fired" true (D.has_code "TXN101" o.V.Txn_fuzz.diags);
@@ -885,13 +925,13 @@ let test_fuzz_scramble_finds_deadlocks () =
     [ "TXN001"; "TXN002"; "TXN003"; "TXN004"; "TXN005"; "TXN008" ]
 
 let test_fuzz_crash_truncation () =
-  let o = V.Txn_fuzz.run ~crash:true ~seed:11 () in
+  let o = V.Txn_fuzz.run { (case 11) with crash = true } in
   checkb "crashed" true o.V.Txn_fuzz.crashed;
   checkb "truncated trace accepted" false (D.has_errors o.V.Txn_fuzz.diags)
 
 (* The fuzzer's schedule, audited directly and reported by name. *)
 let test_fuzz_audit_component () =
-  let o = V.Txn_fuzz.run ~seed:22 () in
+  let o = V.Txn_fuzz.run (case 22) in
   let diags = SC.audit ~log:o.V.Txn_fuzz.log o.V.Txn_fuzz.events in
   checkb "no error diags" false (D.has_errors diags);
   let buf = Buffer.create 256 in
@@ -907,9 +947,12 @@ let test_fuzz_audit_component () =
    1000009 on key 21) raise RACE005 and no TXN002. *)
 let test_fuzz_pinned_findings () =
   let o =
-    V.Txn_fuzz.run ~seed:11 ~domains:4 ~scramble:true
-      ~inject:[ `Ww; `Rw; `Unguarded; `Release_no_acquire; `Snapshot ]
-      ()
+    V.Txn_fuzz.run
+      { (case 11) with
+        domains = 4;
+        scramble = true;
+        inject = [ `Ww; `Rw; `Unguarded; `Release_no_acquire; `Snapshot ];
+      }
   in
   let keys txn key = Printf.sprintf "txn=%d key=%d" txn key in
   let pairs =
@@ -933,6 +976,59 @@ let test_fuzz_pinned_findings () =
     "findings" (List.sort compare expected)
     (List.sort compare
        (List.map (fun (d : D.t) -> (d.D.code, d.D.path)) o.V.Txn_fuzz.diags))
+
+(* The property over drawn cases as [mmdb_cli check fuzz] runs it (seed
+   11, 500 cases): every feature is drawn, and the property holds, so
+   every injected race is reported. *)
+let test_fuzz_drawn_coverage () =
+  let drawn = ref [] in
+  let holds ~counted c =
+    if counted then drawn := c :: !drawn;
+    V.Txn_fuzz.violations c (V.Txn_fuzz.run c) = []
+  in
+  checkb "no counterexample" true
+    (V.Audit.property ~name:"fuzz" ~seed:11 ~count:500 V.Txn_fuzz.gen holds
+    = None);
+  checki "cases" 500 (List.length !drawn);
+  List.iter
+    (fun (what, p) -> checkb (what ^ " drawn") true (List.exists p !drawn))
+    ([
+       ("4 domains", fun (c : V.Txn_fuzz.case) -> c.domains = 4);
+       ("scramble", fun c -> c.scramble);
+       ("crash", fun c -> c.crash);
+       ("spike", fun c -> c.spike);
+     ]
+    @ List.map
+        (fun (what, i) ->
+          (what, fun (c : V.Txn_fuzz.case) -> List.mem i c.inject))
+        [ ("ww", `Ww); ("rw", `Rw); ("unguarded", `Unguarded);
+          ("release", `Release_no_acquire); ("snapshot", `Snapshot) ])
+
+(* Two shrunk cases the property met first, when it allowed TXN006 only
+   after the driver's own victim kill.  A scrambled spike deadlocks
+   transactions 0 and 1 and a lock-wait timeout (OVLD004) breaks the
+   cycle; a scrambled crash stops the run while 7 and 8 are deadlocked.
+   Both cycles are real, so TXN006 is their one error. *)
+let test_fuzz_deadlock_without_victim () =
+  List.iter
+    (fun (what, c, cycle) ->
+      let o = V.Txn_fuzz.run c in
+      checki (what ^ ": no victim killed") 0 o.V.Txn_fuzz.deadlocks;
+      Alcotest.(check (list string))
+        (what ^ ": the property holds") [] (V.Txn_fuzz.violations c o);
+      Alcotest.(check (list (pair string string)))
+        (what ^ ": the cycle is the one error")
+        [ ("TXN006", cycle) ]
+        (List.map (fun (d : D.t) -> (d.D.code, d.D.path))
+           (D.errors o.V.Txn_fuzz.diags)))
+    [
+      ( "timeout",
+        { (case 131163) with txns = 11; scramble = true; spike = true },
+        "cycle=0->1" );
+      ( "crash",
+        { (case 879523) with txns = 12; scramble = true; crash = true },
+        "cycle=7->8" );
+    ]
 
 (* The MVCC simulator's trace holds only versioned accesses: version
    discipline judges them, so the lock-protocol codes stay quiet. *)
@@ -1020,10 +1116,10 @@ let test_fuzz_lsn_runs () =
             true
             (lsn_runs_ok o.V.Txn_fuzz.log))
         [
-          ("sorted", V.Txn_fuzz.run ~seed ());
-          ("scrambled", V.Txn_fuzz.run ~scramble:true ~seed ());
-          ("spike", V.Txn_fuzz.run ~spike:true ~txns:120 ~seed ());
-          ("crash", V.Txn_fuzz.run ~crash:true ~seed ());
+          ("sorted", V.Txn_fuzz.run (case seed));
+          ("scrambled", V.Txn_fuzz.run { (case seed) with scramble = true });
+          ("spike", V.Txn_fuzz.run { (case seed) with spike = true; txns = 120 });
+          ("crash", V.Txn_fuzz.run { (case seed) with crash = true });
         ])
     [ 11; 22; 33; 77 ]
 
@@ -1064,6 +1160,8 @@ let () =
           Alcotest.test_case "flags violations" `Quick
             test_audit_flags_violations;
           Alcotest.test_case "db audit" `Quick test_db_audit;
+          Alcotest.test_case "shrinking-property harness" `Quick
+            test_audit_property_harness;
           Alcotest.test_case "code catalogue unique" `Quick
             test_code_catalogue_unique;
         ] );
@@ -1120,6 +1218,10 @@ let () =
             test_fuzz_audit_component;
           Alcotest.test_case "pinned findings, all injections" `Quick
             test_fuzz_pinned_findings;
+          Alcotest.test_case "drawn cases cover every feature" `Quick
+            test_fuzz_drawn_coverage;
+          Alcotest.test_case "deadlock with no victim killed" `Quick
+            test_fuzz_deadlock_without_victim;
           Alcotest.test_case "MVCC trace audits clean" `Quick
             test_mvcc_trace_audits_clean;
         ] );
