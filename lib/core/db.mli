@@ -63,10 +63,7 @@ val query : t -> Mmdb_planner.Algebra.expr -> Mmdb_storage.Relation.t
     ill-formed (use {!check} to inspect them structurally).
     @raise Mmdb_fault.Fault.Io_error and
     @raise Mmdb_fault.Fault.Unrecoverable from the storage layer when a
-    fault plan is armed (execution reads pages).
-    @raise Mmdb_overload.Overload.Shed (OVLD005) via the executor's
-    operator-boundary deadline checks when a deadline-carrying caller
-    reaches this path. *)
+    fault plan is armed (execution reads pages). *)
 
 val check : t -> Mmdb_planner.Algebra.expr -> Mmdb_util.Diag.t list
 (** Static plan diagnostics against this database's catalog, without

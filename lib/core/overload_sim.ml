@@ -205,7 +205,7 @@ let run cfg =
           b_late.(bi) <- b_late.(bi) + 1)
       | _, Some (Shed_code c) ->
         note_code c;
-        if c = "OVLD004" || c = "OVLD005" || c = "OVLD006" then begin
+        if c = "OVLD004" || c = "OVLD006" then begin
           incr timed_out;
           b_timeout.(bi) <- b_timeout.(bi) + 1
         end

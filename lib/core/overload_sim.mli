@@ -49,7 +49,7 @@ type outcome = {
   goodput_txns : int;  (** commits durable within their deadline *)
   goodput_tps : float;
   shed : int;  (** typed admission rejections (OVLD001/2/3/7/9) *)
-  timed_out : int;  (** typed deadline expiries (OVLD004/5/6) *)
+  timed_out : int;  (** typed deadline expiries (OVLD004/6) *)
   late : int;  (** committed but durable past the deadline *)
   io_failures : int;  (** Io_error escapes (retry rides exhausted) *)
   p50_latency : float;

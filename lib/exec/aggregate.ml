@@ -15,7 +15,6 @@ let spec_name = function
   | Avg c -> "avg_" ^ c
 
 let result_schema schema specs =
-  if specs = [] then invalid_arg "Aggregate: no aggregate specs";
   let key_col = S.Schema.column_at schema (S.Schema.key_index schema) in
   let group_col = { key_col with S.Schema.name = "group" } in
   let agg_cols =
@@ -23,15 +22,26 @@ let result_schema schema specs =
   in
   S.Schema.create ~key:"group" (group_col :: agg_cols)
 
+(* One column spanning the tuple, keyed on itself: grouping under it
+   hashes and compares whole tuples, so duplicate elimination and the set
+   operations use the group table unchanged. *)
+let whole schema =
+  let width = S.Schema.tuple_width schema in
+  S.Schema.create ~key:"tuple" [ S.Schema.column ~width "tuple" S.Schema.Fixed_string ]
+
 type source =
   | Relation of S.Relation.t
   | Stream of { disk : S.Disk.t; schema : S.Schema.t; push : (bytes -> unit) -> unit }
 
+let schema_of = function
+  | Relation rel -> S.Relation.schema rel
+  | Stream { schema; _ } -> schema
+
 (* One aggregation: its input schema, its specs, each spec's input column
    (-1 for [Count]) and the output relation.  A group's running aggregate
-   is [1 + nspecs] ints of an [int array] from some base: the tuple count,
-   then per spec its sum (Sum, Avg), minimum or maximum; [init] is the
-   aggregate of no tuples. *)
+   is [1 + nspecs] ints of an [int array] from some base: the tuple count
+   (a set operation's side mask instead), then per spec its sum (Sum,
+   Avg), minimum or maximum; [init] is the aggregate of no tuples. *)
 type agg = {
   env : S.Env.t;
   schema : S.Schema.t;
@@ -42,11 +52,12 @@ type agg = {
 }
 
 let start source specs =
-  let disk, name, schema =
+  let disk, name =
     match source with
-    | Relation rel -> (S.Relation.disk rel, S.Relation.name rel, S.Relation.schema rel)
-    | Stream { disk; schema; _ } -> (disk, "#stream", schema)
+    | Relation rel -> (S.Relation.disk rel, S.Relation.name rel)
+    | Stream { disk; _ } -> (disk, "#stream")
   in
+  let schema = schema_of source in
   let out =
     S.Relation.create ~disk ~name:(name ^ ".agg") ~schema:(result_schema schema specs)
   in
@@ -114,26 +125,34 @@ let new_group a g tuple =
   init_acc a g.accs (i * stride a);
   i
 
-(* Aggregate one tuple into [g]: one hash and one comparison to find its
-   group, one move when the group is new. *)
-let feed a hash g tuple =
+(* The base of [tuple]'s group in [g.accs]: one hash and one comparison
+   to find the group, one move when it is new. *)
+let group_base a hash g tuple =
   Hash_fn.charge hash;
   S.Env.charge_comp a.env;
-  let i =
-    match Hash_table.find g.table ~probe_schema:a.schema tuple with
+  stride a
+  * (match Hash_table.find g.table ~probe_schema:a.schema tuple with
     | -1 -> new_group a g tuple
-    | i -> i
-  in
-  update_acc a g.accs (i * stride a) tuple
+    | i -> i)
 
-(* Emit [g]'s groups sorted by group key bytes (a deterministic order),
-   then empty it for the next partition. *)
-let emit_groups a g =
+(* Aggregate one tuple into [g]. *)
+let feed a hash g tuple = update_acc a g.accs (group_base a hash g tuple) tuple
+
+(* Record in its group's mask that [tuple] came from the input [side]. *)
+let mark side a hash g tuple =
+  let base = group_base a hash g tuple in
+  g.accs.(base) <- g.accs.(base) lor side
+
+(* Emit [g]'s groups whose first slot [keep] accepts, sorted by group key
+   bytes (a deterministic order), then empty it for the next partition. *)
+let emit_groups a keep g =
   let out_schema = S.Relation.schema a.out in
   let rows = Array.init (Hash_table.length g.table) (Hash_table.get g.table) in
   let order = Array.init (Array.length rows) Fun.id in
   Array.sort (fun i j -> S.Tuple.compare_keys out_schema rows.(i) rows.(j)) order;
-  Array.iter (fun i -> emit_row a rows.(i) g.accs (i * stride a)) order;
+  Array.iter
+    (fun i -> if keep g.accs.(i * stride a) then emit_row a rows.(i) g.accs (i * stride a))
+    order;
   Hash_table.clear g.table
 
 let sort_based ~mem_pages rel specs =
@@ -171,9 +190,10 @@ let group_pages ~groups ~tuples_per_page = (groups + tuples_per_page - 1) / tupl
 let partitions ~mem_pages ~fudge ~groups ~tuples_per_page =
   Hybrid_hash.partitions ~mem_pages ~fudge ~r_pages:(group_pages ~groups ~tuples_per_page)
 
-let hybrid ~mem_pages ~fudge ~groups source specs =
-  if mem_pages <= 1 then invalid_arg "Aggregate.hybrid: mem_pages <= 1";
-  let a = start source specs in
+(* The hash grouping kernel: feed every tuple of each input to the group
+   table through its feeder, then emit the groups [keep] accepts. *)
+let group ~mem_pages ~fudge ~groups a keep inputs =
+  if mem_pages <= 1 then invalid_arg "Aggregate: mem_pages <= 1";
   let hash = Hash_fn.create ~env:a.env ~schema:a.schema ~seed:0xa66 in
   let tuples_per_page = S.Relation.tuples_per_page a.out in
   let g =
@@ -185,42 +205,82 @@ let hybrid ~mem_pages ~fudge ~groups source specs =
   if b = 0 then begin
     (* The groups fit: the one-pass hash aggregation, fed as the input
        arrives. *)
-    (match source with
-    | Relation rel -> S.Relation.iter_tuples_nocharge rel (feed a hash g)
-    | Stream { push; _ } -> push (feed a hash g));
-    emit_groups a g
+    List.iter
+      (fun (source, f) ->
+        match source with
+        | Relation rel -> S.Relation.iter_tuples_nocharge rel (f a hash g)
+        | Stream { push; _ } -> push (f a hash g))
+      inputs;
+    emit_groups a keep g
   end
   else begin
-    (* Split the input by group-key hash so that a fraction q of the
-       groups stays resident and each disk partition's groups fit. *)
-    let rel =
-      match source with
-      | Relation rel -> rel
-      | Stream { disk; schema; push } ->
-        let rel = S.Relation.create ~disk ~name:"#stream" ~schema in
-        push (S.Relation.append_nocharge rel);
-        S.Relation.seal rel;
-        rel
-    in
+    (* Split each input by group-key hash so that a fraction q of the
+       groups stays resident and each disk partition's groups fit; equal
+       keys of every input meet in the same partition. *)
     let q = Hybrid_hash.q_fraction ~mem_pages ~fudge ~r_pages in
     let write_mode = if b <= 1 then S.Disk.Seq else S.Disk.Rand in
-    let mem_part, buckets =
-      Partition.split_fraction ~scan:Partition.Free ~q ~nbuckets:b ~hash
-        ~write_mode rel
+    let split (source, f) =
+      let rel =
+        match source with
+        | Relation rel -> rel
+        | Stream { disk; schema; push } ->
+          let rel = S.Relation.create ~disk ~name:"#stream" ~schema in
+          push (S.Relation.append_nocharge rel);
+          S.Relation.seal rel;
+          rel
+      in
+      let mem_part, buckets =
+        Partition.split_fraction ~scan:Partition.Free ~q ~nbuckets:b ~hash
+          ~write_mode rel
+      in
+      (match source with Stream _ -> S.Relation.free_pages rel | Relation _ -> ());
+      (f a hash g, mem_part, buckets)
     in
-    (match source with Stream _ -> S.Relation.free_pages rel | Relation _ -> ());
+    let parts = List.map split inputs in
     (* In-memory slice aggregates immediately. *)
-    List.iter (feed a hash g) mem_part;
-    emit_groups a g;
+    List.iter (fun (f, mem_part, _) -> List.iter f mem_part) parts;
+    emit_groups a keep g;
     (* Disk partitions: aggregate each on re-read. *)
-    Array.iter
-      (fun bucket ->
-        if S.Relation.ntuples bucket > 0 then begin
-          Partition.iter_bucket bucket (feed a hash g);
-          emit_groups a g
-        end)
-      buckets;
-    Partition.free buckets
+    for i = 0 to b - 1 do
+      let spilled = List.filter (fun (_, _, bk) -> S.Relation.ntuples bk.(i) > 0) parts in
+      if spilled <> [] then begin
+        List.iter (fun (f, _, bk) -> Partition.iter_bucket bk.(i) f) spilled;
+        emit_groups a keep g
+      end
+    done;
+    List.iter (fun (_, _, buckets) -> Partition.free buckets) parts
   end;
   S.Relation.seal a.out;
   a.out
+
+let hybrid ~mem_pages ~fudge ~groups source specs =
+  group ~mem_pages ~fudge ~groups (start source specs) (fun _ -> true) [ (source, feed) ]
+
+(* Group [first] and [rest] on their whole tuples, input [i] marking bit
+   [1 lsl i] of its groups' masks, and emit the groups whose mask [keep]
+   accepts, under [first]'s schema. *)
+let dedupe ~mem_pages ~fudge ~groups keep first rest =
+  let schema = schema_of first in
+  let view = function
+    | Relation rel -> Relation (S.Relation.with_schema rel (whole (S.Relation.schema rel)))
+    | Stream s -> Stream { s with schema = whole s.schema }
+  in
+  let first = view first in
+  let inputs = List.mapi (fun i source -> (source, mark (1 lsl i))) (first :: List.map view rest) in
+  S.Relation.with_schema (group ~mem_pages ~fudge ~groups (start first []) keep inputs) schema
+
+let distinct ~mem_pages ~fudge ~groups source =
+  dedupe ~mem_pages ~fudge ~groups (fun _ -> true) source []
+
+type set_op = Union | Intersect | Except
+
+let set_op op ~mem_pages ~fudge ~groups l r =
+  if S.Schema.tuple_width (schema_of l) <> S.Schema.tuple_width (schema_of r) then
+    invalid_arg "Aggregate.set_op: tuple widths differ";
+  let keep =
+    match op with
+    | Union -> fun _ -> true
+    | Intersect -> fun mask -> mask = 3
+    | Except -> fun mask -> mask = 1
+  in
+  dedupe ~mem_pages ~fudge ~groups keep l [ r ]

@@ -6,7 +6,12 @@
     each incoming tuple is hashed on the grouping attribute.  If there is
     not enough memory ... a variant of the hybrid-hash algorithm appears
     fastest."  {!hybrid} is both: it runs in one pass when the groups
-    fit.  Grouping is on the input schema's key column. *)
+    fit.  Grouping is on the input schema's key column.
+
+    "Projection with duplicate elimination is very similar in nature to
+    the aggregate function operation (in projection we are grouping
+    identical tuples)": {!distinct} and {!set_op} are the same kernel,
+    grouping on the whole tuple ({!whole}) with no aggregate columns. *)
 
 type spec =
   | Count
@@ -19,6 +24,11 @@ val result_schema : Mmdb_storage.Schema.t -> spec list -> Mmdb_storage.Schema.t
 (** Group column (a copy of the input key column) followed by one 8-byte
     integer column per aggregate, named ["count"], ["sum_c"], ["min_c"],
     ["max_c"], ["avg_c"]. *)
+
+val whole : Mmdb_storage.Schema.t -> Mmdb_storage.Schema.t
+(** One fixed-string column ["tuple"] spanning the schema's tuple width,
+    and its key: a view under which equal tuples hash and compare alike
+    whatever the schema's own key. *)
 
 type source =
   | Relation of Mmdb_storage.Relation.t
@@ -51,6 +61,25 @@ val hybrid : mem_pages:int -> fudge:float -> groups:int ->
     partition in one pass.  The input scan is free (first read); result
     writes are charged.  An estimate below the true count only makes the
     group table outgrow [mem_pages]; the result is the same. *)
+
+type set_op = Union | Intersect | Except
+
+val distinct : mem_pages:int -> fudge:float -> groups:int -> source ->
+  Mmdb_storage.Relation.t
+(** Duplicate elimination: {!hybrid} grouping on the whole tuple, sized
+    by [groups] (the expected number of distinct tuples) and with no
+    aggregate columns.  The result has the source's schema. *)
+
+val set_op : set_op -> mem_pages:int -> fudge:float -> groups:int ->
+  source -> source -> Mmdb_storage.Relation.t
+(** Set-semantics union, intersection or difference (left minus right):
+    one whole-tuple grouping of both inputs, sized by [groups] (the
+    expected distinct tuples of both), that keeps in each group a mask of
+    the sides its tuples came from and emits the groups whose mask the
+    operation wants.  When spilling, both inputs are split on the same
+    hash, so equal tuples meet in the same partition whatever each
+    schema's key.  The result has the left schema.
+    @raise Invalid_argument when the tuple widths differ. *)
 
 val sort_based : mem_pages:int -> Mmdb_storage.Relation.t -> spec list ->
   Mmdb_storage.Relation.t

@@ -1,11 +1,8 @@
 module S = Mmdb_storage
 
-type t =
-  | Key of { env : S.Env.t; schema : S.Schema.t; seed : int }
-  | Whole of { env : S.Env.t; seed : int }
+type t = { env : S.Env.t; schema : S.Schema.t; seed : int }
 
-let create ~env ~schema ~seed = Key { env; schema; seed }
-let whole_tuple ~env ~seed = Whole { env; seed }
+let create ~env ~schema ~seed = { env; schema; seed }
 
 (* Mix the FNV key hash with the seed through a splitmix64-style finaliser
    so different seeds give effectively independent functions. *)
@@ -16,15 +13,11 @@ let mix h seed =
   let x = Int64.logxor x (Int64.shift_right_logical x 31) in
   Int64.to_int (Int64.shift_right_logical x 2)
 
-let charge = function Key { env; _ } | Whole { env; _ } -> S.Env.charge_hash env
+let charge t = S.Env.charge_hash t.env
 
 let hash t tuple =
   charge t;
-  match t with
-  | Key { schema; seed; _ } -> mix (S.Tuple.hash_key schema tuple) seed
-  | Whole { seed; _ } ->
-    (* perf_lint: the seeded structural hash IS the whole-tuple hash *)
-    Hashtbl.hash (Bytes.to_string tuple, seed)
+  mix (S.Tuple.hash_key t.schema tuple) t.seed
 
 let uniform t tuple =
   let h = hash t tuple in

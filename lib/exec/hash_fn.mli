@@ -1,4 +1,4 @@
-(** Seeded, charged hashing of a tuple's key or of the whole tuple.
+(** Seeded, charged hashing of a tuple's key.
 
     All hash algorithms of Section 3 share one hash function [h] between R
     and S so their partitions are compatible (Section 3.3); recursive
@@ -9,12 +9,8 @@ type t
 
 val create : env:Mmdb_storage.Env.t -> schema:Mmdb_storage.Schema.t ->
   seed:int -> t
-(** A hash function over the schema's key field (joins, aggregation). *)
-
-val whole_tuple : env:Mmdb_storage.Env.t -> seed:int -> t
-(** A hash function over every byte of the tuple: equal tuples hash
-    alike whatever their schema's key, as duplicate elimination and the
-    set operations need. *)
+(** A hash function over the schema's key field: joins and grouping;
+    under {!Aggregate.whole}'s view the key is the whole tuple. *)
 
 val hash : t -> bytes -> int
 (** [hash t tuple] is a non-negative hash of [tuple]; charges one [hash]

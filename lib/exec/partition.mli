@@ -2,9 +2,9 @@
 
     Both relations of a join are split with the {e same} hash function so
     the partitions are compatible: R_i need only be joined with S_i.
-    Every spilling hash operator in this library splits here: the joins
-    and aggregation on a key hash, duplicate-eliminating projection and
-    the set operations on a whole-tuple hash.
+    Every spilling hash operator in this library splits here on a key
+    hash: the joins, and grouping (aggregation, and duplicate elimination
+    and the set operations keyed on the whole tuple).
     Tuples moving to an output buffer charge [move]; buffer spills charge
     the chosen write mode; re-reading a previously spilled input charges
     its scan mode. *)

@@ -4,11 +4,9 @@
     for the projection operator as projection with duplicate elimination
     is very similar in nature to the aggregate function operation (in
     projection we are grouping identical tuples)."  Tuples are projected
-    to the requested columns and split by {!Partition.split_fraction}
-    on a hash of the {e whole} projected tuple
-    ({!Hash_fn.whole_tuple}), exactly as {!Aggregate.hybrid} splits on
-    the group key: the resident fraction is deduplicated in memory, each
-    spilled partition on re-read. *)
+    to the requested columns as they are scanned and grouped on the whole
+    projected tuple by {!Aggregate.distinct}, the group table of
+    {!Aggregate.hybrid}. *)
 
 val project_schema : Mmdb_storage.Schema.t -> cols:string list ->
   Mmdb_storage.Schema.t
@@ -21,17 +19,19 @@ val projector : Mmdb_storage.Schema.t -> cols:string list ->
     matching {!project_schema}; the executor's plain projection uses it
     too. *)
 
-val distinct : mem_pages:int -> fudge:float ->
+val distinct : mem_pages:int -> fudge:float -> groups:int ->
   cols:string list -> Mmdb_storage.Relation.t -> Mmdb_storage.Relation.t
-(** [distinct ~mem_pages ~fudge ~cols rel] materialises the
-    duplicate-free projection.  Charges: one [move] per input tuple (the
-    projection), one [hash] per tuple plus one per spilled tuple on
-    re-read, one [comp] per dedup-table lookup, partition I/O when
-    spilling, charged writes of the result. *)
+(** [distinct ~mem_pages ~fudge ~groups ~cols rel] materialises the
+    duplicate-free projection, sized by [groups] expected distinct
+    projected tuples.  Charges as {!Aggregate.hybrid} with no aggregate
+    columns: one [hash] and one [comp] per tuple, one [move] per distinct
+    tuple, partition I/O and a second [hash] per tuple when the groups do
+    not fit, charged writes of the result. *)
 
 val sort_distinct : mem_pages:int -> cols:string list ->
   Mmdb_storage.Relation.t -> Mmdb_storage.Relation.t
-(** The sort-based baseline: project, externally sort on the first
-    projected column, and drop duplicates within each equal-key run in a
-    final scan.  Same result as {!distinct}; the cost comparison is
-    experiment E9's point. *)
+(** The sort-based baseline: project (one [move] per tuple), externally
+    sort on the whole projected tuple ({!Aggregate.whole}), and drop
+    adjacent duplicates in a final scan (one [comp] per tuple).  Same
+    result as {!distinct}; the cost comparison is experiment E9's
+    point. *)

@@ -52,7 +52,7 @@ let spill_fraction ~mem_pages ~fudge ~pages =
   in
   (b, q)
 
-let aggregate_ops ~mem_pages ~fudge ~comp_specs ~est_groups ~groups
+let aggregate_ops ~mem_pages ~fudge ~comp_specs ~est_groups ~groups ~out_tuples
     ~out_tuples_per_page i =
   let n = fi i.tuples and p = fi i.pages in
   (* B and q size the group table the estimate fills, not the input; a
@@ -62,7 +62,7 @@ let aggregate_ops ~mem_pages ~fudge ~comp_specs ~est_groups ~groups
       ~pages:(pages_of ~tuples:est_groups ~tuples_per_page:out_tuples_per_page)
   in
   let spill = if b = 0 then 0.0 else 1.0 -. q in
-  let out_pages = fi (pages_of ~tuples:groups ~tuples_per_page:out_tuples_per_page) in
+  let out_pages = fi (pages_of ~tuples:out_tuples ~tuples_per_page:out_tuples_per_page) in
   {
     (* One group-table lookup plus one comp per Min/Max spec per tuple. *)
     JM.comps = n *. (1.0 +. fi comp_specs);
@@ -77,61 +77,4 @@ let aggregate_ops ~mem_pages ~fudge ~comp_specs ~est_groups ~groups
       +. (if b <= 1 then p *. spill else 0.0) (* partition writes *)
       +. out_pages (* result written *);
     rand_ios = (if b > 1 then p *. spill else 0.0);
-  }
-
-let distinct_ops ~mem_pages ~fudge ~distinct ~out_tuples_per_page i =
-  let n = fi i.tuples and p = fi i.pages in
-  (* [i] describes the *projected* staging relation: dedup partitions by
-     its page count and spills its (narrower) pages. *)
-  let b, q = spill_fraction ~mem_pages ~fudge ~pages:i.pages in
-  let spill = if b = 0 then 0.0 else 1.0 -. q in
-  let out_pages =
-    fi (pages_of ~tuples:distinct ~tuples_per_page:out_tuples_per_page)
-  in
-  {
-    (* One seen-table membership comp per tuple. *)
-    JM.comps = n;
-    (* Whole-tuple hash at the split; spilled tuples hash again on
-       re-read. *)
-    hashes = n +. (n *. spill);
-    (* Projector move per tuple, plus a move per spilled tuple. *)
-    moves = n +. (n *. spill);
-    swaps = 0.0;
-    seq_ios =
-      (p *. spill)
-      +. (if b <= 1 then p *. spill else 0.0)
-      +. out_pages;
-    rand_ios = (if b > 1 then p *. spill else 0.0);
-  }
-
-type set_op_kind = Union | Intersection | Difference
-
-let set_op_ops ~mem_pages ~fudge ~kind ~out_tuples ~out_tuples_per_page l r =
-  let nl = fi l.tuples and nr = fi r.tuples in
-  let pages = fi (l.pages + r.pages) in
-  let b, _q = spill_fraction ~mem_pages ~fudge ~pages:(max l.pages r.pages) in
-  (* Set_ops splits with q = 0, no memory fraction: either everything
-     stays resident (b = 0) or both inputs spill entirely. *)
-  let spill = if b = 0 then 0.0 else 1.0 in
-  let out_pages =
-    fi (pages_of ~tuples:out_tuples ~tuples_per_page:out_tuples_per_page)
-  in
-  (* One membership comp per left tuple, plus one dedup comp per emit
-     attempt (union also re-emits the right side). *)
-  let emit_comps =
-    match kind with
-    | Union -> nl +. nr
-    | Intersection | Difference -> fi out_tuples
-  in
-  {
-    JM.comps = nl +. emit_comps;
-    hashes = nl +. nr;
-    moves = (nr (* membership table over the right side *))
-            +. ((nl +. nr) *. spill);
-    swaps = 0.0;
-    seq_ios =
-      (pages *. spill)
-      +. (if b <= 1 then pages *. spill else 0.0)
-      +. out_pages;
-    rand_ios = (if b > 1 then pages *. spill else 0.0);
   }

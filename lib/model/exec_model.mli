@@ -1,6 +1,6 @@
 (** Per-term cost predictions for the executable operators that the four
-    join formulas of {!Join_model} do not cover: external sort,
-    aggregation, duplicate elimination and set operations.
+    join formulas of {!Join_model} do not cover: external sort and hash
+    grouping (aggregation, duplicate elimination and set operations).
 
     Each function extends the paper's Section 3 accounting conventions
     (comps/hashes/moves/swaps, sequential vs random page transfers;
@@ -31,35 +31,15 @@ val aggregate_ops :
   comp_specs:int ->
   est_groups:int ->
   groups:int ->
-  out_tuples_per_page:int ->
-  input ->
-  Join_model.ops
-(** Hash aggregation into [groups] groups, sized as
-    [Mmdb_exec.Aggregate.hybrid] sizes it: one pass when the pages
-    [est_groups] output rows fill (at [out_tuples_per_page]) fit in
-    [mem_pages], else the hybrid split with B and q computed from those
-    pages.  [comp_specs] is the number of Min/Max specs (each charges a
-    comparison per tuple). *)
-
-val distinct_ops :
-  mem_pages:int ->
-  fudge:float ->
-  distinct:int ->
-  out_tuples_per_page:int ->
-  input ->
-  Join_model.ops
-(** Hybrid hash duplicate elimination; [input] describes the projected
-    staging relation (narrower tuples, fewer pages than the source). *)
-
-type set_op_kind = Union | Intersection | Difference
-
-val set_op_ops :
-  mem_pages:int ->
-  fudge:float ->
-  kind:set_op_kind ->
   out_tuples:int ->
   out_tuples_per_page:int ->
   input ->
-  input ->
   Join_model.ops
-(** Partitioned-hash set operation over left and right inputs. *)
+(** Hash grouping into [groups] groups of which [out_tuples] are
+    emitted, sized as [Mmdb_exec.Aggregate] sizes it: one pass when the
+    pages [est_groups] output rows fill (at [out_tuples_per_page]) fit in
+    [mem_pages], else the hybrid split with B and q computed from those
+    pages.  [comp_specs] is the number of Min/Max specs (each charges a
+    comparison per tuple).  Aggregation and duplicate elimination emit
+    every group; a set operation's [input] is both of its inputs, and
+    it emits only the groups its side mask selects. *)

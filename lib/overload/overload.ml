@@ -28,7 +28,6 @@ type tally = {
   mutable shed_backlog : int; (* OVLD002 *)
   mutable shed_analytic : int; (* OVLD003 *)
   mutable lock_timeouts : int; (* OVLD004 *)
-  mutable op_timeouts : int; (* OVLD005 *)
   mutable commit_timeouts : int; (* OVLD006 *)
   mutable shed_breaker : int; (* OVLD007 *)
   mutable budget_exhausted : int; (* OVLD008 *)
@@ -44,7 +43,6 @@ let tally_create () =
     shed_backlog = 0;
     shed_analytic = 0;
     lock_timeouts = 0;
-    op_timeouts = 0;
     commit_timeouts = 0;
     shed_breaker = 0;
     budget_exhausted = 0;
@@ -53,52 +51,18 @@ let tally_create () =
     breaker_reopens = 0;
   }
 
-let tally_copy t = { t with admitted = t.admitted }
-
-let tally_diff ~after ~before =
-  {
-    admitted = after.admitted - before.admitted;
-    shed_bucket = after.shed_bucket - before.shed_bucket;
-    shed_backlog = after.shed_backlog - before.shed_backlog;
-    shed_analytic = after.shed_analytic - before.shed_analytic;
-    lock_timeouts = after.lock_timeouts - before.lock_timeouts;
-    op_timeouts = after.op_timeouts - before.op_timeouts;
-    commit_timeouts = after.commit_timeouts - before.commit_timeouts;
-    shed_breaker = after.shed_breaker - before.shed_breaker;
-    budget_exhausted = after.budget_exhausted - before.budget_exhausted;
-    shed_readonly = after.shed_readonly - before.shed_readonly;
-    breaker_trips = after.breaker_trips - before.breaker_trips;
-    breaker_reopens = after.breaker_reopens - before.breaker_reopens;
-  }
-
-let sheds t =
-  t.shed_bucket + t.shed_backlog + t.shed_analytic + t.shed_breaker
-  + t.shed_readonly
-
-let timeouts t = t.lock_timeouts + t.op_timeouts + t.commit_timeouts
-let tally_total t = sheds t + timeouts t + t.budget_exhausted
-
 let note_code t code =
   match code with
   | "OVLD001" -> t.shed_bucket <- t.shed_bucket + 1
   | "OVLD002" -> t.shed_backlog <- t.shed_backlog + 1
   | "OVLD003" -> t.shed_analytic <- t.shed_analytic + 1
   | "OVLD004" -> t.lock_timeouts <- t.lock_timeouts + 1
-  | "OVLD005" -> t.op_timeouts <- t.op_timeouts + 1
   | "OVLD006" -> t.commit_timeouts <- t.commit_timeouts + 1
   | "OVLD007" -> t.shed_breaker <- t.shed_breaker + 1
   | "OVLD008" -> t.budget_exhausted <- t.budget_exhausted + 1
   | "OVLD009" -> t.shed_readonly <- t.shed_readonly + 1
   | "OVLD010" -> t.breaker_reopens <- t.breaker_reopens + 1
   | _ -> ()
-
-let pp_tally ppf t =
-  Format.fprintf ppf
-    "admitted=%d shed[bucket=%d backlog=%d analytic=%d breaker=%d ro=%d] \
-     timeout[lock=%d op=%d commit=%d] budget=%d trips=%d reopens=%d"
-    t.admitted t.shed_bucket t.shed_backlog t.shed_analytic t.shed_breaker
-    t.shed_readonly t.lock_timeouts t.op_timeouts t.commit_timeouts
-    t.budget_exhausted t.breaker_trips t.breaker_reopens
 
 (* ------------------------------------------------------------------ *)
 (* Retry: one backoff policy for every retry loop                      *)
@@ -367,7 +331,6 @@ let code_catalogue =
     ("OVLD002", "admission: device backlog or in-flight limit exceeded");
     ("OVLD003", "admission: analytic class shed to keep OLTP headroom");
     ("OVLD004", "deadline expired acquiring or waiting for a lock");
-    ("OVLD005", "deadline expired at an operator batch boundary");
     ("OVLD006", "deadline expired at commit; transaction rolled back");
     ("OVLD007", "circuit breaker open: request shed while device recovers");
     ("OVLD008", "per-transaction retry budget exhausted");

@@ -28,9 +28,9 @@ type priority = Oltp | Analytic
 
 (** {1 Shared tally}
 
-    One mutable record accumulates the run's overload story: embed it
-    in {!Mmdb_storage.Counters} so shed/timeout counts land next to the
-    workload's other operation counters. *)
+    One mutable record accumulates the run's overload story: share it
+    between an {!Admission} and its breakers (their [~tally] argument)
+    so every shed and timeout of a run lands in one place. *)
 
 type tally = {
   mutable admitted : int;
@@ -38,7 +38,6 @@ type tally = {
   mutable shed_backlog : int;  (** OVLD002 *)
   mutable shed_analytic : int;  (** OVLD003 *)
   mutable lock_timeouts : int;  (** OVLD004 *)
-  mutable op_timeouts : int;  (** OVLD005 *)
   mutable commit_timeouts : int;  (** OVLD006 *)
   mutable shed_breaker : int;  (** OVLD007 *)
   mutable budget_exhausted : int;  (** OVLD008 *)
@@ -48,16 +47,9 @@ type tally = {
 }
 
 val tally_create : unit -> tally
-val tally_copy : tally -> tally
-val tally_diff : after:tally -> before:tally -> tally
-
-val tally_total : tally -> int
-(** Sheds, deadline expiries (OVLD004/5/6) and exhausted retry budgets. *)
 
 val note_code : tally -> string -> unit
 (** Bump the tally row for an OVLD code (unknown codes are ignored). *)
-
-val pp_tally : Format.formatter -> tally -> unit
 
 (** {1 Retry} *)
 

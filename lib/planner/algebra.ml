@@ -2,7 +2,7 @@ module S = Mmdb_storage
 
 type cmp_op = Eq | Ne | Lt | Le | Gt | Ge
 
-type set_op = Union | Intersect | Except
+type set_op = Mmdb_exec.Aggregate.set_op = Union | Intersect | Except
 
 type predicate = {
   column : string;

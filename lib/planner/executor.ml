@@ -1,6 +1,5 @@
 module S = Mmdb_storage
 module E = Mmdb_exec
-module O = Mmdb_overload.Overload
 
 (* Every plan bottoms out in scans and index lookups: the leftmost names
    the disk and environment the query runs on. *)
@@ -13,19 +12,6 @@ let rec base_relation catalog = function
   | Optimizer.P_order_by { input; _ }
   | Optimizer.P_set_op { left = input; _ }
   | Optimizer.P_join { left = input; _ } -> base_relation catalog input
-
-(* Deadline check as a node opens, before any tuple flows through it,
-   so an expired query aborts with no intermediate result
-   mid-construction. *)
-let check_deadline catalog plan d =
-  let env = S.Relation.env (base_relation catalog plan) in
-  let now = S.Sim_clock.now env.S.Env.clock in
-  if O.Deadline.expired d ~now then begin
-    O.note_code env.S.Env.counters.S.Counters.ovld "OVLD005";
-    O.shed ~code:"OVLD005" ~site:"exec.node"
-      (Printf.sprintf "query deadline exceeded by %.6f s at an operator boundary"
-         (now -. O.Deadline.expires d))
-  end
 
 let disk_of catalog plan = S.Relation.disk (base_relation catalog plan)
 
@@ -67,9 +53,10 @@ let materialise disk = function
 (* Open one plan node; children open through [recurse] so callers can
    interpose instrumentation (see {!run_traced}).  A scan passes its
    table; index lookups, filters, plain projections and joins stream; an
-   aggregation drains its input as it arrives; every other node runs its
-   [Mmdb_exec] operator here over materialised inputs.  Inputs are freed
-   once consumed. *)
+   aggregation, DISTINCT or set operation drains its inputs into its
+   group table as they arrive; a join's inputs and ORDER BY run their
+   [Mmdb_exec] operators over materialised inputs.  Inputs are freed once
+   consumed. *)
 let open_node ~recurse catalog cfg plan =
   let disk = disk_of catalog plan in
   let inputs = ref [] in
@@ -83,6 +70,8 @@ let open_node ~recurse catalog cfg plan =
     Rel out
   in
   let mem_pages = cfg.Optimizer.mem_pages and fudge = cfg.Optimizer.fudge in
+  (* Tuples a grouping node drains into its group table as they arrive. *)
+  let group_input schema push = E.Aggregate.Stream { disk; schema; push } in
   match plan with
   | Optimizer.P_scan name -> Rel (Catalog.find catalog name)
   | Optimizer.P_index_lookup { table; value; _ } ->
@@ -100,13 +89,15 @@ let open_node ~recurse catalog cfg plan =
           drain catalog src (fun t ->
               S.Env.charge_comp env;
               if keep t then sink t) )
-  | Optimizer.P_project { input; columns; distinct = false } ->
+  | Optimizer.P_project { input; columns; distinct } -> (
     let src = recurse catalog cfg input in
     let out_schema = E.Projection.project_schema (schema_of src) ~cols:columns in
     let project = E.Projection.projector (schema_of src) ~cols:columns out_schema in
-    Stream (out_schema, fun sink -> drain catalog src (fun t -> sink (project t)))
-  | Optimizer.P_project { input = child; columns; distinct = true } ->
-    blocking (E.Projection.distinct ~mem_pages ~fudge ~cols:columns (input child))
+    let push sink = drain catalog src (fun t -> sink (project t)) in
+    match distinct with
+    | None -> Stream (out_schema, push)
+    | Some g ->
+      Rel (E.Aggregate.distinct ~mem_pages ~fudge ~groups:g.Optimizer.est_groups (group_input out_schema push)))
   | Optimizer.P_join { left; right; left_key; right_key; choice } ->
     let lrel = rekey (input left) left_key in
     let rrel = rekey (input right) right_key in
@@ -129,28 +120,21 @@ let open_node ~recurse catalog cfg plan =
           in
           ignore (E.Joiner.run choice.Optimizer.algorithm ~mem_pages ~fudge build probe emit);
           List.iter (release catalog) !inputs )
-  | Optimizer.P_aggregate { input = child; group_by; aggs; est_groups = groups; _ } -> (
-    let aggregate source = E.Aggregate.hybrid ~mem_pages ~fudge ~groups source aggs in
-    match recurse catalog cfg child with
-    | Rel rel ->
-      let out = aggregate (E.Aggregate.Relation (rekey rel group_by)) in
-      release catalog rel;
-      Rel out
-    | Stream (schema, push) ->
-      let schema = S.Schema.with_key schema group_by in
-      Rel (aggregate (E.Aggregate.Stream { disk; schema; push })))
-  | Optimizer.P_set_op { op; left; right } ->
-    (* Sequential lets: the left child must execute first so traced paths
+  | Optimizer.P_aggregate { input; group_by; aggs; grouping } ->
+    let src = recurse catalog cfg input in
+    Rel
+      (E.Aggregate.hybrid ~mem_pages ~fudge ~groups:grouping.Optimizer.est_groups
+         (group_input (S.Schema.with_key (schema_of src) group_by) (drain catalog src))
+         aggs)
+  | Optimizer.P_set_op { op; left; right; grouping } ->
+    (* Sequential lets: the left child must open first so traced paths
        ($.0 = left) are deterministic. *)
-    let l = input left in
-    let r = input right in
-    let f =
-      match op with
-      | Algebra.Union -> E.Set_ops.union
-      | Algebra.Intersect -> E.Set_ops.intersection
-      | Algebra.Except -> E.Set_ops.difference
-    in
-    blocking (f ~mem_pages ~fudge l r)
+    let l = recurse catalog cfg left in
+    let r = recurse catalog cfg right in
+    let source out = group_input (schema_of out) (drain catalog out) in
+    Rel
+      (E.Aggregate.set_op op ~mem_pages ~fudge ~groups:grouping.Optimizer.est_groups
+         (source l) (source r))
   | Optimizer.P_order_by { input = child; column; descending } ->
     let sorted = E.External_sort.sort ~mem_pages (rekey (input child) column) in
     if not descending then blocking sorted
@@ -163,13 +147,9 @@ let open_node ~recurse catalog cfg plan =
       blocking out
     end
 
-(* Open a plan's nodes, checking [deadline] as each one opens. *)
-let rec open_tree deadline catalog cfg plan =
-  Option.iter (check_deadline catalog plan) deadline;
-  open_node ~recurse:(open_tree deadline) catalog cfg plan
+let rec open_tree catalog cfg plan = open_node ~recurse:open_tree catalog cfg plan
 
-let run ?deadline catalog cfg plan =
-  materialise (disk_of catalog plan) (open_tree deadline catalog cfg plan)
+let run catalog cfg plan = materialise (disk_of catalog plan) (open_tree catalog cfg plan)
 
 let decode schema iter =
   let acc = ref [] in
@@ -177,7 +157,7 @@ let decode schema iter =
   List.rev !acc
 
 let run_rows catalog cfg plan =
-  let out = open_tree None catalog cfg plan in
+  let out = open_tree catalog cfg plan in
   decode (schema_of out) (drain catalog out)
 
 type node_obs = {
@@ -197,7 +177,7 @@ let kind_of = function
   | Optimizer.P_index_lookup { table; _ } -> "index:" ^ table
   | Optimizer.P_filter _ -> "filter"
   | Optimizer.P_project { distinct; _ } ->
-    if distinct then "project-distinct" else "project"
+    if distinct = None then "project" else "project-distinct"
   | Optimizer.P_join { choice; _ } ->
     "join:" ^ E.Joiner.name choice.Optimizer.algorithm
   | Optimizer.P_aggregate _ -> "aggregate"
@@ -260,7 +240,6 @@ let run_traced catalog cfg plan =
   let result = materialise disk (go "$" plan) in
   (result, List.rev !acc)
 
-let query ?deadline catalog cfg expr =
-  run ?deadline catalog cfg (Optimizer.plan catalog cfg expr)
+let query catalog cfg expr = run catalog cfg (Optimizer.plan catalog cfg expr)
 
 let rows rel = decode (S.Relation.schema rel) (S.Relation.iter_tuples_nocharge rel)

@@ -4,29 +4,25 @@
     stream encoded tuples into their parent and build no relation: a
     join runs its algorithm when its parent drains it and frees its
     inputs after.  A filter charges one comparison per tuple it tests.
-    An aggregation drains its input straight into its group table when
-    the optimizer's group estimate fits in memory
-    ({!Mmdb_exec.Aggregate.hybrid}).  Set operations, [ORDER BY],
-    [DISTINCT] and a join's inputs block: their [Mmdb_exec] operators
-    take relations, so a streamed input is appended (uncharged) into a
-    temporary relation on the base tables' simulated disk, and a scan
-    passes its table itself.  Join inputs are re-keyed views
+    An aggregation, a [DISTINCT] and a set operation drain their inputs
+    straight into one group table when the optimizer's group estimate
+    fits in memory ({!Mmdb_exec.Aggregate}); a spilling one stores its
+    input (uncharged) before it splits it.  [ORDER BY] and a join's
+    inputs block: their [Mmdb_exec] operators take relations, so a
+    streamed input is appended (uncharged) into a temporary relation on
+    the base tables' simulated disk, and a scan passes its table
+    itself.  Join inputs are re-keyed views
     ({!Mmdb_storage.Relation.with_schema}) so any column can serve as the
     join key; join outputs concatenate left-then-right regardless of which
     side the optimizer chose to build on. *)
 
-val run : ?deadline:Mmdb_overload.Overload.Deadline.t -> Catalog.t ->
-  Optimizer.config -> Optimizer.plan -> Mmdb_storage.Relation.t
+val run : Catalog.t -> Optimizer.config -> Optimizer.plan ->
+  Mmdb_storage.Relation.t
 (** Execute a plan, returning the (sealed) result relation: a streamed
     root is materialised here.  Its schema matches
     {!Optimizer.output_schema} of the planned expression.  Each
     intermediate result's pages are freed once its parent node has
-    consumed it; catalog tables are never freed.  When [deadline] is
-    given it is checked as each node opens, before any tuple flows
-    through it: an expired query aborts between operators, when no
-    intermediate result is mid-construction.
-    @raise Mmdb_overload.Overload.Shed (OVLD005) when [deadline] expires
-    at an operator boundary.
+    consumed it; catalog tables are never freed.
     @raise Mmdb_fault.Fault.Io_error and
     @raise Mmdb_fault.Fault.Unrecoverable from the storage layer when a
     fault plan is armed (execution reads and spills pages). *)
@@ -62,11 +58,9 @@ val run_traced : Catalog.t -> Optimizer.config -> Optimizer.plan ->
     charges so they can be checked against the cost model's prediction
     for that node ([Mmdb_verify.Model_check]). *)
 
-val query : ?deadline:Mmdb_overload.Overload.Deadline.t -> Catalog.t ->
-  Optimizer.config -> Algebra.expr -> Mmdb_storage.Relation.t
-(** [query catalog cfg expr] = plan + run.
-    @raise Mmdb_overload.Overload.Shed (OVLD005) when [deadline] expires
-    at an operator boundary. *)
+val query : Catalog.t -> Optimizer.config -> Algebra.expr ->
+  Mmdb_storage.Relation.t
+(** [query catalog cfg expr] = plan + run. *)
 
 val rows : Mmdb_storage.Relation.t -> Mmdb_storage.Tuple.value list list
 (** Decode every tuple (convenience for examples and tests). *)

@@ -21,6 +21,8 @@ type join_choice = {
   est_seconds : float;
 }
 
+type grouping = { est_groups : int; est_partitions : int }
+
 type plan =
   | P_scan of string
   | P_index_lookup of {
@@ -30,7 +32,7 @@ type plan =
       kind : Catalog.index_kind;
     }
   | P_filter of { input : plan; pred : Algebra.predicate }
-  | P_project of { input : plan; columns : string list; distinct : bool }
+  | P_project of { input : plan; columns : string list; distinct : grouping option }
   | P_join of {
       left : plan;
       right : plan;
@@ -42,11 +44,10 @@ type plan =
       input : plan;
       group_by : string;
       aggs : Mmdb_exec.Aggregate.spec list;
-      est_groups : int;
-      est_partitions : int;
+      grouping : grouping;
     }
   | P_order_by of { input : plan; column : string; descending : bool }
-  | P_set_op of { op : Algebra.set_op; left : plan; right : plan }
+  | P_set_op of { op : Algebra.set_op; left : plan; right : plan; grouping : grouping }
 
 let unknown_column what name =
   invalid_arg (Printf.sprintf "Optimizer: unknown %s %s" what name)
@@ -274,6 +275,16 @@ let index_path catalog expr =
         Some (List.fold_left (fun input pred -> P_filter { input; pred }) lookup rest)))
   | Some _ | None -> None
 
+(* The grouping of [expr]'s node: as many groups as [groups_of] is
+   estimated to return, in pages of [expr]'s output rows. *)
+let grouping catalog cfg expr ~groups_of =
+  let est_groups = int_of_float (Float.ceil (Selectivity.estimate catalog groups_of)) in
+  let est_partitions =
+    E.Aggregate.partitions ~mem_pages:cfg.mem_pages ~fudge:cfg.fudge ~groups:est_groups
+      ~tuples_per_page:(tuples_per_page_of catalog expr)
+  in
+  { est_groups; est_partitions }
+
 let plan catalog cfg expr =
   let expr = push_down catalog expr in
   let rec go = function
@@ -282,22 +293,19 @@ let plan catalog cfg expr =
       match index_path catalog sel with
       | Some p -> p
       | None -> P_filter { input = go input; pred })
-    | Algebra.Project { input; columns; distinct } ->
+    | Algebra.Project { input; columns; distinct } as proj ->
+      let distinct = if distinct then Some (grouping catalog cfg proj ~groups_of:proj) else None in
       P_project { input = go input; columns; distinct }
     | Algebra.Join { left; right; left_key; right_key } ->
       let choice = choose_join catalog cfg left right in
       P_join { left = go left; right = go right; left_key; right_key; choice }
     | Algebra.Aggregate { input; group_by; aggs } as agg ->
-      let est_groups = int_of_float (Float.ceil (Selectivity.estimate catalog agg)) in
-      let est_partitions =
-        E.Aggregate.partitions ~mem_pages:cfg.mem_pages ~fudge:cfg.fudge ~groups:est_groups
-          ~tuples_per_page:(tuples_per_page_of catalog agg)
-      in
-      P_aggregate { input = go input; group_by; aggs; est_groups; est_partitions }
+      P_aggregate { input = go input; group_by; aggs; grouping = grouping catalog cfg agg ~groups_of:agg }
     | Algebra.Order_by { input; column; descending } ->
       P_order_by { input = go input; column; descending }
-    | Algebra.Set_op { op; left; right } ->
-      P_set_op { op; left = go left; right = go right }
+    | Algebra.Set_op { op; left; right } as set ->
+      let grouping = grouping catalog cfg set ~groups_of:(Algebra.set_op Algebra.Union left right) in
+      P_set_op { op; left = go left; right = go right; grouping }
   in
   go expr
 
@@ -331,6 +339,10 @@ let rec join_choices = function
     choice :: (join_choices left @ join_choices right)
   | P_set_op { left; right; _ } -> join_choices left @ join_choices right
 
+let grouping_string { est_groups; est_partitions } =
+  Printf.sprintf " groups=%d %s" est_groups
+    (if est_partitions = 0 then "one-pass" else Printf.sprintf "two-pass B=%d" est_partitions)
+
 let explain plan =
   let buf = Buffer.create 256 in
   let rec go indent p =
@@ -347,9 +359,10 @@ let explain plan =
       go (indent + 2) input
     | P_project { input; columns; distinct } ->
       Buffer.add_string buf
-        (Printf.sprintf "%sproject%s [%s]\n" pad
-           (if distinct then " distinct" else "")
-           (String.concat ", " columns));
+        (Printf.sprintf "%sproject%s [%s]%s\n" pad
+           (if distinct = None then "" else " distinct")
+           (String.concat ", " columns)
+           (match distinct with None -> "" | Some g -> grouping_string g));
       go (indent + 2) input
     | P_join { left; right; left_key; right_key; choice } ->
       Buffer.add_string buf
@@ -361,27 +374,25 @@ let explain plan =
            choice.est_build_pages choice.est_probe_pages choice.est_seconds);
       go (indent + 2) left;
       go (indent + 2) right
-    | P_aggregate { input; group_by; aggs; est_groups; est_partitions } ->
+    | P_aggregate { input; group_by; aggs; grouping } ->
       Buffer.add_string buf
-        (Printf.sprintf "%saggregate by %s (%d aggs) groups=%d %s\n" pad group_by
+        (Printf.sprintf "%saggregate by %s (%d aggs)%s\n" pad group_by
            (* perf_lint: explain printer; one length per aggregate node *)
-           (List.length aggs) est_groups
-           (if est_partitions = 0 then "one-pass"
-            else Printf.sprintf "two-pass B=%d" est_partitions));
+           (List.length aggs) (grouping_string grouping));
       go (indent + 2) input
     | P_order_by { input; column; descending } ->
       Buffer.add_string buf
         (Printf.sprintf "%sorder by %s%s\n" pad column
            (if descending then " desc" else ""));
       go (indent + 2) input
-    | P_set_op { op; left; right } ->
+    | P_set_op { op; left; right; grouping } ->
       let name =
         match op with
         | Algebra.Union -> "union"
         | Algebra.Intersect -> "intersect"
         | Algebra.Except -> "except"
       in
-      Buffer.add_string buf (Printf.sprintf "%s%s\n" pad name);
+      Buffer.add_string buf (Printf.sprintf "%s%s%s\n" pad name (grouping_string grouping));
       go (indent + 2) left;
       go (indent + 2) right
   in

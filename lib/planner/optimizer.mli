@@ -37,6 +37,15 @@ type join_choice = {
   est_seconds : float;  (** analytic cost under Table 2 constants *)
 }
 
+type grouping = {
+  est_groups : int;
+      (** {!Selectivity.estimate} of the groups, rounded up: the count
+          {!Mmdb_exec.Aggregate}'s group table is sized by *)
+  est_partitions : int;  (** its disk partitions B at that count; 0 is one pass *)
+}
+(** How a hash-grouping node (aggregation, [DISTINCT], set operation)
+    sizes its group table. *)
+
 type plan =
   | P_scan of string
   | P_index_lookup of {
@@ -51,7 +60,9 @@ type plan =
           an index; the chain's other predicates become filters above
           it. *)
   | P_filter of { input : plan; pred : Algebra.predicate }
-  | P_project of { input : plan; columns : string list; distinct : bool }
+  | P_project of { input : plan; columns : string list; distinct : grouping option }
+      (** [distinct] is [Some] for [DISTINCT]: a grouping on the whole
+          projected tuple, sized by the projection's estimate *)
   | P_join of {
       left : plan;
       right : plan;
@@ -63,14 +74,12 @@ type plan =
       input : plan;
       group_by : string;
       aggs : Mmdb_exec.Aggregate.spec list;
-      est_groups : int;
-          (** {!Selectivity.estimate} of the aggregation, rounded up: the
-              group count {!Mmdb_exec.Aggregate.hybrid} is sized by *)
-      est_partitions : int;
-          (** its disk partitions B at that count; 0 is one pass *)
+      grouping : grouping;  (** sized by the aggregation's estimate *)
     }
   | P_order_by of { input : plan; column : string; descending : bool }
-  | P_set_op of { op : Algebra.set_op; left : plan; right : plan }
+  | P_set_op of { op : Algebra.set_op; left : plan; right : plan; grouping : grouping }
+      (** one grouping of both inputs, sized by the estimate of their
+          union: the group table holds every distinct tuple of either *)
 
 val output_schema : Catalog.t -> Algebra.expr -> Mmdb_storage.Schema.t
 (** Schema of an expression's result.  Join results carry columns prefixed

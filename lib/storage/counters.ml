@@ -1,5 +1,3 @@
-module O = Mmdb_overload.Overload
-
 type t = {
   mutable comparisons : int;
   mutable hashes : int;
@@ -11,7 +9,6 @@ type t = {
   mutable rand_writes : int;
   mutable faults : int;
   mutable pool_hits : int;
-  ovld : O.tally;
 }
 
 let create () =
@@ -26,7 +23,6 @@ let create () =
     rand_writes = 0;
     faults = 0;
     pool_hits = 0;
-    ovld = O.tally_create ();
   }
 
 let snapshot t =
@@ -41,7 +37,6 @@ let snapshot t =
     rand_writes = t.rand_writes;
     faults = t.faults;
     pool_hits = t.pool_hits;
-    ovld = O.tally_copy t.ovld;
   }
 
 let diff ~after ~before =
@@ -56,7 +51,6 @@ let diff ~after ~before =
     rand_writes = after.rand_writes - before.rand_writes;
     faults = after.faults - before.faults;
     pool_hits = after.pool_hits - before.pool_hits;
-    ovld = O.tally_diff ~after:after.ovld ~before:before.ovld;
   }
 
 let total_io t = t.seq_reads + t.seq_writes + t.rand_reads + t.rand_writes
@@ -66,6 +60,4 @@ let pp ppf t =
     "comp=%d hash=%d move=%d swap=%d seqR=%d seqW=%d randR=%d randW=%d \
      faults=%d hits=%d"
     t.comparisons t.hashes t.moves t.swaps t.seq_reads t.seq_writes
-    t.rand_reads t.rand_writes t.faults t.pool_hits;
-  if O.tally_total t.ovld + t.ovld.O.admitted > 0 then
-    Format.fprintf ppf " ovld[%a]" O.pp_tally t.ovld
+    t.rand_reads t.rand_writes t.faults t.pool_hits

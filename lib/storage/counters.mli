@@ -17,11 +17,6 @@ type t = {
   mutable rand_writes : int;
   mutable faults : int;  (** buffer-pool misses *)
   mutable pool_hits : int;  (** buffer-pool hits *)
-  ovld : Mmdb_overload.Overload.tally;
-      (** overload tally: admissions, typed sheds, deadline timeouts,
-          retry-budget exhaustions, breaker trips.  Share it with an
-          {!Mmdb_overload.Overload.Admission} (and breakers) via their
-          [~tally] argument so service-layer sheds count here. *)
 }
 
 val create : unit -> t

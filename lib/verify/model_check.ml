@@ -208,7 +208,12 @@ let model011 ~path ~kind msg =
 let predict_node catalog (cfg : P.Optimizer.config) ~kind plan
     (children : P.Executor.node_obs list) (self_obs : P.Executor.node_obs) =
   let mem_pages = cfg.P.Optimizer.mem_pages and fudge = cfg.P.Optimizer.fudge in
-  let out_tpp = self_obs.P.Executor.output_tuples_per_page in
+  let tpp = max 1 self_obs.P.Executor.output_tuples_per_page in
+  let out = self_obs.P.Executor.output_tuples in
+  let grouping ~comp_specs (g : P.Optimizer.grouping) ~groups i =
+    XM.aggregate_ops ~mem_pages ~fudge ~comp_specs ~est_groups:g.P.Optimizer.est_groups
+      ~groups ~out_tuples:out ~out_tuples_per_page:tpp i
+  in
   let one f =
     match children with
     | [ c ] -> f c
@@ -237,19 +242,15 @@ let predict_node catalog (cfg : P.Optimizer.config) ~kind plan
       | P.Catalog.Btree_index -> AM.btree_comparisons am
     in
     Ok { JM.zero_ops with JM.comps }
-  | P.Optimizer.P_project { distinct = false; _ } -> Ok JM.zero_ops
-  | P.Optimizer.P_project { distinct = true; _ } ->
+  | P.Optimizer.P_project { distinct = None; _ } -> Ok JM.zero_ops
+  | P.Optimizer.P_project { distinct = Some g; _ } ->
+    (* Grouped as the projected tuples arrive; a spill stores and splits
+       those, at the output's width. *)
     one (fun child ->
       let tuples = child.P.Executor.output_tuples in
-      let staging =
-        XM.input ~tuples
-          ~pages:(XM.pages_of ~tuples ~tuples_per_page:(max 1 out_tpp))
-          ~tuples_per_page:(max 1 out_tpp)
-      in
-      Ok
-        (XM.distinct_ops ~mem_pages ~fudge
-           ~distinct:self_obs.P.Executor.output_tuples
-           ~out_tuples_per_page:(max 1 out_tpp) staging))
+      Ok (grouping ~comp_specs:0 g ~groups:out
+            (XM.input ~tuples ~pages:(XM.pages_of ~tuples ~tuples_per_page:tpp)
+               ~tuples_per_page:tpp)))
   | P.Optimizer.P_join { choice; _ } ->
     two (fun l r ->
       let build, probe =
@@ -271,7 +272,7 @@ let predict_node catalog (cfg : P.Optimizer.config) ~kind plan
              (E.Joiner.name choice.P.Optimizer.algorithm)
              w ~m:mem_pages)
       | exception Invalid_argument msg -> Error msg)
-  | P.Optimizer.P_aggregate { aggs; est_groups; _ } ->
+  | P.Optimizer.P_aggregate { aggs; grouping = g; _ } ->
     one (fun child ->
       let comp_specs =
         List.length
@@ -281,25 +282,25 @@ let predict_node catalog (cfg : P.Optimizer.config) ~kind plan
                | _ -> false)
              aggs)
       in
-      Ok
-        (XM.aggregate_ops ~mem_pages ~fudge ~comp_specs ~est_groups
-           ~groups:self_obs.P.Executor.output_tuples
-           ~out_tuples_per_page:(max 1 out_tpp) (input_of_obs child)))
+      Ok (grouping ~comp_specs g ~groups:out (input_of_obs child)))
   | P.Optimizer.P_order_by _ ->
     one (fun child -> Ok (XM.sort_ops ~mem_pages (input_of_obs child)))
-  | P.Optimizer.P_set_op { op; _ } ->
+  | P.Optimizer.P_set_op { op; grouping = g; _ } ->
+    (* One group per distinct tuple of either input: for duplicate-free
+       inputs, what the emitted groups and the inputs' sizes imply. *)
     two (fun l r ->
-      let kind_x =
+      let nl = l.P.Executor.output_tuples and nr = r.P.Executor.output_tuples in
+      let groups =
         match op with
-        | P.Algebra.Union -> XM.Union
-        | P.Algebra.Intersect -> XM.Intersection
-        | P.Algebra.Except -> XM.Difference
+        | P.Algebra.Union -> out
+        | P.Algebra.Intersect -> nl + nr - out
+        | P.Algebra.Except -> out + nr
       in
       Ok
-        (XM.set_op_ops ~mem_pages ~fudge ~kind:kind_x
-           ~out_tuples:self_obs.P.Executor.output_tuples
-           ~out_tuples_per_page:(max 1 out_tpp) (input_of_obs l)
-           (input_of_obs r)))
+        (grouping ~comp_specs:0 g ~groups
+           (XM.input ~tuples:(nl + nr)
+              ~pages:(l.P.Executor.output_pages + r.P.Executor.output_pages)
+              ~tuples_per_page:tpp)))
 
 (* Children of node [path] among the traced observations: entries whose
    path is [path ^ "." ^ digit+] with no further dot. *)
@@ -581,12 +582,22 @@ let run_suite ?(seed = 42) ?(tolerance_scale = 1.0) () =
       (aggregate ~group_by:"k"
          ~aggs:[ E.Aggregate.Count; E.Aggregate.Sum "v"; E.Aggregate.Max "v" ]
          (scan "s"));
+    (* s's distinct k values fill 3 pages of the group table, its
+       (k, v) pairs 10: one pass at |M| = 16, spilled at 8. *)
     conformance "plan/distinct" (project ~distinct:true ~columns:[ "k" ] (scan "s"));
+    conformance "plan/distinct/spilled"
+      ~cfg:{ cfg with P.Optimizer.mem_pages = 8 }
+      (project ~distinct:true ~columns:[ "k"; "v" ] (scan "s"));
     (* Sort the random column: replacement selection on presorted input
        makes one long run, which the expected-runs formula (random input)
        does not model. *)
     conformance "plan/order-by" (order_by ~column:"k" (scan "s"));
+    (* A set operation's group table holds both inputs' tuples: r and
+       t fill 36 pages, so it spills at |M| = 16 and more so at 8. *)
     conformance "plan/union" (set_op Union (scan "r") (scan "t"));
+    conformance "plan/union/spilled"
+      ~cfg:{ cfg with P.Optimizer.mem_pages = 8 }
+      (set_op Union (scan "r") (scan "t"));
     conformance "plan/intersect" (set_op Intersect (scan "r") (scan "s"));
     conformance "plan/except" (set_op Except (scan "s") (scan "r"));
     (* Point probes through each index kind. *)

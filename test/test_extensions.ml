@@ -494,6 +494,13 @@ let dump_set rel =
       acc := (S.Tuple.get_int so_schema t 0, S.Tuple.get_int so_schema t 1) :: !acc);
   List.sort compare !acc
 
+(* A set operation sized, as the optimizer sizes it, by both inputs'
+   tuple counts. *)
+let set_op op ~mem_pages l r =
+  E.Aggregate.set_op op ~mem_pages ~fudge:1.2
+    ~groups:(S.Relation.ntuples l + S.Relation.ntuples r)
+    (E.Aggregate.Relation l) (E.Aggregate.Relation r)
+
 let set_env () =
   let env = S.Env.create () in
   (env, S.Disk.create ~env ~page_size:128)
@@ -505,14 +512,14 @@ let test_set_ops_fixed () =
   Alcotest.(check (list (pair int int)))
     "union"
     [ (1, 1); (2, 2); (3, 3); (4, 4) ]
-    (dump_set (E.Set_ops.union ~mem_pages:8 ~fudge:1.2 l r));
+    (dump_set (set_op E.Aggregate.Union ~mem_pages:8 l r));
   Alcotest.(check (list (pair int int)))
     "intersection" [ (2, 2) ]
-    (dump_set (E.Set_ops.intersection ~mem_pages:8 ~fudge:1.2 l r));
+    (dump_set (set_op E.Aggregate.Intersect ~mem_pages:8 l r));
   Alcotest.(check (list (pair int int)))
     "difference"
     [ (1, 1); (3, 3) ]
-    (dump_set (E.Set_ops.difference ~mem_pages:8 ~fudge:1.2 l r))
+    (dump_set (set_op E.Aggregate.Except ~mem_pages:8 l r))
 
 let test_set_ops_width_mismatch () =
   let _, disk = set_env () in
@@ -523,8 +530,8 @@ let test_set_ops_width_mismatch () =
   in
   let r = S.Relation.of_tuples ~disk ~name:"R" ~schema:wide [] in
   Alcotest.check_raises "width mismatch"
-    (Invalid_argument "Set_ops: tuple widths differ") (fun () ->
-      ignore (E.Set_ops.union ~mem_pages:8 ~fudge:1.2 l r))
+    (Invalid_argument "Aggregate.set_op: tuple widths differ") (fun () ->
+      ignore (set_op E.Aggregate.Union ~mem_pages:8 l r))
 
 (* The right input has the left's width but is keyed on its second
    column, and memory runs down to sizes that spill into many buckets:
@@ -556,9 +563,9 @@ let qcheck_set_ops_match_lists =
       let union_m = List.sort_uniq compare (model_l @ model_r) in
       let inter_m = List.filter (fun x -> List.mem x model_r) model_l in
       let diff_m = List.filter (fun x -> not (List.mem x model_r)) model_l in
-      dump_set (E.Set_ops.union ~mem_pages ~fudge:1.2 l r) = union_m
-      && dump_set (E.Set_ops.intersection ~mem_pages ~fudge:1.2 l r) = inter_m
-      && dump_set (E.Set_ops.difference ~mem_pages ~fudge:1.2 l r) = diff_m)
+      dump_set (set_op E.Aggregate.Union ~mem_pages l r) = union_m
+      && dump_set (set_op E.Aggregate.Intersect ~mem_pages l r) = inter_m
+      && dump_set (set_op E.Aggregate.Except ~mem_pages l r) = diff_m)
 
 let () =
   Alcotest.run "mmdb_extensions"

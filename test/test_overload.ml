@@ -1,14 +1,11 @@
 (* Tests for the overload-resilient service layer: typed sheds, deadline
-   expiry at every stage (lock wait, operator boundary, commit point),
+   expiry at every stage (lock wait, commit point),
    the circuit-breaker state machine, spike-mode fuzzing, and degraded
    modes.  The recurring assertion: every shed leaves the service clean —
    no locks held, no pinned frames, no balance drift, and a
    Schedule_check-clean audit trail. *)
 
-module S = Mmdb_storage
 module R = Mmdb_recovery
-module P = Mmdb_planner
-module A = P.Algebra
 module U = Mmdb_util
 module V = Mmdb_verify
 module D = U.Diag
@@ -90,42 +87,6 @@ let test_deadline_mid_lock_wait () =
   checki "victim holds no locks" 0 (List.length (R.Lock_manager.locks_held lm ~txn:2));
   checkb "holder undisturbed" true (R.Lock_manager.holder lm ~key:7 = Some 1);
   checkb "queue empty" true (R.Lock_manager.waiters lm ~key:7 = [])
-
-(* ------------------------------------------------------------------ *)
-(* Deadline expiry: operator boundary (OVLD005)                        *)
-(* ------------------------------------------------------------------ *)
-
-let emp_schema () =
-  S.Schema.create ~key:"id"
-    [ S.Schema.column "id" S.Schema.Int; S.Schema.column "salary" S.Schema.Int ]
-
-let query_setup () =
-  let env = S.Env.create () in
-  let disk = S.Disk.create ~env ~page_size:512 in
-  let emp =
-    S.Relation.of_tuples ~disk ~name:"emp" ~schema:(emp_schema ())
-      (List.init 50 (fun i ->
-           S.Tuple.encode (emp_schema ())
-             [ S.Tuple.VInt i; S.Tuple.VInt (1000 * i) ]))
-  in
-  let cat = P.Catalog.create () in
-  P.Catalog.register cat emp;
-  (env, disk, cat)
-
-let test_deadline_mid_operator () =
-  let env, _, cat = query_setup () in
-  let cfg = P.Optimizer.default_config in
-  let d = O.Deadline.at (S.Sim_clock.now env.S.Env.clock -. 1.0) in
-  (match shed_of (fun () -> P.Executor.query ~deadline:d cat cfg (A.scan "emp"))
-   with
-  | Some r ->
-    checks "code" "OVLD005" r.O.code;
-    checks "site" "exec.node" r.O.site
-  | None -> Alcotest.fail "expired query was not shed");
-  checki "tally" 1 env.S.Env.counters.S.Counters.ovld.O.op_timeouts;
-  (* The catalog is untouched: the same query runs clean afterwards. *)
-  let out = P.Executor.query cat cfg (A.scan "emp") in
-  checki "rerun scans everything" 50 (List.length (P.Executor.rows out))
 
 (* ------------------------------------------------------------------ *)
 (* Circuit breaker: state machine vs a reference model                 *)
@@ -469,7 +430,7 @@ let test_code_catalogue () =
   List.iter
     (fun c -> checkb (c ^ " catalogued") true (List.mem_assoc c V.code_catalogue))
     [
-      "OVLD001"; "OVLD002"; "OVLD003"; "OVLD004"; "OVLD005"; "OVLD006";
+      "OVLD001"; "OVLD002"; "OVLD003"; "OVLD004"; "OVLD006";
       "OVLD007"; "OVLD008"; "OVLD009"; "OVLD010";
     ];
   let all = List.map fst V.code_catalogue in
@@ -487,8 +448,6 @@ let () =
             test_deadline_at_commit;
           Alcotest.test_case "expiry mid lock wait" `Quick
             test_deadline_mid_lock_wait;
-          Alcotest.test_case "expiry at operator boundary (OVLD005)" `Quick
-            test_deadline_mid_operator;
         ] );
       ( "breaker",
         [

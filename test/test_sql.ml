@@ -623,6 +623,9 @@ type model_query = {
   cols : string list option;  (** [None] is [*] *)
   distinct : bool;
   order : (string * bool) option;  (** column, descending *)
+  set : (A.set_op * model_query) option;
+      (** [UNION], [INTERSECT] or [EXCEPT] with a second projection whose
+          columns have the same types; [order] then sorts the result *)
 }
 
 let op_sql = function
@@ -637,7 +640,9 @@ let where_sql = function
     ^ String.concat " AND "
         (List.map (fun (c, op, v) -> Printf.sprintf "%s %s %s" c (op_sql op) (value_sql v)) ps)
 
-let model_sql q =
+let set_sql = function A.Union -> "UNION" | A.Intersect -> "INTERSECT" | A.Except -> "EXCEPT"
+
+let rec model_sql q =
   let name c = if q.join then "r_" ^ c else c in
   let preds =
     Option.to_list (Option.map (fun k -> (name "id", A.Eq, S.Tuple.VInt k)) q.key) @ q.preds
@@ -651,6 +656,7 @@ let model_sql q =
       q.table;
       (if q.join then " JOIN dim ON grp = gid" else "");
       where_sql preds;
+      (match q.set with None -> "" | Some (op, r) -> " " ^ set_sql op ^ " " ^ model_sql r);
       (match q.order with
       | None -> ""
       | Some (c, desc) -> " ORDER BY " ^ c ^ if desc then " DESC" else "");
@@ -666,7 +672,7 @@ let holds row (c, op, v) =
   match op with
   | A.Eq -> x = 0 | A.Ne -> x <> 0 | A.Lt -> x < 0 | A.Le -> x <= 0 | A.Gt -> x > 0 | A.Ge -> x >= 0
 
-let model_eval model q =
+let rec model_eval model q =
   let named row = List.combine (model_names q) row in
   let base = Hashtbl.find model q.table in
   let rows =
@@ -686,7 +692,15 @@ let model_eval model q =
     | None -> rows
     | Some cs -> List.map (fun r -> List.map (fun c -> List.assoc c (named r)) cs) rows
   in
-  if q.distinct then List.sort_uniq compare rows else rows
+  match q.set with
+  | None -> if q.distinct then List.sort_uniq compare rows else rows
+  | Some (op, r) -> (
+    (* Set semantics: both sides' distinct rows. *)
+    let l = List.sort_uniq compare rows and r = List.sort_uniq compare (model_eval model r) in
+    match op with
+    | A.Union -> List.sort_uniq compare (l @ r)
+    | A.Intersect -> List.filter (fun x -> List.mem x r) l
+    | A.Except -> List.filter (fun x -> not (List.mem x r)) l)
 
 let gen_pred names =
   let open QCheck.Gen in
@@ -700,7 +714,7 @@ let gen_model_query_on tables =
   let open QCheck.Gen in
   oneofl tables >>= fun table ->
   bool >>= fun join ->
-  let q0 = { table; key = None; preds = []; join; cols = None; distinct = false; order = None } in
+  let q0 = { table; key = None; preds = []; join; cols = None; distinct = false; order = None; set = None } in
   let names = model_names q0 in
   opt ~ratio:0.6 (int_range (-2) 210) >>= fun key ->
   list_size (int_range 0 2) (gen_pred names) >>= fun preds ->
@@ -710,15 +724,38 @@ let gen_model_query_on tables =
   opt (oneofl (Option.value cols ~default:names) >>= fun c -> bool >|= fun d -> (c, d)) >|= fun order ->
   { q0 with key; preds; cols; distinct; order }
 
-let gen_model_query = gen_model_query_on model_tables
+(* Distinct columns of [avail] whose types match [cols], position by
+   position, if it has enough. *)
+let rec same_types avail = function
+  | [] -> Some []
+  | c :: cols -> (
+    let is_tag c = String.ends_with ~suffix:"tag" c in
+    match List.find_opt (fun n -> is_tag n = is_tag c) avail with
+    | None -> None
+    | Some n -> Option.map (List.cons n) (same_types (List.filter (( <> ) n) avail) cols))
+
+(* About a third of the projections gain a set operation with a second
+   drawn projection whose columns match theirs in type. *)
+let gen_model_query =
+  let open QCheck.Gen in
+  gen_model_query_on model_tables >>= fun q ->
+  gen_model_query_on model_tables >>= fun r ->
+  shuffle_l (model_names r) >>= fun avail ->
+  oneofl [ A.Union; A.Intersect; A.Except ] >>= fun op ->
+  int_bound 2 >|= fun coin ->
+  match Option.bind q.cols (same_types avail) with
+  | Some rcols when coin = 0 ->
+    { q with set = Some (op, { r with cols = Some rcols; order = None }) }
+  | Some _ | None -> q
 
 (* Simpler queries first: drop the order, the distinct, the projection,
    the join (when no column needs it), a predicate, the key. *)
 let shrink_model_query q yield =
   let uses_join = q.join && (q.cols <> None || q.order <> None || q.preds <> []) in
+  if q.set <> None then yield { q with set = None };
   if q.order <> None then yield { q with order = None };
   if q.distinct then yield { q with distinct = false };
-  if q.cols <> None && q.order = None then yield { q with cols = None; distinct = false };
+  if q.cols <> None && q.order = None && q.set = None then yield { q with cols = None; distinct = false };
   if q.join && not uses_join then yield { q with join = false };
   List.iteri (fun i _ -> yield { q with preds = List.filteri (fun j _ -> j <> i) q.preds }) q.preds;
   if q.key <> None then yield { q with key = None }
@@ -749,9 +786,9 @@ let qcheck_selects_match_model ?mem_pages name =
 let qcheck_db_selects_match_model =
   qcheck_selects_match_model "Db SELECTs match a list-of-rows model"
 
-(* The same queries with three pages of memory: every join and DISTINCT
-   spills its partitions and frees them mid-plan, so the disk's frames
-   are reused under a live plan. *)
+(* The same queries with three pages of memory: every join, DISTINCT and
+   set operation spills its partitions and frees them mid-plan, so the
+   disk's frames are reused under a live plan. *)
 let qcheck_db_selects_match_model_spilling =
   qcheck_selects_match_model ~mem_pages:3
     "Db SELECTs match a list-of-rows model, spilling at mem_pages = 3"
