@@ -125,26 +125,22 @@ let new_group a g tuple =
   init_acc a g.accs (i * stride a);
   i
 
-(* The base of [tuple]'s group in [g.accs]: one hash and one comparison
-   to find the group, one move when it is new. *)
-let group_base a hash g tuple =
-  Hash_fn.charge hash;
+(* The base in [g.accs] of [tuple]'s group, the tuple hashed already:
+   one comparison to find the group, one move when it is new.  A tuple
+   of a new group gets -1 when the table is [full ()]. *)
+let group_base a g ~full tuple =
   S.Env.charge_comp a.env;
-  stride a
-  * (match Hash_table.find g.table ~probe_schema:a.schema tuple with
-    | -1 -> new_group a g tuple
-    | i -> i)
+  match Hash_table.find g.table ~probe_schema:a.schema tuple with
+  | -1 when full () -> -1
+  | -1 -> stride a * new_group a g tuple
+  | i -> stride a * i
 
-(* Aggregate one tuple into [g]. *)
-let feed a hash g tuple = update_acc a g.accs (group_base a hash g tuple) tuple
-
-(* Record in its group's mask that [tuple] came from the input [side]. *)
-let mark side a hash g tuple =
-  let base = group_base a hash g tuple in
-  g.accs.(base) <- g.accs.(base) lor side
+(* What a tuple does to its group: aggregate into it, or set the bit of
+   its input in the group's side mask (a set operation's first slot). *)
+type arrival = Feed | Mark of int
 
 (* Emit [g]'s groups whose first slot [keep] accepts, sorted by group key
-   bytes (a deterministic order), then empty it for the next partition. *)
+   bytes (a deterministic order). *)
 let emit_groups a keep g =
   let out_schema = S.Relation.schema a.out in
   let rows = Array.init (Hash_table.length g.table) (Hash_table.get g.table) in
@@ -152,8 +148,7 @@ let emit_groups a keep g =
   Array.sort (fun i j -> S.Tuple.compare_keys out_schema rows.(i) rows.(j)) order;
   Array.iter
     (fun i -> if keep g.accs.(i * stride a) then emit_row a rows.(i) g.accs (i * stride a))
-    order;
-  Hash_table.clear g.table
+    order
 
 let sort_based ~mem_pages rel specs =
   let a = start (Relation rel) specs in
@@ -183,78 +178,43 @@ let sort_based ~mem_pages rel specs =
   S.Relation.seal a.out;
   a.out
 
-(* The pages [groups] output rows fill: the group table, not the input,
-   is what must fit in |M|, so B and q treat it as the hybrid join's R. *)
-let group_pages ~groups ~tuples_per_page = (groups + tuples_per_page - 1) / tuples_per_page
-
-let partitions ~mem_pages ~fudge ~groups ~tuples_per_page =
-  Hybrid_hash.partitions ~mem_pages ~fudge ~r_pages:(group_pages ~groups ~tuples_per_page)
-
-(* The hash grouping kernel: feed every tuple of each input to the group
-   table through its feeder, then emit the groups [keep] accepts. *)
+(* The hash grouping kernel: the hybrid kernel, sized by the pages
+   [groups] output rows fill (the group table, not the input, is what
+   must fit in |M|, so it takes the place of the hybrid join's R), brings
+   every tuple of each input to its group as that input's arrival says
+   and emits the groups [keep] accepts at the end of each phase. *)
 let group ~mem_pages ~fudge ~groups a keep inputs =
   if mem_pages <= 1 then invalid_arg "Aggregate: mem_pages <= 1";
-  let hash = Hash_fn.create ~env:a.env ~schema:a.schema ~seed:0xa66 in
   let tuples_per_page = S.Relation.tuples_per_page a.out in
   let g =
     { table = Hash_table.create ~env:a.env ~schema:(S.Relation.schema a.out) ~tuples_per_page;
       accs = [||] }
   in
-  let r_pages = group_pages ~groups ~tuples_per_page in
-  let b = Hybrid_hash.partitions ~mem_pages ~fudge ~r_pages in
-  if b = 0 then begin
-    (* The groups fit: the one-pass hash aggregation, fed as the input
-       arrives. *)
-    List.iter
-      (fun (source, f) ->
-        match source with
-        | Relation rel -> S.Relation.iter_tuples_nocharge rel (f a hash g)
-        | Stream { push; _ } -> push (f a hash g))
-      inputs;
-    emit_groups a keep g
-  end
-  else begin
-    (* Split each input by group-key hash so that a fraction q of the
-       groups stays resident and each disk partition's groups fit; equal
-       keys of every input meet in the same partition. *)
-    let q = Hybrid_hash.q_fraction ~mem_pages ~fudge ~r_pages in
-    let write_mode = if b <= 1 then S.Disk.Seq else S.Disk.Rand in
-    let split (source, f) =
-      let rel =
-        match source with
-        | Relation rel -> rel
-        | Stream { disk; schema; push } ->
-          let rel = S.Relation.create ~disk ~name:"#stream" ~schema in
-          push (S.Relation.append_nocharge rel);
-          S.Relation.seal rel;
-          rel
-      in
-      let mem_part, buckets =
-        Partition.split_fraction ~scan:Partition.Free ~q ~nbuckets:b ~hash
-          ~write_mode rel
-      in
-      (match source with Stream _ -> S.Relation.free_pages rel | Relation _ -> ());
-      (f a hash g, mem_part, buckets)
+  let input (source, arrival) =
+    let arrive ~full tuple =
+      let base = group_base a g ~full tuple in
+      (if base >= 0 then
+         match arrival with
+         | Feed -> update_acc a g.accs base tuple
+         | Mark side -> g.accs.(base) <- g.accs.(base) lor side);
+      base >= 0
     in
-    let parts = List.map split inputs in
-    (* In-memory slice aggregates immediately. *)
-    List.iter (fun (f, mem_part, _) -> List.iter f mem_part) parts;
-    emit_groups a keep g;
-    (* Disk partitions: aggregate each on re-read. *)
-    for i = 0 to b - 1 do
-      let spilled = List.filter (fun (_, _, bk) -> S.Relation.ntuples bk.(i) > 0) parts in
-      if spilled <> [] then begin
-        List.iter (fun (f, _, bk) -> Partition.iter_bucket bk.(i) f) spilled;
-        emit_groups a keep g
-      end
-    done;
-    List.iter (fun (_, _, buckets) -> Partition.free buckets) parts
-  end;
+    match source with
+    | Relation rel -> { Hybrid_hash.like = rel; read = S.Relation.iter_tuples_nocharge rel; arrive }
+    | Stream { disk; schema; push } ->
+      { like = S.Relation.create ~disk ~name:"#stream" ~schema; read = push; arrive }
+  in
+  let peak =
+    Hybrid_hash.run ~mem_pages ~fudge ~sizing:Estimate ~table:g.table
+      ~flush:(fun () -> emit_groups a keep g) ~seed:0xa66
+      ~r_pages:((groups + tuples_per_page - 1) / tuples_per_page)
+      (List.map input inputs)
+  in
   S.Relation.seal a.out;
-  a.out
+  (a.out, peak)
 
 let hybrid ~mem_pages ~fudge ~groups source specs =
-  group ~mem_pages ~fudge ~groups (start source specs) (fun _ -> true) [ (source, feed) ]
+  group ~mem_pages ~fudge ~groups (start source specs) (fun _ -> true) [ (source, Feed) ]
 
 (* Group [first] and [rest] on their whole tuples, input [i] marking bit
    [1 lsl i] of its groups' masks, and emit the groups whose mask [keep]
@@ -266,8 +226,9 @@ let dedupe ~mem_pages ~fudge ~groups keep first rest =
     | Stream s -> Stream { s with schema = whole s.schema }
   in
   let first = view first in
-  let inputs = List.mapi (fun i source -> (source, mark (1 lsl i))) (first :: List.map view rest) in
-  S.Relation.with_schema (group ~mem_pages ~fudge ~groups (start first []) keep inputs) schema
+  let inputs = List.mapi (fun i source -> (source, Mark (1 lsl i))) (first :: List.map view rest) in
+  let out, peak = group ~mem_pages ~fudge ~groups (start first []) keep inputs in
+  (S.Relation.with_schema out schema, peak)
 
 let distinct ~mem_pages ~fudge ~groups source =
   dedupe ~mem_pages ~fudge ~groups (fun _ -> true) source []

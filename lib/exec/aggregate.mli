@@ -39,39 +39,37 @@ type source =
           (** pushes every input tuple into its sink, once *)
     }
       (** An input that no relation holds, such as a join's output as it
-          is produced; a spilling aggregation stores it on [disk]
-          (uncharged) before it splits it. *)
-
-val partitions : mem_pages:int -> fudge:float -> groups:int ->
-  tuples_per_page:int -> int
-(** The hybrid join's B for a group table of [groups] output rows at
-    [tuples_per_page] a page: 0 when the groups fit in [mem_pages]. *)
+          is produced; it is split as it is pushed, never stored whole. *)
 
 val hybrid : mem_pages:int -> fudge:float -> groups:int ->
-  source -> spec list -> Mmdb_storage.Relation.t
+  source -> spec list -> Mmdb_storage.Relation.t * int
 (** Hash aggregation sized by [groups], the expected number of groups
-    (the optimizer passes the catalog's distinct count).  When the
-    groups fit ({!partitions} is 0; [mem_pages = max_int] always fits)
-    it is the one-pass hash aggregation: every input tuple is hashed on
-    the grouping attribute once, into one in-memory table of groups, as
-    it arrives; no partition is written.  Otherwise it is the hybrid
-    variant for results larger than memory: split the input by
-    group-key hash so that a fraction q of the groups stays resident and
-    each of the B disk partitions' groups fit, then aggregate each
-    partition in one pass.  The input scan is free (first read); result
-    writes are charged.  An estimate below the true count only makes the
-    group table outgrow [mem_pages]; the result is the same. *)
+    (the optimizer passes the catalog's distinct count), on the hybrid
+    kernel {!Hybrid_hash.run}.  When the groups fit (B = 0;
+    [mem_pages = max_int] always fits) it is the one-pass hash
+    aggregation: every input tuple is hashed on the grouping attribute
+    once, into one in-memory table of groups, as it arrives.  Otherwise
+    it is the hybrid variant for results larger than memory: split the
+    input by group-key hash so that a fraction q of the groups stays
+    resident and each of the B disk partitions' groups fit, then
+    aggregate each partition in one pass.  Every tuple is hashed once,
+    and once more if it is read back.  The group table holds at most
+    [⌊mem_pages/fudge⌋] data pages: once full, a tuple of a new group
+    moves to an overflow partition, aggregated after the table's groups
+    are emitted.  The input scan is free (first read); result writes are
+    charged.  Returns the result and the most data pages the table held,
+    as {!distinct} and {!set_op} do. *)
 
 type set_op = Union | Intersect | Except
 
 val distinct : mem_pages:int -> fudge:float -> groups:int -> source ->
-  Mmdb_storage.Relation.t
+  Mmdb_storage.Relation.t * int
 (** Duplicate elimination: {!hybrid} grouping on the whole tuple, sized
     by [groups] (the expected number of distinct tuples) and with no
     aggregate columns.  The result has the source's schema. *)
 
 val set_op : set_op -> mem_pages:int -> fudge:float -> groups:int ->
-  source -> source -> Mmdb_storage.Relation.t
+  source -> source -> Mmdb_storage.Relation.t * int
 (** Set-semantics union, intersection or difference (left minus right):
     one whole-tuple grouping of both inputs, sized by [groups] (the
     expected distinct tuples of both), that keeps in each group a mask of

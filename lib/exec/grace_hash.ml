@@ -17,14 +17,11 @@ let join ~mem_pages ~fudge r s emit =
     int_of_float (Float.ceil (2.0 *. rf *. fudge /. float_of_int mem_pages))
   in
   let nbuckets = max 1 (min mem_pages (max needed 1)) in
-  let rb =
-    Partition.split ~scan:Partition.Free ~nbuckets ~hash:hash_r
-      ~write_mode:S.Disk.Rand r
+  let split hash rel =
+    Partition.split_fraction ~q:0.0 ~nbuckets ~hash ~write_mode:S.Disk.Rand ~keep:ignore rel
+      (S.Relation.iter_tuples_nocharge rel)
   in
-  let sb =
-    Partition.split ~scan:Partition.Free ~nbuckets ~hash:hash_s
-      ~write_mode:S.Disk.Rand s
-  in
+  let rb = split hash_r r and sb = split hash_s s in
   let table =
     Hash_table.create ~env ~schema:r_schema
       ~tuples_per_page:(S.Relation.tuples_per_page r)

@@ -51,6 +51,7 @@ let insert t tuple =
   t.count <- i + 1
 
 let length t = t.count
+let tuples_per_page t = t.tuples_per_page
 
 let data_pages t =
   (t.count + t.tuples_per_page - 1) / t.tuples_per_page

@@ -19,6 +19,9 @@ val insert : t -> bytes -> unit
 val length : t -> int
 (** Tuples stored. *)
 
+val tuples_per_page : t -> int
+(** Tuples a data page holds. *)
+
 val data_pages : t -> int
 (** [⌈length / tuples_per_page⌉]: pages of raw tuple data held. *)
 

@@ -1,49 +1,23 @@
 module S = Mmdb_storage
 
-type scan_mode = Free | Charged of S.Disk.io_mode
-
-let scan_rel ~scan rel f =
-  match scan with
-  | Free -> S.Relation.iter_tuples_nocharge rel f
-  | Charged mode -> S.Relation.iter_tuples ~mode rel f
-
-let make_buckets rel nbuckets ~write_mode suffix =
-  let disk = S.Relation.disk rel in
-  let schema = S.Relation.schema rel in
-  Array.init nbuckets (fun i ->
-      let b =
-        S.Relation.create ~disk
-          ~name:(Printf.sprintf "%s.%s%d" (S.Relation.name rel) suffix i)
-          ~schema
-      in
+let buckets like ~write_mode n =
+  Array.init n (fun i ->
+      let name = Printf.sprintf "%s.part%d" (S.Relation.name like) i in
+      let b = S.Relation.create ~disk:(S.Relation.disk like) ~name ~schema:(S.Relation.schema like) in
       S.Relation.set_write_mode b write_mode;
       b)
 
-let split_fraction ~scan ~q ~nbuckets ~hash ~write_mode rel =
-  if nbuckets < 0 then invalid_arg "Partition: nbuckets < 0";
-  if q < 0.0 || q > 1.0 then invalid_arg "Partition: q outside [0,1]";
-  let env = S.Relation.env rel in
-  let buckets = make_buckets rel (max nbuckets 0) ~write_mode "part" in
-  let memory = ref [] in
-  scan_rel ~scan rel (fun tuple ->
+let split_fraction ~q ~nbuckets:n ~hash ~write_mode ~keep like read =
+  let buckets = buckets like ~write_mode n and env = S.Relation.env like in
+  read (fun tuple ->
       let u = Hash_fn.uniform hash tuple in
-      if u < q || nbuckets = 0 then memory := tuple :: !memory
-      else begin
+      if u < q then keep tuple
+      else
         let scaled = (u -. q) /. Float.max 1e-12 (1.0 -. q) in
-        let b = int_of_float (scaled *. float_of_int nbuckets) in
-        let b = min (nbuckets - 1) (max 0 b) in
+        let bucket = buckets.(min (n - 1) (max 0 (int_of_float (scaled *. float_of_int n)))) in
         S.Env.charge_move env;
-        S.Relation.append buckets.(b) tuple
-      end);
+        S.Relation.append bucket tuple);
   Array.iter S.Relation.seal buckets;
-  (List.rev !memory, buckets)
-
-let split ~scan ~nbuckets ~hash ~write_mode rel =
-  if nbuckets <= 0 then invalid_arg "Partition.split: nbuckets <= 0";
-  let mem, buckets =
-    split_fraction ~scan ~q:0.0 ~nbuckets ~hash ~write_mode rel
-  in
-  assert (mem = []);
   buckets
 
 let iter_bucket rel f = S.Relation.iter_tuples ~mode:S.Disk.Seq rel f

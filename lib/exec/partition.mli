@@ -3,35 +3,30 @@
     Both relations of a join are split with the {e same} hash function so
     the partitions are compatible: R_i need only be joined with S_i.
     Every spilling hash operator in this library splits here on a key
-    hash: the joins, and grouping (aggregation, and duplicate elimination
-    and the set operations keyed on the whole tuple).
-    Tuples moving to an output buffer charge [move]; buffer spills charge
-    the chosen write mode; re-reading a previously spilled input charges
-    its scan mode. *)
+    hash: GRACE, and through {!Hybrid_hash.run}, the hybrid kernel, the
+    hybrid join and grouping (aggregation, and duplicate elimination and
+    the set operations keyed on the whole tuple).  Tuples moving to an
+    output buffer charge [move]; buffer spills charge the chosen write
+    mode; re-reading a partition charges its pages' sequential reads. *)
 
-type scan_mode =
-  | Free  (** first read of a base relation — excluded by the paper *)
-  | Charged of Mmdb_storage.Disk.io_mode
-      (** re-reading temporary data written by an earlier phase *)
+val buckets : Mmdb_storage.Relation.t -> write_mode:Mmdb_storage.Disk.io_mode ->
+  int -> Mmdb_storage.Relation.t array
+(** [buckets like ~write_mode n] is [n] empty temporary relations with
+    [like]'s disk and schema, whose spilled pages charge [write_mode]. *)
 
-val split : scan:scan_mode -> nbuckets:int -> hash:Hash_fn.t ->
-  write_mode:Mmdb_storage.Disk.io_mode -> Mmdb_storage.Relation.t ->
+val split_fraction : q:float -> nbuckets:int -> hash:Hash_fn.t ->
+  write_mode:Mmdb_storage.Disk.io_mode -> keep:(bytes -> unit) ->
+  Mmdb_storage.Relation.t -> ((bytes -> unit) -> unit) ->
   Mmdb_storage.Relation.t array
-(** [split ~scan ~nbuckets ~hash ~write_mode rel] distributes tuples into
-    [nbuckets] sealed temporary relations by [hash mod nbuckets].
-    @raise Invalid_argument if [nbuckets <= 0]. *)
-
-val split_fraction : scan:scan_mode -> q:float -> nbuckets:int ->
-  hash:Hash_fn.t -> write_mode:Mmdb_storage.Disk.io_mode ->
-  Mmdb_storage.Relation.t -> bytes list * Mmdb_storage.Relation.t array
-(** [split_fraction ~scan ~q ~nbuckets ...] — the hybrid split: tuples
-    whose uniformised hash falls below [q] stay in memory (returned list,
-    in scan order, uncharged — the caller's hash-table insert charges the
-    move); the rest are moved into [nbuckets] disk partitions.  With
-    [q = 0.] this degenerates to {!split}. *)
+(** [split_fraction ~q ~nbuckets ~hash ~write_mode ~keep like read] — the
+    hybrid split: it hashes every tuple [read] gives once, hands [keep]
+    (in read order, uncharged) those whose uniformised hash falls below
+    [q], moves the rest by hash range to [nbuckets > 0] {!buckets} like
+    [like], and returns those sealed.
+    With [q = 0] it is GRACE's split. *)
 
 val iter_bucket : Mmdb_storage.Relation.t -> (bytes -> unit) -> unit
-(** Charged sequential scan of a partition during the join phase. *)
+(** Charged sequential scan of a partition read back. *)
 
 val free : Mmdb_storage.Relation.t array -> unit
 (** Release all partitions' pages. *)

@@ -78,6 +78,7 @@ let sort_distinct ~mem_pages ~cols rel =
 
 let distinct ~mem_pages ~fudge ~groups ~cols rel =
   let schema = project_schema (S.Relation.schema rel) ~cols in
-  Aggregate.distinct ~mem_pages ~fudge ~groups
-    (Aggregate.Stream
-       { disk = S.Relation.disk rel; schema; push = projected rel ~cols schema })
+  fst
+    (Aggregate.distinct ~mem_pages ~fudge ~groups
+       (Aggregate.Stream
+          { disk = S.Relation.disk rel; schema; push = projected rel ~cols schema }))

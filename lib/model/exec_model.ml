@@ -35,30 +35,13 @@ let sort_ops ~mem_pages i =
     rand_ios = (if nruns > 1 then p else 0.0);
   }
 
-(* [(B, q)] as in the hybrid join: disk-partition count and resident
-   fraction for an input of [pages] pages. *)
-let spill_fraction ~mem_pages ~fudge ~pages =
-  let b =
-    let rf = fi pages *. fudge in
-    let m = fi mem_pages in
-    if rf <= m then 0
-    else max 1 (int_of_float (Float.ceil ((rf -. m) /. (m -. 1.0))))
-  in
-  let q =
-    if b = 0 then 1.0
-    else
-      let r0 = fi (mem_pages - b) /. fudge in
-      Float.min 1.0 (Float.max 0.0 (r0 /. fi (max 1 pages)))
-  in
-  (b, q)
-
 let aggregate_ops ~mem_pages ~fudge ~comp_specs ~est_groups ~groups ~out_tuples
     ~out_tuples_per_page i =
   let n = fi i.tuples and p = fi i.pages in
   (* B and q size the group table the estimate fills, not the input; a
      fraction 1 - q of the input (its hash range) spills. *)
   let b, q =
-    spill_fraction ~mem_pages ~fudge
+    JM.hybrid_split ~fudge ~m:mem_pages
       ~pages:(pages_of ~tuples:est_groups ~tuples_per_page:out_tuples_per_page)
   in
   let spill = if b = 0 then 0.0 else 1.0 -. q in
@@ -66,9 +49,9 @@ let aggregate_ops ~mem_pages ~fudge ~comp_specs ~est_groups ~groups ~out_tuples
   {
     (* One group-table lookup plus one comp per Min/Max spec per tuple. *)
     JM.comps = n *. (1.0 +. fi comp_specs);
-    (* Every tuple is hashed once when fed to a group table; with spilling
-       the partition split hashes each tuple once more. *)
-    hashes = (n *. (if b = 0 then 1.0 else 2.0));
+    (* Every tuple is hashed once, by the split or into the group table;
+       a spilled tuple once more when its partition is read back. *)
+    hashes = n *. (1.0 +. spill);
     (* A move per fresh group, plus a move per spilled tuple. *)
     moves = fi groups +. (n *. spill);
     swaps = 0.0;

@@ -39,7 +39,12 @@ val aggregate_ops :
     emitted, sized as [Mmdb_exec.Aggregate] sizes it: one pass when the
     pages [est_groups] output rows fill (at [out_tuples_per_page]) fit in
     [mem_pages], else the hybrid split with B and q computed from those
-    pages.  [comp_specs] is the number of Min/Max specs (each charges a
-    comparison per tuple).  Aggregation and duplicate elimination emit
+    pages by {!Join_model.hybrid_split}.  It charges [n·(1 + spill)]
+    hashes for [n] input tuples, where [spill = 1 − q] when B > 0 and 0
+    otherwise: one hash per tuple, by the split or into the group table,
+    and one more per spilled tuple read back.  Overflow re-splits are not
+    modelled; an estimate near the true count makes few.  [comp_specs]
+    is the number of Min/Max specs (each charges a comparison per
+    tuple).  Aggregation and duplicate elimination emit
     every group; a set operation's [input] is both of its inputs, and
     it emits only the groups its side mask selects. *)

@@ -189,23 +189,16 @@ let grace_hash_ops w ~m =
 
 let grace_hash w ~m = seconds w.cost (grace_hash_ops w ~m)
 
-let hybrid_partitions w ~m =
-  let rf = fi w.r_pages *. w.cost.C.fudge in
-  if rf <= fi m then 0
-  else max 1 (int_of_float (Float.ceil ((rf -. fi m) /. (fi m -. 1.0))))
-
-let hybrid_q w ~m =
-  let b = hybrid_partitions w ~m in
-  if b = 0 then 1.0
-  else begin
-    let r0_pages = fi (m - b) /. w.cost.C.fudge in
-    Float.min 1.0 (Float.max 0.0 (r0_pages /. fi w.r_pages))
-  end
+let hybrid_split ~fudge ~pages ~m =
+  let rf = fi pages *. fudge in
+  if rf <= fi m then (0, 1.0)
+  else
+    let b = max 1 (int_of_float (Float.ceil ((rf -. fi m) /. (fi m -. 1.0)))) in
+    (b, Float.min 1.0 (Float.max 0.0 (fi (m - b) /. fudge /. fi (max 1 pages))))
 
 let hybrid_hash_ops w ~m =
   validate w ~m;
-  let b = hybrid_partitions w ~m in
-  let q = hybrid_q w ~m in
+  let b, q = hybrid_split ~fudge:w.cost.C.fudge ~pages:w.r_pages ~m in
   partitioned_hash_ops w ~q ~write_seq:(b <= 1)
 
 let hybrid_hash w ~m = seconds w.cost (hybrid_hash_ops w ~m)

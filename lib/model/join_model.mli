@@ -75,12 +75,12 @@ val hybrid_hash : workload -> m:int -> float
     otherwise — the discontinuity at [|M| = |R|·F/2] discussed under
     Figure 1. *)
 
-val hybrid_partitions : workload -> m:int -> int
-(** [B = max(0, ⌈(|R|·F − |M|) / (|M| − 1)⌉)]. *)
-
-val hybrid_q : workload -> m:int -> float
-(** [q = |R0| / |R|]: fraction of R (and, by uniformity, of S) processed
-    without touching disk. *)
+val hybrid_split : fudge:float -> pages:int -> m:int -> int * float
+(** [(B, q)] of the hybrid split for a table input of [pages] pages (the
+    join's R; a grouping's estimated group rows):
+    [B = max(0, ⌈(pages·F − |M|) / (|M| − 1)⌉)] disk partitions and
+    [q = ((|M| − B)/F) / pages], clamped to [\[0, 1\]], the fraction of
+    every input processed without touching disk. *)
 
 val sort_merge_ops : workload -> m:int -> ops
 val simple_hash_ops : workload -> m:int -> ops

@@ -97,7 +97,7 @@ let open_node ~recurse catalog cfg plan =
     match distinct with
     | None -> Stream (out_schema, push)
     | Some g ->
-      Rel (E.Aggregate.distinct ~mem_pages ~fudge ~groups:g.Optimizer.est_groups (group_input out_schema push)))
+      Rel (fst (E.Aggregate.distinct ~mem_pages ~fudge ~groups:g.Optimizer.est_groups (group_input out_schema push))))
   | Optimizer.P_join { left; right; left_key; right_key; choice } ->
     let lrel = rekey (input left) left_key in
     let rrel = rekey (input right) right_key in
@@ -123,9 +123,10 @@ let open_node ~recurse catalog cfg plan =
   | Optimizer.P_aggregate { input; group_by; aggs; grouping } ->
     let src = recurse catalog cfg input in
     Rel
-      (E.Aggregate.hybrid ~mem_pages ~fudge ~groups:grouping.Optimizer.est_groups
-         (group_input (S.Schema.with_key (schema_of src) group_by) (drain catalog src))
-         aggs)
+      (fst
+         (E.Aggregate.hybrid ~mem_pages ~fudge ~groups:grouping.Optimizer.est_groups
+            (group_input (S.Schema.with_key (schema_of src) group_by) (drain catalog src))
+            aggs))
   | Optimizer.P_set_op { op; left; right; grouping } ->
     (* Sequential lets: the left child must open first so traced paths
        ($.0 = left) are deterministic. *)
@@ -133,8 +134,9 @@ let open_node ~recurse catalog cfg plan =
     let r = recurse catalog cfg right in
     let source out = group_input (schema_of out) (drain catalog out) in
     Rel
-      (E.Aggregate.set_op op ~mem_pages ~fudge ~groups:grouping.Optimizer.est_groups
-         (source l) (source r))
+      (fst
+         (E.Aggregate.set_op op ~mem_pages ~fudge ~groups:grouping.Optimizer.est_groups
+            (source l) (source r)))
   | Optimizer.P_order_by { input = child; column; descending } ->
     let sorted = E.External_sort.sort ~mem_pages (rekey (input child) column) in
     if not descending then blocking sorted

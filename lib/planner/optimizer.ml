@@ -279,9 +279,10 @@ let index_path catalog expr =
    estimated to return, in pages of [expr]'s output rows. *)
 let grouping catalog cfg expr ~groups_of =
   let est_groups = int_of_float (Float.ceil (Selectivity.estimate catalog groups_of)) in
-  let est_partitions =
-    E.Aggregate.partitions ~mem_pages:cfg.mem_pages ~fudge:cfg.fudge ~groups:est_groups
-      ~tuples_per_page:(tuples_per_page_of catalog expr)
+  let tuples_per_page = tuples_per_page_of catalog expr in
+  let est_partitions, _ =
+    E.Hybrid_hash.partitions ~mem_pages:cfg.mem_pages ~fudge:cfg.fudge
+      ~r_pages:((est_groups + tuples_per_page - 1) / tuples_per_page)
   in
   { est_groups; est_partitions }
 

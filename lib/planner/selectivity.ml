@@ -66,6 +66,18 @@ let rec find_column_stats catalog expr column =
   | Algebra.Set_op { left; _ } -> find_column_stats catalog left column
   | Algebra.Aggregate _ -> None
 
+(* [base] capped by the product of [columns]' cardinalities in [input]. *)
+let capped catalog input columns base =
+  let cap =
+    List.fold_left
+      (fun acc c ->
+        match find_column_stats catalog input c with
+        | Some cs -> acc *. float_of_int (max 1 cs.Catalog.ndistinct)
+        | None -> acc *. base)
+      1.0 columns
+  in
+  Float.min base cap
+
 let rec estimate catalog expr =
   match expr with
   | Algebra.Scan name -> (
@@ -77,19 +89,7 @@ let rec estimate catalog expr =
     estimate catalog input *. predicate catalog ~table_hint:hint pred
   | Algebra.Project { input; columns; distinct } ->
     let base = estimate catalog input in
-    if not distinct then base
-    else begin
-      (* Capped by the product of projected column cardinalities. *)
-      let cap =
-        List.fold_left
-          (fun acc c ->
-            match find_column_stats catalog input c with
-            | Some cs -> acc *. float_of_int (max 1 cs.Catalog.ndistinct)
-            | None -> acc *. base)
-          1.0 columns
-      in
-      Float.min base cap
-    end
+    if distinct then capped catalog input columns base else base
   | Algebra.Join { left; right; left_key; right_key } ->
     let nl = estimate catalog left and nr = estimate catalog right in
     let dl =
@@ -109,11 +109,23 @@ let rec estimate catalog expr =
     | None -> Float.max 1.0 (estimate catalog input /. 10.0))
   | Algebra.Order_by { input; _ } -> estimate catalog input
   | Algebra.Set_op { op; left; right } -> (
-    let nl = estimate catalog left and nr = estimate catalog right in
-    match op with
-    | Algebra.Union -> nl +. nr
-    | Algebra.Intersect -> Float.min nl nr
-    | Algebra.Except -> nl)
+    (* Each side's distinct tuples, as its DISTINCT projection estimates
+       them; the result is capped as that projection is, over the left
+       side's column names. *)
+    let distinct = function
+      | Algebra.Project p -> estimate catalog (Algebra.Project { p with distinct = true })
+      | side -> estimate catalog side
+    in
+    let nl = distinct left and nr = distinct right in
+    let n =
+      match op with
+      | Algebra.Union -> nl +. nr
+      | Algebra.Intersect -> Float.min nl nr
+      | Algebra.Except -> nl
+    in
+    match left with
+    | Algebra.Project { columns; _ } -> capped catalog expr columns n
+    | _ -> n)
 
 let estimated_pages catalog expr ~tuples_per_page =
   let tuples = estimate catalog expr in

@@ -273,6 +273,11 @@ let qcheck_hash_table_model =
 (* Partition                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* GRACE's split: every tuple of [rel] to one of [nbuckets] partitions. *)
+let split ~nbuckets ~hash ~write_mode rel =
+  E.Partition.split_fraction ~q:0.0 ~nbuckets ~hash ~write_mode ~keep:ignore rel
+    (S.Relation.iter_tuples_nocharge rel)
+
 let test_partition_compatible () =
   let env, disk = fresh_disk () in
   let rng = U.Xorshift.create 31 in
@@ -280,14 +285,8 @@ let test_partition_compatible () =
   let ss = load disk "S" (s_schema ()) (random_pairs rng 400 50) in
   let hr = E.Hash_fn.create ~env ~schema:(r_schema ()) ~seed:7 in
   let hs = E.Hash_fn.create ~env ~schema:(s_schema ()) ~seed:7 in
-  let rb =
-    E.Partition.split ~scan:E.Partition.Free ~nbuckets:4 ~hash:hr
-      ~write_mode:S.Disk.Rand rs
-  in
-  let sb =
-    E.Partition.split ~scan:E.Partition.Free ~nbuckets:4 ~hash:hs
-      ~write_mode:S.Disk.Rand ss
-  in
+  let rb = split ~nbuckets:4 ~hash:hr ~write_mode:S.Disk.Rand rs in
+  let sb = split ~nbuckets:4 ~hash:hs ~write_mode:S.Disk.Rand ss in
   (* Compatibility: a key appearing in R bucket i never appears in any S
      bucket j <> i. *)
   let bucket_keys buckets sch =
@@ -323,11 +322,12 @@ let test_partition_fraction_split () =
   let rng = U.Xorshift.create 41 in
   let rs = load disk "R" (r_schema ()) (random_pairs rng 2000 100_000) in
   let h = E.Hash_fn.create ~env ~schema:(r_schema ()) ~seed:3 in
-  let mem, buckets =
-    E.Partition.split_fraction ~scan:E.Partition.Free ~q:0.5 ~nbuckets:3
-      ~hash:h ~write_mode:S.Disk.Seq rs
+  let in_mem = ref 0 in
+  let buckets =
+    E.Partition.split_fraction ~q:0.5 ~nbuckets:3 ~hash:h ~write_mode:S.Disk.Seq
+      ~keep:(fun _ -> incr in_mem) rs (S.Relation.iter_tuples_nocharge rs)
   in
-  let in_mem = List.length mem in
+  let in_mem = !in_mem in
   let on_disk =
     Array.fold_left (fun acc b -> acc + S.Relation.ntuples b) 0 buckets
   in
@@ -344,10 +344,7 @@ let test_partition_write_mode_charges () =
   let rs = load disk "R" (r_schema ()) (random_pairs rng 300 1000) in
   let h = E.Hash_fn.create ~env ~schema:(r_schema ()) ~seed:3 in
   let rw0 = env.S.Env.counters.S.Counters.rand_writes in
-  let buckets =
-    E.Partition.split ~scan:E.Partition.Free ~nbuckets:4 ~hash:h
-      ~write_mode:S.Disk.Rand rs
-  in
+  let buckets = split ~nbuckets:4 ~hash:h ~write_mode:S.Disk.Rand rs in
   let pages =
     Array.fold_left (fun acc b -> acc + S.Relation.npages b) 0 buckets
   in
@@ -433,10 +430,10 @@ let test_simple_hash_pass_count () =
 
 let test_hybrid_partition_count () =
   (* |R|F <= m -> B = 0. *)
-  checki "B=0" 0 (E.Hybrid_hash.partitions ~mem_pages:13 ~fudge:1.2 ~r_pages:10);
+  let b, q = E.Hybrid_hash.partitions ~mem_pages:13 ~fudge:1.2 ~r_pages:10 in
+  checki "B=0" 0 b;
   checkb "B>=1 under pressure" true
-    (E.Hybrid_hash.partitions ~mem_pages:4 ~fudge:1.2 ~r_pages:10 >= 1);
-  let q = E.Hybrid_hash.q_fraction ~mem_pages:13 ~fudge:1.2 ~r_pages:10 in
+    (fst (E.Hybrid_hash.partitions ~mem_pages:4 ~fudge:1.2 ~r_pages:10) >= 1);
   checkb "q=1 when fits" true (q = 1.0)
 
 let test_joiner_names () =
@@ -513,7 +510,7 @@ let decode_agg out =
 let test_one_pass_aggregate () =
   let _, disk = fresh_disk () in
   let rel = load disk "T" (r_schema ()) (agg_input ()) in
-  let out =
+  let out, _ =
     E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 ~groups:3 (E.Aggregate.Relation rel)
       [ E.Aggregate.Count; E.Aggregate.Sum "v"; E.Aggregate.Min "v";
         E.Aggregate.Max "v"; E.Aggregate.Avg "v" ]
@@ -533,7 +530,9 @@ let test_hybrid_aggregate_matches_one_pass () =
   let pairs = random_pairs rng 1500 200 in
   let rel = load disk "T" (r_schema ()) pairs in
   let specs = [ E.Aggregate.Count; E.Aggregate.Sum "v" ] in
-  let agg mem_pages = E.Aggregate.hybrid ~mem_pages ~fudge:1.2 ~groups:200 (E.Aggregate.Relation rel) specs in
+  let agg mem_pages =
+    fst (E.Aggregate.hybrid ~mem_pages ~fudge:1.2 ~groups:200 (E.Aggregate.Relation rel) specs)
+  in
   let a = agg max_int in
   let b = agg 3 in
   Alcotest.(check (list (list int)))
@@ -542,7 +541,7 @@ let test_hybrid_aggregate_matches_one_pass () =
 let test_aggregate_empty () =
   let _, disk = fresh_disk () in
   let rel = load disk "T" (r_schema ()) [] in
-  let out =
+  let out, _ =
     E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 ~groups:0 (E.Aggregate.Relation rel)
       [ E.Aggregate.Count ]
   in
@@ -565,7 +564,7 @@ let test_sort_based_aggregate_matches_hash () =
     [ E.Aggregate.Count; E.Aggregate.Sum "v"; E.Aggregate.Min "v";
       E.Aggregate.Max "v" ]
   in
-  let hash_out =
+  let hash_out, _ =
     E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 ~groups:150 (E.Aggregate.Relation rel) specs
   in
   let sort_out = E.Aggregate.sort_based ~mem_pages:4 rel specs in
@@ -586,8 +585,9 @@ let test_sort_based_aggregate_costs_more () =
   in
   let hash_t =
     time (fun () ->
-        E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 ~groups:100 (E.Aggregate.Relation rel)
-          [ E.Aggregate.Count ])
+        fst
+          (E.Aggregate.hybrid ~mem_pages:max_int ~fudge:1.2 ~groups:100 (E.Aggregate.Relation rel)
+             [ E.Aggregate.Count ]))
   in
   let sort_t =
     time (fun () -> E.Aggregate.sort_based ~mem_pages:8 rel [ E.Aggregate.Count ])
@@ -615,24 +615,25 @@ let wide_input ~n ~groups =
   (env, disk, rel)
 
 (* [hybrid] over [rel] read as a relation and as a stream: the two agree
-   on their rows and charges; returns the rows and the relation run's
-   counter delta. *)
+   on their rows, charges and peak; returns the rows, the relation run's
+   counter delta, its result pages and its group table's peak pages. *)
 let aggregate_both env disk rel ~mem_pages ~groups specs =
   let run source =
     let before = S.Counters.snapshot env.S.Env.counters in
-    let out = E.Aggregate.hybrid ~mem_pages ~fudge:1.2 ~groups source specs in
+    let out, peak = E.Aggregate.hybrid ~mem_pages ~fudge:1.2 ~groups source specs in
     let delta = S.Counters.diff ~after:env.S.Env.counters ~before in
-    (decode_agg out, delta, S.Relation.npages out)
+    (decode_agg out, delta, S.Relation.npages out, peak)
   in
-  let rows, delta, out_pages = run (E.Aggregate.Relation rel) in
+  let rows, delta, out_pages, peak = run (E.Aggregate.Relation rel) in
   let stream =
     E.Aggregate.Stream
       { disk; schema = S.Relation.schema rel; push = S.Relation.iter_tuples_nocharge rel }
   in
-  let s_rows, s_delta, _ = run stream in
+  let s_rows, s_delta, _, s_peak = run stream in
   Alcotest.(check (list (list int))) "stream rows = relation rows" rows s_rows;
   checkb "stream charges = relation charges" true (s_delta = delta);
-  (rows, delta, out_pages)
+  checki "stream peak = relation peak" peak s_peak;
+  (rows, delta, out_pages, peak)
 
 let test_aggregate_groups_fit_one_pass () =
   (* 100 groups fill one page of |M| = 64, though the 20,000 input
@@ -640,7 +641,7 @@ let test_aggregate_groups_fit_one_pass () =
      written, nothing read back. *)
   let env, disk, rel = wide_input ~n:20_000 ~groups:100 in
   let specs = [ E.Aggregate.Count; E.Aggregate.Sum "v" ] in
-  let rows, c, out_pages = aggregate_both env disk rel ~mem_pages:64 ~groups:100 specs in
+  let rows, c, out_pages, _ = aggregate_both env disk rel ~mem_pages:64 ~groups:100 specs in
   checki "one hash per tuple" 20_000 c.S.Counters.hashes;
   checki "no random writes" 0 c.S.Counters.rand_writes;
   checki "only the result written" out_pages c.S.Counters.seq_writes;
@@ -649,17 +650,25 @@ let test_aggregate_groups_fit_one_pass () =
     "= sort-based" (decode_agg (E.Aggregate.sort_based ~mem_pages:64 rel specs)) rows
 
 let test_aggregate_groups_overflow_spill () =
-  (* 40,000 groups fill far more than |M| = 8 pages: the hybrid split
-     writes partitions and reads them back, and every tuple is hashed
-     twice, once by the split and once into the group table. *)
+  (* 40,000 keys drawn from 40,000 values fill far more than |M| = 8
+     pages with groups, whether the estimate says 40,000 groups or 4,000:
+     the hybrid split writes partitions and reads them back, and the
+     group table never holds more than ⌊8/1.2⌋ = 6 data pages.  Sized by
+     40,000 groups no group stays resident (q = 0), so every tuple is
+     hashed twice, once by the split and once into the group table;
+     sized by 4,000 the table overflows and re-splits. *)
   let env, disk, rel = wide_input ~n:40_000 ~groups:40_000 in
   let specs = [ E.Aggregate.Count; E.Aggregate.Min "v" ] in
-  let rows, c, out_pages = aggregate_both env disk rel ~mem_pages:8 ~groups:40_000 specs in
-  checkb "partitions written" true (c.S.Counters.seq_writes + c.S.Counters.rand_writes > out_pages);
-  checkb "partitions read back" true (c.S.Counters.seq_reads > 0);
-  checki "two hashes per tuple" 80_000 c.S.Counters.hashes;
-  Alcotest.(check (list (list int)))
-    "= sort-based" (decode_agg (E.Aggregate.sort_based ~mem_pages:8 rel specs)) rows
+  List.iter
+    (fun groups ->
+      let rows, c, out_pages, peak = aggregate_both env disk rel ~mem_pages:8 ~groups specs in
+      checkb "partitions written" true (c.S.Counters.seq_writes + c.S.Counters.rand_writes > out_pages);
+      checkb "partitions read back" true (c.S.Counters.seq_reads > 0);
+      if groups = 40_000 then checki "two hashes per tuple" 80_000 c.S.Counters.hashes;
+      checkb (Printf.sprintf "peak %d <= 6 pages" peak) true (peak <= 6);
+      Alcotest.(check (list (list int)))
+        "= sort-based" (decode_agg (E.Aggregate.sort_based ~mem_pages:8 rel specs)) rows)
+    [ 40_000; 4_000 ]
 
 (* ------------------------------------------------------------------ *)
 (* Pinned charges                                                      *)
@@ -702,19 +711,25 @@ let test_pinned_hybrid_join_charges () =
     env
 
 let test_pinned_hybrid_aggregate_charges () =
-  (* 700 expected groups of 48-byte result rows fill 350 pages: B = 38. *)
-  let env, disk = fresh_disk () in
-  let rng = U.Xorshift.create 2025 in
-  let rel = load disk "T" (r_schema ()) (random_pairs rng 2000 700) in
-  let out =
-    E.Aggregate.hybrid ~mem_pages:12 ~fudge:1.2 ~groups:700 (E.Aggregate.Relation rel)
-      [ E.Aggregate.Count; E.Aggregate.Sum "v"; E.Aggregate.Min "v";
-        E.Aggregate.Max "v"; E.Aggregate.Avg "v" ]
-  in
-  checki "groups" 667 (S.Relation.ntuples out);
-  check_charges "hybrid aggregate"
-    ([ 6000; 4000; 2667; 0; 303; 334; 0; 303 ], 4624100382203217786L)
-    env
+  (* 700 expected groups of 48-byte result rows fill 350 pages.  At
+     |M| = 12, B = 38 and q = 0: no group stays resident, and a bucket
+     whose groups outgrow ⌊12/1.2⌋ = 10 pages overflows and is re-split.
+     At |M| = 64, B = 6 and q > 0: the resident groups' tuples are hashed
+     once, by the split. *)
+  List.iter
+    (fun (mem_pages, pinned) ->
+      let env, disk = fresh_disk () in
+      let rng = U.Xorshift.create 2025 in
+      let rel = load disk "T" (r_schema ()) (random_pairs rng 2000 700) in
+      let out, _ =
+        E.Aggregate.hybrid ~mem_pages ~fudge:1.2 ~groups:700 (E.Aggregate.Relation rel)
+          [ E.Aggregate.Count; E.Aggregate.Sum "v"; E.Aggregate.Min "v";
+            E.Aggregate.Max "v"; E.Aggregate.Avg "v" ]
+      in
+      checki "groups" 667 (S.Relation.ntuples out);
+      check_charges (Printf.sprintf "hybrid aggregate |M| = %d" mem_pages) pinned env)
+    [ (12, ([ 6048; 4048; 2715; 0; 315; 346; 0; 303 ], 4624236354883167333L));
+      (64, ([ 6000; 3698; 2365; 0; 245; 334; 0; 245 ], 4622952663482081302L)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Projection                                                          *)

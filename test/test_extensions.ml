@@ -494,12 +494,12 @@ let dump_set rel =
       acc := (S.Tuple.get_int so_schema t 0, S.Tuple.get_int so_schema t 1) :: !acc);
   List.sort compare !acc
 
-(* A set operation sized, as the optimizer sizes it, by both inputs'
-   tuple counts. *)
+(* A set operation sized by both inputs' tuple counts. *)
 let set_op op ~mem_pages l r =
-  E.Aggregate.set_op op ~mem_pages ~fudge:1.2
-    ~groups:(S.Relation.ntuples l + S.Relation.ntuples r)
-    (E.Aggregate.Relation l) (E.Aggregate.Relation r)
+  fst
+    (E.Aggregate.set_op op ~mem_pages ~fudge:1.2
+       ~groups:(S.Relation.ntuples l + S.Relation.ntuples r)
+       (E.Aggregate.Relation l) (E.Aggregate.Relation r))
 
 let set_env () =
   let env = S.Env.create () in

@@ -120,6 +120,7 @@ let test_seq_costs_scale_with_n () =
 (* ------------------------------------------------------------------ *)
 
 let w = JM.table2_workload
+let split ~m = JM.hybrid_split ~fudge:w.JM.cost.C.fudge ~pages:w.JM.r_pages ~m
 
 let m_of_ratio ratio =
   max (JM.min_memory w)
@@ -176,16 +177,17 @@ let test_hybrid_equals_simple_when_fits () =
   let m = m_of_ratio 1.0 in
   feq ~eps:1e-6 "hybrid = simple with full memory" (JM.simple_hash w ~m)
     (JM.hybrid_hash w ~m);
-  checki "B = 0" 0 (JM.hybrid_partitions w ~m);
-  feq "q = 1" 1.0 (JM.hybrid_q w ~m)
+  let b, q = split ~m in
+  checki "B = 0" 0 b;
+  feq "q = 1" 1.0 q
 
 let test_hybrid_discontinuity_at_half () =
   (* Crossing |M| = |R|F/2 changes B from 2 to 1 and the write mode from
      random to sequential: an abrupt drop. *)
   let before = JM.hybrid_hash w ~m:(m_of_ratio 0.49) in
   let after = JM.hybrid_hash w ~m:(m_of_ratio 0.55) in
-  checki "B=2 just below" 2 (JM.hybrid_partitions w ~m:(m_of_ratio 0.49));
-  checki "B=1 just above" 1 (JM.hybrid_partitions w ~m:(m_of_ratio 0.55));
+  checki "B=2 just below" 2 (fst (split ~m:(m_of_ratio 0.49)));
+  checki "B=1 just above" 1 (fst (split ~m:(m_of_ratio 0.55)));
   checkb
     (Printf.sprintf "drop %.0f -> %.0f is > 30%%" before after)
     true

@@ -315,6 +315,20 @@ let test_selectivity_aggregate_over_join () =
   feq "s_budget = dept.budget distinct" (distinct "dept" "budget")
     (P.Selectivity.estimate cat (grouped "s_budget"))
 
+let test_selectivity_set_op () =
+  (* A set operation is sized by each side's distinct tuples, capped by
+     the cardinality of its columns: emp's 10 departments and dept's 10
+     ids make 10 groups, not their 20 (nor 200 + 10 rows). *)
+  let _, _, cat = setup () in
+  let set op =
+    A.set_op op
+      (A.project ~distinct:true ~columns:[ "dept" ] (A.scan "emp"))
+      (A.project ~columns:[ "dept_id" ] (A.scan "dept"))
+  in
+  List.iter
+    (fun (name, op) -> feq name 10.0 (P.Selectivity.estimate cat (set op)))
+    [ ("union", A.Union); ("intersect", A.Intersect); ("except", A.Except) ]
+
 (* ------------------------------------------------------------------ *)
 (* Optimizer                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -899,6 +913,7 @@ let () =
           Alcotest.test_case "aggregate" `Quick test_selectivity_aggregate;
           Alcotest.test_case "aggregate over a join" `Quick
             test_selectivity_aggregate_over_join;
+          Alcotest.test_case "set operation" `Quick test_selectivity_set_op;
         ] );
       ( "optimizer",
         [
