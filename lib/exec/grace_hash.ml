@@ -14,7 +14,7 @@ let join ~mem_pages ~fudge r s emit =
      model never charges for. *)
   let needed =
     let rf = float_of_int (S.Relation.npages r) *. fudge in
-    int_of_float (Float.ceil (2.0 *. rf *. fudge /. float_of_int mem_pages))
+    int_of_float (Float.ceil (2.0 *. rf /. float_of_int mem_pages))
   in
   let nbuckets = max 1 (min mem_pages (max needed 1)) in
   let split hash rel =

@@ -201,12 +201,55 @@ type recover_stats = {
 
 exception Crashed_during_recovery
 
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
+(* The analysis pass's transaction table: open addressing over flat
+   arrays, so no lookup or insert allocates.  [state] marks a cell free,
+   open (lowest LSN so far in [low]) or terminated: no id or LSN is a
+   sentinel.  An id's low bits, xored with a Fibonacci hash of its high
+   bits, pick its cell, so consecutive ids fill consecutive cells and ids
+   equal below the mask still spread.  Kept at most half full. *)
+module Txn_table = struct
+  type t = { mutable ids : int array; mutable low : int array;
+             mutable state : Bytes.t; mutable bits : int; mutable count : int }
 
-  let equal = Int.equal
-  let hash x = x land max_int
-end)
+  let free = '\000' and open_ = '\001' and terminated = '\002'
+
+  let create bits = { ids = Array.make (1 lsl bits) 0; low = Array.make (1 lsl bits) 0;
+                      state = Bytes.make (1 lsl bits) free; bits; count = 0 }
+
+  let rec probe t id i =
+    if Bytes.get t.state i = free || t.ids.(i) = id then i
+    else probe t id ((i + 1) land (Array.length t.ids - 1))
+
+  let find t id =
+    let hi = ((id lsr t.bits) * 0x4F1BBCDCBFA53E0B) lsr (Sys.int_size - t.bits) in
+    probe t id ((id lxor hi) land (Array.length t.ids - 1))
+
+  let rec set t id st lsn =
+    let i = find t id in
+    if Bytes.get t.state i = free && 2 * (t.count + 1) > Array.length t.ids then begin
+      let ids = t.ids and low = t.low and state = t.state and g = create (t.bits + 1) in
+      t.ids <- g.ids; t.low <- g.low; t.state <- g.state; t.bits <- g.bits; t.count <- 0;
+      Bytes.iteri (fun j c -> if c <> free then set t ids.(j) c low.(j)) state;
+      set t id st lsn
+    end
+    else begin
+      if Bytes.get t.state i = free then t.count <- t.count + 1;
+      t.ids.(i) <- id; t.low.(i) <- lsn; Bytes.set t.state i st
+    end
+
+  (* A record of [id] at [lsn] opens it or lowers its LSN. *)
+  let note t id lsn =
+    let i = find t id in
+    let c = Bytes.get t.state i in
+    if c = free then set t id open_ lsn else if c = open_ && lsn < t.low.(i) then t.low.(i) <- lsn
+
+  let is_open t id = Bytes.get t.state (find t id) = open_
+
+  let min_open t =
+    let m = ref max_int in
+    Bytes.iteri (fun i c -> if c = open_ then m := Int.min !m t.low.(i)) t.state;
+    !m
+end
 
 let recover ?(workers = 1) ?(use_domains = false) ?crash_after_steps
     ?replay_recorder t ~log =
@@ -222,6 +265,15 @@ let recover ?(workers = 1) ?(use_domains = false) ?crash_after_steps
   let npages = npages t in
   let corrupt = Array.make npages false in
   let rebuilt = ref 0 in
+  (* Snapshot-time replay gates.  Redo applies a record to a page only
+     above the page's snapshot high-water (so non-idempotent command
+     deltas are never double-applied); undo reverses a loser's record
+     only above the page's resolved floor (so a recovery that already
+     wrote the page back — then crashed and restarted — does not undo
+     it twice).  A corrupt page loses both floors: its slots rebuild
+     from the whole log. *)
+  let redo_gate = Array.copy t.snap_lsn in
+  let undo_gate = Array.copy t.resolved_lsn in
   if Fault_plan.is_active t.faults then
     for page = 0 to npages - 1 do
       if page_sum t page <> t.snap_sums.(page) then begin
@@ -232,48 +284,40 @@ let recover ?(workers = 1) ?(use_domains = false) ?crash_after_steps
         let lo = page * t.records_per_page in
         let hi = min (Array.length t.mem) (lo + t.records_per_page) in
         Array.fill t.mem lo (hi - lo) 0;
-        t.mem_lsn.(page) <- min_int
-      end
-    done;
-  (* Snapshot-time replay gates.  Redo applies a record to a page only
-     above the page's snapshot high-water (so non-idempotent command
-     deltas are never double-applied); undo reverses a loser's record
-     only above the page's resolved floor (so a recovery that already
-     wrote the page back — then crashed and restarted — does not undo
-     it twice).  A corrupt page loses both floors: its slots rebuild
-     from the whole log. *)
-  let redo_gate = Array.copy t.snap_lsn in
-  let undo_gate = Array.copy t.resolved_lsn in
-  Array.iteri
-    (fun page c ->
-      if c then begin
+        t.mem_lsn.(page) <- min_int;
         redo_gate.(page) <- min_int;
         undo_gate.(page) <- min_int
-      end)
-    corrupt;
+      end
+    done;
   (* Analysis pass.  Aborted transactions logged their own compensating
      updates before the Abort record (ARIES-style), so like committed
      transactions they are "terminated": redo replays them forward and
      undo must skip them.  Every other transaction is a loser, mapped to
      the lowest LSN of its records.  A merged log can put a Commit ahead
      of the transaction's updates, so a terminated transaction is never
-     entered again. *)
-  let terminated = Int_tbl.create 1024 in
-  let losers = Int_tbl.create 16 in
+     entered again.  The pass also counts each partition's ops above
+     their page's redo gate: no more are pushed, so no queue grows. *)
+  let txns = Txn_table.create 8 in
+  let part_of_page = Array.init npages (fun page -> page mod workers) in
+  let part slot = part_of_page.(page_of t slot) in
+  let capacity = Array.make workers 0 in
+  let count lsn slot =
+    let page = page_of t slot in
+    let p = part_of_page.(page) in
+    if lsn > redo_gate.(page) then capacity.(p) <- capacity.(p) + 1
+  in
   List.iter
     (fun r ->
       match r with
       | Log_record.Commit { txn; _ } | Log_record.Abort { txn; _ } ->
-        Int_tbl.replace terminated txn ();
-        Int_tbl.remove losers txn
-      | Log_record.Begin { txn; lsn }
-      | Log_record.Update { txn; lsn; _ }
-      | Log_record.Command { txn; lsn; _ } -> (
-        match Int_tbl.find_opt losers txn with
-        | Some low -> if lsn < low then Int_tbl.replace losers txn lsn
-        | None ->
-          if not (Int_tbl.mem terminated txn) then
-            Int_tbl.replace losers txn lsn)
+        Txn_table.set txns txn Txn_table.terminated 0
+      | Log_record.Begin { txn; lsn } -> Txn_table.note txns txn lsn
+      | Log_record.Update { txn; lsn; slot; _ } ->
+        Txn_table.note txns txn lsn;
+        count lsn slot
+      | Log_record.Command { txn; lsn; ops } ->
+        Txn_table.note txns txn lsn;
+        List.iter (fun (slot, _) -> count lsn slot) ops
       | Log_record.Ckpt_begin _ | Log_record.Ckpt_end _ -> ())
     log;
   (* The scan starts at the oldest of (a) the dirty-page table's minimum
@@ -284,8 +328,7 @@ let recover ?(workers = 1) ?(use_domains = false) ?crash_after_steps
   let table_start =
     match recovery_start_lsn t with Some l -> l | None -> max_int
   in
-  let undo_start = Int_tbl.fold (fun _ lsn acc -> min lsn acc) losers max_int in
-  let scan_start = min table_start undo_start in
+  let scan_start = min table_start (Txn_table.min_open txns) in
   (* Unified progress counter for restart-crash injection: every redo
      apply, undo apply, and write-back page write is one step.  Nothing
      durable changes before the write-back phase, so a crash at any
@@ -308,23 +351,16 @@ let recover ?(workers = 1) ?(use_domains = false) ?crash_after_steps
     touched.(page) <- true;
     if lsn > t.mem_lsn.(page) then t.mem_lsn.(page) <- lsn
   in
-  let plan = Replay.create ~workers ~partition_of:(page_of t) in
+  let plan = Replay.create ~capacity ~partition_of:part in
   (* Redo/undo pass.  Every eligible update from the recovery start
      point (plus any-LSN records touching a page being rebuilt) goes
      into the replay plan, partitioned by page.  Eligibility is judged
      against the snapshot-time gates captured above — the arrays
-     themselves move during replay.  Loser records are collected newest
-     first for undo. *)
+     themselves move during replay.  Loser records, all at or above
+     [scan_start], are collected newest first for undo. *)
   let undo_list = ref [] in
   List.iter
     (fun r ->
-      (match r with
-      | (Log_record.Update { txn; _ } | Log_record.Command { txn; _ })
-        when Int_tbl.mem losers txn ->
-        undo_list := r :: !undo_list
-      | Log_record.Update _ | Log_record.Command _ | Log_record.Begin _
-      | Log_record.Commit _ | Log_record.Abort _ | Log_record.Ckpt_begin _
-      | Log_record.Ckpt_end _ -> ());
       let in_scan = Log_record.lsn r >= scan_start in
       let rebuilds =
         (not in_scan) && !rebuilt > 0
@@ -342,13 +378,15 @@ let recover ?(workers = 1) ?(use_domains = false) ?crash_after_steps
           !scan_bytes + Log_record.size_bytes ~compressed:false r;
         match r with
         | Log_record.Update { txn; lsn; slot; new_value; _ } ->
+          if Txn_table.is_open txns txn then undo_list := r :: !undo_list;
           let page = page_of t slot in
           if lsn > redo_gate.(page) then begin
             incr value_ops;
             touch page lsn;
-            Replay.add_op plan ~txn ~slot (Replay.Set new_value)
+            Replay.add_op plan ~txn ~slot Replay.Set new_value
           end
         | Log_record.Command { txn; lsn; ops } ->
+          if Txn_table.is_open txns txn then undo_list := r :: !undo_list;
           let eligible =
             List.filter (fun (slot, _) -> lsn > redo_gate.(page_of t slot))
               ops
@@ -364,10 +402,10 @@ let recover ?(workers = 1) ?(use_domains = false) ?crash_after_steps
   in
   let rstats =
     Replay.run ?recorder:replay_recorder ~use_domains ?on_step
-      ~apply:(fun ~slot action ->
-        match action with
-        | Replay.Set v -> t.mem.(slot) <- v
-        | Replay.Add d -> t.mem.(slot) <- t.mem.(slot) + d)
+      ~apply:(fun ~slot kind arg ->
+        match kind with
+        | Replay.Set -> t.mem.(slot) <- arg
+        | Replay.Add -> t.mem.(slot) <- t.mem.(slot) + arg)
       plan
   in
   (* Undo phase: reverse records of transactions that never terminated,

@@ -110,10 +110,12 @@ val recover :
     commit nor an abort record in [log]; finally write every touched
     page back to the snapshot and reset the dirty-page table.
 
-    The log is read in two forward passes.  The analysis pass finds the
-    terminated transactions and, for every other one, the lowest LSN of
-    its records — the undo start point.  The redo/undo pass builds the
-    {!Replay} plan directly and collects the loser records for undo.
+    Two forward passes read the log.  The analysis pass keeps one flat
+    table from each transaction to its lowest LSN, or to "terminated"
+    after its Commit or Abort (losers are those still open; the lowest
+    loser LSN bounds undo), and counts each partition's ops above their
+    page's redo gate to size the {!Replay} queues.  The redo/undo pass
+    fills the plan and collects the loser records for undo.
 
     Redo is partitioned by page across [workers] (default 1) replay
     partitions ({!Replay}): per-page LSN gates make both value and

@@ -14,13 +14,16 @@ type stream = {
    internals. *)
 let page_key ~index (completion, records) =
   let min_lsn =
-    List.fold_left (fun acc r -> min acc (Log_record.lsn r)) max_int records
+    List.fold_left (fun acc r -> Int.min acc (Log_record.lsn r)) max_int records
   in
   (completion, min_lsn, index)
 
 let merge fragments =
   let streams = List.mapi (fun index pages -> { index; pages }) fragments in
-  let cmp (ka, _) (kb, _) = compare ka kb in
+  let cmp ((ca, la, ia), _) ((cb, lb, ib), _) =
+    let c = Float.compare ca cb and l = Int.compare la lb in
+    if c <> 0 then c else if l <> 0 then l else Int.compare ia ib
+  in
   let heap = U.Heap.create ~cmp () in
   List.iter
     (fun s ->

@@ -4,7 +4,7 @@
    partition, and the simulated and domains modes produce the same
    final state because per-slot order is identical in both. *)
 
-type action = Set of int | Add of int
+type kind = Set | Add
 
 type stats = {
   workers : int;
@@ -14,18 +14,12 @@ type stats = {
   used_domains : bool;
 }
 
-(* One partition's queue: a growable flat int array, [stride] ints per
-   entry.  An entry is one op: kind [k_set] or [k_add], with its slot
-   and after-image or delta. *)
-type queue = { mutable data : int array; mutable len : int }
+(* One partition's queue, allocated once at its capacity: [stride] ints
+   per op, its slot shifted left once with the kind in bit 0 (0 = [Set],
+   1 = [Add]), its after-image or delta, and its txn. *)
+type queue = { data : int array; mutable len : int }
 
-let stride = 4
-let f_kind = 0
-let f_slot = 1
-let f_arg = 2
-let f_txn = 3
-let k_set = 0
-let k_add = 1
+let stride = 3
 
 type t = {
   part : int -> int;
@@ -35,36 +29,33 @@ type t = {
   mutable barrier_ops : int;
 }
 
-let create ~workers ~partition_of =
-  if workers <= 0 then invalid_arg "Replay.create: workers <= 0";
+let create ~capacity ~partition_of =
+  let workers = Array.length capacity in
+  if workers = 0 then invalid_arg "Replay.create: no partitions";
+  let part slot =
+    let p = partition_of slot in
+    if p >= 0 && p < workers then p else ((p mod workers) + workers) mod workers
+  in
   {
-    part = (fun slot -> ((partition_of slot mod workers) + workers) mod workers);
-    queues = Array.init workers (fun _ -> { data = [||]; len = 0 });
+    part;
+    queues = Array.map (fun cap -> { data = Array.make (cap * stride) 0; len = 0 }) capacity;
     ncmds = 0;
     local_ops = 0;
     barrier_ops = 0;
   }
 
-let push q ~kind ~slot ~arg ~txn =
+let push t ~txn ~slot kind arg =
+  let q = t.queues.(t.part slot) in
   let base = q.len * stride in
-  if base + stride > Array.length q.data then begin
-    let data = Array.make (max (16 * stride) (2 * Array.length q.data)) 0 in
-    Array.blit q.data 0 data 0 base;
-    q.data <- data
-  end;
-  q.data.(base + f_kind) <- kind;
-  q.data.(base + f_slot) <- slot;
-  q.data.(base + f_arg) <- arg;
-  q.data.(base + f_txn) <- txn;
+  if base >= Array.length q.data then invalid_arg "Replay: queue over capacity";
+  q.data.(base) <- (slot lsl 1) lor (match kind with Set -> 0 | Add -> 1);
+  q.data.(base + 1) <- arg;
+  q.data.(base + 2) <- txn;
   q.len <- q.len + 1
 
-let push_op t ~txn ~slot action =
-  let kind, arg = match action with Set v -> (k_set, v) | Add d -> (k_add, d) in
-  push t.queues.(t.part slot) ~kind ~slot ~arg ~txn
-
-let add_op t ~txn ~slot action =
+let add_op t ~txn ~slot kind arg =
   t.local_ops <- t.local_ops + 1;
-  push_op t ~txn ~slot action
+  push t ~txn ~slot kind arg
 
 (* Every op of a command is an [Add] on one slot, and every slot belongs
    to one partition, so a command splits by partition: each op joins
@@ -78,21 +69,21 @@ let add_command t ~txn ops =
   | (first, _) :: rest ->
     let p = t.part first in
     if List.for_all (fun (slot, _) -> t.part slot = p) rest then
-      List.iter (fun (slot, d) -> add_op t ~txn ~slot (Add d)) ops
+      List.iter (fun (slot, d) -> add_op t ~txn ~slot Add d) ops
     else begin
       t.ncmds <- t.ncmds + 1;
       List.iter
         (fun (slot, d) ->
           t.barrier_ops <- t.barrier_ops + 1;
-          push_op t ~txn ~slot (Add d))
+          push t ~txn ~slot Add d)
         ops
     end
 
-let field q i f = q.data.((i * stride) + f)
-
-let action_of q i =
-  let arg = field q i f_arg in
-  if field q i f_kind = k_set then Set arg else Add arg
+(* Apply op [i] of [q]; its kind is an immediate, so nothing is
+   allocated. *)
+let apply_entry ~apply q i =
+  let op = q.data.(i * stride) in
+  apply ~slot:(op asr 1) (if op land 1 = 0 then Set else Add) q.data.((i * stride) + 1)
 
 (* Deterministic round-robin interleaving of the partition queues, one
    op per partition per round.  Emits the lock-protocol trace
@@ -111,17 +102,17 @@ let run_simulated ~recorder ~on_step ~apply queues =
     for p = 0 to Array.length queues - 1 do
       let q = queues.(p) and i = pos.(p) in
       if i < q.len then begin
-        let slot = field q i f_slot and txn = field q i f_txn in
         (match recorder with
         | None -> ()
         | Some _ ->
+            let slot = q.data.(i * stride) asr 1 and txn = q.data.((i * stride) + 2) in
             Schedule.emit recorder ~at:(stamp ()) ~key:slot ~domain:p ~txn
               (Schedule.Grant { deps = [] });
             Schedule.emit recorder ~at:(stamp ()) ~key:slot ~domain:p ~txn
               Schedule.Write;
             Schedule.emit recorder ~at:(stamp ()) ~key:slot ~domain:p ~txn
               Schedule.Release);
-        apply ~slot (action_of q i);
+        apply_entry ~apply q i;
         pos.(p) <- i + 1;
         decr remaining;
         match on_step with Some f -> f () | None -> ()
@@ -135,7 +126,7 @@ let run_domains ~apply queues =
   Domain_runner.run ~n:(Array.length queues) (fun p ->
       let q = queues.(p) in
       for i = 0 to q.len - 1 do
-        apply ~slot:(field q i f_slot) (action_of q i)
+        apply_entry ~apply q i
       done)
 
 let run ?recorder ?(use_domains = false) ?on_step ~apply t =

@@ -2,7 +2,7 @@
 
     The caller builds a plan from the merged redo stream, in log order:
     {!create}, then {!add_op} and {!add_command} per eligible record,
-    then {!run}.  Ops are split across [workers] partitions by page
+    then {!run}.  Ops are split across the partitions by page
     ([partition_of slot]) into per-partition arrays as they are added;
     each partition replays its own ops in log order, so per-slot
     ordering is preserved no matter how partitions interleave.  A
@@ -26,27 +26,32 @@
       rejected in this mode (they would be nondeterministic), so
       passing either forces simulated mode. *)
 
-type action =
-  | Set of int  (** value record: store the after-image *)
-  | Add of int  (** command record: re-execute the delta *)
+(** An op is a [kind], a slot and an int; [kind] is an immediate, so
+    pushing or applying an op allocates nothing. *)
+type kind = Set  (** store the after-image *) | Add  (** add the delta *)
 
 type t
 (** A replay plan: per-partition op arrays and their counters. *)
 
-val create : workers:int -> partition_of:(int -> int) -> t
-(** An empty plan over [workers] partitions; slot [s] belongs to
-    partition [partition_of s] (taken modulo [workers]).
-    @raise Invalid_argument if [workers <= 0]. *)
+val create : capacity:int array -> partition_of:(int -> int) -> t
+(** An empty plan with one partition per entry of [capacity]; slot [s]
+    belongs to partition [partition_of s] (modulo the partition count).
+    Partition [p]'s array is allocated here, once, for [capacity.(p)]
+    ops, and never grows: {!Kv_store.recover} sizes it by counting, in
+    its analysis pass, the partition's ops above their page's redo gate.
+    @raise Invalid_argument if [capacity] is empty or has an entry < 0. *)
 
-val add_op : t -> txn:int -> slot:int -> action -> unit
-(** Append partition-local work: a value-record update, or one op of a
-    command record. *)
+val add_op : t -> txn:int -> slot:int -> kind -> int -> unit
+(** Append partition-local work: a value-record update ([Set]), or one
+    op of a command record ([Add]).
+    @raise Invalid_argument if the slot's partition is full. *)
 
 val add_command : t -> txn:int -> (int * int) list -> unit
 (** Append a command record's eligible [(slot, delta)] ops, each as an
     [Add] in its own slot's partition.  A command whose ops span two or
     more partitions is counted in [barriers] and its ops in
-    [barrier_ops]; otherwise its ops count as local. *)
+    [barrier_ops]; otherwise its ops count as local.  Raises as
+    {!add_op} does. *)
 
 type stats = {
   workers : int;  (** partition count (>= 1) *)
@@ -60,12 +65,13 @@ val run :
   ?recorder:Schedule.recorder ->
   ?use_domains:bool ->
   ?on_step:(unit -> unit) ->
-  apply:(slot:int -> action -> unit) ->
+  apply:(slot:int -> kind -> int -> unit) ->
   t ->
   stats
 (** [run ~apply plan] replays the plan once and returns what it did.
-    [apply] must only mutate state owned by the slot's partition: in
-    domains mode it runs concurrently.  [on_step] is invoked after
+    [apply ~slot kind arg] must only mutate state owned by the slot's
+    partition: in domains mode it runs concurrently.  Without
+    [recorder], [run] allocates nothing per op.  [on_step] is invoked after
     every applied op — the hook the store uses to count progress and
     crash mid-recovery; supplying it, or [recorder], forces the
     simulated scheduler.  An exception from [apply] propagates out of

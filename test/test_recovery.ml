@@ -1338,6 +1338,214 @@ let test_analysis_undo_newest_first () =
   checki "command delta reversed" 0 (R.Kv_store.get kv 4);
   checki "three undo" 3 st.R.Kv_store.undo_applied
 
+(* A drawn restart for the analysis table.  [n] (1,000-4,000)
+   transactions, so the table doubles several times, with distinct ids
+   drawn over the whole int range: runs from bases next to [min_int] and
+   [max_int] and from anywhere, each run stepping by 2^k, so a run with a
+   large step agrees in the low bits that index the table and only its
+   high bits tell its ids apart.  Each transaction writes 1-3 slots by
+   value or command records, then commits, aborts with logged
+   compensations, or is left a loser.  A quarter of the Commits are
+   merged ahead of their updates, up to 63 transactions early, so some
+   land before a doubling of the table and their updates after it.  A
+   fuzzy checkpoint runs halfway.  Returns the crashed store, its log,
+   and each page's redo gate (its highest LSN at the checkpoint). *)
+let analysis_image seed =
+  let rng = U.Xorshift.create seed in
+  let n = U.Xorshift.int_in_range rng ~lo:1_000 ~hi:4_000 in
+  let any () =
+    U.Xorshift.int rng (1 lsl 30)
+    lor (U.Xorshift.int rng (1 lsl 30) lsl 30)
+    lor (U.Xorshift.int rng 8 lsl 60)
+  in
+  let seen = Hashtbl.create n and ids = ref [] in
+  while Hashtbl.length seen < n do
+    let base =
+      match U.Xorshift.int rng 4 with
+      | 0 -> min_int + U.Xorshift.int rng 4
+      | 1 -> max_int - U.Xorshift.int rng 4
+      | _ -> any ()
+    in
+    let step = 1 lsl U.Xorshift.int rng 63 in
+    for j = 0 to U.Xorshift.int rng 200 do
+      let id = base + (j * step) in
+      if Hashtbl.length seen < n && not (Hashtbl.mem seen id) then begin
+        Hashtbl.replace seen id ();
+        ids := id :: !ids
+      end
+    done
+  done;
+  let _, kv = fresh_kv ~nrecords:200 ~records_per_page:10 () in
+  let page_lsn = Array.make 20 min_int and gate = Array.make 20 min_int in
+  let lsn = ref 0 and per_txn = Array.make n [] in
+  let next () =
+    incr lsn;
+    !lsn
+  in
+  let write ~lsn slot v =
+    R.Kv_store.apply_update kv ~lsn ~slot ~value:v;
+    page_lsn.(slot / 10) <- max page_lsn.(slot / 10) lsn
+  in
+  List.iteri
+    (fun i txn ->
+      let body = ref [] in
+      let log_ops ops =
+        if U.Xorshift.bool rng then begin
+          let lsn = next () in
+          List.iter (fun (s, d) -> write ~lsn s (R.Kv_store.get kv s + d)) ops;
+          body := R.Log_record.Command { txn; lsn; ops } :: !body
+        end
+        else
+          List.iter
+            (fun (slot, d) ->
+              let lsn = next () and old_value = R.Kv_store.get kv slot in
+              write ~lsn slot (old_value + d);
+              body :=
+                update ~txn ~lsn ~slot ~old_value ~new_value:(old_value + d)
+                :: !body)
+            ops
+      in
+      let begin_ = R.Log_record.Begin { txn; lsn = next () } in
+      let ops =
+        List.init
+          (1 + U.Xorshift.int rng 3)
+          (fun _ -> (U.Xorshift.int rng 200, U.Xorshift.int rng 21 - 10))
+      in
+      log_ops ops;
+      let fate = U.Xorshift.int rng 10 in
+      if fate = 1 then log_ops (List.rev_map (fun (s, d) -> (s, -d)) ops);
+      per_txn.(i) <- begin_ :: List.rev !body;
+      (match fate with
+      | 0 -> ()
+      | 1 ->
+        per_txn.(i) <- per_txn.(i) @ [ R.Log_record.Abort { txn; lsn = next () } ]
+      | k ->
+        let commit = R.Log_record.Commit { txn; lsn = next () } in
+        if k < 4 then begin
+          let j = max 0 (i - U.Xorshift.int rng 64) in
+          per_txn.(j) <- commit :: per_txn.(j)
+        end
+        else per_txn.(i) <- per_txn.(i) @ [ commit ]);
+      if i = n / 2 then begin
+        ignore (R.Kv_store.checkpoint kv);
+        Array.blit page_lsn 0 gate 0 20
+      end)
+    !ids;
+  R.Kv_store.crash kv;
+  (kv, List.concat (Array.to_list per_txn), gate)
+
+(* What [Kv_store.recover] should do with [log] at [workers], from an
+   analysis on [Stdlib.Hashtbl] and a serial replay in log order. *)
+let reference_recover kv ~log ~gate ~workers ~use_domains =
+  let terminated = Hashtbl.create 1024 and low = Hashtbl.create 64 in
+  List.iter
+    (fun r ->
+      match r with
+      | R.Log_record.Commit { txn; _ } | R.Log_record.Abort { txn; _ } ->
+        Hashtbl.replace terminated txn ();
+        Hashtbl.remove low txn
+      | R.Log_record.Begin { txn; lsn }
+      | R.Log_record.Update { txn; lsn; _ }
+      | R.Log_record.Command { txn; lsn; _ } ->
+        if not (Hashtbl.mem terminated txn) then
+          Hashtbl.replace low txn
+            (min lsn (Option.value ~default:max_int (Hashtbl.find_opt low txn)))
+      | R.Log_record.Ckpt_begin _ | R.Log_record.Ckpt_end _ -> ())
+    log;
+  let scan_start =
+    Hashtbl.fold
+      (fun _ l acc -> min l acc)
+      low
+      (Option.value ~default:max_int (R.Kv_store.recovery_start_lsn kv))
+  in
+  let mem = Array.init 200 (R.Kv_store.snapshot_read kv) in
+  let touched = Array.make 20 false and page s = s / 10 in
+  let scanned = ref 0 and bytes = ref 0 and value_ops = ref 0 in
+  let local_cmd = ref 0 and barrier_ops = ref 0 and barriers = ref 0 in
+  let undo = ref [] and undone = ref 0 in
+  List.iter
+    (fun r ->
+      if R.Log_record.lsn r >= scan_start then begin
+        incr scanned;
+        bytes := !bytes + R.Log_record.size_bytes ~compressed:false r;
+        match r with
+        | R.Log_record.Update { txn; lsn; slot; new_value; _ } ->
+          if Hashtbl.mem low txn then undo := r :: !undo;
+          if lsn > gate.(page slot) then begin
+            incr value_ops;
+            touched.(page slot) <- true;
+            mem.(slot) <- new_value
+          end
+        | R.Log_record.Command { txn; lsn; ops } ->
+          if Hashtbl.mem low txn then undo := r :: !undo;
+          let ops = List.filter (fun (s, _) -> lsn > gate.(page s)) ops in
+          List.iter
+            (fun (s, d) ->
+              touched.(page s) <- true;
+              mem.(s) <- mem.(s) + d)
+            ops;
+          let parts = List.sort_uniq compare (List.map (fun (s, _) -> page s mod workers) ops) in
+          if List.length parts > 1 then begin
+            incr barriers;
+            barrier_ops := !barrier_ops + List.length ops
+          end
+          else local_cmd := !local_cmd + List.length ops
+        | R.Log_record.Begin _ | R.Log_record.Commit _ | R.Log_record.Abort _
+        | R.Log_record.Ckpt_begin _ | R.Log_record.Ckpt_end _ -> ()
+      end)
+    log;
+  let undo_op slot v =
+    touched.(page slot) <- true;
+    mem.(slot) <- v;
+    incr undone
+  in
+  List.iter
+    (function
+      | R.Log_record.Update { slot; old_value; _ } -> undo_op slot old_value
+      | R.Log_record.Command { ops; _ } ->
+        List.iter (fun (s, d) -> undo_op s (mem.(s) - d)) ops
+      | R.Log_record.Begin _ | R.Log_record.Commit _ | R.Log_record.Abort _
+      | R.Log_record.Ckpt_begin _ | R.Log_record.Ckpt_end _ -> ())
+    !undo;
+  let written = Array.fold_left (fun n t -> if t then n + 1 else n) 0 touched in
+  let terms =
+    Mmdb_model.Recovery_model.replay_terms ~page_io_time:10e-3
+      ~log_page_bytes:4096 ~workers ~snapshot_pages:20 ~log_bytes:!bytes
+      ~local_value_ops:!value_ops ~local_command_ops:!local_cmd
+      ~serial_command_ops:!barrier_ops ~undo_ops:!undone
+      ~writeback_pages:written
+  in
+  ( mem,
+    {
+      R.Kv_store.start_lsn = (if scan_start = max_int then 0 else scan_start);
+      records_scanned = !scanned;
+      redo_applied = !value_ops + !local_cmd + !barrier_ops;
+      undo_applied = !undone;
+      snapshot_pages_read = 20;
+      pages_rebuilt = 0;
+      recovery_time = Mmdb_model.Recovery_model.replay_seconds terms;
+      workers;
+      local_value_ops = !value_ops;
+      local_command_ops = !local_cmd;
+      barrier_ops = !barrier_ops;
+      barriers = !barriers;
+      pages_written_back = written;
+      log_bytes_scanned = !bytes;
+      used_domains = use_domains && R.Domain_runner.available;
+    } )
+
+let qcheck_analysis_table =
+  QCheck.Test.make ~name:"analysis table matches a Hashtbl analysis" ~count:20
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      List.for_all
+        (fun (workers, use_domains) ->
+          let kv, log, gate = analysis_image seed in
+          let want = reference_recover kv ~log ~gate ~workers ~use_domains in
+          let st = R.Kv_store.recover kv ~workers ~use_domains ~log in
+          (R.Kv_store.balances kv, st) = want)
+        (List.concat_map (fun w -> [ (w, false); (w, true) ]) [ 1; 2; 3; 4 ]))
+
 (* ------------------------------------------------------------------ *)
 (* Domains-mode replay against the simulated scheduler                 *)
 (* ------------------------------------------------------------------ *)
@@ -1448,15 +1656,18 @@ let test_domains_cross_partition () =
 let test_cross_partition_ops_stay_home () =
   let workers = 4 and per_part = 10 in
   let partition_of slot = slot / per_part in
-  let rng = U.Xorshift.create 31 in
-  let plan = R.Replay.create ~workers ~partition_of in
+  let rng = U.Xorshift.create 31 and ncmds = 500 in
+  (* A transaction pushes one Set and at most one Add per partition. *)
+  let plan =
+    R.Replay.create ~capacity:(Array.make workers (2 * ncmds)) ~partition_of
+  in
   let expected = Array.make (workers * per_part) 0 in
-  let cross_ops = ref 0 and ncmds = 500 in
+  let cross_ops = ref 0 in
   for txn = 1 to ncmds do
     let slot = U.Xorshift.int rng (workers * per_part) in
     let v = U.Xorshift.int rng 1_000 in
     expected.(slot) <- v;
-    R.Replay.add_op plan ~txn ~slot (R.Replay.Set v);
+    R.Replay.add_op plan ~txn ~slot R.Replay.Set v;
     let first = U.Xorshift.int rng workers in
     let span = U.Xorshift.int_in_range rng ~lo:2 ~hi:workers in
     let ops =
@@ -1473,9 +1684,10 @@ let test_cross_partition_ops_stay_home () =
   let mem = Array.make (workers * per_part) 0 in
   let st =
     R.Replay.run ~recorder
-      ~apply:(fun ~slot -> function
-        | R.Replay.Set v -> mem.(slot) <- v
-        | R.Replay.Add d -> mem.(slot) <- mem.(slot) + d)
+      ~apply:(fun ~slot kind arg ->
+        match kind with
+        | R.Replay.Set -> mem.(slot) <- arg
+        | R.Replay.Add -> mem.(slot) <- mem.(slot) + arg)
       plan
   in
   let writes =
@@ -1506,13 +1718,15 @@ exception Boom
 let test_replay_raising_worker () =
   List.iter
     (fun (name, bad_slot) ->
-      let plan = R.Replay.create ~workers:3 ~partition_of:Fun.id in
+      let plan =
+        R.Replay.create ~capacity:(Array.make 3 4_000) ~partition_of:Fun.id
+      in
       for i = 1 to 2_000 do
-        R.Replay.add_op plan ~txn:i ~slot:4 (R.Replay.Set i);
+        R.Replay.add_op plan ~txn:i ~slot:4 R.Replay.Set i;
         R.Replay.add_command plan ~txn:i [ (0, 1); (1, -1) ]
       done;
       let seen = Atomic.make 0 in
-      let apply ~slot _ =
+      let apply ~slot _ _ =
         if slot = bad_slot && Atomic.fetch_and_add seen 1 = 1_000 then
           raise Boom
       in
@@ -1522,6 +1736,35 @@ let test_replay_raising_worker () =
            false
          with Boom -> true))
     [ ("raise in a local op", 4); ("raise inside a cross-partition command", 0) ]
+
+(* Replay allocates nothing per op: 100,000 value and command ops on the
+   simulated scheduler, with no recorder and no [on_step], cost under
+   0.01 minor words per op. *)
+let test_replay_allocates_nothing () =
+  let n = 100_000 and workers = 4 in
+  let plan =
+    R.Replay.create ~capacity:(Array.make workers n)
+      ~partition_of:(fun slot -> slot / 10)
+  in
+  for i = 0 to n - 1 do
+    let slot = i mod 200 in
+    if i mod 3 = 0 then R.Replay.add_command plan ~txn:i [ (slot, 1) ]
+    else R.Replay.add_op plan ~txn:i ~slot R.Replay.Set i
+  done;
+  let mem = Array.make 200 0 in
+  let apply ~slot kind arg =
+    match kind with
+    | R.Replay.Set -> mem.(slot) <- arg
+    | R.Replay.Add -> mem.(slot) <- mem.(slot) + arg
+  in
+  let before = Gc.minor_words () in
+  let st = R.Replay.run ~apply plan in
+  let words = Gc.minor_words () -. before in
+  checki "every op replayed" n st.R.Replay.local_ops;
+  checkb
+    (Printf.sprintf "%.0f minor words for %d ops" words n)
+    true
+    (words /. float_of_int n < 0.01)
 
 (* Retirement: every commit durable by the retire time leaves every
    pre-committed set, so the sets stay as small as the unflushed group
@@ -1831,6 +2074,8 @@ let () =
             test_cross_partition_ops_stay_home;
           Alcotest.test_case "raising worker does not hang" `Quick
             test_replay_raising_worker;
+          Alcotest.test_case "replay allocates nothing per op" `Quick
+            test_replay_allocates_nothing;
         ] );
       ( "restart_analysis",
         [
@@ -1842,5 +2087,6 @@ let () =
             test_analysis_abort_not_undone;
           Alcotest.test_case "undo newest first" `Quick
             test_analysis_undo_newest_first;
+          QCheck_alcotest.to_alcotest qcheck_analysis_table;
         ] );
     ]
