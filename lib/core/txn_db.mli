@@ -114,15 +114,18 @@ val crash : t -> unit
 
 val recover : t -> Mmdb_recovery.Kv_store.recover_stats
 (** Serial replay of the log fixed at the crash, however long the caller
-    waited, over the snapshot ({!Mmdb_recovery.Txn.surviving_log}: with a
-    fault plan armed, damaged log pages are truncated and incomplete
+    waited, over the snapshot ({!Mmdb_recovery.Txn.crash}: with a fault
+    plan armed, damaged log pages are truncated and incomplete
     transactions demoted, FAULT008).
     @raise Invalid_argument unless crashed. *)
 
 val committed_txns : t -> int list
-(** Transaction ids whose commit records a crash now would let recovery
-    redo; from a {!crash} until the log is next written or flushed, those
-    in the log that crash fixed. *)
+(** Transaction ids whose commit records are durable now, complete
+    ({!Mmdb_recovery.Txn.surviving_log}): what a crash now would let
+    recovery redo unless an armed fault plan damages the log, which only
+    {!crash} decides, so this call draws and notes nothing.  From a
+    {!crash} until the log is next written or flushed, those in the log
+    that crash fixed. *)
 
 val schedule : t -> Mmdb_recovery.Schedule.event list
 (** The recorded transaction schedule, in emission order (audit input for

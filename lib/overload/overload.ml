@@ -125,9 +125,12 @@ module Breaker = struct
     | Open -> "open"
     | Half_open -> "half-open"
 
+  (* Consecutive device errors that trip the breaker, and how long it
+     stays open before admitting a probe. *)
+  let threshold = 5
+  let cooldown = 50e-3
+
   type t = {
-    threshold : int;
-    cooldown : float;
     tally : tally;
     mutable st : state;
     mutable consecutive : int;
@@ -138,12 +141,8 @@ module Breaker = struct
     mutable reopens : int;
   }
 
-  let create ?(threshold = 5) ?(cooldown = 50e-3) ?tally () =
-    if threshold <= 0 then invalid_arg "Breaker.create: threshold <= 0";
-    if cooldown <= 0.0 then invalid_arg "Breaker.create: cooldown <= 0";
+  let create ?tally () =
     {
-      threshold;
-      cooldown;
       tally = (match tally with Some t -> t | None -> tally_create ());
       st = Closed;
       consecutive = 0;
@@ -158,7 +157,7 @@ module Breaker = struct
      resolve it lazily so every observer agrees on the state at [now]. *)
   let tick t ~now =
     match t.st with
-    | Open when now >= t.opened_at +. t.cooldown ->
+    | Open when now >= t.opened_at +. cooldown ->
       t.st <- Half_open;
       t.probe_inflight <- false
     | Open | Closed | Half_open -> ()
@@ -186,7 +185,7 @@ module Breaker = struct
     match t.st with
     | Closed ->
       t.consecutive <- t.consecutive + 1;
-      if t.consecutive >= t.threshold then trip t ~now ~reopen:false
+      if t.consecutive >= threshold then trip t ~now ~reopen:false
     | Half_open ->
       (* OVLD010: the probe found the device still failing. *)
       trip t ~now ~reopen:true

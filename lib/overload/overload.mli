@@ -93,10 +93,9 @@ end
 (** {1 Circuit breaker} *)
 
 module Breaker : sig
-  (** Per-device circuit breaker: trips open after [threshold]
-      consecutive device errors, cools down on the simulated clock,
-      then admits a single half-open probe whose outcome closes or
-      reopens it. *)
+  (** Per-device circuit breaker: trips open after 5 consecutive device
+      errors, cools down for 50 ms on the simulated clock, then admits a
+      single half-open probe whose outcome closes or reopens it. *)
 
   type state = Closed | Open | Half_open
 
@@ -104,11 +103,9 @@ module Breaker : sig
 
   type t
 
-  val create :
-    ?threshold:int -> ?cooldown:float -> ?tally:tally -> unit -> t
-  (** Defaults: 5 consecutive failures, 50 ms cooldown.  [tally] shares
-      trip/reopen counts with an external record.
-      @raise Invalid_argument on a non-positive threshold or cooldown. *)
+  val create : ?tally:tally -> unit -> t
+  (** A closed breaker.  [tally] shares trip/reopen counts with an
+      external record. *)
 
   val state : t -> now:float -> state
   (** Current state at [now] (resolves the open-to-half-open cooldown

@@ -4,9 +4,9 @@
     dirty-page table in stable memory (§5.5), crash, and log-driven
     recovery.
 
-    WAL rule: the caller must flush the log before {!checkpoint} (the
-    {!Db} facade and {!Recovery_manager} do), so a snapshot never holds an
-    update whose log record is volatile. *)
+    WAL rule: the caller must flush the log before {!checkpoint}
+    ({!Txn.checkpoint} does), so a snapshot never holds an update whose
+    log record is volatile. *)
 
 type t
 

@@ -216,18 +216,10 @@ let survive t ~at idx p =
     | _ -> None
   else None
 
-let survivors t ~at =
-  List.mapi (fun idx p -> (p, survive t ~at idx p)) (List.rev t.pages)
-
-let stamped kept =
-  List.filter_map (fun (p, r) -> Option.map (fun records -> (p.completion, records)) r) kept
-
-let surviving_pages t ~at = stamped (survivors t ~at)
-
 (* The device stops; a page that did not survive never completes, and a
    torn page keeps only the prefix that survived. *)
 let crash t ~at =
-  let kept = survivors t ~at in
+  let kept = List.mapi (fun idx p -> (p, survive t ~at idx p)) (List.rev t.pages) in
   t.busy <-
     List.fold_left
       (fun acc (p, _) -> if page_durable p ~at then Float.max acc p.completion else acc)
@@ -241,4 +233,6 @@ let crash t ~at =
           { p with records; image = None; durability = Durable_from at }
         | Some _ -> p)
       kept;
-  stamped kept
+  List.filter_map
+    (fun (p, r) -> Option.map (fun records -> (p.completion, records)) r)
+    kept

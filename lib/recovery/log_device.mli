@@ -49,18 +49,15 @@ val page_spans : t -> (float * float) list
 (** [(start, completion)] of every page written, oldest first — the
     torture harness derives mid-page-write crash points from these. *)
 
-val surviving_pages : t -> at:float -> (float * Log_record.t list) list
-(** What recovery actually reads after a crash at [at].  Without an
-    armed fault plan this is exactly {!durable_pages}.  With faults:
-    durable page images are decoded record by record (transient read
-    flips are detected by CRC and repaired by reread; at-rest damage
-    truncates the page at its last valid record, FAULT011), and the page
-    {e in flight} at the crash survives as a checksum-valid prefix when
-    a torn-write rule is armed (FAULT001/FAULT008) instead of vanishing
-    wholesale. *)
-
 val crash : t -> at:float -> (float * Log_record.t list) list
-(** A crash at [at]: returns {!surviving_pages} at [at] and makes it what
-    the device holds from then on.  The device stops, a page that did not
+(** A crash at [at]: returns the pages that survive it, oldest first,
+    and makes them what the device holds from then on.  Without an
+    armed fault plan these are exactly {!durable_pages} at [at].  With
+    faults, durable page images are decoded record by record (transient
+    read flips are detected by CRC and repaired by reread; at-rest
+    damage truncates the page at its last valid record, FAULT011), and
+    the page {e in flight} at the crash survives as a checksum-valid
+    prefix when a torn-write rule is armed (FAULT001/FAULT008) instead
+    of vanishing wholesale.  The device stops, a page that did not
     survive never becomes durable later, and a torn page keeps only its
     surviving prefix. *)

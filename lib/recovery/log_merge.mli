@@ -15,11 +15,10 @@
     order. *)
 
 val merge : (float * Log_record.t list) list list -> Log_record.t list
-(** [merge fragments] combines per-device page lists (each ascending by
-    completion time) into one forward log, ordering pages by completion
-    timestamp with the page's minimum LSN breaking ties and, when both
-    are equal (or a page holds no records at all — its minimum LSN is
-    vacuous), the page's fragment position.  The order is therefore a
-    deterministic function of the input alone: equal-timestamp pages
-    across devices and empty fragments cannot reshuffle with heap
-    internals.  [merge [] = []]. *)
+(** [merge fragments] combines per-device page lists (each strictly
+    ascending by completion time, as a device's pages are) into one
+    forward log, ordering pages by completion timestamp with the page's
+    minimum LSN breaking ties and, when both are equal (or a page holds
+    no records at all — its minimum LSN is vacuous), the page's fragment
+    position.  The order is therefore a deterministic function of the
+    input alone.  [merge [] = []]. *)

@@ -20,9 +20,11 @@ type logging_mode =
   | Value_logging  (** after-image update records: big log, cheap replay *)
   | Command_logging
       (** one operation record per transaction: ~7x smaller log, replay
-          re-executes the deltas (50x slower per op).  {!Replay} splits a
-          command that spans replay partitions by partition, so its ops
-          replay in parallel; only {!Mmdb_model.Recovery_model} prices
+          re-executes the deltas.  {!Mmdb_model.Recovery_model} charges
+          it 50x a value op; the recovery benchmark's
+          [calib.command_over_value.measured] reads about 1.4.
+          {!Replay} splits a command that spans replay partitions by
+          partition, so its ops replay in parallel; only the model prices
           such ops serially. *)
   | Adaptive_logging
       (** per-transaction choice by

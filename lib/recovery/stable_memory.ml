@@ -45,26 +45,6 @@ let records t =
   List.concat_map (fun b -> b.records)
     (List.of_seq (Queue.to_seq t.batches))
 
-(* Battery-droop view: what survives a crash in which the battery could
-   only hold up the oldest part of stable memory.  Read-only — the crash
-   itself is simulated elsewhere. *)
-let records_dropping_newest t ~batches =
-  if batches < 0 then
-    invalid_arg "Stable_memory.records_dropping_newest: negative batches";
-  let n = Queue.length t.batches in
-  let keep = max 0 (n - batches) in
-  let kept = ref [] in
-  let lost = ref 0 in
-  let i = ref 0 in
-  Queue.iter
-    (fun b ->
-      if !i < keep then kept := List.rev_append b.records !kept
-      (* perf_lint: one length per dropped batch; linear overall *)
-      else lost := !lost + List.length b.records;
-      incr i)
-    t.batches;
-  (List.rev !kept, !lost)
-
 let drop_newest t ~batches =
   let keep = Queue.length t.batches - batches in
   let kept = Queue.create () in

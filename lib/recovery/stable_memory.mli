@@ -29,11 +29,6 @@ val drop_batch : t -> unit
 val records : t -> Log_record.t list
 (** Current contents, oldest first (what survives a crash). *)
 
-val records_dropping_newest : t -> batches:int -> Log_record.t list * int
-(** [records_dropping_newest sm ~batches] is the battery-droop view of a
-    crash: the surviving records after the newest [batches] batches are
-    lost (FAULT007), with the count of records dropped.  Read-only. *)
-
 val drop_newest : t -> batches:int -> unit
 (** Lose the newest [batches] batches, as a battery-droop crash does. *)
 

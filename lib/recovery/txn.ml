@@ -235,8 +235,9 @@ let checkpoint t ~at ~deadline =
     { sweep; log_durable }
 
 (* FAULT008: a transaction whose durable records are incomplete loses
-   its terminator. *)
-let demote_incomplete t durable =
+   its terminator; [note] records each demotion on the WAL's fault
+   plan. *)
+let demote_incomplete t ~note durable =
   (* txn -> (min_lsn, max_lsn, count, has_begin, terminator_lsn) *)
   let stats = Hashtbl.create 64 in
   List.iter
@@ -272,10 +273,11 @@ let demote_incomplete t durable =
       match r with
       | Log_record.Commit { txn; _ } | Log_record.Abort { txn; _ } ->
         if incomplete txn then begin
-          Fault_plan.note_detected (Wal.faults t.wal) ~code:"FAULT008"
-            ~site:"log.recover"
-            (Printf.sprintf "txn %d: incomplete durable record set; demoting"
-               txn);
+          if note then
+            Fault_plan.note_detected (Wal.faults t.wal) ~code:"FAULT008"
+              ~site:"log.recover"
+              (Printf.sprintf "txn %d: incomplete durable record set; demoting"
+                 txn);
           false
         end
         else true
@@ -283,10 +285,11 @@ let demote_incomplete t durable =
       | Log_record.Ckpt_begin _ | Log_record.Ckpt_end _ -> true)
     durable
 
-let surviving_log t ~at = demote_incomplete t (Wal.surviving_records t.wal ~at)
+let surviving_log t ~at =
+  demote_incomplete t ~note:false (Wal.durable_records t.wal ~at)
 
 let crash t ~at =
-  let log = demote_incomplete t (Wal.crash t.wal ~at) in
+  let log = demote_incomplete t ~note:true (Wal.crash t.wal ~at) in
   Kv_store.crash t.kv;
   (* The lock table is volatile: holders, waiters and pre-committed sets
      go with it (the durable log decides their transactions). *)

@@ -10,7 +10,7 @@
     memory newest first, logging each compensation, releases the locks,
     and logs Abort.  Either way a transaction's records form one run of
     consecutive LSNs with Begin first and Commit/Abort last, which is
-    what {!surviving_log}'s demotion rule relies on: callers must not
+    what {!crash}'s demotion rule relies on: callers must not
     interleave one transaction's writes and end with another's.
 
     Retirement: after every commit, and whenever a driver calls
@@ -122,10 +122,15 @@ val checkpoint : t -> at:float -> deadline:float option -> checkpoint
     @raise Mmdb_fault.Fault.Io_error when a fault plan is armed. *)
 
 val crash : t -> at:float -> Log_record.t list
-(** Crash at [at]: fix {!surviving_log} at [at], then lose the store's
-    memory, the lock table, open transactions and unretired tickets.
-    Returns that log and keeps it for {!recover}.  The log writes the
-    crash lost stay lost ({!Wal.crash}). *)
+(** Crash at [at]: fix the surviving log at [at] ({!Wal.crash}, which
+    applies an armed fault plan's damage), demote every transaction whose
+    surviving records are not one complete LSN run to a loser (its Commit
+    or Abort is dropped and FAULT008 is noted on the WAL's fault plan),
+    then lose the store's memory, the lock table, open transactions and
+    unretired tickets.  Media damage can leave a commit record standing
+    while some of its updates are gone; redoing it would replay half a
+    transaction.  Returns that log and keeps it for {!recover}.  The log
+    writes the crash lost stay lost. *)
 
 val recover :
   t -> workers:int -> use_domains:bool -> crash_steps:int option ->
@@ -139,9 +144,9 @@ val recover :
     @raise Mmdb_fault.Fault.Io_error when a fault plan is armed. *)
 
 val surviving_log : t -> at:float -> Log_record.t list
-(** What recovery replays after a crash at [at]:
-    {!Wal.surviving_records}, with every transaction whose surviving
+(** What recovery would replay after a crash at [at] if the crash did no
+    damage: {!Wal.durable_records}, with every transaction whose durable
     records are not one complete LSN run demoted to a loser (its Commit
-    or Abort is dropped and FAULT008 is noted on the WAL's fault plan).
-    Media damage can leave a commit record standing while some of its
-    updates are gone; redoing it would replay half a transaction. *)
+    or Abort is dropped).  A read-only view: it draws nothing from the
+    fault plan and notes nothing; an armed plan's damage is decided by
+    {!crash}. *)

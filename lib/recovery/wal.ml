@@ -37,13 +37,17 @@ type open_page = {
          update records are still in flight on another device. *)
 }
 
+(* Where appended records go first: the open buffer page, or, for the
+   Stable strategy, battery-backed stable memory. *)
+type sink = Pages | In_stable of Stable_memory.t
+
 type t = {
   strat : strategy;
   page_size : int;
   devices : Log_device.t array;
   mutable next_device : int;
   mutable page : open_page;
-  stable : Stable_memory.t option;
+  sink : sink;
   compressed : bool;
   faults : Fault_plan.t;
   strict : bool; (* chain straddling pages; see [append_record] *)
@@ -61,15 +65,15 @@ let create ?(page_write_time = 10e-3) ?(page_bytes = 4096) ?faults ?breaker
   let faults =
     match faults with Some f -> f | None -> Fault_plan.none ()
   in
-  let ndev, stable, compressed =
+  let ndev, sink, compressed =
     match strat with
-    | Conventional | Group_commit -> (1, None, false)
+    | Conventional | Group_commit -> (1, Pages, false)
     | Partitioned { devices } ->
       if devices <= 0 then invalid_arg "Wal: devices <= 0";
-      (devices, None, false)
+      (devices, Pages, false)
     | Stable { devices; capacity_bytes; compressed } ->
       if devices <= 0 then invalid_arg "Wal: devices <= 0";
-      (devices, Some (Stable_memory.create ~capacity_bytes), compressed)
+      (devices, In_stable (Stable_memory.create ~capacity_bytes), compressed)
   in
   {
     strat;
@@ -80,7 +84,7 @@ let create ?(page_write_time = 10e-3) ?(page_bytes = 4096) ?faults ?breaker
             ~clock ());
     next_device = 0;
     page = fresh_page ();
-    stable;
+    sink;
     compressed;
     faults;
     strict = strict_page_order;
@@ -92,7 +96,10 @@ let create ?(page_write_time = 10e-3) ?(page_bytes = 4096) ?faults ?breaker
 
 let strategy t = t.strat
 
-let record_size t r = Log_record.size_bytes ~compressed:t.compressed r
+let records_bytes ~compressed records =
+  List.fold_left
+    (fun acc r -> acc + Log_record.size_bytes ~compressed r)
+    0 records
 
 let pick_device t =
   let d = t.devices.(t.next_device) in
@@ -133,7 +140,7 @@ let flush_page t ~at =
   end
 
 let append_record t ~at r =
-  let sz = record_size t r in
+  let sz = Log_record.size_bytes ~compressed:t.compressed r in
   if t.page.op_bytes + sz > t.page_size then begin
     (* Strict mode: does [r] continue a transaction whose earlier records
        sit in the page about to flush?  If so the new page must chain
@@ -165,11 +172,6 @@ let stable_drain t sm ~at ~need =
   (* Disk pages carry the compressed form (new values only, §5.4), so a
      page is packed until its *compressed* size is full — this is where
      compression buys throughput: more transactions per page write. *)
-  let batch_disk_bytes records =
-    List.fold_left
-      (fun acc r -> acc + Log_record.size_bytes ~compressed:t.compressed r)
-      0 records
-  in
   let last = ref at in
   let continue = ref true in
   while !continue && Stable_memory.available sm < need do
@@ -180,7 +182,7 @@ let stable_drain t sm ~at ~need =
     while !packing do
       match Stable_memory.peek_batch sm with
       | Some (records, _stable_bytes) ->
-        let sz = batch_disk_bytes records in
+        let sz = records_bytes ~compressed:t.compressed records in
         if !page_fill + sz <= t.page_size || !page_fill = 0 then begin
           Stable_memory.drop_batch sm;
           page_records := List.rev_append records !page_records;
@@ -206,79 +208,66 @@ let stable_drain t sm ~at ~need =
   done;
   !last
 
-let commit_txn t ~at ~txn ~deps records =
+(* Append [records] to the log stream at [at].  The Stable strategy
+   stores them in stable memory, draining first if they do not fit, and
+   returns when they are in; the page strategies append them to the open
+   page and return [at]. *)
+let append t ~at records =
   if at < t.last_at -. 1e-12 then
-    invalid_arg "Wal.commit_txn: submissions must be in time order";
+    invalid_arg "Wal: submissions must be in time order";
   t.last_at <- Float.max t.last_at at;
   t.buffered <- List.rev_append records t.buffered;
-  let tkt = { tkt_txn = txn; completion = None } in
-  (match t.strat with
-  | Stable _ ->
-    let sm = match t.stable with Some sm -> sm | None -> assert false in
+  match t.sink with
+  | In_stable sm ->
     (* Stable memory always stores the full (uncompressed) records. *)
-    let bytes =
-      List.fold_left
-        (fun acc r -> acc + Log_record.size_bytes ~compressed:false r)
-        0 records
+    let bytes = records_bytes ~compressed:false records in
+    let stored_at =
+      if Stable_memory.available sm < bytes then stable_drain t sm ~at ~need:bytes
+      else at
     in
-    let needed_drain = Stable_memory.available sm < bytes in
-    let drained_until =
-      if needed_drain then stable_drain t sm ~at ~need:bytes else at
-    in
-    let ok = Stable_memory.put_records sm records ~bytes in
-    if not ok then
-      invalid_arg "Wal: transaction log larger than stable memory";
+    if not (Stable_memory.put_records sm records ~bytes) then
+      invalid_arg "Wal: records larger than stable memory";
+    stored_at
+  | Pages ->
+    List.iter (append_record t ~at) records;
+    at
+
+let commit_txn t ~at ~txn ~deps records =
+  let stored_at = append t ~at records in
+  let tkt = { tkt_txn = txn; completion = None } in
+  (match t.sink with
+  | In_stable _ ->
     (* Commit point: records are in stable memory.  If draining had to
        run to make room, the transaction waited for it to finish.  Commit
        stamps are monotone in submission order — a transaction entering
        stable memory behind a drain-delayed predecessor cannot claim an
        earlier commit point (its dependencies were submitted first). *)
-    let committed_at = Float.max drained_until t.stable_last_commit in
+    let committed_at = Float.max stored_at t.stable_last_commit in
     t.stable_last_commit <- committed_at;
     tkt.completion <- Some committed_at;
     Hashtbl.replace t.txn_durable txn committed_at
-  | Conventional | Group_commit | Partitioned _ ->
-    List.iter (append_record t ~at) records;
+  | Pages ->
     t.page.op_tickets <- (tkt, deps) :: t.page.op_tickets;
-    (match t.strat with
-    | Conventional -> ignore (flush_page t ~at)
-    | Group_commit | Partitioned _ ->
-      if t.page.op_bytes >= t.page_size then ignore (flush_page t ~at)
-    | Stable _ -> assert false));
+    let force =
+      match t.strat with
+      | Conventional -> true
+      | Group_commit | Partitioned _ | Stable _ -> false
+    in
+    if force || t.page.op_bytes >= t.page_size then ignore (flush_page t ~at));
   tkt
 
 (* Non-transactional records (checkpoint brackets): appended to the log
    stream without a commit ticket.  They ride the open page (or stable
    memory) and become durable with the next flush or page fill. *)
-let log_control t ~at records =
-  if at < t.last_at -. 1e-12 then
-    invalid_arg "Wal.log_control: submissions must be in time order";
-  t.last_at <- Float.max t.last_at at;
-  t.buffered <- List.rev_append records t.buffered;
-  match t.strat with
-  | Stable _ ->
-    let sm = match t.stable with Some sm -> sm | None -> assert false in
-    let bytes =
-      List.fold_left
-        (fun acc r -> acc + Log_record.size_bytes ~compressed:false r)
-        0 records
-    in
-    if Stable_memory.available sm < bytes then
-      ignore (stable_drain t sm ~at ~need:bytes);
-    if not (Stable_memory.put_records sm records ~bytes) then
-      invalid_arg "Wal: control records larger than stable memory"
-  | Conventional | Group_commit | Partitioned _ ->
-    List.iter (append_record t ~at) records
+let log_control t ~at records = ignore (append t ~at records)
 
 let ticket_txn tkt = tkt.tkt_txn
 let ticket_completion tkt = tkt.completion
 
 let flush t ~at =
-  match t.strat with
-  | Stable _ ->
-    let sm = match t.stable with Some sm -> sm | None -> assert false in
-    stable_drain t sm ~at ~need:(Stable_memory.capacity sm + 1)
-  | Conventional | Group_commit | Partitioned _ -> flush_page t ~at
+  match t.sink with
+  | In_stable sm -> stable_drain t sm ~at ~need:(Stable_memory.capacity sm + 1)
+  | Pages -> flush_page t ~at
 
 let quiesce_time t =
   Array.fold_left (fun acc d -> Float.max acc (Log_device.busy_until d)) 0.0
@@ -306,10 +295,9 @@ let durable_records t ~at =
       (Array.to_list t.devices
       |> List.map (fun d -> Log_device.durable_pages d ~at))
   in
-  let in_stable =
-    match t.stable with Some sm -> Stable_memory.records sm | None -> []
-  in
-  append_stable on_disk in_stable
+  match t.sink with
+  | In_stable sm -> append_stable on_disk (Stable_memory.records sm)
+  | Pages -> on_disk
 
 let all_records t = List.rev t.buffered
 
@@ -320,46 +308,31 @@ let page_spans t =
   |> List.concat_map Log_device.page_spans
   |> List.sort compare
 
-(* The records a crash at [at] leaves, the devices' share read through
-   [pages], and how many stable-memory batches it loses (battery
-   droop). *)
-let survivors t ~at ~pages =
-  let on_disk =
-    Log_merge.merge (Array.to_list t.devices |> List.map (fun d -> pages d ~at))
-  in
-  let in_stable, dropped =
-    match t.stable with
-    | None -> ([], 0)
-    | Some sm ->
-      if not (Fault_plan.is_active t.faults) then (Stable_memory.records sm, 0)
-      else begin
-        match Fault_plan.peek t.faults Fault.Stable_crash with
-        | Some (Fault.Battery_droop { batches }) ->
-          let kept, lost =
-            Stable_memory.records_dropping_newest sm ~batches
-          in
-          if lost > 0 then begin
-            Fault_plan.note_injected t.faults ~code:"FAULT007"
-              ~site:"stable.crash"
-              (Printf.sprintf "battery droop: newest %d batch(es) lost"
-                 batches);
-            Fault_plan.note_unrecoverable t.faults ~code:"FAULT007"
-              ~site:"stable.crash"
-              (Printf.sprintf "%d acknowledged record(s) lost" lost)
-          end;
-          (kept, batches)
-        | Some
-            ( Fault.Torn_write | Fault.Bit_flip_read | Fault.Bit_flip_rest
-            | Fault.Io_transient _ )
-        | None -> (Stable_memory.records sm, 0)
-      end
-  in
-  (append_stable on_disk in_stable, dropped)
-
-let surviving_records t ~at = fst (survivors t ~at ~pages:Log_device.surviving_pages)
-
+(* The devices crash first, then a battery droop loses the newest
+   stable-memory batches (FAULT007). *)
 let crash t ~at =
-  let records, dropped = survivors t ~at ~pages:Log_device.crash in
+  let on_disk =
+    Log_merge.merge
+      (Array.to_list t.devices |> List.map (fun d -> Log_device.crash d ~at))
+  in
   t.page <- fresh_page ();
-  Option.iter (Stable_memory.drop_newest ~batches:dropped) t.stable;
-  records
+  match t.sink with
+  | Pages -> on_disk
+  | In_stable sm ->
+    (match Fault_plan.peek t.faults Fault.Stable_crash with
+    | Some (Fault.Battery_droop { batches }) ->
+      let held = List.length (Stable_memory.records sm) in
+      Stable_memory.drop_newest sm ~batches;
+      let lost = held - List.length (Stable_memory.records sm) in
+      if lost > 0 then begin
+        Fault_plan.note_injected t.faults ~code:"FAULT007" ~site:"stable.crash"
+          (Printf.sprintf "battery droop: newest %d batch(es) lost" batches);
+        Fault_plan.note_unrecoverable t.faults ~code:"FAULT007"
+          ~site:"stable.crash"
+          (Printf.sprintf "%d acknowledged record(s) lost" lost)
+      end
+    | Some
+        ( Fault.Torn_write | Fault.Bit_flip_read | Fault.Bit_flip_rest
+        | Fault.Io_transient _ )
+    | None -> ());
+    append_stable on_disk (Stable_memory.records sm)

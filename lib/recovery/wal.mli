@@ -41,9 +41,8 @@ val create : ?page_write_time:float -> ?page_bytes:int ->
   ?breaker:Mmdb_overload.Overload.Breaker.t -> ?strict_page_order:bool ->
   clock:Mmdb_storage.Sim_clock.t -> strategy -> t
 (** [faults] arms a fault-injection plan shared by every log device:
-    pages then carry checksummed physical images, and
-    {!surviving_records} models torn writes, read/rest bit flips, and
-    stable-memory battery droop at crash time.  Without it, behaviour is
+    pages then carry checksummed physical images, and {!crash} models
+    torn writes, read/rest bit flips, and stable-memory battery droop.  Without it, behaviour is
     identical to the unfaulted seed.  [breaker] attaches a circuit
     breaker fed by every device (injected transients are failures,
     clean faulted-path writes successes); it never blocks the log
@@ -113,18 +112,14 @@ val page_spans : t -> (float * float) list
     the torture harness crashes inside these windows to exercise
     mid-page-write recovery. *)
 
-val surviving_records : t -> at:float -> Log_record.t list
-(** What recovery reads after a crash at [at].  Equal to
-    {!durable_records} when no fault plan is armed.  With faults: device
-    pages are decoded through their checksummed images (torn in-flight
+val crash : t -> at:float -> Log_record.t list
+(** A crash at [at]: returns what recovery reads and makes it what the
+    log holds from then on.  Without an armed fault plan that is
+    {!durable_records} at [at].  With faults, device pages are decoded
+    through their checksummed images ({!Log_device.crash}: torn in-flight
     pages survive as a valid prefix, transient read flips are repaired
     by reread, at-rest damage truncates at the last valid record), and a
-    battery-droop rule drops the newest stable-memory batches
-    (FAULT007) before the merge. *)
-
-val crash : t -> at:float -> Log_record.t list
-(** A crash at [at]: returns {!surviving_records} at [at] and makes it
-    what the log holds from then on.  The open buffer page, every page
-    write not durable by then and the stable-memory batches a battery
-    droop lost never become durable later; a torn page keeps only its
-    surviving prefix ({!Log_device.crash}). *)
+    battery-droop rule drops the newest stable-memory batches (FAULT007)
+    before they are appended to the merge.  The open buffer page, every
+    page write not durable by then and the stable-memory batches a
+    battery droop lost never become durable later. *)

@@ -102,8 +102,10 @@ type model = {
   mutable m_reopens : int;
 }
 
-let model_threshold = 3
-let model_cooldown = 10e-3
+(* [Breaker]'s constants: 5 consecutive failures trip it, and it stays
+   open for 50 ms. *)
+let model_threshold = 5
+let model_cooldown = 50e-3
 
 let model_tick m ~now =
   match m.m_st with
@@ -169,8 +171,7 @@ let new_model () =
     m_reopens = 0;
   }
 
-let new_breaker () =
-  O.Breaker.create ~threshold:model_threshold ~cooldown:model_cooldown ()
+let new_breaker () = O.Breaker.create ()
 
 (* Apply op [i] to both the breaker and the model; true while they
    agree. *)
@@ -200,42 +201,54 @@ let qcheck_breaker_model =
       List.for_all (model_step (new_breaker ()) (new_model ()) (ref 0.0)) ops)
 
 (* One long seeded run beside the QCheck property: 20,000 ops must agree
-   step by step, and must trip and reopen so agreement is not vacuous. *)
+   step by step, and must trip, half-open, reopen and close so agreement
+   is not vacuous. *)
 let test_breaker_model_long_run () =
   let b = new_breaker () and m = new_model () in
   let rng = U.Xorshift.create 42 and now = ref 0.0 in
+  let half_opened = ref false and closed = ref false in
   for step = 1 to 20_000 do
+    let before = m.m_st in
     if not (model_step b m now (U.Xorshift.int rng 10)) then
-      Alcotest.failf "breaker diverges from the model at op %d" step
+      Alcotest.failf "breaker diverges from the model at op %d" step;
+    if m.m_st = O.Breaker.Half_open then half_opened := true;
+    if before = O.Breaker.Half_open && m.m_st = O.Breaker.Closed then
+      closed := true
   done;
   checkb "tripped" true (m.m_trips > 0);
-  checkb "reopened" true (m.m_reopens > 0)
+  checkb "half-opened" true !half_opened;
+  checkb "reopened" true (m.m_reopens > 0);
+  checkb "closed after a probe" true !closed
 
 let test_breaker_cycle () =
   (* The canonical trip/probe cycle: threshold failures open it, the
      cooldown half-opens it, a failed probe reopens (OVLD010), a second
      cooldown and a clean probe close it. *)
-  let b = O.Breaker.create ~threshold:2 ~cooldown:5e-3 () in
-  O.Breaker.record_failure b ~now:0.0;
-  checkb "still closed" true (O.Breaker.state b ~now:0.0 = O.Breaker.Closed);
+  let b = O.Breaker.create () in
+  for i = 1 to model_threshold - 1 do
+    O.Breaker.record_failure b ~now:(float_of_int i *. 1e-4)
+  done;
+  checkb "still closed" true (O.Breaker.state b ~now:1e-3 = O.Breaker.Closed);
   O.Breaker.record_failure b ~now:1e-3;
   checkb "tripped open" true (O.Breaker.state b ~now:1e-3 = O.Breaker.Open);
   checki "trips" 1 (O.Breaker.trips b);
   checkb "sheds while open" false (O.Breaker.allow b ~now:2e-3);
+  checkb "still open before the cooldown" true
+    (O.Breaker.state b ~now:50e-3 = O.Breaker.Open);
   checkb "half-open after cooldown" true
-    (O.Breaker.state b ~now:7e-3 = O.Breaker.Half_open);
-  checkb "one probe admitted" true (O.Breaker.allow b ~now:7e-3);
-  checkb "second probe refused" false (O.Breaker.allow b ~now:7e-3);
-  O.Breaker.record_failure b ~now:8e-3;
+    (O.Breaker.state b ~now:52e-3 = O.Breaker.Half_open);
+  checkb "one probe admitted" true (O.Breaker.allow b ~now:52e-3);
+  checkb "second probe refused" false (O.Breaker.allow b ~now:52e-3);
+  O.Breaker.record_failure b ~now:53e-3;
   checkb "probe failure reopens" true
-    (O.Breaker.state b ~now:8e-3 = O.Breaker.Open);
+    (O.Breaker.state b ~now:53e-3 = O.Breaker.Open);
   checki "reopens" 1 (O.Breaker.reopens b);
   checkb "half-open again" true
-    (O.Breaker.state b ~now:14e-3 = O.Breaker.Half_open);
-  checkb "probe admitted again" true (O.Breaker.allow b ~now:14e-3);
-  O.Breaker.record_success b ~now:15e-3;
+    (O.Breaker.state b ~now:104e-3 = O.Breaker.Half_open);
+  checkb "probe admitted again" true (O.Breaker.allow b ~now:104e-3);
+  O.Breaker.record_success b ~now:105e-3;
   checkb "closed after clean probe" true
-    (O.Breaker.state b ~now:15e-3 = O.Breaker.Closed);
+    (O.Breaker.state b ~now:105e-3 = O.Breaker.Closed);
   checki "no extra trips" 1 (O.Breaker.trips b)
 
 (* ------------------------------------------------------------------ *)
@@ -276,9 +289,11 @@ let test_admission_breaker_degraded () =
   (* Shed-analytics degraded mode: while a registered breaker is open,
      the analytic class sheds OVLD007 and OLTP keeps flowing. *)
   let a = O.Admission.create () in
-  let b = O.Breaker.create ~threshold:1 () in
+  let b = O.Breaker.create () in
   O.Admission.register_breaker a b;
-  O.Breaker.record_failure b ~now:0.0;
+  for _ = 1 to model_threshold do
+    O.Breaker.record_failure b ~now:0.0
+  done;
   checkb "breaker open" true (O.Breaker.state b ~now:0.0 = O.Breaker.Open);
   (match shed_of (fun () -> O.Admission.admit a ~now:0.0 ~priority:O.Analytic)
    with

@@ -1898,18 +1898,20 @@ let test_kernel_retirement_order () =
    two has its Commit durable before its earlier records.  A crash in
    between must demote it to a loser. *)
 let test_surviving_log_demotes_incomplete () =
-  let wal = R.Wal.create ~clock:(S.Sim_clock.create ()) (R.Wal.Partitioned { devices = 3 }) in
-  let k = R.Txn.create ~nrecords:5000 ~wal () in
-  let rng = U.Xorshift.create 3 in
-  for txn = 0 to 199 do
-    let slots = List.sort_uniq compare (List.init 3 (fun _ -> U.Xorshift.int rng 5000)) in
-    ignore (R.Txn.run k ~txn ~at:(float_of_int txn *. 1e-4) (List.map (fun s -> (s, 1)) slots))
-  done;
-  ignore (R.Wal.flush wal ~at:0.2);
-  (* The transactions whose Commit survives a crash at [at] without the
-     rest of their LSN run. *)
-  let incomplete at =
-    let records = R.Wal.surviving_records wal ~at in
+  let build () =
+    let wal = R.Wal.create ~clock:(S.Sim_clock.create ()) (R.Wal.Partitioned { devices = 3 }) in
+    let k = R.Txn.create ~nrecords:5000 ~wal () in
+    let rng = U.Xorshift.create 3 in
+    for txn = 0 to 199 do
+      let slots = List.sort_uniq compare (List.init 3 (fun _ -> U.Xorshift.int rng 5000)) in
+      ignore (R.Txn.run k ~txn ~at:(float_of_int txn *. 1e-4) (List.map (fun s -> (s, 1)) slots))
+    done;
+    ignore (R.Wal.flush wal ~at:0.2);
+    (wal, k)
+  in
+  (* The transactions whose Commit is in [records] without the rest of
+     their LSN run. *)
+  let incomplete records =
     List.filter_map
       (function
         | R.Log_record.Commit { txn; lsn } -> (
@@ -1921,20 +1923,34 @@ let test_surviving_log_demotes_incomplete () =
         | _ -> None)
       records
   in
-  let crash_points = List.concat_map (fun (a, b) -> [ a; b ]) (R.Wal.page_spans wal) in
-  match List.find_opt (fun at -> incomplete at <> []) crash_points with
+  let fault008 wal =
+    Option.value ~default:0
+      (List.assoc_opt "FAULT008" (Mmdb_fault.Fault_plan.event_counts (R.Wal.faults wal)))
+  in
+  let commits log =
+    List.filter_map (function R.Log_record.Commit { txn; _ } -> Some txn | _ -> None) log
+  in
+  let crash_points =
+    List.concat_map (fun (a, b) -> [ a; b ]) (R.Wal.page_spans (fst (build ())))
+  in
+  (* A crash mutates the log, so every candidate point gets a fresh
+     kernel. *)
+  let candidate at =
+    let wal, k = build () in
+    match incomplete (R.Wal.durable_records wal ~at) with
+    | [] -> None
+    | losers -> Some (wal, k, at, losers)
+  in
+  match List.find_map candidate crash_points with
   | None -> Alcotest.fail "no crash point leaves an incomplete record set"
-  | Some at ->
-    let losers = incomplete at in
-    let survivors = R.Txn.surviving_log k ~at in
+  | Some (wal, k, at, losers) ->
+    let view = R.Txn.surviving_log k ~at in
+    checki "the view notes nothing" 0 (fault008 wal);
+    let survivors = R.Txn.crash k ~at in
     checkb "incomplete commits demoted" true
-      (List.for_all
-         (fun txn ->
-           not (List.exists (function R.Log_record.Commit { txn = t; _ } -> t = txn | _ -> false) survivors))
-         losers);
-    checki "FAULT008 noted per demoted txn" (List.length losers)
-      (Option.value ~default:0
-         (List.assoc_opt "FAULT008" (Mmdb_fault.Fault_plan.event_counts (R.Wal.faults wal))))
+      (List.for_all (fun txn -> not (List.mem txn (commits survivors))) losers);
+    checkb "the view demotes what the crash demotes" true (view = survivors);
+    checki "FAULT008 noted per demoted txn" (List.length losers) (fault008 wal)
 
 let () =
   Alcotest.run "mmdb_recovery"
